@@ -10,8 +10,11 @@ cost model says sharing stops paying:
   connected-component clustering with LPT packing and label-propagation
   refinement, and reports explaining what a partition keeps, cuts and
   duplicates;
-* :mod:`~repro.cluster.shard` — one shard: a (thread-safe) QueryServer plus
-  the shard's stream signature and batch timings;
+* :mod:`~repro.cluster.shard` — one shard: a :class:`Shard` keeping the
+  population mirror (names, trees, stream signature) and sending every
+  other operation through the one command table, over an in-process
+  transport (thread mode) or a worker pipe
+  (:mod:`~repro.cluster.worker`, process mode);
 * :mod:`~repro.cluster.router` — the front door scoring each admission
   against every shard's signature;
 * :mod:`~repro.cluster.cluster` — :class:`ClusterServer`: concurrent shard
@@ -41,8 +44,8 @@ from repro.cluster.partition import (
     stream_weight_vector,
 )
 from repro.cluster.router import RoutingDecision, ShardRouter
-from repro.cluster.shard import ShardServer
-from repro.cluster.worker import RemotePlanCache, ShardWorkerProxy, WorkerConfig
+from repro.cluster.shard import InProcessTransport, Shard, WorkerConfig
+from repro.cluster.worker import RemotePlanCache, WorkerTransport
 
 __all__ = [
     "OverlapGraph",
@@ -53,7 +56,7 @@ __all__ = [
     "partition_report",
     "random_partition",
     "stream_weight_vector",
-    "ShardServer",
+    "Shard",
     "ShardRouter",
     "RoutingDecision",
     "ClusterServer",
@@ -64,6 +67,7 @@ __all__ = [
     "pack_pieces",
     "shard_split_pieces",
     "WorkerConfig",
-    "ShardWorkerProxy",
+    "InProcessTransport",
+    "WorkerTransport",
     "RemotePlanCache",
 ]

@@ -60,10 +60,16 @@ from repro.cluster.partition import (
     partition_report,
     random_partition,
     shard_split_pieces,
-    stream_weight_vector,
 )
 from repro.cluster.router import ShardRouter
-from repro.cluster.shard import ShardServer
+from repro.cluster.shard import (
+    InProcessTransport,
+    Shard,
+    ShardTransport,
+    WorkerConfig,
+    build_shard_server,
+)
+from repro.cluster.worker import WorkerTransport
 from repro.core.heuristics.base import Scheduler
 from repro.engine.executor import BernoulliOracle, ExecutionResult, LeafOracle
 from repro.errors import AdmissionError, StreamError
@@ -72,7 +78,7 @@ from repro.obs.slo import SloMonitor, SloObjective, SloStatus
 from repro.obs.trace import attach_context, current_context
 from repro.service.metrics import ServiceMetrics
 from repro.service.plan_cache import PlanCache
-from repro.service.server import DEFAULT_SCHEDULER, BatchReport, QueryServer
+from repro.service.server import DEFAULT_SCHEDULER, BatchReport
 from repro.service.substore import SubtreeStore, default_store
 from repro.streams.registry import StreamRegistry
 
@@ -425,7 +431,7 @@ class ClusterServer:
         )
         #: Stable shard id -> live shard. Ids are never reused: a split's new
         #: shards and a drain's retirement keep every id's history unambiguous.
-        self.shards: dict[int, ShardServer] = {}
+        self.shards: dict[int, Shard] = {}
         self._next_shard_id = 0
         for _ in range(n_shards):
             self._spawn_shard()
@@ -463,53 +469,48 @@ class ClusterServer:
             "than pickling it"
         )
 
-    def _new_shard(self, shard_id: int) -> ShardServer:
-        if self.executor == "process":
-            from repro.cluster.worker import ShardWorkerProxy, WorkerConfig
-
-            telemetry_on = self.telemetry is not None and self.telemetry.enabled
-            config = WorkerConfig(
-                shard_id=shard_id,
-                registry=self.registry,
-                scheduler=self._scheduler,
-                shared_plan=self._shared_plan,
-                warmup=self._warmup,
-                adaptive=self._adaptive,
-                use_plan_cache=self.plan_cache is not None,
-                use_substore=self.substore is not None,
-                telemetry_enabled=telemetry_on,
-                telemetry_detail=telemetry_on and self.telemetry.detail,
-                trace_capacity=(
-                    self.telemetry.tracer.capacity if telemetry_on else 4096
-                ),
-            )
-            return ShardWorkerProxy(
-                config,
-                plan_cache=self.plan_cache,
-                registry_sink=self._registry,
-                costs=self.registry.cost_table(),
-                trace_sink=self.telemetry.tracer if telemetry_on else None,
-                substore=self.substore,
-            )
-        server = QueryServer(
-            self.registry,
+    def _new_shard(self, shard_id: int) -> Shard:
+        telemetry_on = self.telemetry is not None and self.telemetry.enabled
+        config = WorkerConfig(
+            shard_id=shard_id,
+            registry=self.registry,
             scheduler=self._scheduler,
-            plan_cache=self.plan_cache,
-            substore=self.substore if self.substore is not None else False,
             shared_plan=self._shared_plan,
             warmup=self._warmup,
             adaptive=self._adaptive,
-            telemetry=self.telemetry,
+            use_plan_cache=self.plan_cache is not None,
+            use_substore=self.substore is not None,
+            telemetry_enabled=telemetry_on,
+            telemetry_detail=telemetry_on and self.telemetry.detail,
+            trace_capacity=self.telemetry.tracer.capacity if telemetry_on else 4096,
         )
-        return ShardServer(shard_id, server, self.registry.cost_table())
+        transport: ShardTransport
+        if self.executor == "process":
+            transport = WorkerTransport(
+                config,
+                plan_cache=self.plan_cache,
+                registry_sink=self._registry,
+                trace_sink=self.telemetry.tracer if telemetry_on else None,
+            )
+        else:
+            server = build_shard_server(
+                config,
+                plan_cache=self.plan_cache,
+                telemetry=self.telemetry,
+                substore=self.substore,
+            )
+            transport = InProcessTransport(shard_id, server)
+        return Shard(
+            shard_id, transport, self.registry.cost_table(), substore=self.substore
+        )
 
-    def _spawn_shard(self) -> ShardServer:
+    def _spawn_shard(self) -> Shard:
         shard = self._new_shard(self._next_shard_id)
         self._next_shard_id += 1
         self.shards[shard.shard_id] = shard
         return shard
 
-    def _shard(self, shard_id: int) -> ShardServer:
+    def _shard(self, shard_id: int) -> Shard:
         try:
             return self.shards[shard_id]
         except KeyError:
@@ -540,9 +541,9 @@ class ClusterServer:
             raise AdmissionError(f"no query named {name!r} is registered") from None
 
     def query(self, name: str):
-        return self.shards[self.shard_of(name)].server.query(name)
+        return self.shards[self.shard_of(name)].query(name)
 
-    def active_shards(self) -> list[ShardServer]:
+    def active_shards(self) -> list[Shard]:
         return [shard for shard in self.shards.values() if len(shard)]
 
     @property
@@ -569,7 +570,7 @@ class ClusterServer:
         self._assignment[name] = decision.shard_id
         self._order.append(name)
         self._churn += 1
-        self._absorb_overlapping(decision.shard_id, self._weight_vector(tree))
+        self._absorb_overlapping(decision.shard_id, frozenset(tree.streams))
         return decision.shard_id
 
     @_synchronized
@@ -662,7 +663,7 @@ class ClusterServer:
             # worker pipe forwards) stay parented under any enclosing span.
             ctx = current_context()
 
-            def step_shard(shard: ShardServer) -> dict[str, ExecutionResult]:
+            def step_shard(shard: Shard) -> dict[str, ExecutionResult]:
                 with attach_context(ctx):
                     return shard.step()
 
@@ -709,10 +710,10 @@ class ClusterServer:
         else:
             # Re-attach the cluster-batch span context inside each pool
             # thread: thread-mode shard spans parent under it directly, and
-            # process-mode proxies forward it down the worker pipe.
+            # process-mode transports forward it down the worker pipe.
             ctx = current_context()
 
-            def batch_shard(shard: ShardServer) -> BatchReport:
+            def batch_shard(shard: Shard) -> BatchReport:
                 with attach_context(ctx):
                     return shard.run_batch(rounds, engine=engine)
 
@@ -826,19 +827,7 @@ class ClusterServer:
 
     # -- migration -------------------------------------------------------
 
-    def _weight_vector(self, tree: TreeLike) -> dict[str, float]:
-        """Per-stream acquisition weights for ``tree``, memoized by the store.
-
-        Value-identical to :func:`stream_weight_vector` (the weights are
-        invariant under canonicalization); with a substore the vector is
-        computed once per canonical identity instead of once per call.
-        """
-        costs = self.registry.cost_table()
-        if self.substore is not None:
-            return dict(self.substore.stream_weights(tree, costs))
-        return stream_weight_vector(tree, costs)
-
-    def _absorb_overlapping(self, home_id: int, weights: dict[str, float]) -> None:
+    def _absorb_overlapping(self, home_id: int, new_streams: frozenset[str]) -> None:
         """Keep stream-sharing queries co-resident after an admission.
 
         A runtime arrival can *bridge* overlap components that were, until
@@ -850,16 +839,13 @@ class ClusterServer:
         fit stays put (the cut is the price of the balance constraint).
         """
         home = self.shards[home_id]
-        new_streams = set(weights)
         for sid in sorted(self.shards):
             if sid == home_id:
                 continue
             other = self.shards[sid]
-            if not len(other) or not (new_streams & set(other.signature)):
+            if not len(other) or new_streams.isdisjoint(other.signature):
                 continue
-            population = [
-                (name, other.server.query(name).tree) for name in other.names
-            ]
+            population = [(name, other.tree(name)) for name in other.names]
             graph = build_overlap_graph(
                 population, self.registry.cost_table(), store=self.substore
             )
@@ -924,25 +910,22 @@ class ClusterServer:
         src, dest = self.shards[src_id], self.shards[dest_id]
         streams: set[str] = set()
         for name in names:
-            streams.update(src.server.query(name).tree.streams)
+            streams.update(src.tree(name).streams)
         # Snapshot the donor state first: lifting the movers out applies the
         # relevance rule to the source cache, purging streams only they used.
-        donor_now, stores = src.server.cache.export_stream_state(streams)
-        if dest.server.rounds_served < src.server.rounds_served:
-            dest.server.sync_round_clock(src.server.rounds_served)
+        donor_now, stores = src.export_stream_state(streams)
+        src_rounds = src.rounds_served()
+        if dest.rounds_served() < src_rounds:
+            dest.sync_round_clock(src_rounds)
         for name in names:
-            snapshot = src.server.export_query(name)
-            dest.admit_migrated(snapshot)
+            dest.admit_migrated(src.export_query(name))
             self._assignment[name] = dest_id
         # Adopt after the movers are registered, so the destination's own
         # relevance horizon already covers their streams.
-        dest.server.cache.adopt_stream_state(donor_now, stores)
+        dest.adopt_stream_state(donor_now, stores)
         # Restore global admission order on the destination: merge tie-breaks
         # follow registration order, which must not depend on travel history.
-        dest.server.reorder(
-            [name for name in self._order if name in dest.server]
-        )
-        src.rebuild_signature()
+        dest.reorder([name for name in self._order if name in dest])
         self.router.invalidate_signatures((src_id, dest_id))
 
     @_synchronized
@@ -976,7 +959,7 @@ class ClusterServer:
         if len(shard) < 2:
             return None
         op_start = time.perf_counter()
-        population = [(name, shard.server.query(name).tree) for name in shard.names]
+        population = [(name, shard.tree(name)) for name in shard.names]
         graph = build_overlap_graph(
             population, self.registry.cost_table(), store=self.substore
         )
@@ -1036,7 +1019,7 @@ class ClusterServer:
         destinations: list[int] = []
         moves = 0
         if len(shard):
-            population = [(name, shard.server.query(name).tree) for name in shard.names]
+            population = [(name, shard.tree(name)) for name in shard.names]
             graph = build_overlap_graph(
                 population, self.registry.cost_table(), store=self.substore
             )
@@ -1071,7 +1054,7 @@ class ClusterServer:
                     )
                 raise
         retired = self.shards.pop(shard_id)
-        self._replans_retired += retired.server.metrics.replans
+        self._replans_retired += retired.replans()
         retired.close()  # a process-mode shard's worker exits here
         self.router.invalidate_signatures((shard_id,))
         event = ElasticEvent(
@@ -1135,7 +1118,10 @@ class ClusterServer:
     # -- placement maintenance -------------------------------------------
 
     def _live_population(self) -> list[tuple[str, TreeLike]]:
-        return [(name, self.query(name).tree) for name in self._order]
+        return [
+            (name, self.shards[self._assignment[name]].tree(name))
+            for name in self._order
+        ]
 
     @_synchronized
     def partition_report(self) -> PartitionReport:
@@ -1335,7 +1321,7 @@ class ClusterServer:
         if policy.churn_every and self._churn - self._churn_mark >= policy.churn_every:
             due.append("churn")
         replans_total = self._replans_retired + sum(
-            shard.server.metrics.replans for shard in self.shards.values()
+            shard.replans() for shard in self.shards.values()
         )
         if (
             policy.replans_every
@@ -1376,9 +1362,7 @@ class ClusterServer:
     # -- observability ---------------------------------------------------
 
     def shard_metrics(self) -> dict[int, ServiceMetrics]:
-        return {
-            shard_id: shard.server.metrics for shard_id, shard in self.shards.items()
-        }
+        return {shard_id: shard.metrics() for shard_id, shard in self.shards.items()}
 
     def describe(self) -> str:
         lines = [
@@ -1400,7 +1384,7 @@ class ClusterServer:
                 continue
             lines.append(
                 f"  shard {shard_id}: {len(shard)} queries over "
-                f"{len(shard.streams)} streams, "
-                f"{shard.server.metrics.rounds} rounds served"
+                f"{len(shard.signature)} streams, "
+                f"{shard.metrics().rounds} rounds served"
             )
         return "\n".join(lines)

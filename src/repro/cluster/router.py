@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from repro.cluster.partition import TreeLike, stream_weight_vector
-from repro.cluster.shard import ShardServer
+from repro.cluster.shard import Shard
 from repro.errors import AdmissionError
 
 __all__ = ["RoutingDecision", "ShardRouter"]
@@ -58,7 +58,7 @@ class ShardRouter:
         default_factory=dict, repr=False
     )
 
-    def _signature(self, shard: ShardServer) -> dict[str, float]:
+    def _signature(self, shard: Shard) -> dict[str, float]:
         cached = self._signatures.get(shard.shard_id)
         if cached is None:
             cached = dict(shard.signature)
@@ -79,7 +79,7 @@ class ShardRouter:
                 self._signatures.pop(shard_id, None)
 
     def route(
-        self, name: str, tree: TreeLike, shards: Sequence[ShardServer]
+        self, name: str, tree: TreeLike, shards: Sequence[Shard]
     ) -> RoutingDecision:
         """Pick a shard for ``name`` (pure — no state is recorded).
 
@@ -95,7 +95,7 @@ class ShardRouter:
         self,
         label: str,
         weights: Mapping[str, float],
-        shards: Sequence[ShardServer],
+        shards: Sequence[Shard],
         *,
         group_size: int = 1,
     ) -> RoutingDecision:

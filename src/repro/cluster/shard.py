@@ -1,67 +1,282 @@
-"""One shard of a serving cluster: a QueryServer plus shard bookkeeping.
+"""One shard of a serving cluster: a population mirror over a command transport.
 
-A :class:`ShardServer` owns one :class:`~repro.service.server.QueryServer`
-(itself thread-safe behind an internal reentrant lock) and adds the
-cluster-level identity the router needs: a stable shard id, the shard's
-*stream signature* (per-stream max acquisition weight over its residents,
-maintained incrementally on admission), and per-batch wall-clock timing so
-the cluster can report where time went.
+A shard is one :class:`~repro.service.server.QueryServer` — one shared-stream
+cache with one merged probe plan over it. Where that server runs (a thread
+or a spawned process) changes only the transport, so :class:`Shard` is the
+single parent-side handle for both executors:
+
+* it keeps the shard's *population mirror* — resident names in registration
+  order, their trees, and the *stream signature* (per-stream max acquisition
+  weight over the residents) — which the router and the cluster's control
+  plane read without a call (every mutation flows through the shard, so the
+  mirror cannot drift from the server);
+* every other operation goes out as ``(op, args, kwargs)`` through a
+  transport and runs in :func:`run_command`, the one command table.
+
+Two transports carry the commands. :class:`InProcessTransport`
+(``executor="thread"``) calls the table directly on a local server, passing
+objects by reference; that server shares the cluster's telemetry and plan
+cache. :class:`~repro.cluster.worker.WorkerTransport` (``executor="process"``)
+pickles each command down a spawned worker's pipe, where the worker runs
+the same table on its own server. :func:`build_shard_server` builds the
+shard's server from a :class:`WorkerConfig` under both executors.
+
+The spawned worker imports this module, so it must stay free of
+import-time side effects (RPR004).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Mapping
+from dataclasses import dataclass
+from typing import Any, Mapping, Protocol
 
-from repro.core.tree import DnfTree
+from repro.adaptive.policy import AdaptivePolicy
+from repro.cluster.partition import TreeLike, stream_weight_vector
+from repro.core.heuristics.base import Scheduler
 from repro.engine.executor import ExecutionResult, LeafOracle
-from repro.errors import AdmissionError
-from repro.service.server import BatchReport, QueryServer, QuerySnapshot, TreeLike
-from repro.cluster.partition import stream_weight_vector
+from repro.errors import AdmissionError, StreamError
+from repro.obs import Telemetry
+from repro.service.metrics import ServiceMetrics
+from repro.service.plan_cache import PlanCache
+from repro.service.server import (
+    BatchReport,
+    QueryServer,
+    QuerySnapshot,
+    RegisteredQuery,
+)
+from repro.service.substore import SubtreeStore
+from repro.streams.registry import StreamRegistry
 
-__all__ = ["ShardServer"]
+__all__ = [
+    "InProcessTransport",
+    "Shard",
+    "ShardTransport",
+    "WorkerConfig",
+    "build_shard_server",
+    "run_command",
+]
 
 
-class ShardServer:
-    """A routed shard: one QueryServer with an id, a signature and timings."""
+@dataclass(frozen=True)
+class WorkerConfig:
+    """Everything needed to build a shard's server, in-process or spawned."""
 
-    def __init__(
-        self, shard_id: int, server: QueryServer, costs: Mapping[str, float]
-    ) -> None:
+    shard_id: int
+    registry: StreamRegistry
+    scheduler: str | Scheduler
+    shared_plan: bool
+    warmup: int
+    adaptive: AdaptivePolicy | None
+    use_plan_cache: bool
+    telemetry_enabled: bool
+    telemetry_detail: bool
+    #: Build the shard's QueryServer on a substore (interned canonical
+    #: identity + admission memo). Identity is per-process; interned nodes
+    #: arriving in a worker's snapshots re-intern there.
+    use_substore: bool = True
+    #: Worker trace-ring size; sized to the parent's ring so a batch's
+    #: records survive until the reply ships them (drain-on-reply means
+    #: overflow only matters within a single batch).
+    trace_capacity: int = 4096
+
+
+def build_shard_server(
+    config: WorkerConfig,
+    *,
+    plan_cache: PlanCache | None,
+    telemetry: Telemetry | None,
+    substore: SubtreeStore | bool | None,
+) -> QueryServer:
+    """The shard's :class:`QueryServer`, built the same way for both executors.
+
+    The process-local pieces come from the caller: a thread shard passes the
+    cluster's own plan cache, telemetry and store; a worker passes its
+    read-through plan-cache stub, its own telemetry and ``True`` (the
+    worker-process-wide store). The config's flags decide which are used.
+    """
+    return QueryServer(
+        config.registry,
+        scheduler=config.scheduler,
+        plan_cache=plan_cache if config.use_plan_cache else None,
+        substore=substore if config.use_substore and substore is not None else False,
+        shared_plan=config.shared_plan,
+        warmup=config.warmup,
+        adaptive=config.adaptive,
+        telemetry=telemetry,
+    )
+
+
+def _run_batch(
+    server: QueryServer, shard_id: int, rounds: int, *, engine: str = "scalar"
+) -> tuple[BatchReport, float]:
+    """A timed batch: ``(report, wall seconds)``.
+
+    With telemetry enabled the batch runs inside a ``"shard-batch"`` span and
+    the wall time is also observed into ``repro_shard_batch_seconds{shard=...}``
+    — the per-shard latency distribution the cluster report derives its
+    timing views from.
+    """
+    tel = server.telemetry
+    start = time.perf_counter()
+    if tel is None or not tel.enabled:
+        report = server.run_batch(rounds, engine=engine)
+        return report, time.perf_counter() - start
+    with tel.span(
+        "shard-batch", shard=shard_id, rounds=rounds, queries=len(server)
+    ) as attrs:
+        report = server.run_batch(rounds, engine=engine)
+        attrs["total_cost"] = report.total_cost
+        # Close the timing inside the span so the wall seconds ride the
+        # span's attrs (trace analysis reads them without the histogram).
+        seconds = time.perf_counter() - start
+        attrs["wall_seconds"] = seconds
+    tel.registry.histogram(
+        "repro_shard_batch_seconds", shard=str(shard_id)
+    ).observe(seconds)
+    return report, seconds
+
+
+def run_command(
+    server: QueryServer, shard_id: int, op: str, args: tuple, kwargs: dict
+) -> Any:
+    """Execute one shard command: the one table both executors dispatch to.
+
+    Mutators reply ``None`` so nothing large travels back over a pipe.
+    """
+    if op == "run_batch":
+        return _run_batch(server, shard_id, *args, **kwargs)
+    if op == "step":
+        return server.step()
+    if op == "register":
+        server.register(*args, **kwargs)
+        return None
+    if op == "deregister":
+        server.deregister(*args)
+        return None
+    if op == "admit_migrated":
+        server.admit_migrated(*args)
+        return None
+    if op == "export_query":
+        return server.export_query(*args)
+    if op == "query":
+        return server.query(*args)
+    if op == "reorder":
+        server.reorder(*args)
+        return None
+    if op == "sync_round_clock":
+        server.sync_round_clock(*args)
+        return None
+    if op == "rounds_served":
+        return server.rounds_served
+    if op == "replans":
+        return server.metrics.replans
+    if op == "metrics":
+        return server.metrics
+    if op == "export_stream_state":
+        return server.cache.export_stream_state(*args)
+    if op == "adopt_stream_state":
+        server.cache.adopt_stream_state(*args)
+        return None
+    raise StreamError(f"unknown shard op {op!r}")
+
+
+class ShardTransport(Protocol):
+    """Carries a shard's commands to wherever its server runs."""
+
+    def call(self, op: str, args: tuple, kwargs: dict) -> Any: ...
+
+    def close(self) -> None: ...
+
+
+class InProcessTransport:
+    """Runs commands on a local server, objects passed by reference."""
+
+    def __init__(self, shard_id: int, server: QueryServer) -> None:
         self.shard_id = shard_id
         self.server = server
+
+    def call(self, op: str, args: tuple, kwargs: dict) -> Any:
+        return run_command(self.server, self.shard_id, op, args, kwargs)
+
+    def close(self) -> None:
+        """Nothing to release: the server is an ordinary in-process object."""
+
+
+class Shard:
+    """A routed shard: a population mirror plus a command transport."""
+
+    def __init__(
+        self,
+        shard_id: int,
+        transport: ShardTransport,
+        costs: Mapping[str, float],
+        substore: SubtreeStore | None = None,
+    ) -> None:
+        self.shard_id = shard_id
+        self.transport = transport
         self._costs = dict(costs)
-        #: stream -> max acquisition weight over resident queries (grows on
-        #: admission; rebuilt on deregister so departures do not pin streams).
-        self.signature: dict[str, float] = {}
+        # Memoizes signature weights per canonical identity (value-identical
+        # to stream_weight_vector).
+        self._substore = substore
+        #: Resident name -> tree, in the server's registration order.
+        self._trees: dict[str, TreeLike] = {}
+        self._signature: dict[str, float] = {}
+        self._signature_stale = False
         self.last_batch_seconds: float = 0.0
 
-    def _weights(self, tree: TreeLike) -> Mapping[str, float]:
-        """Per-stream weights for ``tree``, through the server's store memo.
+    def _call(self, op: str, *args, **kwargs) -> Any:
+        return self.transport.call(op, args, kwargs)
 
-        Value-identical to :func:`stream_weight_vector`; the store computes
-        it once per canonical identity instead of once per admission.
-        """
-        store = self.server.substore
-        if store is not None:
-            return store.stream_weights(tree, self._costs)
-        return stream_weight_vector(tree, self._costs)
-
-    # -- population ------------------------------------------------------
+    # -- population mirror ----------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.server)
+        return len(self._trees)
 
     def __contains__(self, name: str) -> bool:
-        return name in self.server
+        return name in self._trees
 
     @property
     def names(self) -> tuple[str, ...]:
-        return self.server.registered
+        return tuple(self._trees)
+
+    def tree(self, name: str) -> TreeLike:
+        """The tree ``name`` was admitted with (no call to the server)."""
+        return self._trees[name]
 
     @property
-    def streams(self) -> frozenset[str]:
-        return frozenset(self.signature)
+    def signature(self) -> dict[str, float]:
+        """stream -> max acquisition weight over the residents.
+
+        Grows on admission; a departure marks it stale and the next read
+        rebuilds it, so departed queries do not pin streams and a migrated
+        group pays one rebuild, not one per mover.
+        """
+        if self._signature_stale:
+            self._signature = {}
+            for tree in self._trees.values():
+                self._grow_signature(tree)
+            self._signature_stale = False
+        return self._signature
+
+    def _grow_signature(self, tree: TreeLike) -> None:
+        if self._substore is not None:
+            weights = self._substore.stream_weights(tree, self._costs)
+        else:
+            weights = stream_weight_vector(tree, self._costs)
+        for stream, weight in weights.items():
+            if weight > self._signature.get(stream, 0.0):
+                self._signature[stream] = weight
+
+    def _admit(self, name: str, tree: TreeLike) -> None:
+        self._trees[name] = tree
+        self._grow_signature(tree)
+
+    def _forget(self, name: str) -> None:
+        del self._trees[name]
+        self._signature_stale = True
+
+    # -- population ------------------------------------------------------
 
     def register(
         self,
@@ -71,80 +286,75 @@ class ShardServer:
         oracle: LeafOracle | None = None,
         scheduler: str | None = None,
     ) -> None:
-        self.server.register(name, tree, oracle=oracle, scheduler=scheduler)
-        for stream, weight in self._weights(tree).items():
-            if weight > self.signature.get(stream, 0.0):
-                self.signature[stream] = weight
+        self._call("register", name, tree, oracle=oracle, scheduler=scheduler)
+        self._admit(name, tree)
 
     def deregister(self, name: str) -> None:
-        if name not in self.server:
+        if name not in self._trees:
             raise AdmissionError(
                 f"query {name!r} is not resident on shard {self.shard_id}"
             )
-        self.server.deregister(name)
-        self.rebuild_signature()
+        self._call("deregister", name)
+        self._forget(name)
+
+    def query(self, name: str) -> RegisteredQuery:
+        return self._call("query", name)
 
     # -- migration -------------------------------------------------------
 
+    def export_query(self, name: str) -> QuerySnapshot:
+        snapshot = self._call("export_query", name)
+        self._forget(name)
+        return snapshot
+
     def admit_migrated(self, snapshot: QuerySnapshot) -> None:
         """Adopt a migrated query verbatim; grows the signature incrementally."""
-        self.server.admit_migrated(snapshot)
-        for stream, weight in self._weights(snapshot.query.tree).items():
-            if weight > self.signature.get(stream, 0.0):
-                self.signature[stream] = weight
+        self._call("admit_migrated", snapshot)
+        self._admit(snapshot.query.name, snapshot.query.tree)
 
-    def rebuild_signature(self) -> None:
-        self.signature = {}
-        for name in self.server.registered:
-            tree: DnfTree = self.server.query(name).tree
-            for stream, weight in self._weights(tree).items():
-                if weight > self.signature.get(stream, 0.0):
-                    self.signature[stream] = weight
+    def reorder(self, names: list[str]) -> None:
+        self._call("reorder", names)
+        self._trees = {name: self._trees[name] for name in names}
 
-    # -- lifecycle -------------------------------------------------------
+    def rounds_served(self) -> int:
+        return self._call("rounds_served")
 
-    def close(self) -> None:
-        """Release shard resources — a no-op for in-process shards.
+    def sync_round_clock(self, rounds: int) -> None:
+        self._call("sync_round_clock", rounds)
 
-        Exists so the cluster can treat thread shards and process-mode
-        worker proxies (:class:`repro.cluster.worker.ShardWorkerProxy`,
-        whose close shuts the worker process down) uniformly.
-        """
+    def export_stream_state(
+        self, streams: set[str]
+    ) -> tuple[int, dict[str, dict[int, float]]]:
+        return self._call("export_stream_state", streams)
+
+    def adopt_stream_state(
+        self, donor_now: int, stores: Mapping[str, Mapping[int, float]]
+    ) -> None:
+        self._call("adopt_stream_state", donor_now, stores)
+
+    # -- observability ---------------------------------------------------
+
+    def replans(self) -> int:
+        """Lifetime re-plan count (one integer; cheaper than :meth:`metrics`)."""
+        return self._call("replans")
+
+    def metrics(self) -> ServiceMetrics:
+        return self._call("metrics")
 
     # -- execution -------------------------------------------------------
 
     def step(self) -> dict[str, ExecutionResult]:
-        return self.server.step()
+        return self._call("step")
 
     def run_batch(self, rounds: int, *, engine: str = "scalar") -> BatchReport:
-        """Timed batch; wall seconds land in :attr:`last_batch_seconds`.
-
-        With telemetry enabled on the underlying server, the batch runs
-        inside a ``"shard-batch"`` span and the wall time is also observed
-        into the ``repro_shard_batch_seconds{shard=...}`` histogram — the
-        per-shard latency distribution the cluster-level report derives its
-        timing views from.
-        """
-        tel = self.server.telemetry
-        start = time.perf_counter()
-        if tel is not None and tel.enabled:
-            with tel.span(
-                "shard-batch",
-                shard=self.shard_id,
-                rounds=rounds,
-                queries=len(self.server),
-            ) as attrs:
-                report = self.server.run_batch(rounds, engine=engine)
-                attrs["total_cost"] = report.total_cost
-                # Close the timing inside the span so the recorded wall
-                # seconds ride the span's attrs (trace analysis reads them
-                # without consulting the histogram).
-                self.last_batch_seconds = time.perf_counter() - start
-                attrs["wall_seconds"] = self.last_batch_seconds
-            tel.registry.histogram(
-                "repro_shard_batch_seconds", shard=str(self.shard_id)
-            ).observe(self.last_batch_seconds)
-        else:
-            report = self.server.run_batch(rounds, engine=engine)
-            self.last_batch_seconds = time.perf_counter() - start
+        """Timed batch; wall seconds land in :attr:`last_batch_seconds`."""
+        report, self.last_batch_seconds = self._call(
+            "run_batch", rounds, engine=engine
+        )
         return report
+
+    # -- lifecycle -------------------------------------------------------
+
+    def close(self) -> None:
+        """Release the transport (a process shard's worker exits here)."""
+        self.transport.close()

@@ -1,12 +1,16 @@
-"""Process-mode shard transport: spawn workers, RPC proxies, shared plan cache.
+"""Process-mode shard transport: spawned workers over a pickled command pipe.
 
 Thread-mode shards share one address space, so the GIL serializes their
-probe loops and a 4-shard batch still runs on one core. This module moves
-each shard into its own worker process (``spawn`` start method — fork would
-clone the parent's held locks and deadlock; spawn also matches macOS/Windows
-and the 3.14 default) and gives the parent a proxy that duck-types
-:class:`~repro.cluster.shard.ShardServer`, so :class:`ClusterServer` drives
-remote shards through the same call sites as local ones.
+probe loops and a 4-shard batch still runs on one core. With
+``executor="process"`` each shard's :class:`~repro.service.server.QueryServer`
+lives in its own worker process (``spawn`` start method — fork would clone
+the parent's held locks and deadlock; spawn also matches macOS/Windows and
+the 3.14 default). The parent still holds the same
+:class:`~repro.cluster.shard.Shard` as in thread mode; only its transport
+differs: :class:`WorkerTransport` pickles each ``(op, args, kwargs, ctx)``
+command down the worker's pipe, and the worker executes it in the same
+command table (:func:`~repro.cluster.shard.run_command`) on a server built
+by the same :func:`~repro.cluster.shard.build_shard_server`.
 
 Design constraints, in order:
 
@@ -15,9 +19,9 @@ Design constraints, in order:
   ``BatchReport``/``ExecutionResult`` for execution, ``MetricsRegistry``
   deltas for telemetry. No shared memory, no file descriptors.
 * **Placement- and executor-independent outcomes.** The worker rebuilds its
-  shard from a pickled :class:`WorkerConfig` — the stream registry's
-  memoized tapes travel with it, and sequential sources extend
-  deterministically by seed, so a worker's copy of a tape produces exactly
+  shard from a pickled :class:`~repro.cluster.shard.WorkerConfig` — the
+  stream registry's memoized tapes travel with it, and sequential sources
+  extend deterministically by seed, so a worker's copy of a tape produces exactly
   the values the parent's (or an unsharded server's) copy would. Oracle
   *instances* are pickled across on admission and migration, carrying their
   consumed RNG state, so outcome streams continue seamlessly.
@@ -48,7 +52,7 @@ until a terminal ``("ok", result)`` or ``("err", exception)`` arrives; any
 ``("plancache", request)`` received in between is a nested upcall from the
 worker (plan-cache read-through mid-dispatch) that the *blocked parent
 thread itself* services and answers. Messages strictly alternate per pipe
-and each proxy serializes callers on its own lock, so the channel never
+and each transport serializes callers on its own lock, so the channel never
 carries two requests at once and a hung worker is detected by liveness
 polling rather than a silent stall.
 """
@@ -58,50 +62,22 @@ from __future__ import annotations
 import faulthandler
 import multiprocessing
 import threading
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Any
 
-from repro.adaptive.policy import AdaptivePolicy
-from repro.cluster.partition import TreeLike, stream_weight_vector
-from repro.cluster.shard import ShardServer
+from repro.cluster.shard import WorkerConfig, build_shard_server, run_command
 from repro.core.heuristics.base import Scheduler
-from repro.engine.executor import ExecutionResult, LeafOracle
-from repro.errors import AdmissionError, StreamError
+from repro.errors import StreamError
 from repro.obs import MetricsRegistry, Telemetry, Tracer
 from repro.obs.trace import attach_context, current_context
-from repro.service.metrics import ServiceMetrics
 from repro.service.plan_cache import CachedPlan, PlanCache
-from repro.service.server import BatchReport, QueryServer, QuerySnapshot
-from repro.service.substore import SubtreeStore
-from repro.streams.registry import StreamRegistry
 
-__all__ = ["WorkerConfig", "ShardWorkerProxy", "RemotePlanCache"]
+__all__ = ["RemotePlanCache", "WorkerTransport"]
 
 #: Seconds between liveness checks while a parent thread waits on a worker.
 _POLL_SECONDS = 1.0
 
-
-@dataclass(frozen=True)
-class WorkerConfig:
-    """Everything a spawned worker needs to rebuild its shard from scratch."""
-
-    shard_id: int
-    registry: StreamRegistry
-    scheduler: str | Scheduler
-    shared_plan: bool
-    warmup: int
-    adaptive: AdaptivePolicy | None
-    use_plan_cache: bool
-    telemetry_enabled: bool
-    telemetry_detail: bool
-    #: Build the worker's QueryServer on the worker-process-wide substore
-    #: (interned canonical identity + admission memo). Identity is
-    #: per-process; interned nodes arriving in snapshots re-intern here.
-    use_substore: bool = True
-    #: Worker trace-ring size; sized to the parent's ring so a batch's
-    #: records survive until the reply ships them (drain-on-reply means
-    #: overflow only matters within a single batch).
-    trace_capacity: int = 4096
+#: Commands whose reply also carries the worker's telemetry deltas.
+_SHIPS_TELEMETRY = frozenset({"run_batch", "step"})
 
 
 # ---------------------------------------------------------------------------
@@ -196,78 +172,27 @@ class RemotePlanCache(PlanCache):
         return self._rpc(("clause_put", (clause_key, entry)))
 
 
-def _dispatch(shard: ShardServer, telemetry: Telemetry | None, op: str, args, kwargs):
-    """Execute one parent command against the worker's shard."""
-    if op == "run_batch":
-        report = shard.run_batch(*args, **kwargs)
-        return (
-            report,
-            shard.last_batch_seconds,
-            _ship_registry(telemetry),
-            _ship_trace(telemetry),
-        )
-    if op == "step":
-        return shard.step(), _ship_registry(telemetry), _ship_trace(telemetry)
-    if op == "register":
-        shard.register(*args, **kwargs)
-        return None
-    if op == "deregister":
-        shard.deregister(*args)
-        return None
-    if op == "admit_migrated":
-        shard.admit_migrated(*args)
-        return None
-    if op == "export_query":
-        return shard.server.export_query(*args)
-    if op == "query":
-        return shard.server.query(*args)
-    if op == "reorder":
-        shard.server.reorder(*args)
-        return None
-    if op == "sync_round_clock":
-        shard.server.sync_round_clock(*args)
-        return None
-    if op == "rounds_served":
-        return shard.server.rounds_served
-    if op == "metrics":
-        return shard.server.metrics
-    if op == "export_stream_state":
-        return shard.server.cache.export_stream_state(*args)
-    if op == "adopt_stream_state":
-        shard.server.cache.adopt_stream_state(*args)
-        return None
-    raise StreamError(f"unknown shard worker op {op!r}")
-
-
-def _ship_registry(telemetry: Telemetry | None) -> MetricsRegistry | None:
-    """Detach and return the worker's metrics delta (None when disabled).
+def _ship_deltas(
+    telemetry: Telemetry | None,
+) -> tuple[MetricsRegistry | None, list[dict] | None]:
+    """Detach the worker's metrics delta and drain its trace ring.
 
     Recording sites always reach cells through ``telemetry.registry`` (the
     hot-path contract bans caching cells across rounds), so swapping in a
     fresh registry cleanly closes the delta: every observation lands either
-    in the shipped registry or the next one, never both.
+    in the shipped registry or the next one, never both. The drained trace
+    records — the shard batch, its nested server batch, plan-cache upcalls —
+    keep their causal ids, so the parent's merged trace stays one tree.
+    ``(None, None)`` when the worker is not traced.
     """
     if telemetry is None:
-        return None
+        return None, None
     # Ring-overflow drops ride the delta as counter increments (the synced
     # watermark lives on the Telemetry, so swapping registries stays exact).
     telemetry.sync_trace_drops()
     delta = telemetry.registry
     telemetry.registry = MetricsRegistry()
-    return delta
-
-
-def _ship_trace(telemetry: Telemetry | None) -> list[dict] | None:
-    """Drain and return the worker tracer's ring (None when disabled).
-
-    The worker-side half of trace roll-up: spans recorded since the last
-    reply — the shard batch, its nested server batch, plan-cache upcalls —
-    travel to the parent, which re-records them next to its own spans.
-    Causal ids are preserved, so the merged trace stays one tree.
-    """
-    if telemetry is None:
-        return None
-    return telemetry.tracer.take_records()
+    return delta, telemetry.tracer.take_records()
 
 
 def _shard_worker_main(conn, config: WorkerConfig) -> None:
@@ -282,22 +207,14 @@ def _shard_worker_main(conn, config: WorkerConfig) -> None:
         if config.telemetry_enabled
         else None
     )
-    plan_cache = (
-        RemotePlanCache(conn, telemetry.tracer if telemetry is not None else None)
-        if config.use_plan_cache
-        else None
-    )
-    server = QueryServer(
-        config.registry,
-        scheduler=config.scheduler,
-        plan_cache=plan_cache,
-        substore=config.use_substore,
-        shared_plan=config.shared_plan,
-        warmup=config.warmup,
-        adaptive=config.adaptive,
+    server = build_shard_server(
+        config,
+        plan_cache=RemotePlanCache(
+            conn, telemetry.tracer if telemetry is not None else None
+        ),
         telemetry=telemetry,
+        substore=True,
     )
-    shard = ShardServer(config.shard_id, server, config.registry.cost_table())
     while True:
         try:
             message = conn.recv()
@@ -312,7 +229,9 @@ def _shard_worker_main(conn, config: WorkerConfig) -> None:
             # dispatch parent under the cluster-side span that sent the
             # command (a fresh process has an empty contextvar context).
             with attach_context(ctx):
-                result = _dispatch(shard, telemetry, op, args, kwargs)
+                result = run_command(server, config.shard_id, op, args, kwargs)
+                if op in _SHIPS_TELEMETRY:
+                    result = (result, *_ship_deltas(telemetry))
             conn.send(("ok", result))
         except BaseException as exc:  # noqa: BLE001 - must cross the pipe
             try:
@@ -329,77 +248,14 @@ def _shard_worker_main(conn, config: WorkerConfig) -> None:
 # ---------------------------------------------------------------------------
 
 
-class _RemoteCacheFacade:
-    """The slice of ``DataItemCache`` migrations touch, forwarded over RPC."""
+class WorkerTransport:
+    """Parent end of one spawned shard worker's command pipe.
 
-    def __init__(self, proxy: "ShardWorkerProxy") -> None:
-        self._proxy = proxy
-
-    def export_stream_state(self, streams):
-        return self._proxy._call("export_stream_state", set(streams))
-
-    def adopt_stream_state(self, donor_now, stores) -> None:
-        self._proxy._call("adopt_stream_state", donor_now, stores)
-
-
-class _RemoteServerFacade:
-    """The slice of ``QueryServer`` the cluster drives, forwarded over RPC.
-
-    Population membership and order are answered from the proxy's local
-    mirror (every mutation flows through the proxy, so the mirror is
-    authoritative); state-bearing calls cross the pipe.
-    """
-
-    def __init__(self, proxy: "ShardWorkerProxy") -> None:
-        self._proxy = proxy
-        self.cache = _RemoteCacheFacade(proxy)
-
-    def __len__(self) -> int:
-        return len(self._proxy)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._proxy
-
-    @property
-    def registered(self) -> tuple[str, ...]:
-        return self._proxy.names
-
-    @property
-    def rounds_served(self) -> int:
-        return self._proxy._call("rounds_served")
-
-    @property
-    def metrics(self) -> ServiceMetrics:
-        return self._proxy._call("metrics")
-
-    def query(self, name: str):
-        return self._proxy._call("query", name)
-
-    def export_query(self, name: str) -> QuerySnapshot:
-        snapshot = self._proxy._call("export_query", name)
-        self._proxy._forget(name)
-        return snapshot
-
-    def reorder(self, names: Sequence[str]) -> None:
-        names = list(names)
-        self._proxy._call("reorder", names)
-        self._proxy._names = names
-
-    def sync_round_clock(self, rounds: int) -> None:
-        self._proxy._call("sync_round_clock", rounds)
-
-
-class ShardWorkerProxy:
-    """Parent-side handle on one spawned shard worker.
-
-    Duck-types :class:`~repro.cluster.shard.ShardServer`: the router and the
-    cluster's control plane read ``shard_id`` / ``signature`` / ``names`` /
-    ``len`` / ``in`` from a locally maintained mirror (zero RPC — every
-    mutation flows through this proxy, so the mirror cannot drift), while
-    execution and migration calls are forwarded to the worker. Metrics
-    deltas riding on batch/step replies are folded into ``registry_sink``;
-    trace deltas are re-recorded into ``trace_sink`` (the parent tracer),
-    so the parent's ring/JSONL holds the merged distributed trace.
+    :meth:`call` sends ``(op, args, kwargs, ctx)`` and waits for the reply,
+    serving the worker's plan-cache upcalls in between. Metrics deltas
+    riding on batch/step replies are folded into ``registry_sink``; trace
+    deltas are re-recorded into ``trace_sink`` (the parent tracer), so the
+    parent's ring/JSONL holds the merged distributed trace.
     """
 
     def __init__(
@@ -408,22 +264,12 @@ class ShardWorkerProxy:
         *,
         plan_cache: PlanCache | None,
         registry_sink: MetricsRegistry | None,
-        costs: Mapping[str, float],
         trace_sink: Tracer | None = None,
-        substore: SubtreeStore | None = None,
     ) -> None:
         self.shard_id = config.shard_id
-        self._costs = dict(costs)
         self._plan_cache = plan_cache
-        # Parent-side store for signature weights (the worker process grows
-        # its own store independently for admission-side interning).
-        self._substore = substore
         self._sink = registry_sink
         self._trace_sink = trace_sink
-        self.signature: dict[str, float] = {}
-        self.last_batch_seconds: float = 0.0
-        self._names: list[str] = []
-        self._trees: dict[str, TreeLike] = {}
         self._lock = threading.RLock()
         context = multiprocessing.get_context("spawn")
         self._conn, child_conn = context.Pipe()
@@ -435,19 +281,27 @@ class ShardWorkerProxy:
         )
         self._proc.start()
         child_conn.close()  # the worker holds its own copy
-        self.server = _RemoteServerFacade(self)
 
     def __getstate__(self) -> dict:
-        # RPR001: explicit pickle contract. The proxy owns a live worker
+        # RPR001: explicit pickle contract. The transport owns a live worker
         # process and its pipe; there is nothing meaningful to transplant.
         raise TypeError(
-            "ShardWorkerProxy is process-local (owns a worker process and "
-            "its pipe); spawn a new worker instead of pickling the proxy"
+            "WorkerTransport is process-local (owns a worker process and "
+            "its pipe); spawn a new worker instead of pickling the transport"
         )
 
-    # -- transport -------------------------------------------------------
+    def call(self, op: str, args: tuple, kwargs: dict) -> Any:
+        reply = self._exchange(op, args, kwargs)
+        if op not in _SHIPS_TELEMETRY:
+            return reply
+        result, delta, records = reply
+        if delta is not None and self._sink is not None:
+            self._sink.merge_from(delta)
+        if records and self._trace_sink is not None:
+            self._trace_sink.ingest(records)
+        return result
 
-    def _call(self, op: str, *args, **kwargs):
+    def _exchange(self, op: str, args: tuple, kwargs: dict) -> Any:
         with self._lock:
             if self._proc is None:
                 raise StreamError(
@@ -498,93 +352,6 @@ class ShardWorkerProxy:
             clause_key, entry = payload
             return cache.clause_publish(clause_key, entry)
         raise StreamError(f"unknown plan-cache request {kind!r}")
-
-    def _merge_delta(self, delta: MetricsRegistry | None) -> None:
-        if delta is not None and self._sink is not None:
-            self._sink.merge_from(delta)
-
-    def _merge_trace(self, records: list[dict] | None) -> None:
-        if records and self._trace_sink is not None:
-            self._trace_sink.ingest(records)
-
-    def _forget(self, name: str) -> None:
-        self._names.remove(name)
-        self._trees.pop(name, None)
-
-    def _grow_signature(self, tree: TreeLike) -> None:
-        if self._substore is not None:
-            weights = self._substore.stream_weights(tree, self._costs)
-        else:
-            weights = stream_weight_vector(tree, self._costs)
-        for stream, weight in weights.items():
-            if weight > self.signature.get(stream, 0.0):
-                self.signature[stream] = weight
-
-    # -- population mirror ----------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._names)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._trees
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._names)
-
-    @property
-    def streams(self) -> frozenset[str]:
-        return frozenset(self.signature)
-
-    def register(
-        self,
-        name: str,
-        tree: TreeLike,
-        *,
-        oracle: LeafOracle | None = None,
-        scheduler: str | None = None,
-    ) -> None:
-        self._call("register", name, tree, oracle=oracle, scheduler=scheduler)
-        self._names.append(name)
-        self._trees[name] = tree
-        self._grow_signature(tree)
-
-    def deregister(self, name: str) -> None:
-        if name not in self._trees:
-            raise AdmissionError(
-                f"query {name!r} is not resident on shard {self.shard_id}"
-            )
-        self._call("deregister", name)
-        self._forget(name)
-        self.rebuild_signature()
-
-    def admit_migrated(self, snapshot: QuerySnapshot) -> None:
-        self._call("admit_migrated", snapshot)
-        self._names.append(snapshot.query.name)
-        self._trees[snapshot.query.name] = snapshot.query.tree
-        self._grow_signature(snapshot.query.tree)
-
-    def rebuild_signature(self) -> None:
-        self.signature = {}
-        for tree in self._trees.values():
-            self._grow_signature(tree)
-
-    # -- execution -------------------------------------------------------
-
-    def step(self) -> dict[str, ExecutionResult]:
-        results, delta, trace = self._call("step")
-        self._merge_delta(delta)
-        self._merge_trace(trace)
-        return results
-
-    def run_batch(self, rounds: int, *, engine: str = "scalar") -> BatchReport:
-        report, seconds, delta, trace = self._call(
-            "run_batch", rounds, engine=engine
-        )
-        self.last_batch_seconds = seconds
-        self._merge_delta(delta)
-        self._merge_trace(trace)
-        return report
 
     # -- lifecycle -------------------------------------------------------
 

@@ -18,6 +18,7 @@ optimized unit:
 
 from __future__ import annotations
 
+import collections
 import functools
 import threading
 import time
@@ -289,6 +290,9 @@ class QueryServer:
             | None
         ) = None
         self._queries: dict[str, RegisteredQuery] = {}
+        #: Residents per canonical key, so a departure learns whether its
+        #: shape is still live without scanning the population.
+        self._shape_refs: collections.Counter[str] = collections.Counter()
         self._max_windows: dict[str, int] = {}
         self._plan: SharedPlan | None = None
         self._vector_executors: dict[str, VectorizedExecutor] = {}
@@ -457,6 +461,7 @@ class QueryServer:
             planning_tree=planning_tree,
         )
         self._queries[name] = registered
+        self._shape_refs[form.key] += 1
         self._after_population_change()
         self.metrics.registrations += 1
         # Grow device time so the new query's windows are immediately servable.
@@ -473,10 +478,7 @@ class QueryServer:
         removed = self._queries.pop(name)
         self._after_population_change()
         self.metrics.deregistrations += 1
-        if self.adaptive is not None:
-            key = removed.canonical.key
-            if not any(q.canonical.key == key for q in self._queries.values()):
-                self.adaptive.retire(key)
+        self._release_shape(removed.canonical.key)
 
     @_synchronized
     def export_query(self, name: str) -> QuerySnapshot:
@@ -504,11 +506,16 @@ class QueryServer:
         if tel is not None and tel.enabled:
             tel.registry.counter("repro_migrations_total", direction="out").inc()
             tel.event("migration-out", query=name, round=self._round)
-        if self.adaptive is not None:
-            key = query.canonical.key
-            if not any(q.canonical.key == key for q in self._queries.values()):
-                self.adaptive.retire(key)
+        self._release_shape(query.canonical.key)
         return QuerySnapshot(query=query, stats=stats, belief=belief)
+
+    def _release_shape(self, key: str) -> None:
+        """Drop one resident of shape ``key``; retire its belief with the last."""
+        self._shape_refs[key] -= 1
+        if self._shape_refs[key] == 0:
+            del self._shape_refs[key]
+            if self.adaptive is not None:
+                self.adaptive.retire(key)
 
     @_synchronized
     def admit_migrated(self, snapshot: QuerySnapshot) -> RegisteredQuery:
@@ -537,6 +544,7 @@ class QueryServer:
         # A stale compiled executor for this name must never serve a new tree.
         self._vector_executors.pop(query.name, None)
         self._queries[query.name] = query
+        self._shape_refs[query.canonical.key] += 1
         self._after_population_change()
         self.metrics.migrations_in += 1
         tel = self.telemetry

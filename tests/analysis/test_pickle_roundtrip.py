@@ -94,7 +94,7 @@ UNPICKLABLE_BY_DESIGN = {
     "repro.service.server.QueryServer",
     "repro.service.substore.SubtreeStore",
     "repro.cluster.cluster.ClusterServer",
-    "repro.cluster.worker.ShardWorkerProxy",
+    "repro.cluster.worker.WorkerTransport",
 }
 
 _LOCKY = (

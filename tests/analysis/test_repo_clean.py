@@ -71,3 +71,15 @@ def test_unmutated_plan_cache_is_silent() -> None:
     source = PLAN_CACHE.read_text(encoding="utf-8")
     result = lint_sources({str(PLAN_CACHE): source})
     assert result.ok, result.render_text()
+
+
+def test_shard_module_is_in_the_worker_spawn_closure() -> None:
+    """Spawned workers import the shard command table, so an import-time
+    lock in ``repro.cluster.shard`` must trip RPR004's project half."""
+    shard = SRC / "cluster" / "shard.py"
+    sources = {str(path): path.read_text(encoding="utf-8") for path in SRC.rglob("*.py")}
+    sources[str(shard)] += "\nimport threading\n\n_LOCK = threading.Lock()\n"
+    result = lint_sources(sources)
+    assert any(
+        f.rule == "RPR004" and f.path == str(shard) for f in result.findings
+    ), result.render_text()

@@ -279,7 +279,7 @@ class TestClusterConcurrency:
         # Signatures cover every resident's streams (no lost updates).
         for shard in cluster.active_shards():
             for resident in shard.names:
-                for leaf in shard.server.query(resident).tree.leaves:
+                for leaf in shard.query(resident).tree.leaves:
                     assert leaf.stream in shard.signature
 
 

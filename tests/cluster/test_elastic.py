@@ -55,7 +55,7 @@ class TestSplitShard:
         before_plans = {n: cluster.query(n).plan for n in cluster.registered}
         cache_stats = cluster.plan_cache.stats()
         stats_before = {
-            n: cluster.shards[cluster.shard_of(n)].server.metrics.per_query[n]
+            n: cluster.shards[cluster.shard_of(n)].transport.server.metrics.per_query[n]
             for n in cluster.registered
         }
         cluster.split_shard(0, into=2)
@@ -63,7 +63,7 @@ class TestSplitShard:
             assert cluster.query(name).oracle is before_oracles[name]
             assert cluster.query(name).plan is before_plans[name]
             shard = cluster.shards[cluster.shard_of(name)]
-            assert shard.server.metrics.per_query[name] is stats_before[name]
+            assert shard.transport.server.metrics.per_query[name] is stats_before[name]
         # Migration never touches the shared plan cache.
         assert cluster.plan_cache.stats() == cache_stats
 
@@ -108,7 +108,7 @@ class TestSplitShard:
         cluster.run_batch(5)
         cluster.split_shard(0, into=2)
         clocks = {
-            shard.server.rounds_served
+            shard.rounds_served()
             for shard in cluster.shards.values()
             if len(shard)
         }
@@ -234,7 +234,7 @@ class TestMigrationState:
         cluster = ClusterServer(registry, n_shards=1, seed=30, adaptive=policy)
         cluster.register_population(population)
         cluster.run_batch(6)
-        source = cluster.shards[0].server
+        source = cluster.shards[0].transport.server
         tracked_before = set(source.adaptive.tracked_keys())
         evidence_before = {
             key: source.adaptive.tracker.get((key, 0)).window_trials
@@ -248,15 +248,16 @@ class TestMigrationState:
         for shard in cluster.shards.values():
             if not len(shard):
                 continue
-            keys = set(shard.server.adaptive.tracked_keys())
+            server = shard.transport.server
+            keys = set(server.adaptive.tracked_keys())
             resident_keys = {
-                shard.server.query(name).canonical.key for name in shard.names
+                shard.query(name).canonical.key for name in shard.names
             }
             assert keys == resident_keys
             seen |= keys
             for key in keys:
                 if key in evidence_before and evidence_before[key]:
-                    posterior = shard.server.adaptive.tracker.get((key, 0))
+                    posterior = server.adaptive.tracker.get((key, 0))
                     assert posterior is not None
                     assert posterior.window_trials > 0  # evidence transplanted
         assert seen == tracked_before
@@ -268,7 +269,7 @@ class TestMigrationState:
         churn_before = cluster._churn
         event = cluster.split_shard(0, into=2)
         assert event is not None
-        metrics = [s.server.metrics for s in cluster.shards.values()]
+        metrics = [s.metrics() for s in cluster.shards.values()]
         assert sum(m.migrations_in for m in metrics) == event.moves
         assert sum(m.migrations_out for m in metrics) == event.moves
         # Migrations are placement changes, not churn.

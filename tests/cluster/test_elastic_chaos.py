@@ -103,7 +103,7 @@ class TestElasticChaos:
         lifetime: dict[str, float] = {}
         rounds_lifetime: dict[str, int] = {}
         for shard in cluster.shards.values():
-            for name, stats in shard.server.metrics.per_query.items():
+            for name, stats in shard.metrics().per_query.items():
                 assert name not in lifetime, f"{name!r} double-counted"
                 lifetime[name] = stats.cost
                 rounds_lifetime[name] = stats.rounds

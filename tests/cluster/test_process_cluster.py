@@ -17,7 +17,12 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.cluster import ClusterServer, default_oracle_factory
+from repro.cluster import (
+    ClusterServer,
+    InProcessTransport,
+    WorkerTransport,
+    default_oracle_factory,
+)
 from repro.errors import AdmissionError, StreamError
 from repro.experiments.cluster import (
     run_cluster_compare,
@@ -54,23 +59,20 @@ class TestExecutorSelection:
             ClusterServer(registry, n_shards=2, executor="greenlet")
 
     def test_thread_mode_shards_are_in_process(self):
-        from repro.cluster import ShardServer
-
         registry, population = small_environment()
         cluster = ClusterServer(registry, n_shards=2)
         cluster.register_population(population)
         assert all(
-            isinstance(shard, ShardServer) for shard in cluster.shards.values()
+            isinstance(shard.transport, InProcessTransport)
+            for shard in cluster.shards.values()
         )
 
     def test_process_mode_shards_are_worker_proxies(self):
-        from repro.cluster import ShardWorkerProxy
-
         registry, population = small_environment()
         with ClusterServer(registry, n_shards=2, executor="process") as cluster:
             cluster.register_population(population)
             assert all(
-                isinstance(shard, ShardWorkerProxy)
+                isinstance(shard.transport, WorkerTransport)
                 for shard in cluster.shards.values()
             )
 
@@ -302,7 +304,7 @@ class TestWorkerLifecycle:
         registry, population = small_environment(seed=23)
         cluster = ClusterServer(registry, n_shards=2, executor="process")
         cluster.register_population(population)
-        procs = [shard._proc for shard in cluster.shards.values()]
+        procs = [shard.transport._proc for shard in cluster.shards.values()]
         cluster.close()
         cluster.close()
         assert all(proc is not None and not proc.is_alive() for proc in procs)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster import ClusterServer, ShardRouter, ShardServer
+from repro.cluster import ClusterServer, InProcessTransport, Shard, ShardRouter
 from repro.core.leaf import Leaf
 from repro.core.tree import DnfTree
 from repro.errors import AdmissionError
@@ -29,7 +29,8 @@ def tree_on(streams: list[str], items: int = 2) -> DnfTree:
 
 
 def make_shard(registry: StreamRegistry, shard_id: int, members: dict[str, list[str]]):
-    shard = ShardServer(shard_id, QueryServer(registry), registry.cost_table())
+    transport = InProcessTransport(shard_id, QueryServer(registry))
+    shard = Shard(shard_id, transport, registry.cost_table())
     for name, streams in members.items():
         shard.register(name, tree_on(streams))
     return shard

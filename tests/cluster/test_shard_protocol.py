@@ -1,0 +1,245 @@
+"""One shard code path: both transports run the same command table.
+
+A :class:`~repro.cluster.Shard` keeps the population mirror and sends every
+other operation through a transport into ``run_command``. These tests pin
+that contract from three sides: a table-driven script runs every op
+against an in-process shard and a worker-process shard and demands equal
+results; a transport-level op counter proves the control plane reads trees
+from the mirror instead of calling the server; and a hypothesis property
+checks that the mirror always equals a rebuild from the server.
+"""
+
+from __future__ import annotations
+
+import copy
+import dataclasses
+import faulthandler
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from repro.cluster import ClusterServer, Shard, WorkerTransport, default_oracle_factory
+from repro.cluster.partition import stream_weight_vector
+from repro.errors import StreamError
+from repro.generators import clustered_registry, overlap_clustered_population
+
+WATCHDOG_SECONDS = 120.0
+
+#: Every op in the command table; the script below must send each of them.
+ALL_OPS = frozenset(
+    {
+        "register",
+        "deregister",
+        "query",
+        "export_query",
+        "admit_migrated",
+        "reorder",
+        "sync_round_clock",
+        "rounds_served",
+        "replans",
+        "metrics",
+        "export_stream_state",
+        "adopt_stream_state",
+        "step",
+        "run_batch",
+    }
+)
+
+
+@pytest.fixture(autouse=True)
+def spawn_watchdog():
+    """Dump all stacks and exit if a process-mode test wedges."""
+    faulthandler.dump_traceback_later(WATCHDOG_SECONDS, exit=True)
+    yield
+    faulthandler.cancel_dump_traceback_later()
+
+
+def small_environment(seed: int = 0, n_queries: int = 12, clusters: int = 3):
+    registry = clustered_registry(clusters, 3, seed=seed)
+    population = overlap_clustered_population(
+        n_queries, registry, clusters, 3, cross_cluster_prob=0.0, seed=seed + 1
+    )
+    return registry, population
+
+
+class _Recording:
+    """Wraps a transport and records the op of every command it carries."""
+
+    def __init__(self, inner, log: list[str]) -> None:
+        self.inner = inner
+        self.log = log
+
+    def call(self, op, args, kwargs):
+        self.log.append(op)
+        return self.inner.call(op, args, kwargs)
+
+    def close(self) -> None:
+        self.inner.close()
+
+
+def _local_view(report):
+    """A batch report or metrics record minus its plan-cache hit rate.
+
+    That rate reads the shard's own cache handle: the shared cluster cache
+    in-process, the worker's read-through stub (local counters) in a worker.
+    Cluster reports take the rate from the cluster cache under both.
+    """
+    return dataclasses.replace(report, plan_cache_hit_rate=0.0)
+
+
+def _script(a: Shard, b: Shard, population) -> list[tuple]:
+    """Drive every command-table op; return comparable views of the replies.
+
+    In-process replies are live objects (passed by reference), so views are
+    deep-copied when taken: later ops must not rewrite earlier records.
+    """
+    factory = default_oracle_factory(5)
+    out: list[tuple] = []
+    for name, tree in population:
+        a.register(name, tree, oracle=factory(name))
+    out.append(("register", a.names, dict(a.signature)))
+    a.deregister(population[0][0])
+    out.append(("deregister", a.names, dict(a.signature)))
+    query = a.query(population[1][0])
+    out.append(("query", query.name, query.schedule, query.plan.cost))
+    report = a.run_batch(3, engine="vectorized")
+    out.append(("run_batch", _local_view(report)))
+    assert a.last_batch_seconds > 0.0
+    step = a.step()
+    out.append(("step", step))
+    out.append(("rounds_served", a.rounds_served()))
+    out.append(("replans", a.replans()))
+    out.append(("metrics", _local_view(copy.deepcopy(a.metrics()))))
+    # Move a group a -> b, in the order the cluster's migration uses.
+    movers = [name for name, _ in population[1:4]]
+    streams: set[str] = set()
+    for name in movers:
+        streams.update(a.tree(name).streams)
+    state = a.export_stream_state(streams)
+    out.append(("export_stream_state", copy.deepcopy(state)))
+    b.sync_round_clock(a.rounds_served())
+    out.append(("sync_round_clock", b.rounds_served()))
+    for name in movers:
+        snapshot = a.export_query(name)
+        stats = copy.deepcopy(snapshot.stats)
+        out.append(("export_query", snapshot.query.name, stats))
+        b.admit_migrated(snapshot)
+    out.append(
+        ("admit_migrated", a.names, b.names, dict(a.signature), dict(b.signature))
+    )
+    b.adopt_stream_state(*state)
+    b.reorder(list(reversed(b.names)))
+    out.append(("reorder", b.names))
+    for shard in (a, b):
+        out.append(("after-move", _local_view(shard.run_batch(2))))
+        out.append(("after-move", _local_view(copy.deepcopy(shard.metrics()))))
+    return out
+
+
+def _run_script(executor: str) -> tuple[list[tuple], set[str]]:
+    registry, population = small_environment(seed=3)
+    log: list[str] = []
+    cluster = ClusterServer(registry, n_shards=2, executor=executor, seed=3)
+    try:
+        a, b = cluster.shards[0], cluster.shards[1]
+        for shard in (a, b):
+            shard.transport = _Recording(shard.transport, log)
+        return _script(a, b, population), set(log)
+    finally:
+        cluster.close()
+
+
+class TestCommandTableParity:
+    def test_every_op_matches_across_transports(self):
+        thread, thread_ops = _run_script("thread")
+        process, process_ops = _run_script("process")
+        assert thread_ops == process_ops == ALL_OPS
+        assert len(thread) == len(process)
+        for local, remote in zip(thread, process):
+            assert local == remote, local[0]
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_unknown_op_is_rejected(self, executor: str):
+        registry, _ = small_environment()
+        with ClusterServer(registry, n_shards=1, executor=executor) as cluster:
+            with pytest.raises(StreamError, match="unknown shard op"):
+                cluster.shards[0].transport.call("bogus", (), {})
+
+
+class TestControlPlaneReadsTheMirror:
+    """Topology decisions read trees from the mirror, never a query RPC."""
+
+    def test_partition_report_split_and_drain_send_no_query(self, monkeypatch):
+        sent: list[str] = []
+        original = WorkerTransport.call
+
+        def counting(self, op, args, kwargs):
+            sent.append(op)
+            return original(self, op, args, kwargs)
+
+        monkeypatch.setattr(WorkerTransport, "call", counting)
+        registry, population = small_environment(seed=7, n_queries=18)
+        with ClusterServer(registry, n_shards=2, executor="process") as cluster:
+            cluster.register_population(population)
+            cluster.run_batch(2)
+            sent.clear()
+            cluster.partition_report()
+            assert sent == []  # answered from the mirror alone
+            busiest = max(cluster.shards, key=lambda sid: len(cluster.shards[sid]))
+            assert cluster.split_shard(busiest, into=2) is not None
+            cluster.drain_shard(max(cluster.shards))
+            assert "export_query" in sent  # the moves did go through
+            assert "query" not in sent
+            # The retired shard's re-plan count travels as one integer.
+            assert "metrics" not in sent and sent.count("replans") == 1
+            # One clock read per side of each migrated group.
+            groups = sent.count("export_stream_state")
+            assert sent.count("rounds_served") == 2 * groups
+
+
+def _rebuilt_signature(shard: Shard, costs) -> dict[str, float]:
+    signature: dict[str, float] = {}
+    server = shard.transport.server
+    for name in server.registered:
+        weights = stream_weight_vector(server.query(name).tree, costs)
+        for stream, weight in weights.items():
+            if weight > signature.get(stream, 0.0):
+                signature[stream] = weight
+    return signature
+
+
+class TestMirrorMatchesServer:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 50),
+        script=st.lists(
+            st.tuples(
+                st.sampled_from(["admit", "deregister", "migrate"]),
+                st.integers(0, 10_000),
+            ),
+            min_size=1,
+            max_size=14,
+        ),
+    )
+    def test_mirror_equals_rebuild_from_server(self, seed, script):
+        registry, population = small_environment(seed=seed, n_queries=16)
+        costs = registry.cost_table()
+        cluster = ClusterServer(registry, n_shards=3, seed=seed)
+        pending = list(population)
+        for action, pick in script:
+            if action == "admit" and pending:
+                name, tree = pending.pop(pick % len(pending))
+                cluster.register(name, tree)
+            elif action == "deregister" and len(cluster):
+                cluster.deregister(cluster.registered[pick % len(cluster)])
+            elif action == "migrate" and len(cluster):
+                name = cluster.registered[pick % len(cluster)]
+                src = cluster.shard_of(name)
+                dest = sorted(cluster.shards)[pick % len(cluster.shards)]
+                if dest != src:
+                    cluster._migrate_group([name], src, dest)
+        for shard in cluster.shards.values():
+            server = shard.transport.server
+            assert shard.names == server.registered
+            assert shard.signature == _rebuilt_signature(shard, costs)
