@@ -1,0 +1,95 @@
+"""Control-plane scaling: admission and shared-plan merge at 10^2..10^4 queries.
+
+One row per resident-population size on ``synthetic_registry(32)`` +
+``synthetic_population(n)`` (fixed seeds, vectorized engine), with the
+columns of the ROADMAP baseline table:
+
+* ``admit_s`` — registering the whole population (no ``repro.obs``
+  instrument covers admission yet, so this one is a ``perf_counter`` pair);
+* ``build_plan_s`` — the first round's ``planning`` phase, i.e. the merge of
+  the whole population into one shared probe order;
+* ``remerge_s`` — the ``planning`` phase of the round right after one
+  departure and one arrival (the merge runs again inside that round);
+* ``round_s`` — a steady ``run_batch(ROUNDS)`` span's duration per round.
+
+The ``planning`` and batch figures are read off the ``batch`` spans a
+recording :class:`~repro.obs.Telemetry` attaches, so they are the numbers a
+production trace reports.
+"""
+
+from __future__ import annotations
+
+import gc
+import time
+
+from conftest import emit_json, emit_report
+
+from repro.engine import BernoulliOracle
+from repro.experiments import ascii_table
+from repro.obs import Telemetry
+from repro.service import QueryServer, synthetic_population, synthetic_registry
+
+SIZES = (100, 1_000, 10_000)
+ROUNDS = 20
+SEED = 5
+
+
+def batch_span(tel: Telemetry, server: QueryServer, rounds: int) -> dict:
+    # A full collection first, so the timed batch is not charged for a
+    # gen-2 sweep over the garbage the previous phase left behind.
+    gc.collect()
+    server.run_batch(rounds, engine="vectorized")
+    return tel.tracer.spans("batch")[-1]
+
+
+def measure(n: int) -> dict:
+    registry = synthetic_registry(32, seed=SEED)
+    population = synthetic_population(n + 1, registry, seed=SEED + 1)
+    resident, (spare_name, spare_tree) = population[:n], population[n]
+    tel = Telemetry()
+    server = QueryServer(registry, BernoulliOracle(seed=SEED + 2), telemetry=tel)
+    gc.collect()
+    start = time.perf_counter()
+    for name, tree in resident:
+        server.register(name, tree)
+    admit_s = time.perf_counter() - start
+    build = batch_span(tel, server, 1)
+    server.deregister(resident[0][0])
+    server.register(spare_name, spare_tree)
+    churned = batch_span(tel, server, 1)
+    steady = batch_span(tel, server, ROUNDS)
+    return {
+        "resident_queries": n,
+        "probes": server.shared_plan().size,
+        "admit_s": admit_s,
+        "build_plan_s": build["attrs"]["phase_seconds"]["planning"],
+        "remerge_s": churned["attrs"]["phase_seconds"]["planning"],
+        "round_s": steady["dur"] / ROUNDS,
+    }
+
+
+class TestMergeScaling:
+    def test_control_plane_scaling(self):
+        rows = [measure(n) for n in SIZES]
+        for row in rows:
+            # The merged plan holds every resident's whole schedule.
+            assert row["probes"] >= row["resident_queries"]
+        table = ascii_table(
+            ("resident", "probes", "admit s", "build plan s", "re-merge s", "round ms"),
+            [
+                (
+                    f"{row['resident_queries']:,}",
+                    f"{row['probes']:,}",
+                    f"{row['admit_s']:.3f}",
+                    f"{row['build_plan_s']:.3f}",
+                    f"{row['remerge_s']:.3f}",
+                    f"{row['round_s'] * 1e3:.1f}",
+                )
+                for row in rows
+            ],
+        )
+        emit_report("merge_scaling", table)
+        emit_json(
+            "merge_scaling",
+            {"seed": SEED, "rounds": ROUNDS, "engine": "vectorized", "rows": rows},
+        )

@@ -47,10 +47,10 @@ Commands
 ``trace``
     Causal trace analysis of a ``--telemetry`` JSONL file: reconstruct the
     span forest (``summary``), attribute each batch root's wall time into
-    acquisition / evaluation / plan-cache / migration / elastic / telemetry
-    buckets and print its critical path (``--format critical-path``), or
-    export Chrome ``trace_event`` JSON for chrome://tracing / Perfetto
-    (``--format chrome [--out FILE]``).
+    acquisition / planning / evaluation / plan-cache / migration / elastic /
+    telemetry buckets and print its critical path
+    (``--format critical-path``), or export Chrome ``trace_event`` JSON for
+    chrome://tracing / Perfetto (``--format chrome [--out FILE]``).
 ``lint``
     AST-based invariant linter (:mod:`repro.analysis`): checks the
     concurrency/determinism rules RPR001-RPR007 (lock pickling, slots

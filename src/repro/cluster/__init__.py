@@ -2,7 +2,7 @@
 
 One :class:`~repro.service.QueryServer` scales until its global shared plan
 — merged across the *whole* population — becomes the bottleneck: the merge
-is O(probes x queries), and every admission, departure or re-plan
+covers every resident query, and every admission, departure or re-plan
 invalidates it for everyone. This package splits the population where the
 cost model says sharing stops paying:
 

@@ -12,7 +12,7 @@ operator questions the flat log could not:
 * :func:`critical_path` — the chain of spans that bounded a root's wall
   time (greedy descent into the latest-finishing child at each level);
 * :func:`attribute` — bucket a batch's wall time into acquisition /
-  evaluation / plan-cache upcalls / migration / elastic actions /
+  planning / evaluation / plan-cache upcalls / migration / elastic actions /
   telemetry self-observation / untraced residue, combining span durations
   with the per-phase accounting the server attaches to its batch spans;
 * :func:`to_chrome_trace` — export records as Chrome ``trace_event`` JSON,
@@ -54,6 +54,7 @@ SPAN_BUCKETS: Mapping[str, str] = {
 #: not explain (untraced code, scheduling gaps, span bookkeeping).
 ATTRIBUTION_BUCKETS: tuple[str, ...] = (
     "acquisition",
+    "planning",
     "evaluation",
     "plan_cache",
     "migration",
@@ -257,7 +258,7 @@ def attribute(node: SpanNode) -> Attribution:
     Two complementary sources are combined:
 
     * **phase accounting** — the server's round loops time their own
-      acquisition / evaluation / telemetry segments with paired
+      acquisition / planning / evaluation / telemetry segments with paired
       ``perf_counter`` reads and attach the totals as a
       ``phase_seconds`` attribute on each ``batch`` span (cheap enough to
       survive microsecond vectorized rounds, where per-round spans would

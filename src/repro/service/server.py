@@ -279,7 +279,12 @@ class QueryServer:
         # is what repro.obs.analyze buckets wall time with — paired
         # perf_counter reads per round are cheap enough to survive
         # microsecond vectorized rounds where per-round spans would not be.
-        self._phase_seconds = {"acquisition": 0.0, "evaluation": 0.0, "telemetry": 0.0}
+        self._phase_seconds = {
+            "acquisition": 0.0,
+            "planning": 0.0,
+            "evaluation": 0.0,
+            "telemetry": 0.0,
+        }
         # Memoized metric cell references for _record_round_telemetry, keyed
         # on registry identity: worker shards swap in a fresh registry after
         # shipping each delta, which must invalidate the cache (``is`` check
@@ -293,6 +298,9 @@ class QueryServer:
         #: Residents per canonical key, so a departure learns whether its
         #: shape is still live without scanning the population.
         self._shape_refs: collections.Counter[str] = collections.Counter()
+        #: Per stream, the multiset of windows resident leaves apply to it,
+        #: and its maximum (the relevance horizon the cache evicts by).
+        self._window_counts: dict[str, collections.Counter[int]] = {}
         self._max_windows: dict[str, int] = {}
         self._plan: SharedPlan | None = None
         self._vector_executors: dict[str, VectorizedExecutor] = {}
@@ -462,7 +470,7 @@ class QueryServer:
         )
         self._queries[name] = registered
         self._shape_refs[form.key] += 1
-        self._after_population_change()
+        self._after_population_change(registered, joined=True)
         self.metrics.registrations += 1
         # Grow device time so the new query's windows are immediately servable.
         max_items = max(leaf.items for leaf in registered.tree.leaves)
@@ -476,7 +484,7 @@ class QueryServer:
         if name not in self._queries:
             raise AdmissionError(f"no query named {name!r} is registered")
         removed = self._queries.pop(name)
-        self._after_population_change()
+        self._after_population_change(removed, joined=False)
         self.metrics.deregistrations += 1
         self._release_shape(removed.canonical.key)
 
@@ -500,7 +508,7 @@ class QueryServer:
         )
         stats = self.metrics.per_query.pop(name, None)
         del self._queries[name]
-        self._after_population_change()
+        self._after_population_change(query, joined=False)
         self.metrics.migrations_out += 1
         tel = self.telemetry
         if tel is not None and tel.enabled:
@@ -545,7 +553,7 @@ class QueryServer:
         self._vector_executors.pop(query.name, None)
         self._queries[query.name] = query
         self._shape_refs[query.canonical.key] += 1
-        self._after_population_change()
+        self._after_population_change(query, joined=True)
         self.metrics.migrations_in += 1
         tel = self.telemetry
         if tel is not None and tel.enabled:
@@ -576,28 +584,48 @@ class QueryServer:
         self._queries = {name: self._queries[name] for name in names}
         self._plan = None  # merge order changed; rebuild lazily
 
-    def _after_population_change(self) -> None:
-        old_windows = self._max_windows
-        self._max_windows = compute_max_windows(
-            [query.tree for query in self._queries.values()]
-        )
+    def _after_population_change(self, query: RegisteredQuery, *, joined: bool) -> None:
+        """Fold one arrival or departure into the per-stream window state.
+
+        ``_window_counts[stream]`` is the multiset of windows the residents'
+        leaves apply to ``stream``; ``_max_windows`` is its maximum per
+        stream. Only ``query``'s own leaves are touched, and a stream's max
+        is recomputed only when its last holder leaves.
+        """
+        windows = self._max_windows
+        shrank = False
+        if joined:
+            for leaf in query.tree.leaves:
+                counts = self._window_counts.setdefault(
+                    leaf.stream, collections.Counter()
+                )
+                counts[leaf.items] += 1
+                if leaf.items > windows.get(leaf.stream, 0):
+                    windows[leaf.stream] = leaf.items
+        else:
+            for leaf in query.tree.leaves:
+                counts = self._window_counts[leaf.stream]
+                counts[leaf.items] -= 1
+                if counts[leaf.items]:
+                    continue
+                del counts[leaf.items]
+                if leaf.items < windows[leaf.stream]:
+                    continue
+                shrank = True
+                if counts:
+                    windows[leaf.stream] = max(counts)
+                else:
+                    del windows[leaf.stream], self._window_counts[leaf.stream]
         # Relevance rule: items outside the (possibly shrunken) windows of
         # the *current* population are no longer held (paper §I) — departed
         # queries leave no placement-dependent residual warmth behind. Pure
         # growth (every old horizon still covered) cannot evict anything, so
         # admissions skip the cache scan.
-        shrank = any(
-            self._max_windows.get(stream, 0) < window
-            for stream, window in old_windows.items()
-        )
         if shrank:
-            self.cache.retain_relevant(self._max_windows)
+            self.cache.retain_relevant(windows)
         self._plan = None  # rebuilt lazily on the next step
-        self._vector_executors = {
-            name: executor
-            for name, executor in self._vector_executors.items()
-            if name in self._queries
-        }
+        if not joined:
+            self._vector_executors.pop(query.name, None)
 
     def _plan_canonical(self, form: CanonicalForm, scheduler: Scheduler) -> CachedPlan:
         if self.plan_cache is not None:
@@ -921,11 +949,13 @@ class QueryServer:
         wall_start = time.perf_counter() if recording else 0.0
         self.cache.advance(1, max_windows=self._max_windows)
         # Phase split: advancing the cache acquires the round's new window
-        # state; everything through adaptivity below is evaluation (the
+        # state; building the probe order (a shared-plan rebuild after churn)
+        # is planning; everything through adaptivity below is evaluation (the
         # scalar execute_round interleaves its fetches with short-circuit
         # decisions, so its fetch time is credited to evaluation by design).
         acquired_at = time.perf_counter() if recording else 0.0
         plan = self.shared_plan() if self.shared_plan_enabled else self._blocked_probes()
+        planned_at = time.perf_counter() if recording else 0.0
         results, stats = execute_round(
             plan,
             {name: query.index for name, query in self._queries.items()},
@@ -974,7 +1004,8 @@ class QueryServer:
                     )
             phases = self._phase_seconds
             phases["acquisition"] += acquired_at - wall_start
-            phases["evaluation"] += evaluated_at - acquired_at
+            phases["planning"] += planned_at - acquired_at
+            phases["evaluation"] += evaluated_at - planned_at
             phases["telemetry"] += time.perf_counter() - evaluated_at
         return results
 
@@ -1148,9 +1179,11 @@ class QueryServer:
         for r in range(rounds):
             wall_start = time.perf_counter() if recording else 0.0
             self.cache.advance(1, max_windows=self._max_windows)
+            planning_at = time.perf_counter() if recording else 0.0
             probes = (
                 self.shared_plan().probes if shared else self._blocked_probes().probes
             )
+            planned_at = time.perf_counter() if recording else 0.0
             stats = RoundStats()
             query_cost: dict[str, float] = {name: 0.0 for name in self._queries}
             query_probes: dict[str, int] = {name: 0 for name in self._queries}
@@ -1172,10 +1205,10 @@ class QueryServer:
                 query_cost[probe.query] += cost
                 query_probes[probe.query] += 1
                 stats.record_probe(probe.query, leaf.items, cost, fetched_items)
-            # Phase split: the window advance, shared-plan probe list and
-            # the fetch replay above are this round's *acquisition* (the
-            # boolean evaluation happened in the bulk prelude); the
-            # accounting and adaptivity below are evaluation.
+            # Phase split: the window advance and the fetch replay above are
+            # this round's *acquisition* (the boolean evaluation happened in
+            # the bulk prelude) and the probe list between them is planning;
+            # the accounting and adaptivity below are evaluation.
             acquired_at = time.perf_counter() if recording else 0.0
             self._round += 1
             self.metrics.record_round(stats.cost)
@@ -1248,7 +1281,10 @@ class QueryServer:
                             probes=query_probes[name],
                         )
                 phases = self._phase_seconds
-                phases["acquisition"] += acquired_at - wall_start
+                phases["acquisition"] += (planning_at - wall_start) + (
+                    acquired_at - planned_at
+                )
+                phases["planning"] += planned_at - planning_at
                 phases["evaluation"] += evaluated_at - acquired_at
                 phases["telemetry"] += time.perf_counter() - evaluated_at
         return BatchReport(

@@ -16,13 +16,22 @@ marginal cost-effectiveness across the whole population:
 
 :func:`merge_schedules` builds the plan; :func:`execute_round` runs one
 round of it against a shared cache with per-query early termination.
+
+Every next-up leaf on one stream shares that stream's planned window and
+remaining demand, so the merge keeps its candidates per stream: a pick
+re-keys only the stream it planned and the stream its query moves on to.
+Merging P probes costs O(P log P) plus one re-score of a stream's waiting
+leaves each time its planned window grows, instead of a rescan of every
+query per pick.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
+from repro.core.leaf import Leaf
 from repro.core.resolution import TreeIndex
 from repro.core.schedule import Schedule
 from repro.core.tree import AndTree, DnfTree, QueryTree
@@ -87,51 +96,114 @@ def merge_schedules(
     schedules:
         Query name -> that tree's schedule (same key set as ``trees``).
     costs:
-        Global per-item stream costs (the registry's table).
+        Global per-item stream costs (the registry's table); a stream
+        missing from it costs 1.0 per item.
 
-    Greedy merge: repeatedly pick, among the queries' next-up leaves, the one
-    minimizing ``marginal_cost / (failure_prob + eps)`` — i.e. cheapest
-    expected spend per unit of short-circuiting power. Ties break toward the
-    stream with the most remaining demand across the population, so widely
-    shared windows are paid earliest.
+    Greedy merge: repeatedly pick, among the queries' next-up leaves
+    ("heads"), the one minimizing ``marginal_cost / (failure_prob + eps)`` —
+    i.e. cheapest expected spend per unit of short-circuiting power. Ties
+    break toward the stream with the most remaining demand across the
+    population, so widely shared windows are paid earliest, and then toward
+    the earlier registered query (the iteration order of ``trees``).
+
+    Every head on one stream shares that stream's planned window, remaining
+    demand and item cost, so a pick changes the keys of only two streams:
+    its own, and the one its query's next head joins. Each stream keeps its
+    heads in two heaps — *covered* heads (window already planned, score
+    exactly 0.0) by registration index, and *paying* heads by ``(score,
+    index)``, re-scored only when the stream's planned window grows — and
+    one global heap holds each stream's best ``(score, -demand, index)``,
+    version-stamped so superseded entries are skipped. Scores *improve* as
+    windows get planned, so a stale key is not a safe bound; re-keying the
+    touched streams on every pick keeps the global heap exact. Cost:
+    O(P log P) for P probes, plus O(heads on s) each time stream s's planned
+    window grows (at most once per distinct window size on s).
     """
     if set(trees) != set(schedules):
         raise StreamError(
             f"trees and schedules disagree: {sorted(trees)} vs {sorted(schedules)}"
         )
     names = list(trees)
-    leaves = {name: trees[name].leaves for name in names}
-    pointers = {name: 0 for name in names}
+    orders = [schedules[name] for name in names]
+    leaves = [trees[name].leaves for name in names]
+    pointers = [0] * len(names)
     # Remaining population-wide demand per stream (for tie-breaking).
     demand: dict[str, int] = {}
-    for name in names:
-        for g in schedules[name]:
-            leaf = leaves[name][g]
-            demand[leaf.stream] = demand.get(leaf.stream, 0) + 1
+    for order, tree_leaves in zip(orders, leaves):
+        for g in order:
+            stream = tree_leaves[g].stream
+            demand[stream] = demand.get(stream, 0) + 1
+    cost = {stream: costs.get(stream, 1.0) for stream in demand}
     planned: dict[str, int] = {}
+    covered: dict[str, list[int]] = {stream: [] for stream in demand}
+    paying: dict[str, list[tuple[float, int]]] = {stream: [] for stream in demand}
+    version = dict.fromkeys(demand, 0)
+    best: list[tuple[float, int, int, str, int]] = []
+
+    def head(i: int) -> Leaf:
+        return leaves[i][orders[i][pointers[i]]]
+
+    def score(leaf: Leaf, have: int) -> float:
+        return (leaf.items - have) * cost[leaf.stream] / (leaf.fail + _EPSILON)
+
+    def push_head(i: int) -> str:
+        leaf = head(i)
+        have = planned.get(leaf.stream, 0)
+        if leaf.items <= have:
+            heapq.heappush(covered[leaf.stream], i)
+        else:
+            heapq.heappush(paying[leaf.stream], (score(leaf, have), i))
+        return leaf.stream
+
+    def rekey(stream: str) -> None:
+        version[stream] += 1
+        top: tuple[float, int] | None = None
+        if covered[stream]:
+            top = (0.0, covered[stream][0])
+        if paying[stream] and (top is None or paying[stream][0] < top):
+            top = paying[stream][0]
+        if top is not None:
+            heapq.heappush(
+                best, (top[0], -demand[stream], top[1], stream, version[stream])
+            )
+
+    for i, order in enumerate(orders):
+        if order:
+            push_head(i)
+    for stream in demand:
+        rekey(stream)
     probes: list[Probe] = []
-    total = sum(len(schedules[name]) for name in names)
-    while len(probes) < total:
-        best_name: str | None = None
-        best_score: tuple[float, int] | None = None
-        for name in names:
-            ptr = pointers[name]
-            if ptr >= len(schedules[name]):
-                continue
-            leaf = leaves[name][schedules[name][ptr]]
-            missing = max(0, leaf.items - planned.get(leaf.stream, 0))
-            marginal = missing * costs.get(leaf.stream, 1.0)
-            score = (marginal / (leaf.fail + _EPSILON), -demand[leaf.stream])
-            if best_score is None or score < best_score:
-                best_score = score
-                best_name = name
-        assert best_name is not None
-        g = schedules[best_name][pointers[best_name]]
-        leaf = leaves[best_name][g]
-        planned[leaf.stream] = max(planned.get(leaf.stream, 0), leaf.items)
-        demand[leaf.stream] -= 1
-        pointers[best_name] += 1
-        probes.append(Probe(best_name, g))
+    while best:
+        _, _, i, stream, stamp = heapq.heappop(best)
+        if stamp != version[stream]:
+            continue
+        if covered[stream] and covered[stream][0] == i:
+            heapq.heappop(covered[stream])
+        else:
+            heapq.heappop(paying[stream])
+        items = head(i).items
+        probes.append(Probe(names[i], orders[i][pointers[i]]))
+        demand[stream] -= 1
+        have = planned.get(stream, 0)
+        planned[stream] = max(have, items)
+        if items > have:
+            # The planned window grew: every paying head on this stream
+            # needs fewer missing items now, and some became covered.
+            still_paying: list[tuple[float, int]] = []
+            for _, j in paying[stream]:
+                leaf = head(j)
+                if leaf.items <= items:
+                    heapq.heappush(covered[stream], j)
+                else:
+                    still_paying.append((score(leaf, items), j))
+            heapq.heapify(still_paying)
+            paying[stream] = still_paying
+        pointers[i] += 1
+        if pointers[i] < len(orders[i]):
+            joined = push_head(i)
+            if joined != stream:
+                rekey(joined)
+        rekey(stream)
     return SharedPlan(probes=tuple(probes), planned_items=planned)
 
 

@@ -203,36 +203,38 @@ class TestReplanMechanics:
         assert key not in server.adaptive.tracked_keys()
 
     def test_departures_do_not_scan_the_population(self):
-        """Per-shape refcount guard: whether a departing query's shape is
-        still live used to be a scan over every resident, making a migrated
-        group of m queries O(m x n)."""
+        """Admissions and departures cost O(the changed query), not O(n).
+
+        Whether a departing query's shape is still live used to be a scan
+        over every resident, and every arrival or departure recomputed the
+        stream windows over the whole population."""
         server = adaptive_server()
         shared, solo = flip_tree(), flip_tree(pre=0.3)
-        for q in range(4):
+        for q in range(3):
             server.register(f"q{q}", shared)
-        server.register("solo", solo)
         key = server.query("q0").canonical.key
+        server._queries = _NoIteration(server._queries)
+        server.register("q3", shared)
+        server.register("solo", solo)
         solo_key = server.query("solo").canonical.key
         assert key != solo_key
-        server._queries = _NoIteration(server._queries)
-        # The window recompute is its own O(n) pass (a separate roadmap
-        # item); stub it so the guard isolates the shape-retirement check.
-        server._after_population_change = lambda: None
         server.deregister("q0")
         server.export_query("q1")
         assert key in server.adaptive.tracked_keys()  # q2, q3 still resident
         server.deregister("q2")
         server.export_query("q3")
         assert key not in server.adaptive.tracked_keys()
-        server.export_query("solo")
+        snapshot = server.export_query("solo")
         assert solo_key not in server.adaptive.tracked_keys()
+        server.admit_migrated(snapshot)
+        assert solo_key in server.adaptive.tracked_keys()
 
 
 class _NoIteration(dict):
     """A resident map that forbids whole-population scans."""
 
     def _scan(self, *args):
-        raise AssertionError("a departure must not scan every resident")
+        raise AssertionError("a population change must not scan every resident")
 
     __iter__ = keys = values = items = _scan
 

@@ -163,6 +163,7 @@ class TestAttribution:
                 dur=1.0,
                 phase_seconds={
                     "acquisition": 0.2,
+                    "planning": 0.05,
                     "evaluation": 0.5,
                     "telemetry": 0.1,
                 },
@@ -171,10 +172,11 @@ class TestAttribution:
         (root,) = build_forest(records).roots
         att = attribute(root)
         assert att.buckets["acquisition"] == 0.2
+        assert att.buckets["planning"] == 0.05
         assert att.buckets["evaluation"] == 0.5
         assert att.buckets["telemetry"] == 0.1
-        assert att.residue == pytest.approx(0.2)
-        assert att.coverage == pytest.approx(0.8)
+        assert att.residue == pytest.approx(0.15)
+        assert att.coverage == pytest.approx(0.85)
 
     def test_mapped_spans_credit_their_durations(self):
         records = [

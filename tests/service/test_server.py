@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro import AndTree, DnfTree, Leaf, QueryServer, run_isolated
 from repro.engine import BernoulliOracle
 from repro.errors import AdmissionError, StreamError
+from repro.obs import Telemetry
 from repro.service import PlanCache, synthetic_population, synthetic_registry
+from repro.service import server as server_module
 from repro.streams.registry import StreamRegistry
 from repro.streams.sources import GaussianSource
 from repro.streams.stream import StreamSpec
@@ -200,6 +204,34 @@ class TestReRegistration:
         server.register("q", self.a_tree())
         replaced = server.register("q", self.b_tree(), replace=True)
         assert replaced.tree.size == 2  # swap fits: the old slot was freed
+
+
+class TestPlanningPhase:
+    """A shared-plan rebuild inside a round is credited to ``planning``."""
+
+    @pytest.mark.parametrize("engine", ["scalar", "vectorized"])
+    def test_round_after_churn_credits_planning(self, engine, monkeypatch):
+        merge = server_module.merge_schedules
+
+        def slow_merge(*args):
+            time.sleep(0.05)
+            return merge(*args)
+
+        monkeypatch.setattr(server_module, "merge_schedules", slow_merge)
+        tel = Telemetry()
+        server = QueryServer(tiny_registry(), BernoulliOracle(seed=0), telemetry=tel)
+        server.register("q1", tiny_tree(0.4))
+        server.register("q2", tiny_tree(0.5))
+        server.run_batch(2, engine=engine)  # merged once, then reused
+        server.deregister("q1")
+        server.run_batch(1, engine=engine)  # re-merged inside the round
+        first, churned = (
+            span["attrs"]["phase_seconds"] for span in tel.tracer.spans("batch")
+        )
+        assert first["planning"] >= 0.05 and churned["planning"] >= 0.05
+        for phases in (first, churned):
+            assert phases["acquisition"] < 0.05
+            assert phases["evaluation"] < 0.05
 
 
 class TestAcceptanceCriteria:
