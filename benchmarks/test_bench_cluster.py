@@ -1,14 +1,18 @@
 """Cluster serving benchmark: K overlap shards vs the unsharded server.
 
-On an overlap-clustered population the unsharded server pays one global
-cost-effectiveness merge over the whole population — O(probes x queries),
-mostly comparing queries that can never share a window — while K shards pay
-K local merges over populations 1/K the size. The benchmark serves the same
-population (identical per-name oracle streams) three ways and asserts:
+On an overlap-clustered population the unsharded server merges the whole
+population into one cost-effectiveness probe order, while K shards merge
+populations 1/K the size. The merge is a per-stream heap: a pick re-keys only
+the stream it planned and the stream its query moves on to, so one merge of
+P probes costs O(P log P) plus a re-score of a stream's waiting leaves each
+time its planned window grows. The benchmark serves the same population
+(identical per-name oracle streams) three ways and asserts:
 
 * K-shard concurrent serving reaches >= 1.5x the single-shard serial
-  throughput (the sharding acceptance bar; measured ~2-4x on one core, more
-  with real cores since shards batch on independent threads);
+  throughput (the sharding acceptance bar). Since the merge became a
+  per-stream heap the single server no longer pays a quadratic merge, and
+  on two cores this ratio reads about 0.77-1.04x, so the gate fails there;
+  it is left standing until it is re-based on the current merge;
 * the stream-overlap partition's total cost equals the unsharded server's
   exactly (sharding where overlap lives loses nothing), while the random
   partition of the same width pays measurably more (sharing cut).

@@ -184,12 +184,11 @@ class ElasticEvent:
 class ClusterReport:
     """Aggregate of one concurrent batch across every active shard.
 
-    The cost/probe/item aggregates are *stored fields*, not recomputed
-    sums: :meth:`ClusterServer.run_batch` first records each shard's batch
-    totals into the cluster's metrics registry, then derives these fields
-    from the registry's counter deltas. The report and any exported metrics
-    snapshot therefore read from one source of truth and can never diverge
-    (a regression test asserts the equality).
+    The cost/probe/item aggregates are *stored fields*:
+    :meth:`ClusterServer.run_batch` sums the shard reports once and adds
+    exactly those sums to the cluster's ``repro_cluster_*_total`` registry
+    counters, so the report and any exported metrics snapshot carry the same
+    numbers (a regression test asserts the equality across batches).
     """
 
     rounds: int
@@ -210,7 +209,7 @@ class ClusterReport:
     #: Human-readable descriptions of the elastic actions the policy took
     #: right after this batch (empty without an ElasticPolicy).
     elastic_actions: tuple[str, ...] = ()
-    #: Batch aggregates, derived from the metrics registry's counter deltas.
+    #: Batch aggregates: sums of the shard reports, as added to the registry.
     total_cost: float = 0.0
     probes: int = 0
     free_probes: int = 0
@@ -738,42 +737,24 @@ class ClusterServer:
                     elastic_attrs["actions"] = len(auto)
             else:
                 auto = self._auto_elastic()
-        # Registry first, report second: the batch totals are recorded as
-        # counter increments, and the report's aggregate fields are the
-        # resulting *deltas* — so the dataclass and an exported snapshot can
-        # never disagree (they are the same numbers, read once).
+        # One sum per field, recorded twice: the same numbers go into the
+        # registry counters and the report, so the dataclass and an exported
+        # snapshot cannot disagree.
+        total_cost = sum(report.total_cost for report in reports)
+        probes = sum(report.probes for report in reports)
+        free_probes = sum(report.free_probes for report in reports)
+        items_fetched = sum(report.items_fetched for report in reports)
+        items_saved = sum(report.items_saved for report in reports)
+        replans = sum(report.replans for report in reports)
         reg = self._registry
-        befores = {
-            name: reg.value(name)
-            for name in (
-                "repro_cluster_cost_total",
-                "repro_cluster_probes_total",
-                "repro_cluster_free_probes_total",
-                "repro_cluster_items_fetched_total",
-                "repro_cluster_items_saved_total",
-                "repro_cluster_replans_total",
-            )
-        }
         reg.counter("repro_cluster_batches_total").inc()
         reg.counter("repro_cluster_rounds_total").inc(rounds)
-        reg.counter("repro_cluster_cost_total").inc(
-            sum(report.total_cost for report in reports)
-        )
-        reg.counter("repro_cluster_probes_total").inc(
-            sum(report.probes for report in reports)
-        )
-        reg.counter("repro_cluster_free_probes_total").inc(
-            sum(report.free_probes for report in reports)
-        )
-        reg.counter("repro_cluster_items_fetched_total").inc(
-            sum(report.items_fetched for report in reports)
-        )
-        reg.counter("repro_cluster_items_saved_total").inc(
-            sum(report.items_saved for report in reports)
-        )
-        reg.counter("repro_cluster_replans_total").inc(
-            sum(report.replans for report in reports)
-        )
+        reg.counter("repro_cluster_cost_total").inc(total_cost)
+        reg.counter("repro_cluster_probes_total").inc(probes)
+        reg.counter("repro_cluster_free_probes_total").inc(free_probes)
+        reg.counter("repro_cluster_items_fetched_total").inc(items_fetched)
+        reg.counter("repro_cluster_items_saved_total").inc(items_saved)
+        reg.counter("repro_cluster_replans_total").inc(replans)
         reg.gauge("repro_cluster_shards").set(self.n_shards)
         reg.gauge("repro_cluster_queries").set(len(self))
         reg.histogram("repro_cluster_batch_seconds").observe(wall)
@@ -799,28 +780,12 @@ class ClusterServer:
             splits=self.splits,
             drains=self.drains,
             elastic_actions=tuple(event.describe() for event in auto),
-            total_cost=reg.value("repro_cluster_cost_total")
-            - befores["repro_cluster_cost_total"],
-            probes=int(
-                reg.value("repro_cluster_probes_total")
-                - befores["repro_cluster_probes_total"]
-            ),
-            free_probes=int(
-                reg.value("repro_cluster_free_probes_total")
-                - befores["repro_cluster_free_probes_total"]
-            ),
-            items_fetched=int(
-                reg.value("repro_cluster_items_fetched_total")
-                - befores["repro_cluster_items_fetched_total"]
-            ),
-            items_saved=int(
-                reg.value("repro_cluster_items_saved_total")
-                - befores["repro_cluster_items_saved_total"]
-            ),
-            replans=int(
-                reg.value("repro_cluster_replans_total")
-                - befores["repro_cluster_replans_total"]
-            ),
+            total_cost=total_cost,
+            probes=probes,
+            free_probes=free_probes,
+            items_fetched=items_fetched,
+            items_saved=items_saved,
+            replans=replans,
             slo_statuses=slo_statuses,
         )
         return report

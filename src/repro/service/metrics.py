@@ -5,6 +5,10 @@ once — must be *measurable*, so the server maintains a
 :class:`ServiceMetrics` ledger: per-query cost/probe/outcome counters,
 aggregate sharing counters (items saved, free probes), the plan cache's
 hit rate, and a per-round cost series for tail percentiles (p50/p95/p99).
+Every round reaches the ledger the same way: both round loops fold their
+:class:`~repro.service.shared_plan.RoundStats` in through
+:meth:`ServiceMetrics.record_round`, the one place a round's numbers are
+added to the ledger.
 
 The percentile properties route through :class:`repro.obs.Histogram` —
 the same fixed-bucket interpolation the cluster's telemetry histograms
@@ -17,8 +21,10 @@ stays available for callers that want the raw order statistic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from repro.obs.metrics import Histogram
+from repro.service.shared_plan import RoundStats
 
 __all__ = ["QueryStats", "ServiceMetrics", "percentile", "ROUND_COST_WINDOW"]
 
@@ -109,12 +115,31 @@ class ServiceMetrics:
 
     # -- recording ------------------------------------------------------
 
-    def record_round(self, cost: float) -> None:
+    def record_round(self, stats: RoundStats, values: Mapping[str, bool]) -> None:
+        """Fold one executed round into the aggregate and per-query counters.
+
+        ``values`` maps every resident to its root value, in registration
+        order; a resident with no evaluated probe still serves the round
+        (``rounds + 1``) at cost 0.
+        """
         self.rounds += 1
-        self.total_cost += cost
-        self.round_costs.append(cost)
+        self.total_cost += stats.cost
+        self.total_probes += stats.probes
+        self.free_probes += stats.free_probes
+        self.items_fetched += stats.items_fetched
+        self.items_saved += stats.items_saved
+        self.round_costs.append(stats.cost)
         if len(self.round_costs) > ROUND_COST_WINDOW:
             del self.round_costs[: -ROUND_COST_WINDOW]
+        for name, value in values.items():
+            query_stats = self.query_stats(name)
+            query_stats.rounds += 1
+            query_stats.cost += stats.query_cost.get(name, 0.0)
+            query_stats.probes += stats.query_probes.get(name, 0)
+            query_stats.items_fetched += stats.query_items_fetched.get(name, 0)
+            query_stats.items_saved += stats.query_items_saved.get(name, 0)
+            if value:
+                query_stats.true_count += 1
 
     def query_stats(self, name: str) -> QueryStats:
         return self.per_query.setdefault(name, QueryStats())

@@ -22,7 +22,7 @@ import collections
 import functools
 import threading
 import time
-from dataclasses import dataclass, replace as dataclass_replace
+from dataclasses import dataclass, field, replace as dataclass_replace
 from typing import Callable, Mapping, Sequence, Union
 
 from repro.adaptive.controller import AdaptiveController, ShapeBelief, fold_base_probs
@@ -164,6 +164,33 @@ class BatchReport:
                 f" TRUE rate {self.per_query_true_rate[name]:.3f}"
             )
         return "\n".join(lines)
+
+
+@dataclass
+class _BatchTally:
+    """What a batch report needs beyond the ledger's own counters.
+
+    Per-query cost, TRUE counts and per-round totals are summed here; the
+    report's probe, item and replan fields are deltas of the ledger
+    counters from ``start`` (see :meth:`QueryServer._ledger_counts`).
+    """
+
+    start: tuple[int, ...]
+    per_query_cost: dict[str, float] = field(default_factory=dict)
+    true_counts: dict[str, int] = field(default_factory=dict)
+    round_costs: list[float] = field(default_factory=list)
+
+    def add(self, stats: RoundStats, values: Mapping[str, bool]) -> None:
+        # The round total is the registration-order sum of per-query costs
+        # (``stats.cost`` sums in probe order), so ``round_costs`` and
+        # ``per_query_cost`` accumulate their floats alike.
+        round_total = 0.0
+        for name, value in values.items():
+            cost = stats.query_cost.get(name, 0.0)
+            self.per_query_cost[name] = self.per_query_cost.get(name, 0.0) + cost
+            self.true_counts[name] = self.true_counts.get(name, 0) + (1 if value else 0)
+            round_total += cost
+        self.round_costs.append(round_total)
 
 
 class QueryServer:
@@ -893,15 +920,23 @@ class QueryServer:
         self,
         tel: Telemetry,
         stats: RoundStats,
-        per_query_cost: Mapping[str, float],
-        wall_seconds: float,
+        values: Mapping[str, bool],
+        *,
+        started: float,
+        acquisition: float,
+        planning: float,
+        evaluating: float,
     ) -> None:
-        """One round's worth of metrics into the registry (enabled path only).
+        """One round's metrics, detail events and phase split (enabled path only).
 
         Recording is per *round*, never per probe: the scalar and vectorized
-        loops both call this exactly once after their round accounting, so
-        the instrumented hot paths stay allocation-free between rounds.
+        loops both call this exactly once after closing the round, so the
+        instrumented hot paths stay allocation-free between rounds.
+        ``started`` is the round's first clock read and ``evaluating`` the
+        read its evaluation phase began at; each loop passes the acquisition
+        and planning seconds it measured its own way.
         """
+        evaluated_at = time.perf_counter()
         reg = tel.registry
         cached = self._metric_cells
         if cached is None or cached[0] is not reg:
@@ -929,19 +964,56 @@ class QueryServer:
         fetched_c.inc(stats.items_fetched)
         saved_c.inc(stats.items_saved)
         round_cost_h.observe(stats.cost)
-        round_seconds_h.observe(wall_seconds)
+        round_seconds_h.observe(evaluated_at - started)
         query_cells = cached[3]
-        for name, cost in per_query_cost.items():
+        for name in values:
             cell = query_cells.get(name)
             if cell is None:
                 cell = query_cells[name] = reg.histogram(
                     "repro_query_round_cost", query=name
                 )
-            cell.observe(cost)
+            cell.observe(stats.query_cost.get(name, 0.0))
+        if tel.detail:
+            for name, value in values.items():
+                tel.event(
+                    "query-resolution",
+                    query=name,
+                    round=self._round,
+                    cost=stats.query_cost.get(name, 0.0),
+                    value=value,
+                    probes=stats.query_probes.get(name, 0),
+                )
+        phases = self._phase_seconds
+        phases["acquisition"] += acquisition
+        phases["planning"] += planning
+        phases["evaluation"] += evaluated_at - evaluating
+        phases["telemetry"] += time.perf_counter() - evaluated_at
+
+    def _close_round(
+        self,
+        stats: RoundStats,
+        values: Mapping[str, bool],
+        tally: _BatchTally | None,
+    ) -> None:
+        """Account one executed round: the clock, the ledger, the batch tally.
+
+        Both round loops close every round here, so the ledger and the batch
+        report read the same numbers whichever engine ran the round.
+        """
+        self._round += 1
+        self.metrics.record_round(stats, values)
+        if self.plan_cache is not None:
+            self.metrics.plan_cache_hit_rate = self.plan_cache.hit_rate
+        if tally is not None:
+            tally.add(stats, values)
 
     @_synchronized
     def step(self) -> dict[str, ExecutionResult]:
         """Advance the streams one tick and evaluate every registered query."""
+        return self._step(None)
+
+    def _step(self, tally: _BatchTally | None) -> dict[str, ExecutionResult]:
+        """One scalar round; inside a batch, ``tally`` also receives it."""
         if not self._queries:
             raise StreamError("no queries registered")
         tel = self.telemetry
@@ -962,51 +1034,23 @@ class QueryServer:
             self.cache,
             {name: query.oracle for name, query in self._queries.items()},
         )
-        self._round += 1
-        self.metrics.record_round(stats.cost)
-        self.metrics.total_probes += stats.probes
-        self.metrics.free_probes += stats.free_probes
-        self.metrics.items_fetched += stats.items_fetched
-        self.metrics.items_saved += stats.items_saved
-        if self.plan_cache is not None:
-            self.metrics.plan_cache_hit_rate = self.plan_cache.hit_rate
-        for name, result in results.items():
-            query_stats = self.metrics.query_stats(name)
-            query_stats.rounds += 1
-            query_stats.cost += result.cost
-            query_stats.probes += result.n_evaluated
-            query_stats.items_fetched += stats.query_items_fetched.get(name, 0)
-            query_stats.items_saved += stats.query_items_saved.get(name, 0)
-            if result.value:
-                query_stats.true_count += 1
+        values = {name: result.value for name, result in results.items()}
+        self._close_round(stats, values, tally)
         if self.adaptive is not None:
             for name, result in results.items():
                 self._observe_outcomes(self._queries[name], result.outcomes)
             self._maybe_replan()
         self._advance_drifting_oracles(1)
         if recording:
-            evaluated_at = time.perf_counter()
             self._record_round_telemetry(
                 tel,
                 stats,
-                {name: result.cost for name, result in results.items()},
-                evaluated_at - wall_start,
+                values,
+                started=wall_start,
+                acquisition=acquired_at - wall_start,
+                planning=planned_at - acquired_at,
+                evaluating=planned_at,
             )
-            if tel.detail:
-                for name, result in results.items():
-                    tel.event(
-                        "query-resolution",
-                        query=name,
-                        round=self._round,
-                        cost=result.cost,
-                        value=bool(result.value),
-                        probes=result.n_evaluated,
-                    )
-            phases = self._phase_seconds
-            phases["acquisition"] += acquired_at - wall_start
-            phases["planning"] += planned_at - acquired_at
-            phases["evaluation"] += evaluated_at - planned_at
-            phases["telemetry"] += time.perf_counter() - evaluated_at
         return results
 
     @_synchronized
@@ -1052,39 +1096,46 @@ class QueryServer:
             }
         return report
 
-    def _run_batch_scalar(self, rounds: int) -> BatchReport:
-        start_probes = self.metrics.total_probes
-        start_free = self.metrics.free_probes
-        start_fetched = self.metrics.items_fetched
-        start_saved = self.metrics.items_saved
-        start_replans = self.metrics.replans
-        per_query_cost: dict[str, float] = {name: 0.0 for name in self._queries}
-        true_counts: dict[str, int] = {name: 0 for name in self._queries}
-        round_costs: list[float] = []
-        for _ in range(rounds):
-            round_total = 0.0
-            for name, result in self.step().items():
-                per_query_cost[name] = per_query_cost.get(name, 0.0) + result.cost
-                true_counts[name] = true_counts.get(name, 0) + (1 if result.value else 0)
-                round_total += result.cost
-            round_costs.append(round_total)
+    def _ledger_counts(self) -> tuple[int, ...]:
+        """The ledger counters a batch report reads as deltas."""
+        metrics = self.metrics
+        return (
+            metrics.total_probes,
+            metrics.free_probes,
+            metrics.items_fetched,
+            metrics.items_saved,
+            metrics.replans,
+        )
+
+    def _batch_report(self, tally: _BatchTally) -> BatchReport:
+        """The report of the batch ``tally`` has accumulated."""
+        probes, free_probes, items_fetched, items_saved, replans = (
+            now - then for now, then in zip(self._ledger_counts(), tally.start)
+        )
+        rounds = len(tally.round_costs)
         return BatchReport(
             rounds=rounds,
-            total_cost=sum(round_costs),
-            per_query_cost=per_query_cost,
+            total_cost=sum(tally.round_costs),
+            per_query_cost=tally.per_query_cost,
             per_query_true_rate={
-                name: true_counts.get(name, 0) / rounds for name in per_query_cost
+                name: count / rounds for name, count in tally.true_counts.items()
             },
-            round_costs=round_costs,
-            probes=self.metrics.total_probes - start_probes,
-            free_probes=self.metrics.free_probes - start_free,
-            items_fetched=self.metrics.items_fetched - start_fetched,
-            items_saved=self.metrics.items_saved - start_saved,
+            round_costs=tally.round_costs,
+            probes=probes,
+            free_probes=free_probes,
+            items_fetched=items_fetched,
+            items_saved=items_saved,
             plan_cache_hit_rate=(
                 self.plan_cache.hit_rate if self.plan_cache is not None else 0.0
             ),
-            replans=self.metrics.replans - start_replans,
+            replans=replans,
         )
+
+    def _run_batch_scalar(self, rounds: int) -> BatchReport:
+        tally = _BatchTally(self._ledger_counts())
+        for _ in range(rounds):
+            self._step(tally)
+        return self._batch_report(tally)
 
     # -- vectorized round loop ------------------------------------------
 
@@ -1151,7 +1202,7 @@ class QueryServer:
                     "the vectorized round loop cannot batch; use "
                     "run_batch(engine='scalar')"
                 )
-        start_replans = self.metrics.replans
+        tally = _BatchTally(self._ledger_counts())
         tel = self.telemetry
         recording = tel is not None and tel.enabled
         outcome_matrices: dict[str, np.ndarray] = {}
@@ -1172,10 +1223,6 @@ class QueryServer:
             self._phase_seconds["evaluation"] += time.perf_counter() - prelude_start
         leaves_of = {name: query.tree.leaves for name, query in self._queries.items()}
         shared = self.shared_plan_enabled
-        per_query_cost: dict[str, float] = {name: 0.0 for name in self._queries}
-        true_counts: dict[str, int] = {name: 0 for name in self._queries}
-        round_costs: list[float] = []
-        batch_probes = batch_free = batch_fetched = batch_saved = 0
         for r in range(rounds):
             wall_start = time.perf_counter() if recording else 0.0
             self.cache.advance(1, max_windows=self._max_windows)
@@ -1185,8 +1232,6 @@ class QueryServer:
             )
             planned_at = time.perf_counter() if recording else 0.0
             stats = RoundStats()
-            query_cost: dict[str, float] = {name: 0.0 for name in self._queries}
-            query_probes: dict[str, int] = {name: 0 for name in self._queries}
             # Largest window fetched per stream so far this round: any probe
             # within it is fully cached, so the fetch call can be elided —
             # it would fetch nothing, charge nothing and mutate nothing.
@@ -1202,46 +1247,17 @@ class QueryServer:
                     fetch = self.cache.fetch_window(leaf.stream, leaf.items)
                     cost, fetched_items = fetch.cost, fetch.fetched_items
                     round_max[leaf.stream] = leaf.items
-                query_cost[probe.query] += cost
-                query_probes[probe.query] += 1
                 stats.record_probe(probe.query, leaf.items, cost, fetched_items)
             # Phase split: the window advance and the fetch replay above are
             # this round's *acquisition* (the boolean evaluation happened in
             # the bulk prelude) and the probe list between them is planning;
             # the accounting and adaptivity below are evaluation.
             acquired_at = time.perf_counter() if recording else 0.0
-            self._round += 1
-            self.metrics.record_round(stats.cost)
-            self.metrics.total_probes += stats.probes
-            self.metrics.free_probes += stats.free_probes
-            self.metrics.items_fetched += stats.items_fetched
-            self.metrics.items_saved += stats.items_saved
-            if self.plan_cache is not None:
-                self.metrics.plan_cache_hit_rate = self.plan_cache.hit_rate
-            round_values: dict[str, bool] = {}
-            for name in self._queries:
-                query_stats = self.metrics.query_stats(name)
-                query_stats.rounds += 1
-                query_stats.cost += query_cost[name]
-                query_stats.probes += query_probes[name]
-                query_stats.items_fetched += stats.query_items_fetched.get(name, 0)
-                query_stats.items_saved += stats.query_items_saved.get(name, 0)
-                per_query_cost[name] += query_cost[name]
-                value = bool(batches[name].values[r - offsets[name]])
-                round_values[name] = value
-                if value:
-                    query_stats.true_count += 1
-                    true_counts[name] += 1
-            # Sum the round total per query (registration order) exactly like
-            # the scalar loop, so float accumulation agrees to the last bit.
-            round_total = 0.0
-            for name in self._queries:
-                round_total += query_cost[name]
-            round_costs.append(round_total)
-            batch_probes += stats.probes
-            batch_free += stats.free_probes
-            batch_fetched += stats.items_fetched
-            batch_saved += stats.items_saved
+            values = {
+                name: bool(batches[name].values[r - offsets[name]])
+                for name in self._queries
+            }
+            self._close_round(stats, values, tally)
             if self.adaptive is not None:
                 for name, query in self._queries.items():
                     local = r - offsets[name]
@@ -1266,44 +1282,16 @@ class QueryServer:
                         )
                         offsets[name] = r + 1
             if recording:
-                evaluated_at = time.perf_counter()
                 self._record_round_telemetry(
-                    tel, stats, query_cost, evaluated_at - wall_start
+                    tel,
+                    stats,
+                    values,
+                    started=wall_start,
+                    acquisition=(planning_at - wall_start) + (acquired_at - planned_at),
+                    planning=planned_at - planning_at,
+                    evaluating=acquired_at,
                 )
-                if tel.detail:
-                    for name in self._queries:
-                        tel.event(
-                            "query-resolution",
-                            query=name,
-                            round=self._round,
-                            cost=query_cost[name],
-                            value=round_values[name],
-                            probes=query_probes[name],
-                        )
-                phases = self._phase_seconds
-                phases["acquisition"] += (planning_at - wall_start) + (
-                    acquired_at - planned_at
-                )
-                phases["planning"] += planned_at - planning_at
-                phases["evaluation"] += evaluated_at - acquired_at
-                phases["telemetry"] += time.perf_counter() - evaluated_at
-        return BatchReport(
-            rounds=rounds,
-            total_cost=sum(round_costs),
-            per_query_cost=per_query_cost,
-            per_query_true_rate={
-                name: true_counts[name] / rounds for name in per_query_cost
-            },
-            round_costs=round_costs,
-            probes=batch_probes,
-            free_probes=batch_free,
-            items_fetched=batch_fetched,
-            items_saved=batch_saved,
-            plan_cache_hit_rate=(
-                self.plan_cache.hit_rate if self.plan_cache is not None else 0.0
-            ),
-            replans=self.metrics.replans - start_replans,
-        )
+        return self._batch_report(tally)
 
 
 def run_isolated(

@@ -28,6 +28,7 @@ query per pick.
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
@@ -209,15 +210,25 @@ def merge_schedules(
 
 @dataclass
 class RoundStats:
-    """Aggregate and per-query accounting of one executed round."""
+    """The one per-round record: aggregate and per-query accounting.
+
+    Both round loops (:func:`execute_round` and the server's vectorized
+    replay) account every executed probe through :meth:`record_probe`, and
+    the server's ledger, batch report and telemetry read the round from
+    here. A query none of whose probes ran has no per-query entry.
+    """
 
     cost: float = 0.0
     probes: int = 0
     free_probes: int = 0
     items_fetched: int = 0
     items_saved: int = 0
-    query_items_fetched: dict[str, int] = field(default_factory=dict)
-    query_items_saved: dict[str, int] = field(default_factory=dict)
+    query_cost: dict[str, float] = field(default_factory=lambda: defaultdict(float))
+    query_probes: dict[str, int] = field(default_factory=lambda: defaultdict(int))
+    query_items_fetched: dict[str, int] = field(
+        default_factory=lambda: defaultdict(int)
+    )
+    query_items_saved: dict[str, int] = field(default_factory=lambda: defaultdict(int))
 
     def record_probe(
         self, query: str, window_items: int, cost: float, fetched_items: int
@@ -229,10 +240,10 @@ class RoundStats:
         self.items_fetched += fetched_items
         saved = window_items - fetched_items
         self.items_saved += saved
-        self.query_items_fetched[query] = (
-            self.query_items_fetched.get(query, 0) + fetched_items
-        )
-        self.query_items_saved[query] = self.query_items_saved.get(query, 0) + saved
+        self.query_cost[query] += cost
+        self.query_probes[query] += 1
+        self.query_items_fetched[query] += fetched_items
+        self.query_items_saved[query] += saved
         if fetched_items == 0:
             self.free_probes += 1
 
@@ -256,7 +267,6 @@ def execute_round(
     evaluated: dict[str, list[int]] = {name: [] for name in indexes}
     skipped: dict[str, list[int]] = {name: [] for name in indexes}
     outcomes: dict[str, dict[int, bool]] = {name: {} for name in indexes}
-    query_cost: dict[str, float] = {name: 0.0 for name in indexes}
     stats = RoundStats()
     for probe in plan.probes:
         state = states[probe.query]
@@ -269,7 +279,6 @@ def execute_round(
         outcomes[probe.query][probe.gindex] = outcome
         evaluated[probe.query].append(probe.gindex)
         state.set_leaf(probe.gindex, outcome)
-        query_cost[probe.query] += fetch.cost
         stats.record_probe(probe.query, leaf.items, fetch.cost, fetch.fetched_items)
     results: dict[str, ExecutionResult] = {}
     for name, state in states.items():
@@ -277,7 +286,7 @@ def execute_round(
         assert value is not None, "a full schedule always resolves the root"
         results[name] = ExecutionResult(
             value=value,
-            cost=query_cost[name],
+            cost=stats.query_cost.get(name, 0.0),
             evaluated=tuple(evaluated[name]),
             skipped=tuple(skipped[name]),
             outcomes=outcomes[name],

@@ -172,6 +172,16 @@ class TestClusterIntegration:
         assert reg.value("repro_cluster_batches_total") == 2
         assert reg.value("repro_cluster_shards") == cluster.n_shards
         assert reg.value("repro_cluster_queries") == len(cluster)
+        # Across batches the reports add up to the counters exactly.
+        for field, name in (
+            ("total_cost", "repro_cluster_cost_total"),
+            ("probes", "repro_cluster_probes_total"),
+            ("free_probes", "repro_cluster_free_probes_total"),
+            ("items_fetched", "repro_cluster_items_fetched_total"),
+            ("items_saved", "repro_cluster_items_saved_total"),
+            ("replans", "repro_cluster_replans_total"),
+        ):
+            assert getattr(first, field) + getattr(second, field) == reg.value(name)
 
     def test_cluster_reports_identical_with_and_without_telemetry(self):
         bare = make_cluster(None).run_batch(5)

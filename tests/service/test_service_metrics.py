@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.service.metrics import ROUND_COST_WINDOW, ServiceMetrics, percentile
+from repro.service.shared_plan import RoundStats
 
 costs = st.floats(min_value=1e-6, max_value=1e4, allow_nan=False)
 
@@ -60,14 +61,14 @@ class TestServiceMetricsPercentiles:
 
     def test_singleton_round(self):
         metrics = ServiceMetrics()
-        metrics.record_round(2.5)
+        metrics.record_round(RoundStats(cost=2.5), {})
         assert metrics.p50_round_cost == pytest.approx(2.5)
         assert metrics.p99_round_cost == pytest.approx(2.5)
 
     def test_percentiles_route_through_histogram(self):
         metrics = ServiceMetrics()
         for cost in (1.0, 2.0, 3.0, 100.0):
-            metrics.record_round(cost)
+            metrics.record_round(RoundStats(cost=cost), {})
         hist = metrics.round_cost_histogram()
         assert metrics.p50_round_cost == hist.percentile(50.0)
         assert metrics.p95_round_cost == hist.percentile(95.0)
@@ -79,7 +80,7 @@ class TestServiceMetricsPercentiles:
     def test_percentiles_bounded_by_window_extremes(self, values):
         metrics = ServiceMetrics()
         for cost in values:
-            metrics.record_round(cost)
+            metrics.record_round(RoundStats(cost=cost), {})
         for p in (
             metrics.p50_round_cost,
             metrics.p95_round_cost,
@@ -92,10 +93,45 @@ class TestServiceMetricsPercentiles:
         metrics = ServiceMetrics()
         total = ROUND_COST_WINDOW + 100
         for i in range(total):
-            metrics.record_round(float(i))
+            metrics.record_round(RoundStats(cost=float(i)), {})
         assert metrics.rounds == total
         assert metrics.total_cost == pytest.approx(sum(range(total)))
         assert len(metrics.round_costs) == ROUND_COST_WINDOW
         # The oldest 100 rounds fell out of the percentile scope.
         assert metrics.round_costs[0] == 100.0
         assert metrics.p50_round_cost >= 100.0
+
+
+class TestRecordRound:
+    def test_folds_aggregates_and_every_resident(self):
+        stats = RoundStats()
+        stats.record_probe("a", window_items=4, cost=6.0, fetched_items=3)
+        stats.record_probe("b", window_items=4, cost=0.0, fetched_items=0)
+        stats.record_probe("a", window_items=2, cost=1.5, fetched_items=1)
+        metrics = ServiceMetrics()
+        # "c" is resident but had every probe skipped this round.
+        metrics.record_round(stats, {"a": True, "b": False, "c": True})
+        assert metrics.rounds == 1
+        assert metrics.total_cost == 7.5
+        assert metrics.round_costs == [7.5]
+        assert metrics.total_probes == 3
+        assert metrics.free_probes == 1
+        assert (metrics.items_fetched, metrics.items_saved) == (4, 6)
+        a, b, c = (metrics.query_stats(name) for name in "abc")
+        assert (a.rounds, a.cost, a.probes, a.true_count) == (1, 7.5, 2, 1)
+        assert (a.items_fetched, a.items_saved) == (4, 2)
+        assert (b.rounds, b.cost, b.probes, b.true_count) == (1, 0.0, 1, 0)
+        assert (b.items_fetched, b.items_saved) == (0, 4)
+        assert (c.rounds, c.cost, c.probes, c.true_count) == (1, 0.0, 0, 1)
+        assert (c.items_fetched, c.items_saved) == (0, 0)
+        assert list(metrics.per_query) == ["a", "b", "c"]
+
+    def test_rounds_accumulate_per_query(self):
+        metrics = ServiceMetrics()
+        for value in (True, False, True):
+            stats = RoundStats()
+            stats.record_probe("a", window_items=1, cost=0.5, fetched_items=1)
+            metrics.record_round(stats, {"a": value})
+        a = metrics.query_stats("a")
+        assert (a.rounds, a.cost, a.probes, a.true_count) == (3, 1.5, 3, 2)
+        assert metrics.total_cost == 1.5 and metrics.rounds == 3

@@ -2,15 +2,24 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
+from repro.adaptive import AdaptivePolicy
+from repro.core.leaf import Leaf
 from repro.core.tree import DnfTree
 from repro.engine import BernoulliOracle, PrecomputedOracle
 from repro.errors import StreamError
+from repro.generators import step_drift_by_stream
+from repro.obs import Telemetry
 from repro.predicates import Predicate
-from repro.engine.executor import PredicateOracle
+from repro.engine.executor import DriftingBernoulliOracle, PredicateOracle
 from repro.service import QueryServer, synthetic_population, synthetic_registry
+from repro.streams.registry import StreamRegistry
+from repro.streams.sources import GaussianSource
+from repro.streams.stream import StreamSpec
 
 
 def deterministic_population(n_queries: int, seed: int):
@@ -83,6 +92,79 @@ class TestDeterministicParity:
         scalar, vector = build("scalar"), build("vectorized")
         assert scalar.round_costs == vector.round_costs
         assert scalar.per_query_true_rate == vector.per_query_true_rate
+
+
+class TestRoundRecordParity:
+    """Both engines close each round through the same record: the detail
+    events and every resident's lifetime stats must match exactly."""
+
+    @staticmethod
+    def resolutions(tel: Telemetry) -> list[tuple]:
+        return [
+            (a["query"], a["round"], a["cost"], a["value"], a["probes"])
+            for a in (e["attrs"] for e in tel.tracer.events("query-resolution"))
+        ]
+
+    def assert_same_record(self, build) -> tuple[QueryServer, QueryServer]:
+        servers, events = [], []
+        for engine in ("scalar", "vectorized"):
+            tel = Telemetry(detail=True)
+            server = build(tel)
+            server.run_batch(25, engine=engine)
+            servers.append(server)
+            events.append(self.resolutions(tel))
+        scalar, vector = servers
+        assert events[0] == events[1]
+        assert len(events[0]) == 25 * len(scalar)
+        per_query = [
+            {name: asdict(stats) for name, stats in server.metrics.per_query.items()}
+            for server in servers
+        ]
+        assert per_query[0] == per_query[1]
+        return scalar, vector
+
+    def test_deterministic_population(self):
+        population = deterministic_population(30, seed=9)
+
+        def build(tel: Telemetry) -> QueryServer:
+            server = QueryServer(
+                synthetic_registry(6, seed=3), BernoulliOracle(seed=0), telemetry=tel
+            )
+            for name, tree in population:
+                server.register(name, tree)
+            return server
+
+        self.assert_same_record(build)
+
+    def test_adaptive_population_replanning_mid_batch(self):
+        # OR(cheap[2], dear[3]) whose cheap leaf drifts 0.05 -> 0.3 at round
+        # 10, flipping the optimal order: the tracker re-plans mid-batch, and
+        # answers stay mixed, so a misaligned outcome row would show.
+        tree = DnfTree(
+            [[Leaf("cheap", 2, 0.05)], [Leaf("dear", 3, 0.6)]],
+            costs={"cheap": 1.0, "dear": 5.0},
+        )
+
+        def build(tel: Telemetry) -> QueryServer:
+            registry = StreamRegistry()
+            registry.add(StreamSpec("cheap", 1.0), GaussianSource(seed=11))
+            registry.add(StreamSpec("dear", 5.0), GaussianSource(seed=12))
+            policy = AdaptivePolicy(
+                window=16, threshold=0.25, min_samples=6, cooldown=4
+            )
+            server = QueryServer(registry, adaptive=policy, telemetry=tel)
+            for q in range(3):
+                drift = step_drift_by_stream(tree, 10, {"cheap": 0.3})
+                server.register(
+                    f"q{q}", tree, oracle=DriftingBernoulliOracle(drift, seed=q)
+                )
+            return server
+
+        scalar, vector = self.assert_same_record(build)
+        assert scalar.replan_log and 0 < scalar.replan_log[0].round_index < 25
+        assert [e.round_index for e in scalar.replan_log] == [
+            e.round_index for e in vector.replan_log
+        ]
 
 
 class TestStochasticBehaviour:
