@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Union
 
+from repro.core.leaf import Leaf
 from repro.core.tree import AndNode, AndTree, DnfTree, LeafNode, Node, OrNode, QueryTree
 
 __all__ = [
@@ -30,6 +31,7 @@ __all__ = [
     "KIND_LEAF",
     "KIND_AND",
     "KIND_OR",
+    "LeafRecord",
 ]
 
 UNRESOLVED = 0
@@ -40,6 +42,11 @@ FALSE = 2
 KIND_LEAF = 0
 KIND_AND = 1
 KIND_OR = 2
+
+#: What a round loop needs of one leaf: ``(gindex, leaf, stream, items,
+#: leaf_node_id, guards)``. ``guards`` is the leaf's ancestors (root last)
+#: plus its own node: the leaf is skipped iff any of them is resolved.
+LeafRecord = tuple[int, Leaf, str, int, int, tuple[int, ...]]
 
 # Backwards-compatible private aliases (internal call sites).
 _KIND_LEAF = KIND_LEAF
@@ -61,7 +68,9 @@ class TreeIndex:
     Node ids are assigned in depth-first pre-order with the root as node 0.
     Leaf *global indices* follow the tree's left-to-right leaf order, matching
     :attr:`QueryTree.leaves` (and, for trees built from a :class:`DnfTree`,
-    matching the DNF global leaf indices).
+    matching the DNF global leaf indices). ``leaf_records[g]`` is leaf
+    ``g``'s :data:`LeafRecord`, built once here for the shared-plan round
+    program.
     """
 
     __slots__ = (
@@ -71,6 +80,7 @@ class TreeIndex:
         "parent",
         "leaf_node_ids",
         "leaf_ancestors",
+        "leaf_records",
         "n_nodes",
     )
 
@@ -117,6 +127,10 @@ class TreeIndex:
                 cursor = parent[cursor]
             ancestors.append(tuple(path))
         self.leaf_ancestors = tuple(ancestors)
+        self.leaf_records: tuple[LeafRecord, ...] = tuple(
+            (g, leaf, leaf.stream, leaf.items, node_id, ancestors[g] + (node_id,))
+            for g, (leaf, node_id) in enumerate(zip(qtree.leaves, leaf_node_ids))
+        )
 
     def new_state(self) -> "ResolutionState":
         """Fresh evaluation state with every node unresolved."""

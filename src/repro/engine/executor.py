@@ -113,6 +113,12 @@ class DriftingBernoulliOracle(LeafOracle):
         self.rng = rng if rng is not None else np.random.default_rng(seed)
         self._round = 0
         self._row: np.ndarray | None = None
+        self._n_leaves = schedule.n_leaves
+        # A static schedule's probabilities are the same every round.
+        self._static_probs: np.ndarray | None = None
+        if schedule.is_static:
+            self._static_probs = schedule.probs_at(0)
+            self._static_probs.flags.writeable = False
 
     @property
     def round_index(self) -> int:
@@ -124,13 +130,16 @@ class DriftingBernoulliOracle(LeafOracle):
         return self.schedule.probs_at(self._round)
 
     def outcome(self, gindex: int, leaf: Leaf, values: np.ndarray | None) -> bool:
-        if gindex >= self.schedule.n_leaves:
+        if gindex >= self._n_leaves:
             raise StreamError(
-                f"drift schedule covers {self.schedule.n_leaves} leaves; "
+                f"drift schedule covers {self._n_leaves} leaves; "
                 f"leaf {gindex} was probed"
             )
         if self._row is None:
-            self._row = self.rng.random(self.schedule.n_leaves) < self.current_probs()
+            probs = self._static_probs
+            if probs is None:
+                probs = self.current_probs()
+            self._row = self.rng.random(self._n_leaves) < probs
         return bool(self._row[gindex])
 
     def advance(self, rounds: int = 1) -> None:
@@ -144,7 +153,7 @@ class DriftingBernoulliOracle(LeafOracle):
             raise StreamError(f"cannot advance by {rounds} rounds")
         for _ in range(rounds):
             if self._row is None:
-                self.rng.random(self.schedule.n_leaves)
+                self.rng.random(self._n_leaves)
             self._row = None
             self._round += 1
 

@@ -52,9 +52,10 @@ from repro.service.plan_cache import CachedPlan, PlanCache
 from repro.service.substore import SubtreeStore, default_store
 from repro.service.shared_plan import (
     Probe,
+    RoundProgram,
     RoundStats,
     SharedPlan,
-    execute_round,
+    compile_round,
     merge_schedules,
 )
 from repro.streams.registry import StreamRegistry
@@ -330,6 +331,12 @@ class QueryServer:
         self._window_counts: dict[str, collections.Counter[int]] = {}
         self._max_windows: dict[str, int] = {}
         self._plan: SharedPlan | None = None
+        #: ``_plan`` (or the round's blocked order) compiled for the scalar
+        #: round loop; recompiled whenever the plan object changes.
+        self._program: RoundProgram | None = None
+        #: The residents' distinct drifting oracles in registration order;
+        #: ``None`` after a population change until the next round rebuilds it.
+        self._drifting: tuple[DriftingBernoulliOracle, ...] | None = None
         self._vector_executors: dict[str, VectorizedExecutor] = {}
         self._round = 0
         # One reentrant lock serializes every population mutation and every
@@ -610,6 +617,7 @@ class QueryServer:
             )
         self._queries = {name: self._queries[name] for name in names}
         self._plan = None  # merge order changed; rebuild lazily
+        self._drifting = None
 
     def _after_population_change(self, query: RegisteredQuery, *, joined: bool) -> None:
         """Fold one arrival or departure into the per-stream window state.
@@ -651,6 +659,7 @@ class QueryServer:
         if shrank:
             self.cache.retain_relevant(windows)
         self._plan = None  # rebuilt lazily on the next step
+        self._drifting = None
         if not joined:
             self._vector_executors.pop(query.name, None)
 
@@ -909,12 +918,15 @@ class QueryServer:
 
     def _advance_drifting_oracles(self, rounds: int) -> None:
         """Tick every drifting oracle's ground-truth clock once per round."""
-        seen: set[int] = set()
-        for query in self._queries.values():
-            oracle = query.oracle
-            if isinstance(oracle, DriftingBernoulliOracle) and id(oracle) not in seen:
-                seen.add(id(oracle))
-                oracle.advance(rounds)
+        if self._drifting is None:
+            distinct: dict[int, DriftingBernoulliOracle] = {}
+            for query in self._queries.values():
+                oracle = query.oracle
+                if isinstance(oracle, DriftingBernoulliOracle):
+                    distinct.setdefault(id(oracle), oracle)
+            self._drifting = tuple(distinct.values())
+        for drifting in self._drifting:
+            drifting.advance(rounds)
 
     def _record_round_telemetry(
         self,
@@ -1022,17 +1034,20 @@ class QueryServer:
         self.cache.advance(1, max_windows=self._max_windows)
         # Phase split: advancing the cache acquires the round's new window
         # state; building the probe order (a shared-plan rebuild after churn)
-        # is planning; everything through adaptivity below is evaluation (the
-        # scalar execute_round interleaves its fetches with short-circuit
-        # decisions, so its fetch time is credited to evaluation by design).
+        # is planning, and so is compiling it into a round program;
+        # everything through adaptivity below is evaluation (the round
+        # program interleaves its fetches with short-circuit decisions, so
+        # its fetch time is credited to evaluation by design).
         acquired_at = time.perf_counter() if recording else 0.0
         plan = self.shared_plan() if self.shared_plan_enabled else self._blocked_probes()
+        program = self._program
+        if program is None or program.plan is not plan:
+            program = self._program = compile_round(
+                plan, {name: query.index for name, query in self._queries.items()}
+            )
         planned_at = time.perf_counter() if recording else 0.0
-        results, stats = execute_round(
-            plan,
-            {name: query.index for name, query in self._queries.items()},
-            self.cache,
-            {name: query.oracle for name, query in self._queries.items()},
+        results, stats = program.run(
+            self.cache, {name: query.oracle for name, query in self._queries.items()}
         )
         values = {name: result.value for name, result in results.items()}
         self._close_round(stats, values, tally)

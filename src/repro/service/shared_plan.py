@@ -23,6 +23,15 @@ re-keys only the stream it planned and the stream its query moves on to.
 Merging P probes costs O(P log P) plus one re-score of a stream's waiting
 leaves each time its planned window grows, instead of a rescan of every
 query per pick.
+
+A round runs as a *compiled round program*. :func:`compile_round` turns the
+plan into one flat list of ``(query slot, leaf record)`` steps, once per
+plan; :meth:`RoundProgram.run` walks it each round with one node-value list
+per query, a guard check per probe and an iterative walk to the root per
+evaluated probe. Most probes in a shared plan are free, so a round pays
+for its windows per stream, not per probe: a *window memo* keeps each
+stream's widest window fetched this round, and a probe inside it takes the
+memo's newest items (read-only) without calling the cache.
 """
 
 from __future__ import annotations
@@ -32,15 +41,25 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
+import numpy as np
+
 from repro.core.leaf import Leaf
-from repro.core.resolution import TreeIndex
+from repro.core.resolution import FALSE, KIND_AND, TRUE, UNRESOLVED, LeafRecord, TreeIndex
 from repro.core.schedule import Schedule
 from repro.core.tree import AndTree, DnfTree, QueryTree
 from repro.engine.executor import ExecutionResult, LeafOracle
 from repro.errors import StreamError
 from repro.streams.cache import CountingCache, DataItemCache
 
-__all__ = ["Probe", "SharedPlan", "merge_schedules", "execute_round", "RoundStats"]
+__all__ = [
+    "Probe",
+    "SharedPlan",
+    "merge_schedules",
+    "execute_round",
+    "compile_round",
+    "RoundProgram",
+    "RoundStats",
+]
 
 _EPSILON = 1e-9
 
@@ -212,10 +231,13 @@ def merge_schedules(
 class RoundStats:
     """The one per-round record: aggregate and per-query accounting.
 
-    Both round loops (:func:`execute_round` and the server's vectorized
-    replay) account every executed probe through :meth:`record_probe`, and
-    the server's ledger, batch report and telemetry read the round from
-    here. A query none of whose probes ran has no per-query entry.
+    Both round loops fill it, and the server's ledger, batch report and
+    telemetry read the round from here. The vectorized replay accounts each
+    executed probe through :meth:`record_probe`; the compiled scalar program
+    (:meth:`RoundProgram.run`) sums per query slot and fills the per-query
+    entries once per round, in registration order, with the same sums in
+    the same probe order. A query none of whose probes ran has no
+    per-query entry.
     """
 
     cost: float = 0.0
@@ -233,8 +255,7 @@ class RoundStats:
     def record_probe(
         self, query: str, window_items: int, cost: float, fetched_items: int
     ) -> None:
-        """Account one executed probe (shared by every round-loop engine,
-        so scalar and vectorized metrics cannot drift apart)."""
+        """Account one executed probe of the vectorized replay."""
         self.cost += cost
         self.probes += 1
         self.items_fetched += fetched_items
@@ -246,6 +267,142 @@ class RoundStats:
         self.query_items_saved[query] += saved
         if fetched_items == 0:
             self.free_probes += 1
+
+
+@dataclass(frozen=True, slots=True)
+class RoundProgram:
+    """A shared plan compiled against its population's tree indexes.
+
+    ``steps`` pairs every probe with its query's *slot* (position in
+    ``names``) and the probed leaf's :data:`~repro.core.resolution.LeafRecord`,
+    so a round resolves no name and builds no per-probe object. The program
+    depends only on the plan and the indexes, so it serves every round of
+    its plan; :meth:`run` executes one.
+    """
+
+    plan: SharedPlan
+    names: tuple[str, ...]
+    indexes: tuple[TreeIndex, ...]
+    steps: tuple[tuple[int, LeafRecord], ...]
+
+    def run(
+        self,
+        cache: Union[DataItemCache, CountingCache],
+        oracles: Mapping[str, LeafOracle],
+    ) -> tuple[dict[str, ExecutionResult], RoundStats]:
+        """Execute one round; see :func:`execute_round`."""
+        names = self.names
+        indexes = self.indexes
+        outcome_of = [oracles[name].outcome for name in names]
+        values = [[UNRESOLVED] * index.n_nodes for index in indexes]
+        resolved = [[0] * index.n_nodes for index in indexes]
+        skipped: list[list[int]] = [[] for _ in names]
+        outcomes: list[dict[int, bool]] = [{} for _ in names]
+        query_cost = [0.0] * len(names)
+        query_fetched = [0] * len(names)
+        query_items = [0] * len(names)
+        # Per stream, the largest window fetched this round and its values.
+        held: dict[str, tuple[int, np.ndarray | None]] = {}
+        fetch_window = cache.fetch_window
+        total = 0.0
+        free = 0
+        for slot, (g, leaf, stream, items, node, guards) in self.steps:
+            state = values[slot]
+            for guard in guards:
+                if state[guard]:
+                    skipped[slot].append(g)
+                    break
+            else:
+                memo = held.get(stream)
+                if memo is not None and items <= memo[0]:
+                    # Nothing evicts mid-round, so the window is cached:
+                    # fetch_window would return this tail and charge 0.0,
+                    # and adding 0.0 to a sum begun at 0.0 changes no bit.
+                    size, window = memo
+                    if window is not None and items < size:
+                        window = window[size - items :]
+                    free += 1
+                else:
+                    fetch = fetch_window(stream, items)
+                    window = fetch.values
+                    if window is not None:
+                        # Later probes share this array: an oracle must not
+                        # write to it.
+                        window.flags.writeable = False
+                    held[stream] = (items, window)
+                    total += fetch.cost
+                    query_cost[slot] += fetch.cost
+                    query_fetched[slot] += fetch.fetched_items
+                    if not fetch.fetched_items:
+                        free += 1
+                query_items[slot] += items
+                outcome = outcome_of[slot](g, leaf, window)
+                outcomes[slot][g] = outcome
+                # Propagate toward the root. The value never changes on the
+                # way up: an AND takes a FALSE child's value (or its last
+                # TRUE child's), an OR a TRUE child's (or its last FALSE
+                # child's); any other child stops the walk.
+                index = indexes[slot]
+                parent = index.parent
+                kinds = index.kinds
+                children = index.children
+                counts = resolved[slot]
+                value = TRUE if outcome else FALSE
+                while True:
+                    state[node] = value
+                    node_parent = parent[node]
+                    if node_parent < 0:
+                        break
+                    counts[node_parent] += 1
+                    if (
+                        value == (TRUE if kinds[node_parent] == KIND_AND else FALSE)
+                        and counts[node_parent] < len(children[node_parent])
+                    ):
+                        break
+                    node = node_parent
+        stats = RoundStats(cost=total, free_probes=free)
+        results: dict[str, ExecutionResult] = {}
+        for slot, name in enumerate(names):
+            root = values[slot][0]
+            assert root != UNRESOLVED, "a full schedule always resolves the root"
+            # Insertion order: the query's evaluated leaves in probe order.
+            evaluated = tuple(outcomes[slot])
+            probes = len(evaluated)
+            if probes:
+                fetched = query_fetched[slot]
+                saved = query_items[slot] - fetched
+                stats.probes += probes
+                stats.items_fetched += fetched
+                stats.items_saved += saved
+                stats.query_cost[name] = query_cost[slot]
+                stats.query_probes[name] = probes
+                stats.query_items_fetched[name] = fetched
+                stats.query_items_saved[name] = saved
+            results[name] = ExecutionResult(
+                value=root == TRUE,
+                cost=query_cost[slot],
+                evaluated=evaluated,
+                skipped=tuple(skipped[slot]),
+                outcomes=outcomes[slot],
+            )
+        return results, stats
+
+
+def compile_round(plan: SharedPlan, indexes: Mapping[str, TreeIndex]) -> RoundProgram:
+    """Compile ``plan`` for the population ``indexes`` (query name -> index).
+
+    One pass over the probes; each becomes ``(slot, leaf record)``. Slots
+    follow the iteration order of ``indexes``.
+    """
+    names = tuple(indexes)
+    records = {
+        name: (slot, indexes[name].leaf_records) for slot, name in enumerate(names)
+    }
+    steps: list[tuple[int, LeafRecord]] = []
+    for probe in plan.probes:
+        slot, leaf_records = records[probe.query]
+        steps.append((slot, leaf_records[probe.gindex]))
+    return RoundProgram(plan, names, tuple(indexes.values()), tuple(steps))
 
 
 def execute_round(
@@ -262,33 +419,16 @@ def execute_round(
     :class:`~repro.engine.executor.ExecutionResult` (identical semantics to
     running each query through :class:`~repro.engine.executor.ScheduleExecutor`)
     plus round-level sharing statistics.
+
+    The round runs as a compiled program (:func:`compile_round`, then
+    :meth:`RoundProgram.run`): per query one flat node-value list, per probe
+    one guard check over the leaf's precomputed ancestors and an iterative
+    walk toward the root. A *window memo* remembers, per stream, the largest
+    window fetched this round; a probe within it takes the memo's tail with
+    cost 0.0 and no ``fetch_window`` call — exactly what the cache would
+    return, since nothing evicts mid-round. Memoized windows are read-only.
+    Callers that serve one plan for many rounds (the server) compile once
+    and :meth:`~RoundProgram.run` per round. ``RoundStats``' per-query
+    entries come in ``indexes`` order.
     """
-    states = {name: index.new_state() for name, index in indexes.items()}
-    evaluated: dict[str, list[int]] = {name: [] for name in indexes}
-    skipped: dict[str, list[int]] = {name: [] for name in indexes}
-    outcomes: dict[str, dict[int, bool]] = {name: {} for name in indexes}
-    stats = RoundStats()
-    for probe in plan.probes:
-        state = states[probe.query]
-        if state.root_value is not None or state.is_skipped(probe.gindex):
-            skipped[probe.query].append(probe.gindex)
-            continue
-        leaf = indexes[probe.query].tree.leaves[probe.gindex]
-        fetch = cache.fetch_window(leaf.stream, leaf.items)
-        outcome = oracles[probe.query].outcome(probe.gindex, leaf, fetch.values)
-        outcomes[probe.query][probe.gindex] = outcome
-        evaluated[probe.query].append(probe.gindex)
-        state.set_leaf(probe.gindex, outcome)
-        stats.record_probe(probe.query, leaf.items, fetch.cost, fetch.fetched_items)
-    results: dict[str, ExecutionResult] = {}
-    for name, state in states.items():
-        value = state.root_value
-        assert value is not None, "a full schedule always resolves the root"
-        results[name] = ExecutionResult(
-            value=value,
-            cost=stats.query_cost.get(name, 0.0),
-            evaluated=tuple(evaluated[name]),
-            skipped=tuple(skipped[name]),
-            outcomes=outcomes[name],
-        )
-    return results, stats
+    return compile_round(plan, indexes).run(cache, oracles)

@@ -205,6 +205,65 @@ class TestReRegistration:
         replaced = server.register("q", self.b_tree(), replace=True)
         assert replaced.tree.size == 2  # swap fits: the old slot was freed
 
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_replace_recompiles_the_round_program(self, shared):
+        from repro.engine import PrecomputedOracle
+
+        server = QueryServer(tiny_registry(), shared_plan=shared)
+        server.register("q", self.a_tree(), oracle=PrecomputedOracle([True]))
+        server.register("r", self.a_tree(), oracle=PrecomputedOracle([True]))
+        assert server.step()["q"].value is True
+        server.register(
+            "q", self.b_tree(), oracle=PrecomputedOracle([True, False]), replace=True
+        )
+        results = server.step()
+        # A stale program would still serve the 1-leaf tree (always TRUE).
+        assert results["q"].value is False
+        assert results["q"].evaluated == (0, 1)
+        assert results["r"].value is True
+
+
+class TestDriftingOracleClock:
+    """Every resident drifting oracle ticks exactly once per served round."""
+
+    def drifting(self, seed: int):
+        from repro.engine import DriftingBernoulliOracle
+        from repro.streams.drift import DriftSchedule
+
+        return DriftingBernoulliOracle(DriftSchedule([0.5, 0.3]), seed=seed)
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_population_changes_keep_the_clock_list_current(self, shared):
+        server = QueryServer(tiny_registry(), BernoulliOracle(seed=0), shared_plan=shared)
+        alone, pair = self.drifting(1), self.drifting(2)
+        server.register("q1", tiny_tree(), oracle=alone)
+        server.register("q2", tiny_tree(), oracle=pair)
+        server.register("q3", tiny_tree(0.6), oracle=pair)  # one instance, two queries
+        server.register("q4", tiny_tree())  # the default, non-drifting oracle
+        server.step()
+        assert (alone.round_index, pair.round_index) == (1, 1)
+
+        server.deregister("q1")
+        late = self.drifting(3)
+        server.register("q5", tiny_tree(), oracle=late)
+        server.run_batch(1)
+        assert (alone.round_index, pair.round_index, late.round_index) == (1, 2, 1)
+
+        # q2 swaps its oracle; ``pair`` is still held by q3.
+        swapped = self.drifting(4)
+        server.register("q2", tiny_tree(), oracle=swapped, replace=True)
+        server.step()
+        assert (pair.round_index, swapped.round_index, late.round_index) == (3, 1, 2)
+
+        snapshot = server.export_query("q3")
+        server.step()
+        assert (pair.round_index, swapped.round_index) == (3, 2)
+
+        server.admit_migrated(snapshot)
+        server.run_batch(2)
+        assert (pair.round_index, swapped.round_index, late.round_index) == (5, 4, 5)
+        assert alone.round_index == 1
+
 
 class TestPlanningPhase:
     """A shared-plan rebuild inside a round is credited to ``planning``."""
