@@ -14,12 +14,7 @@ from conftest import emit_json, emit_report, full_scale
 
 from repro.engine import BernoulliOracle
 from repro.experiments import ascii_table
-from repro.service import (
-    QueryServer,
-    SubtreeStore,
-    synthetic_population,
-    synthetic_registry,
-)
+from repro.service import QueryServer, synthetic_population, synthetic_registry
 
 ROUNDS = 20
 
@@ -108,70 +103,3 @@ class TestServiceThroughput:
         emit_report("service_throughput", table)
         emit_json("service_throughput", {"cells": records})
 
-
-class TestAdmissionMemo:
-    """Admission-throughput delta from the store's canonicalize memo.
-
-    Registers a population where each template recurs verbatim (the common
-    fleet pattern: one dashboard definition deployed under many names), so
-    ``register`` with a substore canonicalizes each structure once and
-    serves the rest from the memo. The bench records wall-clock admission
-    time with the store off and on; correctness (identical costs) is
-    asserted, the timing delta is reported, not asserted.
-    """
-
-    def test_memoized_admission_delta(self):
-        n_templates, repeats = (50, 20) if full_scale() else (20, 10)
-        registry = synthetic_registry(8, seed=7)
-        templates = synthetic_population(n_templates, registry, seed=8)
-        population = [
-            (f"{name}-r{r}", tree)
-            for name, tree in templates
-            for r in range(repeats)
-        ]
-        rows, records, costs = [], [], {}
-        for substore in (False, True):
-            server = QueryServer(
-                registry,
-                BernoulliOracle(seed=9),
-                plan_cache=256,
-                substore=SubtreeStore() if substore else False,
-            )
-            admit_start = time.perf_counter()
-            for name, tree in population:
-                server.register(name, tree)
-            admit_seconds = time.perf_counter() - admit_start
-            costs[substore] = server.run_batch(5).total_cost
-            store_stats = server.substore.stats() if server.substore else {}
-            memo_hits = store_stats.get("memo_hits", 0)
-            rows.append(
-                (
-                    "on" if substore else "off",
-                    len(population),
-                    f"{admit_seconds * 1e3:.1f}",
-                    f"{len(population) / admit_seconds:,.0f}",
-                    f"{memo_hits:.0f}",
-                )
-            )
-            records.append(
-                {
-                    "substore": substore,
-                    "n_registered": len(population),
-                    "n_templates": n_templates,
-                    "admit_seconds": admit_seconds,
-                    "admissions_per_sec": len(population) / admit_seconds,
-                    "memo_hits": memo_hits,
-                    "memo_misses": store_stats.get("memo_misses", 0),
-                }
-            )
-            if substore:
-                # Every verbatim repeat after the first skips canonicalization.
-                assert memo_hits >= len(population) - n_templates
-        # The memo changes admission cost, never serving semantics.
-        assert costs[True] == costs[False]
-        table = ascii_table(
-            ("substore", "registered", "admit ms", "admits/s", "memo hits"),
-            rows,
-        )
-        emit_report("admission_memo", table)
-        emit_json("admission_memo", {"cells": records})

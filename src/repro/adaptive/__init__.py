@@ -31,7 +31,7 @@ merged :class:`~repro.service.shared_plan.SharedPlan`.
 from repro.adaptive.controller import AdaptiveController, ShapeBelief
 from repro.adaptive.elastic import ElasticPolicy
 from repro.adaptive.policy import AdaptivePolicy, ReplanEvent
-from repro.adaptive.tracker import LeafPosterior, SelectivityTracker, SharedLeafPool
+from repro.adaptive.tracker import LeafPosterior, SelectivityTracker
 
 __all__ = [
     "AdaptivePolicy",
@@ -39,7 +39,6 @@ __all__ = [
     "ReplanEvent",
     "LeafPosterior",
     "SelectivityTracker",
-    "SharedLeafPool",
     "AdaptiveController",
     "ShapeBelief",
 ]

@@ -20,10 +20,10 @@ probabilities — consistent with how
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Sequence
 
 from repro.adaptive.policy import AdaptivePolicy, ReplanEvent
-from repro.adaptive.tracker import LeafPosterior, SelectivityTracker, SharedLeafPool
+from repro.adaptive.tracker import LeafPosterior, SelectivityTracker
 from repro.errors import StreamError
 
 __all__ = ["AdaptiveController", "ShapeBelief", "fold_base_probs"]
@@ -79,16 +79,6 @@ class AdaptiveController:
         self.tracker = SelectivityTracker(
             window=self.policy.window, prior=self.policy.prior
         )
-        #: Cross-shape evidence pool (sub-tree belief sharing), present only
-        #: when the policy opts in — see AdaptivePolicy.share_leaf_beliefs.
-        self.pool: SharedLeafPool | None = (
-            SharedLeafPool(window=self.policy.window, prior=self.policy.prior)
-            if self.policy.share_leaf_beliefs
-            else None
-        )
-        #: canonical key -> per-canonical-leaf pooled identity (the admission
-        #: leaf_ids), kept so observations can be mirrored into the pool.
-        self._leaf_ids: dict[str, tuple[Hashable, ...]] = {}
         #: canonical key -> per-canonical-leaf *base* probability the current
         #: plan assumed (for a folded leaf, the per-copy probability).
         self._baseline: dict[str, tuple[float, ...]] = {}
@@ -100,21 +90,9 @@ class AdaptiveController:
     # -- population lifecycle -------------------------------------------
 
     def admit(
-        self,
-        key: str,
-        base_probs: Sequence[float],
-        fold_sizes: Sequence[int],
-        *,
-        leaf_ids: Sequence[Hashable] | None = None,
+        self, key: str, base_probs: Sequence[float], fold_sizes: Sequence[int]
     ) -> None:
-        """Register a canonical shape's plan assumptions (idempotent per key).
-
-        ``leaf_ids`` (optional) are per-canonical-leaf pooled identities —
-        interned leaves from the substore. With belief pooling enabled, each
-        leaf already observed under *other* shapes warm-starts this shape's
-        posterior from the pool's cloned evidence, and this shape's future
-        observations are mirrored back into the pool.
-        """
+        """Register a canonical shape's plan assumptions (idempotent per key)."""
         if key in self._baseline:
             return
         base_probs = tuple(float(p) for p in base_probs)
@@ -126,31 +104,12 @@ class AdaptiveController:
             )
         self._baseline[key] = base_probs
         self._fold[key] = fold_sizes
-        if leaf_ids is not None:
-            leaf_ids = tuple(leaf_ids)
-            if len(leaf_ids) != len(base_probs):
-                raise StreamError(
-                    f"got {len(leaf_ids)} leaf identities for "
-                    f"{len(base_probs)} canonical leaves"
-                )
-            self._leaf_ids[key] = leaf_ids
-            if self.pool is not None:
-                for gindex, leaf_id in enumerate(leaf_ids):
-                    warm = self.pool.warm_start(leaf_id)
-                    if warm is not None:
-                        self.tracker.adopt((key, gindex), warm)
 
     def retire(self, key: str) -> None:
-        """Forget a canonical shape (last isomorph deregistered).
-
-        The shared pool deliberately keeps the shape's leaf evidence: the
-        whole point of pooling is that a later shape containing the same
-        leaves inherits it.
-        """
+        """Forget a canonical shape (last isomorph deregistered)."""
         baseline = self._baseline.pop(key, None)
         self._fold.pop(key, None)
         self._last_replan.pop(key, None)
-        self._leaf_ids.pop(key, None)
         if baseline is not None:
             for gindex in range(len(baseline)):
                 self.tracker.drop((key, gindex))
@@ -206,17 +165,8 @@ class AdaptiveController:
     # -- observation -----------------------------------------------------
 
     def observe(self, key: str, canonical_gindex: int, outcome: bool) -> None:
-        """Fold one evaluated probe's outcome into the shape's posterior.
-
-        With pooling enabled the outcome is mirrored into the shared pool
-        under the leaf's interned identity, so future shapes sharing the
-        leaf inherit this evidence.
-        """
+        """Fold one evaluated probe's outcome into the shape's posterior."""
         self.tracker.observe((key, canonical_gindex), outcome)
-        if self.pool is not None:
-            leaf_ids = self._leaf_ids.get(key)
-            if leaf_ids is not None and canonical_gindex < len(leaf_ids):
-                self.pool.observe(leaf_ids[canonical_gindex], outcome)
 
     # -- drift detection -------------------------------------------------
 

@@ -47,16 +47,6 @@ class AdaptivePolicy:
         threshold — the drifted probabilities are adopted as the new belief
         baseline, but the schedule swap is skipped as not worth the churn.
         ``0.0`` (default) disables hysteresis; forced re-plans always apply.
-    share_leaf_beliefs:
-        Pool selectivity evidence *across* canonical shapes through a
-        :class:`~repro.adaptive.tracker.SharedLeafPool` keyed by interned
-        per-copy leaf identity ``(stream, items, base prob)``. A newly
-        admitted shape whose leaves were already observed under other
-        shapes starts from their pooled posterior instead of the prior —
-        sub-tree-granular "pay one, get hundreds" for evidence. Off by
-        default: pooling makes a shape's drift clock depend on which other
-        shapes are co-resident, which the placement-independence guarantees
-        of the cluster differential harness deliberately exclude.
     """
 
     window: int = 128
@@ -65,7 +55,6 @@ class AdaptivePolicy:
     cooldown: int = 16
     prior: tuple[float, float] = (1.0, 1.0)
     min_saving: float = 0.0
-    share_leaf_beliefs: bool = False
 
     def __post_init__(self) -> None:
         if self.window < 1:

@@ -16,13 +16,13 @@ evidence instead of data items).
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 from typing import Hashable, Iterator
 
 from repro.errors import StreamError
 from repro.streams.traces import estimate_probability
 
-__all__ = ["LeafPosterior", "SelectivityTracker", "SharedLeafPool"]
+__all__ = ["LeafPosterior", "SelectivityTracker"]
 
 
 class LeafPosterior:
@@ -175,64 +175,3 @@ class SelectivityTracker:
             key: (posterior.window_mean, posterior.window_trials)
             for key, posterior in self._posteriors.items()
         }
-
-
-class SharedLeafPool:
-    """Cross-shape selectivity evidence keyed by per-copy leaf identity.
-
-    The :class:`SelectivityTracker` pools observations across *isomorphs* of
-    one canonical shape; this pool moves sharing down to interned-subtree
-    granularity: the key is a leaf identity — in practice an
-    :class:`~repro.service.substore.InternedLeaf` of ``(stream, items,
-    quantized base prob)``, any hashable works — so evidence observed under
-    one query shape warm-starts every later shape containing the same leaf.
-
-    The pool never *drives* drift decisions directly; it only seeds new
-    shapes' posteriors (:meth:`warm_start` returns an independent clone) and
-    keeps absorbing outcomes. Bounded LRU so a churning population cannot
-    grow it without limit.
-    """
-
-    def __init__(
-        self,
-        window: int = 256,
-        prior: tuple[float, float] = (1.0, 1.0),
-        capacity: int = 4096,
-    ) -> None:
-        if capacity < 1:
-            raise StreamError(f"pool capacity must be >= 1, got {capacity}")
-        self.window = window
-        self.prior = prior
-        self.capacity = capacity
-        self._posteriors: OrderedDict[Hashable, LeafPosterior] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._posteriors)
-
-    def __contains__(self, leaf_id: Hashable) -> bool:
-        return leaf_id in self._posteriors
-
-    def observe(self, leaf_id: Hashable, outcome: bool) -> None:
-        """Fold one probe outcome into the pooled posterior for ``leaf_id``."""
-        posterior = self._posteriors.get(leaf_id)
-        if posterior is None:
-            posterior = LeafPosterior(window=self.window, prior=self.prior)
-            self._posteriors[leaf_id] = posterior
-            while len(self._posteriors) > self.capacity:
-                self._posteriors.popitem(last=False)
-        else:
-            self._posteriors.move_to_end(leaf_id)
-        posterior.observe(outcome)
-
-    def warm_start(self, leaf_id: Hashable) -> LeafPosterior | None:
-        """An independent clone of the pooled evidence; None when unobserved.
-
-        A clone, not the pooled posterior itself: the adopting shape's
-        tracker mutates its copy (window resets on re-plan), which must not
-        corrupt the shared evidence other shapes will seed from.
-        """
-        posterior = self._posteriors.get(leaf_id)
-        if posterior is None or posterior.trials == 0:
-            return None
-        self._posteriors.move_to_end(leaf_id)
-        return posterior.clone()

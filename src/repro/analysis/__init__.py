@@ -11,7 +11,6 @@ RPR003    multi-lock acquisition only via blessed id-ordered helpers
 RPR004    spawn-context multiprocessing; import-clean worker deps
 RPR005    no unseeded RNG / wall-clock logic in determinism hot paths
 RPR006    no bare ``except`` / swallowed errors in worker hot loops
-RPR007    interned canonical nodes are immutable outside their store
 ========  ============================================================
 
 Run it as ``repro lint [paths]`` or programmatically::

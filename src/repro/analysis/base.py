@@ -1,7 +1,7 @@
 """Checker framework for :mod:`repro.analysis`.
 
 The linter is a thin orchestration layer over small, single-invariant
-*checkers*. Each checker owns one rule id (``RPR001`` .. ``RPR007``), walks
+*checkers*. Each checker owns one rule id (``RPR001`` .. ``RPR006``), walks
 pre-parsed module ASTs and yields :class:`Finding` records; the engine
 handles discovery, suppression pragmas and rendering.
 

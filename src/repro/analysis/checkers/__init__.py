@@ -10,7 +10,6 @@ from __future__ import annotations
 from repro.analysis.base import Checker
 from repro.analysis.checkers.determinism import DeterminismChecker
 from repro.analysis.checkers.exceptions import ExceptionHygieneChecker
-from repro.analysis.checkers.immutable_interned import ImmutableInternedChecker
 from repro.analysis.checkers.lock_order import LockOrderChecker
 from repro.analysis.checkers.pickle_locks import PickleLockChecker
 from repro.analysis.checkers.slots_pickle import SlotsPickleChecker
@@ -25,7 +24,6 @@ REGISTRY: dict[str, type[Checker]] = {
     SpawnSafetyChecker.rule: SpawnSafetyChecker,
     DeterminismChecker.rule: DeterminismChecker,
     ExceptionHygieneChecker.rule: ExceptionHygieneChecker,
-    ImmutableInternedChecker.rule: ImmutableInternedChecker,
 }
 
 

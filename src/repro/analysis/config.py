@@ -32,7 +32,6 @@ ALL_RULES: tuple[str, ...] = (
     "RPR004",
     "RPR005",
     "RPR006",
-    "RPR007",
 )
 
 # pyproject key (kebab-case) -> LintConfig field.
@@ -43,8 +42,6 @@ _PYPROJECT_KEYS: dict[str, str] = {
     "worker-root": "worker_root",
     "determinism-scope": "determinism_scope",
     "except-scope": "except_scope",
-    "interned-classes": "interned_classes",
-    "interned-store-modules": "interned_store_modules",
 }
 
 
@@ -72,13 +69,6 @@ class LintConfig:
         Dotted-module prefixes where a swallowed ``except Exception: pass``
         is an error (RPR006). Bare ``except:`` is flagged everywhere
         regardless. Empty means every linted module.
-    interned_classes:
-        Class names whose instances are hash-consed (RPR007): attribute
-        writes and ``object.__setattr__``/``setattr`` on values bound to
-        these classes are flagged anywhere outside the store modules.
-    interned_store_modules:
-        Dotted-module prefixes exempt from RPR007 — the intern stores
-        themselves, which legitimately write slots during construction.
     """
 
     select: tuple[str, ...] = ()
@@ -94,12 +84,6 @@ class LintConfig:
         "repro.streams",
     )
     except_scope: tuple[str, ...] = ()
-    interned_classes: tuple[str, ...] = (
-        "InternedLeaf",
-        "InternedClause",
-        "InternedTree",
-    )
-    interned_store_modules: tuple[str, ...] = ("repro.service.substore",)
 
     def __post_init__(self) -> None:
         for rule in (*self.select, *self.ignore):

@@ -53,7 +53,7 @@ Commands
     chrome://tracing / Perfetto (``--format chrome [--out FILE]``).
 ``lint``
     AST-based invariant linter (:mod:`repro.analysis`): checks the
-    concurrency/determinism rules RPR001-RPR007 (lock pickling, slots
+    concurrency/determinism rules RPR001-RPR006 (lock pickling, slots
     state hooks, id-ordered multi-lock acquisition, spawn safety, seeded
     randomness, exception hygiene) over source trees. Exits 1 on findings;
     ``--format json`` emits a machine-readable report.
@@ -898,7 +898,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.set_defaults(func=cmd_trace)
 
     p_lint = sub.add_parser(
-        "lint", help="AST-based invariant linter (rules RPR001-RPR007)"
+        "lint", help="AST-based invariant linter (rules RPR001-RPR006)"
     )
     p_lint.add_argument(
         "paths",

@@ -79,7 +79,6 @@ from repro.obs.trace import attach_context, current_context
 from repro.service.metrics import ServiceMetrics
 from repro.service.plan_cache import PlanCache
 from repro.service.server import DEFAULT_SCHEDULER, BatchReport
-from repro.service.substore import SubtreeStore, default_store
 from repro.streams.registry import StreamRegistry
 
 __all__ = [
@@ -361,7 +360,6 @@ class ClusterServer:
         executor: str = "thread",
         scheduler: str | Scheduler = DEFAULT_SCHEDULER,
         plan_cache: PlanCache | int | None = 256,
-        substore: SubtreeStore | bool | None = True,
         shared_plan: bool = True,
         warmup: int = 64,
         adaptive: AdaptivePolicy | None = None,
@@ -403,16 +401,6 @@ class ClusterServer:
             self.plan_cache = PlanCache(capacity=int(plan_cache))
         else:
             self.plan_cache = None
-        # Hash-consed canonical node store shared by the parent and every
-        # thread-mode shard (worker processes grow their own). Feeds the
-        # partitioner/router memoized overlap weights and thread shards
-        # interned admission identity.
-        if isinstance(substore, SubtreeStore):
-            self.substore: SubtreeStore | None = substore
-        elif substore:
-            self.substore = default_store()
-        else:
-            self.substore = None
         self.oracle_factory = (
             oracle_factory if oracle_factory is not None else default_oracle_factory(seed)
         )
@@ -478,7 +466,6 @@ class ClusterServer:
             warmup=self._warmup,
             adaptive=self._adaptive,
             use_plan_cache=self.plan_cache is not None,
-            use_substore=self.substore is not None,
             telemetry_enabled=telemetry_on,
             telemetry_detail=telemetry_on and self.telemetry.detail,
             trace_capacity=self.telemetry.tracer.capacity if telemetry_on else 4096,
@@ -496,12 +483,9 @@ class ClusterServer:
                 config,
                 plan_cache=self.plan_cache,
                 telemetry=self.telemetry,
-                substore=self.substore,
             )
             transport = InProcessTransport(shard_id, server)
-        return Shard(
-            shard_id, transport, self.registry.cost_table(), substore=self.substore
-        )
+        return Shard(shard_id, transport, self.registry.cost_table())
 
     def _spawn_shard(self) -> Shard:
         shard = self._new_shard(self._next_shard_id)
@@ -811,9 +795,7 @@ class ClusterServer:
             if not len(other) or new_streams.isdisjoint(other.signature):
                 continue
             population = [(name, other.tree(name)) for name in other.names]
-            graph = build_overlap_graph(
-                population, self.registry.cost_table(), store=self.substore
-            )
+            graph = build_overlap_graph(population, self.registry.cost_table())
             order = {name: index for index, name in enumerate(other.names)}
             for component in graph.components():
                 component_streams: set[str] = set()
@@ -925,9 +907,7 @@ class ClusterServer:
             return None
         op_start = time.perf_counter()
         population = [(name, shard.tree(name)) for name in shard.names]
-        graph = build_overlap_graph(
-            population, self.registry.cost_table(), store=self.substore
-        )
+        graph = build_overlap_graph(population, self.registry.cost_table())
         pieces = shard_split_pieces(graph, allow_cut=allow_cut)
         if len(pieces) <= 1:
             return None
@@ -985,9 +965,7 @@ class ClusterServer:
         moves = 0
         if len(shard):
             population = [(name, shard.tree(name)) for name in shard.names]
-            graph = build_overlap_graph(
-                population, self.registry.cost_table(), store=self.substore
-            )
+            graph = build_overlap_graph(population, self.registry.cost_table())
             order = {name: index for index, name in enumerate(shard.names)}
             try:
                 for component in graph.components():
@@ -1094,9 +1072,7 @@ class ClusterServer:
         population = self._live_population()
         if not population:
             raise StreamError("no queries registered in any shard")
-        graph = build_overlap_graph(
-            population, self.registry.cost_table(), store=self.substore
-        )
+        graph = build_overlap_graph(population, self.registry.cost_table())
         shards = [shard.names for shard in self.shards.values() if len(shard)]
         return partition_report(graph, shards, method="current")
 
@@ -1126,9 +1102,7 @@ class ClusterServer:
         op_start = time.perf_counter()
         # One overlap graph serves both the current placement's score and
         # the candidate partition.
-        graph = build_overlap_graph(
-            population, self.registry.cost_table(), store=self.substore
-        )
+        graph = build_overlap_graph(population, self.registry.cost_table())
         old_report = partition_report(
             graph,
             [shard.names for shard in self.shards.values() if len(shard)],

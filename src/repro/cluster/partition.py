@@ -27,15 +27,12 @@ shards is paid once per shard instead of once per device).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
 from repro.core.tree import AndTree, DnfTree, QueryTree
 from repro.errors import StreamError
-
-if TYPE_CHECKING:
-    from repro.service.substore import SubtreeStore
 
 __all__ = [
     "OverlapGraph",
@@ -170,21 +167,9 @@ class OverlapGraph:
 
 
 def build_overlap_graph(
-    population: Sequence[tuple[str, TreeLike]],
-    costs: Mapping[str, float],
-    *,
-    store: "SubtreeStore | None" = None,
+    population: Sequence[tuple[str, TreeLike]], costs: Mapping[str, float]
 ) -> OverlapGraph:
-    """Overlap graph of ``population`` under the registry's cost table.
-
-    With ``store`` (a :class:`~repro.service.substore.SubtreeStore`), weight
-    vectors come from the store's per-canonical-identity memo: a population
-    of isomorphs (or re-partitions of an already-interned population) pays
-    the leaf walk once per *distinct shape* instead of once per query. The
-    values are identical to :func:`stream_weight_vector` — weights depend
-    only on streams, window sizes and costs, all invariant under
-    canonicalization.
-    """
+    """Overlap graph of ``population`` under the registry's cost table."""
     if not population:
         raise StreamError("cannot build an overlap graph of an empty population")
     names: list[str] = []
@@ -193,10 +178,7 @@ def build_overlap_graph(
         if name in weights:
             raise StreamError(f"duplicate query name {name!r} in population")
         names.append(name)
-        if store is not None:
-            weights[name] = store.stream_weights(tree, costs)
-        else:
-            weights[name] = stream_weight_vector(tree, costs)
+        weights[name] = stream_weight_vector(tree, costs)
     return OverlapGraph(names=tuple(names), weights=weights)
 
 

@@ -45,7 +45,6 @@ from repro.service.server import (
     QuerySnapshot,
     RegisteredQuery,
 )
-from repro.service.substore import SubtreeStore
 from repro.streams.registry import StreamRegistry
 
 __all__ = [
@@ -71,10 +70,6 @@ class WorkerConfig:
     use_plan_cache: bool
     telemetry_enabled: bool
     telemetry_detail: bool
-    #: Build the shard's QueryServer on a substore (interned canonical
-    #: identity + admission memo). Identity is per-process; interned nodes
-    #: arriving in a worker's snapshots re-intern there.
-    use_substore: bool = True
     #: Worker trace-ring size; sized to the parent's ring so a batch's
     #: records survive until the reply ships them (drain-on-reply means
     #: overflow only matters within a single batch).
@@ -86,20 +81,18 @@ def build_shard_server(
     *,
     plan_cache: PlanCache | None,
     telemetry: Telemetry | None,
-    substore: SubtreeStore | bool | None,
 ) -> QueryServer:
     """The shard's :class:`QueryServer`, built the same way for both executors.
 
     The process-local pieces come from the caller: a thread shard passes the
-    cluster's own plan cache, telemetry and store; a worker passes its
-    read-through plan-cache stub, its own telemetry and ``True`` (the
-    worker-process-wide store). The config's flags decide which are used.
+    cluster's own plan cache and telemetry; a worker passes its read-through
+    plan-cache stub and its own telemetry. The config's flags decide which
+    are used.
     """
     return QueryServer(
         config.registry,
         scheduler=config.scheduler,
         plan_cache=plan_cache if config.use_plan_cache else None,
-        substore=substore if config.use_substore and substore is not None else False,
         shared_plan=config.shared_plan,
         warmup=config.warmup,
         adaptive=config.adaptive,
@@ -211,14 +204,10 @@ class Shard:
         shard_id: int,
         transport: ShardTransport,
         costs: Mapping[str, float],
-        substore: SubtreeStore | None = None,
     ) -> None:
         self.shard_id = shard_id
         self.transport = transport
         self._costs = dict(costs)
-        # Memoizes signature weights per canonical identity (value-identical
-        # to stream_weight_vector).
-        self._substore = substore
         #: Resident name -> tree, in the server's registration order.
         self._trees: dict[str, TreeLike] = {}
         self._signature: dict[str, float] = {}
@@ -260,11 +249,7 @@ class Shard:
         return self._signature
 
     def _grow_signature(self, tree: TreeLike) -> None:
-        if self._substore is not None:
-            weights = self._substore.stream_weights(tree, self._costs)
-        else:
-            weights = stream_weight_vector(tree, self._costs)
-        for stream, weight in weights.items():
+        for stream, weight in stream_weight_vector(tree, self._costs).items():
             if weight > self._signature.get(stream, 0.0):
                 self._signature[stream] = weight
 

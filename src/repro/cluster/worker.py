@@ -29,8 +29,7 @@ Design constraints, in order:
   :class:`~repro.service.plan_cache.PlanCache`; workers reach it through the
   command channel via :class:`RemotePlanCache` (read-through: lookup, compute
   on miss, publish). A canonical shape still pays its scheduling cost once
-  per *cluster*, not once per process — and so does each interned AND
-  clause, whose plan tier reads through the same channel.
+  per *cluster*, not once per process.
 * **Lossless telemetry.** Each ``run_batch``/``step`` reply carries the
   worker registry's delta since the last reply (the worker swaps in a fresh
   registry after shipping), and the parent folds it into its own registry
@@ -104,7 +103,7 @@ class RemotePlanCache(PlanCache):
 
     def __init__(self, conn, tracer: Tracer | None = None) -> None:
         # All plans live in the parent; capacity 1 is a dummy (the local
-        # OrderedDicts stay empty — every tier reads through the pipe).
+        # OrderedDict stays empty — every lookup reads through the pipe).
         super().__init__(capacity=1)
         self._conn = conn
         self._tracer = tracer
@@ -139,13 +138,7 @@ class RemotePlanCache(PlanCache):
             with self._lock:
                 self.hits += 1
             return cached, True
-        # Local compute on a cluster-wide miss still reuses cached clause
-        # plans (partial sharing below the whole-tree key): clause lookups
-        # read through to the parent too, so a clause first planned on any
-        # worker is reused by every worker. The pipe traffic is bounded —
-        # clause activity only happens here, on a whole-tree miss, which the
-        # parent cache already makes once-per-shape cluster-wide.
-        schedule = self._schedule_canonical(form, scheduler)
+        schedule = scheduler.schedule(form.tree)
         from repro.core.cost import dnf_schedule_cost
 
         plan = CachedPlan(
@@ -164,12 +157,6 @@ class RemotePlanCache(PlanCache):
 
     def invalidate(self, key: str) -> int:
         return self._rpc(("invalidate", key))
-
-    def clause_lookup(self, clause_key: str):
-        return self._rpc(("clause_get", clause_key))
-
-    def clause_publish(self, clause_key: str, entry):
-        return self._rpc(("clause_put", (clause_key, entry)))
 
 
 def _ship_deltas(
@@ -213,7 +200,6 @@ def _shard_worker_main(conn, config: WorkerConfig) -> None:
             conn, telemetry.tracer if telemetry is not None else None
         ),
         telemetry=telemetry,
-        substore=True,
     )
     while True:
         try:
@@ -346,11 +332,6 @@ class WorkerTransport:
             return cache.publish(payload)
         if kind == "invalidate":
             return cache.invalidate(payload)
-        if kind == "clause_get":
-            return cache.clause_lookup(payload)
-        if kind == "clause_put":
-            clause_key, entry = payload
-            return cache.clause_publish(clause_key, entry)
         raise StreamError(f"unknown plan-cache request {kind!r}")
 
     # -- lifecycle -------------------------------------------------------

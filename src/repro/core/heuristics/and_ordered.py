@@ -26,9 +26,7 @@ best heuristic overall.
 from __future__ import annotations
 
 import math
-import threading
-from contextlib import contextmanager
-from typing import Callable, ClassVar, Iterator, Optional
+from typing import ClassVar
 
 from repro.core.andtree_optimal import algorithm1_order
 from repro.core.cost import DnfPrefixCost, and_tree_cost
@@ -38,9 +36,6 @@ from repro.core.tree import DnfTree
 
 __all__ = [
     "and_block_plan",
-    "and_block_local_plan",
-    "block_planner",
-    "current_block_planner",
     "AndOrderedDecreasingP",
     "AndOrderedIncreasingCStatic",
     "AndOrderedIncreasingCDynamic",
@@ -50,26 +45,6 @@ __all__ = [
 
 #: One AND block's plan: ``(gindices, isolated cost, success probability)``.
 BlockPlan = tuple[list[int], float, float]
-#: Provider of all blocks' plans for a tree, or None to decline.
-BlockPlanner = Callable[[DnfTree], Optional[list[BlockPlan]]]
-
-
-def and_block_local_plan(
-    tree: DnfTree, and_index: int
-) -> tuple[tuple[int, ...], float, float]:
-    """Plan one AND node in isolation, in *local* (within-AND) positions.
-
-    Returns ``(order, cost, prob)``: the node's leaf positions in
-    Algorithm-1 order, the expected cost of evaluating the node alone from
-    an empty cache, and its success probability. The local form is what the
-    plan cache's per-clause store keeps — it depends only on the clause's
-    own leaves and cost slice, so it transfers between trees that share the
-    clause at different AND indices.
-    """
-    and_tree = tree.and_tree(and_index)
-    order = algorithm1_order(and_tree)
-    cost = and_tree_cost(and_tree, order, validate=False)
-    return tuple(order), cost, tree.and_success_prob(and_index)
 
 
 def and_block_plan(tree: DnfTree, and_index: int) -> BlockPlan:
@@ -79,51 +54,15 @@ def and_block_plan(tree: DnfTree, and_index: int) -> BlockPlan:
     Algorithm-1 order, the expected cost of evaluating the node alone from an
     empty cache, and its success probability.
     """
-    order, cost, prob = and_block_local_plan(tree, and_index)
+    and_tree = tree.and_tree(and_index)
+    order = algorithm1_order(and_tree)
+    cost = and_tree_cost(and_tree, order, validate=False)
     gindices = [tree.gindex(and_index, j) for j in order]
-    return gindices, cost, prob
-
-
-# Thread-local injection point for per-AND block plans. The plan cache
-# installs a planner (serving memoized clause plans keyed by interned-clause
-# identity) around exactly the schedule() call it owns; everything else —
-# re-planning on belief trees, direct scheduler use, other threads — sees no
-# planner and takes the compute path. Thread-local, not global: concurrent
-# admissions on different shards must not observe each other's planner.
-_PLANNER_STATE = threading.local()
-
-
-def current_block_planner() -> BlockPlanner | None:
-    """The block planner installed on this thread, if any."""
-    planner: BlockPlanner | None = getattr(_PLANNER_STATE, "planner", None)
-    return planner
-
-
-@contextmanager
-def block_planner(planner: BlockPlanner) -> Iterator[None]:
-    """Install ``planner`` as this thread's block-plan provider.
-
-    A planner receives the tree being scheduled and returns all AND blocks'
-    plans, or None to decline (the scheduler then computes them itself).
-    Declining is the safety valve: a planner bound to one canonical tree
-    must not serve a different tree scheduled re-entrantly on the same
-    thread.
-    """
-    previous = getattr(_PLANNER_STATE, "planner", None)
-    _PLANNER_STATE.planner = planner
-    try:
-        yield
-    finally:
-        _PLANNER_STATE.planner = previous
+    return gindices, cost, tree.and_success_prob(and_index)
 
 
 def _block_plans(tree: DnfTree) -> list[BlockPlan]:
-    """All AND blocks' plans, through the installed planner when present."""
-    planner = current_block_planner()
-    if planner is not None:
-        plans = planner(tree)
-        if plans is not None:
-            return plans
+    """All AND blocks' plans, in AND-index order."""
     return [and_block_plan(tree, i) for i in range(tree.n_ands)]
 
 

@@ -5,15 +5,10 @@ The paper optimizes one tree at a time; a serving device (or fleet) runs
 single-query machinery into a multi-tenant server:
 
 * :mod:`~repro.service.canonical` — canonical query identities (isomorphic
-  trees hash equal, duplicate leaves fold away);
-* :mod:`~repro.service.substore` — the hash-consed canonical node store:
-  leaves, AND clauses and whole trees interned once per process, so
-  isomorphism is pointer equality and *partial* overlaps (a shared clause,
-  a shared leaf) earn sharing too;
-* :mod:`~repro.service.plan_cache` — LRU cache of canonical schedules (plus
-  an interned-clause plan tier), so a query shape pays its scheduling cost
-  once across the whole population and a *new* shape reuses the clauses it
-  shares with old ones;
+  trees hash equal, duplicate leaves fold away, probabilities compare at 12
+  decimals so float noise cannot split a key);
+* :mod:`~repro.service.plan_cache` — LRU cache of canonical schedules, so a
+  query shape pays its scheduling cost once across the whole population;
 * :mod:`~repro.service.shared_plan` — one global probe order merged from all
   per-query schedules by marginal cost-effectiveness, executed with
   per-query early termination;
@@ -58,24 +53,12 @@ from repro.service.simulate import (
     synthetic_population,
     synthetic_registry,
 )
-from repro.service.substore import (
-    InternedClause,
-    InternedLeaf,
-    InternedTree,
-    SubtreeStore,
-    default_store,
-)
 
 __all__ = [
     "CanonicalForm",
     "canonicalize",
     "canonical_key",
     "quantize_prob",
-    "InternedLeaf",
-    "InternedClause",
-    "InternedTree",
-    "SubtreeStore",
-    "default_store",
     "PlanCache",
     "CachedPlan",
     "Probe",

@@ -30,18 +30,15 @@ tree transfers to every isomorphic original via :meth:`CanonicalForm.expand_sche
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import Sequence, Union
 
 from repro.core.leaf import Leaf
 from repro.core.schedule import Schedule, validate_schedule
 from repro.core.tree import AndTree, DnfTree, QueryTree
 from repro.errors import InvalidTreeError
 from repro.lang.serialize import tree_to_canonical_json
-
-if TYPE_CHECKING:
-    from repro.service.substore import InternedTree
 
 __all__ = ["CanonicalForm", "canonicalize", "canonical_key", "quantize_prob"]
 
@@ -79,20 +76,12 @@ class CanonicalForm:
         folded).
     original_size:
         Leaf count of the original tree (for schedule validation).
-    interned:
-        The hash-consed :class:`~repro.service.substore.InternedTree` for
-        this identity, when the form was produced through a
-        :class:`~repro.service.substore.SubtreeStore` (None on the plain
-        :func:`canonicalize` path). Carries per-AND-clause identities so the
-        plan cache can share scheduling state below whole-tree granularity;
-        excluded from equality, and pickling it re-interns on arrival.
     """
 
     key: str
     tree: DnfTree
     leaf_map: tuple[tuple[int, ...], ...]
     original_size: int
-    interned: "InternedTree | None" = field(default=None, compare=False, repr=False)
 
     @property
     def deduped(self) -> bool:

@@ -8,16 +8,6 @@ the key is ``(canonical tree key, scheduler name)`` and the value is the
 schedule of the canonical tree, which :meth:`~repro.service.canonical.CanonicalForm.expand_schedule`
 translates to each registered original.
 
-Below the whole-tree cache sits a **clause cache**: per-AND-clause plans
-(Algorithm-1 order, isolated cost, success probability) keyed by interned
-clause identity (:mod:`repro.service.substore`). A query whose whole-tree
-key misses still reuses every clause it shares with previously admitted
-queries — the AND-ordered schedulers' per-block planning is served through
-a thread-local :func:`~repro.core.heuristics.and_ordered.block_planner`
-installed around exactly the ``schedule()`` call the cache owns, so the
-computed schedule is bit-identical to the uncached path (clause plans are
-deterministic functions of the clause alone).
-
 The cache is a plain ``OrderedDict`` LRU guarded by a lock — safe to share
 between a server and background admission threads.
 """
@@ -28,21 +18,12 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.core.heuristics.and_ordered import (
-    and_block_local_plan,
-    block_planner,
-)
 from repro.core.heuristics.base import Scheduler
 from repro.core.schedule import Schedule
-from repro.core.tree import DnfTree
 from repro.errors import ReproError
 from repro.service.canonical import CanonicalForm
-from repro.service.substore import InternedTree
 
 __all__ = ["CachedPlan", "PlanCache"]
-
-#: One clause's cached plan: local Algorithm-1 order, isolated cost, prob.
-ClausePlan = tuple[tuple[int, ...], float, float]
 
 
 @dataclass(frozen=True)
@@ -56,43 +37,28 @@ class CachedPlan:
 
 
 class PlanCache:
-    """Bounded LRU cache of canonical schedules (plus per-clause plans).
+    """Bounded LRU cache of canonical schedules.
 
     Parameters
     ----------
     capacity:
-        Maximum number of cached whole-tree plans; the least-recently-used
-        entry is evicted on overflow.
-    clause_capacity:
-        Maximum number of cached per-AND-clause plans (defaults to
-        ``4 * capacity``: clauses are smaller and shared more widely than
-        whole trees, so the sub-tree tier earns a deeper pool).
+        Maximum number of cached plans; the least-recently-used entry is
+        evicted on overflow.
     """
 
-    def __init__(self, capacity: int = 256, *, clause_capacity: int | None = None) -> None:
+    def __init__(self, capacity: int = 256) -> None:
         if capacity < 1:
             raise ReproError(f"plan cache capacity must be >= 1, got {capacity}")
-        if clause_capacity is None:
-            clause_capacity = 4 * capacity
-        if clause_capacity < 1:
-            raise ReproError(
-                f"clause cache capacity must be >= 1, got {clause_capacity}"
-            )
         self.capacity = capacity
-        self.clause_capacity = clause_capacity
         self._plans: OrderedDict[tuple[str, str], CachedPlan] = OrderedDict()
         #: canonical key -> scheduler names cached for it. Kept in lockstep
         #: with ``_plans`` so invalidate is O(entries dropped), not
         #: O(cache size) — a replan storm must not stall admissions.
         self._by_key: dict[str, set[str]] = {}
-        #: interned clause key -> (local order, isolated cost, prob).
-        self._clause_plans: OrderedDict[str, ClausePlan] = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.clause_hits = 0
-        self.clause_misses = 0
 
     def __getstate__(self) -> dict:
         # Drop the lock (process-local) so a cache snapshot can cross a
@@ -121,19 +87,6 @@ class PlanCache:
         """
         with self._lock:
             hits, misses = self.hits, self.misses
-        total = hits + misses
-        return hits / total if total else 0.0
-
-    @property
-    def subtree_hit_rate(self) -> float:
-        """Fraction of per-AND-clause plans served from the clause cache.
-
-        This is the partial-sharing signal: on a population with shared
-        clauses but no whole-tree isomorphs, :attr:`hit_rate` stays ~0 while
-        this climbs toward ``(n - distinct clauses) / n``.
-        """
-        with self._lock:
-            hits, misses = self.clause_hits, self.clause_misses
         total = hits + misses
         return hits / total if total else 0.0
 
@@ -168,7 +121,7 @@ class PlanCache:
         # key settle as exactly one miss (the insert winner) and one hit (the
         # loser, which is served the winner's entry), keeping the counters
         # consistent with the cache's observable behaviour.
-        schedule = self._schedule_canonical(form, scheduler)
+        schedule = scheduler.schedule(form.tree)
         from repro.core.cost import dnf_schedule_cost
 
         plan = CachedPlan(
@@ -186,76 +139,6 @@ class PlanCache:
             self.misses += 1
             self._insert_locked(cache_key, plan)
         return plan
-
-    def _schedule_canonical(self, form: CanonicalForm, scheduler: Scheduler) -> Schedule:
-        """Run ``scheduler`` on the canonical tree, reusing cached clause plans.
-
-        When the form carries interned identity, AND-block plans are served
-        through the clause cache (and freshly computed blocks published to
-        it). Clause plans are deterministic functions of the clause's leaves
-        and cost slice, so the resulting schedule is bit-identical to the
-        uncached computation — sharing changes *where the time goes*, never
-        the answer. Schedulers outside the AND-ordered family simply ignore
-        the installed planner.
-        """
-        interned = form.interned
-        if interned is None:
-            return tuple(scheduler.schedule(form.tree))
-
-        def planner(tree: DnfTree) -> list[tuple[list[int], float, float]] | None:
-            if tree is not form.tree:
-                # Re-entrant scheduling of a *different* tree on this thread
-                # (belief re-probes, nested heuristics): decline, compute.
-                return None
-            return self._clause_block_plans(tree, interned)
-
-        with block_planner(planner):
-            return tuple(scheduler.schedule(form.tree))
-
-    def _clause_block_plans(
-        self, tree: DnfTree, interned: InternedTree
-    ) -> list[tuple[list[int], float, float]]:
-        """All AND blocks' plans for ``tree``, through the clause cache."""
-        plans: list[tuple[list[int], float, float]] = []
-        for index, clause in enumerate(interned.clauses):
-            entry = self.clause_lookup(clause.key)
-            if entry is None:
-                entry = self.clause_publish(
-                    clause.key, and_block_local_plan(tree, index)
-                )
-            order, cost, prob = entry
-            plans.append(([tree.gindex(index, j) for j in order], cost, prob))
-        return plans
-
-    def clause_lookup(self, clause_key: str) -> ClausePlan | None:
-        """Clause plan for ``clause_key``; counts a hit and refreshes recency.
-
-        A miss is not counted here — it belongs to the insert (see
-        :meth:`clause_publish`), mirroring the whole-tree race semantics.
-        Public because it is half of the clause tier's read-through protocol:
-        process-mode workers forward it over the command channel so clause
-        plans, like whole-tree plans, are computed once per *cluster*.
-        """
-        with self._lock:
-            entry = self._clause_plans.get(clause_key)
-            if entry is not None:
-                self.clause_hits += 1
-                self._clause_plans.move_to_end(clause_key)
-            return entry
-
-    def clause_publish(self, clause_key: str, entry: ClausePlan) -> ClausePlan:
-        """Insert a freshly computed clause plan; existing entry wins races."""
-        with self._lock:
-            existing = self._clause_plans.get(clause_key)
-            if existing is not None:
-                self.clause_hits += 1
-                self._clause_plans.move_to_end(clause_key)
-                return existing
-            self.clause_misses += 1
-            self._clause_plans[clause_key] = entry
-            while len(self._clause_plans) > self.clause_capacity:
-                self._clause_plans.popitem(last=False)
-            return entry
 
     def _insert_locked(self, cache_key: tuple[str, str], plan: CachedPlan) -> None:
         """Insert + evict under the caller's lock, keeping the key index true."""
@@ -315,9 +198,7 @@ class PlanCache:
 
         O(schedulers cached for ``key``) via the per-key index — independent
         of cache size, so replan storms on a large cache cannot stall
-        concurrent admissions on the shared lock. Clause plans are *not*
-        dropped: they are pure structure (order/cost/prob of the clause
-        itself), never belief-dependent, so no replan can make them stale.
+        concurrent admissions on the shared lock.
         """
         with self._lock:
             names = self._by_key.pop(key, None)
@@ -331,15 +212,12 @@ class PlanCache:
         with self._lock:
             self._plans.clear()
             self._by_key.clear()
-            self._clause_plans.clear()
 
     def stats(self) -> dict[str, float]:
         """Counter snapshot for metrics export (one consistent view)."""
         with self._lock:
             hits, misses = self.hits, self.misses
-            clause_hits, clause_misses = self.clause_hits, self.clause_misses
             total = hits + misses
-            clause_total = clause_hits + clause_misses
             return {
                 "size": float(len(self._plans)),
                 "capacity": float(self.capacity),
@@ -347,9 +225,4 @@ class PlanCache:
                 "misses": float(misses),
                 "evictions": float(self.evictions),
                 "hit_rate": hits / total if total else 0.0,
-                "clause_size": float(len(self._clause_plans)),
-                "clause_capacity": float(self.clause_capacity),
-                "clause_hits": float(clause_hits),
-                "clause_misses": float(clause_misses),
-                "subtree_hit_rate": clause_hits / clause_total if clause_total else 0.0,
             }

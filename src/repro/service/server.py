@@ -46,10 +46,9 @@ from repro.engine.vectorized import BatchResult, VectorizedExecutor
 from repro.engine.workload import compute_max_windows
 from repro.errors import AdmissionError, StreamError
 from repro.obs import Counter, Histogram, MetricsRegistry, Telemetry
-from repro.service.canonical import CanonicalForm, _as_dnf, canonicalize, quantize_prob
+from repro.service.canonical import CanonicalForm, _as_dnf, canonicalize
 from repro.service.metrics import QueryStats, ServiceMetrics
 from repro.service.plan_cache import CachedPlan, PlanCache
-from repro.service.substore import SubtreeStore, default_store
 from repro.service.shared_plan import (
     Probe,
     RoundProgram,
@@ -227,13 +226,6 @@ class QueryServer:
     warmup:
         Initial device time of the shared cache (grown automatically when a
         registered query needs a larger window).
-    substore:
-        The hash-consed canonical node store
-        (:class:`~repro.service.substore.SubtreeStore`). ``True`` (default)
-        joins the process-wide :func:`~repro.service.substore.default_store`;
-        pass a store instance to share one explicitly, or ``False``/``None``
-        to disable interning (plain :func:`canonicalize` per admission, no
-        clause-level plan sharing).
     adaptive:
         An :class:`~repro.adaptive.AdaptivePolicy` (or a prebuilt
         :class:`~repro.adaptive.AdaptiveController`) enabling online
@@ -254,7 +246,6 @@ class QueryServer:
         *,
         scheduler: str | Scheduler = DEFAULT_SCHEDULER,
         plan_cache: PlanCache | int | None = 256,
-        substore: SubtreeStore | bool | None = True,
         shared_plan: bool = True,
         max_queries: int | None = None,
         warmup: int = 64,
@@ -272,16 +263,6 @@ class QueryServer:
             self.plan_cache = PlanCache(capacity=int(plan_cache))
         else:
             self.plan_cache = None
-        # The hash-consed canonical node store: admission-time canonicalize
-        # memo, interned sub-tree identity for the clause-level plan cache,
-        # and shared-leaf belief keys. True (default) joins the process-wide
-        # store so co-located servers (cluster shards) share identities.
-        if isinstance(substore, SubtreeStore):
-            self.substore: SubtreeStore | None = substore
-        elif substore:
-            self.substore = default_store()
-        else:
-            self.substore = None
         self.shared_plan_enabled = shared_plan
         if max_queries is not None and max_queries < 1:
             raise AdmissionError(f"max_queries must be >= 1, got {max_queries}")
@@ -396,29 +377,6 @@ class QueryServer:
         except KeyError:
             raise AdmissionError(f"no query named {name!r} is registered") from None
 
-    def _leaf_identities(
-        self, form: CanonicalForm, admission_base: tuple[float, ...]
-    ) -> tuple[object, ...] | None:
-        """Pool identities for ``form``'s canonical leaves, or None when off.
-
-        Belief pooling (``AdaptivePolicy.share_leaf_beliefs``) keys shared
-        selectivity posteriors by *per-copy* leaf identity — ``(stream,
-        items, per-copy base prob)``, interned in the store so the key is
-        one pointer. The per-copy prob matters: a canonical leaf's own prob
-        is the folded product ``p**k``, which is ambiguous across fold
-        sizes, while observations are recorded per copy.
-        """
-        if self.adaptive is None or not self.adaptive.policy.share_leaf_beliefs:
-            return None
-        ids: list[object] = []
-        for g, leaf in enumerate(form.tree.leaves):
-            base = quantize_prob(admission_base[g])
-            if self.substore is not None:
-                ids.append(self.substore.leaf(leaf.stream, leaf.items, base))
-            else:
-                ids.append((leaf.stream, leaf.items, base))
-        return tuple(ids)
-
     @_synchronized
     def register(
         self,
@@ -448,15 +406,7 @@ class QueryServer:
                 f"server is full ({self.max_queries} queries); deregister one first"
             )
         self.registry.validate_tree_streams(tuple(tree.streams))
-        # Through the store when enabled: a bounded structural memo makes
-        # re-admission of an already-seen tree skip canonicalization, and the
-        # returned form carries interned sub-tree identity for clause-level
-        # plan sharing.
-        form = (
-            self.substore.canonicalize(tree)
-            if self.substore is not None
-            else canonicalize(tree)
-        )
+        form = canonicalize(tree)
         chosen = self.scheduler
         if scheduler is not None:
             chosen = get_scheduler(scheduler) if isinstance(scheduler, str) else scheduler
@@ -476,12 +426,7 @@ class QueryServer:
                 if tracked != admission_base:
                     baseline = tracked
             else:
-                self.adaptive.admit(
-                    form.key,
-                    admission_base,
-                    form.fold_sizes,
-                    leaf_ids=self._leaf_identities(form, admission_base),
-                )
+                self.adaptive.admit(form.key, admission_base, form.fold_sizes)
         if baseline is not None:
             plan = self._plan_with_base_probs(form, chosen, baseline)
             planning_tree = form.reprobed_original(dnf, baseline)

@@ -24,7 +24,7 @@ CORPUS_CONFIG = LintConfig(
     worker_root="spawnpkg.worker",
 )
 
-RULES = ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006", "RPR007")
+RULES = ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006")
 
 
 @pytest.mark.parametrize("rule", RULES)
@@ -55,7 +55,6 @@ def test_expected_finding_counts() -> None:
         "RPR004": 5,  # Pool, get_context(), set_start_method, executor, os.fork
         "RPR005": 5,  # random.random, default_rng(), np.random.rand, time, now
         "RPR006": 3,  # bare, swallowed Exception, broad tuple + continue
-        "RPR007": 3,  # attr write, object.__setattr__, AugAssign
     }
 
 

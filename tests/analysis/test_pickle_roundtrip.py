@@ -92,7 +92,6 @@ FACTORIES = {
 UNPICKLABLE_BY_DESIGN = {
     "repro.obs.trace.Tracer",
     "repro.service.server.QueryServer",
-    "repro.service.substore.SubtreeStore",
     "repro.cluster.cluster.ClusterServer",
     "repro.cluster.worker.WorkerTransport",
 }

@@ -9,11 +9,17 @@ from hypothesis import strategies as st
 
 from repro import AndTree, DnfTree, Leaf
 from repro.core.cost import dnf_schedule_cost
+from repro.core.heuristics import get_scheduler
 from repro.core.schedule import validate_schedule
 from repro.errors import InvalidTreeError
 from repro.generators.random_trees import random_dnf_tree
 from repro.lang.parser import parse_query
-from repro.service import canonical_key, canonicalize, shuffled_isomorph
+from repro.service import (
+    canonical_key,
+    canonicalize,
+    quantize_prob,
+    shuffled_isomorph,
+)
 
 
 def tree_abc() -> DnfTree:
@@ -44,9 +50,21 @@ class TestCanonicalKey:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_random_shuffles_hash_equal(self, seed):
+        """Every isomorph lands on one canonical tree, so one cached plan
+        serves them all: same key, same canonical schedule, and the same
+        expected cost once expanded back to each original."""
         rng = np.random.default_rng(seed)
         tree = random_dnf_tree(rng, n_ands=3, leaves_per_and=3, rho=2.0)
-        assert canonical_key(shuffled_isomorph(tree, rng)) == canonical_key(tree)
+        twin_tree = shuffled_isomorph(tree, rng)
+        form, twin = canonicalize(tree), canonicalize(twin_tree)
+        assert twin.key == form.key
+        assert twin.tree == form.tree
+        scheduler = get_scheduler("and-inc-c-over-p-dynamic")
+        schedule = tuple(scheduler.schedule(form.tree))
+        assert tuple(scheduler.schedule(twin.tree)) == schedule
+        assert dnf_schedule_cost(
+            twin_tree, twin.expand_schedule(schedule)
+        ) == pytest.approx(dnf_schedule_cost(tree, form.expand_schedule(schedule)))
 
     def test_distinct_probability_hashes_differ(self):
         tree = tree_abc()
@@ -92,6 +110,54 @@ class TestCanonicalKey:
         assert not parsed.tree.is_dnf()
         with pytest.raises(InvalidTreeError):
             canonicalize(parsed.tree)
+
+
+class TestQuantizedIdentity:
+    """The exact-float ``==`` fold/key bug: sub-quantum noise must not split
+    canonical identity, and genuinely different probabilities must."""
+
+    def test_quantize_prob_rounds_at_twelve_decimals(self):
+        assert quantize_prob(0.3 + 1e-15) == quantize_prob(0.3)
+        assert quantize_prob(0.3 + 1e-9) != quantize_prob(0.3)
+
+    def test_noise_perturbed_isomorphs_share_a_key(self):
+        tree = tree_abc()
+        noisy = DnfTree(
+            [
+                [Leaf("C", 3, 0.2 + 1e-15)],
+                [Leaf("B", 1, 0.5), Leaf("A", 2, 0.3 + 2e-16)],
+            ],
+            costs=tree.costs,
+        )
+        exact = canonicalize(tree)
+        perturbed = canonicalize(noisy)
+        assert perturbed.key == exact.key
+
+        def quantized(form):
+            return [
+                (leaf.stream, leaf.items, quantize_prob(leaf.prob))
+                for leaf in form.tree.leaves
+            ]
+
+        assert quantized(perturbed) == quantized(exact)
+
+    def test_duplicate_leaves_fold_despite_noise(self):
+        base, noisy = 0.5, 0.5 + 1e-14
+        tree = DnfTree(
+            [[Leaf("A", 2, base), Leaf("A", 2, noisy), Leaf("B", 1, 0.9)]],
+            costs={"A": 1.0, "B": 3.0},
+        )
+        form = canonicalize(tree)
+        assert form.deduped
+        assert form.tree.size == 2
+
+    def test_distinct_probabilities_still_split_keys(self):
+        tree = tree_abc()
+        other = DnfTree(
+            [[Leaf("A", 2, 0.3 + 1e-9), Leaf("B", 1, 0.5)], [Leaf("C", 3, 0.2)]],
+            costs=tree.costs,
+        )
+        assert canonical_key(tree) != canonical_key(other)
 
 
 class TestDeduplication:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 
 import pytest
 
@@ -229,3 +230,77 @@ class TestReadThroughProtocol:
         cache.plan(forms[2], scheduler)
         assert (forms[0].key, scheduler.name) in cache
         assert (forms[1].key, scheduler.name) not in cache
+
+
+class _NoIteration(OrderedDict):
+    """An OrderedDict that forbids whole-dict scans — the invalidate
+    regression guard: the old implementation collected matching keys with a
+    full ``for key in self._plans`` sweep under the lock."""
+
+    def __iter__(self):
+        raise AssertionError("invalidate must not scan the whole plan cache")
+
+    def keys(self):
+        raise AssertionError("invalidate must not scan the whole plan cache")
+
+
+class TestIndexedInvalidate:
+    def test_invalidate_does_not_scan_the_cache(self, scheduler):
+        cache = PlanCache(capacity=64)
+        forms = [canonicalize(make_tree(0.1 + i * 0.08)) for i in range(8)]
+        for form in forms:
+            cache.plan(form, scheduler)
+        cache._plans = _NoIteration(cache._plans.items())
+        assert cache.invalidate(forms[3].key) == 1
+        assert cache.invalidate(forms[3].key) == 0  # already gone, still no scan
+
+    def test_index_survives_eviction(self, scheduler):
+        cache = PlanCache(capacity=2)
+        forms = [canonicalize(make_tree(p)) for p in (0.2, 0.4, 0.6)]
+        for form in forms:
+            cache.plan(form, scheduler)
+        # forms[0] was evicted; its index entry must be gone too.
+        assert cache.invalidate(forms[0].key) == 0
+        assert cache.invalidate(forms[1].key) == 1
+        assert cache.invalidate(forms[2].key) == 1
+
+    def test_index_tracks_scheduler_variants(self, scheduler):
+        cache = PlanCache(capacity=8)
+        form = canonicalize(make_tree(0.4))
+        cache.plan(form, scheduler)
+        cache.plan(form, get_scheduler("leaf-inc-c"))
+        assert cache.invalidate(form.key) == 2
+        assert len(cache) == 0
+
+    def test_concurrent_invalidate_keeps_index_consistent(self, scheduler):
+        cache = PlanCache(capacity=128)
+        forms = [canonicalize(make_tree(0.05 + i * 0.06)) for i in range(12)]
+        barrier = threading.Barrier(6)
+        errors: list[Exception] = []
+
+        def churn(thread_index: int) -> None:
+            try:
+                barrier.wait()
+                for i in range(60):
+                    form = forms[(thread_index + i) % len(forms)]
+                    if i % 5 == 4:
+                        cache.invalidate(form.key)
+                    else:
+                        cache.plan(form, scheduler)
+            except Exception as exc:  # pragma: no cover - only on regression
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=churn, args=(t,)) for t in range(6)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        indexed = {
+            (key, name)
+            for key, names in cache._by_key.items()
+            for name in names
+        }
+        assert indexed == set(cache._plans)
