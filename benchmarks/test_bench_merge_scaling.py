@@ -1,8 +1,8 @@
 """Control-plane scaling: admission and shared-plan merge at 10^2..10^4 queries.
 
 One row per resident-population size on ``synthetic_registry(32)`` +
-``synthetic_population(n)`` (fixed seeds, vectorized engine), with the
-columns of the ROADMAP baseline table:
+``synthetic_population(n)`` (fixed seeds), with the columns of the ROADMAP
+baseline table:
 
 * ``admit_s`` — registering the whole population (no ``repro.obs``
   instrument covers admission yet, so this one is a ``perf_counter`` pair);
@@ -10,7 +10,9 @@ columns of the ROADMAP baseline table:
   the whole population into one shared probe order;
 * ``remerge_s`` — the ``planning`` phase of the round right after one
   departure and one arrival (the merge runs again inside that round);
-* ``round_s`` — a steady ``run_batch(ROUNDS)`` span's duration per round.
+* ``round_s`` — a steady ``run_batch(ROUNDS)`` span's duration per round;
+* ``gen2_collections`` — full (generation-2) garbage collections during
+  that steady batch, counted through ``gc.callbacks``.
 
 The ``planning`` and batch figures are read off the ``batch`` spans a
 recording :class:`~repro.obs.Telemetry` attaches, so they are the numbers a
@@ -34,12 +36,24 @@ ROUNDS = 20
 SEED = 5
 
 
-def batch_span(tel: Telemetry, server: QueryServer, rounds: int) -> dict:
+def batch_span(tel: Telemetry, server: QueryServer, rounds: int) -> tuple[dict, int]:
+    """The batch's span and the generation-2 collections it triggered."""
+    full = 0
+
+    def count(phase: str, info: dict) -> None:
+        nonlocal full
+        if phase == "start" and info["generation"] == 2:
+            full += 1
+
     # A full collection first, so the timed batch is not charged for a
     # gen-2 sweep over the garbage the previous phase left behind.
     gc.collect()
-    server.run_batch(rounds, engine="vectorized")
-    return tel.tracer.spans("batch")[-1]
+    gc.callbacks.append(count)
+    try:
+        server.run_batch(rounds)
+    finally:
+        gc.callbacks.remove(count)
+    return tel.tracer.spans("batch")[-1], full
 
 
 def measure(n: int) -> dict:
@@ -53,11 +67,11 @@ def measure(n: int) -> dict:
     for name, tree in resident:
         server.register(name, tree)
     admit_s = time.perf_counter() - start
-    build = batch_span(tel, server, 1)
+    build, _ = batch_span(tel, server, 1)
     server.deregister(resident[0][0])
     server.register(spare_name, spare_tree)
-    churned = batch_span(tel, server, 1)
-    steady = batch_span(tel, server, ROUNDS)
+    churned, _ = batch_span(tel, server, 1)
+    steady, gen2 = batch_span(tel, server, ROUNDS)
     return {
         "resident_queries": n,
         "probes": server.shared_plan().size,
@@ -65,6 +79,7 @@ def measure(n: int) -> dict:
         "build_plan_s": build["attrs"]["phase_seconds"]["planning"],
         "remerge_s": churned["attrs"]["phase_seconds"]["planning"],
         "round_s": steady["dur"] / ROUNDS,
+        "gen2_collections": gen2,
     }
 
 
@@ -75,7 +90,15 @@ class TestMergeScaling:
             # The merged plan holds every resident's whole schedule.
             assert row["probes"] >= row["resident_queries"]
         table = ascii_table(
-            ("resident", "probes", "admit s", "build plan s", "re-merge s", "round ms"),
+            (
+                "resident",
+                "probes",
+                "admit s",
+                "build plan s",
+                "re-merge s",
+                "round ms",
+                "gen2 GCs",
+            ),
             [
                 (
                     f"{row['resident_queries']:,}",
@@ -84,6 +107,7 @@ class TestMergeScaling:
                     f"{row['build_plan_s']:.3f}",
                     f"{row['remerge_s']:.3f}",
                     f"{row['round_s'] * 1e3:.1f}",
+                    str(row["gen2_collections"]),
                 )
                 for row in rows
             ],
@@ -91,5 +115,5 @@ class TestMergeScaling:
         emit_report("merge_scaling", table)
         emit_json(
             "merge_scaling",
-            {"seed": SEED, "rounds": ROUNDS, "engine": "vectorized", "rows": rows},
+            {"seed": SEED, "rounds": ROUNDS, "rows": rows},
         )

@@ -67,9 +67,9 @@ def timed_batch(mode: str) -> float:
     for name, tree in population:
         server.register(name, tree)
     # Warm plan/window caches so the timed region is steady-state serving.
-    server.run_batch(2, engine="vectorized")
+    server.run_batch(2)
     start = time.perf_counter()
-    server.run_batch(ROUNDS, engine="vectorized")
+    server.run_batch(ROUNDS)
     return time.perf_counter() - start
 
 
@@ -142,7 +142,7 @@ def timed_batches(cluster: ClusterServer, n: int) -> list[float]:
     for _ in range(n):
         start = time.perf_counter()
         for _ in range(CLUSTER_BATCHES):
-            cluster.run_batch(CLUSTER_ROUNDS, engine="scalar")
+            cluster.run_batch(CLUSTER_ROUNDS)
         times.append(time.perf_counter() - start)
     return times
 
@@ -159,8 +159,8 @@ class TestTracingOverhead:
         # region — the gate is about steady-state serving.
         pairs = []
         with make_cluster(None) as bare, make_cluster(Telemetry()) as traced:
-            bare.run_batch(4, engine="scalar")
-            traced.run_batch(4, engine="scalar")
+            bare.run_batch(4)
+            traced.run_batch(4)
             for _ in range(n):
                 (b,) = timed_batches(bare, 1)
                 (e,) = timed_batches(traced, 1)
@@ -213,8 +213,8 @@ class TestTracingOverhead:
         sink_path = RESULTS_DIR / "obs_trace_sample.jsonl"
         telemetry = Telemetry(sink=sink_path)
         with make_cluster(telemetry) as cluster:
-            cluster.run_batch(8, engine="scalar")
-            cluster.run_batch(8, engine="vectorized")
+            cluster.run_batch(8)
+            cluster.run_batch(8)
         telemetry.close()  # flush the sink before replaying it
         records = read_jsonl(sink_path)
         forest = build_forest(records)

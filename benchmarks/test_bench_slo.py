@@ -59,7 +59,7 @@ def run_churn_workload(rate: int, sink_path) -> dict:
     resident: list[str] = [name for name, _ in pool[:n_base]]
     wall_start = time.perf_counter()
     for _ in range(BATCHES):
-        server.run_batch(ROUNDS_PER_BATCH, engine="vectorized")
+        server.run_batch(ROUNDS_PER_BATCH)
         for _ in range(rate):
             server.deregister(resident.pop(0))
             name, tree = pool[next_admit]

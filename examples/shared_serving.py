@@ -10,10 +10,7 @@ and shows the two headline effects:
   times ("pay one, get hundreds");
 * the shared global probe order pays each stream window once per round for
   the whole population, so the batched cost lands far below the sum of the
-  queries run in isolation;
-* the vectorized round loop (``run_batch(engine="vectorized")``) batches
-  outcome draws and short-circuit resolution across all rounds, timing
-  both engines side by side so the example doubles as a smoke test.
+  queries run in isolation.
 
 Run: python examples/shared_serving.py
 """
@@ -29,10 +26,10 @@ from repro.service import (
 )
 
 
-def build_server(seed: int = 44) -> tuple[QueryServer, list]:
+def build_server() -> tuple[QueryServer, list]:
     registry = synthetic_registry(n_streams=8, seed=42)
     population = synthetic_population(100, registry, n_templates=10, seed=43)
-    server = QueryServer(registry, BernoulliOracle(seed=seed))
+    server = QueryServer(registry, BernoulliOracle(seed=44))
     for name, tree in population:
         server.register(name, tree)
     return server, population
@@ -49,11 +46,11 @@ def main() -> None:
     rounds = 50
     start = time.perf_counter()
     report = server.run_batch(rounds)
-    scalar_seconds = time.perf_counter() - start
+    seconds = time.perf_counter() - start
     isolated = run_isolated(registry, population, rounds)
     isolated_sum = sum(isolated.values())
 
-    print(f"\nafter {rounds} rounds:")
+    print(f"\nafter {rounds} rounds ({seconds * 1e3:.1f} ms):")
     print(f"  shared serving total cost : {report.total_cost:10.2f}")
     print(f"  sum of isolated queries   : {isolated_sum:10.2f}")
     print(f"  sharing advantage         : {isolated_sum / report.total_cost:10.2f}x")
@@ -66,19 +63,6 @@ def main() -> None:
     print("\nfull metrics ledger (first lines):")
     for line in server.metrics.summary().splitlines()[:6]:
         print(f"  {line}")
-
-    # Same batch through the vectorized round loop (fresh server, same
-    # population): unchanged metrics semantics, bulk-resolved rounds.
-    vector_server, _ = build_server()
-    start = time.perf_counter()
-    vector_report = vector_server.run_batch(rounds, engine="vectorized")
-    vector_seconds = time.perf_counter() - start
-    print(f"\nbatch timings over {rounds} rounds:")
-    print(f"  scalar round loop         : {scalar_seconds * 1e3:8.1f} ms")
-    print(f"  vectorized round loop     : {vector_seconds * 1e3:8.1f} ms"
-          f" ({scalar_seconds / vector_seconds:.1f}x)")
-    print(f"  vectorized total cost     : {vector_report.total_cost:10.2f}"
-          f" (scalar {report.total_cost:.2f}; same distribution, different draws)")
 
     # Tenants churn at runtime: drop one, admit another, keep serving.
     first = server.registered[0]

@@ -23,7 +23,6 @@ Commands
     Simulate the multi-tenant serving layer on a synthetic query population:
     prints aggregate cost, plan-cache hit rate and sharing statistics, with
     an optional isolated (no sharing) baseline comparison.
-    ``--engine vectorized`` runs the bulk-resolved round loop.
 ``drift``
     Selectivity-drift experiment: a step change in leaf selectivities
     mid-run, comparing static plans, adaptive re-planning
@@ -291,7 +290,7 @@ def cmd_serve_sim(args: argparse.Namespace) -> int:
     )
     for name, tree in population:
         server.register(name, tree)
-    report = server.run_batch(args.rounds, engine=args.engine)
+    report = server.run_batch(args.rounds)
     print(
         f"served {args.queries} queries ({len({q.canonical.key for q in map(server.query, server.registered)})}"
         f" distinct shapes) for {args.rounds} rounds on {args.streams} streams"
@@ -336,7 +335,6 @@ def cmd_drift(args: argparse.Namespace) -> int:
         rounds=args.rounds,
         drift_round=args.drift_round,
         seed=args.seed,
-        engine=args.engine,
         scheduler=args.scheduler,
         policy=policy,
         telemetry=telemetry,
@@ -364,7 +362,6 @@ def cmd_cluster_sim(args: argparse.Namespace) -> int:
             n_clusters=args.clusters,
             streams_per_cluster=args.streams_per_cluster,
             rounds=min(args.rounds, 10),
-            engine=args.engine,
             executor=args.executor,
             seed=args.seed,
         )
@@ -383,7 +380,6 @@ def cmd_cluster_sim(args: argparse.Namespace) -> int:
         workers=args.workers,
         executor=args.executor,
         scheduler=args.scheduler,
-        engine=args.engine,
         seed=args.seed,
         telemetry=telemetry,
     )
@@ -418,7 +414,6 @@ def _cmd_cluster_sim_elastic(args: argparse.Namespace) -> int:
             n_clusters=args.clusters,
             streams_per_cluster=args.streams_per_cluster,
             rounds=min(args.rounds, 6),
-            engine=args.engine,
             executor=args.executor,
             seed=args.seed,
             elastic=policy,
@@ -441,7 +436,6 @@ def _cmd_cluster_sim_elastic(args: argparse.Namespace) -> int:
         workers=args.workers,
         executor=args.executor,
         scheduler=args.scheduler,
-        engine=args.engine,
         seed=args.seed,
         telemetry=telemetry,
     )
@@ -744,12 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run every query on a private cache and report the cost ratio",
     )
     p_serve.add_argument(
-        "--engine",
-        choices=("scalar", "vectorized"),
-        default="scalar",
-        help="round loop: per-probe scalar walk, or bulk-resolved vectorized batches",
-    )
-    p_serve.add_argument(
         "--telemetry",
         type=Path,
         default=None,
@@ -775,9 +763,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_drift.add_argument("--seed", type=int, default=0)
     p_drift.add_argument(
         "--scheduler", default="and-inc-c-over-p-dynamic", help="admission scheduler"
-    )
-    p_drift.add_argument(
-        "--engine", choices=("scalar", "vectorized"), default="vectorized"
     )
     p_drift.add_argument(
         "--window", type=int, default=64, help="posterior sliding-window size"
@@ -827,9 +812,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cluster.add_argument(
         "--scheduler", default="and-inc-c-over-p-dynamic", help="admission scheduler"
-    )
-    p_cluster.add_argument(
-        "--engine", choices=("scalar", "vectorized"), default="scalar"
     )
     p_cluster.add_argument(
         "--executor",

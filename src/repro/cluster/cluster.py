@@ -659,7 +659,7 @@ class ClusterServer:
         return merged
 
     @_synchronized
-    def run_batch(self, rounds: int, *, engine: str = "scalar") -> ClusterReport:
+    def run_batch(self, rounds: int) -> ClusterReport:
         """Batch every active shard concurrently and aggregate the reports.
 
         With an :class:`~repro.adaptive.ElasticPolicy` configured, the
@@ -670,11 +670,9 @@ class ClusterServer:
         """
         tel = self.telemetry
         if tel is None or not tel.enabled:
-            return self._run_batch_impl(rounds, engine=engine)
-        with tel.span(
-            "cluster-batch", rounds=rounds, engine=engine, queries=len(self)
-        ) as attrs:
-            report = self._run_batch_impl(rounds, engine=engine)
+            return self._run_batch_impl(rounds)
+        with tel.span("cluster-batch", rounds=rounds, queries=len(self)) as attrs:
+            report = self._run_batch_impl(rounds)
             attrs["shards"] = len(report.shard_reports)
             attrs["workers"] = report.workers
             attrs["total_cost"] = report.total_cost
@@ -682,14 +680,14 @@ class ClusterServer:
             attrs["elastic_actions"] = len(report.elastic_actions)
         return report
 
-    def _run_batch_impl(self, rounds: int, *, engine: str) -> ClusterReport:
+    def _run_batch_impl(self, rounds: int) -> ClusterReport:
         active = self.active_shards()
         if not active:
             raise StreamError("no queries registered in any shard")
         workers = self._effective_workers(len(active))
         start = time.perf_counter()
         if workers == 1 or len(active) == 1:
-            reports = [shard.run_batch(rounds, engine=engine) for shard in active]
+            reports = [shard.run_batch(rounds) for shard in active]
         else:
             # Re-attach the cluster-batch span context inside each pool
             # thread: thread-mode shard spans parent under it directly, and
@@ -698,7 +696,7 @@ class ClusterServer:
 
             def batch_shard(shard: Shard) -> BatchReport:
                 with attach_context(ctx):
-                    return shard.run_batch(rounds, engine=engine)
+                    return shard.run_batch(rounds)
 
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 reports = list(pool.map(batch_shard, active))

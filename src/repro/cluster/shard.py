@@ -101,7 +101,7 @@ def build_shard_server(
 
 
 def _run_batch(
-    server: QueryServer, shard_id: int, rounds: int, *, engine: str = "scalar"
+    server: QueryServer, shard_id: int, rounds: int
 ) -> tuple[BatchReport, float]:
     """A timed batch: ``(report, wall seconds)``.
 
@@ -113,12 +113,12 @@ def _run_batch(
     tel = server.telemetry
     start = time.perf_counter()
     if tel is None or not tel.enabled:
-        report = server.run_batch(rounds, engine=engine)
+        report = server.run_batch(rounds)
         return report, time.perf_counter() - start
     with tel.span(
         "shard-batch", shard=shard_id, rounds=rounds, queries=len(server)
     ) as attrs:
-        report = server.run_batch(rounds, engine=engine)
+        report = server.run_batch(rounds)
         attrs["total_cost"] = report.total_cost
         # Close the timing inside the span so the wall seconds ride the
         # span's attrs (trace analysis reads them without the histogram).
@@ -331,11 +331,9 @@ class Shard:
     def step(self) -> dict[str, ExecutionResult]:
         return self._call("step")
 
-    def run_batch(self, rounds: int, *, engine: str = "scalar") -> BatchReport:
+    def run_batch(self, rounds: int) -> BatchReport:
         """Timed batch; wall seconds land in :attr:`last_batch_seconds`."""
-        report, self.last_batch_seconds = self._call(
-            "run_batch", rounds, engine=engine
-        )
+        report, self.last_batch_seconds = self._call("run_batch", rounds)
         return report
 
     # -- lifecycle -------------------------------------------------------

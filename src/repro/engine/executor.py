@@ -93,10 +93,10 @@ class DriftingBernoulliOracle(LeafOracle):
     The oracle draws one full row of outcomes per round (lazily, at the first
     ``outcome`` call of the round) and the per-round clock advances only via
     :meth:`advance`, which the serving layer calls after every executed
-    round. Drawing whole rows makes the random-stream consumption identical
-    to the vectorized engine's single ``rng.random((rounds, n_leaves))``
-    draw (see :meth:`draw_matrix`), so the scalar and vectorized round loops
-    see bit-identical outcomes per seed.
+    round. Drawing whole rows makes the random-stream consumption
+    independent of which leaves a plan probes: round ``r`` always reads row
+    ``r`` of one ``rng.random((rounds, n_leaves))`` tape, so any plan (and
+    any placement of the query) sees bit-identical outcomes per seed.
 
     Leaf outcomes are keyed by *global leaf index in one query's tree*, so a
     drifting oracle is per-query: sharing one instance between queries means
@@ -146,8 +146,8 @@ class DriftingBernoulliOracle(LeafOracle):
         """Move the drift clock forward; the next round re-draws its outcome row.
 
         Rounds whose row was never drawn (no leaf probed) still consume their
-        slice of the generator, keeping the random tape aligned with
-        :meth:`draw_matrix` regardless of how many probes each round needed.
+        slice of the generator, keeping the random tape aligned one row per
+        round regardless of how many probes each round needed.
         """
         if rounds < 0:
             raise StreamError(f"cannot advance by {rounds} rounds")
@@ -156,31 +156,6 @@ class DriftingBernoulliOracle(LeafOracle):
                 self.rng.random(self._n_leaves)
             self._row = None
             self._round += 1
-
-    def draw_matrix(self, rounds: int, n_leaves: int) -> np.ndarray:
-        """Draw ``rounds`` outcome rows at once and advance past them.
-
-        Consumes the generator exactly like ``rounds`` successive scalar
-        rows, so a vectorized batch and a scalar round loop with the same
-        seed replay the same ground truth.
-        """
-        if rounds < 1:
-            raise StreamError(f"need at least one round, got {rounds}")
-        if n_leaves != self.schedule.n_leaves:
-            raise StreamError(
-                f"drift schedule covers {self.schedule.n_leaves} leaves, "
-                f"the query has {n_leaves}"
-            )
-        if self._row is not None:
-            raise StreamError(
-                "cannot batch-draw mid-round: the current round's outcomes "
-                "were already partially served"
-            )
-        probs = self.schedule.prob_matrix(self._round, rounds)
-        outcomes = self.rng.random((rounds, n_leaves)) < probs
-        self._round += rounds
-        self._row = None
-        return outcomes
 
 
 class PredicateOracle(LeafOracle):

@@ -187,7 +187,6 @@ def run_cluster_compare(
     workers: int | None = None,
     executor: str = "thread",
     scheduler: str = DEFAULT_SCHEDULER,
-    engine: str = "scalar",
     warmup: int = 64,
     seed: int = 0,
     telemetry: "Telemetry | None" = None,
@@ -237,7 +236,7 @@ def run_cluster_compare(
             telemetry=telemetry if label == "overlap-sharded" else None,
         )
         partition = cluster.register_population(population, method=method)
-        report = cluster.run_batch(rounds, engine=engine)
+        report = cluster.run_batch(rounds)
         cluster.close()
         results.append(
             ClusterModeResult(
@@ -272,7 +271,6 @@ def verify_cluster_parity(
     n_clusters: int = 4,
     streams_per_cluster: int = 4,
     rounds: int = 8,
-    engine: str = "scalar",
     executor: str = "thread",
     seed: int = 0,
     atol: float = 1e-9,
@@ -299,14 +297,14 @@ def verify_cluster_parity(
         registry, n_shards=n_clusters, executor=executor, seed=seed + 2
     )
     cluster.register_population(population)
-    cluster_report = cluster.run_batch(rounds, engine=engine)
+    cluster_report = cluster.run_batch(rounds)
     cluster.close()
 
     single = QueryServer(registry)
     factory = default_oracle_factory(seed + 2)
     for name, tree in population:
         single.register(name, tree, oracle=factory(name))
-    single_report = single.run_batch(rounds, engine=engine)
+    single_report = single.run_batch(rounds)
 
     deltas: dict[str, float] = {}
     for name in single_report.per_query_cost:
@@ -336,7 +334,6 @@ def verify_elastic_parity(
     n_clusters: int = 4,
     streams_per_cluster: int = 3,
     rounds: int = 4,
-    engine: str = "scalar",
     executor: str = "thread",
     seed: int = 0,
     elastic: ElasticPolicy | None = None,
@@ -380,8 +377,8 @@ def verify_elastic_parity(
     single_true: dict[str, float] = {name: 0.0 for name, _ in population}
 
     def run_phase() -> None:
-        creport = cluster.run_batch(rounds, engine=engine)
-        sreport = single.run_batch(rounds, engine=engine)
+        creport = cluster.run_batch(rounds)
+        sreport = single.run_batch(rounds)
         for name in sreport.per_query_cost:
             cluster_cost[name] += creport.per_query_cost[name]
             single_cost[name] += sreport.per_query_cost[name]
@@ -502,7 +499,6 @@ def run_elastic_sim(
     workers: int | None = None,
     executor: str = "thread",
     scheduler: str = DEFAULT_SCHEDULER,
-    engine: str = "scalar",
     warmup: int = 64,
     seed: int = 0,
     telemetry: "Telemetry | None" = None,
@@ -561,7 +557,7 @@ def run_elastic_sim(
             report.timeline.append((batch, admitted, departed, 0, cluster.n_shards, 0.0, ()))
             continue
         start = time.perf_counter()
-        batch_report = cluster.run_batch(rounds_per_batch, engine=engine)
+        batch_report = cluster.run_batch(rounds_per_batch)
         report.wall_seconds += time.perf_counter() - start
         report.total_cost += batch_report.total_cost
         report.evals += batch_report.evals

@@ -82,7 +82,6 @@ class DriftReport:
     drift_round: int
     n_queries: int
     seed: int
-    engine: str
     static: DriftModeResult
     adaptive: DriftModeResult
     oracle: DriftModeResult
@@ -135,8 +134,8 @@ class DriftReport:
     def describe(self) -> str:
         lag = self.detection_lag
         return (
-            f"drift at round {self.drift_round}/{self.rounds}, {self.n_queries} queries"
-            f" ({self.engine} engine): adaptive/oracle = {self.adaptive_vs_oracle:.3f},"
+            f"drift at round {self.drift_round}/{self.rounds}, {self.n_queries} queries:"
+            f" adaptive/oracle = {self.adaptive_vs_oracle:.3f},"
             f" static/oracle = {self.static_vs_oracle:.3f},"
             f" detection lag = {lag if lag is not None else 'n/a'} rounds"
         )
@@ -208,7 +207,6 @@ def _serve(
     oracle_seed: int,
     *,
     scheduler: str,
-    engine: str,
     rounds: int,
     adaptive: AdaptivePolicy | None,
     cheap_cost: float,
@@ -229,11 +227,11 @@ def _serve(
         )
     mode = "adaptive" if adaptive is not None else "static"
     if oracle_replan_round is None:
-        report = server.run_batch(rounds, engine=engine)
+        report = server.run_batch(rounds)
         round_costs = tuple(report.round_costs)
     else:
         mode = "oracle"
-        first = server.run_batch(oracle_replan_round, engine=engine)
+        first = server.run_batch(oracle_replan_round)
         replanned: set[str] = set()
         for name, _, drift in population:
             key = server.query(name).canonical.key
@@ -242,7 +240,7 @@ def _serve(
             replanned.add(key)
             truth = drift.probs_at(drift.settled_after())
             server.replan_query(name, {g: float(p) for g, p in enumerate(truth)})
-        second = server.run_batch(rounds - oracle_replan_round, engine=engine)
+        second = server.run_batch(rounds - oracle_replan_round)
         round_costs = tuple(first.round_costs) + tuple(second.round_costs)
     return (
         server,
@@ -263,7 +261,6 @@ def run_drift(
     rounds: int = 360,
     drift_round: int = 120,
     seed: int = 0,
-    engine: str = "vectorized",
     scheduler: str = DEFAULT_SCHEDULER,
     policy: AdaptivePolicy | None = None,
     pre_prob: float = 0.05,
@@ -301,7 +298,6 @@ def run_drift(
     )
     common = dict(
         scheduler=scheduler,
-        engine=engine,
         rounds=rounds,
         cheap_cost=cheap_cost,
         expensive_cost=expensive_cost,
@@ -319,7 +315,6 @@ def run_drift(
         drift_round=drift_round,
         n_queries=n_queries,
         seed=seed,
-        engine=engine,
         static=static,
         adaptive=adaptive,
         oracle=oracle,

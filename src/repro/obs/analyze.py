@@ -257,12 +257,12 @@ def attribute(node: SpanNode) -> Attribution:
 
     Two complementary sources are combined:
 
-    * **phase accounting** — the server's round loops time their own
+    * **phase accounting** — the server's round loop times its own
       acquisition / planning / evaluation / telemetry segments with paired
-      ``perf_counter`` reads and attach the totals as a
+      ``perf_counter`` reads and attaches the totals as a
       ``phase_seconds`` attribute on each ``batch`` span (cheap enough to
-      survive microsecond vectorized rounds, where per-round spans would
-      cost more than the work they measure);
+      survive sub-millisecond rounds, where per-round spans would cost
+      more than the work they measure);
     * **mapped spans** — migration, elastic and plan-cache-upcall spans
       contribute their durations directly; only the outermost mapped span
       on any path counts, and phase accounting nested under a mapped span

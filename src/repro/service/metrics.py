@@ -5,7 +5,7 @@ once — must be *measurable*, so the server maintains a
 :class:`ServiceMetrics` ledger: per-query cost/probe/outcome counters,
 aggregate sharing counters (items saved, free probes), the plan cache's
 hit rate, and a per-round cost series for tail percentiles (p50/p95/p99).
-Every round reaches the ledger the same way: both round loops fold their
+Every round reaches the ledger the same way: the round loop folds its
 :class:`~repro.service.shared_plan.RoundStats` in through
 :meth:`ServiceMetrics.record_round`, the one place a round's numbers are
 added to the ledger.
@@ -131,8 +131,11 @@ class ServiceMetrics:
         self.round_costs.append(stats.cost)
         if len(self.round_costs) > ROUND_COST_WINDOW:
             del self.round_costs[: -ROUND_COST_WINDOW]
+        per_query = self.per_query
         for name, value in values.items():
-            query_stats = self.query_stats(name)
+            query_stats = per_query.get(name)
+            if query_stats is None:
+                query_stats = per_query[name] = QueryStats()
             query_stats.rounds += 1
             query_stats.cost += stats.query_cost.get(name, 0.0)
             query_stats.probes += stats.query_probes.get(name, 0)

@@ -32,17 +32,13 @@ from repro.core.heuristics.base import Scheduler, get_scheduler
 from repro.core.resolution import TreeIndex
 from repro.core.schedule import Schedule, validate_schedule
 from repro.core.tree import AndTree, DnfTree, QueryTree
-import numpy as np
-
 from repro.engine.executor import (
     BernoulliOracle,
     DriftingBernoulliOracle,
     ExecutionResult,
     LeafOracle,
-    PrecomputedOracle,
     ScheduleExecutor,
 )
-from repro.engine.vectorized import BatchResult, VectorizedExecutor
 from repro.engine.workload import compute_max_windows
 from repro.errors import AdmissionError, StreamError
 from repro.obs import Counter, Histogram, MetricsRegistry, Telemetry
@@ -54,7 +50,6 @@ from repro.service.shared_plan import (
     RoundProgram,
     RoundStats,
     SharedPlan,
-    compile_round,
     merge_schedules,
 )
 from repro.streams.registry import StreamRegistry
@@ -283,11 +278,11 @@ class QueryServer:
         self.replan_log: list[ReplanEvent] = []
         self.telemetry = telemetry
         # Cumulative busy-seconds per execution phase, maintained by the
-        # round loops only while telemetry is enabled. run_batch snapshots
+        # round loop only while telemetry is enabled. run_batch snapshots
         # before/after deltas onto the batch span (``phase_seconds``), which
         # is what repro.obs.analyze buckets wall time with — paired
         # perf_counter reads per round are cheap enough to survive
-        # microsecond vectorized rounds where per-round spans would not be.
+        # sub-millisecond rounds where per-round spans would not be.
         self._phase_seconds = {
             "acquisition": 0.0,
             "planning": 0.0,
@@ -312,13 +307,12 @@ class QueryServer:
         self._window_counts: dict[str, collections.Counter[int]] = {}
         self._max_windows: dict[str, int] = {}
         self._plan: SharedPlan | None = None
-        #: ``_plan`` (or the round's blocked order) compiled for the scalar
-        #: round loop; recompiled whenever the plan object changes.
+        #: ``_plan`` (or the round's blocked order) compiled for the round
+        #: loop; recompiled whenever the plan object changes.
         self._program: RoundProgram | None = None
         #: The residents' distinct drifting oracles in registration order;
         #: ``None`` after a population change until the next round rebuilds it.
         self._drifting: tuple[DriftingBernoulliOracle, ...] | None = None
-        self._vector_executors: dict[str, VectorizedExecutor] = {}
         self._round = 0
         # One reentrant lock serializes every population mutation and every
         # round against each other, so background admission threads can
@@ -328,10 +322,11 @@ class QueryServer:
 
     def __getstate__(self) -> dict:
         # RPR001: explicit pickle contract. A server is process-local by
-        # design (live RLock, per-query oracle state, vectorized executor
-        # caches); cross-process migration goes through export_query() /
-        # QuerySnapshot, which pickles cleanly. Fail at pickle time with
-        # the right pointer instead of at pipe-send time with a lock error.
+        # design (live RLock, per-query oracle state, the compiled round
+        # program's bound oracles); cross-process migration goes through
+        # export_query() / QuerySnapshot, which pickles cleanly. Fail at
+        # pickle time with the right pointer instead of at pipe-send time
+        # with a lock error.
         raise TypeError(
             "QueryServer is process-local (live RLock and executor state); "
             "migrate queries with export_query()/admit_migrated() instead "
@@ -390,8 +385,8 @@ class QueryServer:
         """Admit a query: canonicalize, plan (through the cache), index.
 
         ``replace=True`` cleanly swaps an existing registration of ``name``
-        (its compiled vectorized executor and shared-plan slot are dropped,
-        never reused for the new tree); the default rejects duplicates.
+        (its shared-plan slot and compiled round program are dropped, never
+        reused for the new tree); the default rejects duplicates.
 
         Raises :class:`~repro.errors.AdmissionError` on a duplicate name or a
         full server, :class:`~repro.errors.StreamError` when the tree uses an
@@ -435,8 +430,6 @@ class QueryServer:
         # The cached schedule addresses the canonical tree; expand it back to
         # this query's own leaf indices.
         expanded = form.expand_schedule(plan.schedule)
-        # A stale compiled executor for this name must never serve a new tree.
-        self._vector_executors.pop(name, None)
         registered = RegisteredQuery(
             name=name,
             tree=dnf,
@@ -528,8 +521,6 @@ class QueryServer:
         self.registry.validate_tree_streams(tuple(query.tree.streams))
         if self.adaptive is not None and snapshot.belief is not None:
             self.adaptive.import_shape(query.canonical.key, snapshot.belief)
-        # A stale compiled executor for this name must never serve a new tree.
-        self._vector_executors.pop(query.name, None)
         self._queries[query.name] = query
         self._shape_refs[query.canonical.key] += 1
         self._after_population_change(query, joined=True)
@@ -605,8 +596,6 @@ class QueryServer:
             self.cache.retain_relevant(windows)
         self._plan = None  # rebuilt lazily on the next step
         self._drifting = None
-        if not joined:
-            self._vector_executors.pop(query.name, None)
 
     def _plan_canonical(self, form: CanonicalForm, scheduler: Scheduler) -> CachedPlan:
         if self.plan_cache is not None:
@@ -886,12 +875,11 @@ class QueryServer:
     ) -> None:
         """One round's metrics, detail events and phase split (enabled path only).
 
-        Recording is per *round*, never per probe: the scalar and vectorized
-        loops both call this exactly once after closing the round, so the
-        instrumented hot paths stay allocation-free between rounds.
-        ``started`` is the round's first clock read and ``evaluating`` the
-        read its evaluation phase began at; each loop passes the acquisition
-        and planning seconds it measured its own way.
+        Recording is per *round*, never per probe: the round loop calls this
+        exactly once after closing the round, so the instrumented hot path
+        stays allocation-free between rounds. ``started`` is the round's
+        first clock read and ``evaluating`` the read its evaluation phase
+        began at.
         """
         evaluated_at = time.perf_counter()
         reg = tel.registry
@@ -954,8 +942,8 @@ class QueryServer:
     ) -> None:
         """Account one executed round: the clock, the ledger, the batch tally.
 
-        Both round loops close every round here, so the ledger and the batch
-        report read the same numbers whichever engine ran the round.
+        The ledger and the batch report read every round from here, so
+        they agree on its numbers.
         """
         self._round += 1
         self.metrics.record_round(stats, values)
@@ -967,10 +955,15 @@ class QueryServer:
     @_synchronized
     def step(self) -> dict[str, ExecutionResult]:
         """Advance the streams one tick and evaluate every registered query."""
-        return self._step(None)
+        return self._step(None).results()
 
-    def _step(self, tally: _BatchTally | None) -> dict[str, ExecutionResult]:
-        """One scalar round; inside a batch, ``tally`` also receives it."""
+    def _step(self, tally: _BatchTally | None) -> RoundProgram:
+        """One round; inside a batch, ``tally`` also receives it.
+
+        Returns the program that ran the round, whose
+        :meth:`~repro.service.shared_plan.RoundProgram.results` read it back
+        per query until the next round.
+        """
         if not self._queries:
             raise StreamError("no queries registered")
         tel = self.telemetry
@@ -987,17 +980,18 @@ class QueryServer:
         plan = self.shared_plan() if self.shared_plan_enabled else self._blocked_probes()
         program = self._program
         if program is None or program.plan is not plan:
-            program = self._program = compile_round(
-                plan, {name: query.index for name, query in self._queries.items()}
+            queries = self._queries
+            program = self._program = RoundProgram(
+                plan,
+                {name: query.index for name, query in queries.items()},
+                {name: query.oracle for name, query in queries.items()},
             )
         planned_at = time.perf_counter() if recording else 0.0
-        results, stats = program.run(
-            self.cache, {name: query.oracle for name, query in self._queries.items()}
-        )
-        values = {name: result.value for name, result in results.items()}
+        stats = program.run(self.cache)
+        values = program.values()
         self._close_round(stats, values, tally)
         if self.adaptive is not None:
-            for name, result in results.items():
+            for name, result in program.results().items():
                 self._observe_outcomes(self._queries[name], result.outcomes)
             self._maybe_replan()
         self._advance_drifting_oracles(1)
@@ -1011,40 +1005,28 @@ class QueryServer:
                 planning=planned_at - acquired_at,
                 evaluating=planned_at,
             )
-        return results
+        return program
 
     @_synchronized
     def run_batch(self, rounds: int, *, engine: str = "scalar") -> BatchReport:
         """Run ``rounds`` consecutive steps and aggregate the outcome.
 
-        ``engine="vectorized"`` precomputes every query's per-round outcome
-        matrix and short-circuit resolution in bulk through
-        :class:`~repro.engine.vectorized.VectorizedExecutor`, then replays
-        only the *evaluated* probes against the shared cache — the metrics
-        (round costs, probes, free probes, items fetched/saved, per-query
-        stats) are accounted identically to the scalar loop. It requires
-        Bernoulli or precomputed oracles (real-data
-        :class:`~repro.engine.executor.PredicateOracle` queries stay on the
-        scalar path); with deterministic outcomes both engines produce the
-        same report.
+        ``engine`` no longer selects anything: ``"scalar"`` and
+        ``"vectorized"`` both run the one compiled round loop, and any other
+        value raises :class:`~repro.errors.StreamError`. A batch builds no
+        per-query :class:`~repro.engine.executor.ExecutionResult` unless
+        adaptive re-planning needs the round's outcomes.
         """
         if engine not in ("scalar", "vectorized"):
             raise StreamError(f"unknown batch engine {engine!r}")
         if rounds < 1:
             raise StreamError(f"need at least one round, got {rounds}")
-        runner = (
-            self._run_batch_vectorized
-            if engine == "vectorized"
-            else self._run_batch_scalar
-        )
         tel = self.telemetry
         if tel is None or not tel.enabled:
-            return runner(rounds)
-        with tel.span(
-            "batch", engine=engine, rounds=rounds, queries=len(self._queries)
-        ) as attrs:
+            return self._run_batch(rounds)
+        with tel.span("batch", rounds=rounds, queries=len(self._queries)) as attrs:
             marks = dict(self._phase_seconds)
-            report = runner(rounds)
+            report = self._run_batch(rounds)
             attrs["total_cost"] = report.total_cost
             attrs["probes"] = report.probes
             attrs["replans"] = report.replans
@@ -1055,6 +1037,12 @@ class QueryServer:
                 phase: self._phase_seconds[phase] - marks[phase] for phase in marks
             }
         return report
+
+    def _run_batch(self, rounds: int) -> BatchReport:
+        tally = _BatchTally(self._ledger_counts())
+        for _ in range(rounds):
+            self._step(tally)
+        return self._batch_report(tally)
 
     def _ledger_counts(self) -> tuple[int, ...]:
         """The ledger counters a batch report reads as deltas."""
@@ -1090,168 +1078,6 @@ class QueryServer:
             ),
             replans=replans,
         )
-
-    def _run_batch_scalar(self, rounds: int) -> BatchReport:
-        tally = _BatchTally(self._ledger_counts())
-        for _ in range(rounds):
-            self._step(tally)
-        return self._batch_report(tally)
-
-    # -- vectorized round loop ------------------------------------------
-
-    def _draw_round_outcomes(self, query: RegisteredQuery, rounds: int) -> np.ndarray:
-        """One ``(rounds, n_leaves)`` outcome matrix for ``query``."""
-        leaves = query.tree.leaves
-        oracle = query.oracle
-        if isinstance(oracle, DriftingBernoulliOracle):
-            return oracle.draw_matrix(rounds, len(leaves))
-        if isinstance(oracle, BernoulliOracle):
-            probs = np.array([leaf.prob for leaf in leaves])
-            return oracle.rng.random((rounds, len(leaves))) < probs
-        outcomes = getattr(oracle, "outcomes", None)
-        if outcomes is None:
-            raise StreamError(
-                f"query {query.name!r} has an oracle of type "
-                f"{type(oracle).__name__} without precomputed outcomes; the "
-                "vectorized round loop cannot batch it"
-            )
-        row = np.empty(len(leaves), dtype=bool)
-        for g in range(len(leaves)):
-            try:
-                row[g] = bool(outcomes[g])
-            except (KeyError, IndexError):
-                # A partial PrecomputedOracle (legal on the scalar path, where
-                # short-circuited leaves are never queried) cannot be batched.
-                raise StreamError(
-                    f"query {query.name!r} has a precomputed oracle without an "
-                    f"outcome for leaf {g}; the vectorized round loop needs every "
-                    "leaf — use run_batch(engine='scalar') or supply all outcomes"
-                ) from None
-        return np.tile(row, (rounds, 1))
-
-    def _vector_executor(self, query: RegisteredQuery) -> VectorizedExecutor:
-        """Per-query executor, compiled once and reused across batches."""
-        executor = self._vector_executors.get(query.name)
-        if executor is None:
-            executor = VectorizedExecutor(query.tree, index=query.index)
-            self._vector_executors[query.name] = executor
-        return executor
-
-    def _run_batch_vectorized(self, rounds: int) -> BatchReport:
-        """Bulk-resolution round loop: batch the trials, replay only probes.
-
-        With adaptivity enabled the loop observes each round's evaluated
-        outcomes exactly like the scalar loop; when a re-plan fires mid-batch
-        the affected queries' *remaining* outcome rows are re-resolved under
-        the new schedule (the ground-truth outcome matrix is drawn once up
-        front, so a re-plan changes only which probes get evaluated — never
-        the data).
-        """
-        if not self._queries:
-            raise StreamError("no queries registered")
-        # Validate the whole population up front so a mixed population fails
-        # before any oracle rng is consumed (keeping seed streams replayable
-        # by a follow-up scalar run).
-        for query in self._queries.values():
-            if not isinstance(
-                query.oracle,
-                (BernoulliOracle, PrecomputedOracle, DriftingBernoulliOracle),
-            ):
-                raise StreamError(
-                    f"query {query.name!r} uses {type(query.oracle).__name__}, which "
-                    "the vectorized round loop cannot batch; use "
-                    "run_batch(engine='scalar')"
-                )
-        tally = _BatchTally(self._ledger_counts())
-        tel = self.telemetry
-        recording = tel is not None and tel.enabled
-        outcome_matrices: dict[str, np.ndarray] = {}
-        batches: dict[str, BatchResult] = {}
-        # First batch row each query's current BatchResult corresponds to
-        # (advances past re-plans, which re-resolve the remaining rows).
-        offsets: dict[str, int] = {}
-        # The bulk resolution below is the vectorized engine's *evaluation*
-        # work hoisted out of the round loop — credit it to that phase.
-        prelude_start = time.perf_counter() if recording else 0.0
-        for name, query in self._queries.items():
-            outcome_matrices[name] = self._draw_round_outcomes(query, rounds)
-            batches[name] = self._vector_executor(query).run_batch(
-                query.schedule, outcomes=outcome_matrices[name]
-            )
-            offsets[name] = 0
-        if recording:
-            self._phase_seconds["evaluation"] += time.perf_counter() - prelude_start
-        leaves_of = {name: query.tree.leaves for name, query in self._queries.items()}
-        shared = self.shared_plan_enabled
-        for r in range(rounds):
-            wall_start = time.perf_counter() if recording else 0.0
-            self.cache.advance(1, max_windows=self._max_windows)
-            planning_at = time.perf_counter() if recording else 0.0
-            probes = (
-                self.shared_plan().probes if shared else self._blocked_probes().probes
-            )
-            planned_at = time.perf_counter() if recording else 0.0
-            stats = RoundStats()
-            # Largest window fetched per stream so far this round: any probe
-            # within it is fully cached, so the fetch call can be elided —
-            # it would fetch nothing, charge nothing and mutate nothing.
-            round_max: dict[str, int] = {}
-            for probe in probes:
-                local = r - offsets[probe.query]
-                if not batches[probe.query].evaluated[local, probe.gindex]:
-                    continue
-                leaf = leaves_of[probe.query][probe.gindex]
-                if leaf.items <= round_max.get(leaf.stream, 0):
-                    cost, fetched_items = 0.0, 0
-                else:
-                    fetch = self.cache.fetch_window(leaf.stream, leaf.items)
-                    cost, fetched_items = fetch.cost, fetch.fetched_items
-                    round_max[leaf.stream] = leaf.items
-                stats.record_probe(probe.query, leaf.items, cost, fetched_items)
-            # Phase split: the window advance and the fetch replay above are
-            # this round's *acquisition* (the boolean evaluation happened in
-            # the bulk prelude) and the probe list between them is planning;
-            # the accounting and adaptivity below are evaluation.
-            acquired_at = time.perf_counter() if recording else 0.0
-            values = {
-                name: bool(batches[name].values[r - offsets[name]])
-                for name in self._queries
-            }
-            self._close_round(stats, values, tally)
-            if self.adaptive is not None:
-                for name, query in self._queries.items():
-                    local = r - offsets[name]
-                    evaluated_row = batches[name].evaluated[local]
-                    outcome_row = batches[name].outcomes[local]
-                    self._observe_outcomes(
-                        query,
-                        {
-                            int(g): bool(outcome_row[g])
-                            for g in np.nonzero(evaluated_row)[0]
-                        },
-                    )
-                events = self._maybe_replan()
-                if events and r + 1 < rounds:
-                    replanned_keys = {event.canonical_key for event in events}
-                    for name, query in self._queries.items():
-                        if query.canonical.key not in replanned_keys:
-                            continue
-                        batches[name] = self._vector_executor(query).run_batch(
-                            query.schedule,
-                            outcomes=outcome_matrices[name][r + 1 :],
-                        )
-                        offsets[name] = r + 1
-            if recording:
-                self._record_round_telemetry(
-                    tel,
-                    stats,
-                    values,
-                    started=wall_start,
-                    acquisition=(planning_at - wall_start) + (acquired_at - planned_at),
-                    planning=planned_at - planning_at,
-                    evaluating=acquired_at,
-                )
-        return self._batch_report(tally)
 
 
 def run_isolated(

@@ -24,27 +24,35 @@ Merging P probes costs O(P log P) plus one re-score of a stream's waiting
 leaves each time its planned window grows, instead of a rescan of every
 query per pick.
 
-A round runs as a *compiled round program*. :func:`compile_round` turns the
-plan into one flat list of ``(query slot, leaf record)`` steps, once per
-plan; :meth:`RoundProgram.run` walks it each round with one node-value list
-per query, a guard check per probe and an iterative walk to the root per
-evaluated probe. Most probes in a shared plan are free, so a round pays
-for its windows per stream, not per probe: a *window memo* keeps each
-stream's widest window fetched this round, and a probe inside it takes the
-memo's newest items (read-only) without calling the cache.
+A round runs as a *compiled round program*: :class:`RoundProgram` lays the
+population's tree nodes out in one flat list and turns the plan into one
+flat tuple of steps, once per plan; :meth:`RoundProgram.run` walks it each
+round with a guard check per probe and an iterative walk to the root per
+evaluated probe, and allocates nothing per resident. Most probes in a shared
+plan are free, so a round pays for its windows per stream, not per probe: a
+*window memo* keeps each stream's widest window fetched this round, and a
+probe inside it takes the memo's newest items (read-only) without calling
+the cache.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
 import numpy as np
 
 from repro.core.leaf import Leaf
-from repro.core.resolution import FALSE, KIND_AND, TRUE, UNRESOLVED, LeafRecord, TreeIndex
+from repro.core.resolution import (
+    FALSE,
+    KIND_AND,
+    KIND_OR,
+    TRUE,
+    UNRESOLVED,
+    LeafRecord,
+    TreeIndex,
+)
 from repro.core.schedule import Schedule
 from repro.core.tree import AndTree, DnfTree, QueryTree
 from repro.engine.executor import ExecutionResult, LeafOracle
@@ -56,12 +64,14 @@ __all__ = [
     "SharedPlan",
     "merge_schedules",
     "execute_round",
-    "compile_round",
     "RoundProgram",
     "RoundStats",
 ]
 
 _EPSILON = 1e-9
+
+# The round walk compares a child's value with its parent's kind directly.
+assert (KIND_AND, KIND_OR) == (TRUE, FALSE)
 
 
 @dataclass(frozen=True, slots=True)
@@ -227,17 +237,15 @@ def merge_schedules(
     return SharedPlan(probes=tuple(probes), planned_items=planned)
 
 
+
+
 @dataclass
 class RoundStats:
     """The one per-round record: aggregate and per-query accounting.
 
-    Both round loops fill it, and the server's ledger, batch report and
-    telemetry read the round from here. The vectorized replay accounts each
-    executed probe through :meth:`record_probe`; the compiled scalar program
-    (:meth:`RoundProgram.run`) sums per query slot and fills the per-query
-    entries once per round, in registration order, with the same sums in
-    the same probe order. A query none of whose probes ran has no
-    per-query entry.
+    :meth:`RoundProgram.run` fills it, and the server's ledger, batch report
+    and telemetry read the round from here. The per-query entries come in
+    registration order; a query none of whose probes ran has none.
     """
 
     cost: float = 0.0
@@ -245,72 +253,111 @@ class RoundStats:
     free_probes: int = 0
     items_fetched: int = 0
     items_saved: int = 0
-    query_cost: dict[str, float] = field(default_factory=lambda: defaultdict(float))
-    query_probes: dict[str, int] = field(default_factory=lambda: defaultdict(int))
-    query_items_fetched: dict[str, int] = field(
-        default_factory=lambda: defaultdict(int)
-    )
-    query_items_saved: dict[str, int] = field(default_factory=lambda: defaultdict(int))
-
-    def record_probe(
-        self, query: str, window_items: int, cost: float, fetched_items: int
-    ) -> None:
-        """Account one executed probe of the vectorized replay."""
-        self.cost += cost
-        self.probes += 1
-        self.items_fetched += fetched_items
-        saved = window_items - fetched_items
-        self.items_saved += saved
-        self.query_cost[query] += cost
-        self.query_probes[query] += 1
-        self.query_items_fetched[query] += fetched_items
-        self.query_items_saved[query] += saved
-        if fetched_items == 0:
-            self.free_probes += 1
+    query_cost: dict[str, float] = field(default_factory=dict)
+    query_probes: dict[str, int] = field(default_factory=dict)
+    query_items_fetched: dict[str, int] = field(default_factory=dict)
+    query_items_saved: dict[str, int] = field(default_factory=dict)
 
 
-@dataclass(frozen=True, slots=True)
+#: One compiled probe: its query's slot, the query's *base* (where its
+#: tree's nodes start in the program's flat node lists) and the probed
+#: leaf's :data:`~repro.core.resolution.LeafRecord`, whose node ids count
+#: from that base.
+Step = tuple[int, int, LeafRecord]
+
+
 class RoundProgram:
-    """A shared plan compiled against its population's tree indexes.
+    """A shared plan compiled against its population's trees and oracles.
 
-    ``steps`` pairs every probe with its query's *slot* (position in
-    ``names``) and the probed leaf's :data:`~repro.core.resolution.LeafRecord`,
-    so a round resolves no name and builds no per-probe object. The program
-    depends only on the plan and the indexes, so it serves every round of
-    its plan; :meth:`run` executes one.
+    Compiling is one pass over the residents and one over the probes: every
+    tree's nodes are laid out in one population-wide flat list, each probe
+    becomes a :data:`Step` and each query's ``oracle.outcome`` is bound
+    once. A round (:meth:`run`) then resolves no name and allocates nothing
+    per resident: it resets the flat node state and walks the steps. A
+    leaf's node holds its outcome when its probe was evaluated, so
+    :meth:`values` and :meth:`results` read the last round back per query
+    from that state, for the callers that need them. The program depends
+    only on the plan, the trees and the oracles, so it serves every round
+    of its plan.
     """
 
-    plan: SharedPlan
-    names: tuple[str, ...]
-    indexes: tuple[TreeIndex, ...]
-    steps: tuple[tuple[int, LeafRecord], ...]
+    __slots__ = (
+        "plan",
+        "names",
+        "steps",
+        "_roots",
+        "_parent",
+        "_kinds",
+        "_need",
+        "_outcome_of",
+        "_state",
+        "_counts",
+        "_blank",
+        "_query_cost",
+        "_slot_steps",
+    )
 
-    def run(
+    def __init__(
         self,
-        cache: Union[DataItemCache, CountingCache],
+        plan: SharedPlan,
+        indexes: Mapping[str, TreeIndex],
         oracles: Mapping[str, LeafOracle],
-    ) -> tuple[dict[str, ExecutionResult], RoundStats]:
+    ) -> None:
+        self.plan = plan
+        self.names = tuple(indexes)
+        roots: list[int] = []
+        parent: list[int] = []
+        kinds: list[int] = []
+        need: list[int] = []
+        records: dict[str, tuple[int, int, tuple[LeafRecord, ...]]] = {}
+        for slot, (name, index) in enumerate(indexes.items()):
+            base = len(parent)
+            roots.append(base)
+            parent.extend(index.parent)
+            kinds.extend(index.kinds)
+            need.extend(map(len, index.children))
+            records[name] = (slot, base, index.leaf_records)
+        steps: list[Step] = []
+        for probe in plan.probes:
+            slot, base, leaf_records = records[probe.query]
+            steps.append((slot, base, leaf_records[probe.gindex]))
+        self.steps = tuple(steps)
+        self._roots = tuple(roots)
+        self._parent = parent
+        self._kinds = kinds
+        self._need = need
+        self._outcome_of = [oracles[name].outcome for name in self.names]
+        # UNRESOLVED is 0, so one blank list resets both the node values
+        # and the resolved-children counts.
+        self._blank = [0] * len(parent)
+        self._state = list(self._blank)
+        self._counts = list(self._blank)
+        self._query_cost = [0.0] * len(self.names)
+        self._slot_steps: list[list[tuple[int, int]]] | None = None
+
+    def run(self, cache: Union[DataItemCache, CountingCache]) -> RoundStats:
         """Execute one round; see :func:`execute_round`."""
         names = self.names
-        indexes = self.indexes
-        outcome_of = [oracles[name].outcome for name in names]
-        values = [[UNRESOLVED] * index.n_nodes for index in indexes]
-        resolved = [[0] * index.n_nodes for index in indexes]
-        skipped: list[list[int]] = [[] for _ in names]
-        outcomes: list[dict[int, bool]] = [{} for _ in names]
-        query_cost = [0.0] * len(names)
+        state = self._state
+        counts = self._counts
+        state[:] = self._blank
+        counts[:] = self._blank
+        parent = self._parent
+        kinds = self._kinds
+        need = self._need
+        outcome_of = self._outcome_of
+        query_cost = self._query_cost = [0.0] * len(names)
         query_fetched = [0] * len(names)
         query_items = [0] * len(names)
+        query_probes = [0] * len(names)
         # Per stream, the largest window fetched this round and its values.
         held: dict[str, tuple[int, np.ndarray | None]] = {}
         fetch_window = cache.fetch_window
         total = 0.0
         free = 0
-        for slot, (g, leaf, stream, items, node, guards) in self.steps:
-            state = values[slot]
+        for slot, base, (g, leaf, stream, items, node, guards) in self.steps:
             for guard in guards:
-                if state[guard]:
-                    skipped[slot].append(g)
+                if state[base + guard]:
                     break
             else:
                 memo = held.get(stream)
@@ -336,39 +383,30 @@ class RoundProgram:
                     if not fetch.fetched_items:
                         free += 1
                 query_items[slot] += items
-                outcome = outcome_of[slot](g, leaf, window)
-                outcomes[slot][g] = outcome
+                query_probes[slot] += 1
                 # Propagate toward the root. The value never changes on the
                 # way up: an AND takes a FALSE child's value (or its last
                 # TRUE child's), an OR a TRUE child's (or its last FALSE
-                # child's); any other child stops the walk.
-                index = indexes[slot]
-                parent = index.parent
-                kinds = index.kinds
-                children = index.children
-                counts = resolved[slot]
-                value = TRUE if outcome else FALSE
+                # child's); any other child stops the walk. A child value
+                # equal to its parent's kind (TRUE under an AND, FALSE under
+                # an OR) leaves the parent open.
+                value = TRUE if outcome_of[slot](g, leaf, window) else FALSE
+                node += base
                 while True:
                     state[node] = value
-                    node_parent = parent[node]
-                    if node_parent < 0:
+                    up = parent[node]
+                    if up < 0:
                         break
-                    counts[node_parent] += 1
-                    if (
-                        value == (TRUE if kinds[node_parent] == KIND_AND else FALSE)
-                        and counts[node_parent] < len(children[node_parent])
-                    ):
+                    up += base
+                    resolved = counts[up] + 1
+                    counts[up] = resolved
+                    if value == kinds[up] and resolved < need[up]:
                         break
-                    node = node_parent
+                    node = up
         stats = RoundStats(cost=total, free_probes=free)
-        results: dict[str, ExecutionResult] = {}
-        for slot, name in enumerate(names):
-            root = values[slot][0]
-            assert root != UNRESOLVED, "a full schedule always resolves the root"
-            # Insertion order: the query's evaluated leaves in probe order.
-            evaluated = tuple(outcomes[slot])
-            probes = len(evaluated)
+        for slot, probes in enumerate(query_probes):
             if probes:
+                name = names[slot]
                 fetched = query_fetched[slot]
                 saved = query_items[slot] - fetched
                 stats.probes += probes
@@ -378,31 +416,48 @@ class RoundProgram:
                 stats.query_probes[name] = probes
                 stats.query_items_fetched[name] = fetched
                 stats.query_items_saved[name] = saved
+        return stats
+
+    def values(self) -> dict[str, bool]:
+        """Every query's root value in the last round, in slot order."""
+        state = self._state
+        values: dict[str, bool] = {}
+        for name, root in zip(self.names, self._roots):
+            value = state[root]
+            assert value != UNRESOLVED, "a full schedule always resolves the root"
+            values[name] = value == TRUE
+        return values
+
+    def results(self) -> dict[str, ExecutionResult]:
+        """Every query's :class:`ExecutionResult` of the last round, in slot order."""
+        if self._slot_steps is None:
+            # Per query, its probes' (leaf global index, flat leaf node).
+            self._slot_steps = [[] for _ in self.names]
+            for slot, base, (g, _, _, _, node, _) in self.steps:
+                self._slot_steps[slot].append((g, base + node))
+        state = self._state
+        results: dict[str, ExecutionResult] = {}
+        for (name, value), cost, steps in zip(
+            self.values().items(), self._query_cost, self._slot_steps
+        ):
+            skipped: list[int] = []
+            # Insertion order: the query's evaluated leaves in probe order.
+            outcomes: dict[int, bool] = {}
+            for g, node in steps:
+                # A leaf's node is resolved only by its own evaluation, and
+                # a second probe of an evaluated leaf is skipped.
+                if state[node] == UNRESOLVED or g in outcomes:
+                    skipped.append(g)
+                else:
+                    outcomes[g] = state[node] == TRUE
             results[name] = ExecutionResult(
-                value=root == TRUE,
-                cost=query_cost[slot],
-                evaluated=evaluated,
-                skipped=tuple(skipped[slot]),
-                outcomes=outcomes[slot],
+                value=value,
+                cost=cost,
+                evaluated=tuple(outcomes),
+                skipped=tuple(skipped),
+                outcomes=outcomes,
             )
-        return results, stats
-
-
-def compile_round(plan: SharedPlan, indexes: Mapping[str, TreeIndex]) -> RoundProgram:
-    """Compile ``plan`` for the population ``indexes`` (query name -> index).
-
-    One pass over the probes; each becomes ``(slot, leaf record)``. Slots
-    follow the iteration order of ``indexes``.
-    """
-    names = tuple(indexes)
-    records = {
-        name: (slot, indexes[name].leaf_records) for slot, name in enumerate(names)
-    }
-    steps: list[tuple[int, LeafRecord]] = []
-    for probe in plan.probes:
-        slot, leaf_records = records[probe.query]
-        steps.append((slot, leaf_records[probe.gindex]))
-    return RoundProgram(plan, names, tuple(indexes.values()), tuple(steps))
+        return results
 
 
 def execute_round(
@@ -420,15 +475,16 @@ def execute_round(
     running each query through :class:`~repro.engine.executor.ScheduleExecutor`)
     plus round-level sharing statistics.
 
-    The round runs as a compiled program (:func:`compile_round`, then
-    :meth:`RoundProgram.run`): per query one flat node-value list, per probe
-    one guard check over the leaf's precomputed ancestors and an iterative
-    walk toward the root. A *window memo* remembers, per stream, the largest
-    window fetched this round; a probe within it takes the memo's tail with
-    cost 0.0 and no ``fetch_window`` call — exactly what the cache would
-    return, since nothing evicts mid-round. Memoized windows are read-only.
-    Callers that serve one plan for many rounds (the server) compile once
-    and :meth:`~RoundProgram.run` per round. ``RoundStats``' per-query
-    entries come in ``indexes`` order.
+    The round runs as a compiled :class:`RoundProgram`: one guard check per
+    probe over the leaf's precomputed ancestors in the flat node state, and
+    an iterative walk toward the root per evaluated probe. A *window memo* remembers, per
+    stream, the largest window fetched this round; a probe within it takes
+    the memo's tail with cost 0.0 and no ``fetch_window`` call — exactly
+    what the cache would return, since nothing evicts mid-round. Memoized
+    windows are read-only. Callers that serve one plan for many rounds (the
+    server) compile once and :meth:`~RoundProgram.run` per round.
+    ``RoundStats``' per-query entries come in ``indexes`` order.
     """
-    return compile_round(plan, indexes).run(cache, oracles)
+    program = RoundProgram(plan, indexes, oracles)
+    stats = program.run(cache)
+    return program.results(), stats

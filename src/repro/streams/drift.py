@@ -172,12 +172,6 @@ class DriftSchedule:
             probs = change.apply(probs, round_index)
         return probs
 
-    def prob_matrix(self, start: int, rounds: int) -> np.ndarray:
-        """``(rounds, n_leaves)`` trajectory for rounds ``start..start+rounds-1``."""
-        if rounds < 1:
-            raise StreamError(f"need at least one round, got {rounds}")
-        return np.stack([self.probs_at(start + r) for r in range(rounds)])
-
     def settled_after(self) -> int:
         """First round from which the trajectory no longer changes."""
         latest = 0

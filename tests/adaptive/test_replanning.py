@@ -18,6 +18,7 @@ from repro.streams.drift import DriftSchedule, StepDrift
 from repro.streams.registry import StreamRegistry
 from repro.streams.sources import GaussianSource
 from repro.streams.stream import StreamSpec
+from tests.service.reference_round import reference_rounds
 
 SCHEDULER = "and-inc-c-over-p-dynamic"
 
@@ -239,12 +240,12 @@ class _NoIteration(dict):
     __iter__ = keys = values = items = _scan
 
 
-class TestEngineParity:
+class TestReferenceParity:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_scalar_and_vectorized_posteriors_identical(self, seed):
-        """Both engines feed the tracker the same evidence per seed."""
+    def test_posteriors_match_reference(self, seed):
+        """The kernel feeds the tracker the reference walk's evidence per seed."""
 
-        def run(engine: str) -> QueryServer:
+        def run() -> QueryServer:
             policy = AdaptivePolicy(
                 window=32, threshold=0.25, min_samples=12, cooldown=8
             )
@@ -258,25 +259,26 @@ class TestEngineParity:
                     tree,
                     oracle=drifting_oracle(tree, 20, seed=seed * 50 + q),
                 )
-            server.run_batch(60, engine=engine)
+            server.run_batch(60)
             return server
 
-        scalar = run("scalar")
-        vector = run("vectorized")
-        scalar_snap = scalar.adaptive.tracker.snapshot()
-        vector_snap = vector.adaptive.tracker.snapshot()
-        assert set(scalar_snap) == set(vector_snap)
-        for key in scalar_snap:
-            s_post = scalar.adaptive.tracker.get(key)
-            v_post = vector.adaptive.tracker.get(key)
-            assert (s_post.trials, s_post.successes) == (
-                v_post.trials,
-                v_post.successes,
+        kernel = run()
+        with reference_rounds():
+            reference = run()
+        kernel_snap = kernel.adaptive.tracker.snapshot()
+        reference_snap = reference.adaptive.tracker.snapshot()
+        assert set(kernel_snap) == set(reference_snap)
+        for key in kernel_snap:
+            k_post = kernel.adaptive.tracker.get(key)
+            r_post = reference.adaptive.tracker.get(key)
+            assert (k_post.trials, k_post.successes) == (
+                r_post.trials,
+                r_post.successes,
             )
-        assert [e.round_index for e in scalar.replan_log] == [
-            e.round_index for e in vector.replan_log
+        assert [e.round_index for e in kernel.replan_log] == [
+            e.round_index for e in reference.replan_log
         ]
-        assert scalar.metrics.total_cost == pytest.approx(vector.metrics.total_cost)
+        assert kernel.metrics.total_cost == reference.metrics.total_cost
 
 
 class TestReplanHysteresis:

@@ -147,14 +147,6 @@ class TestExecution:
         assert serial_report.per_query_cost == threaded_report.per_query_cost
         assert serial_report.per_query_true_rate == threaded_report.per_query_true_rate
 
-    def test_vectorized_engine_supported(self):
-        registry, population = small_environment(seed=13)
-        cluster = ClusterServer(registry, n_shards=3, seed=14)
-        cluster.register_population(population)
-        report = cluster.run_batch(4, engine="vectorized")
-        assert report.rounds == 4
-        assert report.total_cost > 0
-
 
 class TestParity:
     def test_sharded_equals_unsharded_per_query(self):
@@ -179,12 +171,6 @@ class TestParity:
     def test_verify_cluster_parity_helper(self):
         deltas = verify_cluster_parity(n_queries=20, n_clusters=2, rounds=5, seed=3)
         assert len(deltas) == 20
-        assert max(deltas.values()) <= 1e-9
-
-    def test_parity_holds_on_vectorized_engine(self):
-        deltas = verify_cluster_parity(
-            n_queries=16, n_clusters=2, rounds=4, seed=5, engine="vectorized"
-        )
         assert max(deltas.values()) <= 1e-9
 
 

@@ -404,13 +404,12 @@ class TestElasticExperimentDrivers:
         assert len(deltas) == 24
         assert max(deltas.values()) == 0.0
 
-    def test_verify_elastic_parity_vectorized_with_policy(self):
+    def test_verify_elastic_parity_with_policy(self):
         deltas = verify_elastic_parity(
             n_queries=20,
             n_clusters=2,
             rounds=3,
             seed=2,
-            engine="vectorized",
             elastic=ElasticPolicy(target_shard_queries=10, min_split_size=4),
         )
         assert max(deltas.values()) == 0.0

@@ -2,7 +2,7 @@
 
 The elastic cluster's core guarantee: *topology is invisible to cost*. Any
 sequence of admissions, departures, shard splits, drains and resizes,
-interleaved with serving batches on either engine, must produce per-query
+interleaved with serving batches, must produce per-query
 costs and outcomes bit-identical to one unsharded :class:`QueryServer`
 driven through the same admissions/departures/batches on the same seeds —
 migrations transplant oracles, plans, cache state and clocks, so a query
@@ -105,10 +105,10 @@ class ElasticParityMachine(RuleBasedStateMachine):
 
     # -- the differential ------------------------------------------------
 
-    @rule(rounds=st.integers(1, 3), engine=st.sampled_from(["scalar", "vectorized"]))
-    def run_batch(self, rounds: int, engine: str) -> None:
-        cluster_report = self.cluster.run_batch(rounds, engine=engine)
-        single_report = self.single.run_batch(rounds, engine=engine)
+    @rule(rounds=st.integers(1, 3))
+    def run_batch(self, rounds: int) -> None:
+        cluster_report = self.cluster.run_batch(rounds)
+        single_report = self.single.run_batch(rounds)
         assert cluster_report.per_query_cost == single_report.per_query_cost, (
             "per-query costs diverged after a topology change: "
             f"{sorted(set(cluster_report.per_query_cost.items()) ^ set(single_report.per_query_cost.items()))}"

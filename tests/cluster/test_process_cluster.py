@@ -360,8 +360,8 @@ class TestTraceRollup:
             registry, n_shards=2, executor="process", telemetry=tel
         ) as cluster:
             cluster.register_population(population)
-            cluster.run_batch(3, engine="vectorized")
-            cluster.run_batch(2, engine="scalar")
+            cluster.run_batch(3)
+            cluster.run_batch(2)
         records = tel.tracer.records()
         forest = build_forest(records)
         # The acceptance bar: every record that names a parent can resolve

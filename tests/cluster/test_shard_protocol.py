@@ -103,7 +103,7 @@ def _script(a: Shard, b: Shard, population) -> list[tuple]:
     out.append(("deregister", a.names, dict(a.signature)))
     query = a.query(population[1][0])
     out.append(("query", query.name, query.schedule, query.plan.cost))
-    report = a.run_batch(3, engine="vectorized")
+    report = a.run_batch(3)
     out.append(("run_batch", _local_view(report)))
     assert a.last_batch_seconds > 0.0
     step = a.step()

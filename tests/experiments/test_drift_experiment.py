@@ -64,12 +64,6 @@ class TestDeterminismAndEngines:
         assert a.adaptive.round_costs == b.adaptive.round_costs
         assert a.adaptive.replan_rounds == b.adaptive.replan_rounds
 
-    def test_scalar_engine_matches_vectorized(self, report):
-        scalar = run_drift(engine="scalar", **KWARGS)
-        for mode_v, mode_s in zip(report.modes, scalar.modes):
-            assert mode_v.round_costs == mode_s.round_costs
-            assert mode_v.replan_rounds == mode_s.replan_rounds
-
 
 class TestPlumbing:
     def test_population_shapes(self):

@@ -71,62 +71,57 @@ class TestFacade:
 
 class TestServerIntegration:
     def test_batch_metrics_match_report(self):
-        for engine in ("scalar", "vectorized"):
-            tel = Telemetry()
-            server = make_server(tel)
-            report = server.run_batch(8, engine=engine)
-            reg = tel.registry
-            assert reg.value("repro_rounds_total") == 8
-            assert reg.value("repro_probes_total") == report.probes
-            assert reg.value("repro_free_probes_total") == report.free_probes
-            assert reg.value("repro_items_fetched_total") == report.items_fetched
-            assert reg.value("repro_items_saved_total") == report.items_saved
-            cost = reg.get_histogram("repro_round_cost")
-            assert cost is not None and cost.count == 8
-            assert cost.total == sum(report.round_costs)
-            seconds = reg.get_histogram("repro_round_seconds")
-            assert seconds is not None and seconds.count == 8
-            (span,) = tel.tracer.spans("batch")
-            assert span["attrs"]["engine"] == engine
-            assert span["attrs"]["total_cost"] == report.total_cost
+        tel = Telemetry()
+        server = make_server(tel)
+        report = server.run_batch(8)
+        reg = tel.registry
+        assert reg.value("repro_rounds_total") == 8
+        assert reg.value("repro_probes_total") == report.probes
+        assert reg.value("repro_free_probes_total") == report.free_probes
+        assert reg.value("repro_items_fetched_total") == report.items_fetched
+        assert reg.value("repro_items_saved_total") == report.items_saved
+        cost = reg.get_histogram("repro_round_cost")
+        assert cost is not None and cost.count == 8
+        assert cost.total == sum(report.round_costs)
+        seconds = reg.get_histogram("repro_round_seconds")
+        assert seconds is not None and seconds.count == 8
+        (span,) = tel.tracer.spans("batch")
+        assert span["attrs"]["total_cost"] == report.total_cost
 
     def test_per_query_cost_histograms(self):
         tel = Telemetry()
         server = make_server(tel, n_queries=6)
-        report = server.run_batch(5, engine="vectorized")
+        report = server.run_batch(5)
         for name in server.registered:
             hist = tel.registry.get_histogram("repro_query_round_cost", query=name)
             assert hist is not None and hist.count == 5
             assert hist.total == report.per_query_cost[name]
 
     def test_telemetry_does_not_change_serving(self):
-        bare = make_server(None).run_batch(6, engine="vectorized")
-        traced = make_server(Telemetry()).run_batch(6, engine="vectorized")
-        disabled = make_server(Telemetry(enabled=False)).run_batch(
-            6, engine="vectorized"
-        )
+        bare = make_server(None).run_batch(6)
+        traced = make_server(Telemetry()).run_batch(6)
+        disabled = make_server(Telemetry(enabled=False)).run_batch(6)
         assert bare == traced == disabled
 
     def test_disabled_telemetry_records_nothing(self):
         tel = Telemetry(enabled=False)
-        make_server(tel).run_batch(4, engine="vectorized")
+        make_server(tel).run_batch(4)
         assert tel.tracer.emitted == 0
         assert len(tel.registry) == 0
 
     def test_detail_mode_emits_per_query_resolutions(self):
-        for engine in ("scalar", "vectorized"):
-            tel = Telemetry(detail=True)
-            server = make_server(tel, n_queries=4)
-            server.run_batch(3, engine=engine)
-            events = tel.tracer.events("query-resolution")
-            assert len(events) == 3 * 4
-            assert {e["attrs"]["query"] for e in events} == set(server.registered)
-            assert all(isinstance(e["attrs"]["value"], bool) for e in events)
+        tel = Telemetry(detail=True)
+        server = make_server(tel, n_queries=4)
+        server.run_batch(3)
+        events = tel.tracer.events("query-resolution")
+        assert len(events) == 3 * 4
+        assert {e["attrs"]["query"] for e in events} == set(server.registered)
+        assert all(isinstance(e["attrs"]["value"], bool) for e in events)
 
     def test_service_and_registry_percentiles_agree(self):
         tel = Telemetry()
         server = make_server(tel)
-        server.run_batch(20, engine="vectorized")
+        server.run_batch(20)
         hist = tel.registry.get_histogram("repro_round_cost")
         for q, prop in ((50.0, "p50_round_cost"), (99.0, "p99_round_cost")):
             assert getattr(server.metrics, prop) == hist.percentile(q)

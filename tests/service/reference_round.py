@@ -2,19 +2,44 @@
 
 Every probe re-checks its query's ``ResolutionState``, fetches its window
 through ``cache.fetch_window`` and accounts itself through
-``RoundStats.record_probe``. :func:`repro.service.shared_plan.execute_round`
+:func:`record_probe`. :func:`repro.service.shared_plan.execute_round`
 must return exactly what this returns — the same ``ExecutionResult``s, the
 same ``RoundStats`` and the same cache and oracle state afterwards.
+
+:func:`reference_rounds` serves whole :class:`~repro.service.QueryServer`
+batches on this walk, so server-level tests can compare the compiled
+kernel's reports, ledger and telemetry against it.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Union
+import contextlib
+from typing import Iterator, Mapping, Union
+from unittest import mock
 
 from repro.core.resolution import TreeIndex
 from repro.engine.executor import ExecutionResult, LeafOracle
 from repro.service.shared_plan import RoundStats, SharedPlan
 from repro.streams.cache import CountingCache, DataItemCache
+
+
+def record_probe(
+    stats: RoundStats, query: str, window_items: int, cost: float, fetched_items: int
+) -> None:
+    """Account one executed probe in ``stats``, aggregate and per query."""
+    stats.cost += cost
+    stats.probes += 1
+    stats.items_fetched += fetched_items
+    saved = window_items - fetched_items
+    stats.items_saved += saved
+    stats.query_cost[query] = stats.query_cost.get(query, 0.0) + cost
+    stats.query_probes[query] = stats.query_probes.get(query, 0) + 1
+    stats.query_items_fetched[query] = (
+        stats.query_items_fetched.get(query, 0) + fetched_items
+    )
+    stats.query_items_saved[query] = stats.query_items_saved.get(query, 0) + saved
+    if fetched_items == 0:
+        stats.free_probes += 1
 
 
 def execute_round(
@@ -48,7 +73,7 @@ def execute_round(
         outcomes[probe.query][probe.gindex] = outcome
         evaluated[probe.query].append(probe.gindex)
         state.set_leaf(probe.gindex, outcome)
-        stats.record_probe(probe.query, leaf.items, fetch.cost, fetch.fetched_items)
+        record_probe(stats, probe.query, leaf.items, fetch.cost, fetch.fetched_items)
     results: dict[str, ExecutionResult] = {}
     for name, state in states.items():
         value = state.root_value
@@ -61,3 +86,37 @@ def execute_round(
             outcomes=outcomes[name],
         )
     return results, stats
+
+
+class ReferenceProgram:
+    """:class:`~repro.service.shared_plan.RoundProgram`'s interface over the walk."""
+
+    def __init__(
+        self,
+        plan: SharedPlan,
+        indexes: Mapping[str, TreeIndex],
+        oracles: Mapping[str, LeafOracle],
+    ) -> None:
+        self.plan = plan
+        self._indexes = dict(indexes)
+        self._oracles = dict(oracles)
+        self._results: dict[str, ExecutionResult] = {}
+
+    def run(self, cache: Union[DataItemCache, CountingCache]) -> RoundStats:
+        self._results, stats = execute_round(
+            self.plan, self._indexes, cache, self._oracles
+        )
+        return stats
+
+    def values(self) -> dict[str, bool]:
+        return {name: result.value for name, result in self._results.items()}
+
+    def results(self) -> dict[str, ExecutionResult]:
+        return self._results
+
+
+@contextlib.contextmanager
+def reference_rounds() -> Iterator[None]:
+    """Every ``QueryServer`` round inside the block runs on the reference walk."""
+    with mock.patch("repro.service.server.RoundProgram", ReferenceProgram):
+        yield

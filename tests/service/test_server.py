@@ -162,20 +162,21 @@ class TestReRegistration:
     def b_tree(self) -> DnfTree:
         return DnfTree([[Leaf("A", 1, 1.0), Leaf("B", 2, 1.0)]], {"A": 1.0, "B": 2.0})
 
-    def test_replace_swaps_tree_and_vector_executor(self):
+    def test_replace_swaps_tree_and_round_program(self):
         from repro.engine import PrecomputedOracle
 
         server = QueryServer(tiny_registry())
         server.register("q", self.a_tree(), oracle=PrecomputedOracle([True]))
-        first = server.run_batch(2, engine="vectorized")
-        assert server._vector_executors  # executor compiled for the 1-leaf tree
+        first = server.run_batch(2)
+        stale = server._program  # compiled for the 1-leaf tree
         server.register(
             "q", self.b_tree(), oracle=PrecomputedOracle([False, True]), replace=True
         )
         assert server.query("q").tree.size == 2
-        report = server.run_batch(2, engine="vectorized")
+        report = server.run_batch(2)
+        assert server._program is not stale
         # The new tree is AND(A=False, B) -> always FALSE; a stale 1-leaf
-        # executor would have replayed the old always-TRUE query.
+        # program would have replayed the old always-TRUE query.
         assert report.per_query_true_rate["q"] == 0.0
         assert first.per_query_true_rate["q"] == 1.0
         assert report.probes == 2  # only the FALSE leaf is probed per round
@@ -192,11 +193,12 @@ class TestReRegistration:
 
         server = QueryServer(tiny_registry())
         server.register("q", self.a_tree(), oracle=PrecomputedOracle([True]))
-        server.run_batch(1, engine="vectorized")
+        server.run_batch(1)
+        stale = server._program
         server.deregister("q")
-        assert "q" not in server._vector_executors
         server.register("q", self.b_tree(), oracle=PrecomputedOracle([False, True]))
-        report = server.run_batch(1, engine="vectorized")
+        report = server.run_batch(1)
+        assert server._program is not stale
         assert report.per_query_true_rate["q"] == 0.0
 
     def test_replace_respects_capacity_of_remaining_population(self):
@@ -268,8 +270,7 @@ class TestDriftingOracleClock:
 class TestPlanningPhase:
     """A shared-plan rebuild inside a round is credited to ``planning``."""
 
-    @pytest.mark.parametrize("engine", ["scalar", "vectorized"])
-    def test_round_after_churn_credits_planning(self, engine, monkeypatch):
+    def test_round_after_churn_credits_planning(self, monkeypatch):
         merge = server_module.merge_schedules
 
         def slow_merge(*args):
@@ -281,9 +282,9 @@ class TestPlanningPhase:
         server = QueryServer(tiny_registry(), BernoulliOracle(seed=0), telemetry=tel)
         server.register("q1", tiny_tree(0.4))
         server.register("q2", tiny_tree(0.5))
-        server.run_batch(2, engine=engine)  # merged once, then reused
+        server.run_batch(2)  # merged once, then reused
         server.deregister("q1")
-        server.run_batch(1, engine=engine)  # re-merged inside the round
+        server.run_batch(1)  # re-merged inside the round
         first, churned = (
             span["attrs"]["phase_seconds"] for span in tel.tracer.spans("batch")
         )

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.service.metrics import ROUND_COST_WINDOW, ServiceMetrics, percentile
 from repro.service.shared_plan import RoundStats
+from tests.service.reference_round import record_probe
 
 costs = st.floats(min_value=1e-6, max_value=1e4, allow_nan=False)
 
@@ -105,9 +106,9 @@ class TestServiceMetricsPercentiles:
 class TestRecordRound:
     def test_folds_aggregates_and_every_resident(self):
         stats = RoundStats()
-        stats.record_probe("a", window_items=4, cost=6.0, fetched_items=3)
-        stats.record_probe("b", window_items=4, cost=0.0, fetched_items=0)
-        stats.record_probe("a", window_items=2, cost=1.5, fetched_items=1)
+        record_probe(stats, "a", window_items=4, cost=6.0, fetched_items=3)
+        record_probe(stats, "b", window_items=4, cost=0.0, fetched_items=0)
+        record_probe(stats, "a", window_items=2, cost=1.5, fetched_items=1)
         metrics = ServiceMetrics()
         # "c" is resident but had every probe skipped this round.
         metrics.record_round(stats, {"a": True, "b": False, "c": True})
@@ -130,7 +131,7 @@ class TestRecordRound:
         metrics = ServiceMetrics()
         for value in (True, False, True):
             stats = RoundStats()
-            stats.record_probe("a", window_items=1, cost=0.5, fetched_items=1)
+            record_probe(stats, "a", window_items=1, cost=0.5, fetched_items=1)
             metrics.record_round(stats, {"a": value})
         a = metrics.query_stats("a")
         assert (a.rounds, a.cost, a.probes, a.true_count) == (3, 1.5, 3, 2)

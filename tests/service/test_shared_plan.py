@@ -150,3 +150,30 @@ class TestSharingDominance:
                 if executor.run(schedule).value:
                     true_count += 1
             assert true_count == shared_true[name], name
+
+
+class TestRoundProgram:
+    def test_repeated_probe_matches_the_walk(self):
+        """A plan probing one leaf twice: evaluated once, then skipped."""
+        from repro.core.resolution import TreeIndex
+        from repro.engine.executor import PrecomputedOracle
+        from repro.service.shared_plan import Probe, SharedPlan, execute_round
+        from repro.streams.cache import CountingCache
+        from tests.service import reference_round
+
+        tree = DnfTree([[Leaf("A", 2, 0.5), Leaf("B", 1, 0.5)]])
+        plan = SharedPlan(
+            probes=(Probe("q", 0), Probe("q", 0), Probe("q", 1)), planned_items={}
+        )
+        (got, got_stats), (want, want_stats) = (
+            run(
+                plan,
+                {"q": TreeIndex(tree)},
+                CountingCache({"A": 1.0, "B": 2.0}),
+                {"q": PrecomputedOracle([True, False])},
+            )
+            for run in (execute_round, reference_round.execute_round)
+        )
+        assert got == want
+        assert got["q"].evaluated == (0, 1) and got["q"].skipped == (0,)
+        assert got_stats == want_stats

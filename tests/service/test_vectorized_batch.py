@@ -1,4 +1,11 @@
-"""QueryServer.run_batch(engine="vectorized") — parity with the scalar loop."""
+"""QueryServer.run_batch on the compiled round kernel against the reference walk.
+
+Each scenario serves one population twice — once on the kernel, once with
+every round on :mod:`tests.service.reference_round`'s per-probe walk — and
+the batch reports, the ledger and the telemetry must agree exactly. Both
+draw every leaf outcome in the same probe order, so even Bernoulli
+populations replay bit for bit.
+"""
 
 from __future__ import annotations
 
@@ -20,14 +27,11 @@ from repro.service import QueryServer, synthetic_population, synthetic_registry
 from repro.streams.registry import StreamRegistry
 from repro.streams.sources import GaussianSource
 from repro.streams.stream import StreamSpec
+from tests.service.reference_round import reference_rounds
 
 
 def deterministic_population(n_queries: int, seed: int):
-    """A synthetic population with every leaf probability forced to 0 or 1.
-
-    With deterministic outcomes both engines evaluate exactly the same
-    probes, so every metric must agree exactly.
-    """
+    """A synthetic population with every leaf probability forced to 0 or 1."""
     registry = synthetic_registry(6, seed=3)
     population = synthetic_population(n_queries, registry, n_templates=5, seed=4)
     rng = np.random.default_rng(seed)
@@ -41,62 +45,64 @@ def deterministic_population(n_queries: int, seed: int):
     return forced
 
 
-def run_engine(population, engine: str, *, shared_plan: bool = True, rounds: int = 25):
+def on_both(serve):
+    """``serve()`` on the kernel, then again with every round on the walk."""
+    kernel = serve()
+    with reference_rounds():
+        reference = serve()
+    return kernel, reference
+
+
+def serve_population(population, *, shared_plan: bool = True, rounds: int = 25):
     registry = synthetic_registry(6, seed=3)
     server = QueryServer(registry, BernoulliOracle(seed=0), shared_plan=shared_plan)
     for name, tree in population:
         server.register(name, tree)
-    report = server.run_batch(rounds, engine=engine)
+    report = server.run_batch(rounds)
     return server, report
+
+
+def assert_same_reports(kernel, reference):
+    assert kernel.round_costs == reference.round_costs
+    assert kernel.per_query_cost == reference.per_query_cost
+    assert kernel.per_query_true_rate == reference.per_query_true_rate
+    assert kernel.probes == reference.probes
+    assert kernel.free_probes == reference.free_probes
+    assert kernel.items_fetched == reference.items_fetched
+    assert kernel.items_saved == reference.items_saved
+    assert kernel.plan_cache_hit_rate == reference.plan_cache_hit_rate
 
 
 class TestDeterministicParity:
     @pytest.mark.parametrize("shared_plan", [True, False])
     def test_reports_and_metrics_identical(self, shared_plan):
         population = deterministic_population(30, seed=9)
-        scalar_server, scalar = run_engine(population, "scalar", shared_plan=shared_plan)
-        vector_server, vector = run_engine(
-            population, "vectorized", shared_plan=shared_plan
+        (kernel_server, kernel), (reference_server, reference) = on_both(
+            lambda: serve_population(population, shared_plan=shared_plan)
         )
-        assert scalar.round_costs == vector.round_costs
-        assert scalar.per_query_cost == vector.per_query_cost
-        assert scalar.per_query_true_rate == vector.per_query_true_rate
-        assert scalar.probes == vector.probes
-        assert scalar.free_probes == vector.free_probes
-        assert scalar.items_fetched == vector.items_fetched
-        assert scalar.items_saved == vector.items_saved
-        assert scalar.plan_cache_hit_rate == vector.plan_cache_hit_rate
-        for name in scalar_server.registered:
-            a = scalar_server.metrics.query_stats(name)
-            b = vector_server.metrics.query_stats(name)
-            assert (a.rounds, a.cost, a.probes, a.true_count) == (
-                b.rounds,
-                b.cost,
-                b.probes,
-                b.true_count,
-            )
-            assert (a.items_fetched, a.items_saved) == (b.items_fetched, b.items_saved)
+        assert_same_reports(kernel, reference)
+        for name in kernel_server.registered:
+            a = kernel_server.metrics.query_stats(name)
+            b = reference_server.metrics.query_stats(name)
+            assert asdict(a) == asdict(b)
 
     def test_precomputed_oracles_replay_identically(self):
         registry = synthetic_registry(4, seed=1)
         population = synthetic_population(8, registry, n_templates=2, seed=2)
 
-        def build(engine):
-            reg = synthetic_registry(4, seed=1)
-            server = QueryServer(reg, BernoulliOracle(seed=0))
+        def serve():
+            server = QueryServer(synthetic_registry(4, seed=1), BernoulliOracle(seed=0))
             for ordinal, (name, tree) in enumerate(population):
                 fixed = [bool((ordinal + g) % 2) for g in range(tree.size)]
                 server.register(name, tree, oracle=PrecomputedOracle(fixed))
-            return server.run_batch(10, engine=engine)
+            return server.run_batch(10)
 
-        scalar, vector = build("scalar"), build("vectorized")
-        assert scalar.round_costs == vector.round_costs
-        assert scalar.per_query_true_rate == vector.per_query_true_rate
+        assert_same_reports(*on_both(serve))
 
 
 class TestRoundRecordParity:
-    """Both engines close each round through the same record: the detail
-    events and every resident's lifetime stats must match exactly."""
+    """The kernel and the walk close each round through the same record: the
+    detail events and every resident's lifetime stats must match exactly."""
 
     @staticmethod
     def resolutions(tel: Telemetry) -> list[tuple]:
@@ -106,22 +112,21 @@ class TestRoundRecordParity:
         ]
 
     def assert_same_record(self, build) -> tuple[QueryServer, QueryServer]:
-        servers, events = [], []
-        for engine in ("scalar", "vectorized"):
+        def serve():
             tel = Telemetry(detail=True)
             server = build(tel)
-            server.run_batch(25, engine=engine)
-            servers.append(server)
-            events.append(self.resolutions(tel))
-        scalar, vector = servers
-        assert events[0] == events[1]
-        assert len(events[0]) == 25 * len(scalar)
+            server.run_batch(25)
+            return server, self.resolutions(tel)
+
+        (kernel, kernel_events), (reference, reference_events) = on_both(serve)
+        assert kernel_events == reference_events
+        assert len(kernel_events) == 25 * len(kernel)
         per_query = [
             {name: asdict(stats) for name, stats in server.metrics.per_query.items()}
-            for server in servers
+            for server in (kernel, reference)
         ]
         assert per_query[0] == per_query[1]
-        return scalar, vector
+        return kernel, reference
 
     def test_deterministic_population(self):
         population = deterministic_population(30, seed=9)
@@ -139,7 +144,7 @@ class TestRoundRecordParity:
     def test_adaptive_population_replanning_mid_batch(self):
         # OR(cheap[2], dear[3]) whose cheap leaf drifts 0.05 -> 0.3 at round
         # 10, flipping the optimal order: the tracker re-plans mid-batch, and
-        # answers stay mixed, so a misaligned outcome row would show.
+        # answers stay mixed, so a misfed observation would show.
         tree = DnfTree(
             [[Leaf("cheap", 2, 0.05)], [Leaf("dear", 3, 0.6)]],
             costs={"cheap": 1.0, "dear": 5.0},
@@ -160,10 +165,10 @@ class TestRoundRecordParity:
                 )
             return server
 
-        scalar, vector = self.assert_same_record(build)
-        assert scalar.replan_log and 0 < scalar.replan_log[0].round_index < 25
-        assert [e.round_index for e in scalar.replan_log] == [
-            e.round_index for e in vector.replan_log
+        kernel, reference = self.assert_same_record(build)
+        assert kernel.replan_log and 0 < kernel.replan_log[0].round_index < 25
+        assert [e.round_index for e in kernel.replan_log] == [
+            e.round_index for e in reference.replan_log
         ]
 
 
@@ -172,25 +177,21 @@ class TestStochasticBehaviour:
         registry = synthetic_registry(8, seed=7)
         population = synthetic_population(60, registry, seed=8)
 
-        def run(engine, seed):
-            reg = synthetic_registry(8, seed=7)
-            server = QueryServer(reg, BernoulliOracle(seed=seed))
+        def serve():
+            server = QueryServer(synthetic_registry(8, seed=7), BernoulliOracle(seed=1))
             for name, tree in population:
                 server.register(name, tree)
-            return server.run_batch(40, engine=engine)
+            return server.run_batch(40)
 
-        scalar = run("scalar", 1)
-        vector = run("vectorized", 1)
-        # Different rng consumption order, same distribution: totals agree
-        # loosely and structural counts stay in the same regime.
-        assert vector.total_cost == pytest.approx(scalar.total_cost, rel=0.25)
-        assert vector.rounds == scalar.rounds
-        assert vector.probes > 0 and vector.free_probes > 0
-        assert vector.items_saved > 0
+        kernel, reference = on_both(serve)
+        # One shared generator, drawn in the same probe order by both.
+        assert_same_reports(kernel, reference)
+        assert kernel.probes > 0 and kernel.free_probes > 0
+        assert kernel.items_saved > 0
 
     def test_rounds_advance_device_time(self):
         population = deterministic_population(5, seed=2)
-        server, _ = run_engine(population, "vectorized", rounds=15)
+        server, _ = serve_population(population, rounds=15)
         assert server.metrics.rounds == 15
 
 
@@ -208,33 +209,46 @@ class TestValidation:
         registry = synthetic_registry(3, seed=0)
         server = QueryServer(registry, BernoulliOracle(seed=0))
         with pytest.raises(StreamError):
-            server.run_batch(5, engine="vectorized")
+            server.run_batch(5)
 
-    def test_partial_precomputed_oracle_clear_error(self):
+    def test_partial_precomputed_oracle_is_served(self):
+        """Leaves a round short-circuits away are never asked for."""
         registry = synthetic_registry(3, seed=0)
-        population = synthetic_population(2, registry, n_templates=1, seed=1)
-        server = QueryServer(registry, BernoulliOracle(seed=0))
-        name, tree = population[0]
-        assert tree.size >= 2
-        server.register(name, tree, oracle=PrecomputedOracle({0: True}))
-        with pytest.raises(StreamError, match="precomputed oracle"):
-            server.run_batch(3, engine="vectorized")
+        a, b = registry.names[:2]
+        tree = DnfTree([[Leaf(a, 1, 0.5)], [Leaf(b, 2, 0.5)]])
+
+        def serve():
+            server = QueryServer(synthetic_registry(3, seed=0))
+            server.register("q", tree)
+            first = server.query("q").schedule[0]
+            # An OR resolves on its first TRUE leaf: the other has no outcome.
+            server.register(
+                "q", tree, oracle=PrecomputedOracle({first: True}), replace=True
+            )
+            return server.run_batch(3)
+
+        kernel, reference = on_both(serve)
+        assert_same_reports(kernel, reference)
+        assert kernel.per_query_true_rate == {"q": 1.0}
+        assert kernel.probes == 3
 
     def test_predicate_oracle_stays_scalar(self):
+        """A data-driven predicate query is served per probe, like any other."""
         registry = synthetic_registry(3, seed=0)
         population = synthetic_population(2, registry, n_templates=1, seed=1)
-        server = QueryServer(registry, BernoulliOracle(seed=0))
-        # A Bernoulli query registered first must not have its rng consumed
-        # by a vectorized attempt that fails on a later predicate query.
-        bern_name, bern_tree = population[1]
-        server.register(bern_name, bern_tree)
-        name, tree = population[0]
-        predicates = {
-            g: Predicate(leaf.stream, "AVG", leaf.items, ">", 0.0)
-            for g, leaf in enumerate(tree.leaves)
-        }
-        server.register(name, tree, oracle=PredicateOracle(predicates))
-        state_before = server.default_oracle.rng.bit_generator.state
-        with pytest.raises(StreamError, match="scalar"):
-            server.run_batch(3, engine="vectorized")
-        assert server.default_oracle.rng.bit_generator.state == state_before
+
+        def serve():
+            server = QueryServer(synthetic_registry(3, seed=0), BernoulliOracle(seed=0))
+            bern_name, bern_tree = population[1]
+            server.register(bern_name, bern_tree)
+            name, tree = population[0]
+            predicates = {
+                g: Predicate(leaf.stream, "AVG", leaf.items, ">", 0.0)
+                for g, leaf in enumerate(tree.leaves)
+            }
+            server.register(name, tree, oracle=PredicateOracle(predicates))
+            return server.run_batch(3)
+
+        kernel, reference = on_both(serve)
+        assert_same_reports(kernel, reference)
+        assert kernel.rounds == 3 and len(kernel.per_query_cost) == 2

@@ -49,13 +49,6 @@ class TestDriftSchedule:
         assert schedule.probs_at(4) == pytest.approx([0.5])
         assert schedule.probs_at(7) == pytest.approx([0.9])
 
-    def test_prob_matrix_matches_rows(self):
-        schedule = DriftSchedule([0.2, 0.8], [StepDrift(at=2, targets={1: 0.1})])
-        matrix = schedule.prob_matrix(0, 4)
-        assert matrix.shape == (4, 2)
-        for r in range(4):
-            assert matrix[r] == pytest.approx(schedule.probs_at(r))
-
     @pytest.mark.parametrize(
         "bad",
         [
@@ -116,19 +109,6 @@ class TestDriftingBernoulliOracle:
         assert outcomes[:10] == [False] * 10
         assert outcomes[10:] == [True] * 10
 
-    def test_draw_matrix_equals_scalar_rows_per_seed(self):
-        schedule = DriftSchedule([0.3, 0.7], [StepDrift(at=3, targets={0: 0.9})])
-        leaf = Leaf("A", 1, 0.5)
-        scalar = DriftingBernoulliOracle(schedule, seed=42)
-        rows = []
-        for _ in range(8):
-            rows.append([scalar.outcome(g, leaf, None) for g in range(2)])
-            scalar.advance()
-        batched = DriftingBernoulliOracle(schedule, seed=42)
-        matrix = batched.draw_matrix(8, 2)
-        assert np.array_equal(matrix, np.array(rows))
-        assert batched.round_index == 8
-
     def test_advance_consumes_undrawn_rows(self):
         """Skipped rounds still consume the random tape (alignment contract)."""
         schedule = DriftSchedule([0.5, 0.5])
@@ -136,9 +116,9 @@ class TestDriftingBernoulliOracle:
         a.advance(3)  # three rounds nobody probed
         leaf = Leaf("A", 1, 0.5)
         row_after_skip = [a.outcome(g, leaf, None) for g in range(2)]
-        b = DriftingBernoulliOracle(schedule, seed=7)
-        matrix = b.draw_matrix(4, 2)
-        assert row_after_skip == list(matrix[3])
+        # One row of the seed's tape per round: the fourth row is round 3's.
+        tape = np.random.default_rng(7).random((4, 2)) < 0.5
+        assert row_after_skip == list(tape[3])
 
     def test_errors(self):
         oracle = DriftingBernoulliOracle(DriftSchedule([0.5]), seed=0)
@@ -147,11 +127,6 @@ class TestDriftingBernoulliOracle:
             oracle.outcome(5, leaf, None)
         with pytest.raises(StreamError):
             oracle.advance(-1)
-        with pytest.raises(StreamError):
-            oracle.draw_matrix(4, 3)  # wrong width
-        oracle.outcome(0, leaf, None)
-        with pytest.raises(StreamError):
-            oracle.draw_matrix(4, 1)  # mid-round batch draw
 
 
 class TestScenarioBuilders:

@@ -174,19 +174,6 @@ class TestClusterSim:
         assert "parity:" in out
         assert "identical between sharded and unsharded" in out
 
-    def test_vectorized_engine(self, capsys):
-        assert (
-            main(
-                [
-                    "cluster-sim", "--queries", "16", "--clusters", "2",
-                    "--streams-per-cluster", "3", "--rounds", "3",
-                    "--engine", "vectorized", "--shards", "2",
-                ]
-            )
-            == 0
-        )
-        assert "evals/s" in capsys.readouterr().out
-
     def test_process_executor_flag(self, capsys):
         assert (
             main(
@@ -251,19 +238,6 @@ class TestDrift:
         assert "detection lag" in out
         assert "post-drift cost vs oracle replan" in out
 
-    def test_scalar_engine(self, capsys):
-        assert (
-            main(
-                [
-                    "drift", "--queries", "4", "--cluster-size", "2",
-                    "--rounds", "80", "--drift-round", "30",
-                    "--engine", "scalar", "--window", "32", "--min-samples", "12",
-                ]
-            )
-            == 0
-        )
-        assert "scalar engine" in capsys.readouterr().out
-
     def test_invalid_drift_round_errors(self, capsys):
         assert main(["drift", "--rounds", "10", "--drift-round", "10"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -293,22 +267,9 @@ class TestEngineFlag:
         )
         assert "max ratio" in capsys.readouterr().out
 
-    def test_serve_sim_vectorized(self, capsys):
-        assert (
-            main(
-                [
-                    "serve-sim", "--queries", "15", "--rounds", "4",
-                    "--engine", "vectorized",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "plan-cache hit rate" in out
-
     def test_rejects_unknown_engine(self, capsys):
         with pytest.raises(SystemExit):
-            main(["serve-sim", "--engine", "warp"])
+            main(["evaluate", QUERY, "--order", "0,1,2", "--engine", "warp"])
 
 
 class TestExhaustiveSchedulerRegistryEntry:
