@@ -8,8 +8,8 @@ P probes costs O(P log P) plus a re-score of a stream's waiting leaves each
 time its planned window grows. The benchmark serves the same population
 (identical per-name oracle streams) three ways and asserts:
 
-* K-shard concurrent serving reaches >= 1.5x the single-shard serial
-  throughput (the sharding acceptance bar). Since the merge became a
+* K-shard serving reaches >= 1.5x the single-shard throughput (the
+  sharding acceptance bar). Since the merge became a
   per-stream heap the single server no longer pays a quadratic merge, and
   on two cores this ratio reads about 0.77-1.04x, so the gate fails there;
   it is left standing until it is re-based on the current merge;

@@ -1,7 +1,7 @@
-"""Process-mode cluster scaling: spawned workers vs the thread pool.
+"""Process-mode cluster scaling: spawned workers vs in-process shards.
 
-Thread-mode shards batch concurrently but share one GIL, so CPU-bound
-serving saturates a single core no matter the cluster width. Process-mode
+Thread-mode shards batch one after another in the calling thread, so
+CPU-bound serving uses a single core no matter the cluster width. Process-mode
 workers each own an interpreter; on a multi-core machine a 4-shard batch
 should approach 4 cores of work. The benchmark serves the same
 overlap-clustered population (identical per-name oracle streams) under
@@ -9,8 +9,8 @@ both executors and records wall time, speedup and cost parity.
 
 Always emits ``results/process_cluster_scaling.json``. The >= 1.8x speedup
 bar is asserted only when the machine exposes >= 4 usable cores — on a
-single-core runner process workers cannot beat threads (they pay pipe and
-spawn overhead for the same serialized CPU), but cost parity must hold
+single-core runner process workers cannot beat in-process shards (they pay
+pipe and spawn overhead for the same serialized CPU), but cost parity must hold
 bit-for-bit everywhere.
 """
 

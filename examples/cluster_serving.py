@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Sharded cluster serving: partition by stream overlap, serve concurrently.
+"""Sharded cluster serving: partition by stream overlap, serve per shard.
 
 A fleet's query population arrives in interest groups — each group's queries
 window the same few streams and share nothing with the others. One
@@ -68,7 +68,7 @@ def main() -> None:
     print(
         f"\nrouted 'latecomer' to shard {shard_id} "
         f"(resident q0002 lives on shard {cluster.shard_of('q0002')}, "
-        f"router reason: {cluster.router.decisions[-1].reason})"
+        f"router reason: {cluster.router.last_decision.reason})"
     )
 
     # Churn degrades placement; rebalance() repairs it.

@@ -377,7 +377,6 @@ def cmd_cluster_sim(args: argparse.Namespace) -> int:
         streams_per_cluster=args.streams_per_cluster,
         rounds=args.rounds,
         cross_cluster_prob=args.cross_overlap,
-        workers=args.workers,
         executor=args.executor,
         scheduler=args.scheduler,
         seed=args.seed,
@@ -391,7 +390,7 @@ def cmd_cluster_sim(args: argparse.Namespace) -> int:
     print(ascii_table(report.summary_headers(), report.summary_rows()))
     print(
         f"overlap-sharded vs single-shard: {report.speedup('overlap-sharded'):.2f}x "
-        f"throughput on {sharded.n_shards} shards ({sharded.workers} workers); "
+        f"throughput on {sharded.n_shards} shards; "
         f"random partition: {report.speedup('random-sharded'):.2f}x"
     )
     _finish_telemetry(telemetry, args)
@@ -433,7 +432,6 @@ def _cmd_cluster_sim_elastic(args: argparse.Namespace) -> int:
         rounds_per_batch=args.rounds,
         policy=policy,
         start_shards=args.shards if args.shards is not None else 2,
-        workers=args.workers,
         executor=args.executor,
         scheduler=args.scheduler,
         seed=args.seed,
@@ -808,17 +806,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cluster.add_argument("--seed", type=int, default=0)
     p_cluster.add_argument(
-        "--workers", type=int, default=None, help="shard thread pool width"
-    )
-    p_cluster.add_argument(
         "--scheduler", default="and-inc-c-over-p-dynamic", help="admission scheduler"
     )
     p_cluster.add_argument(
         "--executor",
         choices=("thread", "process"),
         default="thread",
-        help="shard execution mode: threads in-process (default) or one "
-        "spawned worker process per shard (GIL-free CPU scaling)",
+        help="shard execution mode: in-process, one shard after another "
+        "(default), or one spawned worker process per shard, batching in "
+        "parallel",
     )
     p_cluster.add_argument(
         "--verify",

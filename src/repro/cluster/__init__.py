@@ -1,4 +1,4 @@
-"""Sharded concurrent serving cluster.
+"""Sharded serving cluster.
 
 One :class:`~repro.service.QueryServer` scales until its global shared plan
 — merged across the *whole* population — becomes the bottleneck: the merge
@@ -17,8 +17,9 @@ cost model says sharing stops paying:
   (:mod:`~repro.cluster.worker`, process mode);
 * :mod:`~repro.cluster.router` — the front door scoring each admission
   against every shard's signature;
-* :mod:`~repro.cluster.cluster` — :class:`ClusterServer`: concurrent shard
-  batches on a thread pool, one cluster-wide plan cache, elastic width
+* :mod:`~repro.cluster.cluster` — :class:`ClusterServer`: one fan-out that
+  sends each batch to every shard before awaiting any reply, one
+  cluster-wide plan cache, elastic width
   (online ``split_shard``/``drain_shard``/``resize`` with full serving-state
   migration, auto-managed by an :class:`~repro.adaptive.ElasticPolicy`),
   online ``rebalance()``, and :class:`ClusterReport` aggregation.

@@ -7,9 +7,9 @@ each shard serves its residents on its own :class:`QueryServer` (own stream
 cache, own adaptive controller), and a :class:`~repro.cluster.router.ShardRouter`
 admits runtime arrivals to the shard whose streams they already share.
 Sharing stays *within* a shard — where the overlap graph says it actually
-exists — while shards stay independent, so they batch concurrently on a
-thread pool and a churn event (admission, departure, re-plan) invalidates
-one shard's merged plan instead of the whole population's.
+exists — while shards stay independent, so a churn event (admission,
+departure, re-plan) invalidates one shard's merged plan instead of the whole
+population's, and worker-process shards batch in parallel.
 
 All shards share one thread-safe :class:`~repro.service.plan_cache.PlanCache`,
 so a canonical query shape pays its scheduling cost once across the entire
@@ -30,8 +30,9 @@ self-managing: after each batch the cluster splits overloaded shards,
 drains underloaded ones and rebalances on churn/drift/cut-spend signals,
 without operator calls.
 
-:meth:`ClusterServer.run_batch` fans the round loop out over the shards and
-aggregates the per-shard reports into one :class:`ClusterReport`;
+:meth:`ClusterServer.run_batch` sends the batch to every shard before it
+waits on any reply, then aggregates the per-shard reports into one
+:class:`ClusterReport`;
 :meth:`ClusterServer.rebalance` re-partitions the live population when churn
 or drift has degraded the placement, migrating only the queries whose shard
 actually changes.
@@ -40,13 +41,12 @@ actually changes.
 from __future__ import annotations
 
 import functools
-import os
 import threading
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from multiprocessing.connection import Connection, wait
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.adaptive.elastic import ElasticPolicy
 from repro.adaptive.policy import AdaptivePolicy
@@ -75,7 +75,6 @@ from repro.engine.executor import BernoulliOracle, ExecutionResult, LeafOracle
 from repro.errors import AdmissionError, StreamError
 from repro.obs import MetricsRegistry, Telemetry
 from repro.obs.slo import SloMonitor, SloObjective, SloStatus
-from repro.obs.trace import attach_context, current_context
 from repro.service.metrics import ServiceMetrics
 from repro.service.plan_cache import PlanCache
 from repro.service.server import DEFAULT_SCHEDULER, BatchReport
@@ -181,7 +180,7 @@ class ElasticEvent:
 
 @dataclass
 class ClusterReport:
-    """Aggregate of one concurrent batch across every active shard.
+    """Aggregate of one batch across every active shard.
 
     The cost/probe/item aggregates are *stored fields*:
     :meth:`ClusterServer.run_batch` sums the shard reports once and adds
@@ -191,7 +190,6 @@ class ClusterReport:
     """
 
     rounds: int
-    workers: int
     wall_seconds: float
     shard_reports: dict[int, BatchReport]
     shard_seconds: dict[int, float]
@@ -232,7 +230,7 @@ class ClusterReport:
 
     @property
     def throughput(self) -> float:
-        """Query evaluations per wall-clock second of the concurrent batch."""
+        """Query evaluations per wall-clock second of the batch."""
         return self.evals / self.wall_seconds if self.wall_seconds > 0 else float("inf")
 
     @property
@@ -253,7 +251,7 @@ class ClusterReport:
         busiest = max(self.shard_seconds.values(), default=0.0)
         lines = [
             f"cluster batch: {self.rounds} rounds x {self.n_queries} queries on "
-            f"{len(self.shard_reports)} shards ({self.workers} workers)",
+            f"{len(self.shard_reports)} shards",
             f"  wall {self.wall_seconds:.3f}s (busiest shard {busiest:.3f}s), "
             f"{self.throughput:,.0f} evals/s",
             f"  total cost {self.total_cost:.6g}, probes {self.probes} "
@@ -279,6 +277,25 @@ class ClusterReport:
         return "\n".join(lines)
 
 
+def _ready_first(shards: list[Shard]) -> Iterator[Shard]:
+    """``shards`` in the order their pending replies can be received.
+
+    In-process shards compute theirs on receive, so they come first, in
+    shard order; worker shards follow as their pipes turn readable, so a
+    finished worker is never held up behind a slower one.
+    """
+    pending: dict[Connection, Shard] = {}
+    for shard in shards:
+        connection = shard.transport.connection
+        if connection is None:
+            yield shard
+        else:
+            pending[connection] = shard
+    while pending:
+        for connection in wait(list(pending)):
+            yield pending.pop(connection)
+
+
 class ClusterServer:
     """An elastic cluster of stream-overlap shards behind a router.
 
@@ -293,16 +310,11 @@ class ClusterServer:
         fewer overlap components than ``n_shards``; the width changes online
         through :meth:`split_shard`, :meth:`drain_shard`, :meth:`resize` or
         an :class:`~repro.adaptive.ElasticPolicy`.
-    workers:
-        Thread-pool width for concurrent shard batches; ``None`` sizes to
-        ``min(active shards, cpu count)`` (``executor="thread"``) or to the
-        active shard count (``executor="process"``, where parent threads
-        only wait on pipes), ``1`` runs shards serially.
     executor:
-        ``"thread"`` (default) runs every shard in-process on a thread pool
-        — zero serialization cost, but the GIL keeps the batch on one core.
-        ``"process"`` spawns one worker process per shard
-        (:mod:`repro.cluster.worker`): shards batch on separate cores, the
+        ``"thread"`` (default) runs the shards in-process, one after another
+        — zero serialization cost, one core. ``"process"`` spawns one worker
+        process per shard (:mod:`repro.cluster.worker`): shards batch in
+        parallel on separate cores, the
         cluster-wide plan cache is served read-through over the command
         channel, migrations ship ``QuerySnapshot`` + stream state as plain
         data, and workers return pickled metrics deltas merged losslessly
@@ -310,7 +322,7 @@ class ClusterServer:
         across both executors (the parity suites assert it). Call
         :meth:`close` (or use the cluster as a context manager) to shut
         workers down.
-    scheduler, shared_plan, warmup, adaptive:
+    scheduler, warmup, adaptive:
         Forwarded to every shard's :class:`QueryServer`; ``adaptive`` must be
         an :class:`~repro.adaptive.AdaptivePolicy` (pure config — each shard
         builds its own controller) or ``None``.
@@ -356,11 +368,9 @@ class ClusterServer:
         registry: StreamRegistry,
         *,
         n_shards: int = 4,
-        workers: int | None = None,
         executor: str = "thread",
         scheduler: str | Scheduler = DEFAULT_SCHEDULER,
         plan_cache: PlanCache | int | None = 256,
-        shared_plan: bool = True,
         warmup: int = 64,
         adaptive: AdaptivePolicy | None = None,
         oracle_factory: Callable[[str], LeafOracle] | None = None,
@@ -386,11 +396,9 @@ class ClusterServer:
                 f"elastic must be an ElasticPolicy or None, got {type(elastic).__name__}"
             )
         self.registry = registry
-        self.workers = workers
         self.executor = executor
         self.seed = seed
         self._scheduler = scheduler
-        self._shared_plan = shared_plan
         self._warmup = warmup
         self._adaptive = adaptive
         self._max_shard_queries = max_shard_queries
@@ -422,8 +430,9 @@ class ClusterServer:
         self._next_shard_id = 0
         for _ in range(n_shards):
             self._spawn_shard()
+        #: Resident name -> shard id, in cluster admission order (a
+        #: migration reassigns a value in place, keeping the order).
         self._assignment: dict[str, int] = {}
-        self._order: list[str] = []
         self.rebalances: list[RebalanceEvent] = []
         #: Audit log of every topology change (splits, drains, grows,
         #: rebalances), operator-requested and policy-triggered alike.
@@ -440,16 +449,15 @@ class ClusterServer:
         # resize, rebalance) and batches serialize on one reentrant lock,
         # mirroring QueryServer's contract: background admission threads are
         # safe, and a topology change can never swap the shard set out from
-        # under an in-flight batch. Within a batch the shards still run
-        # concurrently on the pool. Reentrant because resize -> drain_shard
+        # under an in-flight batch. Reentrant because resize -> drain_shard
         # and run_batch -> _auto_elastic -> split/drain/rebalance nest.
         self._lock = threading.RLock()
 
     def __getstate__(self) -> dict:
         # RPR001: explicit pickle contract. A cluster owns live shards —
-        # possibly whole worker processes — plus an RLock and a thread
-        # pool; none of that can cross a process boundary. Reconstruct a
-        # cluster from its registry/population instead.
+        # possibly whole worker processes — plus an RLock; none of that can
+        # cross a process boundary. Reconstruct a cluster from its
+        # registry/population instead.
         raise TypeError(
             "ClusterServer is process-local (live shards, worker processes, "
             "RLock); rebuild one from the registry and population rather "
@@ -462,7 +470,6 @@ class ClusterServer:
             shard_id=shard_id,
             registry=self.registry,
             scheduler=self._scheduler,
-            shared_plan=self._shared_plan,
             warmup=self._warmup,
             adaptive=self._adaptive,
             use_plan_cache=self.plan_cache is not None,
@@ -515,7 +522,7 @@ class ClusterServer:
     @property
     def registered(self) -> tuple[str, ...]:
         """All resident query names, in cluster admission order."""
-        return tuple(self._order)
+        return tuple(self._assignment)
 
     def shard_of(self, name: str) -> int:
         try:
@@ -523,6 +530,7 @@ class ClusterServer:
         except KeyError:
             raise AdmissionError(f"no query named {name!r} is registered") from None
 
+    @_synchronized
     def query(self, name: str):
         return self.shards[self.shard_of(name)].query(name)
 
@@ -551,7 +559,6 @@ class ClusterServer:
         )
         self.router.record(decision)
         self._assignment[name] = decision.shard_id
-        self._order.append(name)
         self._churn += 1
         self._absorb_overlapping(decision.shard_id, frozenset(tree.streams))
         return decision.shard_id
@@ -604,63 +611,58 @@ class ClusterServer:
                     raise AdmissionError(f"query {name!r} is already registered")
                 shard.register(name, trees[name], oracle=self.oracle_factory(name))
                 self._assignment[name] = shard_id
-                self._order.append(name)
         self._churn += len(population)
-        # Bulk registration grows signatures behind the router's back.
-        self.router.invalidate_signatures()
         return partition
 
     @_synchronized
     def deregister(self, name: str) -> None:
-        shard_id = self.shard_of(name)
-        self.shards[shard_id].deregister(name)
+        self.shards[self.shard_of(name)].deregister(name)
         del self._assignment[name]
-        self._order.remove(name)
         self._churn += 1
-        self.router.invalidate_signatures((shard_id,))
 
     # -- execution -------------------------------------------------------
 
-    def _effective_workers(self, active: int) -> int:
-        if self.workers is not None:
-            return max(1, self.workers)
-        if self.executor == "process":
-            # Parent threads only block on worker pipes — one per active
-            # shard keeps every worker process busy regardless of how many
-            # cores the *parent* sees.
-            return max(1, active)
-        return max(1, min(active, os.cpu_count() or 1))
+    def _fan_out(self, op: str, *args: Any) -> list[tuple[Shard, Any]]:
+        """Run one command on every active shard: ``(shard, reply)`` pairs.
 
-    @_synchronized
-    def step(self) -> dict[str, ExecutionResult]:
-        """One concurrent round on every active shard; merged per-query results."""
+        The command goes to every shard before any reply is awaited, so
+        worker shards run in parallel. Every reply is received before
+        anything is raised (a reply left on a pipe would answer the shard's
+        next command); then the first failing shard's error is raised.
+        """
         active = self.active_shards()
         if not active:
             raise StreamError("no queries registered in any shard")
-        workers = self._effective_workers(len(active))
-        if workers == 1 or len(active) == 1:
-            round_results = [shard.step() for shard in active]
-        else:
-            # Pool threads start with an empty contextvar context; carry the
-            # caller's span context over so shard spans (and the context the
-            # worker pipe forwards) stay parented under any enclosing span.
-            ctx = current_context()
+        errors: dict[int, Exception] = {}
+        for shard in active:
+            try:
+                shard.transport.send(op, args, {})
+            except Exception as exc:  # raised below, after the drain
+                errors[shard.shard_id] = exc
+        replies: dict[int, Any] = {}
+        for shard in _ready_first([s for s in active if s.shard_id not in errors]):
+            try:
+                replies[shard.shard_id] = shard.transport.receive(op)
+            except Exception as exc:  # raised below, after the drain
+                errors[shard.shard_id] = exc
+        for shard in active:
+            if shard.shard_id in errors:
+                raise errors[shard.shard_id]
+        return [(shard, replies[shard.shard_id]) for shard in active]
 
-            def step_shard(shard: Shard) -> dict[str, ExecutionResult]:
-                with attach_context(ctx):
-                    return shard.step()
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                round_results = list(pool.map(step_shard, active))
+    @_synchronized
+    def step(self) -> dict[str, ExecutionResult]:
+        """One round on every active shard; merged per-query results."""
+        replies = self._fan_out("step")
         self._rounds_served += 1
         merged: dict[str, ExecutionResult] = {}
-        for results in round_results:
+        for _, results in replies:
             merged.update(results)
         return merged
 
     @_synchronized
     def run_batch(self, rounds: int) -> ClusterReport:
-        """Batch every active shard concurrently and aggregate the reports.
+        """Batch every active shard and aggregate the reports.
 
         With an :class:`~repro.adaptive.ElasticPolicy` configured, the
         policy is evaluated right after the batch (still under the cluster
@@ -674,39 +676,23 @@ class ClusterServer:
         with tel.span("cluster-batch", rounds=rounds, queries=len(self)) as attrs:
             report = self._run_batch_impl(rounds)
             attrs["shards"] = len(report.shard_reports)
-            attrs["workers"] = report.workers
             attrs["total_cost"] = report.total_cost
             attrs["wall_seconds"] = report.wall_seconds
             attrs["elastic_actions"] = len(report.elastic_actions)
         return report
 
     def _run_batch_impl(self, rounds: int) -> ClusterReport:
-        active = self.active_shards()
-        if not active:
-            raise StreamError("no queries registered in any shard")
-        workers = self._effective_workers(len(active))
         start = time.perf_counter()
-        if workers == 1 or len(active) == 1:
-            reports = [shard.run_batch(rounds) for shard in active]
-        else:
-            # Re-attach the cluster-batch span context inside each pool
-            # thread: thread-mode shard spans parent under it directly, and
-            # process-mode transports forward it down the worker pipe.
-            ctx = current_context()
-
-            def batch_shard(shard: Shard) -> BatchReport:
-                with attach_context(ctx):
-                    return shard.run_batch(rounds)
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                reports = list(pool.map(batch_shard, active))
+        replies = self._fan_out("run_batch", rounds)
         wall = time.perf_counter() - start
         self._rounds_served += rounds
-        shard_reports = {
-            shard.shard_id: report for shard, report in zip(active, reports)
-        }
-        shard_seconds = {shard.shard_id: shard.last_batch_seconds for shard in active}
-        shard_sizes = {shard.shard_id: len(shard) for shard in active}
+        shard_reports: dict[int, BatchReport] = {}
+        shard_seconds: dict[int, float] = {}
+        for shard, (report, seconds) in replies:
+            shard_reports[shard.shard_id] = report
+            shard_seconds[shard.shard_id] = shard.last_batch_seconds = seconds
+        reports = list(shard_reports.values())
+        shard_sizes = {shard.shard_id: len(shard) for shard, _ in replies}
         auto: list[ElasticEvent] = []
         if self.elastic is not None:
             tel = self.telemetry
@@ -748,7 +734,6 @@ class ClusterServer:
             slo_statuses = tuple(self.slo.check(reg))
         report = ClusterReport(
             rounds=rounds,
-            workers=workers,
             wall_seconds=wall,
             shard_reports=shard_reports,
             shard_seconds=shard_seconds,
@@ -870,8 +855,7 @@ class ClusterServer:
         dest.adopt_stream_state(donor_now, stores)
         # Restore global admission order on the destination: merge tie-breaks
         # follow registration order, which must not depend on travel history.
-        dest.reorder([name for name in self._order if name in dest])
-        self.router.invalidate_signatures((src_id, dest_id))
+        dest.reorder([name for name in self._assignment if name in dest])
 
     @_synchronized
     def split_shard(
@@ -997,7 +981,6 @@ class ClusterServer:
         retired = self.shards.pop(shard_id)
         self._replans_retired += retired.replans()
         retired.close()  # a process-mode shard's worker exits here
-        self.router.invalidate_signatures((shard_id,))
         event = ElasticEvent(
             kind="drain",
             round_index=self._rounds_served,
@@ -1060,8 +1043,8 @@ class ClusterServer:
 
     def _live_population(self) -> list[tuple[str, TreeLike]]:
         return [
-            (name, self.shards[self._assignment[name]].tree(name))
-            for name in self._order
+            (name, self.shards[shard_id].tree(name))
+            for name, shard_id in self._assignment.items()
         ]
 
     @_synchronized
@@ -1130,15 +1113,13 @@ class ClusterServer:
             for name in piece:
                 target[name] = best
         groups: dict[tuple[int, int], list[str]] = {}
-        for name in self._order:
-            src, dest = self._assignment[name], target[name]
+        for name, src in self._assignment.items():
+            dest = target[name]
             if src != dest:
                 groups.setdefault((src, dest), []).append(name)
         for (src, dest), names in groups.items():
             self._migrate_group(names, src, dest)
         moves = sum(len(names) for names in groups.values())
-        # Wholesale placement change: every cached router signature is stale.
-        self.router.invalidate_signatures()
         event = RebalanceEvent(
             old_report=old_report, new_report=candidate.report, moves=moves
         )
@@ -1298,9 +1279,11 @@ class ClusterServer:
 
     # -- observability ---------------------------------------------------
 
+    @_synchronized
     def shard_metrics(self) -> dict[int, ServiceMetrics]:
         return {shard_id: shard.metrics() for shard_id, shard in self.shards.items()}
 
+    @_synchronized
     def describe(self) -> str:
         lines = [
             f"cluster: {len(self)} queries on {len(self.active_shards())}/"

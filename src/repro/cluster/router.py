@@ -14,17 +14,16 @@ deterministic.
 shard's stream-disjoint component) the same way, so elastic moves and
 admissions share one placement objective.
 
-Signatures are snapshotted into a per-shard cache so admission storms don't
-re-copy every shard's signature per decision; any structural change to a
-shard's population (admission, departure, migration, rebalance) must drop
-its entry via :meth:`ShardRouter.invalidate_signatures` — a stale snapshot
-routes queries to shards whose streams have moved away.
+Scores read each shard's live :attr:`~repro.cluster.shard.Shard.signature`,
+which the shard keeps current from its population mirror, so a route made
+right after any admission, departure, migration or rebalance already sees
+it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 from repro.cluster.partition import TreeLike, stream_weight_vector
 from repro.cluster.shard import Shard
@@ -51,32 +50,11 @@ class ShardRouter:
 
     costs: Mapping[str, float]
     max_shard_queries: int | None = None
-    decisions: list[RoutingDecision] = field(default_factory=list)
-    #: shard id -> snapshotted signature, refreshed lazily on first use and
-    #: dropped whenever the shard's population changes.
-    _signatures: dict[int, dict[str, float]] = field(
-        default_factory=dict, repr=False
-    )
-
-    def _signature(self, shard: Shard) -> dict[str, float]:
-        cached = self._signatures.get(shard.shard_id)
-        if cached is None:
-            cached = dict(shard.signature)
-            self._signatures[shard.shard_id] = cached
-        return cached
-
-    def invalidate_signatures(self, shard_ids: Iterable[int] | None = None) -> None:
-        """Drop cached signatures (all of them when ``shard_ids`` is None).
-
-        Must be called whenever shard populations change behind the router's
-        back — bulk registration, departures, migrations, rebalances —
-        otherwise stale snapshots keep routing to shards whose streams left.
-        """
-        if shard_ids is None:
-            self._signatures.clear()
-        else:
-            for shard_id in shard_ids:
-                self._signatures.pop(shard_id, None)
+    #: Admissions recorded, and how many of them found their streams
+    #: already resident somewhere.
+    routed: int = 0
+    overlap_hits: int = 0
+    last_decision: RoutingDecision | None = None
 
     def route(
         self, name: str, tree: TreeLike, shards: Sequence[Shard]
@@ -118,7 +96,7 @@ class ShardRouter:
                 and len(shard) + group_size > self.max_shard_queries
             ):
                 continue
-            signature = self._signature(shard)
+            signature = shard.signature
             overlap = sum(
                 min(weight, signature.get(stream, 0.0))
                 for stream, weight in weights.items()
@@ -144,19 +122,12 @@ class ShardRouter:
         )
 
     def record(self, decision: RoutingDecision) -> None:
-        """Log a decision whose admission went through.
-
-        The admitted shard's signature just grew, so its snapshot is dropped
-        (the other shards were not touched by this admission).
-        """
-        self.decisions.append(decision)
-        self._signatures.pop(decision.shard_id, None)
-
-    @property
-    def overlap_hits(self) -> int:
-        """Admissions that found their streams already resident somewhere."""
-        return sum(1 for d in self.decisions if d.reason == "overlap")
+        """Count a decision whose admission went through."""
+        self.routed += 1
+        if decision.reason == "overlap":
+            self.overlap_hits += 1
+        self.last_decision = decision
 
     @property
     def overlap_hit_rate(self) -> float:
-        return self.overlap_hits / len(self.decisions) if self.decisions else 0.0
+        return self.overlap_hits / self.routed if self.routed else 0.0

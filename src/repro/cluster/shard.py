@@ -13,12 +13,13 @@ single parent-side handle for both executors:
 * every other operation goes out as ``(op, args, kwargs)`` through a
   transport and runs in :func:`run_command`, the one command table.
 
-Two transports carry the commands. :class:`InProcessTransport`
-(``executor="thread"``) calls the table directly on a local server, passing
-objects by reference; that server shares the cluster's telemetry and plan
-cache. :class:`~repro.cluster.worker.WorkerTransport` (``executor="process"``)
-pickles each command down a spawned worker's pipe, where the worker runs
-the same table on its own server. :func:`build_shard_server` builds the
+Two transports carry the commands, each as a send half and a receive half.
+:class:`InProcessTransport` (``executor="thread"``) runs the table on a
+local server on receive, passing objects by reference; that server shares
+the cluster's telemetry and plan cache.
+:class:`~repro.cluster.worker.WorkerTransport` (``executor="process"``)
+pickles each command down a spawned worker's pipe on send, where the worker
+runs the same table on its own server. :func:`build_shard_server` builds the
 shard's server from a :class:`WorkerConfig` under both executors.
 
 The spawned worker imports this module, so it must stay free of
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from multiprocessing.connection import Connection
 from typing import Any, Mapping, Protocol
 
 from repro.adaptive.policy import AdaptivePolicy
@@ -64,7 +66,6 @@ class WorkerConfig:
     shard_id: int
     registry: StreamRegistry
     scheduler: str | Scheduler
-    shared_plan: bool
     warmup: int
     adaptive: AdaptivePolicy | None
     use_plan_cache: bool
@@ -93,7 +94,6 @@ def build_shard_server(
         config.registry,
         scheduler=config.scheduler,
         plan_cache=plan_cache if config.use_plan_cache else None,
-        shared_plan=config.shared_plan,
         warmup=config.warmup,
         adaptive=config.adaptive,
         telemetry=telemetry,
@@ -175,7 +175,22 @@ def run_command(
 
 
 class ShardTransport(Protocol):
-    """Carries a shard's commands to wherever its server runs."""
+    """Carries a shard's commands to wherever its server runs.
+
+    :meth:`send` starts a command and :meth:`receive` returns its reply (or
+    raises its error), so the cluster can start one on every shard before
+    it waits on any; :meth:`call` does both. One command is in flight at a
+    time: :meth:`send` raises :class:`StreamError` while a reply is pending.
+    """
+
+    @property
+    def connection(self) -> Connection | None:
+        """What the reply arrives on, for ``multiprocessing.connection.wait``;
+        ``None`` when :meth:`receive` computes the reply itself."""
+
+    def send(self, op: str, args: tuple, kwargs: dict) -> None: ...
+
+    def receive(self, op: str) -> Any: ...
 
     def call(self, op: str, args: tuple, kwargs: dict) -> Any: ...
 
@@ -183,13 +198,31 @@ class ShardTransport(Protocol):
 
 
 class InProcessTransport:
-    """Runs commands on a local server, objects passed by reference."""
+    """Runs commands on a local server on receive, objects passed by reference."""
+
+    connection = None
 
     def __init__(self, shard_id: int, server: QueryServer) -> None:
         self.shard_id = shard_id
         self.server = server
+        self._pending: tuple[str, tuple, dict] | None = None
+
+    def send(self, op: str, args: tuple, kwargs: dict) -> None:
+        if self._pending is not None:
+            raise StreamError(
+                f"shard {self.shard_id} has {self._pending[0]!r} in flight; "
+                f"cannot send {op!r}"
+            )
+        self._pending = (op, args, kwargs)
+
+    def receive(self, op: str) -> Any:
+        pending, self._pending = self._pending, None
+        if pending is None or pending[0] != op:
+            raise StreamError(f"shard {self.shard_id} has no {op!r} in flight")
+        return run_command(self.server, self.shard_id, *pending)
 
     def call(self, op: str, args: tuple, kwargs: dict) -> Any:
+        # No pending slot: the server serializes concurrent callers itself.
         return run_command(self.server, self.shard_id, op, args, kwargs)
 
     def close(self) -> None:

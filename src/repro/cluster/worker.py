@@ -46,14 +46,13 @@ Design constraints, in order:
   plan-cache upcalls — parent under the cluster-side span that issued the
   command, across the process boundary.
 
-Protocol: the parent sends ``(op, args, kwargs, ctx)`` and then receives
+Protocol: the parent sends ``(op, args, kwargs, ctx)`` and later receives
 until a terminal ``("ok", result)`` or ``("err", exception)`` arrives; any
 ``("plancache", request)`` received in between is a nested upcall from the
-worker (plan-cache read-through mid-dispatch) that the *blocked parent
-thread itself* services and answers. Messages strictly alternate per pipe
-and each transport serializes callers on its own lock, so the channel never
-carries two requests at once and a hung worker is detected by liveness
-polling rather than a silent stall.
+worker (plan-cache read-through mid-dispatch) that the *receiving parent
+thread itself* services and answers. A send while a reply is pending
+raises, so the channel never carries two requests at once, and a dead
+worker is detected by liveness polling rather than a silent stall.
 """
 
 from __future__ import annotations
@@ -237,8 +236,9 @@ def _shard_worker_main(conn, config: WorkerConfig) -> None:
 class WorkerTransport:
     """Parent end of one spawned shard worker's command pipe.
 
-    :meth:`call` sends ``(op, args, kwargs, ctx)`` and waits for the reply,
-    serving the worker's plan-cache upcalls in between. Metrics deltas
+    :meth:`send` pickles ``(op, args, kwargs, ctx)`` down the pipe and
+    :meth:`receive` waits for the reply, serving the worker's plan-cache
+    upcalls in between; :meth:`call` does both. Metrics deltas
     riding on batch/step replies are folded into ``registry_sink``; trace
     deltas are re-recorded into ``trace_sink`` (the parent tracer), so the
     parent's ring/JSONL holds the merged distributed trace.
@@ -257,8 +257,10 @@ class WorkerTransport:
         self._sink = registry_sink
         self._trace_sink = trace_sink
         self._lock = threading.RLock()
+        #: Op of the command whose reply is still on the pipe, if any.
+        self._pending: str | None = None
         context = multiprocessing.get_context("spawn")
-        self._conn, child_conn = context.Pipe()
+        self.connection, child_conn = context.Pipe()
         self._proc = context.Process(
             target=_shard_worker_main,
             args=(child_conn, config),
@@ -276,49 +278,69 @@ class WorkerTransport:
             "its pipe); spawn a new worker instead of pickling the transport"
         )
 
-    def call(self, op: str, args: tuple, kwargs: dict) -> Any:
-        reply = self._exchange(op, args, kwargs)
-        if op not in _SHIPS_TELEMETRY:
-            return reply
-        result, delta, records = reply
-        if delta is not None and self._sink is not None:
-            self._sink.merge_from(delta)
-        if records and self._trace_sink is not None:
-            self._trace_sink.ingest(records)
-        return result
-
-    def _exchange(self, op: str, args: tuple, kwargs: dict) -> Any:
+    def send(self, op: str, args: tuple, kwargs: dict) -> None:
         with self._lock:
             if self._proc is None:
                 raise StreamError(
                     f"shard {self.shard_id} worker is closed; cannot run {op!r}"
                 )
+            if self._pending is not None:
+                raise StreamError(
+                    f"shard {self.shard_id} has {self._pending!r} in flight; "
+                    f"cannot send {op!r}"
+                )
             try:
                 # The caller's span context rides along so worker-side spans
                 # parent under the span dispatching this command.
-                self._conn.send((op, args, kwargs, current_context()))
+                self.connection.send((op, args, kwargs, current_context()))
+            except OSError as exc:
+                raise StreamError(
+                    f"shard {self.shard_id} worker connection failed during "
+                    f"{op!r}: {exc!r}"
+                ) from exc
+            self._pending = op
+
+    def receive(self, op: str) -> Any:
+        with self._lock:
+            if self._proc is None or self._pending != op:
+                raise StreamError(f"shard {self.shard_id} has no {op!r} in flight")
+            self._pending = None
+            try:
                 while True:
-                    while not self._conn.poll(_POLL_SECONDS):
+                    while not self.connection.poll(_POLL_SECONDS):
                         if not self._proc.is_alive():
                             raise StreamError(
                                 f"shard {self.shard_id} worker died while "
                                 f"serving {op!r} (exit code "
                                 f"{self._proc.exitcode})"
                             )
-                    kind, payload = self._conn.recv()
+                    kind, payload = self.connection.recv()
                     if kind == "plancache":
                         # Nested upcall: the worker needs the cluster plan
-                        # cache mid-dispatch; this (blocked) thread serves it.
-                        self._conn.send(self._serve_plan_cache(payload))
+                        # cache mid-dispatch; the receiving thread serves it.
+                        self.connection.send(self._serve_plan_cache(payload))
                         continue
                     if kind == "ok":
-                        return payload
+                        break
                     raise payload
-            except (EOFError, BrokenPipeError, OSError) as exc:
+            except (EOFError, OSError) as exc:
                 raise StreamError(
                     f"shard {self.shard_id} worker connection failed during "
                     f"{op!r}: {exc!r}"
                 ) from exc
+        if op not in _SHIPS_TELEMETRY:
+            return payload
+        result, delta, records = payload
+        if delta is not None and self._sink is not None:
+            self._sink.merge_from(delta)
+        if records and self._trace_sink is not None:
+            self._trace_sink.ingest(records)
+        return result
+
+    def call(self, op: str, args: tuple, kwargs: dict) -> Any:
+        with self._lock:
+            self.send(op, args, kwargs)
+            return self.receive(op)
 
     def _serve_plan_cache(self, request):
         cache = self._plan_cache
@@ -341,7 +363,7 @@ class WorkerTransport:
         with self._lock:
             if self._proc is None:
                 return
-            proc, conn = self._proc, self._conn
+            proc, conn = self._proc, self.connection
             self._proc = None
             try:
                 if proc.is_alive():

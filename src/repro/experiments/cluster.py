@@ -54,7 +54,6 @@ class ClusterModeResult:
 
     label: str
     n_shards: int
-    workers: int
     wall_seconds: float
     evals: int
     total_cost: float
@@ -132,7 +131,6 @@ class ClusterCompareReport:
                 {
                     "label": result.label,
                     "n_shards": result.n_shards,
-                    "workers": result.workers,
                     "wall_seconds": result.wall_seconds,
                     "throughput": result.throughput,
                     "total_cost": result.total_cost,
@@ -184,7 +182,6 @@ def run_cluster_compare(
     streams_per_cluster: int = 4,
     rounds: int = 10,
     cross_cluster_prob: float = 0.0,
-    workers: int | None = None,
     executor: str = "thread",
     scheduler: str = DEFAULT_SCHEDULER,
     warmup: int = 64,
@@ -193,9 +190,9 @@ def run_cluster_compare(
 ) -> ClusterCompareReport:
     """Serve one overlap-clustered population three ways and compare.
 
-    Modes: ``single`` (1 shard, serial — the unsharded baseline),
+    Modes: ``single`` (1 shard — the unsharded baseline),
     ``overlap-sharded`` (the stream-overlap partition on ``n_shards``
-    concurrent shards) and ``random-sharded`` (same width, overlap-blind
+    shards) and ``random-sharded`` (same width, overlap-blind
     placement). Every mode rebuilds the identical environment per ``seed``
     and draws per-query oracles by name, so cost differences are placement
     effects, not sampling noise.
@@ -207,12 +204,12 @@ def run_cluster_compare(
     if n_shards is None:
         n_shards = n_clusters
     modes = [
-        ("single", 1, "overlap", 1),
-        ("overlap-sharded", n_shards, "overlap", workers),
-        ("random-sharded", n_shards, "random", workers),
+        ("single", 1, "overlap"),
+        ("overlap-sharded", n_shards, "overlap"),
+        ("random-sharded", n_shards, "random"),
     ]
     results: list[ClusterModeResult] = []
-    for label, width, method, mode_workers in modes:
+    for label, width, method in modes:
         registry, population = _build_environment(
             n_queries,
             n_clusters,
@@ -225,7 +222,6 @@ def run_cluster_compare(
         cluster = ClusterServer(
             registry,
             n_shards=width,
-            workers=mode_workers,
             # The single-shard baseline stays in-process even under
             # executor="process": it is the unsharded reference, and one
             # worker process would only add pipe overhead to it.
@@ -242,7 +238,6 @@ def run_cluster_compare(
             ClusterModeResult(
                 label=label,
                 n_shards=len(report.shard_reports),
-                workers=report.workers,
                 # The report's own wall clock, so this table's evals/s and
                 # ClusterReport.throughput cannot disagree for the same run.
                 wall_seconds=report.wall_seconds,
@@ -496,7 +491,6 @@ def run_elastic_sim(
     mean_lifetime: float = 6.0,
     policy: ElasticPolicy | None = None,
     start_shards: int = 2,
-    workers: int | None = None,
     executor: str = "thread",
     scheduler: str = DEFAULT_SCHEDULER,
     warmup: int = 64,
@@ -534,7 +528,6 @@ def run_elastic_sim(
     cluster = ClusterServer(
         registry,
         n_shards=start_shards,
-        workers=workers,
         executor=executor,
         scheduler=scheduler,
         warmup=warmup,

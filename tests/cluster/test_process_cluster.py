@@ -11,7 +11,9 @@ no-new-dependencies rule.
 from __future__ import annotations
 
 import faulthandler
+import os
 import pickle
+from collections import defaultdict
 
 import hypothesis.strategies as st
 import pytest
@@ -23,6 +25,7 @@ from repro.cluster import (
     WorkerTransport,
     default_oracle_factory,
 )
+from repro.engine.executor import PrecomputedOracle
 from repro.errors import AdmissionError, StreamError
 from repro.experiments.cluster import (
     run_cluster_compare,
@@ -326,6 +329,59 @@ class TestWorkerLifecycle:
             # The worker survives a rejected call and keeps serving.
             report = cluster.run_batch(2)
             assert report.rounds == 2
+
+
+class TestFanOut:
+    """One batch command per shard: sent to all, every reply drained."""
+
+    @staticmethod
+    def _cluster_with_bad_query(executor: str, oracle) -> tuple[ClusterServer, int]:
+        """3 shards; the first holds one extra query probing ``oracle``."""
+        registry, population = small_environment(seed=43)
+        cluster = ClusterServer(registry, n_shards=3, executor=executor, seed=44)
+        cluster.register_population(population)
+        first = min(cluster.shards)
+        twin = cluster.shards[first].tree(cluster.shards[first].names[0])
+        assert cluster.register("bad", twin, oracle=oracle) == first
+        return cluster, first
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_failed_batch_drains_every_reply(self, executor: str):
+        # An empty replay table raises KeyError on the query's first probe.
+        cluster, _ = self._cluster_with_bad_query(executor, PrecomputedOracle({}))
+        with cluster:
+            with pytest.raises(KeyError):
+                cluster.run_batch(2)
+            cluster.deregister("bad")
+            # No reply of the failed batch is left behind to answer these.
+            report = cluster.run_batch(3)
+            assert len(report.shard_reports) == 3
+            assert all(r.rounds == 3 for r in report.shard_reports.values())
+            for shard in cluster.shards.values():
+                assert isinstance(shard.rounds_served(), int)
+
+    def test_worker_death_mid_batch_names_its_shard(self):
+        # The missing key calls os.abort inside the worker, mid-round.
+        oracle = PrecomputedOracle(defaultdict(os.abort))
+        cluster, first = self._cluster_with_bad_query("process", oracle)
+        with cluster:
+            with pytest.raises(StreamError, match=f"shard {first} worker"):
+                cluster.run_batch(2)
+            # The surviving workers' replies were drained: they still serve.
+            for sid, shard in cluster.shards.items():
+                if sid != first:
+                    assert isinstance(shard.rounds_served(), int)
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_one_request_in_flight(self, executor: str):
+        registry, population = small_environment(seed=47)
+        with ClusterServer(registry, n_shards=1, executor=executor) as cluster:
+            cluster.register_population(population)
+            transport = cluster.shards[0].transport
+            transport.send("rounds_served", (), {})
+            with pytest.raises(StreamError, match="in flight"):
+                transport.send("replans", (), {})
+            assert transport.receive("rounds_served") == 0
 
 
 class TestCompareHarness:

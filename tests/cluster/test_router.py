@@ -1,5 +1,5 @@
-"""ShardRouter unit coverage: fallback/capacity branches, the signature
-cache (and the rebalance invalidation regression), and PartitionReport
+"""ShardRouter unit coverage: fallback/capacity branches, routing on live
+shard signatures (and the rebalance regression), and PartitionReport
 duplicated-spend accounting across splits and drains."""
 
 from __future__ import annotations
@@ -98,54 +98,32 @@ class TestRouterBranches:
 
 
 class TestSignatureCache:
-    def test_route_snapshots_and_record_invalidates(self):
+    """The router scores each shard's own lazily rebuilt signature."""
+
+    def test_route_sees_a_registration_without_invalidation(self):
         registry = registry_with(["A", "B"])
         shard = make_shard(registry, 0, {"a": ["A"]})
         router = ShardRouter(costs=registry.cost_table())
-        router.route("q1", tree_on(["B"]), [shard])
-        # The snapshot predates B's arrival on the shard...
+        assert router.route("q1", tree_on(["B"]), [shard]).reason == "least-loaded"
         shard.register("b", tree_on(["B"]))
-        stale = router.route("q2", tree_on(["B"]), [shard])
-        assert stale.reason == "least-loaded"  # cached signature has no B
-        # ...recording an admission for the shard drops its snapshot.
-        router.record(stale)
-        fresh = router.route("q3", tree_on(["B"]), [shard])
-        assert fresh.reason == "overlap"
-
-    def test_invalidate_selected_and_all(self):
-        registry = registry_with(["A", "B"])
-        s0 = make_shard(registry, 0, {"a": ["A"]})
-        s1 = make_shard(registry, 1, {"b": ["B"]})
-        router = ShardRouter(costs=registry.cost_table())
-        router.route("warm", tree_on(["A"]), [s0, s1])
-        assert set(router._signatures) == {0, 1}
-        router.invalidate_signatures((0,))
-        assert set(router._signatures) == {1}
-        router.invalidate_signatures()
-        assert router._signatures == {}
+        assert router.route("q2", tree_on(["B"]), [shard]).reason == "overlap"
 
     def test_rebalance_invalidates_router_signatures(self):
-        """Regression: a rebalance moves streams between shards; cached
-        router signatures from before it must not route new arrivals to the
-        shard their streams just left."""
+        """Regression: a rebalance moves streams between shards; routing
+        must not send new arrivals to the shard their streams just left."""
         registry = clustered_registry(3, 3, seed=61)
         population = overlap_clustered_population(24, registry, 3, 3, seed=62)
         cluster = ClusterServer(registry, n_shards=3, seed=63)
         cluster.register_population(population, method="random")
-        # Populate the router's signature snapshots under the degraded
-        # (random) placement.
+        # Route once under the degraded (random) placement.
         probe = tree_on(["C1S0", "C1S1"])
         cluster.router.route("probe", probe, list(cluster.shards.values()))
-        assert cluster.router._signatures  # snapshots cached
         event = cluster.rebalance()
         assert event is not None and event.moves > 0
-        # Without the invalidation in rebalance() the stale snapshots would
-        # still describe the pre-move layout.
-        assert cluster.router._signatures == {}
         home = cluster.register("newcomer", probe)
         kin = cluster.shard_of("q0001")  # q0001 is anchored to cluster 1
         assert home == kin
-        assert cluster.router.decisions[-1].reason == "overlap"
+        assert cluster.router.last_decision.reason == "overlap"
         assert cluster.partition_report().kept_fraction == 1.0
 
 
