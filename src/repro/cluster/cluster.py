@@ -20,11 +20,11 @@ an overloaded shard along its stream-disjoint sub-clusters,
 :meth:`ClusterServer.drain_shard` migrates a shard's residents out through
 the router and retires it, and :meth:`ClusterServer.resize` composes both.
 Every move transplants the queries' full serving state — oracle instances,
-expanded schedules, cached plans, lifetime metrics, adaptive beliefs and the
-stream cache's held items — so placement changes never change what a query
-costs: a population served through any sequence of splits, drains and
-resizes produces per-query costs bit-identical to the unsharded server on
-the same seeds (the elasticity differential suite asserts exactly that).
+expanded schedules, cached plans, adaptive beliefs and the stream cache's
+held items — so placement changes never change what a query costs: a
+population served through any sequence of splits, drains and resizes
+produces per-query costs bit-identical to the unsharded server on the same
+seeds (the elasticity differential suite asserts exactly that).
 Wiring an :class:`~repro.adaptive.ElasticPolicy` makes the width
 self-managing: after each batch the cluster splits overloaded shards,
 drains underloaded ones and rebalances on churn/drift/cut-spend signals,
@@ -182,11 +182,12 @@ class ElasticEvent:
 class ClusterReport:
     """Aggregate of one batch across every active shard.
 
-    The cost/probe/item aggregates are *stored fields*:
-    :meth:`ClusterServer.run_batch` sums the shard reports once and adds
-    exactly those sums to the cluster's ``repro_cluster_*_total`` registry
-    counters, so the report and any exported metrics snapshot carry the same
-    numbers (a regression test asserts the equality across batches).
+    The cost/probe/item totals are *derived*: each property sums
+    ``shard_reports`` in insertion order, so the report holds one copy of
+    every number. :meth:`ClusterServer.run_batch` adds exactly those sums
+    to the cluster's ``repro_cluster_*_total`` registry counters, so the
+    report and any exported metrics snapshot carry the same numbers (a
+    regression test asserts the equality across batches).
     """
 
     rounds: int
@@ -206,18 +207,35 @@ class ClusterReport:
     #: Human-readable descriptions of the elastic actions the policy took
     #: right after this batch (empty without an ElasticPolicy).
     elastic_actions: tuple[str, ...] = ()
-    #: Batch aggregates: sums of the shard reports, as added to the registry.
-    total_cost: float = 0.0
-    probes: int = 0
-    free_probes: int = 0
-    items_fetched: int = 0
-    items_saved: int = 0
-    replans: int = 0
     #: Latency-objective verdicts from the cluster's SloMonitor, evaluated
     #: right after the batch (empty when no monitor is configured).
     slo_statuses: tuple[SloStatus, ...] = ()
 
     # -- aggregates ------------------------------------------------------
+
+    @property
+    def total_cost(self) -> float:
+        return sum(report.total_cost for report in self.shard_reports.values())
+
+    @property
+    def probes(self) -> int:
+        return sum(report.probes for report in self.shard_reports.values())
+
+    @property
+    def free_probes(self) -> int:
+        return sum(report.free_probes for report in self.shard_reports.values())
+
+    @property
+    def items_fetched(self) -> int:
+        return sum(report.items_fetched for report in self.shard_reports.values())
+
+    @property
+    def items_saved(self) -> int:
+        return sum(report.items_saved for report in self.shard_reports.values())
+
+    @property
+    def replans(self) -> int:
+        return sum(report.replans for report in self.shard_reports.values())
 
     @property
     def n_queries(self) -> int:
@@ -349,8 +367,9 @@ class ClusterServer:
         ``"cluster-batch"`` spans, every elastic action and migration is a
         traced event, and per-shard wall-clock lands in labelled
         histograms. ``None`` (default) records nothing — the cluster still
-        keeps a private registry so :class:`ClusterReport` aggregates stay
-        registry-derived, but it is touched once per batch, never per round.
+        keeps a private registry whose ``repro_cluster_*_total`` counters
+        add up every :class:`ClusterReport`'s totals, but it is touched once
+        per batch, never per round.
         In process mode, worker-side spans roll up into the parent tracer
         (causally linked under the dispatching cluster-batch span), so the
         sink holds one merged distributed trace.
@@ -691,7 +710,6 @@ class ClusterServer:
         for shard, (report, seconds) in replies:
             shard_reports[shard.shard_id] = report
             shard_seconds[shard.shard_id] = shard.last_batch_seconds = seconds
-        reports = list(shard_reports.values())
         shard_sizes = {shard.shard_id: len(shard) for shard, _ in replies}
         auto: list[ElasticEvent] = []
         if self.elastic is not None:
@@ -705,33 +723,6 @@ class ClusterServer:
                     elastic_attrs["actions"] = len(auto)
             else:
                 auto = self._auto_elastic()
-        # One sum per field, recorded twice: the same numbers go into the
-        # registry counters and the report, so the dataclass and an exported
-        # snapshot cannot disagree.
-        total_cost = sum(report.total_cost for report in reports)
-        probes = sum(report.probes for report in reports)
-        free_probes = sum(report.free_probes for report in reports)
-        items_fetched = sum(report.items_fetched for report in reports)
-        items_saved = sum(report.items_saved for report in reports)
-        replans = sum(report.replans for report in reports)
-        reg = self._registry
-        reg.counter("repro_cluster_batches_total").inc()
-        reg.counter("repro_cluster_rounds_total").inc(rounds)
-        reg.counter("repro_cluster_cost_total").inc(total_cost)
-        reg.counter("repro_cluster_probes_total").inc(probes)
-        reg.counter("repro_cluster_free_probes_total").inc(free_probes)
-        reg.counter("repro_cluster_items_fetched_total").inc(items_fetched)
-        reg.counter("repro_cluster_items_saved_total").inc(items_saved)
-        reg.counter("repro_cluster_replans_total").inc(replans)
-        reg.gauge("repro_cluster_shards").set(self.n_shards)
-        reg.gauge("repro_cluster_queries").set(len(self))
-        reg.histogram("repro_cluster_batch_seconds").observe(wall)
-        # SLO verdicts come last so this batch's own latency observations
-        # (shard histograms merged in above) are part of the checkpoint;
-        # check() also writes the burn-rate gauges into the same registry.
-        slo_statuses: tuple[SloStatus, ...] = ()
-        if self.slo is not None:
-            slo_statuses = tuple(self.slo.check(reg))
         report = ClusterReport(
             rounds=rounds,
             wall_seconds=wall,
@@ -747,14 +738,26 @@ class ClusterServer:
             splits=self.splits,
             drains=self.drains,
             elastic_actions=tuple(event.describe() for event in auto),
-            total_cost=total_cost,
-            probes=probes,
-            free_probes=free_probes,
-            items_fetched=items_fetched,
-            items_saved=items_saved,
-            replans=replans,
-            slo_statuses=slo_statuses,
         )
+        # The registry counters read the report's own totals, so the report
+        # and an exported snapshot cannot disagree.
+        reg = self._registry
+        reg.counter("repro_cluster_batches_total").inc()
+        reg.counter("repro_cluster_rounds_total").inc(rounds)
+        reg.counter("repro_cluster_cost_total").inc(report.total_cost)
+        reg.counter("repro_cluster_probes_total").inc(report.probes)
+        reg.counter("repro_cluster_free_probes_total").inc(report.free_probes)
+        reg.counter("repro_cluster_items_fetched_total").inc(report.items_fetched)
+        reg.counter("repro_cluster_items_saved_total").inc(report.items_saved)
+        reg.counter("repro_cluster_replans_total").inc(report.replans)
+        reg.gauge("repro_cluster_shards").set(self.n_shards)
+        reg.gauge("repro_cluster_queries").set(len(self))
+        reg.histogram("repro_cluster_batch_seconds").observe(wall)
+        # SLO verdicts come last so this batch's own latency observations
+        # (shard histograms merged in above) are part of the checkpoint;
+        # check() also writes the burn-rate gauges into the same registry.
+        if self.slo is not None:
+            report.slo_statuses = tuple(self.slo.check(reg))
         return report
 
     # -- migration -------------------------------------------------------
@@ -820,9 +823,9 @@ class ClusterServer:
 
         The destination first adopts the source cache's held items for the
         movers' streams (and its round clock, when behind), then each query
-        is transplanted verbatim — plan, schedule, oracle instance, lifetime
-        stats, adaptive belief. Order inside the group is the source shard's
-        registration order, so co-resident queries keep the same relative
+        is transplanted verbatim — plan, schedule, oracle instance, adaptive
+        belief. Order inside the group is the source shard's registration
+        order, so co-resident queries keep the same relative
         merge order they had (and would have had on the unsharded server).
         """
         tel = self.telemetry

@@ -15,9 +15,10 @@ single-query machinery into a multi-tenant server:
 * :mod:`~repro.service.server` — the :class:`QueryServer`
   (register/deregister/step/run_batch) plus the :func:`run_isolated`
   no-sharing baseline;
-* :mod:`~repro.service.metrics` — per-query and aggregate counters (cost,
-  probes saved by sharing, plan-cache hit rate, p50/p95/p99 round cost,
-  routed through the :mod:`repro.obs` histogram buckets);
+* :mod:`~repro.service.metrics` — the server's lifetime aggregate counters
+  (cost, probes saved by sharing, plan-cache hit rate, p50/p95/p99 round
+  cost, routed through the :mod:`repro.obs` histogram buckets); per-query
+  numbers live only in each batch's :class:`BatchReport`;
 * :mod:`~repro.service.simulate` — synthetic template-based populations for
   demos and benchmarks.
 """
@@ -28,12 +29,7 @@ from repro.service.canonical import (
     canonicalize,
     quantize_prob,
 )
-from repro.service.metrics import (
-    ROUND_COST_WINDOW,
-    QueryStats,
-    ServiceMetrics,
-    percentile,
-)
+from repro.service.metrics import ROUND_COST_WINDOW, ServiceMetrics
 from repro.service.plan_cache import CachedPlan, PlanCache
 from repro.service.server import (
     BatchReport,
@@ -71,8 +67,6 @@ __all__ = [
     "BatchReport",
     "run_isolated",
     "ServiceMetrics",
-    "QueryStats",
-    "percentile",
     "ROUND_COST_WINDOW",
     "shuffled_isomorph",
     "synthetic_population",

@@ -90,18 +90,6 @@ class PlanCache:
         total = hits + misses
         return hits / total if total else 0.0
 
-    def get(self, key: str, scheduler_name: str) -> CachedPlan | None:
-        """Plan for ``(key, scheduler_name)``, refreshing its recency; None on miss.
-
-        Pure lookup: adjusts recency but not the hit/miss counters, which
-        belong to :meth:`plan`.
-        """
-        with self._lock:
-            plan = self._plans.get((key, scheduler_name))
-            if plan is not None:
-                self._plans.move_to_end((key, scheduler_name))
-            return plan
-
     def plan(self, form: CanonicalForm, scheduler: Scheduler) -> CachedPlan:
         """Schedule ``form.tree`` with ``scheduler``, through the cache.
 
@@ -159,13 +147,13 @@ class PlanCache:
     def lookup(self, key: str, scheduler_name: str) -> CachedPlan | None:
         """Counted read half of the read-through protocol.
 
-        Unlike :meth:`get` this *does* count a hit, because a remote worker
-        that calls ``lookup`` and finds a plan will not follow up with
-        :meth:`publish` — the pair (``lookup`` hit) or (``lookup`` miss +
-        ``publish`` insert) mirrors exactly what one :meth:`plan` call would
-        have recorded. A lookup miss is deliberately *not* counted here: the
-        miss belongs to the insert (see :meth:`plan`'s race note), so two
-        workers racing on the same key settle as one miss and one hit.
+        A hit is counted here, because a remote worker that calls ``lookup``
+        and finds a plan will not follow up with :meth:`publish` — the pair
+        (``lookup`` hit) or (``lookup`` miss + ``publish`` insert) mirrors
+        exactly what one :meth:`plan` call would have recorded. A lookup miss
+        is deliberately *not* counted here: the miss belongs to the insert
+        (see :meth:`plan`'s race note), so two workers racing on the same
+        key settle as one miss and one hit.
         """
         with self._lock:
             plan = self._plans.get((key, scheduler_name))

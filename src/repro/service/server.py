@@ -43,7 +43,7 @@ from repro.engine.workload import compute_max_windows
 from repro.errors import AdmissionError, StreamError
 from repro.obs import Counter, Histogram, MetricsRegistry, Telemetry
 from repro.service.canonical import CanonicalForm, _as_dnf, canonicalize
-from repro.service.metrics import QueryStats, ServiceMetrics
+from repro.service.metrics import ServiceMetrics
 from repro.service.plan_cache import CachedPlan, PlanCache
 from repro.service.shared_plan import (
     Probe,
@@ -113,14 +113,13 @@ class QuerySnapshot:
     must preserve for the destination to serve the query exactly as the
     source would have: the full :class:`RegisteredQuery` (tree, expanded
     schedule, cached plan, belief tree and — critically — the *same* oracle
-    instance, so outcome streams continue seamlessly), the query's lifetime
-    :class:`~repro.service.metrics.QueryStats` (accounting is conserved
-    across moves, not double-counted or lost) and, when the source was
-    adaptive, its canonical shape's :class:`~repro.adaptive.ShapeBelief`.
+    instance, so outcome streams continue seamlessly) and, when the source
+    was adaptive, its canonical shape's :class:`~repro.adaptive.ShapeBelief`.
+    No per-query accounting travels: a query's numbers are reported per
+    batch by the shard that served it.
     """
 
     query: RegisteredQuery
-    stats: QueryStats | None
     belief: ShapeBelief | None
 
 
@@ -452,7 +451,7 @@ class QueryServer:
 
     @_synchronized
     def deregister(self, name: str) -> None:
-        """Remove a query; its per-query metrics are retained."""
+        """Remove a query; the lifetime ledger keeps no entry for it."""
         if name not in self._queries:
             raise AdmissionError(f"no query named {name!r} is registered")
         removed = self._queries.pop(name)
@@ -465,10 +464,9 @@ class QueryServer:
         """Lift ``name`` out of this server for transplant into another.
 
         Unlike :meth:`deregister`, an export is a *placement* change, not
-        churn: the query's lifetime stats leave with it (so cluster-wide
-        accounting is conserved), its canonical shape's adaptive belief is
-        snapshotted before the shape is retired, and the churn counters are
-        untouched (``migrations_out`` is incremented instead). The returned
+        churn: its canonical shape's adaptive belief is snapshotted before
+        the shape is retired, and the churn counters are untouched
+        (``migrations_out`` is incremented instead). The returned
         snapshot re-enters a server through :meth:`admit_migrated` with the
         exact plan, schedule and oracle state it left with.
         """
@@ -478,7 +476,6 @@ class QueryServer:
             if self.adaptive is not None
             else None
         )
-        stats = self.metrics.per_query.pop(name, None)
         del self._queries[name]
         self._after_population_change(query, joined=False)
         self.metrics.migrations_out += 1
@@ -487,7 +484,7 @@ class QueryServer:
             tel.registry.counter("repro_migrations_total", direction="out").inc()
             tel.event("migration-out", query=name, round=self._round)
         self._release_shape(query.canonical.key)
-        return QuerySnapshot(query=query, stats=stats, belief=belief)
+        return QuerySnapshot(query=query, belief=belief)
 
     def _release_shape(self, key: str) -> None:
         """Drop one resident of shape ``key``; retire its belief with the last."""
@@ -508,7 +505,9 @@ class QueryServer:
         installing it directly also leaves the (possibly cluster-shared)
         plan cache entries exactly as they were. The shape's adaptive belief
         transplants with it when this server is adaptive and does not
-        already track the shape.
+        already track the shape. This server's ledger counts only the rounds
+        it serves; the query's earlier numbers are in the source's batch
+        reports.
         """
         query = snapshot.query
         if query.name in self._queries:
@@ -529,8 +528,6 @@ class QueryServer:
         if tel is not None and tel.enabled:
             tel.registry.counter("repro_migrations_total", direction="in").inc()
             tel.event("migration-in", query=query.name, round=self._round)
-        if snapshot.stats is not None:
-            self.metrics.per_query[query.name] = snapshot.stats
         max_items = max(leaf.items for leaf in query.tree.leaves)
         if max_items > self.cache.now:
             self.cache.advance(max_items - self.cache.now)
@@ -946,7 +943,7 @@ class QueryServer:
         they agree on its numbers.
         """
         self._round += 1
-        self.metrics.record_round(stats, values)
+        self.metrics.record_round(stats)
         if self.plan_cache is not None:
             self.metrics.plan_cache_hit_rate = self.plan_cache.hit_rate
         if tally is not None:

@@ -243,8 +243,9 @@ def merge_schedules(
 class RoundStats:
     """The one per-round record: aggregate and per-query accounting.
 
-    :meth:`RoundProgram.run` fills it, and the server's ledger, batch report
-    and telemetry read the round from here. The per-query entries come in
+    :meth:`RoundProgram.run` fills it. The server's ledger folds its
+    aggregates; the batch report and telemetry read its per-query entries,
+    the only path per-query numbers take. The per-query entries come in
     registration order; a query none of whose probes ran has none.
     """
 
@@ -255,8 +256,6 @@ class RoundStats:
     items_saved: int = 0
     query_cost: dict[str, float] = field(default_factory=dict)
     query_probes: dict[str, int] = field(default_factory=dict)
-    query_items_fetched: dict[str, int] = field(default_factory=dict)
-    query_items_saved: dict[str, int] = field(default_factory=dict)
 
 
 #: One compiled probe: its query's slot, the query's *base* (where its
@@ -408,14 +407,11 @@ class RoundProgram:
             if probes:
                 name = names[slot]
                 fetched = query_fetched[slot]
-                saved = query_items[slot] - fetched
                 stats.probes += probes
                 stats.items_fetched += fetched
-                stats.items_saved += saved
+                stats.items_saved += query_items[slot] - fetched
                 stats.query_cost[name] = query_cost[slot]
                 stats.query_probes[name] = probes
-                stats.query_items_fetched[name] = fetched
-                stats.query_items_saved[name] = saved
         return stats
 
     def values(self) -> dict[str, bool]:

@@ -54,16 +54,10 @@ class TestSplitShard:
         before_oracles = {n: cluster.query(n).oracle for n in cluster.registered}
         before_plans = {n: cluster.query(n).plan for n in cluster.registered}
         cache_stats = cluster.plan_cache.stats()
-        stats_before = {
-            n: cluster.shards[cluster.shard_of(n)].transport.server.metrics.per_query[n]
-            for n in cluster.registered
-        }
         cluster.split_shard(0, into=2)
         for name in cluster.registered:
             assert cluster.query(name).oracle is before_oracles[name]
             assert cluster.query(name).plan is before_plans[name]
-            shard = cluster.shards[cluster.shard_of(name)]
-            assert shard.transport.server.metrics.per_query[name] is stats_before[name]
         # Migration never touches the shared plan cache.
         assert cluster.plan_cache.stats() == cache_stats
 

@@ -246,7 +246,6 @@ class TestMigrationPayloads:
         assert copy.query.name == snapshot.query.name
         assert copy.query.schedule == snapshot.query.schedule
         assert copy.query.tree.streams == snapshot.query.tree.streams
-        assert copy.stats == snapshot.stats
         assert copy.belief == snapshot.belief
 
 

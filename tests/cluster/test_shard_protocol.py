@@ -122,8 +122,7 @@ def _script(a: Shard, b: Shard, population) -> list[tuple]:
     out.append(("sync_round_clock", b.rounds_served()))
     for name in movers:
         snapshot = a.export_query(name)
-        stats = copy.deepcopy(snapshot.stats)
-        out.append(("export_query", snapshot.query.name, stats))
+        out.append(("export_query", snapshot.query.name))
         b.admit_migrated(snapshot)
     out.append(
         ("admit_migrated", a.names, b.names, dict(a.signature), dict(b.signature))

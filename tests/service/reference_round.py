@@ -30,14 +30,9 @@ def record_probe(
     stats.cost += cost
     stats.probes += 1
     stats.items_fetched += fetched_items
-    saved = window_items - fetched_items
-    stats.items_saved += saved
+    stats.items_saved += window_items - fetched_items
     stats.query_cost[query] = stats.query_cost.get(query, 0.0) + cost
     stats.query_probes[query] = stats.query_probes.get(query, 0) + 1
-    stats.query_items_fetched[query] = (
-        stats.query_items_fetched.get(query, 0) + fetched_items
-    )
-    stats.query_items_saved[query] = stats.query_items_saved.get(query, 0) + saved
     if fetched_items == 0:
         stats.free_probes += 1
 

@@ -191,8 +191,6 @@ def stats_fields(stats):
         stats.items_saved,
         {name: cost.hex() for name, cost in stats.query_cost.items()},
         dict(stats.query_probes),
-        dict(stats.query_items_fetched),
-        dict(stats.query_items_saved),
     )
 
 

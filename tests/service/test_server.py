@@ -140,8 +140,7 @@ class TestExecution:
         assert server.metrics.total_cost == pytest.approx(report.total_cost)
         assert len(server.metrics.round_costs) == 10
         assert server.metrics.p95_round_cost >= server.metrics.p50_round_cost
-        assert server.metrics.query_stats("q1").rounds == 10
-        assert "q1" in server.metrics.summary()
+        assert "10 rounds" in server.metrics.summary()
 
     def test_blocked_mode_matches_query_set(self):
         server = QueryServer(

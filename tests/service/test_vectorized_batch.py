@@ -81,10 +81,7 @@ class TestDeterministicParity:
             lambda: serve_population(population, shared_plan=shared_plan)
         )
         assert_same_reports(kernel, reference)
-        for name in kernel_server.registered:
-            a = kernel_server.metrics.query_stats(name)
-            b = reference_server.metrics.query_stats(name)
-            assert asdict(a) == asdict(b)
+        assert asdict(kernel_server.metrics) == asdict(reference_server.metrics)
 
     def test_precomputed_oracles_replay_identically(self):
         registry = synthetic_registry(4, seed=1)
@@ -102,7 +99,7 @@ class TestDeterministicParity:
 
 class TestRoundRecordParity:
     """The kernel and the walk close each round through the same record: the
-    detail events and every resident's lifetime stats must match exactly."""
+    detail events and the ledger must match exactly."""
 
     @staticmethod
     def resolutions(tel: Telemetry) -> list[tuple]:
@@ -121,11 +118,7 @@ class TestRoundRecordParity:
         (kernel, kernel_events), (reference, reference_events) = on_both(serve)
         assert kernel_events == reference_events
         assert len(kernel_events) == 25 * len(kernel)
-        per_query = [
-            {name: asdict(stats) for name, stats in server.metrics.per_query.items()}
-            for server in (kernel, reference)
-        ]
-        assert per_query[0] == per_query[1]
+        assert asdict(kernel.metrics) == asdict(reference.metrics)
         return kernel, reference
 
     def test_deterministic_population(self):
