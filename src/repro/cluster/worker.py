@@ -87,12 +87,13 @@ class RemotePlanCache(PlanCache):
     """Worker-side stub of the parent-owned cluster plan cache.
 
     Subclasses :class:`PlanCache` so :class:`QueryServer` accepts it
-    unchanged, but holds no plans of its own: :meth:`plan` is read-through
-    over the command channel (lookup; on miss compute locally and publish),
-    and :meth:`invalidate` forwards. Hit/miss counters are kept *locally* so
-    the server's per-round ``hit_rate`` reads never touch the pipe; the
-    parent cache keeps its own counters from the lookup/publish traffic, so
-    both sides observe consistent read-through semantics.
+    unchanged, but holds no plans of its own: :meth:`lookup`,
+    :meth:`publish` and :meth:`invalidate` forward over the command channel,
+    and the inherited :meth:`~PlanCache.plan` reads through them (lookup; on
+    miss build locally and publish). Hit/miss counters are kept *locally*
+    so the server's ``hit_rate`` reads never touch the pipe; the parent
+    cache keeps its own counters from the lookup/publish traffic, so both
+    sides observe consistent read-through semantics.
 
     When the worker is traced, each :meth:`plan` wraps itself in a
     ``plan-cache-upcall`` span — the pipe round-trips are the one place a
@@ -122,37 +123,30 @@ class RemotePlanCache(PlanCache):
 
     def plan(self, form, scheduler: Scheduler) -> CachedPlan:
         if self._tracer is None:
-            winner, _ = self._plan_impl(form, scheduler)
-            return winner
+            return super().plan(form, scheduler)
         with self._tracer.span(
             "plan-cache-upcall", key=form.key, scheduler=scheduler.name
         ) as attrs:
-            winner, hit = self._plan_impl(form, scheduler)
-            attrs["hit"] = hit
-        return winner
+            hits = self.hits
+            plan = super().plan(form, scheduler)
+            attrs["hit"] = self.hits > hits
+        return plan
 
-    def _plan_impl(self, form, scheduler: Scheduler) -> tuple[CachedPlan, bool]:
-        cached = self._rpc(("get", (form.key, scheduler.name)))
-        if cached is not None:
+    def lookup(self, key: str, scheduler_name: str) -> CachedPlan | None:
+        plan = self._rpc(("get", (key, scheduler_name)))
+        if plan is not None:
             with self._lock:
                 self.hits += 1
-            return cached, True
-        schedule = scheduler.schedule(form.tree)
-        from repro.core.cost import dnf_schedule_cost
+        return plan
 
-        plan = CachedPlan(
-            key=form.key,
-            scheduler_name=scheduler.name,
-            schedule=tuple(schedule),
-            cost=dnf_schedule_cost(form.tree, schedule, validate=True),
-        )
+    def publish(self, plan: CachedPlan) -> tuple[CachedPlan, bool]:
         winner, inserted = self._rpc(("put", plan))
         with self._lock:
             if inserted:
                 self.misses += 1
             else:
                 self.hits += 1
-        return winner, not inserted
+        return winner, inserted
 
     def invalidate(self, key: str) -> int:
         return self._rpc(("invalidate", key))
@@ -163,10 +157,12 @@ def _ship_deltas(
 ) -> tuple[MetricsRegistry | None, list[dict] | None]:
     """Detach the worker's metrics delta and drain its trace ring.
 
-    Recording sites always reach cells through ``telemetry.registry`` (the
-    hot-path contract bans caching cells across rounds), so swapping in a
-    fresh registry cleanly closes the delta: every observation lands either
-    in the shipped registry or the next one, never both. The drained trace
+    Recording sites reach cells through ``telemetry.registry``, and the one
+    site that caches cells across rounds (the server's per-round
+    histograms) keys its cache on the registry's identity and rebuilds it
+    when the registry changes. So swapping in a fresh registry cleanly
+    closes the delta: every observation lands either in the shipped
+    registry or the next one, never both. The drained trace
     records — the shard batch, its nested server batch, plan-cache upcalls —
     keep their causal ids, so the parent's merged trace stays one tree.
     ``(None, None)`` when the worker is not traced.

@@ -9,8 +9,10 @@ Two interchangeable trial engines implement the same execution semantics:
   :mod:`repro.engine.vectorized` for the contract).
 
 :func:`run_battery` / :func:`estimate_schedule_cost` select between them by
-name; the experiment drivers, serving layer and CLI expose the choice as
-``engine="scalar" | "vectorized"``.
+name; the experiment drivers and the CLI expose the choice as
+``engine="scalar" | "vectorized"``. The serving layer has one round loop of
+its own (:class:`repro.service.shared_plan.RoundProgram`) and selects
+nothing.
 """
 
 from repro.engine.battery import (

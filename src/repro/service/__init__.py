@@ -41,7 +41,6 @@ from repro.service.shared_plan import (
     Probe,
     RoundStats,
     SharedPlan,
-    execute_round,
     merge_schedules,
 )
 from repro.service.simulate import (
@@ -61,7 +60,6 @@ __all__ = [
     "SharedPlan",
     "RoundStats",
     "merge_schedules",
-    "execute_round",
     "QueryServer",
     "RegisteredQuery",
     "BatchReport",

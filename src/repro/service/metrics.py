@@ -4,15 +4,16 @@ The serving layer's whole value proposition — plans paid once, windows paid
 once — must be *measurable*, so the server maintains a
 :class:`ServiceMetrics` ledger: aggregate sharing counters (items saved,
 free probes), churn counters, the plan cache's hit rate, and a per-round
-cost series for tail percentiles (p50/p95/p99). Every round reaches the
-ledger the same way: the round loop folds its
-:class:`~repro.service.shared_plan.RoundStats` in through
-:meth:`ServiceMetrics.record_round`, at O(1) cost per round.
+cost series for tail percentiles (p50/p95/p99). Rounds reach the ledger one
+way: the server's batch tally folds every round once, and the finished
+:class:`~repro.service.server.BatchReport` (a :meth:`QueryServer.step
+<repro.service.server.QueryServer.step>` is a one-round batch) is folded in
+through :meth:`ServiceMetrics.record_batch`, at O(1) cost per batch plus one
+cost-window append per round.
 
-The ledger keeps no per-query numbers. Those travel one path only:
-``RoundStats`` into the batch's
-:class:`~repro.service.server.BatchReport` (and, with telemetry on, the
-per-query round-cost histograms).
+The ledger keeps no per-query numbers. Those travel one path only: each
+round's :class:`~repro.service.shared_plan.RoundStats` into the batch's
+report (and, with telemetry on, the per-query round-cost histograms).
 
 The percentile properties route through :class:`repro.obs.Histogram` —
 the same fixed-bucket interpolation the cluster's telemetry histograms
@@ -24,9 +25,12 @@ scheme, one interpolation rule).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.obs.metrics import Histogram
-from repro.service.shared_plan import RoundStats
+
+if TYPE_CHECKING:
+    from repro.service.server import BatchReport
 
 __all__ = ["ServiceMetrics", "ROUND_COST_WINDOW"]
 
@@ -55,6 +59,11 @@ class ServiceMetrics:
     ``round_costs`` keeps only the most recent :data:`ROUND_COST_WINDOW`
     rounds (the server runs indefinitely; the percentiles are over that
     sliding window, while ``total_cost``/``rounds`` cover the full lifetime).
+
+    The round fields (``rounds`` through ``items_saved``,
+    ``plan_cache_hit_rate`` and ``round_costs``) advance once per batch, by
+    :meth:`record_batch`; the churn, migration and re-plan counters are
+    incremented by the server where those events happen.
     """
 
     rounds: int = 0
@@ -80,15 +89,21 @@ class ServiceMetrics:
 
     # -- recording ------------------------------------------------------
 
-    def record_round(self, stats: RoundStats) -> None:
-        """Fold one executed round into the aggregates and the cost window."""
-        self.rounds += 1
-        self.total_cost += stats.cost
-        self.total_probes += stats.probes
-        self.free_probes += stats.free_probes
-        self.items_fetched += stats.items_fetched
-        self.items_saved += stats.items_saved
-        self.round_costs.append(stats.cost)
+    def record_batch(self, report: BatchReport) -> None:
+        """Fold one served batch into the aggregates and the cost window.
+
+        ``total_cost`` adds the batch's round costs one by one, so a batch
+        of N rounds and N one-round batches leave the same ledger.
+        """
+        self.rounds += report.rounds
+        for cost in report.round_costs:
+            self.total_cost += cost
+        self.total_probes += report.probes
+        self.free_probes += report.free_probes
+        self.items_fetched += report.items_fetched
+        self.items_saved += report.items_saved
+        self.plan_cache_hit_rate = report.plan_cache_hit_rate
+        self.round_costs.extend(report.round_costs)
         if len(self.round_costs) > ROUND_COST_WINDOW:
             del self.round_costs[: -ROUND_COST_WINDOW]
 

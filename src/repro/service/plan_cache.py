@@ -18,8 +18,10 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
+from repro.core.cost import dnf_schedule_cost
 from repro.core.heuristics.base import Scheduler
 from repro.core.schedule import Schedule
+from repro.core.tree import DnfTree
 from repro.errors import ReproError
 from repro.service.canonical import CanonicalForm
 
@@ -34,6 +36,21 @@ class CachedPlan:
     scheduler_name: str
     schedule: Schedule
     cost: float
+
+    @classmethod
+    def build(cls, key: str, tree: DnfTree, scheduler: Scheduler) -> CachedPlan:
+        """Schedule ``tree`` with ``scheduler`` and cost the schedule.
+
+        The one way a plan is made, cached or not: ``tree`` is the canonical
+        tree of ``key``, or the same shape re-probed under a belief update.
+        """
+        schedule = tuple(scheduler.schedule(tree))
+        return cls(
+            key=key,
+            scheduler_name=scheduler.name,
+            schedule=schedule,
+            cost=dnf_schedule_cost(tree, schedule, validate=True),
+        )
 
 
 class PlanCache:
@@ -94,38 +111,16 @@ class PlanCache:
         """Schedule ``form.tree`` with ``scheduler``, through the cache.
 
         The returned plan's schedule addresses the *canonical* tree; callers
-        expand it per registered query.
+        expand it per registered query. A miss schedules outside the lock
+        (heuristics can be slow and the result is deterministic, so a racing
+        duplicate computation is harmless) and then publishes: the miss is
+        counted at insert time, so two racing admissions of the same key
+        settle as exactly one miss (the insert winner) and one hit (the
+        loser, which is served the winner's entry).
         """
-        cache_key = (form.key, scheduler.name)
-        with self._lock:
-            plan = self._plans.get(cache_key)
-            if plan is not None:
-                self.hits += 1
-                self._plans.move_to_end(cache_key)
-                return plan
-        # Schedule outside the lock: heuristics can be slow and the result is
-        # deterministic, so a racing duplicate computation is harmless. The
-        # miss is counted at insert time so two racing admissions of the same
-        # key settle as exactly one miss (the insert winner) and one hit (the
-        # loser, which is served the winner's entry), keeping the counters
-        # consistent with the cache's observable behaviour.
-        schedule = scheduler.schedule(form.tree)
-        from repro.core.cost import dnf_schedule_cost
-
-        plan = CachedPlan(
-            key=form.key,
-            scheduler_name=scheduler.name,
-            schedule=tuple(schedule),
-            cost=dnf_schedule_cost(form.tree, schedule, validate=True),
-        )
-        with self._lock:
-            existing = self._plans.get(cache_key)
-            if existing is not None:
-                self.hits += 1
-                self._plans.move_to_end(cache_key)
-                return existing
-            self.misses += 1
-            self._insert_locked(cache_key, plan)
+        plan = self.lookup(form.key, scheduler.name)
+        if plan is None:
+            plan, _ = self.publish(CachedPlan.build(form.key, form.tree, scheduler))
         return plan
 
     def _insert_locked(self, cache_key: tuple[str, str], plan: CachedPlan) -> None:
@@ -147,12 +142,11 @@ class PlanCache:
     def lookup(self, key: str, scheduler_name: str) -> CachedPlan | None:
         """Counted read half of the read-through protocol.
 
-        A hit is counted here, because a remote worker that calls ``lookup``
-        and finds a plan will not follow up with :meth:`publish` — the pair
-        (``lookup`` hit) or (``lookup`` miss + ``publish`` insert) mirrors
-        exactly what one :meth:`plan` call would have recorded. A lookup miss
-        is deliberately *not* counted here: the miss belongs to the insert
-        (see :meth:`plan`'s race note), so two workers racing on the same
+        A hit is counted here, because a caller that finds a plan does not
+        follow up with :meth:`publish`: :meth:`plan` is exactly (``lookup``
+        hit) or (``lookup`` miss + ``publish``). A lookup miss is
+        deliberately *not* counted here: the miss belongs to the insert
+        (see :meth:`plan`'s race note), so two callers racing on the same
         key settle as one miss and one hit.
         """
         with self._lock:
@@ -165,10 +159,9 @@ class PlanCache:
     def publish(self, plan: CachedPlan) -> tuple[CachedPlan, bool]:
         """Counted write half of the read-through protocol.
 
-        Inserts ``plan`` computed elsewhere (a worker process) and returns
+        Inserts ``plan`` built after a :meth:`lookup` miss and returns
         ``(winner, inserted)``: on a racing insert of the same key the
-        existing entry wins and the caller is served a hit, identical to the
-        in-process :meth:`plan` race semantics.
+        existing entry wins and the caller is served a hit.
         """
         cache_key = (plan.key, plan.scheduler_name)
         with self._lock:

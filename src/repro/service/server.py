@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import operator
 import threading
 import time
 from dataclasses import dataclass, field, replace as dataclass_replace
@@ -41,7 +42,7 @@ from repro.engine.executor import (
 )
 from repro.engine.workload import compute_max_windows
 from repro.errors import AdmissionError, StreamError
-from repro.obs import Counter, Histogram, MetricsRegistry, Telemetry
+from repro.obs import Histogram, MetricsRegistry, Telemetry
 from repro.service.canonical import CanonicalForm, _as_dnf, canonicalize
 from repro.service.metrics import ServiceMetrics
 from repro.service.plan_cache import CachedPlan, PlanCache
@@ -162,29 +163,58 @@ class BatchReport:
 
 @dataclass
 class _BatchTally:
-    """What a batch report needs beyond the ledger's own counters.
+    """The one fold of a batch's rounds.
 
-    Per-query cost, TRUE counts and per-round totals are summed here; the
-    report's probe, item and replan fields are deltas of the ledger
-    counters from ``start`` (see :meth:`QueryServer._ledger_counts`).
+    Per resident slot (registration order; the server lock holds the
+    population still for the whole batch) it sums the cost and counts the
+    TRUE rounds; per round it keeps the cost; and it sums the probe, item
+    and re-plan counts. :meth:`report` builds the batch report from these
+    sums, and the lifetime ledger and the telemetry counters fold that
+    report, so every consumer reads the same numbers.
     """
 
-    start: tuple[int, ...]
-    per_query_cost: dict[str, float] = field(default_factory=dict)
-    true_counts: dict[str, int] = field(default_factory=dict)
+    names: tuple[str, ...]
+    query_cost: list[float]
+    true_counts: list[int]
     round_costs: list[float] = field(default_factory=list)
+    probes: int = 0
+    free_probes: int = 0
+    items_fetched: int = 0
+    items_saved: int = 0
+    replans: int = 0
 
-    def add(self, stats: RoundStats, values: Mapping[str, bool]) -> None:
-        # The round total is the registration-order sum of per-query costs
-        # (``stats.cost`` sums in probe order), so ``round_costs`` and
-        # ``per_query_cost`` accumulate their floats alike.
-        round_total = 0.0
-        for name, value in values.items():
-            cost = stats.query_cost.get(name, 0.0)
-            self.per_query_cost[name] = self.per_query_cost.get(name, 0.0) + cost
-            self.true_counts[name] = self.true_counts.get(name, 0) + (1 if value else 0)
-            round_total += cost
-        self.round_costs.append(round_total)
+    @classmethod
+    def start(cls, names: tuple[str, ...]) -> _BatchTally:
+        return cls(names, [0.0] * len(names), [0] * len(names))
+
+    def add(self, stats: RoundStats, values: Sequence[bool]) -> None:
+        """Fold one round: ``values`` are its root values, per slot."""
+        self.query_cost = list(map(operator.add, self.query_cost, stats.query_cost))
+        self.true_counts = list(map(operator.add, self.true_counts, values))
+        self.round_costs.append(stats.cost)
+        self.probes += stats.probes
+        self.free_probes += stats.free_probes
+        self.items_fetched += stats.items_fetched
+        self.items_saved += stats.items_saved
+
+    def report(self, plan_cache_hit_rate: float) -> BatchReport:
+        rounds = len(self.round_costs)
+        return BatchReport(
+            rounds=rounds,
+            total_cost=sum(self.round_costs),
+            per_query_cost=dict(zip(self.names, self.query_cost)),
+            per_query_true_rate={
+                name: count / rounds
+                for name, count in zip(self.names, self.true_counts)
+            },
+            round_costs=self.round_costs,
+            probes=self.probes,
+            free_probes=self.free_probes,
+            items_fetched=self.items_fetched,
+            items_saved=self.items_saved,
+            plan_cache_hit_rate=plan_cache_hit_rate,
+            replans=self.replans,
+        )
 
 
 class QueryServer:
@@ -288,14 +318,14 @@ class QueryServer:
             "evaluation": 0.0,
             "telemetry": 0.0,
         }
-        # Memoized metric cell references for _record_round_telemetry, keyed
-        # on registry identity: worker shards swap in a fresh registry after
-        # shipping each delta, which must invalidate the cache (``is`` check
-        # per round), while within one registry epoch the per-round name/label
-        # lookups collapse to attribute loads and one dict.get per query.
+        # Memoized per-round histogram cells for _record_round_telemetry,
+        # keyed on registry identity: worker shards swap in a fresh registry
+        # after shipping each delta, which must invalidate the cache (``is``
+        # check per round), while within one registry epoch the per-round
+        # name/label lookups collapse to attribute loads and one dict.get per
+        # query.
         self._metric_cells: (
-            tuple[MetricsRegistry, tuple[Counter, ...], tuple[Histogram, ...], dict[str, Histogram]]
-            | None
+            tuple[MetricsRegistry, Histogram, Histogram, dict[str, Histogram]] | None
         ) = None
         self._queries: dict[str, RegisteredQuery] = {}
         #: Residents per canonical key, so a departure learns whether its
@@ -422,7 +452,10 @@ class QueryServer:
             else:
                 self.adaptive.admit(form.key, admission_base, form.fold_sizes)
         if baseline is not None:
-            plan = self._plan_with_base_probs(form, chosen, baseline)
+            # Bypass the plan cache on purpose: it is keyed by admission
+            # identity, and belief-updated plans are maintained per server.
+            belief = form.reprobed_tree(fold_base_probs(baseline, form.fold_sizes))
+            plan = CachedPlan.build(form.key, belief, chosen)
             planning_tree = form.reprobed_original(dnf, baseline)
         else:
             plan = self._plan_canonical(form, chosen)
@@ -596,33 +629,8 @@ class QueryServer:
 
     def _plan_canonical(self, form: CanonicalForm, scheduler: Scheduler) -> CachedPlan:
         if self.plan_cache is not None:
-            plan = self.plan_cache.plan(form, scheduler)
-        else:
-            schedule = tuple(scheduler.schedule(form.tree))
-            plan = CachedPlan(
-                key=form.key,
-                scheduler_name=scheduler.name,
-                schedule=schedule,
-                cost=dnf_schedule_cost(form.tree, schedule, validate=True),
-            )
-        return plan
-
-    def _plan_with_base_probs(
-        self, form: CanonicalForm, scheduler: Scheduler, base_probs: Sequence[float]
-    ) -> CachedPlan:
-        """Schedule ``form``'s canonical tree under updated per-copy probabilities.
-
-        Bypasses the plan cache on purpose: the cache is keyed by admission
-        identity, and belief-updated plans are maintained per server.
-        """
-        belief = form.reprobed_tree(fold_base_probs(base_probs, form.fold_sizes))
-        schedule = tuple(scheduler.schedule(belief))
-        return CachedPlan(
-            key=form.key,
-            scheduler_name=scheduler.name,
-            schedule=schedule,
-            cost=dnf_schedule_cost(belief, schedule, validate=True),
-        )
+            return self.plan_cache.plan(form, scheduler)
+        return CachedPlan.build(form.key, form.tree, scheduler)
 
     def _scheduler_by_name(self, name: str) -> Scheduler:
         if name == self.scheduler.name:
@@ -703,18 +711,16 @@ class QueryServer:
         # does apply, the whole shape's cache entries are invalidated (all
         # schedulers): the shape's belief moved, so its admission-keyed
         # plans are stale even for groups whose swap was suppressed.
-        prepared: list[tuple[str, list[RegisteredQuery], Schedule, float, Schedule, float]] = []
+        prepared: list[tuple[list[RegisteredQuery], CachedPlan, Schedule, float]] = []
         for scheduler_name, group in by_scheduler.items():
-            scheduler = self._scheduler_by_name(scheduler_name)
-            new_schedule = tuple(scheduler.schedule(belief))
-            new_cost = dnf_schedule_cost(belief, new_schedule, validate=True)
+            plan = CachedPlan.build(key, belief, self._scheduler_by_name(scheduler_name))
             old_schedule = group[0].plan.schedule
             old_cost = dnf_schedule_cost(belief, old_schedule, validate=False)
             if (
                 reason == "drift"
                 and self.adaptive is not None
                 and self.adaptive.policy.min_saving > 0.0
-                and old_cost - new_cost < self.adaptive.policy.min_saving
+                and old_cost - plan.cost < self.adaptive.policy.min_saving
             ):
                 # Hysteresis: the drifted belief is still adopted as the new
                 # baseline (rebase below, which also starts the cooldown), but
@@ -722,9 +728,7 @@ class QueryServer:
                 # round is not worth the churn.
                 self.metrics.replans_suppressed += 1
                 continue
-            prepared.append(
-                (scheduler_name, group, new_schedule, new_cost, old_schedule, old_cost)
-            )
+            prepared.append((group, plan, old_schedule, old_cost))
         # Phase 2: apply the surviving groups.
         invalidated = (
             self.plan_cache.invalidate(key)
@@ -732,15 +736,9 @@ class QueryServer:
             else 0
         )
         events: list[ReplanEvent] = []
-        for scheduler_name, group, new_schedule, new_cost, old_schedule, old_cost in prepared:
-            plan = CachedPlan(
-                key=key,
-                scheduler_name=scheduler_name,
-                schedule=new_schedule,
-                cost=new_cost,
-            )
+        for group, plan, old_schedule, old_cost in prepared:
             for query in group:
-                expanded = query.canonical.expand_schedule(new_schedule)
+                expanded = query.canonical.expand_schedule(plan.schedule)
                 self._queries[query.name] = dataclass_replace(
                     query,
                     plan=plan,
@@ -756,9 +754,9 @@ class QueryServer:
                 old_probs=old_base,
                 new_probs=base_probs,
                 old_schedule=old_schedule,
-                new_schedule=new_schedule,
+                new_schedule=plan.schedule,
                 old_cost=old_cost,
-                new_cost=new_cost,
+                new_cost=plan.cost,
                 invalidated=invalidated,
                 queries=tuple(q.name for q in group),
                 reason=reason,
@@ -862,68 +860,56 @@ class QueryServer:
     def _record_round_telemetry(
         self,
         tel: Telemetry,
+        program: RoundProgram,
         stats: RoundStats,
-        values: Mapping[str, bool],
+        values: Sequence[bool],
         *,
         started: float,
         acquisition: float,
         planning: float,
         evaluating: float,
     ) -> None:
-        """One round's metrics, detail events and phase split (enabled path only).
+        """One round's histograms, detail events and phase split (enabled path only).
 
         Recording is per *round*, never per probe: the round loop calls this
         exactly once after closing the round, so the instrumented hot path
-        stays allocation-free between rounds. ``started`` is the round's
-        first clock read and ``evaluating`` the read its evaluation phase
-        began at.
+        stays allocation-free between rounds. The round's counters are not
+        written here: :meth:`_serve` adds each batch's report to them once.
+        ``started`` is the round's first clock read and ``evaluating`` the
+        read its evaluation phase began at.
         """
         evaluated_at = time.perf_counter()
         reg = tel.registry
         cached = self._metric_cells
         if cached is None or cached[0] is not reg:
-            cached = (
+            cached = self._metric_cells = (
                 reg,
-                (
-                    reg.counter("repro_rounds_total"),
-                    reg.counter("repro_probes_total"),
-                    reg.counter("repro_free_probes_total"),
-                    reg.counter("repro_items_fetched_total"),
-                    reg.counter("repro_items_saved_total"),
-                ),
-                (
-                    reg.histogram("repro_round_cost"),
-                    reg.histogram("repro_round_seconds"),
-                ),
+                reg.histogram("repro_round_cost"),
+                reg.histogram("repro_round_seconds"),
                 {},
             )
-            self._metric_cells = cached
-        rounds_c, probes_c, free_c, fetched_c, saved_c = cached[1]
-        round_cost_h, round_seconds_h = cached[2]
-        rounds_c.inc()
-        probes_c.inc(stats.probes)
-        free_c.inc(stats.free_probes)
-        fetched_c.inc(stats.items_fetched)
-        saved_c.inc(stats.items_saved)
+        _, round_cost_h, round_seconds_h, query_cells = cached
         round_cost_h.observe(stats.cost)
         round_seconds_h.observe(evaluated_at - started)
-        query_cells = cached[3]
-        for name in values:
+        names = program.names
+        for name, cost in zip(names, stats.query_cost):
             cell = query_cells.get(name)
             if cell is None:
                 cell = query_cells[name] = reg.histogram(
                     "repro_query_round_cost", query=name
                 )
-            cell.observe(stats.query_cost.get(name, 0.0))
+            cell.observe(cost)
         if tel.detail:
-            for name, value in values.items():
+            for name, value, cost, probes in zip(
+                names, values, stats.query_cost, stats.query_probes
+            ):
                 tel.event(
                     "query-resolution",
                     query=name,
                     round=self._round,
-                    cost=stats.query_cost.get(name, 0.0),
+                    cost=cost,
                     value=value,
-                    probes=stats.query_probes.get(name, 0),
+                    probes=probes,
                 )
         phases = self._phase_seconds
         phases["acquisition"] += acquisition
@@ -931,31 +917,17 @@ class QueryServer:
         phases["evaluation"] += evaluated_at - evaluating
         phases["telemetry"] += time.perf_counter() - evaluated_at
 
-    def _close_round(
-        self,
-        stats: RoundStats,
-        values: Mapping[str, bool],
-        tally: _BatchTally | None,
-    ) -> None:
-        """Account one executed round: the clock, the ledger, the batch tally.
-
-        The ledger and the batch report read every round from here, so
-        they agree on its numbers.
-        """
-        self._round += 1
-        self.metrics.record_round(stats)
-        if self.plan_cache is not None:
-            self.metrics.plan_cache_hit_rate = self.plan_cache.hit_rate
-        if tally is not None:
-            tally.add(stats, values)
-
     @_synchronized
     def step(self) -> dict[str, ExecutionResult]:
-        """Advance the streams one tick and evaluate every registered query."""
-        return self._step(None).results()
+        """Advance the streams one tick and evaluate every registered query.
 
-    def _step(self, tally: _BatchTally | None) -> RoundProgram:
-        """One round; inside a batch, ``tally`` also receives it.
+        The round is served and accounted exactly as a one-round batch.
+        """
+        _, program = self._serve(1)
+        return program.results()
+
+    def _step(self, tally: _BatchTally) -> RoundProgram:
+        """One round, folded into ``tally``.
 
         Returns the program that ran the round, whose
         :meth:`~repro.service.shared_plan.RoundProgram.results` read it back
@@ -986,15 +958,17 @@ class QueryServer:
         planned_at = time.perf_counter() if recording else 0.0
         stats = program.run(self.cache)
         values = program.values()
-        self._close_round(stats, values, tally)
+        self._round += 1
+        tally.add(stats, values)
         if self.adaptive is not None:
             for name, result in program.results().items():
                 self._observe_outcomes(self._queries[name], result.outcomes)
-            self._maybe_replan()
+            tally.replans += len(self._maybe_replan())
         self._advance_drifting_oracles(1)
         if recording:
             self._record_round_telemetry(
                 tel,
+                program,
                 stats,
                 values,
                 started=wall_start,
@@ -1020,10 +994,10 @@ class QueryServer:
             raise StreamError(f"need at least one round, got {rounds}")
         tel = self.telemetry
         if tel is None or not tel.enabled:
-            return self._run_batch(rounds)
+            return self._serve(rounds)[0]
         with tel.span("batch", rounds=rounds, queries=len(self._queries)) as attrs:
             marks = dict(self._phase_seconds)
-            report = self._run_batch(rounds)
+            report, _ = self._serve(rounds)
             attrs["total_cost"] = report.total_cost
             attrs["probes"] = report.probes
             attrs["replans"] = report.replans
@@ -1035,46 +1009,32 @@ class QueryServer:
             }
         return report
 
-    def _run_batch(self, rounds: int) -> BatchReport:
-        tally = _BatchTally(self._ledger_counts())
+    def _serve(self, rounds: int) -> tuple[BatchReport, RoundProgram]:
+        """Serve ``rounds`` rounds and account them: the path every round takes.
+
+        The batch tally folds each round once; its report then reaches the
+        lifetime ledger and, while telemetry records, the registry's
+        counters, once per batch. Returns the report and the program that
+        ran the last round.
+        """
+        tally = _BatchTally.start(tuple(self._queries))
         for _ in range(rounds):
-            self._step(tally)
-        return self._batch_report(tally)
-
-    def _ledger_counts(self) -> tuple[int, ...]:
-        """The ledger counters a batch report reads as deltas."""
-        metrics = self.metrics
-        return (
-            metrics.total_probes,
-            metrics.free_probes,
-            metrics.items_fetched,
-            metrics.items_saved,
-            metrics.replans,
+            program = self._step(tally)
+        report = tally.report(
+            self.plan_cache.hit_rate if self.plan_cache is not None else 0.0
         )
-
-    def _batch_report(self, tally: _BatchTally) -> BatchReport:
-        """The report of the batch ``tally`` has accumulated."""
-        probes, free_probes, items_fetched, items_saved, replans = (
-            now - then for now, then in zip(self._ledger_counts(), tally.start)
-        )
-        rounds = len(tally.round_costs)
-        return BatchReport(
-            rounds=rounds,
-            total_cost=sum(tally.round_costs),
-            per_query_cost=tally.per_query_cost,
-            per_query_true_rate={
-                name: count / rounds for name, count in tally.true_counts.items()
-            },
-            round_costs=tally.round_costs,
-            probes=probes,
-            free_probes=free_probes,
-            items_fetched=items_fetched,
-            items_saved=items_saved,
-            plan_cache_hit_rate=(
-                self.plan_cache.hit_rate if self.plan_cache is not None else 0.0
-            ),
-            replans=replans,
-        )
+        self.metrics.record_batch(report)
+        tel = self.telemetry
+        if tel is not None and tel.enabled:
+            started = time.perf_counter()
+            reg = tel.registry
+            reg.counter("repro_rounds_total").inc(report.rounds)
+            reg.counter("repro_probes_total").inc(report.probes)
+            reg.counter("repro_free_probes_total").inc(report.free_probes)
+            reg.counter("repro_items_fetched_total").inc(report.items_fetched)
+            reg.counter("repro_items_saved_total").inc(report.items_saved)
+            self._phase_seconds["telemetry"] += time.perf_counter() - started
+        return report, program
 
 
 def run_isolated(

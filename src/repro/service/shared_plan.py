@@ -14,8 +14,8 @@ marginal cost-effectiveness across the whole population:
   so once one query pays for a window, every other query's probes on that
   stream become free and float to the front ("pay one, get hundreds").
 
-:func:`merge_schedules` builds the plan; :func:`execute_round` runs one
-round of it against a shared cache with per-query early termination.
+:func:`merge_schedules` builds the plan; :class:`RoundProgram` runs rounds
+of it against a shared cache with per-query early termination.
 
 Every next-up leaf on one stream shares that stream's planned window and
 remaining demand, so the merge keeps its candidates per stream: a pick
@@ -37,7 +37,9 @@ the cache.
 
 from __future__ import annotations
 
+import functools
 import heapq
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
@@ -63,7 +65,6 @@ __all__ = [
     "Probe",
     "SharedPlan",
     "merge_schedules",
-    "execute_round",
     "RoundProgram",
     "RoundStats",
 ]
@@ -243,19 +244,31 @@ def merge_schedules(
 class RoundStats:
     """The one per-round record: aggregate and per-query accounting.
 
-    :meth:`RoundProgram.run` fills it. The server's ledger folds its
-    aggregates; the batch report and telemetry read its per-query entries,
-    the only path per-query numbers take. The per-query entries come in
-    registration order; a query none of whose probes ran has none.
+    :meth:`RoundProgram.run` fills it. ``query_cost`` and ``query_probes``
+    hold one entry per resident, aligned with the program's ``names``
+    (registration order); a resident none of whose probes ran has 0.0 and
+    0. The server's batch tally is the one fold of these records: the batch
+    report, the lifetime ledger and the telemetry counters all read the
+    tally's sums, and only the per-round histograms and detail events read
+    a round's entries directly.
     """
 
-    cost: float = 0.0
     probes: int = 0
     free_probes: int = 0
     items_fetched: int = 0
     items_saved: int = 0
-    query_cost: dict[str, float] = field(default_factory=dict)
-    query_probes: dict[str, int] = field(default_factory=dict)
+    query_cost: list[float] = field(default_factory=list)
+    query_probes: list[int] = field(default_factory=list)
+
+    @property
+    def cost(self) -> float:
+        """The round's cost: the per-query costs summed in registration order.
+
+        A plain left fold from 0.0 (``sum`` compensates on Python 3.12+), so
+        a batch's per-query totals and its round costs add the same floats
+        the same way.
+        """
+        return functools.reduce(operator.add, self.query_cost, 0.0)
 
 
 #: One compiled probe: its query's slot, the query's *base* (where its
@@ -335,7 +348,23 @@ class RoundProgram:
         self._slot_steps: list[list[tuple[int, int]]] | None = None
 
     def run(self, cache: Union[DataItemCache, CountingCache]) -> RoundStats:
-        """Execute one round; see :func:`execute_round`."""
+        """Execute one round of the plan with per-query early termination.
+
+        Walks the global probe order once; a probe is skipped for free when
+        its query's root is already resolved (early termination) or the
+        leaf's AND/OR ancestors short-circuited it away: one guard check per
+        probe over the leaf's precomputed ancestors in the flat node state,
+        and an iterative walk toward the root per evaluated probe. Per
+        query, the round means exactly what running it through
+        :class:`~repro.engine.executor.ScheduleExecutor` means (see
+        :meth:`results`).
+
+        A *window memo* remembers, per stream, the largest window fetched
+        this round; a probe within it takes the memo's tail with cost 0.0
+        and no ``fetch_window`` call — exactly what the cache would return,
+        since nothing evicts mid-round. Memoized windows are read-only: an
+        oracle that writes to its window raises ``ValueError``.
+        """
         names = self.names
         state = self._state
         counts = self._counts
@@ -346,14 +375,13 @@ class RoundProgram:
         need = self._need
         outcome_of = self._outcome_of
         query_cost = self._query_cost = [0.0] * len(names)
-        query_fetched = [0] * len(names)
-        query_items = [0] * len(names)
         query_probes = [0] * len(names)
         # Per stream, the largest window fetched this round and its values.
         held: dict[str, tuple[int, np.ndarray | None]] = {}
         fetch_window = cache.fetch_window
-        total = 0.0
         free = 0
+        fetched = 0
+        needed = 0
         for slot, base, (g, leaf, stream, items, node, guards) in self.steps:
             for guard in guards:
                 if state[base + guard]:
@@ -376,12 +404,11 @@ class RoundProgram:
                         # write to it.
                         window.flags.writeable = False
                     held[stream] = (items, window)
-                    total += fetch.cost
                     query_cost[slot] += fetch.cost
-                    query_fetched[slot] += fetch.fetched_items
+                    fetched += fetch.fetched_items
                     if not fetch.fetched_items:
                         free += 1
-                query_items[slot] += items
+                needed += items
                 query_probes[slot] += 1
                 # Propagate toward the root. The value never changes on the
                 # way up: an AND takes a FALSE child's value (or its last
@@ -402,30 +429,28 @@ class RoundProgram:
                     if value == kinds[up] and resolved < need[up]:
                         break
                     node = up
-        stats = RoundStats(cost=total, free_probes=free)
-        for slot, probes in enumerate(query_probes):
-            if probes:
-                name = names[slot]
-                fetched = query_fetched[slot]
-                stats.probes += probes
-                stats.items_fetched += fetched
-                stats.items_saved += query_items[slot] - fetched
-                stats.query_cost[name] = query_cost[slot]
-                stats.query_probes[name] = probes
-        return stats
+        return RoundStats(
+            probes=sum(query_probes),
+            free_probes=free,
+            items_fetched=fetched,
+            items_saved=needed - fetched,
+            query_cost=query_cost,
+            query_probes=query_probes,
+        )
 
-    def values(self) -> dict[str, bool]:
-        """Every query's root value in the last round, in slot order."""
+    def values(self) -> list[bool]:
+        """Every query's root value in the last round, per slot."""
         state = self._state
-        values: dict[str, bool] = {}
-        for name, root in zip(self.names, self._roots):
-            value = state[root]
-            assert value != UNRESOLVED, "a full schedule always resolves the root"
-            values[name] = value == TRUE
-        return values
+        values = [state[root] for root in self._roots]
+        assert UNRESOLVED not in values, "a full schedule always resolves the root"
+        return [value == TRUE for value in values]
 
     def results(self) -> dict[str, ExecutionResult]:
-        """Every query's :class:`ExecutionResult` of the last round, in slot order."""
+        """Every query's :class:`ExecutionResult` of the last round, in slot order.
+
+        Each has exactly the semantics of running that query's schedule
+        alone through :class:`~repro.engine.executor.ScheduleExecutor`.
+        """
         if self._slot_steps is None:
             # Per query, its probes' (leaf global index, flat leaf node).
             self._slot_steps = [[] for _ in self.names]
@@ -433,8 +458,8 @@ class RoundProgram:
                 self._slot_steps[slot].append((g, base + node))
         state = self._state
         results: dict[str, ExecutionResult] = {}
-        for (name, value), cost, steps in zip(
-            self.values().items(), self._query_cost, self._slot_steps
+        for name, value, cost, steps in zip(
+            self.names, self.values(), self._query_cost, self._slot_steps
         ):
             skipped: list[int] = []
             # Insertion order: the query's evaluated leaves in probe order.
@@ -454,33 +479,3 @@ class RoundProgram:
                 outcomes=outcomes,
             )
         return results
-
-
-def execute_round(
-    plan: SharedPlan,
-    indexes: Mapping[str, TreeIndex],
-    cache: Union[DataItemCache, CountingCache],
-    oracles: Mapping[str, LeafOracle],
-) -> tuple[dict[str, ExecutionResult], RoundStats]:
-    """Run one round of the shared plan with per-query early termination.
-
-    Walks the global probe order once; a probe is skipped for free when its
-    query's root is already resolved (early termination) or the leaf's AND/OR
-    ancestors short-circuited it away. Returns per-query
-    :class:`~repro.engine.executor.ExecutionResult` (identical semantics to
-    running each query through :class:`~repro.engine.executor.ScheduleExecutor`)
-    plus round-level sharing statistics.
-
-    The round runs as a compiled :class:`RoundProgram`: one guard check per
-    probe over the leaf's precomputed ancestors in the flat node state, and
-    an iterative walk toward the root per evaluated probe. A *window memo* remembers, per
-    stream, the largest window fetched this round; a probe within it takes
-    the memo's tail with cost 0.0 and no ``fetch_window`` call — exactly
-    what the cache would return, since nothing evicts mid-round. Memoized
-    windows are read-only. Callers that serve one plan for many rounds (the
-    server) compile once and :meth:`~RoundProgram.run` per round.
-    ``RoundStats``' per-query entries come in ``indexes`` order.
-    """
-    program = RoundProgram(plan, indexes, oracles)
-    stats = program.run(cache)
-    return program.results(), stats

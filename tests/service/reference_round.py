@@ -2,9 +2,10 @@
 
 Every probe re-checks its query's ``ResolutionState``, fetches its window
 through ``cache.fetch_window`` and accounts itself through
-:func:`record_probe`. :func:`repro.service.shared_plan.execute_round`
-must return exactly what this returns — the same ``ExecutionResult``s, the
-same ``RoundStats`` and the same cache and oracle state afterwards.
+:func:`record_probe`. A compiled
+:class:`repro.service.shared_plan.RoundProgram` must do exactly what this
+does — the same ``ExecutionResult``s, the same ``RoundStats`` and the same
+cache and oracle state afterwards.
 
 :func:`reference_rounds` serves whole :class:`~repro.service.QueryServer`
 batches on this walk, so server-level tests can compare the compiled
@@ -24,17 +25,21 @@ from repro.streams.cache import CountingCache, DataItemCache
 
 
 def record_probe(
-    stats: RoundStats, query: str, window_items: int, cost: float, fetched_items: int
+    stats: RoundStats, slot: int, window_items: int, cost: float, fetched_items: int
 ) -> None:
-    """Account one executed probe in ``stats``, aggregate and per query."""
-    stats.cost += cost
+    """Account one executed probe of the query in ``slot``, aggregate and per query."""
     stats.probes += 1
     stats.items_fetched += fetched_items
     stats.items_saved += window_items - fetched_items
-    stats.query_cost[query] = stats.query_cost.get(query, 0.0) + cost
-    stats.query_probes[query] = stats.query_probes.get(query, 0) + 1
+    stats.query_cost[slot] += cost
+    stats.query_probes[slot] += 1
     if fetched_items == 0:
         stats.free_probes += 1
+
+
+def new_stats(n_queries: int) -> RoundStats:
+    """An empty round record for ``n_queries`` residents."""
+    return RoundStats(query_cost=[0.0] * n_queries, query_probes=[0] * n_queries)
 
 
 def execute_round(
@@ -50,13 +55,14 @@ def execute_round(
     ancestors short-circuited it away. Returns per-query
     :class:`~repro.engine.executor.ExecutionResult` (identical semantics to
     running each query through :class:`~repro.engine.executor.ScheduleExecutor`)
-    plus round-level sharing statistics.
+    plus the round's record, per query in ``indexes`` order.
     """
+    slots = {name: slot for slot, name in enumerate(indexes)}
     states = {name: index.new_state() for name, index in indexes.items()}
     evaluated: dict[str, list[int]] = {name: [] for name in indexes}
     skipped: dict[str, list[int]] = {name: [] for name in indexes}
     outcomes: dict[str, dict[int, bool]] = {name: {} for name in indexes}
-    stats = RoundStats()
+    stats = new_stats(len(indexes))
     for probe in plan.probes:
         state = states[probe.query]
         if state.root_value is not None or state.is_skipped(probe.gindex):
@@ -68,14 +74,16 @@ def execute_round(
         outcomes[probe.query][probe.gindex] = outcome
         evaluated[probe.query].append(probe.gindex)
         state.set_leaf(probe.gindex, outcome)
-        record_probe(stats, probe.query, leaf.items, fetch.cost, fetch.fetched_items)
+        record_probe(
+            stats, slots[probe.query], leaf.items, fetch.cost, fetch.fetched_items
+        )
     results: dict[str, ExecutionResult] = {}
     for name, state in states.items():
         value = state.root_value
         assert value is not None, "a full schedule always resolves the root"
         results[name] = ExecutionResult(
             value=value,
-            cost=stats.query_cost.get(name, 0.0),
+            cost=stats.query_cost[slots[name]],
             evaluated=tuple(evaluated[name]),
             skipped=tuple(skipped[name]),
             outcomes=outcomes[name],
@@ -93,6 +101,7 @@ class ReferenceProgram:
         oracles: Mapping[str, LeafOracle],
     ) -> None:
         self.plan = plan
+        self.names = tuple(indexes)
         self._indexes = dict(indexes)
         self._oracles = dict(oracles)
         self._results: dict[str, ExecutionResult] = {}
@@ -103,8 +112,8 @@ class ReferenceProgram:
         )
         return stats
 
-    def values(self) -> dict[str, bool]:
-        return {name: result.value for name, result in self._results.items()}
+    def values(self) -> list[bool]:
+        return [result.value for result in self._results.values()]
 
     def results(self) -> dict[str, ExecutionResult]:
         return self._results

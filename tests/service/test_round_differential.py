@@ -1,13 +1,14 @@
 """Differential tests: the compiled round program against the per-probe walk.
 
-:func:`repro.service.shared_plan.execute_round` must do exactly what
+:class:`repro.service.shared_plan.RoundProgram` must do exactly what
 :func:`reference_round.execute_round` does: the same ``ExecutionResult``s,
 the same ``RoundStats`` to the last bit, and the same cache and oracle state
 afterwards — so the window memo (which elides ``fetch_window`` calls) must
 charge, fetch and draw exactly as the calls it elides would have.
 
 Each example builds one population twice from the same description — one
-copy per engine — and serves a few consecutive rounds on both.
+copy per engine — and serves a few consecutive rounds on both, the program
+compiled once and run every round, as the server runs it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from repro.engine.executor import (
     PredicateOracle,
 )
 from repro.predicates.predicate import Predicate
-from repro.service.shared_plan import Probe, SharedPlan, execute_round, merge_schedules
+from repro.service.shared_plan import Probe, RoundProgram, SharedPlan, merge_schedules
 from repro.streams.cache import CountingCache, DataItemCache
 from repro.streams.drift import DriftSchedule, StepDrift
 from repro.streams.sources import RandomWalkSource, UniformSource
@@ -133,7 +134,7 @@ def _oracle(spec, index: TreeIndex, shared: BernoulliOracle) -> LeafOracle:
 
 
 def build(population):
-    """One fresh copy of the population, as ``execute_round``'s arguments."""
+    """One fresh copy of the population: ``(plan, indexes, cache, oracles)``."""
     indexes = {q["name"]: TreeIndex(q["tree"]) for q in population["queries"]}
     shared = BernoulliOracle(seed=population["source_seed"])
     oracles = {
@@ -189,8 +190,8 @@ def stats_fields(stats):
         stats.free_probes,
         stats.items_fetched,
         stats.items_saved,
-        {name: cost.hex() for name, cost in stats.query_cost.items()},
-        dict(stats.query_probes),
+        [cost.hex() for cost in stats.query_cost],
+        list(stats.query_probes),
     )
 
 
@@ -213,8 +214,10 @@ class TestRoundMatchesReference:
     def test_rounds_are_bit_identical(self, population):
         got_world = build(population)
         want_world = build(population)
+        program = RoundProgram(got_world[0], got_world[1], got_world[3])
         for _ in range(ROUNDS):
-            got_results, got_stats = execute_round(*got_world)
+            got_stats = program.run(got_world[2])
+            got_results = program.results()
             want_results, want_stats = reference_round.execute_round(*want_world)
             assert list(got_results) == list(want_results)
             for name, want in want_results.items():
@@ -246,7 +249,7 @@ class TestMemoizedWindows:
         cache = DataItemCache({"A": UniformSource(seed=1)}, {"A": 1.0}, now=4)
         plan = SharedPlan(probes=(Probe("q", 0), Probe("q", 1)), planned_items={})
         with pytest.raises(ValueError, match="read-only"):
-            execute_round(plan, indexes, cache, {"q": _ScribblingOracle()})
+            RoundProgram(plan, indexes, {"q": _ScribblingOracle()}).run(cache)
 
     def test_memo_serves_the_fetched_tail(self):
         """A nested window sees the newest items of the wider one, for free."""
@@ -260,7 +263,7 @@ class TestMemoizedWindows:
         tree = DnfTree([[Leaf("A", 4, 0.5)], [Leaf("A", 2, 0.5)]])
         cache = DataItemCache({"A": UniformSource(seed=3)}, {"A": 1.0}, now=6)
         plan = SharedPlan(probes=(Probe("q", 0), Probe("q", 1)), planned_items={})
-        _, stats = execute_round(plan, {"q": TreeIndex(tree)}, cache, {"q": Recording()})
+        stats = RoundProgram(plan, {"q": TreeIndex(tree)}, {"q": Recording()}).run(cache)
         assert seen[1].tolist() == seen[0][-2:].tolist()
         assert (stats.items_fetched, stats.items_saved, stats.free_probes) == (4, 2, 1)
         assert cache.charged == 4.0

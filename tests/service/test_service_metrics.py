@@ -1,25 +1,45 @@
-"""ServiceMetrics ledger: aggregate folding, percentile routing, O(1) size."""
+"""ServiceMetrics ledger: batch folding, percentile routing, O(1) size."""
 
 from __future__ import annotations
 
 import pickle
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.adaptive import AdaptivePolicy
 from repro.core.leaf import Leaf
 from repro.core.tree import DnfTree
 from repro.engine import BernoulliOracle
-from repro.service import QueryServer
+from repro.engine.executor import DriftingBernoulliOracle
+from repro.generators import step_drift_by_stream
+from repro.obs import MetricsRegistry, Telemetry
+from repro.service import BatchReport, QueryServer
 from repro.service.metrics import ROUND_COST_WINDOW, ServiceMetrics
+from repro.service.server import _BatchTally
 from repro.service.shared_plan import RoundStats
 from repro.streams.registry import StreamRegistry
 from repro.streams.sources import GaussianSource
 from repro.streams.stream import StreamSpec
-from tests.service.reference_round import record_probe
+from tests.service.reference_round import new_stats, record_probe
 
 costs = st.floats(min_value=1e-6, max_value=1e4, allow_nan=False)
+
+
+def batch_of(*rounds: RoundStats) -> BatchReport:
+    """The report a server's batch tally builds from ``rounds``."""
+    names = tuple(f"q{slot}" for slot in range(len(rounds[0].query_cost)))
+    tally = _BatchTally.start(names)
+    for stats in rounds:
+        tally.add(stats, [False] * len(stats.query_cost))
+    return tally.report(plan_cache_hit_rate=0.0)
+
+
+def one_round(cost: float) -> BatchReport:
+    """A one-round batch of one resident that paid ``cost``."""
+    return batch_of(RoundStats(query_cost=[cost], query_probes=[1]))
 
 
 class TestServiceMetricsPercentiles:
@@ -32,14 +52,14 @@ class TestServiceMetricsPercentiles:
 
     def test_singleton_round(self):
         metrics = ServiceMetrics()
-        metrics.record_round(RoundStats(cost=2.5))
+        metrics.record_batch(one_round(2.5))
         assert metrics.p50_round_cost == pytest.approx(2.5)
         assert metrics.p99_round_cost == pytest.approx(2.5)
 
     def test_percentiles_route_through_histogram(self):
         metrics = ServiceMetrics()
         for cost in (1.0, 2.0, 3.0, 100.0):
-            metrics.record_round(RoundStats(cost=cost))
+            metrics.record_batch(one_round(cost))
         hist = metrics.round_cost_histogram()
         assert metrics.p50_round_cost == hist.percentile(50.0)
         assert metrics.p95_round_cost == hist.percentile(95.0)
@@ -51,7 +71,7 @@ class TestServiceMetricsPercentiles:
     def test_percentiles_bounded_by_window_extremes(self, values):
         metrics = ServiceMetrics()
         for cost in values:
-            metrics.record_round(RoundStats(cost=cost))
+            metrics.record_batch(one_round(cost))
         for p in (
             metrics.p50_round_cost,
             metrics.p95_round_cost,
@@ -64,7 +84,7 @@ class TestServiceMetricsPercentiles:
         metrics = ServiceMetrics()
         total = ROUND_COST_WINDOW + 100
         for i in range(total):
-            metrics.record_round(RoundStats(cost=float(i)))
+            metrics.record_batch(one_round(float(i)))
         assert metrics.rounds == total
         assert metrics.total_cost == pytest.approx(sum(range(total)))
         assert len(metrics.round_costs) == ROUND_COST_WINDOW
@@ -74,17 +94,19 @@ class TestServiceMetricsPercentiles:
 
 
 class TestRecordRound:
+    """Rounds reach the ledger through the batch report (``record_batch``)."""
+
     def test_folds_aggregates_and_every_resident(self):
-        stats = RoundStats()
-        record_probe(stats, "a", window_items=4, cost=6.0, fetched_items=3)
-        record_probe(stats, "b", window_items=4, cost=0.0, fetched_items=0)
-        record_probe(stats, "a", window_items=2, cost=1.5, fetched_items=1)
+        stats = new_stats(2)
+        record_probe(stats, 0, window_items=4, cost=6.0, fetched_items=3)
+        record_probe(stats, 1, window_items=4, cost=0.0, fetched_items=0)
+        record_probe(stats, 0, window_items=2, cost=1.5, fetched_items=1)
         metrics = ServiceMetrics()
-        metrics.record_round(stats)
+        metrics.record_batch(batch_of(stats))
         # Every resident's probes and cost reach the aggregates, and the
         # ledger keeps nothing else from the round.
-        assert metrics.total_probes == sum(stats.query_probes.values())
-        assert metrics.total_cost == sum(stats.query_cost.values())
+        assert metrics.total_probes == sum(stats.query_probes)
+        assert metrics.total_cost == sum(stats.query_cost)
         assert metrics == ServiceMetrics(
             rounds=1,
             total_cost=7.5,
@@ -98,9 +120,9 @@ class TestRecordRound:
     def test_rounds_accumulate_per_query(self):
         metrics = ServiceMetrics()
         for _ in range(3):
-            stats = RoundStats()
-            record_probe(stats, "a", window_items=1, cost=0.5, fetched_items=1)
-            metrics.record_round(stats)
+            stats = new_stats(1)
+            record_probe(stats, 0, window_items=1, cost=0.5, fetched_items=1)
+            metrics.record_batch(batch_of(stats))
         assert (metrics.rounds, metrics.total_cost, metrics.total_probes) == (3, 1.5, 3)
         assert metrics.round_costs == [0.5, 0.5, 0.5]
 
@@ -128,3 +150,69 @@ class TestLedgerSize:
         assert (churned.registrations, churned.deregistrations) == (31, 30)
         assert stable.rounds == churned.rounds == 30
         assert len(pickle.dumps(churned)) == len(pickle.dumps(stable))
+
+
+def _probe_order_server(telemetry: Telemetry) -> QueryServer:
+    """Three one-leaf queries the merge probes in reverse registration order."""
+    registry = StreamRegistry()
+    for i, cost in enumerate((0.1, 0.2, 0.3)):
+        registry.add(StreamSpec(f"S{i}", cost), GaussianSource(seed=i))
+    server = QueryServer(registry, BernoulliOracle(seed=0), telemetry=telemetry)
+    for name, stream, prob in (("a", "S0", 0.8), ("b", "S1", 0.5), ("c", "S2", 0.05)):
+        server.register(name, DnfTree([[Leaf(stream, 1, prob)]]))
+    return server
+
+
+def _drifting_server(telemetry: Telemetry) -> QueryServer:
+    """Three adaptive queries whose cheap leaf drifts, so they re-plan mid-run."""
+    tree = DnfTree(
+        [[Leaf("cheap", 2, 0.05)], [Leaf("dear", 3, 0.6)]],
+        costs={"cheap": 1.0, "dear": 5.0},
+    )
+    registry = StreamRegistry()
+    registry.add(StreamSpec("cheap", 1.0), GaussianSource(seed=11))
+    registry.add(StreamSpec("dear", 5.0), GaussianSource(seed=12))
+    policy = AdaptivePolicy(window=16, threshold=0.25, min_samples=6, cooldown=4)
+    server = QueryServer(registry, adaptive=policy, telemetry=telemetry)
+    for q in range(3):
+        drift = step_drift_by_stream(tree, 10, {"cheap": 0.3})
+        server.register(f"q{q}", tree, oracle=DriftingBernoulliOracle(drift, seed=q))
+    return server
+
+
+def _counters(registry: MetricsRegistry) -> dict:
+    return {
+        (cell["name"], tuple(sorted(cell["labels"].items()))): cell["value"]
+        for cell in registry.snapshot()["counters"]
+    }
+
+
+class TestOneRoundCost:
+    """A round's cost is one number: report, ledger and histogram agree."""
+
+    def test_report_ledger_and_histogram_agree(self):
+        tel = Telemetry()
+        server = _probe_order_server(tel)
+        assert [probe.query for probe in server.shared_plan().probes] == ["c", "b", "a"]
+        report = server.run_batch(1)
+        histogram = tel.registry.get_histogram("repro_round_cost")
+        assert histogram is not None
+        # Summed in probe order the round costs 0.6; in registration order,
+        # the order the report sums per-query costs in, 0.6000000000000001.
+        assert report.total_cost.hex() == server.metrics.total_cost.hex()
+        assert report.total_cost.hex() == histogram.total.hex()
+        assert report.round_costs == server.metrics.round_costs
+
+    @pytest.mark.parametrize("build", [_probe_order_server, _drifting_server])
+    def test_steps_and_one_batch_leave_the_same_record(self, build):
+        rounds = 25
+        stepped_tel, batched_tel = Telemetry(), Telemetry()
+        stepped, batched = build(stepped_tel), build(batched_tel)
+        for _ in range(rounds):
+            stepped.step()
+        batched.run_batch(rounds)
+        assert asdict(stepped.metrics) == asdict(batched.metrics)
+        assert _counters(stepped_tel.registry) == _counters(batched_tel.registry)
+        assert stepped.metrics.rounds == rounds
+        if build is _drifting_server:
+            assert batched.metrics.replans > 0

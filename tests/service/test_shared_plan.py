@@ -157,7 +157,7 @@ class TestRoundProgram:
         """A plan probing one leaf twice: evaluated once, then skipped."""
         from repro.core.resolution import TreeIndex
         from repro.engine.executor import PrecomputedOracle
-        from repro.service.shared_plan import Probe, SharedPlan, execute_round
+        from repro.service.shared_plan import Probe, RoundProgram, SharedPlan
         from repro.streams.cache import CountingCache
         from tests.service import reference_round
 
@@ -165,15 +165,20 @@ class TestRoundProgram:
         plan = SharedPlan(
             probes=(Probe("q", 0), Probe("q", 0), Probe("q", 1)), planned_items={}
         )
-        (got, got_stats), (want, want_stats) = (
-            run(
-                plan,
+
+        def world():
+            return (
                 {"q": TreeIndex(tree)},
                 CountingCache({"A": 1.0, "B": 2.0}),
                 {"q": PrecomputedOracle([True, False])},
             )
-            for run in (execute_round, reference_round.execute_round)
-        )
+
+        indexes, cache, oracles = world()
+        program = RoundProgram(plan, indexes, oracles)
+        got_stats = program.run(cache)
+        got = program.results()
+        indexes, cache, oracles = world()
+        want, want_stats = reference_round.execute_round(plan, indexes, cache, oracles)
         assert got == want
         assert got["q"].evaluated == (0, 1) and got["q"].skipped == (0,)
         assert got_stats == want_stats
