@@ -19,7 +19,8 @@ given) and renders what an operator would want on one screen:
   plan_cache / migration / elastic / telemetry / residue, and the
   critical path (the chain of latest-finishing spans) through it;
 * the **tail of the workload** — per-query p50/p99 round cost for the
-  costliest queries, straight from the final snapshot.
+  costliest queries, from the ``query-resolution`` events a sink written
+  with ``Telemetry(detail=True)`` holds.
 
 Run: python examples/telemetry_dashboard.py [telemetry.jsonl]
 """
@@ -51,7 +52,7 @@ def generate_demo_sink(path: Path) -> None:
 
     registry = clustered_registry(4, 3, seed=7)
     population = overlap_clustered_population(48, registry, 4, 3, seed=8)
-    telemetry = Telemetry(sink=path)
+    telemetry = Telemetry(sink=path, detail=True)
     cluster = ClusterServer(
         registry,
         n_shards=2,
@@ -150,22 +151,22 @@ def slowest_batch_attribution(records: list[dict]) -> list[str]:
     return lines
 
 
-def costliest_queries(snapshot: dict, top: int = 8) -> str:
-    cells = [
-        cell
-        for cell in snapshot["metrics"]["histograms"]
-        if cell["name"] == "repro_query_round_cost"
-    ]
-    cells.sort(key=lambda c: c["sum"], reverse=True)
+def costliest_queries(records: list[dict], top: int = 8) -> str:
+    costs: dict[str, Histogram] = {}
+    for record in records:
+        if record.get("type") == "event" and record.get("name") == "query-resolution":
+            attrs = record["attrs"]
+            costs.setdefault(attrs["query"], Histogram()).observe(attrs["cost"])
+    ranked = sorted(costs.items(), key=lambda item: item[1].total, reverse=True)
     rows = [
         (
-            cell["labels"]["query"],
-            str(cell["count"]),
-            f"{cell['sum'] / cell['count']:.4g}",
-            f"{cell['p50']:.4g}",
-            f"{cell['p99']:.4g}",
+            name,
+            str(hist.count),
+            f"{hist.mean:.4g}",
+            f"{hist.percentile(50.0):.4g}",
+            f"{hist.percentile(99.0):.4g}",
         )
-        for cell in cells[:top]
+        for name, hist in ranked[:top]
     ]
     return ascii_table(("query", "rounds", "mean cost", "p50", "p99"), rows)
 
@@ -195,7 +196,7 @@ def main() -> int:
         print("\nslowest batch, attributed (see also: repro trace --format critical-path)")
         print("\n".join(attribution))
     print("\ncostliest queries (per-round cost distribution)")
-    print(costliest_queries(snapshot))
+    print(costliest_queries(records))
     return 0
 
 

@@ -2,7 +2,7 @@
 
 The PR-7 bug class: ``PlanCache``, the stream sources and the metrics cells
 all held a ``threading.Lock`` and crossed process boundaries inside
-``QuerySnapshot``/telemetry payloads; default pickling walks ``__dict__``
+``Migration``/telemetry payloads; default pickling walks ``__dict__``
 and dies on the lock (``TypeError: cannot pickle '_thread.lock' object``)
 — at *send* time, deep inside a worker pipe, long after the class was
 written. The invariant: any class that stores a lock (directly or via a

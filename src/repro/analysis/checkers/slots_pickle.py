@@ -3,7 +3,7 @@
 The PR-7 crash: ``AndNode``/``OrNode`` declare ``__slots__`` and freeze
 themselves with a raising ``__setattr__``. Default unpickling of a slotted
 class restores state via ``setattr`` — which the guard rejects — so the
-first ``QuerySnapshot`` carrying a query tree across a process boundary
+first migration payload carrying a query tree across a process boundary
 blew up with the class's own "is immutable" error. Any class combining an
 explicit ``__slots__`` with a custom ``__setattr__`` must define *both*
 ``__getstate__`` and ``__setstate__`` (rebuilding state through

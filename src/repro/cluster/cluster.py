@@ -40,6 +40,7 @@ actually changes.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import threading
 import time
@@ -332,11 +333,11 @@ class ClusterServer:
         ``"thread"`` (default) runs the shards in-process, one after another
         — zero serialization cost, one core. ``"process"`` spawns one worker
         process per shard (:mod:`repro.cluster.worker`): shards batch in
-        parallel on separate cores, the
-        cluster-wide plan cache is served read-through over the command
-        channel, migrations ship ``QuerySnapshot`` + stream state as plain
-        data, and workers return pickled metrics deltas merged losslessly
-        into the cluster registry — per-query outcomes are bit-identical
+        parallel on separate cores, the cluster-wide plan cache is served
+        read-through over the command channel, a migration ships each moved
+        group as one pickled :class:`~repro.service.server.Migration`, and
+        workers return pickled metrics deltas merged losslessly into the
+        cluster registry — per-query outcomes are bit-identical
         across both executors (the parity suites assert it). Call
         :meth:`close` (or use the cluster as a context manager) to shut
         workers down.
@@ -780,22 +781,39 @@ class ClusterServer:
             other = self.shards[sid]
             if not len(other) or new_streams.isdisjoint(other.signature):
                 continue
-            population = [(name, other.tree(name)) for name in other.names]
-            graph = build_overlap_graph(population, self.registry.cost_table())
-            order = {name: index for index, name in enumerate(other.names)}
-            for component in graph.components():
-                component_streams: set[str] = set()
-                for name in component:
-                    component_streams.update(graph.weights[name])
-                if not (component_streams & new_streams):
+            for members, weights in self._components(other):
+                if new_streams.isdisjoint(weights):
                     continue
-                members = sorted(component, key=order.__getitem__)
                 if (
                     self._max_shard_queries is not None
                     and len(home) + len(members) > self._max_shard_queries
                 ):
                     continue
-                self._migrate_group(members, sid, home_id)
+                self._move(members, sid, home_id)
+
+    def _components(
+        self, shard: Shard
+    ) -> Iterator[tuple[list[str], dict[str, float]]]:
+        """``shard``'s overlap components, one ``(members, weights)`` each.
+
+        ``members`` is in the shard's registration order and ``weights``
+        maps each stream the component windows to its maximum acquisition
+        weight over the members. The graph is built from the mirror on the
+        first step, so moving a yielded component does not change the rest.
+        """
+        names = shard.names
+        graph = build_overlap_graph(
+            [(name, shard.tree(name)) for name in names], self.registry.cost_table()
+        )
+        order = {name: index for index, name in enumerate(names)}
+        for component in graph.components():
+            members = sorted(component, key=order.__getitem__)
+            weights: dict[str, float] = {}
+            for name in members:
+                for stream, weight in graph.weights[name].items():
+                    if weight > weights.get(stream, 0.0):
+                        weights[stream] = weight
+            yield members, weights
 
     def _log_elastic(self, event: ElasticEvent, duration: float = 0.0) -> ElasticEvent:
         """Append to the audit log and mirror the action into telemetry."""
@@ -818,47 +836,31 @@ class ClusterServer:
             )
         return event
 
-    def _migrate_group(self, names: Sequence[str], src_id: int, dest_id: int) -> None:
+    def _move(self, names: Sequence[str], src_id: int, dest_id: int) -> None:
         """Move ``names`` (one stream-coherent group) between live shards.
 
-        The destination first adopts the source cache's held items for the
-        movers' streams (and its round clock, when behind), then each query
-        is transplanted verbatim — plan, schedule, oracle instance, adaptive
-        belief. Order inside the group is the source shard's registration
-        order, so co-resident queries keep the same relative
-        merge order they had (and would have had on the unsharded server).
+        The one placement primitive: split, drain, rebalance and runtime
+        absorption all move queries through it, as one ``export_group`` and
+        one ``admit_group`` command. The group carries its queries verbatim
+        (plan, schedule, oracle instance, adaptive belief) with the source
+        cache's held items for their streams and the source's round clock,
+        and it lands in the cluster's global admission order: merge
+        tie-breaks follow registration order, which must not depend on
+        travel history.
         """
         tel = self.telemetry
-        if tel is not None and tel.enabled:
-            with tel.span(
-                "migration", src=src_id, dest=dest_id, queries=len(names)
-            ):
-                self._migrate_group_impl(names, src_id, dest_id)
-        else:
-            self._migrate_group_impl(names, src_id, dest_id)
-
-    def _migrate_group_impl(
-        self, names: Sequence[str], src_id: int, dest_id: int
-    ) -> None:
-        src, dest = self.shards[src_id], self.shards[dest_id]
-        streams: set[str] = set()
-        for name in names:
-            streams.update(src.tree(name).streams)
-        # Snapshot the donor state first: lifting the movers out applies the
-        # relevance rule to the source cache, purging streams only they used.
-        donor_now, stores = src.export_stream_state(streams)
-        src_rounds = src.rounds_served()
-        if dest.rounds_served() < src_rounds:
-            dest.sync_round_clock(src_rounds)
-        for name in names:
-            dest.admit_migrated(src.export_query(name))
-            self._assignment[name] = dest_id
-        # Adopt after the movers are registered, so the destination's own
-        # relevance horizon already covers their streams.
-        dest.adopt_stream_state(donor_now, stores)
-        # Restore global admission order on the destination: merge tie-breaks
-        # follow registration order, which must not depend on travel history.
-        dest.reorder([name for name in self._assignment if name in dest])
+        with (
+            tel.span("migration", src=src_id, dest=dest_id, queries=len(names))
+            if tel is not None
+            else contextlib.nullcontext()
+        ):
+            migration = self.shards[src_id].export_group(names)
+            for name in names:
+                self._assignment[name] = dest_id
+            self.shards[dest_id].admit_group(
+                migration,
+                [name for name, sid in self._assignment.items() if sid == dest_id],
+            )
 
     @_synchronized
     def split_shard(
@@ -909,7 +911,7 @@ class ClusterServer:
         for group in groups[1:]:
             new = self._spawn_shard()
             members = sorted(group, key=order.__getitem__)
-            self._migrate_group(members, shard_id, new.shard_id)
+            self._move(members, shard_id, new.shard_id)
             new_ids.append(new.shard_id)
             moves += len(members)
         event = ElasticEvent(
@@ -949,21 +951,12 @@ class ClusterServer:
         destinations: list[int] = []
         moves = 0
         if len(shard):
-            population = [(name, shard.tree(name)) for name in shard.names]
-            graph = build_overlap_graph(population, self.registry.cost_table())
-            order = {name: index for index, name in enumerate(shard.names)}
             try:
-                for component in graph.components():
-                    members = sorted(component, key=order.__getitem__)
-                    weights: dict[str, float] = {}
-                    for name in members:
-                        for stream, weight in graph.weights[name].items():
-                            if weight > weights.get(stream, 0.0):
-                                weights[stream] = weight
+                for members, weights in self._components(shard):
                     decision = self.router.route_group(
                         members[0], weights, others, group_size=len(members)
                     )
-                    self._migrate_group(members, shard_id, decision.shard_id)
+                    self._move(members, shard_id, decision.shard_id)
                     destinations.append(decision.shard_id)
                     moves += len(members)
             except AdmissionError:
@@ -1075,7 +1068,7 @@ class ClusterServer:
         least ``min_kept_gain``), or when ``force`` is set, the population is
         re-placed along it — by *migrating only the queries whose shard
         changes*. Each mover carries its full serving state (oracle
-        instance, plan, schedule, metrics, belief, cached stream items), so
+        instance, plan, schedule, belief, cached stream items), so
         a rebalance repairs the topology without re-warming caches or
         touching the shared plan cache. Returns the event, or ``None`` when
         the current placement is already good enough.
@@ -1121,7 +1114,7 @@ class ClusterServer:
             if src != dest:
                 groups.setdefault((src, dest), []).append(name)
         for (src, dest), names in groups.items():
-            self._migrate_group(names, src, dest)
+            self._move(names, src, dest)
         moves = sum(len(names) for names in groups.values())
         event = RebalanceEvent(
             old_report=old_report, new_report=candidate.report, moves=moves

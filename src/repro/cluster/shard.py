@@ -31,7 +31,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from multiprocessing.connection import Connection
-from typing import Any, Mapping, Protocol
+from typing import Any, Mapping, Protocol, Sequence
 
 from repro.adaptive.policy import AdaptivePolicy
 from repro.cluster.partition import TreeLike, stream_weight_vector
@@ -41,12 +41,7 @@ from repro.errors import AdmissionError, StreamError
 from repro.obs import Telemetry
 from repro.service.metrics import ServiceMetrics
 from repro.service.plan_cache import PlanCache
-from repro.service.server import (
-    BatchReport,
-    QueryServer,
-    QuerySnapshot,
-    RegisteredQuery,
-)
+from repro.service.server import BatchReport, Migration, QueryServer, RegisteredQuery
 from repro.streams.registry import StreamRegistry
 
 __all__ = [
@@ -147,30 +142,17 @@ def run_command(
     if op == "deregister":
         server.deregister(*args)
         return None
-    if op == "admit_migrated":
-        server.admit_migrated(*args)
+    if op == "export_group":
+        return server.export_group(*args)
+    if op == "admit_group":
+        server.admit_group(*args)
         return None
-    if op == "export_query":
-        return server.export_query(*args)
     if op == "query":
         return server.query(*args)
-    if op == "reorder":
-        server.reorder(*args)
-        return None
-    if op == "sync_round_clock":
-        server.sync_round_clock(*args)
-        return None
-    if op == "rounds_served":
-        return server.rounds_served
     if op == "replans":
         return server.metrics.replans
     if op == "metrics":
         return server.metrics
-    if op == "export_stream_state":
-        return server.cache.export_stream_state(*args)
-    if op == "adopt_stream_state":
-        server.cache.adopt_stream_state(*args)
-        return None
     raise StreamError(f"unknown shard op {op!r}")
 
 
@@ -320,35 +302,23 @@ class Shard:
 
     # -- migration -------------------------------------------------------
 
-    def export_query(self, name: str) -> QuerySnapshot:
-        snapshot = self._call("export_query", name)
-        self._forget(name)
-        return snapshot
+    def export_group(self, names: Sequence[str]) -> Migration:
+        """Lift ``names`` out of the server, in order; one command per group."""
+        migration = self._call("export_group", names)
+        for name in names:
+            self._forget(name)
+        return migration
 
-    def admit_migrated(self, snapshot: QuerySnapshot) -> None:
-        """Adopt a migrated query verbatim; grows the signature incrementally."""
-        self._call("admit_migrated", snapshot)
-        self._admit(snapshot.query.name, snapshot.query.tree)
+    def admit_group(self, migration: Migration, order: Sequence[str]) -> None:
+        """Install an exported group and re-key the residents to ``order``.
 
-    def reorder(self, names: list[str]) -> None:
-        self._call("reorder", names)
-        self._trees = {name: self._trees[name] for name in names}
-
-    def rounds_served(self) -> int:
-        return self._call("rounds_served")
-
-    def sync_round_clock(self, rounds: int) -> None:
-        self._call("sync_round_clock", rounds)
-
-    def export_stream_state(
-        self, streams: set[str]
-    ) -> tuple[int, dict[str, dict[int, float]]]:
-        return self._call("export_stream_state", streams)
-
-    def adopt_stream_state(
-        self, donor_now: int, stores: Mapping[str, Mapping[int, float]]
-    ) -> None:
-        self._call("adopt_stream_state", donor_now, stores)
+        One command per group; the mirror grows its signature incrementally
+        and takes the same order as the server.
+        """
+        self._call("admit_group", migration, order)
+        for query in migration.queries:
+            self._admit(query.name, query.tree)
+        self._trees = {name: self._trees[name] for name in order}
 
     # -- observability ---------------------------------------------------
 

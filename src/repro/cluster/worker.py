@@ -15,7 +15,8 @@ by the same :func:`~repro.cluster.shard.build_shard_server`.
 Design constraints, in order:
 
 * **Plain-data handoffs.** Everything crossing the pipe is picklable by
-  construction: ``QuerySnapshot`` + exported stream state for migrations,
+  construction: one :class:`~repro.service.server.Migration` per moved
+  group (queries, beliefs, held stream items, round clock),
   ``BatchReport``/``ExecutionResult`` for execution, ``MetricsRegistry``
   deltas for telemetry. No shared memory, no file descriptors.
 * **Placement- and executor-independent outcomes.** The worker rebuilds its

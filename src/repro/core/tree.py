@@ -376,7 +376,7 @@ class _OperatorNode(Node):
     # Slots + a raising __setattr__ break default unpickling (it restores
     # slot state via setattr); rebuild through the same object.__setattr__
     # escape hatch the constructor uses. Query trees cross process
-    # boundaries inside QuerySnapshot payloads in the process-mode cluster.
+    # boundaries inside Migration payloads in the process-mode cluster.
     def __getstate__(self) -> tuple:
         return self.children
 

@@ -57,7 +57,7 @@ from repro.streams.registry import StreamRegistry
 
 __all__ = [
     "RegisteredQuery",
-    "QuerySnapshot",
+    "Migration",
     "BatchReport",
     "QueryServer",
     "run_isolated",
@@ -106,22 +106,33 @@ class RegisteredQuery:
 
 
 @dataclass(frozen=True)
-class QuerySnapshot:
-    """One registered query lifted out of a server for transplant.
+class Migration:
+    """A group of queries lifted out of a server for transplant into another.
 
-    Produced by :meth:`QueryServer.export_query`, consumed by
-    :meth:`QueryServer.admit_migrated`. Carries everything a placement move
-    must preserve for the destination to serve the query exactly as the
-    source would have: the full :class:`RegisteredQuery` (tree, expanded
-    schedule, cached plan, belief tree and — critically — the *same* oracle
-    instance, so outcome streams continue seamlessly) and, when the source
-    was adaptive, its canonical shape's :class:`~repro.adaptive.ShapeBelief`.
+    Produced by :meth:`QueryServer.export_group`, consumed by
+    :meth:`QueryServer.admit_group`. Carries everything a placement move
+    must preserve for the destination to serve the group exactly as the
+    source would have:
+
+    * ``round`` — the source's round clock, which re-plan cooldowns and the
+      blocked rotation count in;
+    * ``now`` and ``stores`` — the source cache's device time and held items
+      for the movers' streams, taken before the movers left;
+    * ``queries`` — each mover's full :class:`RegisteredQuery` (tree,
+      expanded schedule, cached plan, belief tree and the *same* oracle
+      instance, so outcome streams continue seamlessly), in export order;
+    * ``beliefs`` — when the source was adaptive, each canonical shape's
+      :class:`~repro.adaptive.ShapeBelief`, keyed by canonical key.
+
     No per-query accounting travels: a query's numbers are reported per
     batch by the shard that served it.
     """
 
-    query: RegisteredQuery
-    belief: ShapeBelief | None
+    round: int
+    now: int
+    stores: dict[str, dict[int, float]]
+    queries: tuple[RegisteredQuery, ...]
+    beliefs: dict[str, ShapeBelief]
 
 
 @dataclass
@@ -322,11 +333,8 @@ class QueryServer:
         # keyed on registry identity: worker shards swap in a fresh registry
         # after shipping each delta, which must invalidate the cache (``is``
         # check per round), while within one registry epoch the per-round
-        # name/label lookups collapse to attribute loads and one dict.get per
-        # query.
-        self._metric_cells: (
-            tuple[MetricsRegistry, Histogram, Histogram, dict[str, Histogram]] | None
-        ) = None
+        # name lookups collapse to attribute loads.
+        self._metric_cells: tuple[MetricsRegistry, Histogram, Histogram] | None = None
         self._queries: dict[str, RegisteredQuery] = {}
         #: Residents per canonical key, so a departure learns whether its
         #: shape is still live without scanning the population.
@@ -353,12 +361,12 @@ class QueryServer:
         # RPR001: explicit pickle contract. A server is process-local by
         # design (live RLock, per-query oracle state, the compiled round
         # program's bound oracles); cross-process migration goes through
-        # export_query() / QuerySnapshot, which pickles cleanly. Fail at
-        # pickle time with the right pointer instead of at pipe-send time
-        # with a lock error.
+        # export_group() / Migration, which pickles cleanly. Fail at pickle
+        # time with the right pointer instead of at pipe-send time with a
+        # lock error.
         raise TypeError(
             "QueryServer is process-local (live RLock and executor state); "
-            "migrate queries with export_query()/admit_migrated() instead "
+            "migrate queries with export_group()/admit_group() instead "
             "of pickling the server"
         )
 
@@ -368,21 +376,6 @@ class QueryServer:
     def rounds_served(self) -> int:
         """Rounds this server has executed (its logical clock)."""
         return self._round
-
-    @_synchronized
-    def sync_round_clock(self, round_index: int) -> None:
-        """Fast-forward this server's round clock to a sibling's.
-
-        Shard migration support: a freshly spawned (or long-idle) shard
-        adopting queries from an older one must agree with it on what round
-        it is, or transplanted re-plan cooldowns and blocked-rotation phases
-        lose their meaning. The clock only moves forward.
-        """
-        if round_index < self._round:
-            raise StreamError(
-                f"cannot rewind the round clock from {self._round} to {round_index}"
-            )
-        self._round = round_index
 
     @property
     def registered(self) -> tuple[str, ...]:
@@ -493,31 +486,41 @@ class QueryServer:
         self._release_shape(removed.canonical.key)
 
     @_synchronized
-    def export_query(self, name: str) -> QuerySnapshot:
-        """Lift ``name`` out of this server for transplant into another.
+    def export_group(self, names: Sequence[str]) -> Migration:
+        """Lift ``names`` out of this server, in order, for transplant into another.
 
         Unlike :meth:`deregister`, an export is a *placement* change, not
-        churn: its canonical shape's adaptive belief is snapshotted before
+        churn: each canonical shape's adaptive belief is snapshotted before
         the shape is retired, and the churn counters are untouched
         (``migrations_out`` is incremented instead). The returned
-        snapshot re-enters a server through :meth:`admit_migrated` with the
-        exact plan, schedule and oracle state it left with.
+        :class:`Migration` re-enters a server through :meth:`admit_group`
+        with the exact plan, schedule and oracle state the group left with.
         """
-        query = self.query(name)
-        belief = (
-            self.adaptive.export_shape(query.canonical.key)
-            if self.adaptive is not None
-            else None
-        )
-        del self._queries[name]
-        self._after_population_change(query, joined=False)
-        self.metrics.migrations_out += 1
+        if len(set(names)) < len(names):
+            raise AdmissionError(f"a migrated group names a query twice: {names!r}")
+        queries = tuple(self.query(name) for name in names)
+        streams: set[str] = set()
+        for query in queries:
+            streams.update(query.tree.streams)
+        # Snapshot the held items first: lifting the movers applies the
+        # relevance rule, purging streams only they used.
+        now, stores = self.cache.export_stream_state(streams)
+        beliefs: dict[str, ShapeBelief] = {}
         tel = self.telemetry
-        if tel is not None and tel.enabled:
-            tel.registry.counter("repro_migrations_total", direction="out").inc()
-            tel.event("migration-out", query=name, round=self._round)
-        self._release_shape(query.canonical.key)
-        return QuerySnapshot(query=query, belief=belief)
+        for query in queries:
+            key = query.canonical.key
+            if self.adaptive is not None and key not in beliefs:
+                belief = self.adaptive.export_shape(key)
+                if belief is not None:
+                    beliefs[key] = belief
+            del self._queries[query.name]
+            self._after_population_change(query, joined=False)
+            self.metrics.migrations_out += 1
+            if tel is not None and tel.enabled:
+                tel.registry.counter("repro_migrations_total", direction="out").inc()
+                tel.event("migration-out", query=query.name, round=self._round)
+            self._release_shape(key)
+        return Migration(self._round, now, stores, queries, beliefs)
 
     def _release_shape(self, key: str) -> None:
         """Drop one resident of shape ``key``; retire its belief with the last."""
@@ -528,43 +531,65 @@ class QueryServer:
                 self.adaptive.retire(key)
 
     @_synchronized
-    def admit_migrated(self, snapshot: QuerySnapshot) -> RegisteredQuery:
-        """Install a migrated query verbatim — no re-canonicalization, no
-        re-planning, no plan-cache traffic.
+    def admit_group(self, migration: Migration, order: Sequence[str]) -> None:
+        """Install an exported group verbatim, then re-key the registration
+        order to ``order`` (a permutation of the residents and the group).
 
-        The snapshot's schedule was computed by the same deterministic
-        scheduler this cluster's servers share, so re-deriving it could only
-        reproduce it (placement must never change what a query costs) —
-        installing it directly also leaves the (possibly cluster-shared)
-        plan cache entries exactly as they were. The shape's adaptive belief
-        transplants with it when this server is adaptive and does not
-        already track the shape. This server's ledger counts only the rounds
-        it serves; the query's earlier numbers are in the source's batch
-        reports.
+        No re-canonicalization, no re-planning, no plan-cache traffic: the
+        group's schedules were computed by the same deterministic scheduler
+        this cluster's servers share, so re-deriving them could only
+        reproduce them (placement must never change what a query costs) —
+        installing them directly also leaves the (possibly cluster-shared)
+        plan cache entries exactly as they were. The whole group is checked
+        before anything changes: a duplicate name, a group that does not
+        fit under ``max_queries``, an unknown stream or a bad ``order``
+        raises and leaves this server untouched.
+
+        The round clock moves forward to the source's when behind, so
+        transplanted re-plan cooldowns and rotation phases keep their
+        meaning. Each shape's adaptive belief transplants when this server
+        is adaptive and does not already track the shape. The source
+        cache's held items are adopted after the movers are registered, so
+        this server's relevance horizon already covers their streams. This
+        server's ledger counts only the rounds it serves; the group's
+        earlier numbers are in the source's batch reports.
         """
-        query = snapshot.query
-        if query.name in self._queries:
-            raise AdmissionError(f"query {query.name!r} is already registered")
-        if self.max_queries is not None and len(self._queries) >= self.max_queries:
+        arriving: set[str] = set()
+        for query in migration.queries:
+            if query.name in self._queries or query.name in arriving:
+                raise AdmissionError(f"query {query.name!r} is already registered")
+            arriving.add(query.name)
+            self.registry.validate_tree_streams(tuple(query.tree.streams))
+        if (
+            self.max_queries is not None
+            and len(self._queries) + len(arriving) > self.max_queries
+        ):
             raise AdmissionError(
-                f"server is full ({self.max_queries} queries); cannot adopt "
-                f"migrated query {query.name!r}"
+                f"server is full ({self.max_queries} queries); cannot adopt a "
+                f"migrated group of {len(arriving)}"
             )
-        self.registry.validate_tree_streams(tuple(query.tree.streams))
-        if self.adaptive is not None and snapshot.belief is not None:
-            self.adaptive.import_shape(query.canonical.key, snapshot.belief)
-        self._queries[query.name] = query
-        self._shape_refs[query.canonical.key] += 1
-        self._after_population_change(query, joined=True)
-        self.metrics.migrations_in += 1
+        if sorted(order) != sorted([*self._queries, *arriving]):
+            raise AdmissionError(
+                "admission order must permute the residents and the migrated group"
+            )
+        self._round = max(self._round, migration.round)
+        if self.adaptive is not None:
+            for key, belief in migration.beliefs.items():
+                self.adaptive.import_shape(key, belief)
         tel = self.telemetry
-        if tel is not None and tel.enabled:
-            tel.registry.counter("repro_migrations_total", direction="in").inc()
-            tel.event("migration-in", query=query.name, round=self._round)
-        max_items = max(leaf.items for leaf in query.tree.leaves)
-        if max_items > self.cache.now:
-            self.cache.advance(max_items - self.cache.now)
-        return query
+        for query in migration.queries:
+            self._queries[query.name] = query
+            self._shape_refs[query.canonical.key] += 1
+            self._after_population_change(query, joined=True)
+            self.metrics.migrations_in += 1
+            if tel is not None and tel.enabled:
+                tel.registry.counter("repro_migrations_total", direction="in").inc()
+                tel.event("migration-in", query=query.name, round=self._round)
+            max_items = max(leaf.items for leaf in query.tree.leaves)
+            if max_items > self.cache.now:
+                self.cache.advance(max_items - self.cache.now)
+        self.cache.adopt_stream_state(migration.now, migration.stores)
+        self.reorder(order)
 
     @_synchronized
     def reorder(self, names: Sequence[str]) -> None:
@@ -572,9 +597,10 @@ class QueryServer:
 
         Registration order is load-bearing: it is the tie-break order of the
         shared-plan merge and the rotation base of the blocked round-robin.
-        After a migration lands mid-population, the cluster restores its
-        global admission order here so a query's merge position — and
-        therefore its cost — is independent of how it travelled.
+        :meth:`admit_group` ends here, restoring the cluster's global
+        admission order after a group lands mid-population, so a query's
+        merge position — and therefore its cost — is independent of how it
+        travelled.
         """
         if sorted(names) != sorted(self._queries):
             raise AdmissionError(
@@ -886,22 +912,13 @@ class QueryServer:
                 reg,
                 reg.histogram("repro_round_cost"),
                 reg.histogram("repro_round_seconds"),
-                {},
             )
-        _, round_cost_h, round_seconds_h, query_cells = cached
+        _, round_cost_h, round_seconds_h = cached
         round_cost_h.observe(stats.cost)
         round_seconds_h.observe(evaluated_at - started)
-        names = program.names
-        for name, cost in zip(names, stats.query_cost):
-            cell = query_cells.get(name)
-            if cell is None:
-                cell = query_cells[name] = reg.histogram(
-                    "repro_query_round_cost", query=name
-                )
-            cell.observe(cost)
         if tel.detail:
             for name, value, cost, probes in zip(
-                names, values, stats.query_cost, stats.query_probes
+                program.names, values, stats.query_cost, stats.query_probes
             ):
                 tel.event(
                     "query-resolution",

@@ -102,7 +102,7 @@ class TestSplitShard:
         cluster.run_batch(5)
         cluster.split_shard(0, into=2)
         clocks = {
-            shard.rounds_served()
+            shard.transport.server.rounds_served
             for shard in cluster.shards.values()
             if len(shard)
         }

@@ -206,22 +206,14 @@ class TestMigrationPayloads:
         source.run_batch(5)
 
         movers = [name for name, _ in population[:5]]
-        streams = set()
-        for name, tree in population[:5]:
-            streams.update(tree.streams)
-        state = source.cache.export_stream_state(streams)
-        snapshots = [source.export_query(name) for name in movers]
+        migration = source.export_group(movers)
         if pickled:
             # Exactly what crosses the worker pipe during a shard migration.
-            state = pickle.loads(pickle.dumps(state))
-            snapshots = pickle.loads(pickle.dumps(snapshots))
+            migration = pickle.loads(pickle.dumps(migration))
 
         registry2, _ = small_environment(seed=21, n_queries=12)
         dest = QueryServer(registry2)
-        dest.sync_round_clock(source.rounds_served)
-        for snapshot in snapshots:
-            dest.admit_migrated(snapshot)
-        dest.cache.adopt_stream_state(*state)
+        dest.admit_group(migration, movers)
         return dest.run_batch(4)
 
     def test_pickled_handoff_equals_in_memory_handoff(self):
@@ -239,14 +231,20 @@ class TestMigrationPayloads:
             server.register(name, tree, oracle=factory(name))
         server.run_batch(3)
         name = population[0][0]
-        snapshot = server.export_query(name)
-        server.admit_migrated(snapshot)  # keep the donor serving
+        migration = server.export_group([name])
+        server.admit_group(migration, server.registered + (name,))  # keep serving
 
-        copy = pickle.loads(pickle.dumps(snapshot))
-        assert copy.query.name == snapshot.query.name
-        assert copy.query.schedule == snapshot.query.schedule
-        assert copy.query.tree.streams == snapshot.query.tree.streams
-        assert copy.belief == snapshot.belief
+        copy = pickle.loads(pickle.dumps(migration))
+        (query,), (sent,) = copy.queries, migration.queries
+        assert query.name == sent.name
+        assert query.schedule == sent.schedule
+        assert query.tree.streams == sent.tree.streams
+        assert (copy.round, copy.now, copy.stores, copy.beliefs) == (
+            migration.round,
+            migration.now,
+            migration.stores,
+            migration.beliefs,
+        )
 
 
 class TestSharedPlanCache:
@@ -357,7 +355,7 @@ class TestFanOut:
             assert len(report.shard_reports) == 3
             assert all(r.rounds == 3 for r in report.shard_reports.values())
             for shard in cluster.shards.values():
-                assert isinstance(shard.rounds_served(), int)
+                assert isinstance(shard.replans(), int)
 
     def test_worker_death_mid_batch_names_its_shard(self):
         # The missing key calls os.abort inside the worker, mid-round.
@@ -369,7 +367,7 @@ class TestFanOut:
             # The surviving workers' replies were drained: they still serve.
             for sid, shard in cluster.shards.items():
                 if sid != first:
-                    assert isinstance(shard.rounds_served(), int)
+                    assert isinstance(shard.replans(), int)
 
     @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_one_request_in_flight(self, executor: str):
@@ -377,10 +375,10 @@ class TestFanOut:
         with ClusterServer(registry, n_shards=1, executor=executor) as cluster:
             cluster.register_population(population)
             transport = cluster.shards[0].transport
-            transport.send("rounds_served", (), {})
+            transport.send("replans", (), {})
             with pytest.raises(StreamError, match="in flight"):
-                transport.send("replans", (), {})
-            assert transport.receive("rounds_served") == 0
+                transport.send("metrics", (), {})
+            assert transport.receive("replans") == 0
 
 
 class TestCompareHarness:

@@ -21,6 +21,8 @@ from hypothesis import given, settings
 
 from repro.cluster import ClusterServer, Shard, WorkerTransport, default_oracle_factory
 from repro.cluster.partition import stream_weight_vector
+from repro.core.leaf import Leaf
+from repro.core.tree import DnfTree
 from repro.errors import StreamError
 from repro.generators import clustered_registry, overlap_clustered_population
 
@@ -32,15 +34,10 @@ ALL_OPS = frozenset(
         "register",
         "deregister",
         "query",
-        "export_query",
-        "admit_migrated",
-        "reorder",
-        "sync_round_clock",
-        "rounds_served",
+        "export_group",
+        "admit_group",
         "replans",
         "metrics",
-        "export_stream_state",
-        "adopt_stream_state",
         "step",
         "run_batch",
     }
@@ -108,28 +105,24 @@ def _script(a: Shard, b: Shard, population) -> list[tuple]:
     assert a.last_batch_seconds > 0.0
     step = a.step()
     out.append(("step", step))
-    out.append(("rounds_served", a.rounds_served()))
     out.append(("replans", a.replans()))
     out.append(("metrics", _local_view(copy.deepcopy(a.metrics()))))
-    # Move a group a -> b, in the order the cluster's migration uses.
+    # Move a group a -> b; b takes it ahead of its residents, reversed.
     movers = [name for name, _ in population[1:4]]
-    streams: set[str] = set()
-    for name in movers:
-        streams.update(a.tree(name).streams)
-    state = a.export_stream_state(streams)
-    out.append(("export_stream_state", copy.deepcopy(state)))
-    b.sync_round_clock(a.rounds_served())
-    out.append(("sync_round_clock", b.rounds_served()))
-    for name in movers:
-        snapshot = a.export_query(name)
-        out.append(("export_query", snapshot.query.name))
-        b.admit_migrated(snapshot)
+    migration = a.export_group(movers)
     out.append(
-        ("admit_migrated", a.names, b.names, dict(a.signature), dict(b.signature))
+        (
+            "export_group",
+            migration.round,
+            migration.now,
+            copy.deepcopy(migration.stores),
+            [query.name for query in migration.queries],
+            a.names,
+            dict(a.signature),
+        )
     )
-    b.adopt_stream_state(*state)
-    b.reorder(list(reversed(b.names)))
-    out.append(("reorder", b.names))
+    b.admit_group(migration, [*reversed(movers), *b.names])
+    out.append(("admit_group", b.names, dict(b.signature)))
     for shard in (a, b):
         out.append(("after-move", _local_view(shard.run_batch(2))))
         out.append(("after-move", _local_view(copy.deepcopy(shard.metrics()))))
@@ -188,13 +181,58 @@ class TestControlPlaneReadsTheMirror:
             busiest = max(cluster.shards, key=lambda sid: len(cluster.shards[sid]))
             assert cluster.split_shard(busiest, into=2) is not None
             cluster.drain_shard(max(cluster.shards))
-            assert "export_query" in sent  # the moves did go through
+            assert "export_group" in sent  # the moves did go through
             assert "query" not in sent
             # The retired shard's re-plan count travels as one integer.
             assert "metrics" not in sent and sent.count("replans") == 1
-            # One clock read per side of each migrated group.
-            groups = sent.count("export_stream_state")
-            assert sent.count("rounds_served") == 2 * groups
+
+
+class TestOneCommandPairPerGroup:
+    """A migration is one ``export_group`` and one ``admit_group`` per group."""
+
+    def test_every_reshaping_path_sends_one_pair_per_group(self, monkeypatch):
+        sent: list[str] = []
+        sizes: list[int] = []
+        call, move = WorkerTransport.call, ClusterServer._move
+
+        def counting(self, op, args, kwargs):
+            sent.append(op)
+            return call(self, op, args, kwargs)
+
+        def recording(self, names, src_id, dest_id):
+            sizes.append(len(names))
+            move(self, names, src_id, dest_id)
+
+        monkeypatch.setattr(WorkerTransport, "call", counting)
+        monkeypatch.setattr(ClusterServer, "_move", recording)
+        registry, population = small_environment(seed=7, n_queries=18)
+
+        def reshape(action, *others: str) -> list[int]:
+            sent.clear()
+            sizes.clear()
+            action()
+            assert sizes, "the action moved no group"
+            assert sent.count("export_group") == sent.count("admit_group") == len(sizes)
+            # No other command serves the migration.
+            assert set(sent) <= {"export_group", "admit_group", *others}
+            return list(sizes)
+
+        with ClusterServer(registry, n_shards=2, executor="process", seed=7) as cluster:
+            cluster.register_population(population, method="random")
+            cluster.run_batch(2)
+            moved = reshape(lambda: cluster.rebalance(force=True))
+            busiest = max(cluster.shards, key=lambda sid: len(cluster.shards[sid]))
+            moved += reshape(lambda: cluster.split_shard(busiest, into=2))
+            moved += reshape(lambda: cluster.drain_shard(max(cluster.shards)), "replans")
+            home, away = (
+                next(iter(shard.signature)) for shard in cluster.active_shards()[:2]
+            )
+            bridge = DnfTree(
+                [[Leaf(home, 1, 0.5), Leaf(away, 1, 0.5)]], registry.cost_table()
+            )
+            moved += reshape(lambda: cluster.register("bridge", bridge), "register")
+            assert max(moved) > 1  # a bigger group costs no extra command
+            cluster.run_batch(2)
 
 
 def _rebuilt_signature(shard: Shard, costs) -> dict[str, float]:
@@ -237,7 +275,7 @@ class TestMirrorMatchesServer:
                 src = cluster.shard_of(name)
                 dest = sorted(cluster.shards)[pick % len(cluster.shards)]
                 if dest != src:
-                    cluster._migrate_group([name], src, dest)
+                    cluster._move([name], src, dest)
         for shard in cluster.shards.values():
             server = shard.transport.server
             assert shard.names == server.registered

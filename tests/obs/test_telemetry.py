@@ -88,15 +88,6 @@ class TestServerIntegration:
         (span,) = tel.tracer.spans("batch")
         assert span["attrs"]["total_cost"] == report.total_cost
 
-    def test_per_query_cost_histograms(self):
-        tel = Telemetry()
-        server = make_server(tel, n_queries=6)
-        report = server.run_batch(5)
-        for name in server.registered:
-            hist = tel.registry.get_histogram("repro_query_round_cost", query=name)
-            assert hist is not None and hist.count == 5
-            assert hist.total == report.per_query_cost[name]
-
     def test_telemetry_does_not_change_serving(self):
         bare = make_server(None).run_batch(6)
         traced = make_server(Telemetry()).run_batch(6)

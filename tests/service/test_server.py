@@ -256,14 +256,43 @@ class TestDriftingOracleClock:
         server.step()
         assert (pair.round_index, swapped.round_index, late.round_index) == (3, 1, 2)
 
-        snapshot = server.export_query("q3")
+        migration = server.export_group(["q3"])
         server.step()
         assert (pair.round_index, swapped.round_index) == (3, 2)
 
-        server.admit_migrated(snapshot)
+        server.admit_group(migration, server.registered + ("q3",))
         server.run_batch(2)
         assert (pair.round_index, swapped.round_index, late.round_index) == (5, 4, 5)
         assert alone.round_index == 1
+
+
+class TestGroupMigration:
+    """A migrated group is checked whole before any of it is installed."""
+
+    @pytest.mark.parametrize(
+        ("resident", "max_queries", "match"),
+        [("q3", None, "'q3' is already registered"), ("r1", 3, "server is full")],
+    )
+    def test_rejected_group_leaves_the_destination_untouched(
+        self, resident, max_queries, match
+    ):
+        source = QueryServer(tiny_registry(), BernoulliOracle(seed=0))
+        for name in ("q1", "q2", "q3"):
+            source.register(name, tiny_tree())
+        source.run_batch(5)
+        dest = QueryServer(
+            tiny_registry(), BernoulliOracle(seed=1), max_queries=max_queries
+        )
+        dest.register(resident, tiny_tree(0.7))
+        dest.run_batch(2)
+        registered, rounds = dest.registered, dest.rounds_served
+        held = dest.cache.export_stream_state({"A", "B"})
+        migration = source.export_group(["q1", "q2", "q3"])
+        with pytest.raises(AdmissionError, match=match):
+            dest.admit_group(migration, [*registered, "q1", "q2", "q3"])
+        assert (dest.registered, dest.rounds_served) == (registered, rounds)
+        assert dest.cache.export_stream_state({"A", "B"}) == held
+        assert dest.metrics.migrations_in == 0
 
 
 class TestPlanningPhase:

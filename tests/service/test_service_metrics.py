@@ -127,29 +127,39 @@ class TestRecordRound:
         assert metrics.round_costs == [0.5, 0.5, 0.5]
 
 
-def _served_ledger(rounds: int, *, churn: bool) -> ServiceMetrics:
+def _served(
+    rounds: int, *, churn: bool, telemetry: Telemetry | None = None
+) -> QueryServer:
     """Serve ``rounds`` rounds of one resident, renamed every round if ``churn``."""
     registry = StreamRegistry()
     registry.add(StreamSpec("A", 1.0), GaussianSource(seed=1))
     tree = DnfTree([[Leaf("A", 2, 1.0)]], {"A": 1.0})
-    server = QueryServer(registry, BernoulliOracle(seed=0))
+    server = QueryServer(registry, BernoulliOracle(seed=0), telemetry=telemetry)
     server.register("q0", tree)
     for i in range(rounds):
         if churn:
             server.deregister(f"q{i}")
             server.register(f"q{i + 1}", tree)
         server.step()
-    return server.metrics
+    return server
 
 
 class TestLedgerSize:
     def test_ledger_does_not_grow_with_churn(self):
         """Departed queries leave nothing behind in the lifetime ledger."""
-        stable = _served_ledger(30, churn=False)
-        churned = _served_ledger(30, churn=True)
+        stable = _served(30, churn=False).metrics
+        churned = _served(30, churn=True).metrics
         assert (churned.registrations, churned.deregistrations) == (31, 30)
         assert stable.rounds == churned.rounds == 30
         assert len(pickle.dumps(churned)) == len(pickle.dumps(stable))
+
+    def test_registry_does_not_grow_with_churn(self):
+        """Departed queries leave no metric cells behind in the registry."""
+        stable = _served(30, churn=False, telemetry=Telemetry()).telemetry
+        churned = _served(30, churn=True, telemetry=Telemetry()).telemetry
+        assert stable.registry.value("repro_rounds_total") == 30
+        assert churned.registry.value("repro_rounds_total") == 30
+        assert len(pickle.dumps(churned.registry)) == len(pickle.dumps(stable.registry))
 
 
 def _probe_order_server(telemetry: Telemetry) -> QueryServer:
