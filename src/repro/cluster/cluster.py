@@ -622,13 +622,17 @@ class ClusterServer:
                 f"{self.n_shards}"
             )
         trees = dict(population)
+        placed = [name for members in partition.shards for name in members]
+        if len(trees) != len(population) or sorted(placed) != sorted(trees):
+            raise AdmissionError("partition does not place each query exactly once")
+        resident = [name for name in placed if name in self._assignment]
+        if resident:
+            raise AdmissionError(f"queries {resident!r} are already registered")
         order = {name: i for i, (name, _) in enumerate(population)}
         shard_ids = sorted(self.shards)
         for shard_id, members in zip(shard_ids, partition.shards):
             shard = self.shards[shard_id]
             for name in sorted(members, key=order.__getitem__):
-                if name in self._assignment:
-                    raise AdmissionError(f"query {name!r} is already registered")
                 shard.register(name, trees[name], oracle=self.oracle_factory(name))
                 self._assignment[name] = shard_id
         self._churn += len(population)

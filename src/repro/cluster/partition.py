@@ -10,13 +10,16 @@ population and clusters it into at most ``k`` shards:
   ``w_q[s]`` is the per-round acquisition spend query ``q`` can put on
   stream ``s`` (its largest window on ``s`` times the per-item cost) — the
   cost one of them saves per round when the other pays the window first;
+* those sums are taken per stream, never per query pair, over per-stream
+  counts of weights held as exact integer multiples of one power-of-two
+  unit — so every tie is a real tie, whatever the summation order;
 * connected components of the overlap graph are the natural clusters: a
   component never benefits from co-residence with another, so splitting
   *across* components is free while splitting *within* one loses sharing;
-* components are packed onto shards longest-processing-time-first (balance),
-  optionally refined by label-propagation sweeps when cross-component noise
-  (cut edges) makes the initial packing improvable, and oversized components
-  are only split when an explicit ``max_shard_queries`` capacity demands it.
+* components are packed onto shards longest-processing-time-first
+  (balance) and refined by label-propagation sweeps; an oversized
+  component is split along its communities when that keeps most of its
+  overlap weight, or when a ``max_shard_queries`` capacity demands it.
 
 :func:`partition_report` explains what a partition costs: the pairwise
 overlap weight kept inside shards, the weight cut by shard boundaries, and
@@ -26,8 +29,10 @@ shards is paid once per shard instead of once per device).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence, Union
+from fractions import Fraction
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -48,6 +53,12 @@ __all__ = [
 ]
 
 TreeLike = Union[AndTree, DnfTree, QueryTree]
+
+_REFINE_SWEEPS = 2
+_COMMUNITY_SWEEPS = 6
+#: A noise-cut split is kept only if its pieces keep at least this share of
+#: the split piece's internal overlap weight.
+_MIN_SPLIT_KEEP = Fraction(3, 5)
 
 
 def stream_weight_vector(tree: TreeLike, costs: Mapping[str, float]) -> dict[str, float]:
@@ -71,74 +82,12 @@ class OverlapGraph:
     names: tuple[str, ...]
     #: query name -> stream -> acquisition weight (max window x item cost).
     weights: Mapping[str, Mapping[str, float]]
-
-    def streams_of(self, name: str) -> frozenset[str]:
-        return frozenset(self.weights[name])
-
-    def overlap(self, a: str, b: str) -> float:
-        """Shared-stream weight between two queries (0.0 when disjoint).
-
-        Pairs are memoized: the partitioner's component, label-propagation
-        and cut-scoring passes all revisit the same pairs many times.
-        """
-        cache: dict[tuple[str, str], float] = self.__dict__.setdefault(
-            "_overlap_cache", {}
-        )
-        pair = (a, b) if a <= b else (b, a)
-        value = cache.get(pair)
-        if value is None:
-            wa, wb = self.weights[a], self.weights[b]
-            if len(wb) < len(wa):
-                wa, wb = wb, wa
-            value = sum(min(w, wb[s]) for s, w in wa.items() if s in wb)
-            cache[pair] = value
-        return value
-
-    def queries_by_stream(self) -> dict[str, list[str]]:
-        """Stream -> queries windowing it (computed once, cached)."""
-        cached = self.__dict__.get("_by_stream")
-        if cached is None:
-            by_stream: dict[str, list[str]] = {}
-            for name in self.names:
-                for stream in self.weights[name]:
-                    by_stream.setdefault(stream, []).append(name)
-            object.__setattr__(self, "_by_stream", by_stream)
-            cached = by_stream
-        return cached
-
-    def overlapping_pairs(
-        self, members: "set[str] | None" = None
-    ) -> "Iterator[tuple[str, str]]":
-        """Every unordered query pair sharing a stream, yielded once.
-
-        Only pairs with a common stream can overlap, so consumers walking
-        these pairs instead of the full n^2 grid stay near-linear on sparse
-        populations. ``members`` restricts to pairs inside one set.
-        """
-        seen: set[tuple[str, str]] = set()
-        for stream_members in self.queries_by_stream().values():
-            inside = (
-                stream_members
-                if members is None
-                else [name for name in stream_members if name in members]
-            )
-            for i, a in enumerate(inside):
-                for b in inside[i + 1 :]:
-                    pair = (a, b) if a <= b else (b, a)
-                    if pair not in seen:
-                        seen.add(pair)
-                        yield pair
-
-    def neighbour_map(
-        self, members: "set[str] | None" = None
-    ) -> dict[str, set[str]]:
-        """Query -> stream-sharing neighbours (optionally within ``members``)."""
-        scope = self.names if members is None else [n for n in self.names if n in members]
-        neighbours: dict[str, set[str]] = {name: set() for name in scope}
-        for a, b in self.overlapping_pairs(members):
-            neighbours[a].add(b)
-            neighbours[b].add(a)
-        return neighbours
+    #: stream -> the queries windowing it, in population order.
+    by_stream: Mapping[str, tuple[str, ...]]
+    #: query name -> stream -> the weight as an exact multiple of ``1/scale``.
+    units: Mapping[str, Mapping[str, int]]
+    #: The largest power-of-two denominator among the weights.
+    scale: int
 
     def components(self) -> list[list[str]]:
         """Connected components of the overlap graph, in first-seen order.
@@ -154,7 +103,7 @@ class OverlapGraph:
                 x = parent[x]
             return x
 
-        for members in self.queries_by_stream().values():
+        for members in self.by_stream.values():
             first = members[0]
             for other in members[1:]:
                 ra, rb = find(first), find(other)
@@ -174,12 +123,29 @@ def build_overlap_graph(
         raise StreamError("cannot build an overlap graph of an empty population")
     names: list[str] = []
     weights: dict[str, dict[str, float]] = {}
+    by_stream: dict[str, list[str]] = {}
     for name, tree in population:
         if name in weights:
             raise StreamError(f"duplicate query name {name!r} in population")
         names.append(name)
         weights[name] = stream_weight_vector(tree, costs)
-    return OverlapGraph(names=tuple(names), weights=weights)
+        for stream in weights[name]:
+            by_stream.setdefault(stream, []).append(name)
+    distinct = {w for row in weights.values() for w in row.values()}
+    # Every denominator is a power of two, so the largest is a multiple of all.
+    scale = max((w.as_integer_ratio()[1] for w in distinct), default=1)
+    unit = {w: int(Fraction(w) * scale) for w in distinct}
+    units = {
+        name: {stream: unit[w] for stream, w in row.items()}
+        for name, row in weights.items()
+    }
+    return OverlapGraph(
+        names=tuple(names),
+        weights=weights,
+        by_stream={stream: tuple(members) for stream, members in by_stream.items()},
+        units=units,
+        scale=scale,
+    )
 
 
 @dataclass(frozen=True)
@@ -248,6 +214,35 @@ class Partition:
         }
 
 
+def _weigh(graph: OverlapGraph, assignment: Mapping[str, int]) -> tuple[int, int, int]:
+    """Exact ``(intra, cut, duplicated)`` units of an assignment's queries.
+
+    Per stream, rank the assigned members by unit weight: each one's weight
+    is the ``min`` of its pair with every later-ranked member, so it counts
+    once per later member, into ``intra`` or ``cut``. ``duplicated`` is each
+    group paying its own heaviest window instead of one device paying once.
+    """
+    units = graph.units
+    intra = cut = duplicated = 0
+    for stream, members in graph.by_stream.items():
+        ranked = sorted(
+            (name for name in members if name in assignment),
+            key=lambda name: units[name][stream],
+        )
+        later: dict[int, int] = {}
+        heaviest: dict[int, int] = {}
+        # Heaviest first: the ``seen`` members walked so far weigh at least as much.
+        for seen, name in enumerate(reversed(ranked)):
+            unit, group = units[name][stream], assignment[name]
+            same = later.get(group, 0)
+            intra += unit * same
+            cut += unit * (seen - same)
+            later[group] = same + 1
+            heaviest.setdefault(group, unit)
+        duplicated += sum(heaviest.values()) - max(heaviest.values(), default=0)
+    return intra, cut, duplicated
+
+
 def partition_report(
     graph: OverlapGraph, shards: Sequence[Sequence[str]], *, method: str
 ) -> PartitionReport:
@@ -261,24 +256,7 @@ def partition_report(
     missing = set(graph.names) - set(assignment)
     if missing:
         raise StreamError(f"partition misses queries {sorted(missing)!r}")
-    intra = cut = 0.0
-    for a, b in graph.overlapping_pairs():
-        weight = graph.overlap(a, b)
-        if assignment[a] == assignment[b]:
-            intra += weight
-        else:
-            cut += weight
-    # Duplicated acquisition: per stream, each shard that windows it pays its
-    # own shard-max window; one device would pay the global max once.
-    duplicated = 0.0
-    for stream, members in graph.queries_by_stream().items():
-        shard_max: dict[int, float] = {}
-        for name in members:
-            weight = graph.weights[name][stream]
-            shard = assignment[name]
-            if weight > shard_max.get(shard, 0.0):
-                shard_max[shard] = weight
-        duplicated += sum(shard_max.values()) - max(shard_max.values())
+    intra, cut, duplicated = _weigh(graph, assignment)
     sizes = tuple(len(shard) for shard in shards)
     n_shards = len(shards)
     ideal = len(graph.names) / n_shards if n_shards else 0.0
@@ -286,23 +264,61 @@ def partition_report(
         n_queries=len(graph.names),
         n_shards=n_shards,
         shard_sizes=sizes,
-        intra_weight=intra,
-        cut_weight=cut,
-        duplicated_stream_cost=duplicated,
+        intra_weight=intra / graph.scale,
+        cut_weight=cut / graph.scale,
+        duplicated_stream_cost=duplicated / graph.scale,
         balance=max(sizes) / ideal if ideal else 1.0,
         method=method,
     )
 
 
-def _pair_weight(graph: OverlapGraph, names: Sequence[str]) -> float:
-    """Total pairwise overlap weight inside ``names``."""
-    members = set(names)
-    return sum(graph.overlap(a, b) for a, b in graph.overlapping_pairs(members))
+def _partition(graph: OverlapGraph, shards: list[list[str]], method: str) -> Partition:
+    """Put each shard in population order and score the result."""
+    ordered = {name: i for i, name in enumerate(graph.names)}
+    final = tuple(tuple(sorted(shard, key=ordered.__getitem__)) for shard in shards)
+    return Partition(shards=final, report=partition_report(graph, final, method=method))
 
 
-def _community_split(
-    graph: OverlapGraph, component: list[str], *, sweeps: int = 6
-) -> list[list[str]]:
+class _Tally:
+    """Per (stream, group): a count of the member unit weights on the stream.
+
+    A query's pull towards a group, ``sum_s sum_v min(u[s], v) * count``
+    over the group's counts on its streams, is the exact total of its
+    overlaps with the group's members. A move is remove, then add.
+    """
+
+    def __init__(self, graph: OverlapGraph, groups: Mapping[str, int]) -> None:
+        self._units = graph.units
+        self._counts: dict[str, dict[int, Counter[int]]] = {}
+        for name, group in groups.items():
+            self.add(name, group)
+
+    def add(self, name: str, group: int) -> None:
+        for stream, unit in self._units[name].items():
+            self._counts.setdefault(stream, {}).setdefault(group, Counter())[unit] += 1
+
+    def remove(self, name: str, group: int) -> None:
+        for stream, unit in self._units[name].items():
+            counts = self._counts[stream][group]
+            counts[unit] -= 1
+            if not counts[unit]:
+                del counts[unit]
+            if not counts:
+                del self._counts[stream][group]
+
+    def pull(self, name: str) -> dict[int, int]:
+        """Group -> pull, for every group sharing a stream with ``name``."""
+        pulls: dict[int, int] = {}
+        for stream, unit in self._units[name].items():
+            for group, counts in self._counts.get(stream, {}).items():
+                pull = pulls.get(group, 0)
+                for value, count in counts.items():
+                    pull += (value if value < unit else unit) * count
+                pulls[group] = pull
+        return pulls
+
+
+def _community_split(graph: OverlapGraph, component: list[str]) -> list[list[str]]:
     """Classic async label propagation inside one connected component.
 
     Every query starts as its own community and repeatedly adopts the label
@@ -312,22 +328,17 @@ def _community_split(
     *single* label — returning one piece, which the caller reads as
     "unsplittable dense structure".
     """
-    neighbours = {
-        name: sorted(peers)
-        for name, peers in graph.neighbour_map(set(component)).items()
-    }
     labels = {name: index for index, name in enumerate(component)}
-    for _ in range(max(1, sweeps)):
+    tally = _Tally(graph, labels)
+    for _ in range(_COMMUNITY_SWEEPS):
         moved = False
         for name in component:
-            pull: dict[int, float] = {}
-            for other in neighbours[name]:
-                label = labels[other]
-                pull[label] = pull.get(label, 0.0) + graph.overlap(name, other)
-            if not pull:
-                continue
-            best = min(pull, key=lambda label: (-pull[label], label))
-            if best != labels[name]:
+            current = labels[name]
+            tally.remove(name, current)
+            pulls = tally.pull(name)
+            best = min(pulls, key=lambda label: (-pulls[label], label), default=current)
+            tally.add(name, best)
+            if best != current:
                 labels[name] = best
                 moved = True
         if not moved:
@@ -348,82 +359,77 @@ def _split_component(
     unassigned member with the strongest overlap to the piece so far —
     keeping dense sub-clusters together while honoring the capacity.
     """
+    units = graph.units
     remaining = list(component)
+    unassigned = _Tally(graph, dict.fromkeys(remaining, 0))
     pieces: list[list[str]] = []
     while remaining:
         if len(remaining) <= cap:
             pieces.append(remaining)
             break
+        # A query's pull on the unassigned group, less its overlap with itself.
         hub = max(
             remaining,
-            key=lambda q: sum(graph.overlap(q, other) for other in remaining if other != q),
+            key=lambda q: unassigned.pull(q).get(0, 0) - sum(units[q].values()),
         )
         piece = [hub]
         remaining.remove(hub)
-        attached = {s: w for s, w in graph.weights[hub].items()}
+        unassigned.remove(hub, 0)
+        attached = dict(units[hub])
         while len(piece) < cap and remaining:
             best = max(
                 remaining,
                 key=lambda q: sum(
-                    min(w, attached.get(s, 0.0))
-                    for s, w in graph.weights[q].items()
+                    min(u, attached.get(s, 0)) for s, u in units[q].items()
                 ),
             )
             piece.append(best)
             remaining.remove(best)
-            for s, w in graph.weights[best].items():
-                if w > attached.get(s, 0.0):
-                    attached[s] = w
+            unassigned.remove(best, 0)
+            for s, u in units[best].items():
+                if u > attached.get(s, 0):
+                    attached[s] = u
         pieces.append(piece)
     return pieces
 
 
 def _label_propagation_refine(
-    graph: OverlapGraph,
-    shards: list[list[str]],
-    *,
-    max_shard_queries: int | None,
-    sweeps: int,
+    graph: OverlapGraph, shards: list[list[str]], *, max_shard_queries: int | None
 ) -> list[list[str]]:
     """Greedy label-propagation: move a query to the shard it overlaps most.
 
     Deterministic sweeps in population order; a move must strictly increase
-    the query's intra-shard overlap and respect the capacity. Useful when
-    cut edges (cross-component noise) make the component packing improvable.
+    the query's intra-shard overlap (ties to the lowest shard index) and
+    respect the capacity. Useful when cut edges (cross-component noise) make
+    the component packing improvable.
     """
-    assignment = {
-        name: index for index, shard in enumerate(shards) for name in shard
-    }
-    # Only the assigned queries participate: the pass also refines trial
-    # splits of a single component, where the rest of the graph is absent.
-    covered = [name for name in graph.names if name in assignment]
-    neighbours = graph.neighbour_map(set(covered))
+    assignment = {name: index for index, shard in enumerate(shards) for name in shard}
     sizes = [len(shard) for shard in shards]
-    for _ in range(max(0, sweeps)):
+    tally = _Tally(graph, assignment)
+    for _ in range(_REFINE_SWEEPS):
         moved = False
-        for name in covered:
+        for name in graph.names:
             current = assignment[name]
-            pull: dict[int, float] = {}
-            for other in neighbours[name]:
-                shard = assignment[other]
-                pull[shard] = pull.get(shard, 0.0) + graph.overlap(name, other)
-            best_shard, best_pull = current, pull.get(current, 0.0)
-            for shard, weight in sorted(pull.items()):
+            tally.remove(name, current)
+            pulls = tally.pull(name)
+            best, best_pull = current, pulls.get(current, 0)
+            for shard in sorted(pulls):
                 if shard == current:
                     continue
                 if max_shard_queries is not None and sizes[shard] >= max_shard_queries:
                     continue
-                if weight > best_pull:
-                    best_shard, best_pull = shard, weight
-            if best_shard != current:
-                assignment[name] = best_shard
+                if pulls[shard] > best_pull:
+                    best, best_pull = shard, pulls[shard]
+            tally.add(name, best)
+            if best != current:
+                assignment[name] = best
                 sizes[current] -= 1
-                sizes[best_shard] += 1
+                sizes[best] += 1
                 moved = True
         if not moved:
             break
     rebuilt: list[list[str]] = [[] for _ in shards]
-    for name in covered:
+    for name in graph.names:
         rebuilt[assignment[name]].append(name)
     return [shard for shard in rebuilt if shard]
 
@@ -464,8 +470,6 @@ def partition_by_overlap(
     costs: Mapping[str, float],
     *,
     max_shard_queries: int | None = None,
-    refine_sweeps: int = 2,
-    min_split_keep: float = 0.6,
     graph: OverlapGraph | None = None,
 ) -> Partition:
     """Cluster ``population`` into at most ``k`` shards by stream overlap.
@@ -475,16 +479,17 @@ def partition_by_overlap(
     yields one shard no matter how large ``k`` is, and ``k`` larger than the
     number of clusters yields one shard per cluster. But a component held
     together only by thin cross-traffic is a different matter: when fewer
-    components than shards exist, oversized components are trial-split
-    (greedy hub growth + label-propagation refinement) and the split is
-    *kept only if* it preserves at least ``min_split_keep`` of the
-    component's internal overlap weight — planted clusters glued by noise
-    edges pass (they keep most of their weight), uniform cliques fail (any
-    width-``j`` split of a clique keeps only ~1/j). ``max_shard_queries``
-    (a per-shard admission capacity) additionally forces splits regardless
-    of cut cost. Components are packed onto shards LPT-style (largest first
-    onto the lightest shard), then refined with ``refine_sweeps``
-    label-propagation passes. Callers that already built the population's
+    pieces than shards exist, the largest oversized piece is trial-split
+    along its label-propagation communities, and the split is *kept only
+    if* its pieces keep at least 60% of the piece's internal overlap
+    weight — planted clusters glued by noise edges pass (they keep most of
+    their weight), uniform cliques fail (any width-``j`` split of a clique
+    keeps only ~1/j). ``max_shard_queries`` (a per-shard admission
+    capacity) additionally forces splits regardless of cut cost. Pieces are
+    packed onto shards LPT-style (largest first onto the lightest shard),
+    then refined with two label-propagation sweeps. Every overlap sum is
+    exact (per-stream counts of :class:`OverlapGraph` ``units``), so a tie
+    is a real tie. Callers that already built the population's
     :class:`OverlapGraph` pass it via ``graph`` to skip the rebuild.
     """
     if k < 1:
@@ -516,9 +521,10 @@ def partition_by_overlap(
         sub = _community_split(graph, largest)
         if len(sub) <= 1:
             break
-        internal = _pair_weight(graph, largest)
-        kept = sum(_pair_weight(graph, piece) for piece in sub)
-        if internal > 0 and kept < min_split_keep * internal:
+        kept, cut, _ = _weigh(
+            graph, {name: index for index, piece in enumerate(sub) for name in piece}
+        )
+        if kept < _MIN_SPLIT_KEEP * (kept + cut):
             break
         pieces.remove(largest)
         pieces.extend(sub)
@@ -551,17 +557,11 @@ def partition_by_overlap(
             shards[lightest].extend(remaining[:space])
             remaining = remaining[space:]
     shards = [shard for shard in shards if shard]
-    if refine_sweeps > 0 and len(shards) > 1:
+    if len(shards) > 1:
         shards = _label_propagation_refine(
-            graph, shards, max_shard_queries=max_shard_queries, sweeps=refine_sweeps
+            graph, shards, max_shard_queries=max_shard_queries
         )
-    ordered = {name: i for i, name in enumerate(graph.names)}
-    final = tuple(
-        tuple(sorted(shard, key=ordered.__getitem__)) for shard in shards
-    )
-    return Partition(
-        shards=final, report=partition_report(graph, final, method="overlap")
-    )
+    return _partition(graph, shards, "overlap")
 
 
 def random_partition(
@@ -581,10 +581,4 @@ def random_partition(
     shards: list[list[str]] = [[] for _ in range(n_shards)]
     for index, name in enumerate(names):
         shards[index % n_shards].append(name)
-    ordered = {name: i for i, name in enumerate(graph.names)}
-    final = tuple(
-        tuple(sorted(shard, key=ordered.__getitem__)) for shard in shards
-    )
-    return Partition(
-        shards=final, report=partition_report(graph, final, method="random")
-    )
+    return _partition(graph, shards, "random")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import ClusterServer, ShardRouter, default_oracle_factory
+from repro.cluster.partition import partition_by_overlap
 from repro.core.leaf import Leaf
 from repro.core.tree import DnfTree
 from repro.errors import AdmissionError, StreamError
@@ -94,6 +95,36 @@ class TestAdmission:
             cluster.shard_of(victim)
         with pytest.raises(AdmissionError):
             cluster.deregister(victim)
+
+    def test_given_partition_must_cover_population(self):
+        registry, population = small_environment(n_queries=10)
+        cluster = ClusterServer(registry, n_shards=2)
+        partial = partition_by_overlap(population[:6], 2, registry.cost_table())
+        with pytest.raises(AdmissionError):
+            cluster.register_population(population, partition=partial)
+        assert len(cluster) == 0
+        assert cluster._churn == 0
+
+    def test_given_partition_must_not_name_strangers(self):
+        registry, population = small_environment(n_queries=10)
+        cluster = ClusterServer(registry, n_shards=2)
+        wider = partition_by_overlap(
+            population + [("stranger", tree_on(["C0S0"]))], 2, registry.cost_table()
+        )
+        with pytest.raises(AdmissionError):
+            cluster.register_population(population, partition=wider)
+        assert len(cluster) == 0
+        assert cluster._churn == 0
+
+    def test_resident_clash_registers_nothing(self):
+        registry, population = small_environment(n_queries=10)
+        cluster = ClusterServer(registry, n_shards=2)
+        name, tree = population[-1]
+        cluster.register(name, tree)
+        with pytest.raises(AdmissionError):
+            cluster.register_population(population)
+        assert cluster.registered == (name,)
+        assert cluster._churn == 1
 
     def test_adaptive_must_be_policy(self):
         registry, _ = small_environment()

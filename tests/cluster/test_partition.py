@@ -40,9 +40,13 @@ class TestOverlapGraph:
             [("a", tree_on(["S0", "S1"], items=3)), ("b", tree_on(["S1", "S2"], items=1))],
             COSTS,
         )
-        # Only S1 is shared; min(3*1, 1*1) = 1.
-        assert graph.overlap("a", "b") == pytest.approx(1.0)
-        assert graph.overlap("b", "a") == pytest.approx(1.0)
+        # Only S1 is shared; min(3*1, 1*1) = 1, kept together or cut apart.
+        together = partition_report(graph, [["a", "b"]], method="one")
+        assert together.intra_weight == 1.0
+        assert together.cut_weight == 0.0
+        apart = partition_report(graph, [["a"], ["b"]], method="two")
+        assert apart.cut_weight == 1.0
+        assert apart.intra_weight == 0.0
 
     def test_components_split_disjoint_stream_groups(self):
         graph = build_overlap_graph(
