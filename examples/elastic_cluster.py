@@ -85,7 +85,7 @@ def main() -> None:
         f"cost {final.total_cost:.2f}"
     )
     print(f"lifetime: {cluster.splits} splits, {cluster.drains} drains, "
-          f"{len(cluster.rebalances)} rebalances")
+          f"{cluster.rebalances} rebalances")
 
 
 if __name__ == "__main__":

@@ -47,7 +47,7 @@ import time
 import zlib
 from dataclasses import dataclass
 from multiprocessing.connection import Connection, wait
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.adaptive.elastic import ElasticPolicy
 from repro.adaptive.policy import AdaptivePolicy
@@ -155,7 +155,8 @@ class RebalanceEvent:
 class ElasticEvent:
     """One elastic topology change (operator-requested or policy-triggered)."""
 
-    #: "split" | "drain" | "drain-partial" | "grow" | "rebalance"
+    #: "split" | "drain" | "grow" | "rebalance"; every one that moves
+    #: queries ships them through one ``_apply`` (one group per shard pair).
     kind: str
     #: Cluster rounds served when the event fired.
     round_index: int
@@ -453,7 +454,6 @@ class ClusterServer:
         #: Resident name -> shard id, in cluster admission order (a
         #: migration reassigns a value in place, keeping the order).
         self._assignment: dict[str, int] = {}
-        self.rebalances: list[RebalanceEvent] = []
         #: Audit log of every topology change (splits, drains, grows,
         #: rebalances), operator-requested and policy-triggered alike.
         self.elastic_log: list[ElasticEvent] = []
@@ -564,6 +564,10 @@ class ClusterServer:
     @property
     def drains(self) -> int:
         return sum(1 for event in self.elastic_log if event.kind == "drain")
+
+    @property
+    def rebalances(self) -> int:
+        return sum(1 for event in self.elastic_log if event.kind == "rebalance")
 
     @_synchronized
     def register(
@@ -738,7 +742,7 @@ class ClusterServer:
                 self.plan_cache.hit_rate if self.plan_cache is not None else 0.0
             ),
             router_overlap_hit_rate=self.router.overlap_hit_rate,
-            rebalances=len(self.rebalances),
+            rebalances=self.rebalances,
             n_shards_total=self.n_shards,
             splits=self.splits,
             drains=self.drains,
@@ -778,7 +782,8 @@ class ClusterServer:
         to its home shard. On a capacity-bound cluster a piece that does not
         fit stays put (the cut is the price of the balance constraint).
         """
-        home = self.shards[home_id]
+        home_size = len(self.shards[home_id])
+        target: dict[str, int] = {}
         for sid in sorted(self.shards):
             if sid == home_id:
                 continue
@@ -790,10 +795,12 @@ class ClusterServer:
                     continue
                 if (
                     self._max_shard_queries is not None
-                    and len(home) + len(members) > self._max_shard_queries
+                    and home_size + len(members) > self._max_shard_queries
                 ):
                     continue
-                self._move(members, sid, home_id)
+                home_size += len(members)
+                target.update(dict.fromkeys(members, home_id))
+        self._apply(target)
 
     def _components(
         self, shard: Shard
@@ -802,8 +809,8 @@ class ClusterServer:
 
         ``members`` is in the shard's registration order and ``weights``
         maps each stream the component windows to its maximum acquisition
-        weight over the members. The graph is built from the mirror on the
-        first step, so moving a yielded component does not change the rest.
+        weight over the members. Callers plan every component before
+        :meth:`_apply` moves any of them.
         """
         names = shard.names
         graph = build_overlap_graph(
@@ -840,31 +847,39 @@ class ClusterServer:
             )
         return event
 
-    def _move(self, names: Sequence[str], src_id: int, dest_id: int) -> None:
-        """Move ``names`` (one stream-coherent group) between live shards.
+    def _apply(self, target: Mapping[str, int]) -> dict[tuple[int, int], list[str]]:
+        """Move each query of ``target`` (name -> shard id) to its shard.
 
         The one placement primitive: split, drain, rebalance and runtime
-        absorption all move queries through it, as one ``export_group`` and
-        one ``admit_group`` command. The group carries its queries verbatim
-        (plan, schedule, oracle instance, adaptive belief) with the source
-        cache's held items for their streams and the source's round clock,
-        and it lands in the cluster's global admission order: merge
-        tie-breaks follow registration order, which must not depend on
-        travel history.
+        absorption each compute their whole target, then call this once.
+        Movers group per (source, destination) pair in cluster admission
+        order; a pair is one ``export_group`` and one ``admit_group``
+        command, carrying the queries verbatim with the source's held items
+        and round clock, and lands in the cluster's admission order (merge
+        tie-breaks must not depend on travel history). Returns the groups.
         """
+        if not target:
+            return {}
+        groups: dict[tuple[int, int], list[str]] = {}
+        for name, src in self._assignment.items():
+            dest = target.get(name, src)
+            if dest != src:
+                groups.setdefault((src, dest), []).append(name)
         tel = self.telemetry
-        with (
-            tel.span("migration", src=src_id, dest=dest_id, queries=len(names))
-            if tel is not None
-            else contextlib.nullcontext()
-        ):
-            migration = self.shards[src_id].export_group(names)
-            for name in names:
-                self._assignment[name] = dest_id
-            self.shards[dest_id].admit_group(
-                migration,
-                [name for name, sid in self._assignment.items() if sid == dest_id],
-            )
+        for (src, dest), names in groups.items():
+            with (
+                tel.span("migration", src=src, dest=dest, queries=len(names))
+                if tel is not None
+                else contextlib.nullcontext()
+            ):
+                migration = self.shards[src].export_group(names)
+                for name in names:
+                    self._assignment[name] = dest
+                self.shards[dest].admit_group(
+                    migration,
+                    [name for name, sid in self._assignment.items() if sid == dest],
+                )
+        return groups
 
     @_synchronized
     def split_shard(
@@ -911,24 +926,59 @@ class ClusterServer:
         # group holding the earliest-admitted query, so splits are stable.
         groups.sort(key=lambda group: (-len(group), min(order[n] for n in group)))
         new_ids: list[int] = []
-        moves = 0
+        target: dict[str, int] = {}
         for group in groups[1:]:
-            new = self._spawn_shard()
-            members = sorted(group, key=order.__getitem__)
-            self._move(members, shard_id, new.shard_id)
-            new_ids.append(new.shard_id)
-            moves += len(members)
+            new_ids.append(self._spawn_shard().shard_id)
+            target.update(dict.fromkeys(group, new_ids[-1]))
+        self._apply(target)
         event = ElasticEvent(
             kind="split",
             round_index=self._rounds_served,
             shard_id=shard_id,
             new_shard_ids=tuple(new_ids),
-            moves=moves,
+            moves=len(target),
             trigger=trigger,
             detail=(
                 f"{len(pieces)} pieces into {len(groups)} shards, "
                 f"cut weight {report.cut_weight:.6g}"
             ),
+        )
+        self._log_elastic(event, duration=time.perf_counter() - op_start)
+        return event
+
+    def _drain(self, shard_id: int, trigger: str) -> ElasticEvent | None:
+        """Drain ``shard_id`` through one :meth:`_apply`, or return ``None``
+        with nothing moved when some component fits on no other shard.
+
+        Components are routed before anything moves: they are
+        stream-disjoint, so an earlier pick changes only the next pick's
+        destination load (``loads``), never its overlap score.
+        """
+        op_start = time.perf_counter()
+        shard = self.shards[shard_id]
+        others = [s for sid, s in self.shards.items() if sid != shard_id]
+        loads = {other.shard_id: len(other) for other in others}
+        target: dict[str, int] = {}
+        for members, weights in self._components(shard) if len(shard) else ():
+            try:
+                decision = self.router.route_group(
+                    members[0], weights, others, loads, group_size=len(members)
+                )
+            except AdmissionError:
+                return None
+            loads[decision.shard_id] += len(members)
+            target.update(dict.fromkeys(members, decision.shard_id))
+        self._apply(target)
+        retired = self.shards.pop(shard_id)
+        self._replans_retired += retired.replans()
+        retired.close()  # a process-mode shard's worker exits here
+        event = ElasticEvent(
+            kind="drain",
+            round_index=self._rounds_served,
+            shard_id=shard_id,
+            new_shard_ids=tuple(dict.fromkeys(target.values())),
+            moves=len(target),
+            trigger=trigger,
         )
         self._log_elastic(event, duration=time.perf_counter() - op_start)
         return event
@@ -940,56 +990,19 @@ class ClusterServer:
         Residents leave as whole overlap components (each component routed
         as one group, so co-residence — and therefore every query's cost —
         survives the move), destination-scored exactly like runtime
-        admissions. On a capacity-bound cluster a drain that cannot place
-        some component raises :class:`~repro.errors.AdmissionError`;
-        components already migrated stay at their destinations and the
-        source shard is *not* retired, leaving the cluster consistent — and
-        when anything did move, a ``"drain-partial"`` event is logged before
-        the raise, so the audit trail covers the migrations that happened.
+        admissions. A drain moves everything or nothing: when some
+        component fits nowhere it raises :class:`~repro.errors.AdmissionError`
+        with no query moved, no shard retired and no event logged.
         """
-        shard = self._shard(shard_id)
-        others = [s for sid, s in self.shards.items() if sid != shard_id]
-        if not others:
+        self._shard(shard_id)
+        if len(self.shards) < 2:
             raise AdmissionError("cannot drain the only shard in the cluster")
-        op_start = time.perf_counter()
-        destinations: list[int] = []
-        moves = 0
-        if len(shard):
-            try:
-                for members, weights in self._components(shard):
-                    decision = self.router.route_group(
-                        members[0], weights, others, group_size=len(members)
-                    )
-                    self._move(members, shard_id, decision.shard_id)
-                    destinations.append(decision.shard_id)
-                    moves += len(members)
-            except AdmissionError:
-                if moves:
-                    self._log_elastic(
-                        ElasticEvent(
-                            kind="drain-partial",
-                            round_index=self._rounds_served,
-                            shard_id=shard_id,
-                            new_shard_ids=tuple(dict.fromkeys(destinations)),
-                            moves=moves,
-                            trigger=trigger,
-                            detail="capacity exhausted mid-drain; shard retained",
-                        ),
-                        duration=time.perf_counter() - op_start,
-                    )
-                raise
-        retired = self.shards.pop(shard_id)
-        self._replans_retired += retired.replans()
-        retired.close()  # a process-mode shard's worker exits here
-        event = ElasticEvent(
-            kind="drain",
-            round_index=self._rounds_served,
-            shard_id=shard_id,
-            new_shard_ids=tuple(dict.fromkeys(destinations)),
-            moves=moves,
-            trigger=trigger,
-        )
-        self._log_elastic(event, duration=time.perf_counter() - op_start)
+        event = self._drain(shard_id, trigger)
+        if event is None:
+            raise AdmissionError(
+                f"no other shard has room for every overlap component of "
+                f"shard {shard_id}; nothing moved"
+            )
         return event
 
     @_synchronized
@@ -1112,18 +1125,11 @@ class ClusterServer:
             unused.remove(best)
             for name in piece:
                 target[name] = best
-        groups: dict[tuple[int, int], list[str]] = {}
-        for name, src in self._assignment.items():
-            dest = target[name]
-            if src != dest:
-                groups.setdefault((src, dest), []).append(name)
-        for (src, dest), names in groups.items():
-            self._move(names, src, dest)
+        groups = self._apply(target)
         moves = sum(len(names) for names in groups.values())
         event = RebalanceEvent(
             old_report=old_report, new_report=candidate.report, moves=moves
         )
-        self.rebalances.append(event)
         self._log_elastic(
             ElasticEvent(
                 kind="rebalance",
@@ -1178,15 +1184,9 @@ class ClusterServer:
                     or len(self.shards[victim]) * 2 < policy.target_shard_queries
                 )
                 if decisive:
-                    mark = len(self.elastic_log)
-                    try:
-                        events.append(
-                            self.drain_shard(victim, trigger="auto:consolidate")
-                        )
-                    except AdmissionError:
-                        # No destination had room for every component; keep
-                        # the shard but surface any partial migration.
-                        events.extend(self.elastic_log[mark:])
+                    drain = self._drain(victim, "auto:consolidate")
+                    if drain is not None:
+                        events.append(drain)
         width = len(self.shards)
         ideal = total / width if width else 0.0
         # Drain the most underloaded shard.
@@ -1195,23 +1195,15 @@ class ClusterServer:
             if len(active) > 1:
                 victim = min(active, key=lambda sid: (len(self.shards[sid]), -sid))
                 if len(self.shards[victim]) < policy.drain_below * ideal:
-                    mark = len(self.elastic_log)
-                    try:
-                        events.append(
-                            self.drain_shard(victim, trigger="auto:underload")
-                        )
-                    except AdmissionError:
-                        # No destination had room for every component; keep
-                        # the shard but surface any partial migration.
-                        events.extend(self.elastic_log[mark:])
+                    drain = self._drain(victim, "auto:underload")
+                    if drain is not None:
+                        events.append(drain)
         # Split the most overloaded shard — unless this check already
         # drained (one width change per check keeps a drain's fallout from
         # immediately bouncing queries back out of the destination).
         width = len(self.shards)
         ideal = total / width if width else 0.0
-        drained = any(
-            event.kind.startswith("drain") and event.moves for event in events
-        )
+        drained = any(event.kind == "drain" and event.moves for event in events)
         if total and not drained and width < policy.max_shards:
             busiest = max(
                 self.shards, key=lambda sid: (len(self.shards[sid]), -sid)
@@ -1295,7 +1287,7 @@ class ClusterServer:
                 else "n/a"
             )
             + f", router overlap hits {self.router.overlap_hit_rate:.1%}, "
-            f"{len(self.rebalances)} rebalances, "
+            f"{self.rebalances} rebalances, "
             f"{self.splits} splits / {self.drains} drains",
         ]
         for shard_id in sorted(self.shards):

@@ -65,21 +65,24 @@ class ShardRouter:
         actually succeeds, so a rejected registration never skews the
         routing statistics.
         """
-        return self.route_group(
-            name, stream_weight_vector(tree, self.costs), shards
-        )
+        weights = stream_weight_vector(tree, self.costs)
+        loads = {shard.shard_id: len(shard) for shard in shards}
+        return self.route_group(name, weights, shards, loads)
 
     def route_group(
         self,
         label: str,
         weights: Mapping[str, float],
         shards: Sequence[Shard],
+        loads: Mapping[int, int],
         *,
         group_size: int = 1,
     ) -> RoutingDecision:
         """Pick a shard for a stream weight vector covering ``group_size``
         queries (a single admission, or a whole migration group moving as a
-        unit). Pure: records nothing.
+        unit). ``loads`` (shard id -> resident count), not the shards' own
+        sizes, decides capacity and the lighter-shard tie-break, so a drain
+        can route every component before any moves. Pure: records nothing.
 
         Raises :class:`~repro.errors.AdmissionError` when no shard exists or
         none has capacity for the whole group.
@@ -91,9 +94,10 @@ class ShardRouter:
         best_id: int | None = None
         best_key: tuple[float, int, int] | None = None
         for shard in shards:
+            load = loads[shard.shard_id]
             if (
                 self.max_shard_queries is not None
-                and len(shard) + group_size > self.max_shard_queries
+                and load + group_size > self.max_shard_queries
             ):
                 continue
             signature = shard.signature
@@ -102,7 +106,7 @@ class ShardRouter:
                 for stream, weight in weights.items()
             )
             # Maximize overlap, then prefer the lighter, lower-numbered shard.
-            key = (-overlap, len(shard), shard.shard_id)
+            key = (-overlap, load, shard.shard_id)
             if best_key is None or key < best_key:
                 best_key = key
                 best_id = shard.shard_id

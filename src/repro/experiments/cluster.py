@@ -567,7 +567,7 @@ def run_elastic_sim(
         )
     report.splits = cluster.splits
     report.drains = cluster.drains
-    report.rebalances = len(cluster.rebalances)
+    report.rebalances = cluster.rebalances
     if len(cluster):
         report.final_partition = cluster.partition_report()
     cluster.close()

@@ -197,7 +197,7 @@ class TestRebalance:
         cluster = ClusterServer(registry, n_shards=3)
         cluster.register_population(population)
         assert cluster.rebalance() is None
-        assert cluster.rebalances == []
+        assert cluster.rebalances == 0
 
     def test_rebalance_repairs_random_placement(self):
         registry, population = small_environment(seed=29, n_queries=30)
@@ -230,7 +230,8 @@ class TestRebalance:
         cluster.register_population(population)
         event = cluster.rebalance(force=True)
         assert event is not None
-        assert len(cluster.rebalances) == 1
+        assert cluster.rebalances == 1
+        assert cluster.elastic_log[-1].detail == event.describe()
 
 
 class TestClusterConcurrency:

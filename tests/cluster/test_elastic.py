@@ -140,7 +140,7 @@ class TestDrainShard:
         assert event.moves == 0
         assert cluster.n_shards == 2
 
-    def test_partial_drain_is_audited_before_raising(self):
+    def test_infeasible_drain_moves_nothing(self):
         registry = clustered_registry(3, 2, seed=14)
         cluster = ClusterServer(registry, n_shards=2, max_shard_queries=4)
         for i in range(3):
@@ -150,17 +150,34 @@ class TestDrainShard:
             cluster.register(f"a{i}", tree_on(["C0S0"]))  # joins c0's shard
         victim = cluster.shard_of("c0")
         assert cluster.shard_of("a0") == victim
-        # Draining moves c0 (fits: 3+1 <= 4) then fails on the a-component.
-        with pytest.raises(AdmissionError):
+        log = list(cluster.elastic_log)
+        placement = {name: cluster.shard_of(name) for name in cluster.registered}
+        # c0 alone would fit (3+1 <= 4), the a-component would not: the
+        # drain is planned whole, so it fails before anything moves.
+        with pytest.raises(AdmissionError, match="nothing moved"):
             cluster.drain_shard(victim)
         assert victim in cluster.shards  # not retired
-        partial = cluster.elastic_log[-1]
-        assert partial.kind == "drain-partial"
-        assert partial.moves == 1
-        assert cluster.shard_of("c0") != victim
-        assert len(cluster) == 7
+        assert cluster.shard_of("c0") == victim
+        assert {name: cluster.shard_of(name) for name in cluster.registered} == placement
+        assert cluster.elastic_log == log
         report = cluster.run_batch(2)
         assert len(report.per_query_cost) == 7
+
+    def test_drain_plan_counts_its_own_picks_against_capacity(self):
+        registry = clustered_registry(4, 2, seed=16)
+        cluster = ClusterServer(registry, n_shards=3, max_shard_queries=3)
+        for name, stream in [("a0", "C0S0"), ("x0", "C2S0"), ("y0", "C3S0"),
+                             ("b0", "C1S0"), ("x1", "C2S0"), ("y1", "C3S0")]:
+            cluster.register(name, tree_on([stream]))
+        victim = cluster.shard_of("a0")
+        assert cluster.shard_of("b0") == victim
+        x_home, y_home = cluster.shard_of("x0"), cluster.shard_of("y0")
+        # Both components are cold and both destinations hold 2/3: the first
+        # pick fills x's shard, so the planned load sends the second to y's.
+        event = cluster.drain_shard(victim)
+        assert event.new_shard_ids == (x_home, y_home)
+        assert cluster.shard_of("a0") == x_home and cluster.shard_of("b0") == y_home
+        assert all(len(shard) <= 3 for shard in cluster.shards.values())
 
     def test_drain_capacity_exhaustion_keeps_cluster_consistent(self):
         registry = clustered_registry(3, 2, seed=13)
@@ -285,6 +302,20 @@ class TestMigrationState:
         )
         assert cluster.partition_report().kept_fraction == 1.0
 
+    def test_absorption_counts_earlier_picks_against_capacity(self):
+        registry = clustered_registry(1, 3, seed=34)
+        cluster = ClusterServer(registry, n_shards=3, max_shard_queries=3)
+        for name, stream in [("a", "C0S0"), ("b", "C0S1"), ("c", "C0S2")]:
+            cluster.register(name, tree_on([stream]))
+        assert len({cluster.shard_of(name) for name in "abc"}) == 3
+        home = cluster.register("bridge", tree_on(["C0S0", "C0S1", "C0S2"]))
+        # Home holds 2 after the admission: room for one more component
+        # only, so the lower-numbered other shard's piece moves, the next stays.
+        first, second = sorted(sid for sid in cluster.shards if sid != home)
+        absorbed = [n for n in "abc" if cluster.shard_of(n) == home]
+        assert len(cluster.shards[home]) == 3 and len(absorbed) == 2
+        assert len(cluster.shards[first]) == 0 and len(cluster.shards[second]) == 1
+
 
 class TestElasticPolicyValidation:
     @pytest.mark.parametrize(
@@ -343,6 +374,30 @@ class TestAutoElastic:
             e.trigger in ("auto:consolidate", "auto:underload", "auto:empty")
             for e in cluster.elastic_log
         )
+
+    def test_infeasible_auto_consolidate_logs_and_moves_nothing(self):
+        registry = clustered_registry(3, 2, seed=15)
+        policy = ElasticPolicy(target_shard_queries=8)
+        cluster = ClusterServer(
+            registry, n_shards=2, max_shard_queries=5, elastic=policy
+        )
+        for i in range(4):
+            cluster.register(f"b{i}", tree_on(["C1S0"]))  # 4/5 on one shard
+        cluster.register("c0", tree_on(["C2S0"]))
+        for i in range(2):
+            cluster.register(f"a{i}", tree_on(["C0S0"]))  # joins c0's shard
+        victim = cluster.shard_of("c0")
+        assert len(cluster.shards[victim]) == 3
+        placement = {name: cluster.shard_of(name) for name in cluster.registered}
+        # 7 queries want one shard of 8: the policy tries to consolidate the
+        # smaller shard, but only c0 fits beside the b-component, so the
+        # drain is refused as a whole.
+        report = cluster.run_batch(2)
+        assert report.elastic_actions == ()
+        assert cluster.elastic_log == []
+        assert victim in cluster.shards
+        assert {name: cluster.shard_of(name) for name in cluster.registered} == placement
+        assert len(cluster.run_batch(1).per_query_cost) == 7
 
     def test_auto_rebalance_on_churn(self):
         registry, population = small_environment(seed=47, n_queries=30)

@@ -156,9 +156,7 @@ class TestElasticChaos:
         assert sorted(resident) == sorted(expected)
         # The elastic log is a consistent audit trail.
         for event in cluster.elastic_log:
-            assert event.kind in (
-                "split", "drain", "drain-partial", "grow", "rebalance"
-            )
+            assert event.kind in ("split", "drain", "grow", "rebalance")
 
     def test_telemetry_stays_consistent_under_hammering(self):
         """One shared Telemetry hammered by resizes, admissions and batches
@@ -243,7 +241,7 @@ class TestElasticChaos:
         )
         logged = sum(
             reg.value("repro_elastic_actions_total", kind=kind)
-            for kind in ("split", "drain", "drain-partial", "grow", "rebalance")
+            for kind in ("split", "drain", "grow", "rebalance")
         )
         assert logged == len(cluster.elastic_log)
 

@@ -1,8 +1,10 @@
 """Elasticity differential harness (hypothesis stateful).
 
 The elastic cluster's core guarantee: *topology is invisible to cost*. Any
-sequence of admissions, departures, shard splits, drains and resizes,
-interleaved with serving batches, must produce per-query
+sequence of admissions, departures, shard splits, drains, resizes, forced
+rebalances that cut no overlap edge and bridging admissions (which pull the
+overlap components they join onto one shard), interleaved with serving
+batches, must produce per-query
 costs and outcomes bit-identical to one unsharded :class:`QueryServer`
 driven through the same admissions/departures/batches on the same seeds —
 migrations transplant oracles, plans, cache state and clocks, so a query
@@ -27,6 +29,9 @@ from hypothesis.stateful import (
 )
 
 from repro.cluster import ClusterServer, default_oracle_factory
+from repro.cluster.partition import partition_by_overlap
+from repro.core.leaf import Leaf
+from repro.core.tree import DnfTree
 from repro.generators import clustered_registry, overlap_clustered_population
 from repro.service import QueryServer
 
@@ -36,7 +41,8 @@ POOL_SIZE = 24
 
 
 class ElasticParityMachine(RuleBasedStateMachine):
-    """Random split/drain/resize/admit/deregister/batch sequences vs oracle."""
+    """Random split/drain/resize/rebalance/admit/bridge/deregister/batch
+    sequences vs oracle."""
 
     @initialize(seed=st.integers(0, 3))
     def setup(self, seed: int) -> None:
@@ -56,22 +62,45 @@ class ElasticParityMachine(RuleBasedStateMachine):
         self.single = QueryServer(self.registry)
         self.factory = default_oracle_factory(seed + 7)
         self.next_index = 0
+        self.bridges = 0
+        self.trees = dict(self.pool)
         self.live: list[str] = []
         self._admit_next()
 
     # -- population ops (mirrored on both systems) -----------------------
 
-    def _admit_next(self) -> None:
-        name, tree = self.pool[self.next_index]
-        self.next_index += 1
+    def _admit(self, name: str, tree) -> None:
         self.cluster.register(name, tree)
         self.single.register(name, tree, oracle=self.factory(name))
         self.live.append(name)
+
+    def _admit_next(self) -> None:
+        name, tree = self.pool[self.next_index]
+        self.next_index += 1
+        self._admit(name, tree)
 
     @precondition(lambda self: self.next_index < len(self.pool))
     @rule()
     def admit(self) -> None:
         self._admit_next()
+
+    @rule(
+        first=st.integers(0, N_CLUSTERS * STREAMS_PER_CLUSTER - 1),
+        hop=st.integers(1, N_CLUSTERS - 1),
+        other=st.integers(0, STREAMS_PER_CLUSTER - 1),
+        items=st.integers(1, 3),
+    )
+    def bridge(self, first: int, hop: int, other: int, items: int) -> None:
+        """A 2-leaf query over streams of two clusters: the cluster absorbs
+        the components it bridges onto its home shard."""
+        cluster, stream = divmod(first, STREAMS_PER_CLUSTER)
+        streams = (f"C{cluster}S{stream}", f"C{(cluster + hop) % N_CLUSTERS}S{other}")
+        tree = DnfTree(
+            [[Leaf(s, items, 0.5) for s in streams]], self.registry.cost_table()
+        )
+        self.bridges += 1
+        self.trees[f"bridge{self.bridges}"] = tree
+        self._admit(f"bridge{self.bridges}", tree)
 
     @precondition(lambda self: len(self.live) > 1)
     @rule(position=st.integers(0, POOL_SIZE - 1))
@@ -102,6 +131,22 @@ class ElasticParityMachine(RuleBasedStateMachine):
     @rule(width=st.integers(1, 5))
     def resize(self, width: int) -> None:
         self.cluster.resize(width)
+
+    @rule()
+    def rebalance(self) -> None:
+        """A forced rebalance, unless its placement cuts an overlap edge.
+
+        The partitioner may cut thin glue (a bridge query, say) for balance;
+        a cut duplicates stream spend by design, so per-query costs are
+        placement-invariant only for cut-free placements (as the split rule
+        keeps ``allow_cut`` off).
+        """
+        population = [(name, self.trees[name]) for name in self.cluster.registered]
+        candidate = partition_by_overlap(
+            population, self.cluster.n_shards, self.registry.cost_table()
+        )
+        if candidate.report.cut_weight == 0.0:
+            self.cluster.rebalance(force=True)
 
     # -- the differential ------------------------------------------------
 

@@ -66,14 +66,14 @@ class TestRouterBranches:
         s0 = make_shard(registry, 0, {})
         router = ShardRouter(costs=registry.cost_table(), max_shard_queries=3)
         with pytest.raises(AdmissionError, match="group of 4"):
-            router.route_group("grp", {"A": 1.0}, [s0], group_size=4)
+            router.route_group("grp", {"A": 1.0}, [s0], {0: 0}, group_size=4)
 
     def test_group_size_validated(self):
         router = ShardRouter(costs={"A": 1.0})
         registry = registry_with(["A"])
         shard = make_shard(registry, 0, {})
         with pytest.raises(AdmissionError):
-            router.route_group("grp", {"A": 1.0}, [shard], group_size=0)
+            router.route_group("grp", {"A": 1.0}, [shard], {0: 0}, group_size=0)
 
     def test_least_loaded_tie_breaks_to_lower_id(self):
         registry = registry_with(["A", "B"])
@@ -91,10 +91,28 @@ class TestRouterBranches:
         router = ShardRouter(costs=registry.cost_table())
         # The group spends more on A than on B: it belongs with shard 0.
         decision = router.route_group(
-            "grp", {"A": 4.0, "B": 1.0}, [a_home, b_home], group_size=2
+            "grp", {"A": 4.0, "B": 1.0}, [a_home, b_home], {0: 1, 1: 2}, group_size=2
         )
         assert decision.shard_id == 0
         assert decision.reason == "overlap"
+
+    def test_passed_loads_decide_capacity_and_tie_break(self):
+        """``loads`` is the planned occupancy, not ``len(shard)``: a drain
+        routes later components against the loads its earlier picks leave."""
+        registry = registry_with(["A", "B"])
+        s0 = make_shard(registry, 0, {"a": ["A"]})
+        s1 = make_shard(registry, 1, {"b": ["B"]})
+        router = ShardRouter(costs=registry.cost_table(), max_shard_queries=3)
+        loads = {0: 2, 1: 1}
+        # Equal live sizes would tie-break to shard 0; the loads say 1 is lighter.
+        decision = router.route_group("cold", {"C": 1.0}, [s0, s1], loads)
+        assert (decision.shard_id, decision.reason) == (1, "least-loaded")
+        # Shard 0 holds the overlap and fits two by live size (1 + 2 <= 3),
+        # but not by its passed load (2 + 2 > 3).
+        decision = router.route_group("grp", {"A": 1.0}, [s0, s1], loads, group_size=2)
+        assert (decision.shard_id, decision.reason) == (1, "least-loaded")
+        with pytest.raises(AdmissionError, match="at capacity"):
+            router.route_group("grp", {"A": 1.0}, [s0, s1], {0: 2, 1: 2}, group_size=2)
 
 
 class TestSignatureCache:

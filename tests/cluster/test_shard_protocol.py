@@ -14,6 +14,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import faulthandler
+from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
@@ -23,7 +24,7 @@ from repro.cluster import ClusterServer, Shard, WorkerTransport, default_oracle_
 from repro.cluster.partition import stream_weight_vector
 from repro.core.leaf import Leaf
 from repro.core.tree import DnfTree
-from repro.errors import StreamError
+from repro.errors import AdmissionError, StreamError
 from repro.generators import clustered_registry, overlap_clustered_population
 
 WATCHDOG_SECONDS = 120.0
@@ -188,34 +189,51 @@ class TestControlPlaneReadsTheMirror:
 
 
 class TestOneCommandPairPerGroup:
-    """A migration is one ``export_group`` and one ``admit_group`` per group."""
+    """A migration is one ``export_group`` and one ``admit_group`` per
+    (source, destination) pair, and each reshaping call applies once."""
 
-    def test_every_reshaping_path_sends_one_pair_per_group(self, monkeypatch):
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        """Patch in recorders: ``sent`` shard ops, ``pairs`` (one mover
+        count per moving (source, destination) pair) and ``applies``."""
         sent: list[str] = []
-        sizes: list[int] = []
-        call, move = WorkerTransport.call, ClusterServer._move
+        pairs: list[int] = []
+        applies: list[int] = []
+        call, apply = WorkerTransport.call, ClusterServer._apply
 
         def counting(self, op, args, kwargs):
             sent.append(op)
             return call(self, op, args, kwargs)
 
-        def recording(self, names, src_id, dest_id):
-            sizes.append(len(names))
-            move(self, names, src_id, dest_id)
+        def recording(self, target):
+            applies.append(len(target))
+            moving = Counter(
+                (self.shard_of(name), dest)
+                for name, dest in target.items()
+                if self.shard_of(name) != dest
+            )
+            pairs.extend(moving.values())
+            return apply(self, target)
 
         monkeypatch.setattr(WorkerTransport, "call", counting)
-        monkeypatch.setattr(ClusterServer, "_move", recording)
+        monkeypatch.setattr(ClusterServer, "_apply", recording)
+        return sent, pairs, applies
+
+    def test_every_reshaping_path_sends_one_pair_per_group(self, recorded):
+        sent, pairs, applies = recorded
         registry, population = small_environment(seed=7, n_queries=18)
 
         def reshape(action, *others: str) -> list[int]:
             sent.clear()
-            sizes.clear()
+            pairs.clear()
+            applies.clear()
             action()
-            assert sizes, "the action moved no group"
-            assert sent.count("export_group") == sent.count("admit_group") == len(sizes)
+            assert len(applies) == 1, "the action must apply one target"
+            assert pairs, "the action moved no group"
+            assert sent.count("export_group") == sent.count("admit_group") == len(pairs)
             # No other command serves the migration.
             assert set(sent) <= {"export_group", "admit_group", *others}
-            return list(sizes)
+            return list(pairs)
 
         with ClusterServer(registry, n_shards=2, executor="process", seed=7) as cluster:
             cluster.register_population(population, method="random")
@@ -233,6 +251,52 @@ class TestOneCommandPairPerGroup:
             moved += reshape(lambda: cluster.register("bridge", bridge), "register")
             assert max(moved) > 1  # a bigger group costs no extra command
             cluster.run_batch(2)
+
+    def test_components_bound_for_one_shard_travel_as_one_pair(self, recorded):
+        sent, pairs, _ = recorded
+        registry = clustered_registry(3, 3, seed=8)
+        costs = registry.cost_table()
+
+        def on(stream: str) -> DnfTree:
+            return DnfTree([[Leaf(stream, 1, 0.5)]], costs)
+
+        with ClusterServer(registry, n_shards=2, executor="process", seed=8) as cluster:
+            for name, stream in [("a0", "C0S0"), ("c0", "C2S0"), ("b0", "C1S0"),
+                                 ("a1", "C0S0"), ("b1", "C1S0")]:
+                cluster.register(name, on(stream))
+            victim = cluster.shard_of("a0")
+            assert cluster.shard_of("b0") == victim != cluster.shard_of("c0")
+            cluster.run_batch(1)
+            sent.clear()
+            pairs.clear()
+            event = cluster.drain_shard(victim)
+            # Two stream-disjoint components, one destination: one pair.
+            assert event.moves == 4 and event.new_shard_ids == (cluster.shard_of("c0"),)
+            assert pairs == [4]
+            assert sent.count("export_group") == sent.count("admit_group") == 1
+            assert len(cluster.run_batch(1).per_query_cost) == 5
+
+    def test_rejected_drain_sends_no_migration_command(self, recorded):
+        sent, pairs, applies = recorded
+        registry = clustered_registry(3, 2, seed=9)
+        costs = registry.cost_table()
+
+        def on(stream: str) -> DnfTree:
+            return DnfTree([[Leaf(stream, 1, 0.5)]], costs)
+
+        with ClusterServer(
+            registry, n_shards=2, executor="process", max_shard_queries=3, seed=9
+        ) as cluster:
+            for name, stream in [("a0", "C0S0"), ("b0", "C1S0"), ("a1", "C0S0"),
+                                 ("b1", "C1S0"), ("a2", "C0S0"), ("b2", "C1S0")]:
+                cluster.register(name, on(stream))
+            victim = cluster.shard_of("a0")
+            sent.clear()
+            applies.clear()
+            with pytest.raises(AdmissionError, match="nothing moved"):
+                cluster.drain_shard(victim)
+            assert sent == [] and applies == []  # planned from the mirror alone
+            assert len(cluster.shards[victim]) == 3
 
 
 def _rebuilt_signature(shard: Shard, costs) -> dict[str, float]:
@@ -275,7 +339,7 @@ class TestMirrorMatchesServer:
                 src = cluster.shard_of(name)
                 dest = sorted(cluster.shards)[pick % len(cluster.shards)]
                 if dest != src:
-                    cluster._move([name], src, dest)
+                    cluster._apply({name: dest})
         for shard in cluster.shards.values():
             server = shard.transport.server
             assert shard.names == server.registered
