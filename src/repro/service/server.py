@@ -47,11 +47,12 @@ from repro.service.canonical import CanonicalForm, _as_dnf, canonicalize
 from repro.service.metrics import ServiceMetrics
 from repro.service.plan_cache import CachedPlan, PlanCache
 from repro.service.shared_plan import (
-    Probe,
+    MergeRow,
     RoundProgram,
     RoundStats,
     SharedPlan,
-    merge_schedules,
+    merge_row,
+    merge_rows,
 )
 from repro.streams.registry import StreamRegistry
 
@@ -103,6 +104,15 @@ class RegisteredQuery:
     def belief_tree(self) -> DnfTree:
         """The tree whose probabilities the current plan was computed with."""
         return self.planning_tree if self.planning_tree is not None else self.tree
+
+    @functools.cached_property
+    def merge_row(self) -> MergeRow:
+        """The schedule as the shared-plan merge reads it, over ``belief_tree``.
+
+        Computed on first use and kept for the record's lifetime; a re-plan
+        replaces the record, so its row follows the new belief and schedule.
+        """
+        return merge_row(self.belief_tree, self.schedule)
 
 
 @dataclass(frozen=True)
@@ -408,17 +418,20 @@ class QueryServer:
 
         ``replace=True`` cleanly swaps an existing registration of ``name``
         (its shared-plan slot and compiled round program are dropped, never
-        reused for the new tree); the default rejects duplicates.
+        reused for the new tree); the default rejects duplicates. The new
+        tree is validated, canonicalized and planned before the old
+        registration leaves, so a replacement that raises leaves the old
+        query served as it was.
 
         Raises :class:`~repro.errors.AdmissionError` on a duplicate name or a
         full server, :class:`~repro.errors.StreamError` when the tree uses an
         unregistered stream.
         """
-        if name in self._queries:
-            if not replace:
-                raise AdmissionError(f"query {name!r} is already registered")
-            self.deregister(name)
-        if self.max_queries is not None and len(self._queries) >= self.max_queries:
+        old = self._queries.get(name)
+        if old is not None and not replace:
+            raise AdmissionError(f"query {name!r} is already registered")
+        staying = len(self._queries) - (old is not None)
+        if self.max_queries is not None and staying >= self.max_queries:
             raise AdmissionError(
                 f"server is full ({self.max_queries} queries); deregister one first"
             )
@@ -432,18 +445,24 @@ class QueryServer:
         # Plan against the server's current belief for this shape (the
         # rebased baseline after a re-plan) *before* touching the plan cache,
         # so a stale admission-probability plan is neither recomputed nor
-        # re-inserted into the cache entry replan_canonical invalidated.
+        # re-inserted into the cache entry replan_canonical invalidated. A
+        # replaced query that is its shape's last resident retires the
+        # belief on leaving, so the new one then starts from admission.
         baseline: tuple[float, ...] | None = None
+        admission_base: tuple[float, ...] = ()
         if self.adaptive is not None:
             admission_base = tuple(
                 dnf.leaves[group[0]].prob for group in form.leaf_map
             )
-            if form.key in self.adaptive.tracked_keys():
+            retiring = (
+                old is not None
+                and old.canonical.key == form.key
+                and self._shape_refs[form.key] == 1
+            )
+            if form.key in self.adaptive.tracked_keys() and not retiring:
                 tracked = self.adaptive.baseline(form.key)
                 if tracked != admission_base:
                     baseline = tracked
-            else:
-                self.adaptive.admit(form.key, admission_base, form.fold_sizes)
         if baseline is not None:
             # Bypass the plan cache on purpose: it is keyed by admission
             # identity, and belief-updated plans are maintained per server.
@@ -465,6 +484,10 @@ class QueryServer:
             oracle=oracle if oracle is not None else self.default_oracle,
             planning_tree=planning_tree,
         )
+        if old is not None:
+            self.deregister(name)
+        if self.adaptive is not None and form.key not in self.adaptive.tracked_keys():
+            self.adaptive.admit(form.key, admission_base, form.fold_sizes)
         self._queries[name] = registered
         self._shape_refs[form.key] += 1
         self._after_population_change(registered, joined=True)
@@ -671,23 +694,27 @@ class QueryServer:
         if not self._queries:
             raise StreamError("no queries registered")
         if self._plan is None:
-            self._plan = merge_schedules(
+            queries = self._queries.values()
+            self._plan = merge_rows(
+                tuple(self._queries),
                 # Merge by the *belief* trees: after an adaptive re-plan the
                 # cost-effectiveness weights use the updated probabilities.
-                {name: query.belief_tree for name, query in self._queries.items()},
-                {name: query.schedule for name, query in self._queries.items()},
+                [query.merge_row for query in queries],
+                [query.schedule for query in queries],
                 self.registry.cost_table(),
             )
         return self._plan
 
     def _blocked_probes(self) -> SharedPlan:
         """Round-robin blocked order: each query's schedule back-to-back."""
-        names = list(self._queries)
-        shift = self._round % len(names)
-        probes: list[Probe] = []
-        for name in names[shift:] + names[:shift]:
-            probes.extend(Probe(name, g) for g in self._queries[name].schedule)
-        return SharedPlan(probes=tuple(probes), planned_items=dict(self._max_windows))
+        schedules = [query.schedule for query in self._queries.values()]
+        shift = self._round % len(schedules)
+        rotation = [*range(shift, len(schedules)), *range(shift)]
+        return SharedPlan(
+            names=tuple(self._queries),
+            order=tuple((slot, g) for slot in rotation for g in schedules[slot]),
+            planned_items=dict(self._max_windows),
+        )
 
     # -- adaptive re-planning -------------------------------------------
 

@@ -3,7 +3,8 @@
 Every step rescans every query's next-up leaf and takes the strict minimum of
 ``(marginal_cost / (failure_prob + eps), -remaining_stream_demand)`` in
 registration order. :func:`repro.service.shared_plan.merge_schedules` must
-return exactly this plan — same probes, same order, same planned windows.
+return exactly this plan — same probes, same order, same planned windows —
+as ``(slot, gindex)`` pairs over the queries in registration order.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import Mapping
 
 from repro.core.schedule import Schedule
 from repro.errors import StreamError
-from repro.service.shared_plan import _EPSILON, Probe, SharedPlan
+from repro.service.shared_plan import _EPSILON, SharedPlan
 
 
 def reference_merge(
@@ -33,12 +34,12 @@ def reference_merge(
             leaf = leaves[name][g]
             demand[leaf.stream] = demand.get(leaf.stream, 0) + 1
     planned: dict[str, int] = {}
-    probes: list[Probe] = []
+    order: list[tuple[int, int]] = []
     total = sum(len(schedules[name]) for name in names)
-    while len(probes) < total:
-        best_name: str | None = None
+    while len(order) < total:
+        best_slot: int | None = None
         best_score: tuple[float, int] | None = None
-        for name in names:
+        for slot, name in enumerate(names):
             ptr = pointers[name]
             if ptr >= len(schedules[name]):
                 continue
@@ -48,12 +49,13 @@ def reference_merge(
             score = (marginal / (leaf.fail + _EPSILON), -demand[leaf.stream])
             if best_score is None or score < best_score:
                 best_score = score
-                best_name = name
-        assert best_name is not None
+                best_slot = slot
+        assert best_slot is not None
+        best_name = names[best_slot]
         g = schedules[best_name][pointers[best_name]]
         leaf = leaves[best_name][g]
         planned[leaf.stream] = max(planned.get(leaf.stream, 0), leaf.items)
         demand[leaf.stream] -= 1
         pointers[best_name] += 1
-        probes.append(Probe(best_name, g))
-    return SharedPlan(probes=tuple(probes), planned_items=planned)
+        order.append((best_slot, g))
+    return SharedPlan(names=tuple(names), order=tuple(order), planned_items=planned)

@@ -15,14 +15,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import DnfTree, Leaf
+from repro.adaptive import AdaptivePolicy
 from repro.core.heuristics import get_scheduler
+from repro.engine import BernoulliOracle
 from repro.engine.workload import compute_max_windows
+from repro.generators.overlap_populations import (
+    clustered_registry,
+    overlap_clustered_population,
+)
 from repro.service import (
     QueryServer,
     merge_schedules,
     synthetic_population,
     synthetic_registry,
 )
+from repro.service.shared_plan import merge_row
 from tests.service.reference_merge import reference_merge
 
 #: Few streams, windows and probabilities, so scores and demands tie often.
@@ -188,3 +195,81 @@ class TestServerScript:
             got = server.shared_plan()
             assert got.probes == want.probes
             assert dict(got.planned_items) == dict(want.planned_items)
+
+
+#: Every churn script runs each of these at least twice.
+CHURN_ACTIONS = ("arrive", "depart", "replace", "move", "reorder", "replan", "round")
+
+
+def churn_pool(kind: str, seed: int):
+    """A registry and a pool of trees: one shared stream pool, or clusters."""
+    if kind == "single-pool":
+        registry = synthetic_registry(6, seed=seed % 7)
+        population = synthetic_population(24, registry, n_templates=6, seed=seed)
+    else:
+        registry = clustered_registry(3, 3, seed=seed % 7)
+        population = overlap_clustered_population(
+            24, registry, 3, 3, templates_per_cluster=2, seed=seed
+        )
+    return registry, [tree for _, tree in population]
+
+
+class TestChurnScripts:
+    """Churn scripts against a live adaptive server.
+
+    Arrivals, departures, ``replace=True``, group moves (``export_group``
+    then ``admit_group`` in a shuffled order), reorders, forced re-plans and
+    served rounds, in random order. After every step the server's plan must
+    equal the reference merge of its residents' belief trees and schedules,
+    and every resident's cached merge row must match its current belief: a
+    re-plan replaces the record, so the row follows it.
+    """
+
+    @pytest.mark.parametrize("kind", ["single-pool", "clustered"])
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_plan_tracks_reference_through_churn(self, kind, seed):
+        rng = random.Random(seed)
+        registry, pool = churn_pool(kind, seed)
+        server = QueryServer(
+            registry, BernoulliOracle(seed=seed), adaptive=AdaptivePolicy()
+        )
+        for k in range(8):
+            server.register(f"q{k}", rng.choice(pool))
+        admitted = 8
+        actions = [*CHURN_ACTIONS, *CHURN_ACTIONS]
+        actions += [rng.choice(CHURN_ACTIONS) for _ in range(16)]
+        rng.shuffle(actions)
+        for action in actions:
+            names = list(server.registered)
+            if action == "arrive" or len(names) < 2:
+                server.register(f"q{admitted}", rng.choice(pool))
+                admitted += 1
+            elif action == "depart":
+                server.deregister(rng.choice(names))
+            elif action == "replace":
+                server.register(rng.choice(names), rng.choice(pool), replace=True)
+            elif action == "move":
+                group = rng.sample(names, rng.randint(1, min(3, len(names))))
+                migration = server.export_group(group)
+                rng.shuffle(names)
+                server.admit_group(migration, names)
+            elif action == "reorder":
+                rng.shuffle(names)
+                server.reorder(names)
+            elif action == "replan":
+                form = server.query(rng.choice(names)).canonical
+                server.replan_canonical(
+                    form.key, [rng.uniform(0.05, 0.95) for _ in form.leaf_map]
+                )
+            else:
+                server.run_batch(1)
+            residents = [server.query(name) for name in server.registered]
+            for query in residents:
+                assert query.merge_row == merge_row(query.belief_tree, query.schedule)
+            want = reference_merge(
+                {query.name: query.belief_tree for query in residents},
+                {query.name: query.schedule for query in residents},
+                registry.cost_table(),
+            )
+            assert server.shared_plan() == want

@@ -29,7 +29,7 @@ from repro.engine.executor import (
     PredicateOracle,
 )
 from repro.predicates.predicate import Predicate
-from repro.service.shared_plan import Probe, RoundProgram, SharedPlan, merge_schedules
+from repro.service.shared_plan import RoundProgram, SharedPlan, merge_schedules
 from repro.streams.cache import CountingCache, DataItemCache
 from repro.streams.drift import DriftSchedule, StepDrift
 from repro.streams.sources import RandomWalkSource, UniformSource
@@ -158,12 +158,10 @@ def build(population):
     else:
         names = list(schedules)
         shift = population["shift"] % len(names)
+        rotation = [*range(shift, len(names)), *range(shift)]
         plan = SharedPlan(
-            probes=tuple(
-                Probe(name, g)
-                for name in names[shift:] + names[:shift]
-                for g in schedules[name]
-            ),
+            names=tuple(names),
+            order=tuple((slot, g) for slot in rotation for g in schedules[names[slot]]),
             planned_items={},
         )
     return plan, indexes, cache, oracles
@@ -247,7 +245,7 @@ class TestMemoizedWindows:
         tree = DnfTree([[Leaf("A", 3, 0.5)], [Leaf("A", 2, 0.5)]])
         indexes = {"q": TreeIndex(tree)}
         cache = DataItemCache({"A": UniformSource(seed=1)}, {"A": 1.0}, now=4)
-        plan = SharedPlan(probes=(Probe("q", 0), Probe("q", 1)), planned_items={})
+        plan = SharedPlan(names=("q",), order=((0, 0), (0, 1)), planned_items={})
         with pytest.raises(ValueError, match="read-only"):
             RoundProgram(plan, indexes, {"q": _ScribblingOracle()}).run(cache)
 
@@ -262,7 +260,7 @@ class TestMemoizedWindows:
 
         tree = DnfTree([[Leaf("A", 4, 0.5)], [Leaf("A", 2, 0.5)]])
         cache = DataItemCache({"A": UniformSource(seed=3)}, {"A": 1.0}, now=6)
-        plan = SharedPlan(probes=(Probe("q", 0), Probe("q", 1)), planned_items={})
+        plan = SharedPlan(names=("q",), order=((0, 0), (0, 1)), planned_items={})
         stats = RoundProgram(plan, {"q": TreeIndex(tree)}, {"q": Recording()}).run(cache)
         assert seen[1].tolist() == seen[0][-2:].tolist()
         assert (stats.items_fetched, stats.items_saved, stats.free_probes) == (4, 2, 1)

@@ -206,6 +206,42 @@ class TestReRegistration:
         replaced = server.register("q", self.b_tree(), replace=True)
         assert replaced.tree.size == 2  # swap fits: the old slot was freed
 
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_failed_replace_keeps_the_resident(self, adaptive):
+        from repro.adaptive import AdaptivePolicy
+
+        policy = AdaptivePolicy() if adaptive else None
+        server = QueryServer(tiny_registry(), BernoulliOracle(seed=0), adaptive=policy)
+        resident = server.register("q", tiny_tree())
+        server.run_batch(1)
+        key = resident.canonical.key
+        with pytest.raises(StreamError):
+            server.register("q", DnfTree([[Leaf("Z", 1, 0.5)]]), replace=True)
+        assert "q" in server and server.query("q") is resident
+        assert server.metrics.registrations == 1
+        assert server.metrics.deregistrations == 0
+        assert server._shape_refs[key] == 1
+        if adaptive:
+            assert key in server.adaptive.tracked_keys()
+        assert server.run_batch(1).per_query_cost.keys() == {"q"}
+
+    @pytest.mark.parametrize("isomorphs", [1, 2])
+    def test_replace_keeps_a_belief_only_while_its_shape_stays(self, isomorphs):
+        """Replacing a shape's last resident retires its belief first, so the
+        replacement plans from admission; another isomorph keeps the belief."""
+        from repro.adaptive import AdaptivePolicy
+
+        server = QueryServer(
+            tiny_registry(), BernoulliOracle(seed=0), adaptive=AdaptivePolicy()
+        )
+        for k in range(isomorphs):
+            resident = server.register(f"q{k}", tiny_tree())
+        key = resident.canonical.key
+        server.replan_canonical(key, [0.9, 0.05])
+        replaced = server.register("q0", tiny_tree(), replace=True)
+        assert (replaced.planning_tree is not None) == (isomorphs == 2)
+        assert server._shape_refs[key] == isomorphs
+
     @pytest.mark.parametrize("shared", [True, False])
     def test_replace_recompiles_the_round_program(self, shared):
         from repro.engine import PrecomputedOracle
@@ -299,13 +335,13 @@ class TestPlanningPhase:
     """A shared-plan rebuild inside a round is credited to ``planning``."""
 
     def test_round_after_churn_credits_planning(self, monkeypatch):
-        merge = server_module.merge_schedules
+        merge = server_module.merge_rows
 
         def slow_merge(*args):
             time.sleep(0.05)
             return merge(*args)
 
-        monkeypatch.setattr(server_module, "merge_schedules", slow_merge)
+        monkeypatch.setattr(server_module, "merge_rows", slow_merge)
         tel = Telemetry()
         server = QueryServer(tiny_registry(), BernoulliOracle(seed=0), telemetry=tel)
         server.register("q1", tiny_tree(0.4))

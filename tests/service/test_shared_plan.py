@@ -157,13 +157,13 @@ class TestRoundProgram:
         """A plan probing one leaf twice: evaluated once, then skipped."""
         from repro.core.resolution import TreeIndex
         from repro.engine.executor import PrecomputedOracle
-        from repro.service.shared_plan import Probe, RoundProgram, SharedPlan
+        from repro.service.shared_plan import RoundProgram, SharedPlan
         from repro.streams.cache import CountingCache
         from tests.service import reference_round
 
         tree = DnfTree([[Leaf("A", 2, 0.5), Leaf("B", 1, 0.5)]])
         plan = SharedPlan(
-            probes=(Probe("q", 0), Probe("q", 0), Probe("q", 1)), planned_items={}
+            names=("q",), order=((0, 0), (0, 0), (0, 1)), planned_items={}
         )
 
         def world():
@@ -182,3 +182,14 @@ class TestRoundProgram:
         assert got == want
         assert got["q"].evaluated == (0, 1) and got["q"].skipped == (0,)
         assert got_stats == want_stats
+
+    def test_plan_slots_must_number_the_programs_queries(self):
+        from repro.core.resolution import TreeIndex
+        from repro.engine.executor import PrecomputedOracle
+        from repro.service.shared_plan import RoundProgram, SharedPlan
+
+        index = TreeIndex(DnfTree([[Leaf("A", 1, 0.5)]]))
+        plan = SharedPlan(names=("a", "b"), order=((0, 0), (1, 0)), planned_items={})
+        oracles = {"a": PrecomputedOracle([True]), "b": PrecomputedOracle([True])}
+        with pytest.raises(StreamError, match="plan slots"):
+            RoundProgram(plan, {"b": index, "a": index}, oracles)
