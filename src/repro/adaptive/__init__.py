@@ -17,8 +17,8 @@ package closes the loop:
   updated probabilities for an incremental re-plan (:class:`ShapeBelief`
   snapshots carry that state across shard migrations);
 * :mod:`~repro.adaptive.elastic` — :class:`ElasticPolicy`, the cluster-level
-  sibling: thresholds on load imbalance, churn/drift counters and cut spend
-  that let a :class:`~repro.cluster.cluster.ClusterServer` split, drain and
+  sibling: an occupancy target, a split floor and a churn counter that
+  let a :class:`~repro.cluster.cluster.ClusterServer` split, drain and
   rebalance its shards without operator calls.
 
 The server wires it in behind ``QueryServer(adaptive=AdaptivePolicy(...))``:

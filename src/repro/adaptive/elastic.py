@@ -6,27 +6,22 @@ what :class:`~repro.adaptive.policy.AdaptivePolicy` is to
 evaluated by the cluster after each batch. It closes the serving layer's
 last operator loop — the paper's cost-optimal schedules only pay at scale
 when sharing is kept where the cost model says it pays, and a fixed shard
-topology drifts away from that as queries arrive, depart and re-plan. The
-policy reads three signals:
+topology drifts away from that as queries arrive and depart. The policy
+reads two signals:
 
-* **load imbalance** — shard sizes against the ideal (population / width),
-  from the cluster's own occupancy; an overloaded shard is *split* along
-  its stream-disjoint sub-clusters, an underloaded one is *drained*;
-* **churn and drift** — admission/departure counts and the per-shard
-  :class:`~repro.adaptive.controller.AdaptiveController` re-plan counters;
-  sustained churn or drift means the admission-time placement has gone
-  stale, triggering a *rebalance*;
-* **cut spend** — the live :class:`~repro.cluster.partition.PartitionReport`
-  (overlap weight kept intra-shard vs cut across shards); when the kept
-  fraction drops below a floor, co-residence the cost model pays for has
-  been lost and a rebalance wins it back.
+* **load** — shard sizes against the occupancy target and the ideal
+  (population / width), from the cluster's own occupancy; an overloaded
+  shard is *split* along its stream-disjoint sub-clusters, an underloaded
+  or empty one is *drained*;
+* **churn** — admission/departure counts; sustained churn means the
+  admission-time placement may have gone stale, triggering a *rebalance*
+  (which only moves queries when a fresh partition keeps more overlap).
 
-Every threshold has a disabling value, so a policy can watch a single
-signal. Splits are *clean by default*: a shard is only divided along
-connected components of its overlap graph (no shared stream ever crosses
-the new boundary, so per-query costs are unchanged); ``allow_cut_splits``
-additionally permits label-propagation community cuts on monolithic shards,
-trading bounded duplicated stream spend for width.
+Automatic splits are *clean*: a shard is only divided along connected
+components of its overlap graph, so no shared stream ever crosses the new
+boundary and per-query costs are unchanged. The fixed thresholds (the 2x
+imbalance split, the quarter-load drain, the 32-shard cap) live in
+:mod:`repro.cluster.cluster`.
 """
 
 from __future__ import annotations
@@ -44,92 +39,32 @@ class ElasticPolicy:
 
     Parameters
     ----------
-    check_every:
-        Evaluate the policy after every ``check_every`` batches (``1`` =
-        after each batch).
-    min_shards, max_shards:
-        Hard width bounds: drains never shrink below ``min_shards``, splits
-        never grow beyond ``max_shards``.
-    split_above:
-        Load-imbalance trigger: split the busiest shard when its population
-        exceeds ``split_above`` times the ideal (total queries / width).
-    min_split_size:
-        Never split a shard holding fewer queries than this (small shards
-        are cheap to serve; splitting them only costs topology churn).
     target_shard_queries:
         Absolute occupancy target: a shard holding more queries than this is
         split regardless of imbalance (the knob that grows the cluster under
-        a rising population even when every shard is equally loaded).
-        ``0`` disables.
-    drain_below:
-        Underload trigger: drain a non-empty shard whose population falls
-        below ``drain_below`` times the ideal. ``0.0`` disables.
-    drain_empty:
-        Retire query-less shards (above ``min_shards``) automatically.
-    min_kept_fraction:
-        Cut-spend trigger: request a rebalance when the live partition keeps
-        less than this fraction of the population's overlap weight
-        intra-shard. ``0.0`` disables.
+        a rising population even when every shard is equally loaded), and
+        the cluster consolidates toward ``ceil(population / target)`` shards
+        when the population shrinks. ``0`` disables.
+    min_split_size:
+        Never split a shard holding fewer queries than this (small shards
+        are cheap to serve; splitting them only costs topology churn).
     churn_every:
         Churn trigger: request a rebalance after this many admissions plus
         departures since the last rebalance check. ``0`` disables.
-    replans_every:
-        Drift trigger: request a rebalance after this many adaptive re-plans
-        (summed over every shard's :class:`AdaptiveController`) since the
-        last rebalance check. ``0`` disables.
-    allow_cut_splits:
-        When True, a monolithic (single-component) overloaded shard may be
-        split along label-propagation communities even though that cuts
-        shared streams; the default only ever splits along stream-disjoint
-        components, which is cost-neutral by construction.
     """
 
-    check_every: int = 1
-    min_shards: int = 1
-    max_shards: int = 32
-    split_above: float = 2.0
-    min_split_size: int = 8
     target_shard_queries: int = 0
-    drain_below: float = 0.25
-    drain_empty: bool = True
-    min_kept_fraction: float = 0.0
+    min_split_size: int = 8
     churn_every: int = 0
-    replans_every: int = 0
-    allow_cut_splits: bool = False
 
     def __post_init__(self) -> None:
-        if self.check_every < 1:
-            raise StreamError(f"check_every must be >= 1, got {self.check_every}")
-        if self.min_shards < 1:
-            raise StreamError(f"min_shards must be >= 1, got {self.min_shards}")
-        if self.max_shards < self.min_shards:
+        if self.target_shard_queries < 0:
             raise StreamError(
-                f"max_shards ({self.max_shards}) cannot be smaller than "
-                f"min_shards ({self.min_shards})"
-            )
-        if self.split_above <= 1.0:
-            raise StreamError(
-                f"split_above must exceed 1.0 (the ideal load), got {self.split_above}"
+                f"target_shard_queries must be >= 0, got {self.target_shard_queries}"
             )
         if self.min_split_size < 2:
             raise StreamError(
                 f"min_split_size must be >= 2, got {self.min_split_size}"
             )
-        if self.target_shard_queries < 0:
-            raise StreamError(
-                f"target_shard_queries must be >= 0, got {self.target_shard_queries}"
-            )
-        if not 0.0 <= self.drain_below < 1.0:
-            raise StreamError(
-                f"drain_below must be in [0, 1), got {self.drain_below}"
-            )
-        if not 0.0 <= self.min_kept_fraction <= 1.0:
-            raise StreamError(
-                f"min_kept_fraction must be in [0, 1], got {self.min_kept_fraction}"
-            )
         if self.churn_every < 0:
             raise StreamError(f"churn_every must be >= 0, got {self.churn_every}")
-        if self.replans_every < 0:
-            raise StreamError(
-                f"replans_every must be >= 0, got {self.replans_every}"
-            )

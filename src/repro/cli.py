@@ -398,15 +398,13 @@ def cmd_cluster_sim(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster_sim_elastic(args: argparse.Namespace) -> int:
-    from repro.adaptive import ElasticPolicy
-    from repro.experiments.cluster import run_elastic_sim, verify_elastic_parity
-
-    target = max(8, args.queries // max(1, args.clusters))
-    policy = ElasticPolicy(
-        target_shard_queries=target,
-        min_split_size=max(4, target // 2),
-        churn_every=max(1, args.queries // 2),
+    from repro.experiments.cluster import (
+        default_elastic_policy,
+        run_elastic_sim,
+        verify_elastic_parity,
     )
+
+    policy = default_elastic_policy(args.queries, args.clusters)
     if args.verify:
         deltas = verify_elastic_parity(
             n_queries=min(args.queries, 60),

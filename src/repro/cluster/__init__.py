@@ -29,7 +29,6 @@ from repro.cluster.cluster import (
     ClusterReport,
     ClusterServer,
     ElasticEvent,
-    RebalanceEvent,
     default_oracle_factory,
 )
 from repro.cluster.partition import (
@@ -63,7 +62,6 @@ __all__ = [
     "ClusterServer",
     "ClusterReport",
     "ElasticEvent",
-    "RebalanceEvent",
     "default_oracle_factory",
     "pack_pieces",
     "shard_split_pieces",

@@ -27,15 +27,15 @@ produces per-query costs bit-identical to the unsharded server on the same
 seeds (the elasticity differential suite asserts exactly that).
 Wiring an :class:`~repro.adaptive.ElasticPolicy` makes the width
 self-managing: after each batch the cluster splits overloaded shards,
-drains underloaded ones and rebalances on churn/drift/cut-spend signals,
-without operator calls.
+drains underloaded and empty ones and rebalances on churn, without
+operator calls.
 
 :meth:`ClusterServer.run_batch` sends the batch to every shard before it
 waits on any reply, then aggregates the per-shard reports into one
 :class:`ClusterReport`;
 :meth:`ClusterServer.rebalance` re-partitions the live population when churn
-or drift has degraded the placement, migrating only the queries whose shard
-actually changes.
+has degraded the placement, migrating only the queries whose shard actually
+changes.
 """
 
 from __future__ import annotations
@@ -85,7 +85,6 @@ __all__ = [
     "ClusterReport",
     "ClusterServer",
     "ElasticEvent",
-    "RebalanceEvent",
     "default_oracle_factory",
 ]
 
@@ -134,26 +133,24 @@ def default_oracle_factory(seed: int) -> Callable[[str], LeafOracle]:
     return _NameSeededOracleFactory(seed)
 
 
-@dataclass(frozen=True)
-class RebalanceEvent:
-    """One re-partitioning of the live population."""
-
-    old_report: PartitionReport
-    new_report: PartitionReport
-    #: Queries whose shard changed.
-    moves: int
-
-    def describe(self) -> str:
-        return (
-            f"rebalance: kept overlap {self.old_report.kept_fraction:.1%} -> "
-            f"{self.new_report.kept_fraction:.1%}, {self.moves} queries moved, "
-            f"{self.old_report.n_shards} -> {self.new_report.n_shards} shards"
-        )
+#: Fixed elastic-policy thresholds: split the busiest shard above
+#: ``SPLIT_ABOVE`` times the ideal load (population / width), drain the
+#: smallest below ``DRAIN_BELOW`` times it, and never split past
+#: ``MAX_SHARDS`` shards.
+SPLIT_ABOVE = 2.0
+DRAIN_BELOW = 0.25
+MAX_SHARDS = 32
 
 
 @dataclass(frozen=True)
 class ElasticEvent:
-    """One elastic topology change (operator-requested or policy-triggered)."""
+    """One elastic topology change (operator-requested or policy-triggered).
+
+    Every reshaping call (:meth:`ClusterServer.split_shard`,
+    :meth:`~ClusterServer.drain_shard`, :meth:`~ClusterServer.rebalance`,
+    :meth:`~ClusterServer.resize`) returns the events it appended to
+    :attr:`ClusterServer.elastic_log`.
+    """
 
     #: "split" | "drain" | "grow" | "rebalance"; every one that moves
     #: queries ships them through one ``_apply`` (one group per shard pair).
@@ -350,10 +347,11 @@ class ClusterServer:
         Capacity of the *cluster-wide* plan cache shared by all shards
         (a :class:`PlanCache` instance is used as-is; ``None``/``0``
         disables plan caching everywhere).
-    oracle_factory:
-        ``name -> LeafOracle`` for admissions without an explicit oracle;
-        the default draws per-query Bernoulli oracles deterministically from
-        ``seed`` and the query name (placement-independent outcomes).
+    seed:
+        Admissions without an explicit oracle draw per-query Bernoulli
+        oracles from ``seed`` and the query name
+        (:func:`default_oracle_factory`: placement-independent outcomes);
+        the random partition baseline draws from it too.
     max_shard_queries:
         Per-shard admission capacity, enforced by the router and the
         partitioner (and by migrations: a drain refuses to overfill its
@@ -394,7 +392,6 @@ class ClusterServer:
         plan_cache: PlanCache | int | None = 256,
         warmup: int = 64,
         adaptive: AdaptivePolicy | None = None,
-        oracle_factory: Callable[[str], LeafOracle] | None = None,
         max_shard_queries: int | None = None,
         elastic: ElasticPolicy | None = None,
         seed: int = 0,
@@ -430,9 +427,7 @@ class ClusterServer:
             self.plan_cache = PlanCache(capacity=int(plan_cache))
         else:
             self.plan_cache = None
-        self.oracle_factory = (
-            oracle_factory if oracle_factory is not None else default_oracle_factory(seed)
-        )
+        self.oracle_factory = default_oracle_factory(seed)
         self.telemetry = telemetry
         if slo is None or isinstance(slo, SloMonitor):
             self.slo: SloMonitor | None = slo
@@ -458,13 +453,10 @@ class ClusterServer:
         #: rebalances), operator-requested and policy-triggered alike.
         self.elastic_log: list[ElasticEvent] = []
         self._rounds_served = 0
-        self._batches_since_check = 0
         #: Cluster-level churn (admissions + departures; migrations excluded)
-        #: and retired-shard re-plan carry-over, for the elastic triggers.
+        #: and its value at the last rebalance check, for the churn trigger.
         self._churn = 0
         self._churn_mark = 0
-        self._replans_retired = 0
-        self._replans_mark = 0
         # Cluster-level mutations (admission, departure, split, drain,
         # resize, rebalance) and batches serialize on one reentrant lock,
         # mirroring QueryServer's contract: background admission threads are
@@ -943,8 +935,7 @@ class ClusterServer:
                 f"cut weight {report.cut_weight:.6g}"
             ),
         )
-        self._log_elastic(event, duration=time.perf_counter() - op_start)
-        return event
+        return self._log_elastic(event, duration=time.perf_counter() - op_start)
 
     def _drain(self, shard_id: int, trigger: str) -> ElasticEvent | None:
         """Drain ``shard_id`` through one :meth:`_apply`, or return ``None``
@@ -969,9 +960,7 @@ class ClusterServer:
             loads[decision.shard_id] += len(members)
             target.update(dict.fromkeys(members, decision.shard_id))
         self._apply(target)
-        retired = self.shards.pop(shard_id)
-        self._replans_retired += retired.replans()
-        retired.close()  # a process-mode shard's worker exits here
+        self.shards.pop(shard_id).close()  # a process shard's worker exits here
         event = ElasticEvent(
             kind="drain",
             round_index=self._rounds_served,
@@ -980,8 +969,7 @@ class ClusterServer:
             moves=len(target),
             trigger=trigger,
         )
-        self._log_elastic(event, duration=time.perf_counter() - op_start)
-        return event
+        return self._log_elastic(event, duration=time.perf_counter() - op_start)
 
     @_synchronized
     def drain_shard(self, shard_id: int, *, trigger: str = "operator") -> ElasticEvent:
@@ -1006,16 +994,15 @@ class ClusterServer:
         return event
 
     @_synchronized
-    def resize(
-        self, n: int, *, allow_cut: bool = False, trigger: str = "operator"
-    ) -> list[ElasticEvent]:
+    def resize(self, n: int, *, trigger: str = "operator") -> list[ElasticEvent]:
         """Grow or shrink the cluster to width ``n``, online.
 
         Shrinking drains the smallest shard (newest on ties) until the width
         fits. Growing splits the largest splittable shard; when no shard can
         split cleanly (every one is a single overlap component, or holds
         fewer than two queries) an empty shard is spawned instead — the
-        router fills it with future cold admissions.
+        router fills it with future cold admissions. Returns the events, in
+        order.
         """
         if n < 1:
             raise AdmissionError(f"cluster width must be >= 1, got {n}")
@@ -1032,9 +1019,7 @@ class ClusterServer:
             ):
                 if len(self.shards[sid]) < 2:
                     break
-                split_event = self.split_shard(
-                    sid, into=2, allow_cut=allow_cut, trigger=trigger
-                )
+                split_event = self.split_shard(sid, into=2, trigger=trigger)
                 if split_event is not None:
                     break
             if split_event is None:
@@ -1072,23 +1057,20 @@ class ClusterServer:
 
     @_synchronized
     def rebalance(
-        self,
-        *,
-        force: bool = False,
-        min_kept_gain: float = 0.0,
-        trigger: str = "operator",
-    ) -> RebalanceEvent | None:
+        self, *, force: bool = False, trigger: str = "operator"
+    ) -> ElasticEvent | None:
         """Re-partition the live population when placement has degraded.
 
         Computes a fresh overlap partition of the current residents; when it
-        keeps strictly more overlap weight than the current placement (by at
-        least ``min_kept_gain``), or when ``force`` is set, the population is
-        re-placed along it — by *migrating only the queries whose shard
-        changes*. Each mover carries its full serving state (oracle
-        instance, plan, schedule, belief, cached stream items), so
-        a rebalance repairs the topology without re-warming caches or
-        touching the shared plan cache. Returns the event, or ``None`` when
-        the current placement is already good enough.
+        keeps strictly more overlap weight than the current placement, or
+        when ``force`` is set, the population is re-placed along it — by
+        *migrating only the queries whose shard changes*. Each mover carries
+        its full serving state (oracle instance, plan, schedule, belief,
+        cached stream items), so a rebalance repairs the topology without
+        re-warming caches or touching the shared plan cache. Returns the
+        logged :class:`ElasticEvent` (its ``detail`` gives the kept overlap
+        before and after), or ``None`` when the current placement is
+        already good enough; :meth:`partition_report` scores the new one.
         """
         population = self._live_population()
         if not population:
@@ -1109,7 +1091,7 @@ class ClusterServer:
             max_shard_queries=self._max_shard_queries,
             graph=graph,
         )
-        improved = candidate.report.intra_weight > old_report.intra_weight + min_kept_gain
+        improved = candidate.report.intra_weight > old_report.intra_weight
         if not (improved or force):
             return None
         # Pin each candidate piece to the live shard already holding most of
@@ -1127,22 +1109,21 @@ class ClusterServer:
                 target[name] = best
         groups = self._apply(target)
         moves = sum(len(names) for names in groups.values())
-        event = RebalanceEvent(
-            old_report=old_report, new_report=candidate.report, moves=moves
-        )
-        self._log_elastic(
-            ElasticEvent(
-                kind="rebalance",
-                round_index=self._rounds_served,
-                shard_id=-1,
-                new_shard_ids=tuple(sorted({dest for _, dest in groups})),
-                moves=moves,
-                trigger=trigger,
-                detail=event.describe(),
+        new_report = candidate.report
+        event = ElasticEvent(
+            kind="rebalance",
+            round_index=self._rounds_served,
+            shard_id=-1,
+            new_shard_ids=tuple(sorted({dest for _, dest in groups})),
+            moves=moves,
+            trigger=trigger,
+            detail=(
+                f"rebalance: kept overlap {old_report.kept_fraction:.1%} -> "
+                f"{new_report.kept_fraction:.1%}, {moves} queries moved, "
+                f"{old_report.n_shards} -> {new_report.n_shards} shards"
             ),
-            duration=time.perf_counter() - op_start,
         )
-        return event
+        return self._log_elastic(event, duration=time.perf_counter() - op_start)
 
     # -- automatic elasticity --------------------------------------------
 
@@ -1150,27 +1131,19 @@ class ClusterServer:
         """Evaluate the :class:`ElasticPolicy` once (called after a batch)."""
         policy = self.elastic
         assert policy is not None
-        self._batches_since_check += 1
-        if self._batches_since_check < policy.check_every:
-            return []
-        self._batches_since_check = 0
         events: list[ElasticEvent] = []
-        # Retire empty shards first (newest first), down to the floor.
-        if policy.drain_empty:
-            for sid in sorted(self.shards, reverse=True):
-                if len(self.shards) <= max(policy.min_shards, 1):
-                    break
-                if len(self.shards[sid]) == 0:
-                    events.append(self.drain_shard(sid, trigger="auto:empty"))
+        # Retire empty shards first (newest first), down to one shard.
+        for sid in sorted(self.shards, reverse=True):
+            if len(self.shards) <= 1:
+                break
+            if len(self.shards[sid]) == 0:
+                events.append(self.drain_shard(sid, trigger="auto:empty"))
         total = len(self)
         # Consolidate around the occupancy target: when the population would
         # fit comfortably in fewer shards, retire the smallest one per check
         # (gradual, so a transient dip does not collapse the cluster).
         if total and policy.target_shard_queries > 0:
-            desired = max(
-                max(policy.min_shards, 1),
-                -(-total // policy.target_shard_queries),  # ceil
-            )
+            desired = max(1, -(-total // policy.target_shard_queries))  # ceil
             if len(self.shards) > desired:
                 victim = min(
                     self.shards, key=lambda sid: (len(self.shards[sid]), -sid)
@@ -1190,11 +1163,11 @@ class ClusterServer:
         width = len(self.shards)
         ideal = total / width if width else 0.0
         # Drain the most underloaded shard.
-        if total and policy.drain_below > 0.0 and width > max(policy.min_shards, 1):
+        if total and width > 1:
             active = [sid for sid in self.shards if len(self.shards[sid])]
             if len(active) > 1:
                 victim = min(active, key=lambda sid: (len(self.shards[sid]), -sid))
-                if len(self.shards[victim]) < policy.drain_below * ideal:
+                if len(self.shards[victim]) < DRAIN_BELOW * ideal:
                     drain = self._drain(victim, "auto:underload")
                     if drain is not None:
                         events.append(drain)
@@ -1204,12 +1177,12 @@ class ClusterServer:
         width = len(self.shards)
         ideal = total / width if width else 0.0
         drained = any(event.kind == "drain" and event.moves for event in events)
-        if total and not drained and width < policy.max_shards:
+        if total and not drained and width < MAX_SHARDS:
             busiest = max(
                 self.shards, key=lambda sid: (len(self.shards[sid]), -sid)
             )
             size = len(self.shards[busiest])
-            overloaded = size > policy.split_above * ideal or (
+            overloaded = size > SPLIT_ABOVE * ideal or (
                 policy.target_shard_queries > 0 and size > policy.target_shard_queries
             )
             if size >= policy.min_split_size and overloaded:
@@ -1217,36 +1190,20 @@ class ClusterServer:
                     wanted = -(-size // policy.target_shard_queries)  # ceil
                 else:
                     wanted = 2
-                into = max(2, min(wanted, policy.max_shards - width + 1))
-                event = self.split_shard(
-                    busiest,
-                    into=into,
-                    allow_cut=policy.allow_cut_splits,
-                    trigger="auto:overload",
-                )
+                into = max(2, min(wanted, MAX_SHARDS - width + 1))
+                event = self.split_shard(busiest, into=into, trigger="auto:overload")
                 if event is not None:
                     events.append(event)
-        # Rebalance on churn, drift or cut-spend signals.
-        due: list[str] = []
-        if policy.churn_every and self._churn - self._churn_mark >= policy.churn_every:
-            due.append("churn")
-        replans_total = self._replans_retired + sum(
-            shard.replans() for shard in self.shards.values()
-        )
+        # Rebalance once enough admissions and departures have accumulated.
         if (
-            policy.replans_every
-            and replans_total - self._replans_mark >= policy.replans_every
+            total
+            and policy.churn_every
+            and self._churn - self._churn_mark >= policy.churn_every
         ):
-            due.append("drift")
-        if policy.min_kept_fraction > 0.0 and total > 1 and len(self.active_shards()) > 1:
-            if self.partition_report().kept_fraction < policy.min_kept_fraction:
-                due.append("cut-spend")
-        if due and total:
-            reason = "auto:" + "+".join(due)
             self._churn_mark = self._churn
-            self._replans_mark = replans_total
-            if self.rebalance(trigger=reason) is not None:
-                events.append(self.elastic_log[-1])
+            rebalance = self.rebalance(trigger="auto:churn")
+            if rebalance is not None:
+                events.append(rebalance)
         return events
 
     # -- lifecycle -------------------------------------------------------

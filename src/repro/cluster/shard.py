@@ -11,7 +11,10 @@ single parent-side handle for both executors:
   plane read without a call (every mutation flows through the shard, so the
   mirror cannot drift from the server);
 * every other operation goes out as ``(op, args, kwargs)`` through a
-  transport and runs in :func:`run_command`, the one command table.
+  transport and runs in :func:`run_command`, the one command table. Its 8
+  ops: ``run_batch`` and ``step`` (serving), ``register`` and
+  ``deregister`` (churn), ``export_group`` and ``admit_group`` (one
+  migrated group each), ``query`` and ``metrics`` (reads).
 
 Two transports carry the commands, each as a send half and a receive half.
 :class:`InProcessTransport` (``executor="thread"``) runs the table on a
@@ -149,8 +152,6 @@ def run_command(
         return None
     if op == "query":
         return server.query(*args)
-    if op == "replans":
-        return server.metrics.replans
     if op == "metrics":
         return server.metrics
     raise StreamError(f"unknown shard op {op!r}")
@@ -321,10 +322,6 @@ class Shard:
         self._trees = {name: self._trees[name] for name in order}
 
     # -- observability ---------------------------------------------------
-
-    def replans(self) -> int:
-        """Lifetime re-plan count (one integer; cheaper than :meth:`metrics`)."""
-        return self._call("replans")
 
     def metrics(self) -> ServiceMetrics:
         return self._call("metrics")

@@ -41,6 +41,7 @@ __all__ = [
     "ClusterModeResult",
     "ClusterCompareReport",
     "ElasticSimReport",
+    "default_elastic_policy",
     "run_cluster_compare",
     "run_elastic_sim",
     "verify_cluster_parity",
@@ -481,6 +482,21 @@ class ElasticSimReport:
         }
 
 
+def default_elastic_policy(n_queries: int, n_clusters: int) -> ElasticPolicy:
+    """The elastic policy of ``cluster-sim --elastic`` and :func:`run_elastic_sim`.
+
+    Targets the expected per-cluster load (at least 8 queries per shard),
+    splits nothing under half the target, and rebalances after churn
+    worth half the population.
+    """
+    target = max(8, n_queries // max(1, n_clusters))
+    return ElasticPolicy(
+        target_shard_queries=target,
+        min_split_size=max(4, target // 2),
+        churn_every=max(1, n_queries // 2),
+    )
+
+
 def run_elastic_sim(
     *,
     n_queries: int = 240,
@@ -501,18 +517,13 @@ def run_elastic_sim(
 
     A :func:`~repro.generators.churn.churn_schedule` drives admissions and
     departures between batches; the cluster starts at ``start_shards`` wide
-    and the :class:`~repro.adaptive.ElasticPolicy` (default: an occupancy
-    target sized to the expected per-cluster load) grows, shrinks and
+    and the :class:`~repro.adaptive.ElasticPolicy` (default:
+    :func:`default_elastic_policy`) grows, shrinks and
     rebalances it as the population churns. The report's timeline records
     the width trajectory and every elastic action taken.
     """
     if policy is None:
-        target = max(8, n_queries // max(1, n_clusters))
-        policy = ElasticPolicy(
-            target_shard_queries=target,
-            min_split_size=max(4, target // 2),
-            churn_every=max(1, n_queries // 2),
-        )
+        policy = default_elastic_policy(n_queries, n_clusters)
     registry = clustered_registry(n_clusters, streams_per_cluster, seed=seed)
     schedule = events_by_batch(
         churn_schedule(

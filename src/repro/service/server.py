@@ -451,18 +451,15 @@ class QueryServer:
         baseline: tuple[float, ...] | None = None
         admission_base: tuple[float, ...] = ()
         if self.adaptive is not None:
-            admission_base = tuple(
-                dnf.leaves[group[0]].prob for group in form.leaf_map
-            )
+            admission_base = self._base_probs(form, dnf, tracked=False)
             retiring = (
                 old is not None
                 and old.canonical.key == form.key
                 and self._shape_refs[form.key] == 1
             )
-            if form.key in self.adaptive.tracked_keys() and not retiring:
-                tracked = self.adaptive.baseline(form.key)
-                if tracked != admission_base:
-                    baseline = tracked
+            current = self._base_probs(form, dnf, tracked=not retiring)
+            if current != admission_base:
+                baseline = current
         if baseline is not None:
             # Bypass the plan cache on purpose: it is keyed by admission
             # identity, and belief-updated plans are maintained per server.
@@ -492,10 +489,6 @@ class QueryServer:
         self._shape_refs[form.key] += 1
         self._after_population_change(registered, joined=True)
         self.metrics.registrations += 1
-        # Grow device time so the new query's windows are immediately servable.
-        max_items = max(leaf.items for leaf in registered.tree.leaves)
-        if max_items > self.cache.now:
-            self.cache.advance(max_items - self.cache.now)
         return registered
 
     @_synchronized
@@ -608,9 +601,6 @@ class QueryServer:
             if tel is not None and tel.enabled:
                 tel.registry.counter("repro_migrations_total", direction="in").inc()
                 tel.event("migration-in", query=query.name, round=self._round)
-            max_items = max(leaf.items for leaf in query.tree.leaves)
-            if max_items > self.cache.now:
-                self.cache.advance(max_items - self.cache.now)
         self.cache.adopt_stream_state(migration.now, migration.stores)
         self.reorder(order)
 
@@ -640,7 +630,8 @@ class QueryServer:
         ``_window_counts[stream]`` is the multiset of windows the residents'
         leaves apply to ``stream``; ``_max_windows`` is its maximum per
         stream. Only ``query``'s own leaves are touched, and a stream's max
-        is recomputed only when its last holder leaves.
+        is recomputed only when its last holder leaves. An arrival also
+        grows device time, so its windows are immediately servable.
         """
         windows = self._max_windows
         shrank = False
@@ -652,6 +643,9 @@ class QueryServer:
                 counts[leaf.items] += 1
                 if leaf.items > windows.get(leaf.stream, 0):
                     windows[leaf.stream] = leaf.items
+            max_items = max(leaf.items for leaf in query.tree.leaves)
+            if max_items > self.cache.now:
+                self.cache.advance(max_items - self.cache.now)
         else:
             for leaf in query.tree.leaves:
                 counts = self._window_counts[leaf.stream]
@@ -675,6 +669,17 @@ class QueryServer:
             self.cache.retain_relevant(windows)
         self._plan = None  # rebuilt lazily on the next step
         self._drifting = None
+
+    def _base_probs(
+        self, form: CanonicalForm, tree: DnfTree, *, tracked: bool = True
+    ) -> tuple[float, ...]:
+        """Per-canonical-leaf probabilities of ``form``'s shape: the adaptive
+        baseline when ``tracked`` and the shape is tracked, else ``tree``'s
+        admission probabilities."""
+        adaptive = self.adaptive
+        if tracked and adaptive is not None and form.key in adaptive.tracked_keys():
+            return adaptive.baseline(form.key)
+        return tuple(tree.leaves[group[0]].prob for group in form.leaf_map)
 
     def _plan_canonical(self, form: CanonicalForm, scheduler: Scheduler) -> CachedPlan:
         if self.plan_cache is not None:
@@ -747,11 +752,7 @@ class QueryServer:
                 f"canonical shape {key!r} has {len(form.leaf_map)} leaves, "
                 f"got {len(base_probs)} probabilities"
             )
-        old_base = (
-            self.adaptive.baseline(key)
-            if self.adaptive is not None and key in self.adaptive.tracked_keys()
-            else tuple(members[0].tree.leaves[group[0]].prob for group in form.leaf_map)
-        )
+        old_base = self._base_probs(form, members[0].tree)
         folded = fold_base_probs(base_probs, form.fold_sizes)
         belief = form.reprobed_tree(folded)
         by_scheduler: dict[str, list[RegisteredQuery]] = {}
@@ -854,12 +855,7 @@ class QueryServer:
         """
         query = self.query(name)
         form = query.canonical
-        current = (
-            self.adaptive.baseline(form.key)
-            if self.adaptive is not None and form.key in self.adaptive.tracked_keys()
-            else tuple(query.tree.leaves[group[0]].prob for group in form.leaf_map)
-        )
-        base = list(current)
+        base = list(self._base_probs(form, query.tree))
         origin = form.origin_to_canonical
         for gindex, prob in true_probs.items():
             gindex = int(gindex)

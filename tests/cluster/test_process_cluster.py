@@ -355,7 +355,7 @@ class TestFanOut:
             assert len(report.shard_reports) == 3
             assert all(r.rounds == 3 for r in report.shard_reports.values())
             for shard in cluster.shards.values():
-                assert isinstance(shard.replans(), int)
+                assert isinstance(shard.metrics().replans, int)
 
     def test_worker_death_mid_batch_names_its_shard(self):
         # The missing key calls os.abort inside the worker, mid-round.
@@ -367,7 +367,7 @@ class TestFanOut:
             # The surviving workers' replies were drained: they still serve.
             for sid, shard in cluster.shards.items():
                 if sid != first:
-                    assert isinstance(shard.replans(), int)
+                    assert isinstance(shard.metrics().replans, int)
 
     @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_one_request_in_flight(self, executor: str):
@@ -375,10 +375,10 @@ class TestFanOut:
         with ClusterServer(registry, n_shards=1, executor=executor) as cluster:
             cluster.register_population(population)
             transport = cluster.shards[0].transport
-            transport.send("replans", (), {})
+            transport.send("metrics", (), {})
             with pytest.raises(StreamError, match="in flight"):
-                transport.send("metrics", (), {})
-            assert transport.receive("replans") == 0
+                transport.send("step", (), {})
+            assert transport.receive("metrics").replans == 0
 
 
 class TestCompareHarness:

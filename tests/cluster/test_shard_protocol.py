@@ -20,6 +20,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from repro.adaptive import ElasticPolicy
 from repro.cluster import ClusterServer, Shard, WorkerTransport, default_oracle_factory
 from repro.cluster.partition import stream_weight_vector
 from repro.core.leaf import Leaf
@@ -37,7 +38,6 @@ ALL_OPS = frozenset(
         "query",
         "export_group",
         "admit_group",
-        "replans",
         "metrics",
         "step",
         "run_batch",
@@ -106,7 +106,6 @@ def _script(a: Shard, b: Shard, population) -> list[tuple]:
     assert a.last_batch_seconds > 0.0
     step = a.step()
     out.append(("step", step))
-    out.append(("replans", a.replans()))
     out.append(("metrics", _local_view(copy.deepcopy(a.metrics()))))
     # Move a group a -> b; b takes it ahead of its residents, reversed.
     movers = [name for name, _ in population[1:4]]
@@ -184,8 +183,33 @@ class TestControlPlaneReadsTheMirror:
             cluster.drain_shard(max(cluster.shards))
             assert "export_group" in sent  # the moves did go through
             assert "query" not in sent
-            # The retired shard's re-plan count travels as one integer.
-            assert "metrics" not in sent and sent.count("replans") == 1
+            # Retiring the drained shard takes no command of its own.
+            assert set(sent) == {"export_group", "admit_group"}
+
+
+class TestIdlePolicyCheck:
+    """An elastic policy check that takes no action sends no command."""
+
+    def test_batch_is_the_only_traffic(self, monkeypatch):
+        sent: list[tuple[int, str]] = []
+        original = WorkerTransport.send
+
+        def recording(self, op, args, kwargs):
+            sent.append((self.shard_id, op))
+            return original(self, op, args, kwargs)
+
+        monkeypatch.setattr(WorkerTransport, "send", recording)
+        registry, population = small_environment(seed=7, n_queries=18)
+        with ClusterServer(
+            registry, n_shards=2, executor="process", elastic=ElasticPolicy()
+        ) as cluster:
+            cluster.register_population(population)
+            active = sorted(shard.shard_id for shard in cluster.active_shards())
+            assert len(active) == 2
+            for _ in range(3):
+                sent.clear()
+                assert cluster.run_batch(1).elastic_actions == ()
+                assert sorted(sent) == [(sid, "run_batch") for sid in active]
 
 
 class TestOneCommandPairPerGroup:
@@ -241,7 +265,7 @@ class TestOneCommandPairPerGroup:
             moved = reshape(lambda: cluster.rebalance(force=True))
             busiest = max(cluster.shards, key=lambda sid: len(cluster.shards[sid]))
             moved += reshape(lambda: cluster.split_shard(busiest, into=2))
-            moved += reshape(lambda: cluster.drain_shard(max(cluster.shards)), "replans")
+            moved += reshape(lambda: cluster.drain_shard(max(cluster.shards)))
             home, away = (
                 next(iter(shard.signature)) for shard in cluster.active_shards()[:2]
             )
