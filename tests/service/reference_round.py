@@ -15,13 +15,18 @@ kernel's reports, ledger and telemetry against it.
 from __future__ import annotations
 
 import contextlib
-from typing import Iterator, Mapping, Union
+import functools
+import random
+from typing import Iterator, Mapping, Sequence, Union
 from unittest import mock
 
 from repro.core.resolution import TreeIndex
 from repro.engine.executor import ExecutionResult, LeafOracle
-from repro.service.shared_plan import RoundStats, SharedPlan
+from repro.service.shared_plan import RoundStats
 from repro.streams.cache import CountingCache, DataItemCache
+
+#: One probe of a round: the query's name and a global leaf index of its tree.
+ProbeOrder = Sequence[tuple[str, int]]
 
 
 def record_probe(
@@ -43,14 +48,14 @@ def new_stats(n_queries: int) -> RoundStats:
 
 
 def execute_round(
-    plan: SharedPlan,
+    order: ProbeOrder,
     indexes: Mapping[str, TreeIndex],
     cache: Union[DataItemCache, CountingCache],
     oracles: Mapping[str, LeafOracle],
 ) -> tuple[dict[str, ExecutionResult], RoundStats]:
-    """Run one round of the shared plan with per-query early termination.
+    """Run one round of ``order`` with per-query early termination.
 
-    Walks the global probe order once; a probe is skipped for free when its
+    Walks the probe order once; a probe is skipped for free when its
     query's root is already resolved (early termination) or the leaf's AND/OR
     ancestors short-circuited it away. Returns per-query
     :class:`~repro.engine.executor.ExecutionResult` (identical semantics to
@@ -63,20 +68,18 @@ def execute_round(
     skipped: dict[str, list[int]] = {name: [] for name in indexes}
     outcomes: dict[str, dict[int, bool]] = {name: {} for name in indexes}
     stats = new_stats(len(indexes))
-    for probe in plan.probes:
-        state = states[probe.query]
-        if state.root_value is not None or state.is_skipped(probe.gindex):
-            skipped[probe.query].append(probe.gindex)
+    for name, gindex in order:
+        state = states[name]
+        if state.root_value is not None or state.is_skipped(gindex):
+            skipped[name].append(gindex)
             continue
-        leaf = indexes[probe.query].tree.leaves[probe.gindex]
+        leaf = indexes[name].tree.leaves[gindex]
         fetch = cache.fetch_window(leaf.stream, leaf.items)
-        outcome = oracles[probe.query].outcome(probe.gindex, leaf, fetch.values)
-        outcomes[probe.query][probe.gindex] = outcome
-        evaluated[probe.query].append(probe.gindex)
-        state.set_leaf(probe.gindex, outcome)
-        record_probe(
-            stats, slots[probe.query], leaf.items, fetch.cost, fetch.fetched_items
-        )
+        outcome = oracles[name].outcome(gindex, leaf, fetch.values)
+        outcomes[name][gindex] = outcome
+        evaluated[name].append(gindex)
+        state.set_leaf(gindex, outcome)
+        record_probe(stats, slots[name], leaf.items, fetch.cost, fetch.fetched_items)
     results: dict[str, ExecutionResult] = {}
     for name, state in states.items():
         value = state.root_value
@@ -91,25 +94,49 @@ def execute_round(
     return results, stats
 
 
+def interleave(schedules: Mapping[str, Sequence[int]], rng: random.Random) -> ProbeOrder:
+    """A uniformly random interleave of the schedules that keeps each one's order."""
+    turns = [name for name, schedule in schedules.items() for _ in schedule]
+    rng.shuffle(turns)
+    positions = dict.fromkeys(schedules, 0)
+    order = []
+    for name in turns:
+        order.append((name, schedules[name][positions[name]]))
+        positions[name] += 1
+    return order
+
+
 class ReferenceProgram:
-    """:class:`~repro.service.shared_plan.RoundProgram`'s interface over the walk."""
+    """:class:`~repro.service.shared_plan.RoundProgram`'s interface over the walk.
+
+    Serves the plan's probe order, or, given ``rng``, a fresh random
+    interleave of its queries' own orders every round.
+    """
 
     def __init__(
         self,
-        plan: SharedPlan,
+        plan,
         indexes: Mapping[str, TreeIndex],
         oracles: Mapping[str, LeafOracle],
+        *,
+        rng: random.Random | None = None,
     ) -> None:
         self.plan = plan
         self.names = tuple(indexes)
+        self._order = [(self.names[slot], g) for slot, g in plan.order]
+        self._schedules: dict[str, list[int]] = {name: [] for name in self.names}
+        for name, g in self._order:
+            self._schedules[name].append(g)
+        self._rng = rng
         self._indexes = dict(indexes)
         self._oracles = dict(oracles)
         self._results: dict[str, ExecutionResult] = {}
 
     def run(self, cache: Union[DataItemCache, CountingCache]) -> RoundStats:
-        self._results, stats = execute_round(
-            self.plan, self._indexes, cache, self._oracles
-        )
+        order = self._order
+        if self._rng is not None:
+            order = interleave(self._schedules, self._rng)
+        self._results, stats = execute_round(order, self._indexes, cache, self._oracles)
         return stats
 
     def values(self) -> list[bool]:
@@ -120,7 +147,11 @@ class ReferenceProgram:
 
 
 @contextlib.contextmanager
-def reference_rounds() -> Iterator[None]:
-    """Every ``QueryServer`` round inside the block runs on the reference walk."""
-    with mock.patch("repro.service.server.RoundProgram", ReferenceProgram):
+def reference_rounds(rng: random.Random | None = None) -> Iterator[None]:
+    """Every ``QueryServer`` round inside the block runs on the reference walk.
+
+    With ``rng``, each round serves a random interleave drawn from it.
+    """
+    program = functools.partial(ReferenceProgram, rng=rng)
+    with mock.patch("repro.service.server.RoundProgram", program):
         yield

@@ -216,7 +216,11 @@ class TestRoundMatchesReference:
         for _ in range(ROUNDS):
             got_stats = program.run(got_world[2])
             got_results = program.results()
-            want_results, want_stats = reference_round.execute_round(*want_world)
+            plan, indexes, cache, oracles = want_world
+            order = [(p.query, p.gindex) for p in plan.probes]
+            want_results, want_stats = reference_round.execute_round(
+                order, indexes, cache, oracles
+            )
             assert list(got_results) == list(want_results)
             for name, want in want_results.items():
                 got = got_results[name]

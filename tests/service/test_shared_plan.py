@@ -178,7 +178,8 @@ class TestRoundProgram:
         got_stats = program.run(cache)
         got = program.results()
         indexes, cache, oracles = world()
-        want, want_stats = reference_round.execute_round(plan, indexes, cache, oracles)
+        order = [(p.query, p.gindex) for p in plan.probes]
+        want, want_stats = reference_round.execute_round(order, indexes, cache, oracles)
         assert got == want
         assert got["q"].evaluated == (0, 1) and got["q"].skipped == (0,)
         assert got_stats == want_stats
