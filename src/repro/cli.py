@@ -285,7 +285,6 @@ def cmd_serve_sim(args: argparse.Namespace) -> int:
         BernoulliOracle(seed=args.seed),
         scheduler=args.scheduler,
         plan_cache=0 if args.no_plan_cache else args.plan_cache_capacity,
-        shared_plan=not args.no_shared_plan,
         telemetry=telemetry,
     )
     for name, tree in population:
@@ -722,11 +721,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--plan-cache-capacity", type=int, default=256)
     p_serve.add_argument(
         "--no-plan-cache", action="store_true", help="schedule every admission from scratch"
-    )
-    p_serve.add_argument(
-        "--no-shared-plan",
-        action="store_true",
-        help="run queries back-to-back instead of the merged global probe order",
     )
     p_serve.add_argument(
         "--compare-isolated",

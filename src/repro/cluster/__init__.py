@@ -1,10 +1,10 @@
 """Sharded serving cluster.
 
-One :class:`~repro.service.QueryServer` scales until its global shared plan
-— merged across the *whole* population — becomes the bottleneck: the merge
-covers every resident query, and every admission, departure or re-plan
-invalidates it for everyone. This package splits the population where the
-cost model says sharing stops paying:
+One :class:`~repro.service.QueryServer` scales until its round — every
+resident query's schedule over one cache, on one thread — becomes the
+bottleneck, and every admission, departure or re-plan recompiles the round
+program for everyone. This package splits the population where the cost
+model says sharing stops paying:
 
 * :mod:`~repro.cluster.partition` — the query<->stream overlap graph,
   connected-component clustering with LPT packing and label-propagation

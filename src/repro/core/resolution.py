@@ -69,7 +69,7 @@ class TreeIndex:
     Leaf *global indices* follow the tree's left-to-right leaf order, matching
     :attr:`QueryTree.leaves` (and, for trees built from a :class:`DnfTree`,
     matching the DNF global leaf indices). ``leaf_records[g]`` is leaf
-    ``g``'s :data:`LeafRecord`, built once here for the shared-plan round
+    ``g``'s :data:`LeafRecord`, built once here for the serving layer's round
     program.
     """
 

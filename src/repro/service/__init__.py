@@ -9,9 +9,10 @@ single-query machinery into a multi-tenant server:
   decimals so float noise cannot split a key);
 * :mod:`~repro.service.plan_cache` — LRU cache of canonical schedules, so a
   query shape pays its scheduling cost once across the whole population;
-* :mod:`~repro.service.shared_plan` — one global probe order merged from all
-  per-query schedules by marginal cost-effectiveness, executed with
-  per-query early termination;
+* :mod:`~repro.service.shared_plan` — the round program: every resident's
+  schedule back to back in registration order over one shared cache, with
+  per-query early termination (one fetch of a window serves every query
+  that reads it; the first in registration order pays);
 * :mod:`~repro.service.server` — the :class:`QueryServer`
   (register/deregister/step/run_batch) plus the :func:`run_isolated`
   no-sharing baseline;
@@ -37,12 +38,7 @@ from repro.service.server import (
     RegisteredQuery,
     run_isolated,
 )
-from repro.service.shared_plan import (
-    Probe,
-    RoundStats,
-    SharedPlan,
-    merge_schedules,
-)
+from repro.service.shared_plan import RoundStats
 from repro.service.simulate import (
     shuffled_isomorph,
     synthetic_population,
@@ -56,10 +52,7 @@ __all__ = [
     "quantize_prob",
     "PlanCache",
     "CachedPlan",
-    "Probe",
-    "SharedPlan",
     "RoundStats",
-    "merge_schedules",
     "QueryServer",
     "RegisteredQuery",
     "BatchReport",

@@ -8,8 +8,8 @@ optimized unit:
 * admission canonicalizes the tree (:mod:`repro.service.canonical`) and gets
   its schedule through the shared :class:`~repro.service.plan_cache.PlanCache`
   — isomorphic queries pay the scheduling cost once;
-* per-round execution runs the population's
-  :class:`~repro.service.shared_plan.SharedPlan` against one
+* per-round execution runs every resident's schedule in registration order
+  (a :class:`~repro.service.shared_plan.RoundProgram`) against one
   :class:`~repro.streams.cache.DataItemCache`, so stream windows are paid
   once per round no matter how many queries need them;
 * :func:`run_isolated` re-runs the same population with private caches and
@@ -46,14 +46,7 @@ from repro.obs import Histogram, MetricsRegistry, Telemetry
 from repro.service.canonical import CanonicalForm, _as_dnf, canonicalize
 from repro.service.metrics import ServiceMetrics
 from repro.service.plan_cache import CachedPlan, PlanCache
-from repro.service.shared_plan import (
-    MergeRow,
-    RoundProgram,
-    RoundStats,
-    SharedPlan,
-    merge_row,
-    merge_rows,
-)
+from repro.service.shared_plan import RoundProgram, RoundStats
 from repro.streams.registry import StreamRegistry
 
 __all__ = [
@@ -87,8 +80,8 @@ class RegisteredQuery:
 
     ``tree`` keeps the *admission* leaf probabilities (for a Bernoulli
     oracle they double as the simulated ground truth); ``planning_tree``,
-    when set by an adaptive re-plan, carries the server's current belief and
-    is what cross-query plan merging weighs probes by.
+    when set by an adaptive re-plan, carries the server's current belief,
+    which the query's current schedule was computed with.
     """
 
     name: str
@@ -105,15 +98,6 @@ class RegisteredQuery:
         """The tree whose probabilities the current plan was computed with."""
         return self.planning_tree if self.planning_tree is not None else self.tree
 
-    @functools.cached_property
-    def merge_row(self) -> MergeRow:
-        """The schedule as the shared-plan merge reads it, over ``belief_tree``.
-
-        Computed on first use and kept for the record's lifetime; a re-plan
-        replaces the record, so its row follows the new belief and schedule.
-        """
-        return merge_row(self.belief_tree, self.schedule)
-
 
 @dataclass(frozen=True)
 class Migration:
@@ -124,8 +108,7 @@ class Migration:
     must preserve for the destination to serve the group exactly as the
     source would have:
 
-    * ``round`` — the source's round clock, which re-plan cooldowns and the
-      blocked rotation count in;
+    * ``round`` — the source's round clock, which re-plan cooldowns count in;
     * ``now`` and ``stores`` — the source cache's device time and held items
       for the movers' streams, taken before the movers left;
     * ``queries`` — each mover's full :class:`RegisteredQuery` (tree,
@@ -260,11 +243,6 @@ class QueryServer:
     plan_cache:
         A :class:`PlanCache`, a capacity for a new one, or ``None``/``0`` to
         disable plan caching (every admission schedules from scratch).
-    shared_plan:
-        When True (default), rounds execute the population's merged
-        cost-effectiveness probe order; when False, queries run one after the
-        other in registration order, rotated per round (still sharing the
-        cache — the :class:`~repro.engine.workload.QueryWorkload` baseline).
     max_queries:
         Admission limit; further :meth:`register` calls raise
         :class:`~repro.errors.AdmissionError`.
@@ -291,7 +269,6 @@ class QueryServer:
         *,
         scheduler: str | Scheduler = DEFAULT_SCHEDULER,
         plan_cache: PlanCache | int | None = 256,
-        shared_plan: bool = True,
         max_queries: int | None = None,
         warmup: int = 64,
         adaptive: AdaptivePolicy | AdaptiveController | None = None,
@@ -308,7 +285,6 @@ class QueryServer:
             self.plan_cache = PlanCache(capacity=int(plan_cache))
         else:
             self.plan_cache = None
-        self.shared_plan_enabled = shared_plan
         if max_queries is not None and max_queries < 1:
             raise AdmissionError(f"max_queries must be >= 1, got {max_queries}")
         self.max_queries = max_queries
@@ -353,9 +329,9 @@ class QueryServer:
         #: and its maximum (the relevance horizon the cache evicts by).
         self._window_counts: dict[str, collections.Counter[int]] = {}
         self._max_windows: dict[str, int] = {}
-        self._plan: SharedPlan | None = None
-        #: ``_plan`` (or the round's blocked order) compiled for the round
-        #: loop; recompiled whenever the plan object changes.
+        #: The residents' schedules compiled for the round loop, in
+        #: registration order; ``None`` after a population change or a
+        #: re-plan until the next round recompiles it.
         self._program: RoundProgram | None = None
         #: The residents' distinct drifting oracles in registration order;
         #: ``None`` after a population change until the next round rebuilds it.
@@ -417,8 +393,8 @@ class QueryServer:
         """Admit a query: canonicalize, plan (through the cache), index.
 
         ``replace=True`` cleanly swaps an existing registration of ``name``
-        (its shared-plan slot and compiled round program are dropped, never
-        reused for the new tree); the default rejects duplicates. The new
+        (the compiled round program is dropped, never reused for the new
+        tree, and the new query takes the last place in registration order); the default rejects duplicates. The new
         tree is validated, canonicalized and planned before the old
         registration leaves, so a replacement that raises leaves the old
         query served as it was.
@@ -562,8 +538,7 @@ class QueryServer:
         raises and leaves this server untouched.
 
         The round clock moves forward to the source's when behind, so
-        transplanted re-plan cooldowns and rotation phases keep their
-        meaning. Each shape's adaptive belief transplants when this server
+        transplanted re-plan cooldowns keep their meaning. Each shape's adaptive belief transplants when this server
         is adaptive and does not already track the shape. The source
         cache's held items are adopted after the movers are registered, so
         this server's relevance horizon already covers their streams. This
@@ -608,12 +583,12 @@ class QueryServer:
     def reorder(self, names: Sequence[str]) -> None:
         """Re-key the registration order to ``names`` (a permutation).
 
-        Registration order is load-bearing: it is the tie-break order of the
-        shared-plan merge and the rotation base of the blocked round-robin.
-        :meth:`admit_group` ends here, restoring the cluster's global
-        admission order after a group lands mid-population, so a query's
-        merge position — and therefore its cost — is independent of how it
-        travelled.
+        Registration order is the order a round serves the residents'
+        schedules in. It changes no count, but it decides which query pays
+        first for a window that several read, and so each query's share of
+        the cost. :meth:`admit_group` ends here, restoring the cluster's
+        global admission order after a group lands mid-population, so a
+        query's cost is independent of how it travelled.
         """
         if sorted(names) != sorted(self._queries):
             raise AdmissionError(
@@ -621,7 +596,7 @@ class QueryServer:
                 f"vs {sorted(self._queries)!r}"
             )
         self._queries = {name: self._queries[name] for name in names}
-        self._plan = None  # merge order changed; rebuild lazily
+        self._program = None
         self._drifting = None
 
     def _after_population_change(self, query: RegisteredQuery, *, joined: bool) -> None:
@@ -667,7 +642,7 @@ class QueryServer:
         # admissions skip the cache scan.
         if shrank:
             self.cache.retain_relevant(windows)
-        self._plan = None  # rebuilt lazily on the next step
+        self._program = None  # recompiled lazily on the next step
         self._drifting = None
 
     def _base_probs(
@@ -693,34 +668,6 @@ class QueryServer:
 
     # -- execution ------------------------------------------------------
 
-    @_synchronized
-    def shared_plan(self) -> SharedPlan:
-        """The current population's global probe order (built lazily)."""
-        if not self._queries:
-            raise StreamError("no queries registered")
-        if self._plan is None:
-            queries = self._queries.values()
-            self._plan = merge_rows(
-                tuple(self._queries),
-                # Merge by the *belief* trees: after an adaptive re-plan the
-                # cost-effectiveness weights use the updated probabilities.
-                [query.merge_row for query in queries],
-                [query.schedule for query in queries],
-                self.registry.cost_table(),
-            )
-        return self._plan
-
-    def _blocked_probes(self) -> SharedPlan:
-        """Round-robin blocked order: each query's schedule back-to-back."""
-        schedules = [query.schedule for query in self._queries.values()]
-        shift = self._round % len(schedules)
-        rotation = [*range(shift, len(schedules)), *range(shift)]
-        return SharedPlan(
-            names=tuple(self._queries),
-            order=tuple((slot, g) for slot in rotation for g in schedules[slot]),
-            planned_items=dict(self._max_windows),
-        )
-
     # -- adaptive re-planning -------------------------------------------
 
     @_synchronized
@@ -738,8 +685,8 @@ class QueryServer:
         probabilities (folded duplicates receive ``p**k`` automatically).
         The stale :class:`PlanCache` entries for ``key`` are invalidated, the
         shape is re-scheduled per admission scheduler, every isomorph's
-        expanded schedule is rebuilt and the merged shared plan is marked for
-        rebuild. Returns one :class:`~repro.adaptive.ReplanEvent` per
+        expanded schedule is rebuilt and the compiled round program is
+        dropped. Returns one :class:`~repro.adaptive.ReplanEvent` per
         distinct admission scheduler among the shape's queries.
         """
         members = [q for q in self._queries.values() if q.canonical.key == key]
@@ -834,7 +781,7 @@ class QueryServer:
                     saving=event.old_cost - event.new_cost,
                 )
         if events:
-            self._plan = None  # rebuild the merged shared plan lazily
+            self._program = None  # recompiled lazily on the next step
         if self.adaptive is not None:
             self.adaptive.rebase(key, self._round, base_probs)
             for event in events:
@@ -980,19 +927,18 @@ class QueryServer:
         wall_start = time.perf_counter() if recording else 0.0
         self.cache.advance(1, max_windows=self._max_windows)
         # Phase split: advancing the cache acquires the round's new window
-        # state; building the probe order (a shared-plan rebuild after churn)
-        # is planning, and so is compiling it into a round program;
-        # everything through adaptivity below is evaluation (the round
-        # program interleaves its fetches with short-circuit decisions, so
-        # its fetch time is credited to evaluation by design).
+        # state; compiling the residents' schedules into a round program
+        # (after churn or a re-plan) is planning; everything through
+        # adaptivity below is evaluation (the round program interleaves its
+        # fetches with short-circuit decisions, so its fetch time is
+        # credited to evaluation by design).
         acquired_at = time.perf_counter() if recording else 0.0
-        plan = self.shared_plan() if self.shared_plan_enabled else self._blocked_probes()
         program = self._program
-        if program is None or program.plan is not plan:
+        if program is None:
             queries = self._queries
             program = self._program = RoundProgram(
-                plan,
                 {name: query.index for name, query in queries.items()},
+                {name: query.schedule for name, query in queries.items()},
                 {name: query.oracle for name, query in queries.items()},
             )
         planned_at = time.perf_counter() if recording else 0.0

@@ -1,56 +1,30 @@
-"""Cross-query global schedules: one interleaved probe order for a population.
+"""Round execution for a query population over one shared cache.
 
-Running each registered query's schedule back-to-back already shares the
-item cache, but the *order* is still per-query greedy: an expensive stream
-window fetched late by query 1 is paid early by query 7. The shared plan
-merges all per-query schedules into one global probe order chosen by
-marginal cost-effectiveness across the whole population:
-
-* each query's leaves stay in its own schedule order (so per-query execution
-  semantics — short-circuiting, Proposition 2 costs — are preserved);
-* among the queries' *next* leaves, the globally cheapest-per-unit-of-
-  resolution probe goes first. The marginal cost of a probe counts only the
-  items not already planned for fetching by an earlier probe of *any* query —
-  so once one query pays for a window, every other query's probes on that
-  stream become free and float to the front ("pay one, get hundreds").
-
-:func:`merge_rows` builds the plan; :class:`RoundProgram` runs rounds of it
-against a shared cache with per-query early termination.
-
-The merge reads each query as a *merge row*: one ``(stream, items,
-fail + eps)`` per schedule position (:func:`merge_row`). The server keeps
-every resident's row on its registration record, so a re-merge after churn
-re-reads no tree; :func:`merge_schedules` builds the rows of ad-hoc inputs
-and runs the same merge. A plan is *slot-indexed*: :class:`SharedPlan` holds
-the queries' names in registration order and the probe order as
-``(slot, gindex)`` pairs, and its :class:`Probe` view is derived on demand.
-
-Every next-up leaf on one stream shares that stream's planned window and
-remaining demand, so the merge keeps its candidates per stream: a pick
-re-keys only the stream it planned and the stream its query moves on to.
-Merging P probes costs O(P log P) plus one re-score of a stream's waiting
-leaves each time its planned window grows, instead of a rescan of every
-query per pick.
+Every resident's schedule runs back to back, in registration order. The
+order changes no count: which probes a round evaluates depends only on each
+query's own schedule and outcomes, and a stream's fetched items are the
+widest window its evaluated probes ask for minus what the cache already
+holds, whatever order serves them. Sharing comes from the cache — one fetch
+serves every query that reads the window ("pay one, get hundreds") — and
+registration order decides only which query pays for it.
 
 A round runs as a *compiled round program*: :class:`RoundProgram` lays the
-population's tree nodes out in one flat list and turns the plan's
-``(slot, gindex)`` pairs into one flat tuple of steps, once per plan;
+population's tree nodes out in one flat list and the residents' schedules
+out as one flat tuple of steps, once per population;
 :meth:`RoundProgram.run` walks it each round with a guard check per probe
 and an iterative walk to the root per evaluated probe, and allocates
-nothing per resident. Most probes in a shared
-plan are free, so a round pays for its windows per stream, not per probe: a
-*window memo* keeps each stream's widest window fetched this round, and a
-probe inside it takes the memo's newest items (read-only) without calling
-the cache.
+nothing per resident. Most probes of a population are free, so a round pays
+for its windows per stream, not per probe: a *window memo* keeps each
+stream's widest window fetched this round, and a probe inside it takes the
+memo's newest items (read-only) without calling the cache.
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
 import operator
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Union
 
 import numpy as np
 
@@ -64,244 +38,17 @@ from repro.core.resolution import (
     TreeIndex,
 )
 from repro.core.schedule import Schedule
-from repro.core.tree import AndTree, DnfTree, QueryTree
 from repro.engine.executor import ExecutionResult, LeafOracle
 from repro.errors import StreamError
 from repro.streams.cache import CountingCache, DataItemCache
 
 __all__ = [
-    "Probe",
-    "SharedPlan",
-    "merge_schedules",
-    "merge_rows",
-    "merge_row",
-    "MergeRow",
     "RoundProgram",
     "RoundStats",
 ]
 
-_EPSILON = 1e-9
-
 # The round walk compares a child's value with its parent's kind directly.
 assert (KIND_AND, KIND_OR) == (TRUE, FALSE)
-
-
-@dataclass(frozen=True, slots=True)
-class Probe:
-    """One planned leaf evaluation: query name + global leaf index in its tree."""
-
-    query: str
-    gindex: int
-
-
-#: A query's merge inputs, one ``(stream, items, fail + eps)`` per position
-#: of its schedule, read off the tree the merge weighs it by.
-MergeRow = tuple[tuple[str, int, float], ...]
-
-
-def merge_row(tree: Union[AndTree, DnfTree, QueryTree], schedule: Schedule) -> MergeRow:
-    """``schedule``'s positions as the merge reads them (see :data:`MergeRow`)."""
-    leaves = tree.leaves
-    return tuple(
-        (leaf.stream, leaf.items, leaf.fail + _EPSILON)
-        for leaf in map(leaves.__getitem__, schedule)
-    )
-
-
-@dataclass(frozen=True)
-class SharedPlan:
-    """An interleaved probe order over a query population.
-
-    ``names`` are the population's queries in registration order (every
-    one, probed or not); ``order`` is the probe order as ``(slot, gindex)``
-    pairs, ``slot`` indexing ``names``. The :class:`Probe` view and the
-    per-query statistics are derived from them.
-    """
-
-    names: tuple[str, ...]
-    order: tuple[tuple[int, int], ...]
-    planned_items: Mapping[str, int]
-
-    @property
-    def probes(self) -> tuple[Probe, ...]:
-        """The probe order with query names (built on each access)."""
-        names = self.names
-        return tuple(Probe(names[slot], g) for slot, g in self.order)
-
-    @property
-    def size(self) -> int:
-        return len(self.order)
-
-    def per_query(self) -> dict[str, tuple[int, ...]]:
-        """Recover each query's leaf order as embedded in the global plan."""
-        out: dict[int, list[int]] = {}
-        for slot, g in self.order:
-            out.setdefault(slot, []).append(g)
-        return {self.names[slot]: tuple(order) for slot, order in out.items()}
-
-    def interleaving_degree(self) -> float:
-        """Fraction of adjacent probe pairs that switch query (0 = fully blocked)."""
-        order = self.order
-        if len(order) < 2:
-            return 0.0
-        switches = sum(
-            1 for first, second in zip(order, order[1:]) if first[0] != second[0]
-        )
-        return switches / (len(order) - 1)
-
-
-def merge_schedules(
-    trees: Mapping[str, Union[AndTree, DnfTree, QueryTree]],
-    schedules: Mapping[str, Schedule],
-    costs: Mapping[str, float],
-) -> SharedPlan:
-    """Merge per-query schedules into one cost-effectiveness-ordered plan.
-
-    Parameters
-    ----------
-    trees:
-        Query name -> tree (anything with ``.leaves``).
-    schedules:
-        Query name -> that tree's schedule (same key set as ``trees``).
-    costs:
-        Global per-item stream costs (the registry's table); a stream
-        missing from it costs 1.0 per item.
-
-    Builds each query's :func:`merge_row` and runs :func:`merge_rows`, the
-    one merge (its docstring has the greedy rule and the tie-breaks). The
-    plan's slots follow the iteration order of ``trees``. The server passes
-    its residents' cached rows to :func:`merge_rows` directly.
-    """
-    if set(trees) != set(schedules):
-        raise StreamError(
-            f"trees and schedules disagree: {sorted(trees)} vs {sorted(schedules)}"
-        )
-    names = tuple(trees)
-    ordered = [schedules[name] for name in names]
-    rows = [merge_row(trees[name], order) for name, order in zip(names, ordered)]
-    return merge_rows(names, rows, ordered, costs)
-
-
-def merge_rows(
-    names: tuple[str, ...],
-    rows: Sequence[MergeRow],
-    schedules: Sequence[Schedule],
-    costs: Mapping[str, float],
-) -> SharedPlan:
-    """The merge: per-slot rows and schedules (``names`` order) to a plan.
-
-    Greedy merge: repeatedly pick, among the queries' next-up leaves
-    ("heads"), the one minimizing ``marginal_cost / (failure_prob + eps)`` —
-    i.e. cheapest expected spend per unit of short-circuiting power. Ties
-    break toward the stream with the most remaining demand across the
-    population, so widely shared windows are paid earliest, and then toward
-    the earlier registered query (the order of ``names``).
-
-    Every head on one stream shares that stream's planned window, remaining
-    demand and item cost, so a pick changes the keys of only two streams:
-    its own, and the one its query's next head joins. Each stream keeps its
-    heads in two heaps — *covered* heads (window already planned, score
-    exactly 0.0) by slot, and *paying* heads by ``(score, slot)``, re-scored
-    only when the stream's planned window grows — and one global heap holds
-    each stream's best ``(score, -demand, slot)``, version-stamped so
-    superseded entries are skipped. Scores *improve* as windows get planned,
-    so a stale key is not a safe bound; re-keying the touched streams on
-    every pick keeps the global heap exact. Cost: O(P log P) for P probes,
-    plus O(heads on s) each time stream s's planned window grows (at most
-    once per distinct window size on s).
-
-    The loop reads the rows and emits ``(slot, gindex)`` pairs, so a pick
-    allocates only its heap entries and its pair. A score is always
-    ``(items - have) * cost / fail_eps`` with ``fail_eps`` from the row
-    (``have`` is 0 while a stream has nothing planned).
-    """
-    # Remaining population-wide demand per stream (for tie-breaking).
-    demand: dict[str, int] = {}
-    for row in rows:
-        for stream, _, _ in row:
-            demand[stream] = demand.get(stream, 0) + 1
-    cost = {stream: costs.get(stream, 1.0) for stream in demand}
-    planned: dict[str, int] = {}
-    covered: dict[str, list[int]] = {stream: [] for stream in demand}
-    paying: dict[str, list[tuple[float, int]]] = {stream: [] for stream in demand}
-    version = dict.fromkeys(demand, 1)
-    best: list[tuple[float, int, int, str, int]] = []
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    pointers = [0] * len(rows)
-    for i, row in enumerate(rows):
-        if row:
-            stream, items, fail_eps = row[0]
-            heappush(paying[stream], (items * cost[stream] / fail_eps, i))
-    # Nothing is planned yet, so every head is paying.
-    for stream, heads in paying.items():
-        if heads:
-            score, i = heads[0]
-            heappush(best, (score, -demand[stream], i, stream, 1))
-    order: list[tuple[int, int]] = []
-    append = order.append
-    while best:
-        _, _, i, stream, stamp = heappop(best)
-        if stamp != version[stream]:
-            continue
-        waiting = covered[stream]
-        if waiting and waiting[0] == i:
-            heappop(waiting)
-        else:
-            heappop(paying[stream])
-        row = rows[i]
-        p = pointers[i]
-        items = row[p][1]
-        append((i, schedules[i][p]))
-        demand[stream] -= 1
-        have = planned.get(stream, 0)
-        if items > have:
-            # The planned window grew: every paying head on this stream
-            # needs fewer missing items now, and some became covered.
-            planned[stream] = items
-            unit = cost[stream]
-            still_paying: list[tuple[float, int]] = []
-            for _, j in paying[stream]:
-                _, need, fail_eps = rows[j][pointers[j]]
-                if need <= items:
-                    heappush(waiting, j)
-                else:
-                    still_paying.append(((need - items) * unit / fail_eps, j))
-            heapq.heapify(still_paying)
-            paying[stream] = still_paying
-        p += 1
-        pointers[i] = p
-        # Re-key the stream the query's next head joins (when another one)
-        # and then this stream.
-        touched = (stream,)
-        if p < len(row):
-            joined, need, fail_eps = row[p]
-            have = planned.get(joined, 0)
-            if need <= have:
-                heappush(covered[joined], i)
-            else:
-                heappush(paying[joined], ((need - have) * cost[joined] / fail_eps, i))
-            if joined != stream:
-                touched = (joined, stream)
-        for key in touched:
-            stamp = version[key] + 1
-            version[key] = stamp
-            waiting = covered[key]
-            heads = paying[key]
-            if waiting:
-                top = waiting[0]
-                score = 0.0
-                if heads:
-                    first = heads[0]
-                    # (first < (0.0, top)), compared field by field.
-                    if first[0] < 0.0 or (first[0] == 0.0 and first[1] < top):
-                        score, top = first
-            elif heads:
-                score, top = heads[0]
-            else:
-                continue
-            heappush(best, (score, -demand[key], top, key, stamp))
-    return SharedPlan(names=names, order=tuple(order), planned_items=planned)
 
 
 @dataclass
@@ -343,23 +90,22 @@ Step = tuple[int, int, LeafRecord]
 
 
 class RoundProgram:
-    """A shared plan compiled against its population's trees and oracles.
+    """A population's schedules compiled against its trees and oracles.
 
-    Compiling is one pass over the residents and one over the probes: every
-    tree's nodes are laid out in one population-wide flat list, each
-    ``(slot, gindex)`` of the plan becomes a :data:`Step` by indexing and
-    each query's ``oracle.outcome`` is bound once. The plan must number the
-    queries as ``indexes`` does (its ``names`` are the program's). A round (:meth:`run`) then resolves no name and allocates nothing
+    Compiling is one pass over the residents, in registration order (the
+    order of ``indexes``): every tree's nodes are laid out in one
+    population-wide flat list, each query's schedule becomes a run of
+    steps (:data:`Step`) by indexing, and each query's ``oracle.outcome``
+    is bound once. A round (:meth:`run`) then resolves no name and allocates nothing
     per resident: it resets the flat node state and walks the steps. A
     leaf's node holds its outcome when its probe was evaluated, so
     :meth:`values` and :meth:`results` read the last round back per query
     from that state, for the callers that need them. The program depends
-    only on the plan, the trees and the oracles, so it serves every round
-    of its plan.
+    only on the trees, the schedules and the oracles, so it serves every
+    round until one of them changes.
     """
 
     __slots__ = (
-        "plan",
         "names",
         "steps",
         "_roots",
@@ -376,30 +122,29 @@ class RoundProgram:
 
     def __init__(
         self,
-        plan: SharedPlan,
         indexes: Mapping[str, TreeIndex],
+        schedules: Mapping[str, Schedule],
         oracles: Mapping[str, LeafOracle],
     ) -> None:
-        self.plan = plan
+        if schedules.keys() != indexes.keys():
+            raise StreamError(
+                f"schedules name {sorted(schedules)!r}, the trees {sorted(indexes)!r}"
+            )
         self.names = tuple(indexes)
         roots: list[int] = []
         parent: list[int] = []
         kinds: list[int] = []
         need: list[int] = []
-        records: list[tuple[LeafRecord, ...]] = []
-        for index in indexes.values():
-            roots.append(len(parent))
+        steps: list[Step] = []
+        for slot, (name, index) in enumerate(indexes.items()):
+            base = len(parent)
+            roots.append(base)
             parent.extend(index.parent)
             kinds.extend(index.kinds)
             need.extend(map(len, index.children))
-            records.append(index.leaf_records)
-        if plan.names != self.names:
-            raise StreamError(
-                f"plan slots name {plan.names!r}, the program's {self.names!r}"
-            )
-        self.steps = tuple(
-            [(slot, roots[slot], records[slot][g]) for slot, g in plan.order]
-        )
+            records = index.leaf_records
+            steps.extend([(slot, base, records[g]) for g in schedules[name]])
+        self.steps = tuple(steps)
         self._roots = tuple(roots)
         self._parent = parent
         self._kinds = kinds
@@ -414,9 +159,9 @@ class RoundProgram:
         self._slot_steps: list[list[tuple[int, int]]] | None = None
 
     def run(self, cache: Union[DataItemCache, CountingCache]) -> RoundStats:
-        """Execute one round of the plan with per-query early termination.
+        """Execute one round with per-query early termination.
 
-        Walks the global probe order once; a probe is skipped for free when
+        Walks the steps once; a probe is skipped for free when
         its query's root is already resolved (early termination) or the
         leaf's AND/OR ancestors short-circuited it away: one guard check per
         probe over the leaf's precomputed ancestors in the flat node state,

@@ -1,4 +1,4 @@
-"""The original per-probe object walk of one shared-plan round, kept as a test oracle.
+"""The original per-probe object walk of one serving round, kept as a test oracle.
 
 Every probe re-checks its query's ``ResolutionState``, fetches its window
 through ``cache.fetch_window`` and accounts itself through
@@ -7,6 +7,9 @@ through ``cache.fetch_window`` and accounts itself through
 does — the same ``ExecutionResult``s, the same ``RoundStats`` and the same
 cache and oracle state afterwards.
 
+The walk takes its probe order as ``(name, gindex)`` pairs: the program's
+order (every schedule back to back, in registration order) or a random
+:func:`interleave` that keeps each query's own order.
 :func:`reference_rounds` serves whole :class:`~repro.service.QueryServer`
 batches on this walk, so server-level tests can compare the compiled
 kernel's reports, ledger and telemetry against it.
@@ -109,24 +112,22 @@ def interleave(schedules: Mapping[str, Sequence[int]], rng: random.Random) -> Pr
 class ReferenceProgram:
     """:class:`~repro.service.shared_plan.RoundProgram`'s interface over the walk.
 
-    Serves the plan's probe order, or, given ``rng``, a fresh random
-    interleave of its queries' own orders every round.
+    Serves the schedules back to back in the order of ``indexes``, as the
+    program does, or, given ``rng``, a fresh random interleave of them every
+    round.
     """
 
     def __init__(
         self,
-        plan,
         indexes: Mapping[str, TreeIndex],
+        schedules: Mapping[str, Sequence[int]],
         oracles: Mapping[str, LeafOracle],
         *,
         rng: random.Random | None = None,
     ) -> None:
-        self.plan = plan
         self.names = tuple(indexes)
-        self._order = [(self.names[slot], g) for slot, g in plan.order]
-        self._schedules: dict[str, list[int]] = {name: [] for name in self.names}
-        for name, g in self._order:
-            self._schedules[name].append(g)
+        self._schedules = {name: tuple(schedules[name]) for name in self.names}
+        self._order = [(name, g) for name in self.names for g in self._schedules[name]]
         self._rng = rng
         self._indexes = dict(indexes)
         self._oracles = dict(oracles)

@@ -24,7 +24,7 @@ def collections_during_batch(n_residents: int) -> list[int]:
     server = QueryServer(registry, BernoulliOracle(seed=7))
     for name, tree in synthetic_population(n_residents, registry, seed=6):
         server.register(name, tree)
-    server.run_batch(1)  # merge and compile the plan
+    server.run_batch(1)  # compile the round program
     counts = [0, 0, 0]
 
     def count(phase: str, info: dict) -> None:

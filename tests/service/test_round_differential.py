@@ -29,7 +29,7 @@ from repro.engine.executor import (
     PredicateOracle,
 )
 from repro.predicates.predicate import Predicate
-from repro.service.shared_plan import RoundProgram, SharedPlan, merge_schedules
+from repro.service.shared_plan import RoundProgram
 from repro.streams.cache import CountingCache, DataItemCache
 from repro.streams.drift import DriftSchedule, StepDrift
 from repro.streams.sources import RandomWalkSource, UniformSource
@@ -75,7 +75,7 @@ ORACLES = ("bernoulli", "shared-bernoulli", "drifting", "precomputed", "predicat
 
 @st.composite
 def populations(draw):
-    """A population description: trees, schedules, oracles, cache, plan order."""
+    """A population description: trees, schedules, oracles and cache."""
     data_cache = draw(st.booleans())
     kinds = ORACLES if data_cache else ORACLES[:-1]
     queries = []
@@ -102,8 +102,6 @@ def populations(draw):
     return {
         "queries": queries,
         "data_cache": data_cache,
-        "shared": draw(st.booleans()),
-        "shift": draw(st.integers(0, 5)),
         "source_seed": draw(st.integers(0, 2**16)),
     }
 
@@ -134,7 +132,7 @@ def _oracle(spec, index: TreeIndex, shared: BernoulliOracle) -> LeafOracle:
 
 
 def build(population):
-    """One fresh copy of the population: ``(plan, indexes, cache, oracles)``."""
+    """One fresh copy of the population: ``(indexes, schedules, cache, oracles)``."""
     indexes = {q["name"]: TreeIndex(q["tree"]) for q in population["queries"]}
     shared = BernoulliOracle(seed=population["source_seed"])
     oracles = {
@@ -151,20 +149,7 @@ def build(population):
     else:
         cache = CountingCache(COSTS)
     schedules = {q["name"]: q["schedule"] for q in population["queries"]}
-    if population["shared"]:
-        plan = merge_schedules(
-            {name: index.tree for name, index in indexes.items()}, schedules, COSTS
-        )
-    else:
-        names = list(schedules)
-        shift = population["shift"] % len(names)
-        rotation = [*range(shift, len(names)), *range(shift)]
-        plan = SharedPlan(
-            names=tuple(names),
-            order=tuple((slot, g) for slot in rotation for g in schedules[names[slot]]),
-            planned_items={},
-        )
-    return plan, indexes, cache, oracles
+    return indexes, schedules, cache, oracles
 
 
 def cache_state(cache):
@@ -212,14 +197,15 @@ class TestRoundMatchesReference:
     def test_rounds_are_bit_identical(self, population):
         got_world = build(population)
         want_world = build(population)
-        program = RoundProgram(got_world[0], got_world[1], got_world[3])
+        indexes, schedules, cache, oracles = got_world
+        program = RoundProgram(indexes, schedules, oracles)
+        # Every schedule back to back, in registration order.
+        order = [(name, g) for name, schedule in schedules.items() for g in schedule]
         for _ in range(ROUNDS):
-            got_stats = program.run(got_world[2])
+            got_stats = program.run(cache)
             got_results = program.results()
-            plan, indexes, cache, oracles = want_world
-            order = [(p.query, p.gindex) for p in plan.probes]
             want_results, want_stats = reference_round.execute_round(
-                order, indexes, cache, oracles
+                order, want_world[0], want_world[2], want_world[3]
             )
             assert list(got_results) == list(want_results)
             for name, want in want_results.items():
@@ -232,8 +218,8 @@ class TestRoundMatchesReference:
                 assert oracle_state(got_world[3][name]) == oracle_state(
                     want_world[3][name]
                 )
-            for _, indexes, cache, oracles in (got_world, want_world):
-                advance(cache, oracles, indexes)
+            for world_indexes, _, world_cache, world_oracles in (got_world, want_world):
+                advance(world_cache, world_oracles, world_indexes)
 
 
 class _ScribblingOracle(LeafOracle):
@@ -249,9 +235,8 @@ class TestMemoizedWindows:
         tree = DnfTree([[Leaf("A", 3, 0.5)], [Leaf("A", 2, 0.5)]])
         indexes = {"q": TreeIndex(tree)}
         cache = DataItemCache({"A": UniformSource(seed=1)}, {"A": 1.0}, now=4)
-        plan = SharedPlan(names=("q",), order=((0, 0), (0, 1)), planned_items={})
         with pytest.raises(ValueError, match="read-only"):
-            RoundProgram(plan, indexes, {"q": _ScribblingOracle()}).run(cache)
+            RoundProgram(indexes, {"q": (0, 1)}, {"q": _ScribblingOracle()}).run(cache)
 
     def test_memo_serves_the_fetched_tail(self):
         """A nested window sees the newest items of the wider one, for free."""
@@ -264,8 +249,8 @@ class TestMemoizedWindows:
 
         tree = DnfTree([[Leaf("A", 4, 0.5)], [Leaf("A", 2, 0.5)]])
         cache = DataItemCache({"A": UniformSource(seed=3)}, {"A": 1.0}, now=6)
-        plan = SharedPlan(names=("q",), order=((0, 0), (0, 1)), planned_items={})
-        stats = RoundProgram(plan, {"q": TreeIndex(tree)}, {"q": Recording()}).run(cache)
+        program = RoundProgram({"q": TreeIndex(tree)}, {"q": (0, 1)}, {"q": Recording()})
+        stats = program.run(cache)
         assert seen[1].tolist() == seen[0][-2:].tolist()
         assert (stats.items_fetched, stats.items_saved, stats.free_probes) == (4, 2, 1)
         assert cache.charged == 4.0

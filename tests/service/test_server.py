@@ -142,14 +142,19 @@ class TestExecution:
         assert server.metrics.p95_round_cost >= server.metrics.p50_round_cost
         assert "10 rounds" in server.metrics.summary()
 
-    def test_blocked_mode_matches_query_set(self):
-        server = QueryServer(
-            tiny_registry(), BernoulliOracle(seed=0), shared_plan=False
-        )
-        server.register("q1", tiny_tree(0.4))
-        server.register("q2", tiny_tree(0.6))
-        results = server.run_batch(5)
-        assert set(results.per_query_cost) == {"q1", "q2"}
+    def test_registration_order_decides_who_pays(self):
+        """Two readers of one window: the earlier registered pays for both."""
+        from repro.engine import PrecomputedOracle
+
+        server = QueryServer(tiny_registry())
+        for name in ("q1", "q2"):
+            server.register(name, tiny_tree(), oracle=PrecomputedOracle([True, True]))
+        first = server.step()
+        assert first["q1"].cost > 0.0 and first["q2"].cost == 0.0
+        server.reorder(["q2", "q1"])
+        # A round later one new item per stream is missing; q2 now pays it.
+        second = server.step()
+        assert second["q2"].cost > 0.0 and second["q1"].cost == 0.0
 
 
 class TestReRegistration:
@@ -242,11 +247,10 @@ class TestReRegistration:
         assert (replaced.planning_tree is not None) == (isomorphs == 2)
         assert server._shape_refs[key] == isomorphs
 
-    @pytest.mark.parametrize("shared", [True, False])
-    def test_replace_recompiles_the_round_program(self, shared):
+    def test_replace_recompiles_the_round_program(self):
         from repro.engine import PrecomputedOracle
 
-        server = QueryServer(tiny_registry(), shared_plan=shared)
+        server = QueryServer(tiny_registry())
         server.register("q", self.a_tree(), oracle=PrecomputedOracle([True]))
         server.register("r", self.a_tree(), oracle=PrecomputedOracle([True]))
         assert server.step()["q"].value is True
@@ -269,9 +273,8 @@ class TestDriftingOracleClock:
 
         return DriftingBernoulliOracle(DriftSchedule([0.5, 0.3]), seed=seed)
 
-    @pytest.mark.parametrize("shared", [True, False])
-    def test_population_changes_keep_the_clock_list_current(self, shared):
-        server = QueryServer(tiny_registry(), BernoulliOracle(seed=0), shared_plan=shared)
+    def test_population_changes_keep_the_clock_list_current(self):
+        server = QueryServer(tiny_registry(), BernoulliOracle(seed=0))
         alone, pair = self.drifting(1), self.drifting(2)
         server.register("q1", tiny_tree(), oracle=alone)
         server.register("q2", tiny_tree(), oracle=pair)
@@ -332,23 +335,23 @@ class TestGroupMigration:
 
 
 class TestPlanningPhase:
-    """A shared-plan rebuild inside a round is credited to ``planning``."""
+    """A round-program compile inside a round is credited to ``planning``."""
 
     def test_round_after_churn_credits_planning(self, monkeypatch):
-        merge = server_module.merge_rows
+        compile_program = server_module.RoundProgram
 
-        def slow_merge(*args):
+        def slow_compile(*args):
             time.sleep(0.05)
-            return merge(*args)
+            return compile_program(*args)
 
-        monkeypatch.setattr(server_module, "merge_rows", slow_merge)
+        monkeypatch.setattr(server_module, "RoundProgram", slow_compile)
         tel = Telemetry()
         server = QueryServer(tiny_registry(), BernoulliOracle(seed=0), telemetry=tel)
         server.register("q1", tiny_tree(0.4))
         server.register("q2", tiny_tree(0.5))
-        server.run_batch(2)  # merged once, then reused
+        server.run_batch(2)  # compiled once, then reused
         server.deregister("q1")
-        server.run_batch(1)  # re-merged inside the round
+        server.run_batch(1)  # recompiled inside the round
         first, churned = (
             span["attrs"]["phase_seconds"] for span in tel.tracer.spans("batch")
         )

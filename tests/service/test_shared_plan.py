@@ -1,4 +1,5 @@
-"""Shared global plans: merge invariants and the sharing cost-dominance property."""
+"""Round programs: registration-order steps, first-payer attribution and the
+sharing cost-dominance property."""
 
 from __future__ import annotations
 
@@ -9,15 +10,18 @@ from hypothesis import strategies as st
 
 from repro import DnfTree, Leaf
 from repro.core.heuristics import get_scheduler
-from repro.engine.executor import LeafOracle
+from repro.core.resolution import TreeIndex
+from repro.engine.executor import LeafOracle, PrecomputedOracle
 from repro.errors import StreamError
 from repro.service import (
     QueryServer,
-    merge_schedules,
     run_isolated,
     synthetic_population,
     synthetic_registry,
 )
+from repro.service.shared_plan import RoundProgram
+from repro.streams.cache import CountingCache
+from tests.service import reference_round
 
 
 class DataDrivenOracle(LeafOracle):
@@ -39,65 +43,6 @@ def small_population(seed: int, n_queries: int = 6):
         n_queries, registry, n_templates=max(1, n_queries // 2), seed=seed + 1
     )
     return registry, population
-
-
-class TestMergeSchedules:
-    def make_inputs(self, seed=0):
-        registry, population = small_population(seed)
-        scheduler = get_scheduler("and-inc-c-over-p-dynamic")
-        trees = {name: tree for name, tree in population}
-        schedules = {name: scheduler.schedule(tree) for name, tree in population}
-        return trees, schedules, registry.cost_table()
-
-    def test_contains_every_probe_exactly_once(self):
-        trees, schedules, costs = self.make_inputs()
-        plan = merge_schedules(trees, schedules, costs)
-        assert plan.size == sum(len(s) for s in schedules.values())
-        seen = {(p.query, p.gindex) for p in plan.probes}
-        assert len(seen) == plan.size
-
-    def test_preserves_per_query_order(self):
-        trees, schedules, costs = self.make_inputs()
-        plan = merge_schedules(trees, schedules, costs)
-        for name, order in plan.per_query().items():
-            assert order == tuple(schedules[name])
-
-    def test_planned_items_cover_every_window(self):
-        trees, schedules, costs = self.make_inputs()
-        plan = merge_schedules(trees, schedules, costs)
-        for name, tree in trees.items():
-            for leaf in tree.leaves:
-                assert plan.planned_items[leaf.stream] >= leaf.items
-
-    def test_population_plan_interleaves_queries(self):
-        trees, schedules, costs = self.make_inputs()
-        plan = merge_schedules(trees, schedules, costs)
-        assert plan.interleaving_degree() > 0.0
-
-    def test_free_probe_scheduled_before_paid_probe(self):
-        """Once one query pays for a window, identical probes float forward."""
-        expensive = DnfTree([[Leaf("X", 4, 0.5)], [Leaf("Y", 1, 0.5)]], {"X": 10.0, "Y": 1.0})
-        rider = DnfTree([[Leaf("X", 4, 0.6)]], {"X": 10.0})
-        schedules = {
-            "payer": (0, 1),
-            "rider": (0,),
-        }
-        plan = merge_schedules(
-            {"payer": expensive, "rider": rider}, schedules, {"X": 10.0, "Y": 1.0}
-        )
-        order = [(p.query, p.gindex) for p in plan.probes]
-        # The rider's X-probe becomes free the moment the payer's X-probe is
-        # planned, so they end up adjacent — before the cheap Y probe would
-        # have been reached in a blocked order.
-        payer_x = order.index(("payer", 0))
-        rider_x = order.index(("rider", 0))
-        assert abs(payer_x - rider_x) == 1
-
-    def test_mismatched_key_sets_rejected(self):
-        trees, schedules, costs = self.make_inputs()
-        schedules.pop(next(iter(schedules)))
-        with pytest.raises(StreamError):
-            merge_schedules(trees, schedules, costs)
 
 
 class TestSharingDominance:
@@ -153,18 +98,37 @@ class TestSharingDominance:
 
 
 class TestRoundProgram:
-    def test_repeated_probe_matches_the_walk(self):
-        """A plan probing one leaf twice: evaluated once, then skipped."""
-        from repro.core.resolution import TreeIndex
-        from repro.engine.executor import PrecomputedOracle
-        from repro.service.shared_plan import RoundProgram, SharedPlan
-        from repro.streams.cache import CountingCache
-        from tests.service import reference_round
+    def test_steps_are_the_schedules_in_registration_order(self):
+        registry, population = small_population(0)
+        scheduler = get_scheduler("and-inc-c-over-p-dynamic")
+        indexes = {name: TreeIndex(tree) for name, tree in population}
+        schedules = {name: tuple(scheduler.schedule(tree)) for name, tree in population}
+        oracles = {name: DataDrivenOracle() for name in indexes}
+        program = RoundProgram(indexes, schedules, oracles)
+        assert program.names == tuple(name for name, _ in population)
+        assert [(program.names[slot], record[0]) for slot, _, record in program.steps] == [
+            (name, g) for name, schedule in schedules.items() for g in schedule
+        ]
 
+    def test_first_registered_reader_pays_the_window(self):
+        """One fetch serves every reader; the earliest registered one pays."""
+        window = DnfTree([[Leaf("X", 4, 0.5)]], {"X": 10.0})
+        indexes = {"rider": TreeIndex(window), "payer": TreeIndex(window)}
+        schedules = {"rider": (0,), "payer": (0,)}
+        for order in (("payer", "rider"), ("rider", "payer")):
+            program = RoundProgram(
+                {name: indexes[name] for name in order},
+                {name: schedules[name] for name in order},
+                {name: PrecomputedOracle([True]) for name in order},
+            )
+            stats = program.run(CountingCache({"X": 10.0}))
+            assert stats.query_cost == [40.0, 0.0]
+            assert (stats.items_fetched, stats.items_saved, stats.free_probes) == (4, 4, 1)
+
+    def test_repeated_probe_matches_the_walk(self):
+        """A schedule probing one leaf twice: evaluated once, then skipped."""
         tree = DnfTree([[Leaf("A", 2, 0.5), Leaf("B", 1, 0.5)]])
-        plan = SharedPlan(
-            names=("q",), order=((0, 0), (0, 0), (0, 1)), planned_items={}
-        )
+        schedules = {"q": (0, 0, 1)}
 
         def world():
             return (
@@ -174,23 +138,18 @@ class TestRoundProgram:
             )
 
         indexes, cache, oracles = world()
-        program = RoundProgram(plan, indexes, oracles)
+        program = RoundProgram(indexes, schedules, oracles)
         got_stats = program.run(cache)
         got = program.results()
         indexes, cache, oracles = world()
-        order = [(p.query, p.gindex) for p in plan.probes]
+        order = [("q", 0), ("q", 0), ("q", 1)]
         want, want_stats = reference_round.execute_round(order, indexes, cache, oracles)
         assert got == want
         assert got["q"].evaluated == (0, 1) and got["q"].skipped == (0,)
         assert got_stats == want_stats
 
-    def test_plan_slots_must_number_the_programs_queries(self):
-        from repro.core.resolution import TreeIndex
-        from repro.engine.executor import PrecomputedOracle
-        from repro.service.shared_plan import RoundProgram, SharedPlan
-
+    def test_schedules_must_name_the_programs_queries(self):
         index = TreeIndex(DnfTree([[Leaf("A", 1, 0.5)]]))
-        plan = SharedPlan(names=("a", "b"), order=((0, 0), (1, 0)), planned_items={})
         oracles = {"a": PrecomputedOracle([True]), "b": PrecomputedOracle([True])}
-        with pytest.raises(StreamError, match="plan slots"):
-            RoundProgram(plan, {"b": index, "a": index}, oracles)
+        with pytest.raises(StreamError, match="schedules name"):
+            RoundProgram({"a": index, "b": index}, {"a": (0,)}, oracles)

@@ -53,9 +53,9 @@ def on_both(serve):
     return kernel, reference
 
 
-def serve_population(population, *, shared_plan: bool = True, rounds: int = 25):
+def serve_population(population, *, rounds: int = 25):
     registry = synthetic_registry(6, seed=3)
-    server = QueryServer(registry, BernoulliOracle(seed=0), shared_plan=shared_plan)
+    server = QueryServer(registry, BernoulliOracle(seed=0))
     for name, tree in population:
         server.register(name, tree)
     report = server.run_batch(rounds)
@@ -74,11 +74,10 @@ def assert_same_reports(kernel, reference):
 
 
 class TestDeterministicParity:
-    @pytest.mark.parametrize("shared_plan", [True, False])
-    def test_reports_and_metrics_identical(self, shared_plan):
+    def test_reports_and_metrics_identical(self):
         population = deterministic_population(30, seed=9)
         (kernel_server, kernel), (reference_server, reference) = on_both(
-            lambda: serve_population(population, shared_plan=shared_plan)
+            lambda: serve_population(population)
         )
         assert_same_reports(kernel, reference)
         assert asdict(kernel_server.metrics) == asdict(reference_server.metrics)

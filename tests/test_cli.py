@@ -136,7 +136,6 @@ class TestServeSim:
                     "--rounds",
                     "3",
                     "--no-plan-cache",
-                    "--no-shared-plan",
                 ]
             )
             == 0
