@@ -3,9 +3,9 @@
 
 A fleet's query population arrives in interest groups — each group's queries
 window the same few streams and share nothing with the others. One
-:class:`~repro.service.QueryServer` still serves them correctly, but its
-global plan merge compares every query against every other, mostly across
-groups that can never share a window. This example:
+:class:`~repro.service.QueryServer` still serves them correctly, but every
+round and every recompile after churn covers the whole population, though
+no window is ever shared across groups. This example:
 
 * generates an overlap-clustered population (6 stream groups, 180 queries);
 * partitions it with the stream-overlap partitioner and prints the report

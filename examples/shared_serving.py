@@ -8,9 +8,10 @@ and shows the two headline effects:
 
 * the plan cache admits 100 queries while paying the scheduler only ~10
   times ("pay one, get hundreds");
-* the shared global probe order pays each stream window once per round for
-  the whole population, so the batched cost lands far below the sum of the
-  queries run in isolation.
+* the shared stream cache pays each stream window once per round for the
+  whole population (the first query in registration order pays, the rest
+  read it free), so the batched cost lands far below the sum of the queries
+  run in isolation.
 
 Run: python examples/shared_serving.py
 """

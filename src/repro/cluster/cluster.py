@@ -1055,6 +1055,16 @@ class ClusterServer:
         shards = [shard.names for shard in self.shards.values() if len(shard)]
         return partition_report(graph, shards, method="current")
 
+    def _streams_stay_home(self) -> bool:
+        """Whether every stream is read on at most one shard."""
+        seen: set[str] = set()
+        for shard in self.shards.values():
+            streams = shard.signature.keys()
+            if not seen.isdisjoint(streams):
+                return False
+            seen.update(streams)
+        return True
+
     @_synchronized
     def rebalance(
         self, *, force: bool = False, trigger: str = "operator"
@@ -1071,10 +1081,15 @@ class ClusterServer:
         logged :class:`ElasticEvent` (its ``detail`` gives the kept overlap
         before and after), or ``None`` when the current placement is
         already good enough; :meth:`partition_report` scores the new one.
+        Without ``force``, a placement in which no stream is read on two
+        shards returns ``None`` without building the overlap graph: it cuts
+        no weight, so no candidate can keep strictly more.
         """
         population = self._live_population()
         if not population:
             raise StreamError("no queries registered in any shard")
+        if not force and self._streams_stay_home():
+            return None
         op_start = time.perf_counter()
         # One overlap graph serves both the current placement's score and
         # the candidate partition.

@@ -199,6 +199,28 @@ class TestRebalance:
         assert cluster.rebalance() is None
         assert cluster.rebalances == 0
 
+    def test_rebalance_skips_the_graph_when_no_stream_spans_shards(self, monkeypatch):
+        """A placement reading every stream on one shard cuts no weight, so
+        an unforced rebalance returns before building the overlap graph."""
+        import repro.cluster.cluster as cluster_module
+
+        calls = []
+        build = cluster_module.build_overlap_graph
+
+        def counting_build(*args, **kwargs):
+            calls.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(cluster_module, "build_overlap_graph", counting_build)
+        registry, population = small_environment(seed=23)
+        placed = ClusterServer(registry, n_shards=3)
+        placed.register_population(population)
+        assert placed.rebalance() is None and not calls
+        assert placed.rebalance(force=True) is not None and len(calls) == 1
+        scattered = ClusterServer(registry, n_shards=3, seed=30)
+        scattered.register_population(population, method="random")
+        assert scattered.rebalance() is not None and len(calls) == 2
+
     def test_rebalance_repairs_random_placement(self):
         registry, population = small_environment(seed=29, n_queries=30)
         cluster = ClusterServer(registry, n_shards=3, seed=30)
