@@ -2,7 +2,7 @@
 
 Measures wall-clock throughput (query-evaluations per second) and sharing
 effectiveness (probes free via the shared cache, items saved, plan-cache hit
-rate) across the ablation grid {plan cache on/off} x {shared plan on/off}.
+rate) with the plan cache on and off.
 ``REPRO_BENCH_FULL=1`` adds the 1000-query population to the default 10/100.
 """
 
@@ -19,14 +19,13 @@ from repro.service import QueryServer, synthetic_population, synthetic_registry
 ROUNDS = 20
 
 
-def serve(n_queries: int, *, plan_cache: bool, shared_plan: bool):
+def serve(n_queries: int, *, plan_cache: bool):
     registry = synthetic_registry(8, seed=7)
     population = synthetic_population(n_queries, registry, seed=8)
     server = QueryServer(
         registry,
         BernoulliOracle(seed=9),
         plan_cache=256 if plan_cache else None,
-        shared_plan=shared_plan,
     )
     admit_start = time.perf_counter()
     for name, tree in population:
@@ -44,21 +43,13 @@ class TestServiceThroughput:
         rows = []
         records = []
         for n_queries in populations:
-            for plan_cache, shared_plan in (
-                (True, True),
-                (True, False),
-                (False, True),
-                (False, False),
-            ):
-                server, report, admit_s, run_s = serve(
-                    n_queries, plan_cache=plan_cache, shared_plan=shared_plan
-                )
+            for plan_cache in (True, False):
+                server, report, admit_s, run_s = serve(n_queries, plan_cache=plan_cache)
                 evals = n_queries * ROUNDS
                 rows.append(
                     (
                         n_queries,
                         "on" if plan_cache else "off",
-                        "on" if shared_plan else "off",
                         f"{admit_s * 1e3:.1f}",
                         f"{evals / run_s:,.0f}",
                         f"{report.total_cost:.5g}",
@@ -71,7 +62,6 @@ class TestServiceThroughput:
                     {
                         "n_queries": n_queries,
                         "plan_cache": plan_cache,
-                        "shared_plan": shared_plan,
                         "rounds": ROUNDS,
                         "admit_seconds": admit_s,
                         "run_seconds": run_s,
@@ -90,7 +80,6 @@ class TestServiceThroughput:
             (
                 "queries",
                 "plan-cache",
-                "shared-plan",
                 "admit ms",
                 "evals/s",
                 "total cost",

@@ -394,10 +394,10 @@ class QueryServer:
 
         ``replace=True`` cleanly swaps an existing registration of ``name``
         (the compiled round program is dropped, never reused for the new
-        tree, and the new query takes the last place in registration order); the default rejects duplicates. The new
-        tree is validated, canonicalized and planned before the old
-        registration leaves, so a replacement that raises leaves the old
-        query served as it was.
+        tree, and the new query takes the last place in registration
+        order); the default rejects duplicates. The new tree is validated,
+        canonicalized and planned before the old registration leaves, so a
+        replacement that raises leaves the old query served as it was.
 
         Raises :class:`~repro.errors.AdmissionError` on a duplicate name or a
         full server, :class:`~repro.errors.StreamError` when the tree uses an
@@ -538,8 +538,9 @@ class QueryServer:
         raises and leaves this server untouched.
 
         The round clock moves forward to the source's when behind, so
-        transplanted re-plan cooldowns keep their meaning. Each shape's adaptive belief transplants when this server
-        is adaptive and does not already track the shape. The source
+        transplanted re-plan cooldowns keep their meaning. Each shape's
+        adaptive belief transplants when this server is adaptive and does
+        not already track the shape. The source
         cache's held items are adopted after the movers are registered, so
         this server's relevance horizon already covers their streams. This
         server's ledger counts only the rounds it serves; the group's
@@ -665,8 +666,6 @@ class QueryServer:
         if name == self.scheduler.name:
             return self.scheduler
         return get_scheduler(name)
-
-    # -- execution ------------------------------------------------------
 
     # -- adaptive re-planning -------------------------------------------
 
@@ -840,6 +839,8 @@ class QueryServer:
                     )
                 )
         return events
+
+    # -- execution ------------------------------------------------------
 
     def _advance_drifting_oracles(self, rounds: int) -> None:
         """Tick every drifting oracle's ground-truth clock once per round."""

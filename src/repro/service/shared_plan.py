@@ -96,11 +96,12 @@ class RoundProgram:
     order of ``indexes``): every tree's nodes are laid out in one
     population-wide flat list, each query's schedule becomes a run of
     steps (:data:`Step`) by indexing, and each query's ``oracle.outcome``
-    is bound once. A round (:meth:`run`) then resolves no name and allocates nothing
-    per resident: it resets the flat node state and walks the steps. A
-    leaf's node holds its outcome when its probe was evaluated, so
-    :meth:`values` and :meth:`results` read the last round back per query
-    from that state, for the callers that need them. The program depends
+    is bound once. A round (:meth:`run`) then resolves no name and
+    allocates nothing per resident: it resets the flat node state and
+    walks the steps. A leaf's node holds its outcome when its probe was
+    evaluated, so :meth:`values` and :meth:`results` read the last round
+    back per query from that state, for the callers that need them. The
+    program depends
     only on the trees, the schedules and the oracles, so it serves every
     round until one of them changes.
     """
@@ -161,8 +162,8 @@ class RoundProgram:
     def run(self, cache: Union[DataItemCache, CountingCache]) -> RoundStats:
         """Execute one round with per-query early termination.
 
-        Walks the steps once; a probe is skipped for free when
-        its query's root is already resolved (early termination) or the
+        Walks the steps once; a probe is skipped for free when its
+        query's root is already resolved (early termination) or the
         leaf's AND/OR ancestors short-circuited it away: one guard check per
         probe over the leaf's precomputed ancestors in the flat node state,
         and an iterative walk toward the root per evaluated probe. Per

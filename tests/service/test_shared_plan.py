@@ -3,7 +3,6 @@ sharing cost-dominance property."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
