@@ -194,11 +194,16 @@ def run_script(kind: str, oracles: str, seed: int) -> list[tuple]:
 
 
 class TestOrderFreeRounds:
-    @pytest.mark.parametrize("kind", ["small-population", "clustered"])
-    @pytest.mark.parametrize("oracles", ["drifting", "data-driven"])
+    @pytest.mark.parametrize(
+        "kind", ["small-population", "clustered"], ids=["pool", "clusters"]
+    )
+    @pytest.mark.parametrize(
+        "oracles", ["drifting", "data-driven"], ids=["drift", "data"]
+    )
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000))
-    def test_any_interleave_serves_the_same_round(self, kind, oracles, seed):
+    def test_any_interleave_agrees(self, kind, oracles, seed):
+        """Any interleave serves the same round as the registration order."""
         run_script(kind, oracles, seed)
 
     def test_scripts_fire_drift_replans(self):

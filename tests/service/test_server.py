@@ -247,21 +247,35 @@ class TestReRegistration:
         assert (replaced.planning_tree is not None) == (isomorphs == 2)
         assert server._shape_refs[key] == isomorphs
 
-    def test_replace_recompiles_the_round_program(self):
+    @pytest.mark.parametrize("payer", [True, False])
+    def test_replace_recompiles_the_round_program(self, payer):
+        """Replacing the first-registered payer or the later rider recompiles,
+        and the replacement pays from the last place in registration order."""
         from repro.engine import PrecomputedOracle
 
         server = QueryServer(tiny_registry())
         server.register("q", self.a_tree(), oracle=PrecomputedOracle([True]))
         server.register("r", self.a_tree(), oracle=PrecomputedOracle([True]))
-        assert server.step()["q"].value is True
+        first = server.step()
+        assert first["q"].value is True and first["q"].cost > 0.0
+        assert first["r"].cost == 0.0
+        replaced, kept = ("q", "r") if payer else ("r", "q")
         server.register(
-            "q", self.b_tree(), oracle=PrecomputedOracle([True, False]), replace=True
+            replaced,
+            self.b_tree(),
+            oracle=PrecomputedOracle([True, False]),
+            replace=True,
         )
+        assert list(server.registered) == [kept, replaced]
         results = server.step()
         # A stale program would still serve the 1-leaf tree (always TRUE).
-        assert results["q"].value is False
-        assert results["q"].evaluated == (0, 1)
-        assert results["r"].value is True
+        assert results[replaced].value is False
+        assert results[replaced].evaluated == (0, 1)
+        assert results[kept].value is True
+        # The kept query, now first, pays the new A item; the replacement
+        # reads it for free and pays only for B.
+        assert results[kept].cost == 1.0
+        assert results[replaced].cost == 4.0
 
 
 class TestDriftingOracleClock:

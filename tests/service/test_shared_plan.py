@@ -109,6 +109,42 @@ class TestRoundProgram:
             (name, g) for name, schedule in schedules.items() for g in schedule
         ]
 
+    def test_reorder_recompiles_every_probe_once(self):
+        """After a reorder the next round compiles a new program whose steps
+        hold every scheduled probe exactly once, in the new order."""
+        registry, population = small_population(0)
+        server = QueryServer(registry)
+        for name, tree in population:
+            server.register(name, tree, oracle=DataDrivenOracle())
+        server.step()
+        before = server._program
+        server.reorder(list(server.registered)[::-1])
+        server.step()
+        program = server._program
+        assert program is not before
+        assert program.names == server.registered
+        steps = [(program.names[slot], record[0]) for slot, _, record in program.steps]
+        scheduled = [
+            (name, g) for name in server.registered for g in server.query(name).schedule
+        ]
+        assert steps == scheduled
+        assert len(set(steps)) == len(steps)
+
+    def test_slots_follow_the_order_of_the_indexes(self):
+        """Slots number the queries in the order of ``indexes``, whatever
+        order the schedules and oracles come in; costs are read per slot."""
+        tree_a = DnfTree([[Leaf("A", 1, 0.5)]], {"A": 1.0})
+        tree_b = DnfTree([[Leaf("B", 1, 0.5)]], {"B": 2.0})
+        program = RoundProgram(
+            {"b": TreeIndex(tree_b), "a": TreeIndex(tree_a)},
+            {"a": (0,), "b": (0,)},
+            {"a": PrecomputedOracle([True]), "b": PrecomputedOracle([True])},
+        )
+        assert program.names == ("b", "a")
+        assert [slot for slot, _, _ in program.steps] == [0, 1]
+        stats = program.run(CountingCache({"A": 1.0, "B": 2.0}))
+        assert stats.query_cost == [2.0, 1.0]
+
     def test_first_registered_reader_pays_the_window(self):
         """One fetch serves every reader; the earliest registered one pays."""
         window = DnfTree([[Leaf("X", 4, 0.5)]], {"X": 10.0})

@@ -74,8 +74,12 @@ def assert_same_reports(kernel, reference):
 
 
 class TestDeterministicParity:
-    def test_reports_and_metrics_identical(self):
+    @pytest.mark.parametrize("reverse", [True, False])
+    def test_reports_and_metrics_identical(self, reverse):
+        """Either registration order: another first payer, the same parity."""
         population = deterministic_population(30, seed=9)
+        if reverse:
+            population = population[::-1]
         (kernel_server, kernel), (reference_server, reference) = on_both(
             lambda: serve_population(population)
         )
