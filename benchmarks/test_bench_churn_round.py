@@ -1,4 +1,4 @@
-"""Control-plane scaling: admission and the churn round at 10^2..10^4 queries.
+"""Single-server scaling: admission and the churn round at 10^2..10^4 queries.
 
 One row per resident-population size on ``synthetic_registry(32)`` +
 ``synthetic_population(n)`` (fixed seeds), with the columns of the ROADMAP
@@ -84,8 +84,8 @@ def measure(n: int) -> dict:
     }
 
 
-class TestMergeScaling:
-    def test_control_plane_scaling(self):
+class TestChurnRound:
+    def test_churn_round_scaling(self):
         rows = [measure(n) for n in SIZES]
         for row in rows:
             # Every resident's schedule probes at least one leaf.
@@ -113,8 +113,8 @@ class TestMergeScaling:
                 for row in rows
             ],
         )
-        emit_report("merge_scaling", table)
+        emit_report("churn_round", table)
         emit_json(
-            "merge_scaling",
+            "churn_round",
             {"seed": SEED, "rounds": ROUNDS, "rows": rows},
         )

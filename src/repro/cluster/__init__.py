@@ -11,7 +11,7 @@ model says sharing stops paying:
   refinement, and reports explaining what a partition keeps, cuts and
   duplicates;
 * :mod:`~repro.cluster.shard` — one shard: a :class:`Shard` keeping the
-  population mirror (names, trees, stream signature) and sending every
+  incidence index every placement decision reads, and sending every
   other operation through the one command table, over an in-process
   transport (thread mode) or a worker pipe
   (:mod:`~repro.cluster.worker`, process mode);

@@ -8,8 +8,8 @@ cache, own adaptive controller), and a :class:`~repro.cluster.router.ShardRouter
 admits runtime arrivals to the shard whose streams they already share.
 Sharing stays *within* a shard — where the overlap graph says it actually
 exists — while shards stay independent, so a churn event (admission,
-departure, re-plan) invalidates one shard's merged plan instead of the whole
-population's, and worker-process shards batch in parallel.
+departure, re-plan) recompiles one shard's round program instead of the
+whole population's, and worker-process shards batch in parallel.
 
 All shards share one thread-safe :class:`~repro.service.plan_cache.PlanCache`,
 so a canonical query shape pays its scheduling cost once across the entire
@@ -52,10 +52,12 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 from repro.adaptive.elastic import ElasticPolicy
 from repro.adaptive.policy import AdaptivePolicy
 from repro.cluster.partition import (
+    OverlapGraph,
     Partition,
     PartitionReport,
     TreeLike,
     build_overlap_graph,
+    overlap_graph,
     pack_pieces,
     partition_by_overlap,
     partition_report,
@@ -594,20 +596,16 @@ class ClusterServer:
         partition lands on the ``i``-th live shard (by ascending id); queries
         register in population order within each shard, so a 1-shard cluster
         is probe-for-probe identical to the unsharded :class:`QueryServer`.
+        Nothing registers when a piece would overfill its shard's capacity.
         """
         if partition is None:
-            costs = self.registry.cost_table()
+            graph = build_overlap_graph(population, self.registry.cost_table())
             if method == "overlap":
                 partition = partition_by_overlap(
-                    population,
-                    self.n_shards,
-                    costs,
-                    max_shard_queries=self._max_shard_queries,
+                    graph, self.n_shards, max_shard_queries=self._max_shard_queries
                 )
             elif method == "random":
-                partition = random_partition(
-                    population, self.n_shards, costs, seed=self.seed
-                )
+                partition = random_partition(graph, self.n_shards, seed=self.seed)
             else:
                 raise AdmissionError(
                     f"unknown partition method {method!r}; use 'overlap' or 'random'"
@@ -626,6 +624,14 @@ class ClusterServer:
             raise AdmissionError(f"queries {resident!r} are already registered")
         order = {name: i for i, (name, _) in enumerate(population)}
         shard_ids = sorted(self.shards)
+        cap = self._max_shard_queries
+        for shard_id, members in zip(shard_ids, partition.shards):
+            held = len(self.shards[shard_id])
+            if cap is not None and held + len(members) > cap:
+                raise AdmissionError(
+                    f"shard {shard_id} holds {held} queries; {len(members)} "
+                    f"more would exceed its capacity of {cap}"
+                )
         for shard_id, members in zip(shard_ids, partition.shards):
             shard = self.shards[shard_id]
             for name in sorted(members, key=order.__getitem__):
@@ -779,12 +785,7 @@ class ClusterServer:
         for sid in sorted(self.shards):
             if sid == home_id:
                 continue
-            other = self.shards[sid]
-            if not len(other) or new_streams.isdisjoint(other.signature):
-                continue
-            for members, weights in self._components(other):
-                if new_streams.isdisjoint(weights):
-                    continue
+            for members, _ in self.shards[sid].components(new_streams):
                 if (
                     self._max_shard_queries is not None
                     and home_size + len(members) > self._max_shard_queries
@@ -793,30 +794,6 @@ class ClusterServer:
                 home_size += len(members)
                 target.update(dict.fromkeys(members, home_id))
         self._apply(target)
-
-    def _components(
-        self, shard: Shard
-    ) -> Iterator[tuple[list[str], dict[str, float]]]:
-        """``shard``'s overlap components, one ``(members, weights)`` each.
-
-        ``members`` is in the shard's registration order and ``weights``
-        maps each stream the component windows to its maximum acquisition
-        weight over the members. Callers plan every component before
-        :meth:`_apply` moves any of them.
-        """
-        names = shard.names
-        graph = build_overlap_graph(
-            [(name, shard.tree(name)) for name in names], self.registry.cost_table()
-        )
-        order = {name: index for index, name in enumerate(names)}
-        for component in graph.components():
-            members = sorted(component, key=order.__getitem__)
-            weights: dict[str, float] = {}
-            for name in members:
-                for stream, weight in graph.weights[name].items():
-                    if weight > weights.get(stream, 0.0):
-                        weights[stream] = weight
-            yield members, weights
 
     def _log_elastic(self, event: ElasticEvent, duration: float = 0.0) -> ElasticEvent:
         """Append to the audit log and mirror the action into telemetry."""
@@ -847,8 +824,9 @@ class ClusterServer:
         Movers group per (source, destination) pair in cluster admission
         order; a pair is one ``export_group`` and one ``admit_group``
         command, carrying the queries verbatim with the source's held items
-        and round clock, and lands in the cluster's admission order (merge
-        tie-breaks must not depend on travel history). Returns the groups.
+        and round clock, and lands in the cluster's admission order
+        (registration order decides which resident pays for a shared window,
+        so it must not depend on travel history). Returns the groups.
         """
         if not target:
             return {}
@@ -904,8 +882,7 @@ class ClusterServer:
         if len(shard) < 2:
             return None
         op_start = time.perf_counter()
-        population = [(name, shard.tree(name)) for name in shard.names]
-        graph = build_overlap_graph(population, self.registry.cost_table())
+        graph = overlap_graph(shard.rows.items())
         pieces = shard_split_pieces(graph, allow_cut=allow_cut)
         if len(pieces) <= 1:
             return None
@@ -950,7 +927,7 @@ class ClusterServer:
         others = [s for sid, s in self.shards.items() if sid != shard_id]
         loads = {other.shard_id: len(other) for other in others}
         target: dict[str, int] = {}
-        for members, weights in self._components(shard) if len(shard) else ():
+        for members, weights in shard.components():
             try:
                 decision = self.router.route_group(
                     members[0], weights, others, loads, group_size=len(members)
@@ -1039,31 +1016,25 @@ class ClusterServer:
 
     # -- placement maintenance -------------------------------------------
 
-    def _live_population(self) -> list[tuple[str, TreeLike]]:
-        return [
-            (name, self.shards[shard_id].tree(name))
-            for name, shard_id in self._assignment.items()
-        ]
+    def _live_graph(self) -> OverlapGraph:
+        """The residents' overlap graph, in cluster admission order."""
+        return overlap_graph(
+            (name, self.shards[sid].rows[name])
+            for name, sid in self._assignment.items()
+        )
 
     @_synchronized
     def partition_report(self) -> PartitionReport:
         """Score the *current* placement against the live overlap graph."""
-        population = self._live_population()
-        if not population:
+        if not self._assignment:
             raise StreamError("no queries registered in any shard")
-        graph = build_overlap_graph(population, self.registry.cost_table())
         shards = [shard.names for shard in self.shards.values() if len(shard)]
-        return partition_report(graph, shards, method="current")
+        return partition_report(self._live_graph(), shards, method="current")
 
     def _streams_stay_home(self) -> bool:
         """Whether every stream is read on at most one shard."""
-        seen: set[str] = set()
-        for shard in self.shards.values():
-            streams = shard.signature.keys()
-            if not seen.isdisjoint(streams):
-                return False
-            seen.update(streams)
-        return True
+        streams = [s for shard in self.shards.values() for s in shard.signature]
+        return len(streams) == len(set(streams))
 
     @_synchronized
     def rebalance(
@@ -1085,26 +1056,21 @@ class ClusterServer:
         shards returns ``None`` without building the overlap graph: it cuts
         no weight, so no candidate can keep strictly more.
         """
-        population = self._live_population()
-        if not population:
+        if not self._assignment:
             raise StreamError("no queries registered in any shard")
         if not force and self._streams_stay_home():
             return None
         op_start = time.perf_counter()
         # One overlap graph serves both the current placement's score and
         # the candidate partition.
-        graph = build_overlap_graph(population, self.registry.cost_table())
+        graph = self._live_graph()
         old_report = partition_report(
             graph,
             [shard.names for shard in self.shards.values() if len(shard)],
             method="current",
         )
         candidate = partition_by_overlap(
-            population,
-            self.n_shards,
-            self.registry.cost_table(),
-            max_shard_queries=self._max_shard_queries,
-            graph=graph,
+            graph, self.n_shards, max_shard_queries=self._max_shard_queries
         )
         improved = candidate.report.intra_weight > old_report.intra_weight
         if not (improved or force):

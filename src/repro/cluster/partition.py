@@ -2,9 +2,10 @@
 
 The shared-stream cost model only pays when queries that touch the *same*
 streams are served together; queries with disjoint stream sets gain nothing
-from sharing a cache — they only inflate the server's global plan merge.
+from sharing a cache — they only lengthen each other's rounds.
 This module builds the query<->stream bipartite overlap graph of a
-population and clusters it into at most ``k`` shards:
+population (:func:`overlap_graph`, from each query's stream weight vector)
+and clusters it into at most ``k`` shards:
 
 * two queries overlap with weight ``sum_s min(w_a[s], w_b[s])`` where
   ``w_q[s]`` is the per-round acquisition spend query ``q`` can put on
@@ -15,7 +16,8 @@ population and clusters it into at most ``k`` shards:
   unit — so every tie is a real tie, whatever the summation order;
 * connected components of the overlap graph are the natural clusters: a
   component never benefits from co-residence with another, so splitting
-  *across* components is free while splitting *within* one loses sharing;
+  *across* components is free while splitting *within* one loses sharing
+  (:func:`overlap_components` walks them, here and in each shard's index);
 * components are packed onto shards longest-processing-time-first
   (balance) and refined by label-propagation sweeps; an oversized
   component is split along its communities when that keeps most of its
@@ -32,7 +34,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -90,47 +92,57 @@ class OverlapGraph:
     scale: int
 
     def components(self) -> list[list[str]]:
-        """Connected components of the overlap graph, in first-seen order.
-
-        Queries are connected when they share at least one stream; a
-        population with zero overlap yields one singleton per query.
-        """
-        parent = {name: name for name in self.names}
-
-        def find(x: str) -> str:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for members in self.by_stream.values():
-            first = members[0]
-            for other in members[1:]:
-                ra, rb = find(first), find(other)
-                if ra != rb:
-                    parent[rb] = ra
-        grouped: dict[str, list[str]] = {}
-        for name in self.names:
-            grouped.setdefault(find(name), []).append(name)
-        return list(grouped.values())
+        """Connected components (queries sharing a stream), in first-seen
+        order; a population with zero overlap yields one singleton each."""
+        rank = {name: index for index, name in enumerate(self.names)}
+        return overlap_components(
+            self.names, self.weights, self.by_stream, rank.__getitem__
+        )
 
 
-def build_overlap_graph(
-    population: Sequence[tuple[str, TreeLike]], costs: Mapping[str, float]
-) -> OverlapGraph:
-    """Overlap graph of ``population`` under the registry's cost table."""
-    if not population:
-        raise StreamError("cannot build an overlap graph of an empty population")
-    names: list[str] = []
-    weights: dict[str, dict[str, float]] = {}
+def overlap_components(
+    seeds: Iterable[str],
+    rows: Mapping[str, Iterable[str]],
+    readers: Mapping[str, Iterable[str]],
+    rank: Callable[[str], int],
+) -> list[list[str]]:
+    """The connected components holding ``seeds``, walked over shared streams.
+
+    ``rows`` maps a query to its streams, ``readers`` a stream to its
+    queries. Members come in ``rank`` order, components in the rank order of
+    their first member. The walk costs the components it returns.
+    """
+    seen: set[str] = set()
+    walked: set[str] = set()
+    components: list[list[str]] = []
+    for seed in seeds:
+        if seed in seen:
+            continue
+        seen.add(seed)
+        component = [seed]
+        for name in component:  # grows while walked: a breadth-first search
+            for stream in rows[name]:
+                if stream not in walked:
+                    walked.add(stream)
+                    fresh = [other for other in readers[stream] if other not in seen]
+                    seen.update(fresh)
+                    component.extend(fresh)
+        components.append(sorted(component, key=rank))
+    return sorted(components, key=lambda component: rank(component[0]))
+
+
+def overlap_graph(rows: Iterable[tuple[str, Mapping[str, float]]]) -> OverlapGraph:
+    """Overlap graph of ``(name, stream weight vector)`` rows, in row order."""
+    weights: dict[str, Mapping[str, float]] = {}
     by_stream: dict[str, list[str]] = {}
-    for name, tree in population:
+    for name, row in rows:
         if name in weights:
             raise StreamError(f"duplicate query name {name!r} in population")
-        names.append(name)
-        weights[name] = stream_weight_vector(tree, costs)
-        for stream in weights[name]:
+        weights[name] = row
+        for stream in row:
             by_stream.setdefault(stream, []).append(name)
+    if not weights:
+        raise StreamError("cannot build an overlap graph of an empty population")
     distinct = {w for row in weights.values() for w in row.values()}
     # Every denominator is a power of two, so the largest is a multiple of all.
     scale = max((w.as_integer_ratio()[1] for w in distinct), default=1)
@@ -140,11 +152,20 @@ def build_overlap_graph(
         for name, row in weights.items()
     }
     return OverlapGraph(
-        names=tuple(names),
+        names=tuple(weights),
         weights=weights,
         by_stream={stream: tuple(members) for stream, members in by_stream.items()},
         units=units,
         scale=scale,
+    )
+
+
+def build_overlap_graph(
+    population: Sequence[tuple[str, TreeLike]], costs: Mapping[str, float]
+) -> OverlapGraph:
+    """Overlap graph of ``population`` under the registry's cost table."""
+    return overlap_graph(
+        (name, stream_weight_vector(tree, costs)) for name, tree in population
     )
 
 
@@ -465,14 +486,9 @@ def pack_pieces(pieces: Sequence[Sequence[str]], k: int) -> list[list[str]]:
 
 
 def partition_by_overlap(
-    population: Sequence[tuple[str, TreeLike]],
-    k: int,
-    costs: Mapping[str, float],
-    *,
-    max_shard_queries: int | None = None,
-    graph: OverlapGraph | None = None,
+    graph: OverlapGraph, k: int, *, max_shard_queries: int | None = None
 ) -> Partition:
-    """Cluster ``population`` into at most ``k`` shards by stream overlap.
+    """Cluster ``graph``'s queries into at most ``k`` shards by stream overlap.
 
     Connected overlap components are the starting clusters. A *dense*
     component is never split for width — a fully-overlapping population
@@ -489,15 +505,12 @@ def partition_by_overlap(
     packed onto shards LPT-style (largest first onto the lightest shard),
     then refined with two label-propagation sweeps. Every overlap sum is
     exact (per-stream counts of :class:`OverlapGraph` ``units``), so a tie
-    is a real tie. Callers that already built the population's
-    :class:`OverlapGraph` pass it via ``graph`` to skip the rebuild.
+    is a real tie.
     """
     if k < 1:
         raise StreamError(f"need at least one shard, got {k}")
     if max_shard_queries is not None and max_shard_queries < 1:
         raise StreamError(f"max_shard_queries must be >= 1, got {max_shard_queries}")
-    if graph is None:
-        graph = build_overlap_graph(population, costs)
     if max_shard_queries is not None and len(graph.names) > k * max_shard_queries:
         raise StreamError(
             f"{len(graph.names)} queries cannot fit {k} shards of capacity "
@@ -564,17 +577,10 @@ def partition_by_overlap(
     return _partition(graph, shards, "overlap")
 
 
-def random_partition(
-    population: Sequence[tuple[str, TreeLike]],
-    k: int,
-    costs: Mapping[str, float],
-    *,
-    seed: int = 0,
-) -> Partition:
-    """Overlap-blind baseline: shuffle the population, deal round-robin."""
+def random_partition(graph: OverlapGraph, k: int, *, seed: int = 0) -> Partition:
+    """Overlap-blind baseline: shuffle the queries, deal round-robin."""
     if k < 1:
         raise StreamError(f"need at least one shard, got {k}")
-    graph = build_overlap_graph(population, costs)
     names = list(graph.names)
     np.random.default_rng(seed).shuffle(names)
     n_shards = min(k, len(names))

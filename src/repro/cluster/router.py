@@ -15,9 +15,9 @@ shard's stream-disjoint component) the same way, so elastic moves and
 admissions share one placement objective.
 
 Scores read each shard's live :attr:`~repro.cluster.shard.Shard.signature`,
-which the shard keeps current from its population mirror, so a route made
-right after any admission, departure, migration or rebalance already sees
-it.
+the exact per-stream maxima of the shard's incidence index. Every
+admission, departure and migration updates the index in place, so a route
+made right after any of them (or a rebalance) already sees it.
 """
 
 from __future__ import annotations

@@ -1,15 +1,16 @@
-"""One shard of a serving cluster: a population mirror over a command transport.
+"""One shard of a serving cluster: an incidence index over a command transport.
 
 A shard is one :class:`~repro.service.server.QueryServer` — one shared-stream
-cache with one merged probe plan over it. Where that server runs (a thread
-or a spawned process) changes only the transport, so :class:`Shard` is the
-single parent-side handle for both executors:
+cache whose rounds serve every resident in registration order. Where that
+server runs (a thread or a spawned process) changes only the transport, so
+:class:`Shard` is the single parent-side handle for both executors:
 
-* it keeps the shard's *population mirror* — resident names in registration
-  order, their trees, and the *stream signature* (per-stream max acquisition
-  weight over the residents) — which the router and the cluster's control
-  plane read without a call (every mutation flows through the shard, so the
-  mirror cannot drift from the server);
+* it keeps the shard's *incidence index* — each resident's stream weight
+  row in registration order, each stream's readers with their weights, and
+  the *stream signature* (each stream's exact max weight over its readers)
+  — which the router and the cluster's control plane read without a call
+  (every mutation flows through the shard, so the index cannot drift from
+  the server);
 * every other operation goes out as ``(op, args, kwargs)`` through a
   transport and runs in :func:`run_command`, the one command table. Its 8
   ops: ``run_batch`` and ``step`` (serving), ``register`` and
@@ -31,13 +32,14 @@ import-time side effects (RPR004).
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from multiprocessing.connection import Connection
-from typing import Any, Mapping, Protocol, Sequence
+from typing import Any, Iterable, Mapping, Protocol, Sequence
 
 from repro.adaptive.policy import AdaptivePolicy
-from repro.cluster.partition import TreeLike, stream_weight_vector
+from repro.cluster.partition import TreeLike, overlap_components, stream_weight_vector
 from repro.core.heuristics.base import Scheduler
 from repro.engine.executor import ExecutionResult, LeafOracle
 from repro.errors import AdmissionError, StreamError
@@ -213,7 +215,7 @@ class InProcessTransport:
 
 
 class Shard:
-    """A routed shard: a population mirror plus a command transport."""
+    """A routed shard: an incidence index plus a command transport."""
 
     def __init__(
         self,
@@ -224,58 +226,84 @@ class Shard:
         self.shard_id = shard_id
         self.transport = transport
         self._costs = dict(costs)
-        #: Resident name -> tree, in the server's registration order.
-        self._trees: dict[str, TreeLike] = {}
+        #: Resident name -> stream weight row, in the server's registration order.
+        self._rows: dict[str, dict[str, float]] = {}
+        #: Resident name -> registration rank (orders component members).
+        self._rank: dict[str, int] = {}
+        self._ranks = itertools.count()
+        #: Stream -> its readers' weights on it.
+        self._readers: dict[str, dict[str, float]] = {}
         self._signature: dict[str, float] = {}
-        self._signature_stale = False
         self.last_batch_seconds: float = 0.0
 
     def _call(self, op: str, *args, **kwargs) -> Any:
         return self.transport.call(op, args, kwargs)
 
-    # -- population mirror ----------------------------------------------
+    # -- incidence index -------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._trees)
+        return len(self._rows)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._trees
+        return name in self._rows
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(self._trees)
-
-    def tree(self, name: str) -> TreeLike:
-        """The tree ``name`` was admitted with (no call to the server)."""
-        return self._trees[name]
+        return tuple(self._rows)
 
     @property
-    def signature(self) -> dict[str, float]:
-        """stream -> max acquisition weight over the residents.
+    def rows(self) -> Mapping[str, Mapping[str, float]]:
+        """Resident name -> stream weight row, in registration order."""
+        return self._rows
 
-        Grows on admission; a departure marks it stale and the next read
-        rebuilds it, so departed queries do not pin streams and a migrated
-        group pays one rebuild, not one per mover.
-        """
-        if self._signature_stale:
-            self._signature = {}
-            for tree in self._trees.values():
-                self._grow_signature(tree)
-            self._signature_stale = False
+    @property
+    def signature(self) -> Mapping[str, float]:
+        """Stream -> max acquisition weight over the residents reading it."""
         return self._signature
 
-    def _grow_signature(self, tree: TreeLike) -> None:
-        for stream, weight in stream_weight_vector(tree, self._costs).items():
+    def components(
+        self, streams: Iterable[str] | None = None
+    ) -> list[tuple[list[str], dict[str, float]]]:
+        """The overlap components reading one of ``streams`` (all when
+        ``None``) as ``(members, weights)``, in registration order of their
+        first member, members in registration order. ``weights`` holds each
+        stream's signature weight (all its readers are in one component),
+        keyed in first-seen order over the members' rows.
+        """
+        if streams is None:
+            seeds: Iterable[str] = self._rows
+        else:
+            seeds = [name for s in streams for name in self._readers.get(s, ())]
+        return [
+            (members, {s: self._signature[s] for n in members for s in self._rows[n]})
+            for members in overlap_components(
+                seeds, self._rows, self._readers, self._rank.__getitem__
+            )
+        ]
+
+    def _admit(self, name: str, tree: TreeLike) -> None:
+        row = stream_weight_vector(tree, self._costs)
+        self._rows[name] = row
+        self._rank[name] = next(self._ranks)
+        for stream, weight in row.items():
+            self._readers.setdefault(stream, {})[name] = weight
             if weight > self._signature.get(stream, 0.0):
                 self._signature[stream] = weight
 
-    def _admit(self, name: str, tree: TreeLike) -> None:
-        self._trees[name] = tree
-        self._grow_signature(tree)
-
-    def _forget(self, name: str) -> None:
-        del self._trees[name]
-        self._signature_stale = True
+    def _forget(self, names: Sequence[str]) -> None:
+        """Drop ``names``; a stream whose max holder left recomputes it once."""
+        stale: set[str] = set()
+        for name in names:
+            del self._rank[name]
+            for stream, weight in self._rows.pop(name).items():
+                del self._readers[stream][name]
+                if weight == self._signature[stream]:
+                    stale.add(stream)
+        for stream in stale:
+            if self._readers[stream]:
+                self._signature[stream] = max(self._readers[stream].values())
+            else:
+                del self._readers[stream], self._signature[stream]
 
     # -- population ------------------------------------------------------
 
@@ -291,12 +319,12 @@ class Shard:
         self._admit(name, tree)
 
     def deregister(self, name: str) -> None:
-        if name not in self._trees:
+        if name not in self._rows:
             raise AdmissionError(
                 f"query {name!r} is not resident on shard {self.shard_id}"
             )
         self._call("deregister", name)
-        self._forget(name)
+        self._forget([name])
 
     def query(self, name: str) -> RegisteredQuery:
         return self._call("query", name)
@@ -306,20 +334,19 @@ class Shard:
     def export_group(self, names: Sequence[str]) -> Migration:
         """Lift ``names`` out of the server, in order; one command per group."""
         migration = self._call("export_group", names)
-        for name in names:
-            self._forget(name)
+        self._forget(names)
         return migration
 
     def admit_group(self, migration: Migration, order: Sequence[str]) -> None:
         """Install an exported group and re-key the residents to ``order``.
 
-        One command per group; the mirror grows its signature incrementally
-        and takes the same order as the server.
+        One command per group; the index takes the same order as the server.
         """
         self._call("admit_group", migration, order)
         for query in migration.queries:
             self._admit(query.name, query.tree)
-        self._trees = {name: self._trees[name] for name in order}
+        self._rows = {name: self._rows[name] for name in order}
+        self._rank = {name: next(self._ranks) for name in order}
 
     # -- observability ---------------------------------------------------
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import ClusterServer, ShardRouter, default_oracle_factory
-from repro.cluster.partition import partition_by_overlap
+from repro.cluster.partition import build_overlap_graph, partition_by_overlap
 from repro.core.leaf import Leaf
 from repro.core.tree import DnfTree
 from repro.errors import AdmissionError, StreamError
@@ -99,7 +99,8 @@ class TestAdmission:
     def test_given_partition_must_cover_population(self):
         registry, population = small_environment(n_queries=10)
         cluster = ClusterServer(registry, n_shards=2)
-        partial = partition_by_overlap(population[:6], 2, registry.cost_table())
+        costs = registry.cost_table()
+        partial = partition_by_overlap(build_overlap_graph(population[:6], costs), 2)
         with pytest.raises(AdmissionError):
             cluster.register_population(population, partition=partial)
         assert len(cluster) == 0
@@ -109,7 +110,10 @@ class TestAdmission:
         registry, population = small_environment(n_queries=10)
         cluster = ClusterServer(registry, n_shards=2)
         wider = partition_by_overlap(
-            population + [("stranger", tree_on(["C0S0"]))], 2, registry.cost_table()
+            build_overlap_graph(
+                population + [("stranger", tree_on(["C0S0"]))], registry.cost_table()
+            ),
+            2,
         )
         with pytest.raises(AdmissionError):
             cluster.register_population(population, partition=wider)
@@ -125,6 +129,24 @@ class TestAdmission:
             cluster.register_population(population)
         assert cluster.registered == (name,)
         assert cluster._churn == 1
+
+    def test_bulk_admission_respects_capacity_of_a_populated_cluster(self):
+        registry = clustered_registry(4, 2, seed=1)
+        population = overlap_clustered_population(12, registry, 4, 2, seed=2)
+        cluster = ClusterServer(registry, n_shards=2, max_shard_queries=4)
+        cluster.register_population(population[:6])
+        sizes = {sid: len(shard) for sid, shard in cluster.shards.items()}
+        # Each piece of the second half fits alone, not beside the residents.
+        with pytest.raises(AdmissionError, match="capacity"):
+            cluster.register_population(population[6:])
+        given = partition_by_overlap(
+            build_overlap_graph(population[6:], registry.cost_table()), 2
+        )
+        with pytest.raises(AdmissionError, match="capacity"):
+            cluster.register_population(population[6:], partition=given)
+        assert sorted(cluster.registered) == sorted(n for n, _ in population[:6])
+        assert {sid: len(shard) for sid, shard in cluster.shards.items()} == sizes
+        assert cluster._churn == 6
 
     def test_adaptive_must_be_policy(self):
         registry, _ = small_environment()
@@ -201,17 +223,18 @@ class TestRebalance:
 
     def test_rebalance_skips_the_graph_when_no_stream_spans_shards(self, monkeypatch):
         """A placement reading every stream on one shard cuts no weight, so
-        an unforced rebalance returns before building the overlap graph."""
+        an unforced rebalance returns before building the overlap graph
+        from the shards' weight rows."""
         import repro.cluster.cluster as cluster_module
 
         calls = []
-        build = cluster_module.build_overlap_graph
+        build = cluster_module.overlap_graph
 
         def counting_build(*args, **kwargs):
             calls.append(1)
             return build(*args, **kwargs)
 
-        monkeypatch.setattr(cluster_module, "build_overlap_graph", counting_build)
+        monkeypatch.setattr(cluster_module, "overlap_graph", counting_build)
         registry, population = small_environment(seed=23)
         placed = ClusterServer(registry, n_shards=3)
         placed.register_population(population)

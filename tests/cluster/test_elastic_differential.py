@@ -29,7 +29,7 @@ from hypothesis.stateful import (
 )
 
 from repro.cluster import ClusterServer, default_oracle_factory
-from repro.cluster.partition import partition_by_overlap
+from repro.cluster.partition import build_overlap_graph, partition_by_overlap
 from repro.core.leaf import Leaf
 from repro.core.tree import DnfTree
 from repro.generators import clustered_registry, overlap_clustered_population
@@ -143,7 +143,8 @@ class ElasticParityMachine(RuleBasedStateMachine):
         """
         population = [(name, self.trees[name]) for name in self.cluster.registered]
         candidate = partition_by_overlap(
-            population, self.cluster.n_shards, self.registry.cost_table()
+            build_overlap_graph(population, self.registry.cost_table()),
+            self.cluster.n_shards,
         )
         if candidate.report.cut_weight == 0.0:
             self.cluster.rebalance(force=True)

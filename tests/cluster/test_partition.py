@@ -77,7 +77,7 @@ class TestPartitionEdgeCases:
         population = [(f"q{k}", tree_on([f"S{k}"])) for k in range(8)]
         graph = build_overlap_graph(population, COSTS)
         assert sorted(len(c) for c in graph.components()) == [1] * 8
-        partition = partition_by_overlap(population, 4, COSTS)
+        partition = partition_by_overlap(graph, 4)
         assert partition.n_shards == 4
         assert sorted(partition.report.shard_sizes) == [2, 2, 2, 2]
         # No pairwise overlap exists anywhere, so nothing is kept or cut.
@@ -88,7 +88,7 @@ class TestPartitionEdgeCases:
     def test_fully_overlapping_population_one_shard(self):
         """All queries on one stream: one component, never split for k."""
         population = [(f"q{k}", tree_on(["S0"])) for k in range(10)]
-        partition = partition_by_overlap(population, 3, COSTS)
+        partition = partition_by_overlap(build_overlap_graph(population, COSTS), 3)
         assert partition.n_shards == 1
         assert partition.report.shard_sizes == (10,)
         assert partition.report.cut_weight == 0.0
@@ -101,7 +101,7 @@ class TestPartitionEdgeCases:
             + [(f"b{k}", tree_on(["S2", "S3"])) for k in range(3)]
             + [(f"c{k}", tree_on(["S4"])) for k in range(3)]
         )
-        partition = partition_by_overlap(population, 8, COSTS)
+        partition = partition_by_overlap(build_overlap_graph(population, COSTS), 8)
         assert partition.n_shards == 3
         assert partition.report.cut_weight == 0.0
         shard_sets = [set(shard) for shard in partition.shards]
@@ -111,7 +111,7 @@ class TestPartitionEdgeCases:
 
     def test_k_one_is_the_unsharded_layout(self):
         population = [(f"q{k}", tree_on([f"S{k % 3}"])) for k in range(6)]
-        partition = partition_by_overlap(population, 1, COSTS)
+        partition = partition_by_overlap(build_overlap_graph(population, COSTS), 1)
         assert partition.n_shards == 1
         assert set(partition.shards[0]) == {name for name, _ in population}
         assert partition.report.kept_fraction == 1.0
@@ -119,7 +119,7 @@ class TestPartitionEdgeCases:
     def test_capacity_splits_oversized_component(self):
         population = [(f"q{k}", tree_on(["S0"])) for k in range(9)]
         partition = partition_by_overlap(
-            population, 3, COSTS, max_shard_queries=3
+            build_overlap_graph(population, COSTS), 3, max_shard_queries=3
         )
         assert partition.n_shards == 3
         assert sorted(partition.report.shard_sizes) == [3, 3, 3]
@@ -131,7 +131,7 @@ class TestPartitionEdgeCases:
             (f"q{k}", tree_on([f"S{k // 2}"])) for k in range(6)
         ]  # components {q0,q1} {q2,q3} {q4,q5}
         partition = partition_by_overlap(
-            population, 2, COSTS, max_shard_queries=3
+            build_overlap_graph(population, COSTS), 2, max_shard_queries=3
         )
         assert max(partition.report.shard_sizes) <= 3
         assert sum(partition.report.shard_sizes) == 6
@@ -139,18 +139,22 @@ class TestPartitionEdgeCases:
     def test_capacity_too_small_rejected(self):
         population = [(f"q{k}", tree_on(["S0"])) for k in range(9)]
         with pytest.raises(StreamError):
-            partition_by_overlap(population, 2, COSTS, max_shard_queries=3)
+            partition_by_overlap(
+                build_overlap_graph(population, COSTS), 2, max_shard_queries=3
+            )
 
     def test_invalid_k_rejected(self):
+        graph = build_overlap_graph([("q", tree_on(["S0"]))], COSTS)
         with pytest.raises(StreamError):
-            partition_by_overlap([("q", tree_on(["S0"]))], 0, COSTS)
+            partition_by_overlap(graph, 0)
 
 
 class TestPartitionQuality:
     def test_recovers_planted_clusters(self):
         registry = clustered_registry(5, 3, seed=11)
         population = overlap_clustered_population(50, registry, 5, 3, seed=12)
-        partition = partition_by_overlap(population, 5, registry.cost_table())
+        graph = build_overlap_graph(population, registry.cost_table())
+        partition = partition_by_overlap(graph, 5)
         assert partition.n_shards == 5
         assert partition.report.kept_fraction == 1.0
         assert partition.report.duplicated_stream_cost == 0.0
@@ -177,7 +181,7 @@ class TestPartitionQuality:
         )
         graph = build_overlap_graph(population, registry.cost_table())
         assert len(graph.components()) == 1  # the noise glues everything
-        partition = partition_by_overlap(population, 4, registry.cost_table())
+        partition = partition_by_overlap(graph, 4)
         assert partition.n_shards >= 3
         assert partition.report.kept_fraction > 0.6
 
@@ -185,7 +189,7 @@ class TestPartitionQuality:
         """A clique of width > target still refuses to split: any split of a
         uniform clique keeps only ~1/k of its weight."""
         population = [(f"q{k}", tree_on(["S0", "S1"])) for k in range(12)]
-        partition = partition_by_overlap(population, 4, COSTS)
+        partition = partition_by_overlap(build_overlap_graph(population, COSTS), 4)
         assert partition.n_shards == 1
         assert partition.report.kept_fraction == 1.0
 
@@ -195,8 +199,9 @@ class TestPartitionQuality:
             40, registry, 4, 4, cross_cluster_prob=0.05, seed=22
         )
         costs = registry.cost_table()
-        overlap = partition_by_overlap(population, 4, costs)
-        random = random_partition(population, 4, costs, seed=23)
+        graph = build_overlap_graph(population, costs)
+        overlap = partition_by_overlap(graph, 4)
+        random = random_partition(graph, 4, seed=23)
         assert overlap.report.kept_fraction > random.report.kept_fraction
         assert (
             overlap.report.duplicated_stream_cost
@@ -210,8 +215,9 @@ class TestPartitionQuality:
             18, registry, 3, 3, cross_cluster_prob=0.2, seed=32
         )
         costs = registry.cost_table()
-        overlap = partition_by_overlap(population, 3, costs)
-        random = random_partition(population, 3, costs, seed=33)
+        graph = build_overlap_graph(population, costs)
+        overlap = partition_by_overlap(graph, 3)
+        random = random_partition(graph, 3, seed=33)
         assert overlap.report.intra_weight + overlap.report.cut_weight == pytest.approx(
             random.report.intra_weight + random.report.cut_weight
         )
@@ -226,14 +232,15 @@ class TestPartitionQuality:
 
     def test_random_partition_covers_population(self):
         population = [(f"q{k}", tree_on([f"S{k % 2}"])) for k in range(7)]
-        partition = random_partition(population, 3, COSTS, seed=1)
+        partition = random_partition(build_overlap_graph(population, COSTS), 3, seed=1)
         assert partition.n_shards == 3
         names = [name for shard in partition.shards for name in shard]
         assert sorted(names) == sorted(name for name, _ in population)
 
     def test_partition_record_is_json_ready(self):
         population = [(f"q{k}", tree_on(["S0"])) for k in range(4)]
-        record = partition_by_overlap(population, 2, COSTS).report.to_record()
+        graph = build_overlap_graph(population, COSTS)
+        record = partition_by_overlap(graph, 2).report.to_record()
         assert record["method"] == "overlap"
         assert record["n_shards"] == 1
         assert 0.0 <= record["kept_fraction"] <= 1.0

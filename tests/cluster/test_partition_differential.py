@@ -75,7 +75,7 @@ class TestPartitionMatchesReference:
         rows, costs, k, cap = case
         population = population_of(rows, costs)
         graph = build_overlap_graph(population, costs)
-        partition = partition_by_overlap(population, k, costs, max_shard_queries=cap)
+        partition = partition_by_overlap(graph, k, max_shard_queries=cap)
         assert partition.shards == reference_partition(graph, k, max_shard_queries=cap)
         report = partition.report
         got = (report.intra_weight, report.cut_weight, report.duplicated_stream_cost)
@@ -89,7 +89,7 @@ class TestPartitionMatchesReference:
         """Summed in float, a pull tie collapses the community split onto one
         label and the population onto one shard; exactly, it splits in two."""
         population = population_of(TIE_ROWS, TIE_COSTS)
-        partition = partition_by_overlap(population, 2, TIE_COSTS)
+        partition = partition_by_overlap(build_overlap_graph(population, TIE_COSTS), 2)
         assert partition.shards == (("q0", "q1", "q2", "q3"), ("q4", "q5"))
 
     def test_noisy_clustered_population(self):
@@ -99,6 +99,6 @@ class TestPartitionMatchesReference:
         )
         costs = registry.cost_table()
         graph = build_overlap_graph(population, costs)
-        partition = partition_by_overlap(population, 4, costs)
+        partition = partition_by_overlap(graph, 4)
         assert partition.shards == reference_partition(graph, 4)
         assert partition.report.shard_sizes == (66, 60, 41, 33)

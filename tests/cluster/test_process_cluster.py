@@ -338,7 +338,7 @@ class TestFanOut:
         cluster = ClusterServer(registry, n_shards=3, executor=executor, seed=44)
         cluster.register_population(population)
         first = min(cluster.shards)
-        twin = cluster.shards[first].tree(cluster.shards[first].names[0])
+        twin = cluster.query(cluster.shards[first].names[0]).tree
         assert cluster.register("bad", twin, oracle=oracle) == first
         return cluster, first
 

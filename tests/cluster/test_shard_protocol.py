@@ -4,9 +4,10 @@ A :class:`~repro.cluster.Shard` keeps the population mirror and sends every
 other operation through a transport into ``run_command``. These tests pin
 that contract from three sides: a table-driven script runs every op
 against an in-process shard and a worker-process shard and demands equal
-results; a transport-level op counter proves the control plane reads trees
-from the mirror instead of calling the server; and a hypothesis property
-checks that the mirror always equals a rebuild from the server.
+results; a transport-level op counter proves the control plane reads the
+shard's index instead of calling the server; and a hypothesis property
+checks that the index (names, signature and overlap components) always
+equals a rebuild from the server.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from hypothesis import given, settings
 
 from repro.adaptive import ElasticPolicy
 from repro.cluster import ClusterServer, Shard, WorkerTransport, default_oracle_factory
-from repro.cluster.partition import stream_weight_vector
+from repro.cluster.partition import build_overlap_graph, stream_weight_vector
 from repro.core.leaf import Leaf
 from repro.core.tree import DnfTree
 from repro.errors import AdmissionError, StreamError
@@ -334,6 +335,42 @@ def _rebuilt_signature(shard: Shard, costs) -> dict[str, float]:
     return signature
 
 
+def _rebuilt_components(shard: Shard, costs) -> list[tuple[list[str], list]]:
+    """The server's overlap components, ``(members, list(weights.items()))``.
+
+    Each query is labelled with the lowest registration index it reaches
+    over shared streams (a fixed point, independent of the shard's walk),
+    so components come in first-member order with members in registration
+    order; weights are each stream's max, keyed in first-seen order.
+    """
+    server = shard.transport.server
+    names = server.registered
+    if not names:
+        return []
+    graph = build_overlap_graph([(n, server.query(n).tree) for n in names], costs)
+    label = {name: index for index, name in enumerate(names)}
+    changed = True
+    while changed:
+        changed = False
+        for members in graph.by_stream.values():
+            low = min(label[name] for name in members)
+            for name in members:
+                changed |= label[name] != low
+                label[name] = low
+    grouped: dict[int, list[str]] = {}
+    for name in names:
+        grouped.setdefault(label[name], []).append(name)
+    components = []
+    for members in grouped.values():
+        weights: dict[str, float] = {}
+        for name in members:
+            for stream, weight in graph.weights[name].items():
+                if weight > weights.get(stream, 0.0):
+                    weights[stream] = weight
+        components.append((members, list(weights.items())))
+    return components
+
+
 class TestMirrorMatchesServer:
     @settings(max_examples=25, deadline=None)
     @given(
@@ -346,8 +383,9 @@ class TestMirrorMatchesServer:
             min_size=1,
             max_size=14,
         ),
+        picks=st.sets(st.integers(0, 8), max_size=4),
     )
-    def test_mirror_equals_rebuild_from_server(self, seed, script):
+    def test_mirror_equals_rebuild_from_server(self, seed, script, picks):
         registry, population = small_environment(seed=seed, n_queries=16)
         costs = registry.cost_table()
         cluster = ClusterServer(registry, n_shards=3, seed=seed)
@@ -364,7 +402,22 @@ class TestMirrorMatchesServer:
                 dest = sorted(cluster.shards)[pick % len(cluster.shards)]
                 if dest != src:
                     cluster._apply({name: dest})
+        streams = sorted(registry.names)
+        drawn = {streams[pick % len(streams)] for pick in picks}
         for shard in cluster.shards.values():
             server = shard.transport.server
             assert shard.names == server.registered
             assert shard.signature == _rebuilt_signature(shard, costs)
+            reference = _rebuilt_components(shard, costs)
+            assert [
+                (members, list(weights.items()))
+                for members, weights in shard.components()
+            ] == reference
+            assert [
+                (members, list(weights.items()))
+                for members, weights in shard.components(drawn)
+            ] == [
+                (members, weights)
+                for members, weights in reference
+                if any(stream in drawn for stream, _ in weights)
+            ]
