@@ -81,6 +81,10 @@ class BernoulliOracle(LeafOracle):
         return bool(self.rng.random() < leaf.prob)
 
 
+#: Rounds of outcome tape a :class:`DriftingBernoulliOracle` draws at once.
+_TAPE_BLOCK = 16
+
+
 class DriftingBernoulliOracle(LeafOracle):
     """Draws from a :class:`~repro.streams.drift.DriftSchedule` instead of leaf probs.
 
@@ -90,35 +94,40 @@ class DriftingBernoulliOracle(LeafOracle):
     ``schedule.probs_at(round)`` — so a plan goes stale exactly the way a
     production plan would.
 
-    The oracle draws one full row of outcomes per round (lazily, at the first
-    ``outcome`` call of the round) and the per-round clock advances only via
-    :meth:`advance`, which the serving layer calls after every executed
-    round. Drawing whole rows makes the random-stream consumption
-    independent of which leaves a plan probes: round ``r`` always reads row
-    ``r`` of one ``rng.random((rounds, n_leaves))`` tape, so any plan (and
-    any placement of the query) sees bit-identical outcomes per seed.
+    Round ``r`` reads row ``r`` of one ``rng.random((rounds, n_leaves))``
+    tape, so the random-stream consumption is independent of which leaves a
+    plan probes: any plan (and any placement of the query) sees
+    bit-identical outcomes per seed. The oracle reads the tape a block of
+    rounds at a time, which draws the same doubles as one-row draws; a static
+    schedule's block is compared with its probabilities once, a drifting
+    schedule compares one row per round with ``schedule.probs_at(round)``.
+    The per-round clock advances only via :meth:`advance`, which the
+    serving layer calls after every executed round. The tape and its
+    position pickle with the oracle, so a migrated query continues the same
+    outcomes.
 
-    Leaf outcomes are keyed by *global leaf index in one query's tree*, so a
-    drifting oracle is per-query: sharing one instance between queries means
-    sharing outcome rows (perfectly correlated queries).
+    Leaf outcomes are keyed by *global leaf index in one query's tree*, and
+    each oracle owns its generator, seeded by ``seed``: a drifting oracle is
+    per-query, and sharing one instance between queries means sharing
+    outcome rows (perfectly correlated queries).
     """
 
-    def __init__(
-        self,
-        schedule: DriftSchedule,
-        rng: np.random.Generator | None = None,
-        seed: int | None = None,
-    ) -> None:
+    def __init__(self, schedule: DriftSchedule, seed: int | None = None) -> None:
         self.schedule = schedule
-        self.rng = rng if rng is not None else np.random.default_rng(seed)
-        self._round = 0
-        self._row: np.ndarray | None = None
+        self.rng = np.random.default_rng(seed)
         self._n_leaves = schedule.n_leaves
-        # A static schedule's probabilities are the same every round.
-        self._static_probs: np.ndarray | None = None
-        if schedule.is_static:
-            self._static_probs = schedule.probs_at(0)
-            self._static_probs.flags.writeable = False
+        self._static = schedule.is_static
+        self._round = 0
+        # Rows [_start, _end) of the tape are drawn; a drifting schedule
+        # keeps their uniforms.
+        self._start = 0
+        self._end = 0
+        self._uniforms: np.ndarray | None = None
+        # Outcomes as bytes (1 = TRUE), the current round's from _offset:
+        # the whole block's for a static schedule, one row's for a drifting
+        # one. None until the round's first outcome call needs them.
+        self._bits: bytes | None = None
+        self._offset = 0
 
     @property
     def round_index(self) -> int:
@@ -130,32 +139,59 @@ class DriftingBernoulliOracle(LeafOracle):
         return self.schedule.probs_at(self._round)
 
     def outcome(self, gindex: int, leaf: Leaf, values: np.ndarray | None) -> bool:
-        if gindex >= self._n_leaves:
+        if not 0 <= gindex < self._n_leaves:
             raise StreamError(
                 f"drift schedule covers {self._n_leaves} leaves; "
                 f"leaf {gindex} was probed"
             )
-        if self._row is None:
-            probs = self._static_probs
-            if probs is None:
-                probs = self.current_probs()
-            self._row = self.rng.random(self._n_leaves) < probs
-        return bool(self._row[gindex])
+        bits = self._bits
+        if bits is None:
+            bits = self._read()
+        return bits[self._offset + gindex] == 1
+
+    def _read(self) -> bytes:
+        """The current round's outcomes, drawing the tape block that holds it."""
+        n = self._n_leaves
+        now = self._round
+        if now >= self._end:
+            # Rounds between the last block and this one that no probe read
+            # still consume their rows of the generator.
+            skipped = now - self._end
+            while skipped:
+                rows = min(skipped, _TAPE_BLOCK)
+                self.rng.random((rows, n))
+                skipped -= rows
+            block = self.rng.random((_TAPE_BLOCK, n))
+            self._start = now
+            self._end = now + _TAPE_BLOCK
+            if self._static:
+                self._bits = (block < self.schedule.probs_at(0)).tobytes()
+                self._offset = 0
+                return self._bits
+            self._uniforms = block
+        # Only a drifting schedule gets here: a static one keeps its block's
+        # outcomes until the block ends (see advance).
+        assert self._uniforms is not None
+        row = self._uniforms[now - self._start]
+        self._bits = (row < self.schedule.probs_at(now)).tobytes()
+        self._offset = 0
+        return self._bits
 
     def advance(self, rounds: int = 1) -> None:
-        """Move the drift clock forward; the next round re-draws its outcome row.
+        """Move the drift clock forward by ``rounds`` rounds.
 
-        Rounds whose row was never drawn (no leaf probed) still consume their
-        slice of the generator, keeping the random tape aligned one row per
-        round regardless of how many probes each round needed.
+        The next ``outcome`` call reads the new round's row of the tape.
+        Rounds no probe read still consume their rows of the generator, so
+        the tape stays aligned one row per round however many probes each
+        round needed.
         """
         if rounds < 0:
             raise StreamError(f"cannot advance by {rounds} rounds")
-        for _ in range(rounds):
-            if self._row is None:
-                self.rng.random(self._n_leaves)
-            self._row = None
-            self._round += 1
+        self._round += rounds
+        if self._static and self._round < self._end:
+            self._offset = (self._round - self._start) * self._n_leaves
+        else:
+            self._bits = None
 
 
 class PredicateOracle(LeafOracle):

@@ -9,14 +9,15 @@ serves every query that reads the window ("pay one, get hundreds") — and
 registration order decides only which query pays for it.
 
 A round runs as a *compiled round program*: :class:`RoundProgram` lays the
-population's tree nodes out in one flat list and the residents' schedules
-out as one flat tuple of steps, once per population;
-:meth:`RoundProgram.run` walks it each round with a guard check per probe
-and an iterative walk to the root per evaluated probe, and allocates
-nothing per resident. Most probes of a population are free, so a round pays
-for its windows per stream, not per probe: a *window memo* keeps each
-stream's widest window fetched this round, and a probe inside it takes the
-memo's newest items (read-only) without calling the cache.
+population's tree nodes out in one flat list and each resident's schedule
+out as one block of steps, once per population; :meth:`RoundProgram.run`
+walks the blocks each round with a guard check per probe and an iterative
+walk to the root per evaluated probe, leaves a resident's block as soon as
+its root resolves, and allocates nothing per resident. Most probes of a
+population are free, so a round pays for its windows per stream, not per
+probe: a *window memo* keeps each stream's widest window fetched this
+round, and a probe inside it takes the memo's newest items (read-only)
+without calling the cache.
 """
 
 from __future__ import annotations
@@ -82,11 +83,11 @@ class RoundStats:
         return functools.reduce(operator.add, self.query_cost, 0.0)
 
 
-#: One compiled probe: its query's slot, the query's *base* (where its
-#: tree's nodes start in the program's flat node lists) and the probed
-#: leaf's :data:`~repro.core.resolution.LeafRecord`, whose node ids count
-#: from that base.
-Step = tuple[int, int, LeafRecord]
+#: One resident's compiled schedule: its slot, its *base* (where its tree's
+#: nodes start in the program's flat node lists) and, in schedule order, the
+#: :data:`~repro.core.resolution.LeafRecord` of each probed leaf, whose node
+#: ids count from that base.
+Block = tuple[int, int, tuple[LeafRecord, ...]]
 
 
 class RoundProgram:
@@ -94,11 +95,11 @@ class RoundProgram:
 
     Compiling is one pass over the residents, in registration order (the
     order of ``indexes``): every tree's nodes are laid out in one
-    population-wide flat list, each query's schedule becomes a run of
-    steps (:data:`Step`) by indexing, and each query's ``oracle.outcome``
-    is bound once. A round (:meth:`run`) then resolves no name and
-    allocates nothing per resident: it resets the flat node state and
-    walks the steps. A leaf's node holds its outcome when its probe was
+    population-wide flat list, each query's schedule becomes one block
+    (:data:`Block`) by indexing, and each query's ``oracle.outcome`` is
+    bound once. A round (:meth:`run`) then resolves no name and allocates
+    nothing per resident: it resets the flat node state and walks the
+    blocks. A leaf's node holds its outcome when its probe was
     evaluated, so :meth:`values` and :meth:`results` read the last round
     back per query from that state, for the callers that need them. The
     program depends
@@ -108,7 +109,7 @@ class RoundProgram:
 
     __slots__ = (
         "names",
-        "steps",
+        "blocks",
         "_roots",
         "_parent",
         "_kinds",
@@ -118,7 +119,6 @@ class RoundProgram:
         "_counts",
         "_blank",
         "_query_cost",
-        "_slot_steps",
     )
 
     def __init__(
@@ -136,7 +136,7 @@ class RoundProgram:
         parent: list[int] = []
         kinds: list[int] = []
         need: list[int] = []
-        steps: list[Step] = []
+        blocks: list[Block] = []
         for slot, (name, index) in enumerate(indexes.items()):
             base = len(parent)
             roots.append(base)
@@ -144,8 +144,8 @@ class RoundProgram:
             kinds.extend(index.kinds)
             need.extend(map(len, index.children))
             records = index.leaf_records
-            steps.extend([(slot, base, records[g]) for g in schedules[name]])
-        self.steps = tuple(steps)
+            blocks.append((slot, base, tuple([records[g] for g in schedules[name]])))
+        self.blocks = tuple(blocks)
         self._roots = tuple(roots)
         self._parent = parent
         self._kinds = kinds
@@ -157,18 +157,18 @@ class RoundProgram:
         self._state = list(self._blank)
         self._counts = list(self._blank)
         self._query_cost = [0.0] * len(self.names)
-        self._slot_steps: list[list[tuple[int, int]]] | None = None
 
     def run(self, cache: Union[DataItemCache, CountingCache]) -> RoundStats:
         """Execute one round with per-query early termination.
 
-        Walks the steps once; a probe is skipped for free when its
-        query's root is already resolved (early termination) or the
-        leaf's AND/OR ancestors short-circuited it away: one guard check per
-        probe over the leaf's precomputed ancestors in the flat node state,
-        and an iterative walk toward the root per evaluated probe. Per
-        query, the round means exactly what running it through
-        :class:`~repro.engine.executor.ScheduleExecutor` means (see
+        Walks the blocks once. A probe is skipped for free when the leaf's
+        AND/OR ancestors short-circuited it away: one guard check per probe
+        over the leaf's precomputed ancestors in the flat node state, and an
+        iterative walk toward the root per evaluated probe. When that walk
+        resolves the root, the rest of the query's block is skipped without
+        a check (early termination): every later probe has the root among
+        its guards. Per query, the round means exactly what running it
+        through :class:`~repro.engine.executor.ScheduleExecutor` means (see
         :meth:`results`).
 
         A *window memo* remembers, per stream, the largest window fetched
@@ -194,53 +194,59 @@ class RoundProgram:
         free = 0
         fetched = 0
         needed = 0
-        for slot, base, (g, leaf, stream, items, node, guards) in self.steps:
-            for guard in guards:
-                if state[base + guard]:
-                    break
-            else:
-                memo = held.get(stream)
-                if memo is not None and items <= memo[0]:
-                    # Nothing evicts mid-round, so the window is cached:
-                    # fetch_window would return this tail and charge 0.0,
-                    # and adding 0.0 to a sum begun at 0.0 changes no bit.
-                    size, window = memo
-                    if window is not None and items < size:
-                        window = window[size - items :]
-                    free += 1
+        for slot, base, records in self.blocks:
+            outcome = outcome_of[slot]
+            for g, leaf, stream, items, node, guards in records:
+                for guard in guards:
+                    if state[base + guard]:
+                        break
                 else:
-                    fetch = fetch_window(stream, items)
-                    window = fetch.values
-                    if window is not None:
-                        # Later probes share this array: an oracle must not
-                        # write to it.
-                        window.flags.writeable = False
-                    held[stream] = (items, window)
-                    query_cost[slot] += fetch.cost
-                    fetched += fetch.fetched_items
-                    if not fetch.fetched_items:
+                    memo = held.get(stream)
+                    if memo is not None and items <= memo[0]:
+                        # Nothing evicts mid-round, so the window is
+                        # cached: fetch_window would return this tail and
+                        # charge 0.0, and adding 0.0 to a sum begun at 0.0
+                        # changes no bit.
+                        size, window = memo
+                        if window is not None and items < size:
+                            window = window[size - items :]
                         free += 1
-                needed += items
-                query_probes[slot] += 1
-                # Propagate toward the root. The value never changes on the
-                # way up: an AND takes a FALSE child's value (or its last
-                # TRUE child's), an OR a TRUE child's (or its last FALSE
-                # child's); any other child stops the walk. A child value
-                # equal to its parent's kind (TRUE under an AND, FALSE under
-                # an OR) leaves the parent open.
-                value = TRUE if outcome_of[slot](g, leaf, window) else FALSE
-                node += base
-                while True:
-                    state[node] = value
-                    up = parent[node]
+                    else:
+                        fetch = fetch_window(stream, items)
+                        window = fetch.values
+                        if window is not None:
+                            # Later probes share this array: an oracle
+                            # must not write to it.
+                            window.flags.writeable = False
+                        held[stream] = (items, window)
+                        query_cost[slot] += fetch.cost
+                        fetched += fetch.fetched_items
+                        if not fetch.fetched_items:
+                            free += 1
+                    needed += items
+                    query_probes[slot] += 1
+                    # Propagate toward the root. The value never changes on
+                    # the way up: an AND takes a FALSE child's value (or its
+                    # last TRUE child's), an OR a TRUE child's (or its last
+                    # FALSE child's); any other child stops the walk. A
+                    # child value equal to its parent's kind (TRUE under an
+                    # AND, FALSE under an OR) leaves the parent open.
+                    value = TRUE if outcome(g, leaf, window) else FALSE
+                    node += base
+                    while True:
+                        state[node] = value
+                        up = parent[node]
+                        if up < 0:
+                            break
+                        up += base
+                        resolved = counts[up] + 1
+                        counts[up] = resolved
+                        if value == kinds[up] and resolved < need[up]:
+                            break
+                        node = up
                     if up < 0:
+                        # The root resolved: the rest of the block is skipped.
                         break
-                    up += base
-                    resolved = counts[up] + 1
-                    counts[up] = resolved
-                    if value == kinds[up] and resolved < need[up]:
-                        break
-                    node = up
         return RoundStats(
             probes=sum(query_probes),
             free_probes=free,
@@ -263,22 +269,18 @@ class RoundProgram:
         Each has exactly the semantics of running that query's schedule
         alone through :class:`~repro.engine.executor.ScheduleExecutor`.
         """
-        if self._slot_steps is None:
-            # Per query, its probes' (leaf global index, flat leaf node).
-            self._slot_steps = [[] for _ in self.names]
-            for slot, base, (g, _, _, _, node, _) in self.steps:
-                self._slot_steps[slot].append((g, base + node))
         state = self._state
         results: dict[str, ExecutionResult] = {}
-        for name, value, cost, steps in zip(
-            self.names, self.values(), self._query_cost, self._slot_steps
+        for (_, base, records), name, value, cost in zip(
+            self.blocks, self.names, self.values(), self._query_cost
         ):
             skipped: list[int] = []
             # Insertion order: the query's evaluated leaves in probe order.
             outcomes: dict[int, bool] = {}
-            for g, node in steps:
+            for g, _, _, _, node, _ in records:
                 # A leaf's node is resolved only by its own evaluation, and
                 # a second probe of an evaluated leaf is skipped.
+                node += base
                 if state[node] == UNRESOLVED or g in outcomes:
                     skipped.append(g)
                 else:

@@ -161,8 +161,10 @@ def oracle_state(oracle):
     rng = getattr(oracle, "rng", None)
     state = rng.bit_generator.state if rng is not None else None
     if isinstance(oracle, DriftingBernoulliOracle):
-        row = None if oracle._row is None else oracle._row.tolist()
-        return state, oracle.round_index, row
+        # The tape position: the drawn rows, the current round's offset and
+        # whether the round's outcomes were read.
+        position = (oracle._start, oracle._end, oracle._offset, oracle._bits is None)
+        return state, oracle.round_index, position
     return state
 
 

@@ -105,9 +105,11 @@ class TestRoundProgram:
         oracles = {name: DataDrivenOracle() for name in indexes}
         program = RoundProgram(indexes, schedules, oracles)
         assert program.names == tuple(name for name, _ in population)
-        assert [(program.names[slot], record[0]) for slot, _, record in program.steps] == [
-            (name, g) for name, schedule in schedules.items() for g in schedule
-        ]
+        assert [
+            (program.names[slot], record[0])
+            for slot, _, records in program.blocks
+            for record in records
+        ] == [(name, g) for name, schedule in schedules.items() for g in schedule]
 
     def test_reorder_recompiles_every_probe_once(self):
         """After a reorder the next round compiles a new program whose steps
@@ -123,7 +125,11 @@ class TestRoundProgram:
         program = server._program
         assert program is not before
         assert program.names == server.registered
-        steps = [(program.names[slot], record[0]) for slot, _, record in program.steps]
+        steps = [
+            (program.names[slot], record[0])
+            for slot, _, records in program.blocks
+            for record in records
+        ]
         scheduled = [
             (name, g) for name in server.registered for g in server.query(name).schedule
         ]
@@ -141,7 +147,7 @@ class TestRoundProgram:
             {"a": PrecomputedOracle([True]), "b": PrecomputedOracle([True])},
         )
         assert program.names == ("b", "a")
-        assert [slot for slot, _, _ in program.steps] == [0, 1]
+        assert [slot for slot, _, _ in program.blocks] == [0, 1]
         stats = program.run(CountingCache({"A": 1.0, "B": 2.0}))
         assert stats.query_cost == [2.0, 1.0]
 
