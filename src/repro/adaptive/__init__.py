@@ -24,9 +24,8 @@ package closes the loop:
 The server wires it in behind ``QueryServer(adaptive=AdaptivePolicy(...))``:
 on drift it re-runs the admission scheduler on the updated canonical leaves,
 invalidates the stale :class:`~repro.service.plan_cache.PlanCache` entries,
-re-expands the schedule for every registered isomorph and drops the
-server's compiled :class:`~repro.service.shared_plan.RoundProgram`, which
-the next round recompiles.
+re-expands the schedule for every registered isomorph and rewrites their
+rows of the server's :class:`~repro.service.shared_plan.RoundProgram`.
 """
 
 from repro.adaptive.controller import AdaptiveController, ShapeBelief

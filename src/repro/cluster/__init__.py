@@ -2,8 +2,7 @@
 
 One :class:`~repro.service.QueryServer` scales until its round — every
 resident query's schedule over one cache, on one thread — becomes the
-bottleneck, and every admission, departure or re-plan recompiles the round
-program for everyone. This package splits the population where the cost
+bottleneck. This package splits the population where the cost
 model says sharing stops paying:
 
 * :mod:`~repro.cluster.partition` — the query<->stream overlap graph,

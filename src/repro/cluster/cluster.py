@@ -8,8 +8,8 @@ cache, own adaptive controller), and a :class:`~repro.cluster.router.ShardRouter
 admits runtime arrivals to the shard whose streams they already share.
 Sharing stays *within* a shard — where the overlap graph says it actually
 exists — while shards stay independent, so a churn event (admission,
-departure, re-plan) recompiles one shard's round program instead of the
-whole population's, and worker-process shards batch in parallel.
+departure, re-plan) touches one shard's round-program rows and adaptive
+state, and worker-process shards batch in parallel.
 
 All shards share one thread-safe :class:`~repro.service.plan_cache.PlanCache`,
 so a canonical query shape pays its scheduling cost once across the entire

@@ -94,7 +94,8 @@ class RemotePlanCache(PlanCache):
     miss build locally and publish). Hit/miss counters are kept *locally*
     so the server's ``hit_rate`` reads never touch the pipe; the parent
     cache keeps its own counters from the lookup/publish traffic, so both
-    sides observe consistent read-through semantics.
+    sides observe consistent read-through semantics. Pins stay local too,
+    so the parent's cache evicts process shards' shapes by recency alone.
 
     When the worker is traced, each :meth:`plan` wraps itself in a
     ``plan-cache-upcall`` span — the pipe round-trips are the one place a

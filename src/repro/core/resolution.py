@@ -44,9 +44,8 @@ KIND_AND = 1
 KIND_OR = 2
 
 #: What a round loop needs of one leaf: ``(gindex, leaf, stream, items,
-#: leaf_node_id, guards)``. ``guards`` is the leaf's ancestors (root last)
-#: plus its own node: the leaf is skipped iff any of them is resolved.
-LeafRecord = tuple[int, Leaf, str, int, int, tuple[int, ...]]
+#: leaf_node_id)``.
+LeafRecord = tuple[int, Leaf, str, int, int]
 
 # Backwards-compatible private aliases (internal call sites).
 _KIND_LEAF = KIND_LEAF
@@ -128,7 +127,7 @@ class TreeIndex:
             ancestors.append(tuple(path))
         self.leaf_ancestors = tuple(ancestors)
         self.leaf_records: tuple[LeafRecord, ...] = tuple(
-            (g, leaf, leaf.stream, leaf.items, node_id, ancestors[g] + (node_id,))
+            (g, leaf, leaf.stream, leaf.items, node_id)
             for g, (leaf, node_id) in enumerate(zip(qtree.leaves, leaf_node_ids))
         )
 

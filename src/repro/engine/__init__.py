@@ -11,8 +11,8 @@ Two interchangeable trial engines implement the same execution semantics:
 :func:`run_battery` / :func:`estimate_schedule_cost` select between them by
 name; the experiment drivers and the CLI expose the choice as
 ``engine="scalar" | "vectorized"``. The serving layer has one round loop of
-its own (:class:`repro.service.shared_plan.RoundProgram`, every resident's
-schedule in registration order) and selects nothing.
+its own (:class:`repro.service.shared_plan.RoundProgram`, step *k* of every
+resident's schedule at once) and selects nothing.
 """
 
 from repro.engine.battery import (

@@ -70,6 +70,27 @@ class LeafOracle(abc.ABC):
     def outcome(self, gindex: int, leaf: Leaf, values: np.ndarray | None) -> bool:
         """Truth value of leaf ``gindex``; ``values`` is its fetched window (may be None)."""
 
+    def tape_width(self) -> int | None:
+        """How many leaves :meth:`tape` covers, or ``None`` without a tape.
+
+        An oracle whose outcomes depend only on the leaf and its own round
+        clock (``round_index``) can hand them over as an outcome *tape*, and
+        a round then reads them in bulk instead of calling :meth:`outcome`
+        per probe.
+        """
+        return None
+
+    def tape(self) -> tuple[bytes, int, int, int]:
+        """The outcomes of the current round onward, as ``(bits, first, end, stride)``.
+
+        ``bits`` holds one byte per leaf and round (1 = TRUE) for rounds
+        ``first`` to ``end`` (exclusive), ``stride`` bytes per round: leaf
+        ``g`` at round ``r`` is ``bits[(r - first) * stride + g]``. It moves
+        the oracle exactly as an :meth:`outcome` call in the current round
+        would.
+        """
+        raise NotImplementedError(f"{type(self).__name__} has no outcome tape")
+
 
 class BernoulliOracle(LeafOracle):
     """Independent draws from each leaf's success probability."""
@@ -117,7 +138,9 @@ class DriftingBernoulliOracle(LeafOracle):
         self.rng = np.random.default_rng(seed)
         self._n_leaves = schedule.n_leaves
         self._static = schedule.is_static
-        self._round = 0
+        #: The round the next ``outcome`` call draws for (moved only by
+        #: :meth:`advance`).
+        self.round_index = 0
         # Rows [_start, _end) of the tape are drawn; a drifting schedule
         # keeps their uniforms.
         self._start = 0
@@ -129,14 +152,9 @@ class DriftingBernoulliOracle(LeafOracle):
         self._bits: bytes | None = None
         self._offset = 0
 
-    @property
-    def round_index(self) -> int:
-        """The round the next ``outcome`` call draws for."""
-        return self._round
-
     def current_probs(self) -> np.ndarray:
         """True per-leaf success probabilities at the current round."""
-        return self.schedule.probs_at(self._round)
+        return self.schedule.probs_at(self.round_index)
 
     def outcome(self, gindex: int, leaf: Leaf, values: np.ndarray | None) -> bool:
         if not 0 <= gindex < self._n_leaves:
@@ -149,10 +167,22 @@ class DriftingBernoulliOracle(LeafOracle):
             bits = self._read()
         return bits[self._offset + gindex] == 1
 
+    def tape_width(self) -> int:
+        return self._n_leaves
+
+    def tape(self) -> tuple[bytes, int, int, int]:
+        bits = self._bits
+        if bits is None:
+            bits = self._read()
+        if self._static:
+            # The block's outcomes, one row per round until the block ends.
+            return bits, self._start, self._end, self._n_leaves
+        return bits, self.round_index, self.round_index + 1, self._n_leaves
+
     def _read(self) -> bytes:
         """The current round's outcomes, drawing the tape block that holds it."""
         n = self._n_leaves
-        now = self._round
+        now = self.round_index
         if now >= self._end:
             # Rounds between the last block and this one that no probe read
             # still consume their rows of the generator.
@@ -187,9 +217,9 @@ class DriftingBernoulliOracle(LeafOracle):
         """
         if rounds < 0:
             raise StreamError(f"cannot advance by {rounds} rounds")
-        self._round += rounds
-        if self._static and self._round < self._end:
-            self._offset = (self._round - self._start) * self._n_leaves
+        self.round_index += rounds
+        if self._static and self.round_index < self._end:
+            self._offset = (self.round_index - self._start) * self._n_leaves
         else:
             self._bits = None
 
@@ -220,11 +250,30 @@ class PrecomputedOracle(LeafOracle):
     row always reproduces the same execution.
     """
 
+    #: Replayed outcomes do not change from round to round.
+    round_index = 0
+
     def __init__(self, outcomes) -> None:
         self.outcomes = outcomes
 
     def outcome(self, gindex: int, leaf: Leaf, values: np.ndarray | None) -> bool:
         return bool(self.outcomes[gindex])
+
+    def tape_width(self) -> int | None:
+        """The number of outcomes, when leaves ``0..n-1`` all have one."""
+        try:
+            self._bits()
+        except (KeyError, IndexError):
+            return None
+        return len(self.outcomes)
+
+    def tape(self) -> tuple[bytes, int, int, int]:
+        """Every round reads the same bytes: the tape never goes stale."""
+        return self._bits(), 0, 2**62, 0
+
+    def _bits(self) -> bytes:
+        outcomes = self.outcomes
+        return bytes(1 if outcomes[g] else 0 for g in range(len(outcomes)))
 
 
 class ScheduleExecutor:

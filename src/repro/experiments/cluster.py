@@ -1,9 +1,8 @@
 """Cluster-serving experiment: 1 shard vs K overlap shards vs K random shards.
 
 The unsharded :class:`~repro.service.QueryServer` serves the whole
-population in one round on one thread and recompiles its round program on
-every churn event, even though with many disjoint interest groups most
-queries can never share a window. The experiment quantifies what stream-overlap
+population in one round on one thread, even though with many disjoint
+interest groups most queries can never share a window. The experiment quantifies what stream-overlap
 sharding buys on an overlap-clustered population, against both the
 single-shard baseline and an overlap-*blind* random partition of the same
 width (which shows the win is the partition quality, not just the smaller

@@ -9,10 +9,11 @@ single-query machinery into a multi-tenant server:
   decimals so float noise cannot split a key);
 * :mod:`~repro.service.plan_cache` — LRU cache of canonical schedules, so a
   query shape pays its scheduling cost once across the whole population;
-* :mod:`~repro.service.shared_plan` — the round program: every resident's
-  schedule back to back in registration order over one shared cache, with
-  per-query early termination (one fetch of a window serves every query
-  that reads it; the first in registration order pays);
+* :mod:`~repro.service.shared_plan` — the round kernel: step *k* of every
+  resident's schedule at once over per-slot rows the server keeps across
+  churn, one shared cache and per-query early termination (one fetch of a
+  window serves every query that reads it; the first in registration order
+  pays);
 * :mod:`~repro.service.server` — the :class:`QueryServer`
   (register/deregister/step/run_batch) plus the :func:`run_isolated`
   no-sharing baseline;

@@ -9,7 +9,10 @@ schedule of the canonical tree, which :meth:`~repro.service.canonical.CanonicalF
 translates to each registered original.
 
 The cache is a plain ``OrderedDict`` LRU guarded by a lock — safe to share
-between a server and background admission threads.
+between a server and background admission threads, and between thread
+shards. A server *pins* the shape of every resident query, and eviction
+passes over pinned plans: a shape that still has residents stays cached, so
+its next isomorph is a hit however many other shapes come and go.
 """
 
 from __future__ import annotations
@@ -59,8 +62,10 @@ class PlanCache:
     Parameters
     ----------
     capacity:
-        Maximum number of cached plans; the least-recently-used entry is
-        evicted on overflow.
+        Maximum number of cached plans; on overflow the least-recently-used
+        entry that no resident pins (:meth:`pin`) is evicted. Pinned plans
+        are never evicted, so while more shapes than ``capacity`` are
+        resident the cache holds them all.
     """
 
     def __init__(self, capacity: int = 256) -> None:
@@ -72,6 +77,11 @@ class PlanCache:
         #: with ``_plans`` so invalidate is O(entries dropped), not
         #: O(cache size) — a replan storm must not stall admissions.
         self._by_key: dict[str, set[str]] = {}
+        #: Residents per ``(key, scheduler name)``, whether or not a plan is
+        #: cached for it, and the cached plans nobody pins, in LRU order:
+        #: the eviction candidates.
+        self._pins: dict[tuple[str, str], int] = {}
+        self._idle: OrderedDict[tuple[str, str], None] = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -127,10 +137,39 @@ class PlanCache:
         """Insert + evict under the caller's lock, keeping the key index true."""
         self._plans[cache_key] = plan
         self._by_key.setdefault(cache_key[0], set()).add(cache_key[1])
-        while len(self._plans) > self.capacity:
-            (evicted_key, evicted_name), _ = self._plans.popitem(last=False)
-            self._discard_index(evicted_key, evicted_name)
+        # The new plan is no eviction candidate of its own insert: its
+        # admission pins it next.
+        self._evict_locked()
+        if cache_key not in self._pins:
+            self._idle[cache_key] = None
+
+    def _evict_locked(self) -> None:
+        """Evict least-recently-used unpinned plans while over capacity."""
+        while len(self._plans) > self.capacity and self._idle:
+            evicted, _ = self._idle.popitem(last=False)
+            del self._plans[evicted]
+            self._discard_index(*evicted)
             self.evictions += 1
+
+    def pin(self, key: str, scheduler_name: str) -> None:
+        """Count one more resident of ``key`` planned by ``scheduler_name``."""
+        cache_key = (key, scheduler_name)
+        with self._lock:
+            self._pins[cache_key] = self._pins.get(cache_key, 0) + 1
+            self._idle.pop(cache_key, None)
+
+    def unpin(self, key: str, scheduler_name: str) -> None:
+        """Count one resident fewer; the last one's plan becomes evictable."""
+        cache_key = (key, scheduler_name)
+        with self._lock:
+            left = self._pins[cache_key] - 1
+            if left:
+                self._pins[cache_key] = left
+                return
+            del self._pins[cache_key]
+            if cache_key in self._plans:
+                self._idle[cache_key] = None
+                self._evict_locked()
 
     def _discard_index(self, key: str, scheduler_name: str) -> None:
         names = self._by_key.get(key)
@@ -153,8 +192,13 @@ class PlanCache:
             plan = self._plans.get((key, scheduler_name))
             if plan is not None:
                 self.hits += 1
-                self._plans.move_to_end((key, scheduler_name))
+                self._touch_locked((key, scheduler_name))
             return plan
+
+    def _touch_locked(self, cache_key: tuple[str, str]) -> None:
+        """Mark a plan most recently used (only unpinned plans are ranked)."""
+        if cache_key in self._idle:
+            self._idle.move_to_end(cache_key)
 
     def publish(self, plan: CachedPlan) -> tuple[CachedPlan, bool]:
         """Counted write half of the read-through protocol.
@@ -168,7 +212,7 @@ class PlanCache:
             existing = self._plans.get(cache_key)
             if existing is not None:
                 self.hits += 1
-                self._plans.move_to_end(cache_key)
+                self._touch_locked(cache_key)
                 return existing, False
             self.misses += 1
             self._insert_locked(cache_key, plan)
@@ -187,12 +231,15 @@ class PlanCache:
                 return 0
             for scheduler_name in names:
                 del self._plans[(key, scheduler_name)]
+                self._idle.pop((key, scheduler_name), None)
             return len(names)
 
     def clear(self) -> None:
+        """Drop every cached plan; the pins stay, as their residents do."""
         with self._lock:
             self._plans.clear()
             self._by_key.clear()
+            self._idle.clear()
 
     def stats(self) -> dict[str, float]:
         """Counter snapshot for metrics export (one consistent view)."""

@@ -8,8 +8,9 @@ optimized unit:
 * admission canonicalizes the tree (:mod:`repro.service.canonical`) and gets
   its schedule through the shared :class:`~repro.service.plan_cache.PlanCache`
   — isomorphic queries pay the scheduling cost once;
-* per-round execution runs every resident's schedule in registration order
-  (a :class:`~repro.service.shared_plan.RoundProgram`) against one
+* per-round execution runs every resident's schedule, step by step over the
+  whole population (a :class:`~repro.service.shared_plan.RoundProgram` whose
+  rows the server keeps across churn), against one
   :class:`~repro.streams.cache.DataItemCache`, so stream windows are paid
   once per round no matter how many queries need them;
 * :func:`run_isolated` re-runs the same population with private caches and
@@ -329,13 +330,14 @@ class QueryServer:
         #: and its maximum (the relevance horizon the cache evicts by).
         self._window_counts: dict[str, collections.Counter[int]] = {}
         self._max_windows: dict[str, int] = {}
-        #: The residents' schedules compiled for the round loop, in
-        #: registration order; ``None`` after a population change or a
-        #: re-plan until the next round recompiles it.
-        self._program: RoundProgram | None = None
-        #: The residents' distinct drifting oracles in registration order;
-        #: ``None`` after a population change until the next round rebuilds it.
-        self._drifting: tuple[DriftingBernoulliOracle, ...] | None = None
+        #: One row per resident for the round loop, kept current by every
+        #: population change and re-plan.
+        self._program = RoundProgram()
+        #: The residents' distinct drifting oracles, each with the number of
+        #: residents holding it.
+        self._drifting: collections.Counter[DriftingBernoulliOracle] = (
+            collections.Counter()
+        )
         self._round = 0
         # One reentrant lock serializes every population mutation and every
         # round against each other, so background admission threads can
@@ -345,8 +347,8 @@ class QueryServer:
 
     def __getstate__(self) -> dict:
         # RPR001: explicit pickle contract. A server is process-local by
-        # design (live RLock, per-query oracle state, the compiled round
-        # program's bound oracles); cross-process migration goes through
+        # design (live RLock, per-query oracle state, the round program's
+        # oracle tapes); cross-process migration goes through
         # export_group() / Migration, which pickles cleanly. Fail at pickle
         # time with the right pointer instead of at pipe-send time with a
         # lock error.
@@ -393,11 +395,11 @@ class QueryServer:
         """Admit a query: canonicalize, plan (through the cache), index.
 
         ``replace=True`` cleanly swaps an existing registration of ``name``
-        (the compiled round program is dropped, never reused for the new
-        tree, and the new query takes the last place in registration
-        order); the default rejects duplicates. The new tree is validated,
-        canonicalized and planned before the old registration leaves, so a
-        replacement that raises leaves the old query served as it was.
+        (the old row is tombstoned, never reused for the new tree, and the
+        new query takes the last place in registration order); the default
+        rejects duplicates. The new tree is validated, canonicalized and
+        planned before the old registration leaves, so a replacement that
+        raises leaves the old query served as it was.
 
         Raises :class:`~repro.errors.AdmissionError` on a duplicate name or a
         full server, :class:`~repro.errors.StreamError` when the tree uses an
@@ -463,6 +465,7 @@ class QueryServer:
             self.adaptive.admit(form.key, admission_base, form.fold_sizes)
         self._queries[name] = registered
         self._shape_refs[form.key] += 1
+        self._pin(registered)
         self._after_population_change(registered, joined=True)
         self.metrics.registrations += 1
         return registered
@@ -474,6 +477,7 @@ class QueryServer:
             raise AdmissionError(f"no query named {name!r} is registered")
         removed = self._queries.pop(name)
         self._after_population_change(removed, joined=False)
+        self._unpin(removed)
         self.metrics.deregistrations += 1
         self._release_shape(removed.canonical.key)
 
@@ -507,6 +511,7 @@ class QueryServer:
                     beliefs[key] = belief
             del self._queries[query.name]
             self._after_population_change(query, joined=False)
+            self._unpin(query)
             self.metrics.migrations_out += 1
             if tel is not None and tel.enabled:
                 tel.registry.counter("repro_migrations_total", direction="out").inc()
@@ -572,6 +577,7 @@ class QueryServer:
         for query in migration.queries:
             self._queries[query.name] = query
             self._shape_refs[query.canonical.key] += 1
+            self._pin(query)
             self._after_population_change(query, joined=True)
             self.metrics.migrations_in += 1
             if tel is not None and tel.enabled:
@@ -597,8 +603,7 @@ class QueryServer:
                 f"vs {sorted(self._queries)!r}"
             )
         self._queries = {name: self._queries[name] for name in names}
-        self._program = None
-        self._drifting = None
+        self._program.reorder(names)
 
     def _after_population_change(self, query: RegisteredQuery, *, joined: bool) -> None:
         """Fold one arrival or departure into the per-stream window state.
@@ -607,11 +612,17 @@ class QueryServer:
         leaves apply to ``stream``; ``_max_windows`` is its maximum per
         stream. Only ``query``'s own leaves are touched, and a stream's max
         is recomputed only when its last holder leaves. An arrival also
-        grows device time, so its windows are immediately servable.
+        grows device time, so its windows are immediately servable. The
+        round program appends or tombstones the query's row, and a drifting
+        oracle's resident count moves.
         """
         windows = self._max_windows
         shrank = False
+        drifting = isinstance(query.oracle, DriftingBernoulliOracle)
         if joined:
+            self._program.append(query.name, query.index, query.schedule, query.oracle)
+            if drifting:
+                self._drifting[query.oracle] += 1
             for leaf in query.tree.leaves:
                 counts = self._window_counts.setdefault(
                     leaf.stream, collections.Counter()
@@ -623,6 +634,11 @@ class QueryServer:
             if max_items > self.cache.now:
                 self.cache.advance(max_items - self.cache.now)
         else:
+            self._program.remove(query.name)
+            if drifting:
+                self._drifting[query.oracle] -= 1
+                if not self._drifting[query.oracle]:
+                    del self._drifting[query.oracle]
             for leaf in query.tree.leaves:
                 counts = self._window_counts[leaf.stream]
                 counts[leaf.items] -= 1
@@ -643,8 +659,6 @@ class QueryServer:
         # admissions skip the cache scan.
         if shrank:
             self.cache.retain_relevant(windows)
-        self._program = None  # recompiled lazily on the next step
-        self._drifting = None
 
     def _base_probs(
         self, form: CanonicalForm, tree: DnfTree, *, tracked: bool = True
@@ -661,6 +675,15 @@ class QueryServer:
         if self.plan_cache is not None:
             return self.plan_cache.plan(form, scheduler)
         return CachedPlan.build(form.key, form.tree, scheduler)
+
+    def _pin(self, query: RegisteredQuery) -> None:
+        """Keep ``query``'s shape in the plan cache while it is resident."""
+        if self.plan_cache is not None:
+            self.plan_cache.pin(query.canonical.key, query.plan.scheduler_name)
+
+    def _unpin(self, query: RegisteredQuery) -> None:
+        if self.plan_cache is not None:
+            self.plan_cache.unpin(query.canonical.key, query.plan.scheduler_name)
 
     def _scheduler_by_name(self, name: str) -> Scheduler:
         if name == self.scheduler.name:
@@ -683,10 +706,10 @@ class QueryServer:
         ``base_probs`` are per-*canonical-leaf* per-copy success
         probabilities (folded duplicates receive ``p**k`` automatically).
         The stale :class:`PlanCache` entries for ``key`` are invalidated, the
-        shape is re-scheduled per admission scheduler, every isomorph's
-        expanded schedule is rebuilt and the compiled round program is
-        dropped. Returns one :class:`~repro.adaptive.ReplanEvent` per
-        distinct admission scheduler among the shape's queries.
+        shape is re-scheduled per admission scheduler, and every isomorph's
+        expanded schedule and round-program row are rewritten. Returns one
+        :class:`~repro.adaptive.ReplanEvent` per distinct admission scheduler
+        among the shape's queries.
         """
         members = [q for q in self._queries.values() if q.canonical.key == key]
         if not members:
@@ -739,7 +762,7 @@ class QueryServer:
         for group, plan, old_schedule, old_cost in prepared:
             for query in group:
                 expanded = query.canonical.expand_schedule(plan.schedule)
-                self._queries[query.name] = dataclass_replace(
+                replanned = self._queries[query.name] = dataclass_replace(
                     query,
                     plan=plan,
                     schedule=validate_schedule(query.tree, expanded),
@@ -747,6 +770,7 @@ class QueryServer:
                         query.tree, base_probs
                     ),
                 )
+                self._program.reschedule(query.name, replanned.schedule)
             event = ReplanEvent(
                 round_index=self._round,
                 canonical_key=key,
@@ -779,8 +803,6 @@ class QueryServer:
                     new_cost=event.new_cost,
                     saving=event.old_cost - event.new_cost,
                 )
-        if events:
-            self._program = None  # recompiled lazily on the next step
         if self.adaptive is not None:
             self.adaptive.rebase(key, self._round, base_probs)
             for event in events:
@@ -812,15 +834,15 @@ class QueryServer:
             base[origin[gindex]] = float(prob)
         return self.replan_canonical(form.key, base, reason="forced")
 
-    def _observe_outcomes(
-        self, query: RegisteredQuery, outcomes: Mapping[int, bool]
-    ) -> None:
-        """Feed one round's evaluated probe outcomes into the drift tracker."""
+    def _observe_round(self, program: RoundProgram) -> None:
+        """Feed the round's evaluated probe outcomes into the drift tracker,
+        per query in registration order and per query in probe order."""
         assert self.adaptive is not None
-        origin = query.canonical.origin_to_canonical
-        key = query.canonical.key
-        for gindex, outcome in outcomes.items():
-            self.adaptive.observe(key, origin[gindex], outcome)
+        observe = self.adaptive.observe
+        forms = [query.canonical for query in self._queries.values()]
+        for position, gindex, outcome in zip(*program.evaluated()):
+            form = forms[position]
+            observe(form.key, form.origin_to_canonical[gindex], outcome)
 
     def _maybe_replan(self) -> list[ReplanEvent]:
         """Drift check for every tracked shape; re-plans the drifted ones."""
@@ -844,13 +866,6 @@ class QueryServer:
 
     def _advance_drifting_oracles(self, rounds: int) -> None:
         """Tick every drifting oracle's ground-truth clock once per round."""
-        if self._drifting is None:
-            distinct: dict[int, DriftingBernoulliOracle] = {}
-            for query in self._queries.values():
-                oracle = query.oracle
-                if isinstance(oracle, DriftingBernoulliOracle):
-                    distinct.setdefault(id(oracle), oracle)
-            self._drifting = tuple(distinct.values())
         for drifting in self._drifting:
             drifting.advance(rounds)
 
@@ -911,15 +926,16 @@ class QueryServer:
 
         The round is served and accounted exactly as a one-round batch.
         """
-        _, program = self._serve(1)
-        return program.results()
+        results: dict[str, ExecutionResult] = {}
+        self._serve(1, results)
+        return results
 
-    def _step(self, tally: _BatchTally) -> RoundProgram:
+    def _step(self, tally: _BatchTally, results: dict[str, ExecutionResult] | None) -> None:
         """One round, folded into ``tally``.
 
-        Returns the program that ran the round, whose
-        :meth:`~repro.service.shared_plan.RoundProgram.results` read it back
-        per query until the next round.
+        ``results``, when given, receives every query's
+        :class:`~repro.engine.executor.ExecutionResult` of the round, read
+        back before a drift re-plan rewrites any row.
         """
         if not self._queries:
             raise StreamError("no queries registered")
@@ -928,28 +944,23 @@ class QueryServer:
         wall_start = time.perf_counter() if recording else 0.0
         self.cache.advance(1, max_windows=self._max_windows)
         # Phase split: advancing the cache acquires the round's new window
-        # state; compiling the residents' schedules into a round program
-        # (after churn or a re-plan) is planning; everything through
-        # adaptivity below is evaluation (the round program interleaves its
-        # fetches with short-circuit decisions, so its fetch time is
-        # credited to evaluation by design).
+        # state; writing the rows of the arrivals since the last round (and
+        # compacting the dead ones away) is planning; everything through
+        # adaptivity below is evaluation (the round program charges its
+        # fetches after walking the steps, and that time is credited to
+        # evaluation by design).
         acquired_at = time.perf_counter() if recording else 0.0
         program = self._program
-        if program is None:
-            queries = self._queries
-            program = self._program = RoundProgram(
-                {name: query.index for name, query in queries.items()},
-                {name: query.schedule for name, query in queries.items()},
-                {name: query.oracle for name, query in queries.items()},
-            )
+        program.prepare()
         planned_at = time.perf_counter() if recording else 0.0
         stats = program.run(self.cache)
         values = program.values()
         self._round += 1
         tally.add(stats, values)
+        if results is not None:
+            results.update(program.results())
         if self.adaptive is not None:
-            for name, result in program.results().items():
-                self._observe_outcomes(self._queries[name], result.outcomes)
+            self._observe_round(program)
             tally.replans += len(self._maybe_replan())
         self._advance_drifting_oracles(1)
         if recording:
@@ -963,7 +974,6 @@ class QueryServer:
                 planning=planned_at - acquired_at,
                 evaluating=planned_at,
             )
-        return program
 
     @_synchronized
     def run_batch(self, rounds: int, *, engine: str = "scalar") -> BatchReport:
@@ -981,10 +991,10 @@ class QueryServer:
             raise StreamError(f"need at least one round, got {rounds}")
         tel = self.telemetry
         if tel is None or not tel.enabled:
-            return self._serve(rounds)[0]
+            return self._serve(rounds)
         with tel.span("batch", rounds=rounds, queries=len(self._queries)) as attrs:
             marks = dict(self._phase_seconds)
-            report, _ = self._serve(rounds)
+            report = self._serve(rounds)
             attrs["total_cost"] = report.total_cost
             attrs["probes"] = report.probes
             attrs["replans"] = report.replans
@@ -996,17 +1006,19 @@ class QueryServer:
             }
         return report
 
-    def _serve(self, rounds: int) -> tuple[BatchReport, RoundProgram]:
+    def _serve(
+        self, rounds: int, results: dict[str, ExecutionResult] | None = None
+    ) -> BatchReport:
         """Serve ``rounds`` rounds and account them: the path every round takes.
 
         The batch tally folds each round once; its report then reaches the
         lifetime ledger and, while telemetry records, the registry's
-        counters, once per batch. Returns the report and the program that
-        ran the last round.
+        counters, once per batch. ``results`` receives the last round's
+        per-query results.
         """
         tally = _BatchTally.start(tuple(self._queries))
         for _ in range(rounds):
-            program = self._step(tally)
+            self._step(tally, results)
         report = tally.report(
             self.plan_cache.hit_rate if self.plan_cache is not None else 0.0
         )
@@ -1021,7 +1033,7 @@ class QueryServer:
             reg.counter("repro_items_fetched_total").inc(report.items_fetched)
             reg.counter("repro_items_saved_total").inc(report.items_saved)
             self._phase_seconds["telemetry"] += time.perf_counter() - started
-        return report, program
+        return report
 
 
 def run_isolated(

@@ -1,23 +1,38 @@
 """Round execution for a query population over one shared cache.
 
-Every resident's schedule runs back to back, in registration order. The
-order changes no count: which probes a round evaluates depends only on each
-query's own schedule and outcomes, and a stream's fetched items are the
-widest window its evaluated probes ask for minus what the cache already
-holds, whatever order serves them. Sharing comes from the cache — one fetch
-serves every query that reads the window ("pay one, get hundreds") — and
-registration order decides only which query pays for it.
+Every resident's schedule runs in full, and registration order decides who
+pays. The order a round serves probes in changes no count: which probes it
+evaluates depends only on each query's own schedule and outcomes, and a
+stream's fetched items are the widest window its evaluated probes ask for
+minus what the cache already holds, whatever order serves them. Sharing
+comes from the cache — one fetch serves every query that reads the window
+("pay one, get hundreds") — and registration order decides only which query
+pays for it.
 
-A round runs as a *compiled round program*: :class:`RoundProgram` lays the
-population's tree nodes out in one flat list and each resident's schedule
-out as one block of steps, once per population; :meth:`RoundProgram.run`
-walks the blocks each round with a guard check per probe and an iterative
-walk to the root per evaluated probe, leaves a resident's block as soon as
-its root resolves, and allocates nothing per resident. Most probes of a
-population are free, so a round pays for its windows per stream, not per
-probe: a *window memo* keeps each stream's widest window fetched this
-round, and a probe inside it takes the memo's newest items (read-only)
-without calling the cache.
+A round runs set at a time over *rows*: :class:`RoundProgram` keeps one row
+per resident slot in padded numpy arrays — step *k*'s leaf node, global
+leaf index, stream, window and guards (the leaf's ancestors and itself) —
+plus per-node parent, kind and child count arrays and a per-slot position
+in registration order. Rows outlive population changes: an arrival appends
+one (batched into one array conversion at the next round), a departure
+tombstones one, a re-plan rewrites one, a re-order rewrites positions, and
+the arrays are compacted once half their rows are dead.
+
+:meth:`RoundProgram.run` walks step *k* of every live row at once: a guard
+gather gives the skip mask, the outcomes are gathered, each evaluated leaf's
+value propagates at most depth levels toward its root, and rows whose root
+resolved leave the walk. The fetches are charged afterwards: the evaluated
+probes are sorted by (stream, position, step), one ``maximum.accumulate``
+gives each probe its stream's widest earlier window, and the cache charges
+only the probes that widen it, in (position, step) order — so every
+per-query cost is the same left fold of the same floats as a probe-by-probe
+walk, and every other probe reads a window the round already fetched.
+
+Outcomes come from the oracles. An oracle with an outcome *tape*
+(:meth:`~repro.engine.executor.LeafOracle.tape`) hands the kernel its tape
+as bytes once per tape block and keeps its own position; every other oracle
+is called once per evaluated probe, step by step and in registration order
+within a step, with a read-only window from an uncharged per-round peek.
 """
 
 from __future__ import annotations
@@ -25,19 +40,12 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass, field
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from repro.core.resolution import (
-    FALSE,
-    KIND_AND,
-    KIND_OR,
-    TRUE,
-    UNRESOLVED,
-    LeafRecord,
-    TreeIndex,
-)
+from repro.core.leaf import Leaf
+from repro.core.resolution import FALSE, KIND_AND, KIND_OR, TRUE, TreeIndex
 from repro.core.schedule import Schedule
 from repro.engine.executor import ExecutionResult, LeafOracle
 from repro.errors import StreamError
@@ -48,8 +56,16 @@ __all__ = [
     "RoundStats",
 ]
 
-# The round walk compares a child's value with its parent's kind directly.
-assert (KIND_AND, KIND_OR) == (TRUE, FALSE)
+_round_of = operator.attrgetter("round_index")
+
+#: Node 0 is never resolved: padded guards of a step point at it. Node 1 is
+#: always resolved, so a padded step (beyond a schedule's end) is skipped,
+#: and it is every root's parent, where no propagation goes on.
+_OPEN, _SINK = 0, 1
+#: The child value that resolves a parent at once, by the parent's kind:
+#: FALSE under an AND, TRUE under an OR (a leaf parents no node).
+_CLOSES = np.zeros(max(KIND_AND, KIND_OR) + 1, np.uint8)
+_CLOSES[KIND_AND], _CLOSES[KIND_OR] = FALSE, TRUE
 
 
 @dataclass
@@ -83,213 +99,628 @@ class RoundStats:
         return functools.reduce(operator.add, self.query_cost, 0.0)
 
 
-#: One resident's compiled schedule: its slot, its *base* (where its tree's
-#: nodes start in the program's flat node lists) and, in schedule order, the
-#: :data:`~repro.core.resolution.LeafRecord` of each probed leaf, whose node
-#: ids count from that base.
-Block = tuple[int, int, tuple[LeafRecord, ...]]
+#: What a row is built from: the query's name, tree index, schedule and oracle.
+_Spec = tuple[str, TreeIndex, Schedule, LeafOracle]
+
+
+def _grown(array: np.ndarray, axis: int, size: int, fill: int) -> np.ndarray:
+    """``array`` padded with ``fill`` along ``axis`` to ``size``."""
+    shape = list(array.shape)
+    shape[axis] = size
+    grown = np.full(shape, fill, dtype=array.dtype)
+    grown[tuple(slice(0, n) for n in array.shape)] = array
+    return grown
 
 
 class RoundProgram:
-    """A population's schedules compiled against its trees and oracles.
+    """A population's schedules as rows of padded arrays, kept across churn.
 
-    Compiling is one pass over the residents, in registration order (the
-    order of ``indexes``): every tree's nodes are laid out in one
-    population-wide flat list, each query's schedule becomes one block
-    (:data:`Block`) by indexing, and each query's ``oracle.outcome`` is
-    bound once. A round (:meth:`run`) then resolves no name and allocates
-    nothing per resident: it resets the flat node state and walks the
-    blocks. A leaf's node holds its outcome when its probe was
-    evaluated, so :meth:`values` and :meth:`results` read the last round
-    back per query from that state, for the callers that need them. The
-    program depends
-    only on the trees, the schedules and the oracles, so it serves every
-    round until one of them changes.
+    Built empty (or from ``indexes``, ``schedules`` and ``oracles``, keyed by
+    name, in registration order) and kept current with :meth:`append`,
+    :meth:`remove`, :meth:`reschedule` and :meth:`reorder`. A round
+    (:meth:`run`) resolves no name and builds nothing per resident.
+    :meth:`values`, :meth:`results` and :meth:`evaluated` read the last
+    round back, until the population changes.
     """
-
-    __slots__ = (
-        "names",
-        "blocks",
-        "_roots",
-        "_parent",
-        "_kinds",
-        "_need",
-        "_outcome_of",
-        "_state",
-        "_counts",
-        "_blank",
-        "_query_cost",
-    )
 
     def __init__(
         self,
-        indexes: Mapping[str, TreeIndex],
-        schedules: Mapping[str, Schedule],
-        oracles: Mapping[str, LeafOracle],
+        indexes: Mapping[str, TreeIndex] | None = None,
+        schedules: Mapping[str, Schedule] | None = None,
+        oracles: Mapping[str, LeafOracle] | None = None,
     ) -> None:
-        if schedules.keys() != indexes.keys():
+        self._reset()
+        if indexes is None:
+            return
+        if schedules is None or oracles is None or schedules.keys() != indexes.keys():
             raise StreamError(
-                f"schedules name {sorted(schedules)!r}, the trees {sorted(indexes)!r}"
+                f"schedules name {sorted(schedules or ())!r}, the trees {sorted(indexes)!r}"
             )
-        self.names = tuple(indexes)
-        roots: list[int] = []
+        for name, index in indexes.items():
+            self.append(name, index, schedules[name], oracles[name])
+        self.prepare()
+
+    def _reset(self) -> None:
+        """Empty every row, node and tape."""
+        # Rows, column-major so that step k of every slot is contiguous:
+        # [width, capacity] (guards [width, capacity, depth]).
+        self._leaf = np.zeros((1, 0), np.intp)
+        self._gindex = np.zeros((1, 0), np.intp)
+        self._stream = np.zeros((1, 0), np.intp)
+        self._items = np.zeros((1, 0), np.intp)
+        self._guards = np.zeros((1, 0, 1), np.intp)
+        # Per slot: schedule length (0 when dead), position in registration
+        # order (-1 when dead), root node (its tree's first), tape index (-1: the
+        # oracle is called per probe).
+        self._length = np.zeros(0, np.intp)
+        self._position = np.zeros(0, np.intp)
+        self._root = np.zeros(0, np.intp)
+        self._tape = np.zeros(0, np.intp)
+        # Per node, from node 2 on (see _OPEN and _SINK): its parent, the
+        # child value that resolves it at once, and its number of children.
+        # The sink's child count is never reached.
+        self._parent = np.full(2, _SINK, np.intp)
+        self._closes = np.zeros(2, np.uint8)
+        self._need = np.array([0, 2**62], np.intp)
+        self._state = np.zeros(2, np.uint8)
+        self._counts = np.zeros(2, np.intp)
+        self._n_nodes = 2
+        self._flushed = 0  # slots [0, _flushed) are written to the arrays
+        # Per slot, what the row was built from (None once dead), and the
+        # leaves of its steps for the per-probe oracle calls.
+        self._specs: list[_Spec | None] = []
+        self._step_leaves: list[tuple[Leaf, ...]] = []
+        self._slot_of: dict[str, int] = {}
+        self._dead = 0
+        self._streams: list[str] = []
+        self._stream_ids: dict[str, int] = {}
+        # Registration order: live slots by position, and their names.
+        self._order: np.ndarray | None = None
+        self._names: tuple[str, ...] | None = None
+        self._n_called = 0  # live slots whose oracle is called per probe
+        # Tape oracles, by tape index: the object, its live rows, and the
+        # bytes it last handed over with the rounds they cover.
+        self._tape_ids: dict[int, int] = {}
+        self._tape_objs: list[LeafOracle] = []
+        self._tape_refs: list[int] = []
+        self._tape_bits: list[bytes] = []
+        self._tape_first = np.zeros(0, np.int64)
+        self._tape_end = np.zeros(0, np.int64)
+        self._tape_stride = np.zeros(0, np.int64)
+        self._tape_base = np.zeros(0, np.int64)
+        self._tape_offset = np.zeros(0, np.int64)
+        self._tape_buffer = np.zeros(0, np.uint8)
+        self._live_tapes: tuple[list[LeafOracle], np.ndarray] | None = None
+        # The last round, per evaluated probe in step order: its rank in (position, step)
+        # order, step, position, global leaf index and value.
+        self._evaluated: tuple[np.ndarray, ...] | None = None
+        self._query_cost: list[float] = []
+
+    # -- population -----------------------------------------------------
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        """The residents' names in registration order."""
+        if self._names is None:
+            specs = self._specs
+            self._names = tuple(specs[slot][0] for slot in self.order.tolist())  # type: ignore[index]
+        return self._names
+
+    @property
+    def order(self) -> np.ndarray:
+        """The live slots in registration order."""
+        if self._order is None:
+            live = np.flatnonzero(self._position >= 0)
+            order = np.empty(live.size, np.intp)
+            order[self._position[live]] = live
+            self._order = order
+        return self._order
+
+    @property
+    def gindex(self) -> np.ndarray:
+        """Per written slot, its schedule's global leaf indices (``[slots, width]``)."""
+        return self._gindex[:, : self._flushed].T
+
+    @property
+    def length(self) -> np.ndarray:
+        """Per slot, its schedule length (0 for a dead slot)."""
+        return self._length
+
+    def __len__(self) -> int:
+        return len(self._slot_of)
+
+    def append(
+        self, name: str, index: TreeIndex, schedule: Schedule, oracle: LeafOracle
+    ) -> None:
+        """Add a resident in the last place of registration order.
+
+        Its row is written at the next :meth:`prepare` (every :meth:`run`
+        begins with one), together with every other arrival since.
+        """
+        if name in self._slot_of:
+            raise StreamError(f"the round program already holds {name!r}")
+        slot = len(self._specs)
+        self._specs.append((name, index, tuple(schedule), oracle))
+        self._slot_of[name] = slot
+        if slot >= self._position.size:
+            capacity = max(2 * self._position.size, 8)
+            self._length = _grown(self._length, 0, capacity, 0)
+            self._position = _grown(self._position, 0, capacity, -1)
+            self._root = _grown(self._root, 0, capacity, 0)
+            self._tape = _grown(self._tape, 0, capacity, -1)
+        self._position[slot] = len(self._slot_of) - 1
+        self._order = None
+        self._names = None
+
+    def remove(self, name: str) -> None:
+        """Tombstone ``name``'s row; later residents move up one place."""
+        slot = self._slot_of.pop(name)
+        spec = self._specs[slot]
+        assert spec is not None
+        self._specs[slot] = None
+        position = self._position[slot]
+        self._position[slot] = -1
+        self._position[self._position > position] -= 1
+        self._dead += 1
+        self._order = None
+        self._names = None
+        if slot < self._flushed:
+            self._length[slot] = 0
+            self._release_oracle(slot)
+
+    def reorder(self, names: Sequence[str]) -> None:
+        """Re-key registration order to ``names``, a permutation of the residents."""
+        slot_of = self._slot_of
+        self._position[np.fromiter((slot_of[name] for name in names), np.intp, len(names))] = (
+            np.arange(len(names))
+        )
+        self._order = None
+        self._names = None
+
+    def reschedule(self, name: str, schedule: Schedule) -> None:
+        """Rewrite ``name``'s row for a new schedule of the same tree."""
+        slot = self._slot_of[name]
+        spec = self._specs[slot]
+        assert spec is not None
+        self._specs[slot] = (spec[0], spec[1], tuple(schedule), spec[3])
+        if slot < self._flushed:
+            self._write(slot, slot + 1, [self._specs[slot]], self._root[slot : slot + 1])
+
+    def prepare(self) -> None:
+        """Write every pending arrival's row; compact once half the rows are dead."""
+        if self._dead and 2 * self._dead >= len(self._specs):
+            self._compact()
+        if self._flushed < len(self._specs):
+            self._flush()
+
+    def _compact(self) -> None:
+        """Rebuild the arrays from the live rows, in registration order."""
+        specs = [self._specs[slot] for slot in self.order.tolist()]
+        self._reset()
+        for spec in specs:
+            assert spec is not None
+            self.append(*spec)
+
+    def _flush(self) -> None:
+        """Write the pending slots' nodes and rows, one array conversion per field."""
+        start, stop = self._flushed, len(self._specs)
+        pending = self._specs[start:stop]
+        sizes: list[int] = []
         parent: list[int] = []
         kinds: list[int] = []
         need: list[int] = []
-        blocks: list[Block] = []
-        for slot, (name, index) in enumerate(indexes.items()):
-            base = len(parent)
-            roots.append(base)
+        for spec in pending:
+            if spec is None:  # arrived and left before its row was written
+                sizes.append(0)
+                continue
+            index = spec[1]
+            sizes.append(index.n_nodes)
             parent.extend(index.parent)
             kinds.extend(index.kinds)
             need.extend(map(len, index.children))
+        first = self._n_nodes
+        bases = first + np.cumsum(sizes) - sizes
+        n_nodes = first + len(parent)
+        if n_nodes > self._parent.size:
+            capacity = max(2 * self._parent.size, n_nodes)
+            self._parent = _grown(self._parent, 0, capacity, _SINK)
+            self._closes = _grown(self._closes, 0, capacity, 0)
+            self._need = _grown(self._need, 0, capacity, 0)
+            self._state = np.zeros(capacity, np.uint8)
+            self._counts = np.zeros(capacity, np.intp)
+        # Tree-local parents move to the trees' bases; roots hang off the sink.
+        local = np.array(parent, np.intp)
+        self._parent[first:n_nodes] = np.where(
+            local >= 0, local + np.repeat(bases, sizes), _SINK
+        )
+        self._closes[first:n_nodes] = _CLOSES[np.array(kinds, np.intp)]
+        self._need[first:n_nodes] = need
+        self._n_nodes = n_nodes
+        self._write(start, stop, pending, bases)
+        self._flushed = stop
+
+    def _write(
+        self, start: int, stop: int, specs: list[_Spec | None], bases: np.ndarray
+    ) -> None:
+        """Write the rows of slots ``[start, stop)``, whose trees' nodes start
+        at ``bases`` and are already written.
+
+        The steps are gathered flat and scattered into the padded arrays
+        once; a step's guards are its leaf and the leaf's ancestors, read up
+        the parent array. A padded step's leaf is the sink, so its one guard
+        is resolved and the step is skipped.
+        """
+        nodes: list[int] = []
+        gindex: list[int] = []
+        stream: list[int] = []
+        items: list[int] = []
+        lengths: list[int] = []
+        tapes: list[int] = []
+        width = self._leaf.shape[0]
+        stream_ids = self._stream_ids
+        for slot, spec in enumerate(specs, start):
+            if spec is None:
+                lengths.append(0)
+                tapes.append(-1)
+                self._step_leaves.append(())
+                continue
+            _, index, schedule, oracle = spec
             records = index.leaf_records
-            blocks.append((slot, base, tuple([records[g] for g in schedules[name]])))
-        self.blocks = tuple(blocks)
-        self._roots = tuple(roots)
-        self._parent = parent
-        self._kinds = kinds
-        self._need = need
-        self._outcome_of = [oracles[name].outcome for name in self.names]
-        # UNRESOLVED is 0, so one blank list resets both the node values
-        # and the resolved-children counts.
-        self._blank = [0] * len(parent)
-        self._state = list(self._blank)
-        self._counts = list(self._blank)
-        self._query_cost = [0.0] * len(self.names)
+            _, leaves, names, counts, leaf_nodes = zip(*[records[g] for g in schedule])
+            for name in names:
+                if name not in stream_ids:
+                    stream_ids[name] = len(self._streams)
+                    self._streams.append(name)
+            nodes.extend(leaf_nodes)
+            gindex.extend(schedule)
+            stream.extend([stream_ids[name] for name in names])
+            items.extend(counts)
+            lengths.append(len(schedule))
+            if slot < len(self._step_leaves):
+                self._release_oracle(slot)
+                self._step_leaves[slot] = leaves
+            else:
+                self._step_leaves.append(leaves)
+            tapes.append(self._hold_oracle(oracle, len(records)))
+            width = max(width, len(schedule))
+        n_rows = stop - start
+        counts_at = np.array(lengths, np.intp)
+        row = np.repeat(np.arange(n_rows), counts_at)
+        step = np.arange(row.size) - np.repeat(np.cumsum(counts_at) - counts_at, counts_at)
+
+        def scattered(values: list[int], fill: int) -> np.ndarray:
+            block = np.full((width, n_rows), fill, np.intp)
+            block[step, row] = values
+            return block
+
+        leaf = scattered(nodes, _SINK)
+        leaf[step, row] += bases[row]
+        levels = [leaf]
+        up = self._parent[leaf]
+        while (up != _SINK).any():
+            levels.append(np.where(up == _SINK, _OPEN, up))
+            up = self._parent[up]
+        depth = max(self._guards.shape[2], len(levels))
+        capacity = self._position.size
+        if self._leaf.shape != (width, capacity) or self._guards.shape[2] != depth:
+            self._leaf = _grown(_grown(self._leaf, 0, width, _SINK), 1, capacity, _SINK)
+            self._gindex = _grown(_grown(self._gindex, 0, width, 0), 1, capacity, 0)
+            self._stream = _grown(_grown(self._stream, 0, width, 0), 1, capacity, 0)
+            self._items = _grown(_grown(self._items, 0, width, 0), 1, capacity, 0)
+            guards = np.full((width, capacity, depth), _OPEN, np.intp)
+            old = self._guards
+            guards[: old.shape[0], : old.shape[1], : old.shape[2]] = old
+            # A step padded onto older rows has the sink as its guard.
+            guards[old.shape[0] :, :, 0] = _SINK
+            self._guards = guards
+        self._leaf[:, start:stop] = leaf
+        self._gindex[:, start:stop] = scattered(gindex, 0)
+        self._stream[:, start:stop] = scattered(stream, 0)
+        self._items[:, start:stop] = scattered(items, 0)
+        self._guards[:, start:stop] = _OPEN
+        for d, level in enumerate(levels):
+            self._guards[:, start:stop, d] = level
+        self._length[start:stop] = counts_at
+        self._root[start:stop] = bases
+        self._tape[start:stop] = tapes
+
+    # -- oracles --------------------------------------------------------
+
+    def _hold_oracle(self, oracle: LeafOracle, n_leaves: int) -> int:
+        """The tape index of a new row's oracle, or -1 to call it per probe."""
+        width = oracle.tape_width()
+        if width is None or width < n_leaves:
+            self._n_called += 1
+            return -1
+        tape = self._tape_ids.get(id(oracle))
+        if tape is None:
+            tape = self._tape_ids[id(oracle)] = len(self._tape_objs)
+            self._tape_objs.append(oracle)
+            self._tape_refs.append(0)
+            self._tape_bits.append(b"")
+            if tape == self._tape_first.size:
+                # Grown zeroed: an empty range, so the first round asks the
+                # oracle for its tape.
+                size = max(2 * tape, 8)
+                self._tape_first = _grown(self._tape_first, 0, size, 0)
+                self._tape_end = _grown(self._tape_end, 0, size, 0)
+                self._tape_stride = _grown(self._tape_stride, 0, size, 0)
+                self._tape_base = _grown(self._tape_base, 0, size, 0)
+                self._tape_offset = _grown(self._tape_offset, 0, size, 0)
+        self._tape_refs[tape] += 1
+        if self._tape_refs[tape] == 1:
+            self._live_tapes = None
+        return tape
+
+    def _release_oracle(self, slot: int) -> None:
+        """Drop a row's hold on its oracle: a tape nobody reads is not drawn."""
+        tape = int(self._tape[slot])
+        if tape < 0:
+            self._n_called -= 1
+            return
+        self._tape_refs[tape] -= 1
+        if not self._tape_refs[tape]:
+            self._live_tapes = None
+            self._tape_bits[tape] = b""
+            self._tape_end[tape] = self._tape_first[tape] = 0
+
+    def _tape_offsets(self) -> np.ndarray:
+        """Per tape index, where the current round's outcomes start in the buffer.
+
+        An oracle whose round left the range its last tape covers hands over
+        its tape again (drawing a new block when its own position needs
+        one); the buffer is rebuilt only then.
+        """
+        if self._live_tapes is None:
+            live = [tape for tape, refs in enumerate(self._tape_refs) if refs]
+            self._live_tapes = (
+                [self._tape_objs[tape] for tape in live],
+                np.array(live, np.intp),
+            )
+        objs, live = self._live_tapes
+        if not objs:
+            return self._tape_offset
+        now = np.fromiter(map(_round_of, objs), np.int64, len(objs))
+        first = self._tape_first[live]
+        stale = np.flatnonzero((now < first) | (now >= self._tape_end[live]))
+        if stale.size:
+            for tape in live[stale].tolist():
+                bits, start, end, stride = self._tape_objs[tape].tape()
+                self._tape_bits[tape] = bits
+                self._tape_first[tape] = start
+                self._tape_end[tape] = end
+                self._tape_stride[tape] = stride
+            self._tape_buffer = np.frombuffer(b"".join(self._tape_bits), np.uint8)
+            sizes = np.fromiter(map(len, self._tape_bits), np.int64, len(self._tape_bits))
+            self._tape_base[: sizes.size] = np.cumsum(sizes) - sizes
+            first = self._tape_first[live]
+        self._tape_offset[live] = self._tape_base[live] + (now - first) * self._tape_stride[live]
+        return self._tape_offset
+
+    # -- rounds ---------------------------------------------------------
 
     def run(self, cache: Union[DataItemCache, CountingCache]) -> RoundStats:
         """Execute one round with per-query early termination.
 
-        Walks the blocks once. A probe is skipped for free when the leaf's
-        AND/OR ancestors short-circuited it away: one guard check per probe
-        over the leaf's precomputed ancestors in the flat node state, and an
-        iterative walk toward the root per evaluated probe. When that walk
-        resolves the root, the rest of the query's block is skipped without
-        a check (early termination): every later probe has the root among
-        its guards. Per query, the round means exactly what running it
+        Step *k* of every live row runs at once: a probe is skipped for free
+        when one of its guards (the leaf's AND/OR ancestors, or the leaf
+        itself) is resolved, and a row leaves the walk once its root
+        resolves. Per query, the round means exactly what running it
         through :class:`~repro.engine.executor.ScheduleExecutor` means (see
-        :meth:`results`).
-
-        A *window memo* remembers, per stream, the largest window fetched
-        this round; a probe within it takes the memo's tail with cost 0.0
-        and no ``fetch_window`` call — exactly what the cache would return,
-        since nothing evicts mid-round. Memoized windows are read-only: an
-        oracle that writes to its window raises ``ValueError``.
+        :meth:`results`). The fetches are then charged in registration
+        order, calling the cache's ``charge_window`` only for the probes
+        that widen their stream's window this round: every other probe's
+        window is cached (nothing evicts mid-round), so its fetch would
+        charge 0.0, and adding 0.0 to a sum begun at 0.0 changes no bit.
         """
-        names = self.names
+        self.prepare()
+        n_nodes = self._n_nodes
         state = self._state
         counts = self._counts
-        state[:] = self._blank
-        counts[:] = self._blank
-        parent = self._parent
-        kinds = self._kinds
-        need = self._need
-        outcome_of = self._outcome_of
-        query_cost = self._query_cost = [0.0] * len(names)
-        query_probes = [0] * len(names)
-        # Per stream, the largest window fetched this round and its values.
-        held: dict[str, tuple[int, np.ndarray | None]] = {}
-        fetch_window = cache.fetch_window
-        free = 0
+        state[:n_nodes] = 0
+        state[_SINK] = TRUE
+        counts[:n_nodes] = 0
+        order = self.order
+        parent, closes, need, root = self._parent, self._closes, self._need, self._root
+        tape = self._tape
+        called = self._n_called > 0
+        # Per slot, where its oracle's tape row for this round starts (for a
+        # slot whose oracle is called per probe, an unused number).
+        offsets = self._tape_offsets()
+        starts = offsets[tape] if offsets.size else tape
+        buffer = self._tape_buffer
+        step_slots: list[np.ndarray] = []
+        step_values: list[np.ndarray] = []
+        peeks: dict[int, tuple[int, np.ndarray | None]] = {}
+        live = order
+        for k in range(self._leaf.shape[0]):
+            if not live.size:
+                break
+            rows = live
+            if k:
+                rows = live[~state[self._guards[k][live]].any(axis=1)]
+            gindex = self._gindex[k][rows]
+            if called:
+                outcomes = self._call_oracles(k, rows, gindex, cache, peeks)
+                taped = np.flatnonzero(tape[rows] >= 0)
+                if taped.size:
+                    outcomes[taped] = buffer[starts[rows[taped]] + gindex[taped]]
+            else:
+                outcomes = buffer[starts[rows] + gindex]
+            # TRUE is 1 and FALSE 2: an outcome byte of 1 gives 1, 0 gives 2.
+            values = FALSE - outcomes
+            step_slots.append(rows)
+            step_values.append(values)
+            node = self._leaf[k][rows]
+            state[node] = values
+            # Propagate toward the roots. A value never changes on the way
+            # up: an AND takes a FALSE child's value (or its last TRUE
+            # child's), an OR a TRUE child's (or its last FALSE child's).
+            # Any other child value leaves the parent open. Each row has its
+            # own nodes and one probe per step, so no two chains touch one
+            # node below the sink, which stops every chain.
+            while node.size:
+                up = parent[node]
+                resolved = counts[up] + 1
+                counts[up] = resolved
+                going = (values == closes[up]) | (resolved >= need[up])
+                node = up[going]
+                values = values[going]
+                state[node] = values
+            # A row leaves the walk once its root resolves; a full schedule
+            # resolves it by its last step, and padded steps are skipped.
+            live = live[state[root[live]] == 0]
+        return self._charge(cache, order.size, step_slots, step_values)
+
+    def _call_oracles(
+        self,
+        k: int,
+        rows: np.ndarray,
+        gindex: np.ndarray,
+        cache: Union[DataItemCache, CountingCache],
+        peeks: dict[int, tuple[int, np.ndarray | None]],
+    ) -> np.ndarray:
+        """Step ``k``'s outcomes of the rows whose oracle is called per probe.
+
+        In registration order; each call gets its window from the round's
+        uncharged peek of the stream's widest window asked for so far.
+        """
+        outcomes = np.zeros(rows.size, np.uint8)
+        called = np.flatnonzero(self._tape[rows] < 0)
+        if not called.size:
+            return outcomes
+        slots = rows[called]
+        streams = self._stream[k][slots].tolist()
+        items = self._items[k][slots].tolist()
+        specs = self._specs
+        step_leaves = self._step_leaves
+        names = self._streams
+        for at, slot, g, stream, count in zip(
+            called.tolist(), slots.tolist(), gindex[called].tolist(), streams, items
+        ):
+            peek = peeks.get(stream)
+            if peek is not None and count <= peek[0]:
+                size, window = peek
+                if window is not None and count < size:
+                    window = window[size - count :]
+            else:
+                window = cache.peek_window(names[stream], count)
+                if window is not None:
+                    # Later probes share this array: an oracle must not
+                    # write to it.
+                    window.flags.writeable = False
+                peeks[stream] = (count, window)
+            oracle = specs[slot][3]  # type: ignore[index]
+            outcomes[at] = 1 if oracle.outcome(g, step_leaves[slot][k], window) else 0
+        return outcomes
+
+    def _charge(
+        self,
+        cache: Union[DataItemCache, CountingCache],
+        n: int,
+        step_slots: list[np.ndarray],
+        step_values: list[np.ndarray],
+    ) -> RoundStats:
+        """Charge the round's evaluated probes in (position, step) order."""
+        query_cost = self._query_cost = [0.0] * n
+        if not step_slots:
+            self._evaluated = (np.zeros(0, np.intp),) * 5
+            return RoundStats(query_cost=query_cost, query_probes=[0] * n)
+        slots = np.concatenate(step_slots)
+        steps = np.repeat(np.arange(len(step_slots)), [s.size for s in step_slots])
+        positions = self._position[slots]
+        # Unique per probe and increasing in (position, step).
+        ranks = positions * len(step_slots) + steps
+        self._evaluated = (
+            ranks,
+            steps,
+            positions,
+            self._gindex[steps, slots],
+            np.concatenate(step_values),
+        )
+        streams = self._stream[steps, slots]
+        items = self._items[steps, slots]
+        # Per stream, the widest window asked for before each probe: sort by
+        # (stream, position, step), take one running maximum over keys that
+        # put a later stream's above any earlier stream's, and shift it by
+        # one. Only the probes that widen their stream's window get a cache
+        # call, in (position, step) order.
+        by_stream = np.argsort(streams * (n * len(step_slots)) + ranks)
+        keys = (streams[by_stream] << 32) | items[by_stream]
+        widest = np.maximum.accumulate(keys)
+        widens = np.empty(keys.size, bool)
+        widens[0] = True
+        widens[1:] = keys[1:] > widest[:-1]
+        widening = by_stream[widens]
+        widening = widening[np.argsort(ranks[widening])]
+        charge_window = cache.charge_window
+        names = self._streams
         fetched = 0
-        needed = 0
-        for slot, base, records in self.blocks:
-            outcome = outcome_of[slot]
-            for g, leaf, stream, items, node, guards in records:
-                for guard in guards:
-                    if state[base + guard]:
-                        break
-                else:
-                    memo = held.get(stream)
-                    if memo is not None and items <= memo[0]:
-                        # Nothing evicts mid-round, so the window is
-                        # cached: fetch_window would return this tail and
-                        # charge 0.0, and adding 0.0 to a sum begun at 0.0
-                        # changes no bit.
-                        size, window = memo
-                        if window is not None and items < size:
-                            window = window[size - items :]
-                        free += 1
-                    else:
-                        fetch = fetch_window(stream, items)
-                        window = fetch.values
-                        if window is not None:
-                            # Later probes share this array: an oracle
-                            # must not write to it.
-                            window.flags.writeable = False
-                        held[stream] = (items, window)
-                        query_cost[slot] += fetch.cost
-                        fetched += fetch.fetched_items
-                        if not fetch.fetched_items:
-                            free += 1
-                    needed += items
-                    query_probes[slot] += 1
-                    # Propagate toward the root. The value never changes on
-                    # the way up: an AND takes a FALSE child's value (or its
-                    # last TRUE child's), an OR a TRUE child's (or its last
-                    # FALSE child's); any other child stops the walk. A
-                    # child value equal to its parent's kind (TRUE under an
-                    # AND, FALSE under an OR) leaves the parent open.
-                    value = TRUE if outcome(g, leaf, window) else FALSE
-                    node += base
-                    while True:
-                        state[node] = value
-                        up = parent[node]
-                        if up < 0:
-                            break
-                        up += base
-                        resolved = counts[up] + 1
-                        counts[up] = resolved
-                        if value == kinds[up] and resolved < need[up]:
-                            break
-                        node = up
-                    if up < 0:
-                        # The root resolved: the rest of the block is skipped.
-                        break
+        free = slots.size - widening.size
+        for position, stream, count in zip(
+            positions[widening].tolist(),
+            streams[widening].tolist(),
+            items[widening].tolist(),
+        ):
+            items_fetched, cost = charge_window(names[stream], count)
+            query_cost[position] += cost
+            fetched += items_fetched
+            if not items_fetched:
+                free += 1
         return RoundStats(
-            probes=sum(query_probes),
+            probes=slots.size,
             free_probes=free,
             items_fetched=fetched,
-            items_saved=needed - fetched,
+            items_saved=int(items.sum()) - fetched,
             query_cost=query_cost,
-            query_probes=query_probes,
+            query_probes=np.bincount(positions, minlength=n).tolist(),
         )
 
+    # -- reading the last round back -------------------------------------
+
     def values(self) -> list[bool]:
-        """Every query's root value in the last round, per slot."""
-        state = self._state
-        values = [state[root] for root in self._roots]
-        assert UNRESOLVED not in values, "a full schedule always resolves the root"
-        return [value == TRUE for value in values]
+        """Every query's root value in the last round, in registration order."""
+        values = self._state[self._root[self.order]]
+        assert values.all(), "a full schedule always resolves the root"
+        return (values == TRUE).tolist()
+
+    def evaluated(self) -> tuple[list[int], list[int], list[bool]]:
+        """The last round's evaluated probes in (position, step) order: each
+        one's query position, global leaf index and outcome."""
+        _, positions, gindexes, outcomes = self._ranked()
+        return positions, gindexes, outcomes
+
+    def _ranked(self) -> tuple[list[int], list[int], list[int], list[bool]]:
+        """The last round's evaluated probes in (position, step) order: steps,
+        positions, global leaf indices and outcomes."""
+        assert self._evaluated is not None, "no round has run"
+        ranks, *fields, values = self._evaluated
+        ranked = np.argsort(ranks)
+        steps, positions, gindexes = (f[ranked].tolist() for f in fields)
+        return steps, positions, gindexes, (values[ranked] == TRUE).tolist()
 
     def results(self) -> dict[str, ExecutionResult]:
-        """Every query's :class:`ExecutionResult` of the last round, in slot order.
+        """Every query's :class:`ExecutionResult` of the last round, in
+        registration order.
 
         Each has exactly the semantics of running that query's schedule
         alone through :class:`~repro.engine.executor.ScheduleExecutor`.
         """
-        state = self._state
+        steps, positions, gindexes, outcomes = self._ranked()
+        per_query: list[list[tuple[int, int, bool]]] = [[] for _ in self.names]
+        for position, step, g, outcome in zip(positions, steps, gindexes, outcomes):
+            per_query[position].append((step, g, outcome))
         results: dict[str, ExecutionResult] = {}
-        for (_, base, records), name, value, cost in zip(
-            self.blocks, self.names, self.values(), self._query_cost
+        for name, value, cost, probes in zip(
+            self.names, self.values(), self._query_cost, per_query
         ):
-            skipped: list[int] = []
-            # Insertion order: the query's evaluated leaves in probe order.
-            outcomes: dict[int, bool] = {}
-            for g, _, _, _, node, _ in records:
-                # A leaf's node is resolved only by its own evaluation, and
-                # a second probe of an evaluated leaf is skipped.
-                node += base
-                if state[node] == UNRESOLVED or g in outcomes:
-                    skipped.append(g)
-                else:
-                    outcomes[g] = state[node] == TRUE
+            schedule = self._specs[self._slot_of[name]][2]  # type: ignore[index]
+            ran = {step for step, _, _ in probes}
             results[name] = ExecutionResult(
                 value=value,
                 cost=cost,
-                evaluated=tuple(outcomes),
-                skipped=tuple(skipped),
-                outcomes=outcomes,
+                evaluated=tuple(g for _, g, _ in probes),
+                skipped=tuple(g for step, g in enumerate(schedule) if step not in ran),
+                outcomes={g: outcome for _, g, outcome in probes},
             )
         return results

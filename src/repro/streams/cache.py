@@ -56,10 +56,12 @@ class CountingCache:
         return self._held.get(stream, 0)
 
     def fetch_window(self, stream: str, count: int) -> FetchResult:
-        if count < 1:
-            raise StreamError(f"window must be >= 1 item, got {count}")
-        if stream not in self.costs:
-            raise StreamError(f"unknown stream {stream!r}")
+        missing, cost = self.charge_window(stream, count)
+        return FetchResult(values=None, fetched_items=missing, cost=cost)
+
+    def charge_window(self, stream: str, count: int) -> tuple[int, float]:
+        """:meth:`fetch_window` without the values: ``(fetched_items, cost)``."""
+        self.peek_window(stream, count)
         have = self._held.get(stream, 0)
         missing = max(0, count - have)
         cost = missing * self.costs[stream]
@@ -67,7 +69,16 @@ class CountingCache:
             self._held[stream] = count
             self.fetch_counts[stream] = self.fetch_counts.get(stream, 0) + missing
         self.charged += cost
-        return FetchResult(values=None, fetched_items=missing, cost=cost)
+        return missing, cost
+
+    def peek_window(self, stream: str, count: int) -> None:
+        """What :meth:`fetch_window` would return as values (none), uncharged;
+        raises as it would on a bad window."""
+        if count < 1:
+            raise StreamError(f"window must be >= 1 item, got {count}")
+        if stream not in self.costs:
+            raise StreamError(f"unknown stream {stream!r}")
+        return None
 
     def clear(self) -> None:
         """Drop all items (e.g. between independent query evaluations)."""
@@ -125,6 +136,45 @@ class DataItemCache:
 
     def fetch_window(self, stream: str, count: int) -> FetchResult:
         """Values of items ``1..count`` (newest last in the array), charging misses."""
+        fetched, cost = self.charge_window(stream, count)
+        store = self._store[stream]
+        values = np.fromiter(
+            (store[tau] for tau in range(self.now - count, self.now)), float, count
+        )
+        return FetchResult(values=values, fetched_items=fetched, cost=cost)
+
+    def charge_window(self, stream: str, count: int) -> tuple[int, float]:
+        """:meth:`fetch_window` without the values: ``(fetched_items, cost)``."""
+        source = self._source(stream, count)
+        store = self._store[stream]
+        fetched = 0
+        for tau in range(self.now - count, self.now):
+            if tau not in store:
+                store[tau] = source.value_at(tau)
+                fetched += 1
+        cost = fetched * self.costs[stream]
+        self.charged += cost
+        if fetched:
+            self.fetch_counts[stream] = self.fetch_counts.get(stream, 0) + fetched
+        return fetched, cost
+
+    def peek_window(self, stream: str, count: int) -> np.ndarray:
+        """The values :meth:`fetch_window` would return, without fetching or charging.
+
+        Held items are read from the store and missing ones from the
+        source, which produces the same value whenever it is asked.
+        """
+        source = self._source(stream, count)
+        store = self._store[stream]
+        return np.array(
+            [
+                store[tau] if tau in store else source.value_at(tau)
+                for tau in range(self.now - count, self.now)
+            ]
+        )
+
+    def _source(self, stream: str, count: int) -> Source:
+        """The source of ``stream``, once a window of ``count`` items is valid."""
         if count < 1:
             raise StreamError(f"window must be >= 1 item, got {count}")
         source = self.sources.get(stream)
@@ -134,20 +184,7 @@ class DataItemCache:
             raise StreamError(
                 f"stream {stream!r} has only produced {self.now} items; window {count} too large"
             )
-        store = self._store[stream]
-        fetched = 0
-        cost_per_item = self.costs[stream]
-        values = np.empty(count)
-        for offset, tau in enumerate(range(self.now - count, self.now)):
-            if tau not in store:
-                store[tau] = source.value_at(tau)
-                fetched += 1
-            values[offset] = store[tau]
-        cost = fetched * cost_per_item
-        self.charged += cost
-        if fetched:
-            self.fetch_counts[stream] = self.fetch_counts.get(stream, 0) + fetched
-        return FetchResult(values=values, fetched_items=fetched, cost=cost)
+        return source
 
     def advance(self, steps: int = 1, *, max_windows: Mapping[str, int] | None = None) -> None:
         """Move time forward and evict items older than each stream's window.

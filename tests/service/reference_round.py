@@ -2,29 +2,39 @@
 
 Every probe re-checks its query's ``ResolutionState``, fetches its window
 through ``cache.fetch_window`` and accounts itself through
-:func:`record_probe`. A compiled
+:func:`record_probe`. The round kernel
 :class:`repro.service.shared_plan.RoundProgram` must do exactly what this
 does — the same ``ExecutionResult``s, the same ``RoundStats`` and the same
 cache and oracle state afterwards.
 
-The walk takes its probe order as ``(name, gindex)`` pairs: the program's
-order (every schedule back to back, in registration order) or a random
-:func:`interleave` that keeps each query's own order.
-:func:`reference_rounds` serves whole :class:`~repro.service.QueryServer`
-batches on this walk, so server-level tests can compare the compiled
-kernel's reports, ledger and telemetry against it.
+The walk takes its probe order as ``(name, gindex)`` pairs: registration
+order (every schedule back to back), a random :func:`interleave` that keeps
+each query's own order, or the :func:`column_order` the kernel calls its
+oracles in. Only a :class:`~repro.engine.executor.BernoulliOracle` shared by
+several queries draws by call order, so for such a population the reference
+is :func:`execute_drawn_round`: the outcomes are drawn in column order, then
+charged in registration order. :func:`reference_rounds` serves whole
+:class:`~repro.service.QueryServer` batches on this walk, so server-level
+tests can compare the kernel's reports, ledger and telemetry against it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import copy
 import functools
 import random
 from typing import Iterator, Mapping, Sequence, Union
 from unittest import mock
 
 from repro.core.resolution import TreeIndex
-from repro.engine.executor import ExecutionResult, LeafOracle
+from repro.core.schedule import Schedule
+from repro.engine.executor import (
+    BernoulliOracle,
+    ExecutionResult,
+    LeafOracle,
+    PrecomputedOracle,
+)
 from repro.service.shared_plan import RoundStats
 from repro.streams.cache import CountingCache, DataItemCache
 
@@ -97,6 +107,58 @@ def execute_round(
     return results, stats
 
 
+def column_order(schedules: Mapping[str, Sequence[int]]) -> ProbeOrder:
+    """Step k of every schedule, in registration order, then step k + 1."""
+    longest = max(map(len, schedules.values()), default=0)
+    return [
+        (name, schedule[k])
+        for k in range(longest)
+        for name, schedule in schedules.items()
+        if k < len(schedule)
+    ]
+
+
+def scratch_copy(
+    cache: Union[DataItemCache, CountingCache],
+) -> Union[DataItemCache, CountingCache]:
+    """A copy of ``cache`` whose fetches leave the original untouched."""
+    clone = copy.copy(cache)
+    clone.fetch_counts = dict(cache.fetch_counts)
+    if isinstance(cache, DataItemCache):
+        clone._store = {stream: dict(held) for stream, held in cache._store.items()}
+    else:
+        clone._held = dict(cache._held)
+    return clone
+
+
+def execute_drawn_round(
+    schedules: Mapping[str, Sequence[int]],
+    indexes: Mapping[str, TreeIndex],
+    cache: Union[DataItemCache, CountingCache],
+    oracles: Mapping[str, LeafOracle],
+) -> tuple[dict[str, ExecutionResult], RoundStats]:
+    """One round whose oracles are called in :func:`column_order`.
+
+    The first pass draws every outcome in column order on a scratch copy of
+    the cache; the second replays them through ``PrecomputedOracle``s in
+    registration order on ``cache``, which charges the fetches. Both passes
+    evaluate the same probes, since which probes a round evaluates does not
+    depend on the order.
+    """
+    drawn, _ = execute_round(
+        column_order(schedules), indexes, scratch_copy(cache), oracles
+    )
+    replay = {name: PrecomputedOracle(result.outcomes) for name, result in drawn.items()}
+    order = [(name, g) for name, schedule in schedules.items() for g in schedule]
+    return execute_round(order, indexes, cache, replay)
+
+
+def shares_a_bernoulli_oracle(oracles: Mapping[str, LeafOracle]) -> bool:
+    """Whether two queries draw from one ``BernoulliOracle``."""
+    shared = [id(o) for o in oracles.values() if isinstance(o, BernoulliOracle)]
+    return len(set(shared)) < len(shared)
+
+
 def interleave(schedules: Mapping[str, Sequence[int]], rng: random.Random) -> ProbeOrder:
     """A uniformly random interleave of the schedules that keeps each one's order."""
     turns = [name for name, schedule in schedules.items() for _ in schedule]
@@ -112,31 +174,55 @@ def interleave(schedules: Mapping[str, Sequence[int]], rng: random.Random) -> Pr
 class ReferenceProgram:
     """:class:`~repro.service.shared_plan.RoundProgram`'s interface over the walk.
 
-    Serves the schedules back to back in the order of ``indexes``, as the
-    program does, or, given ``rng``, a fresh random interleave of them every
-    round.
+    Keeps the population as name-keyed dicts in registration order and
+    serves each round through :func:`execute_round` in registration order
+    (:func:`execute_drawn_round` when queries share a ``BernoulliOracle``),
+    or, given ``rng``, over a fresh random interleave every round.
     """
 
-    def __init__(
-        self,
-        indexes: Mapping[str, TreeIndex],
-        schedules: Mapping[str, Sequence[int]],
-        oracles: Mapping[str, LeafOracle],
-        *,
-        rng: random.Random | None = None,
-    ) -> None:
-        self.names = tuple(indexes)
-        self._schedules = {name: tuple(schedules[name]) for name in self.names}
-        self._order = [(name, g) for name in self.names for g in self._schedules[name]]
+    def __init__(self, *, rng: random.Random | None = None) -> None:
         self._rng = rng
-        self._indexes = dict(indexes)
-        self._oracles = dict(oracles)
+        self._indexes: dict[str, TreeIndex] = {}
+        self._schedules: dict[str, Schedule] = {}
+        self._oracles: dict[str, LeafOracle] = {}
         self._results: dict[str, ExecutionResult] = {}
 
+    @property
+    def names(self) -> tuple[str, ...]:
+        return tuple(self._indexes)
+
+    def append(
+        self, name: str, index: TreeIndex, schedule: Schedule, oracle: LeafOracle
+    ) -> None:
+        self._indexes[name] = index
+        self._schedules[name] = tuple(schedule)
+        self._oracles[name] = oracle
+
+    def remove(self, name: str) -> None:
+        del self._indexes[name], self._schedules[name], self._oracles[name]
+
+    def reorder(self, names: Sequence[str]) -> None:
+        for table in (self._indexes, self._schedules, self._oracles):
+            ordered = {name: table[name] for name in names}
+            table.clear()
+            table.update(ordered)
+
+    def reschedule(self, name: str, schedule: Schedule) -> None:
+        self._schedules[name] = tuple(schedule)
+
+    def prepare(self) -> None:
+        pass
+
     def run(self, cache: Union[DataItemCache, CountingCache]) -> RoundStats:
-        order = self._order
         if self._rng is not None:
             order = interleave(self._schedules, self._rng)
+        elif shares_a_bernoulli_oracle(self._oracles):
+            self._results, stats = execute_drawn_round(
+                self._schedules, self._indexes, cache, self._oracles
+            )
+            return stats
+        else:
+            order = [(name, g) for name, s in self._schedules.items() for g in s]
         self._results, stats = execute_round(order, self._indexes, cache, self._oracles)
         return stats
 
@@ -146,10 +232,23 @@ class ReferenceProgram:
     def results(self) -> dict[str, ExecutionResult]:
         return self._results
 
+    def evaluated(self) -> tuple[list[int], list[int], list[bool]]:
+        probes = [
+            (position, g, outcome)
+            for position, result in enumerate(self._results.values())
+            for g, outcome in result.outcomes.items()
+        ]
+        return (
+            [position for position, _, _ in probes],
+            [g for _, g, _ in probes],
+            [bool(outcome) for _, _, outcome in probes],
+        )
+
 
 @contextlib.contextmanager
 def reference_rounds(rng: random.Random | None = None) -> Iterator[None]:
-    """Every ``QueryServer`` round inside the block runs on the reference walk.
+    """Every ``QueryServer`` built inside the block serves its rounds on the
+    reference walk, for its whole life.
 
     With ``rng``, each round serves a random interleave drawn from it.
     """

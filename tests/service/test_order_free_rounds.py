@@ -22,6 +22,7 @@ shrank.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
 
@@ -66,10 +67,20 @@ def pool(kind: str, seed: int):
 class World:
     """One copy of an example: its server, the trees and the oracle kind."""
 
-    def __init__(self, kind: str, oracles: str, seed: int) -> None:
+    def __init__(
+        self,
+        kind: str,
+        oracles: str,
+        seed: int,
+        interleave: random.Random | None = None,
+    ) -> None:
         registry, self.trees = pool(kind, seed)
         self.oracles = oracles
-        self.server = QueryServer(registry, adaptive=AdaptivePolicy(**POLICY))
+        # With ``interleave``, every round walks a random interleave drawn
+        # from it.
+        walk = reference_rounds(interleave) if interleave else contextlib.nullcontext()
+        with walk:
+            self.server = QueryServer(registry, adaptive=AdaptivePolicy(**POLICY))
         self.trims: list[dict[str, int]] = []
         retain = self.server.cache.retain_relevant
 
@@ -122,16 +133,12 @@ class World:
             )
         return False
 
-    def serve(self, interleave: random.Random | None) -> tuple:
+    def serve(self) -> tuple:
         """One round; its counts, its cost and every query's resolution."""
         server = self.server
         metrics = server.metrics
         before = (metrics.total_probes, metrics.items_fetched, metrics.items_saved)
-        if interleave is None:
-            results = server.step()
-        else:
-            with reference_rounds(interleave):
-                results = server.step()
+        results = server.step()
         after = (metrics.total_probes, metrics.items_fetched, metrics.items_saved)
         counts = tuple(b - a for a, b in zip(before, after))
         resolutions = {
@@ -159,13 +166,13 @@ class World:
 
 def run_script(kind: str, oracles: str, seed: int) -> list[tuple]:
     """Serve one churn script in both copies; returns the kernel's rounds."""
-    served, walked = World(kind, oracles, seed), World(kind, oracles, seed)
+    served = World(kind, oracles, seed)
+    walked = World(kind, oracles, seed, interleave=random.Random(seed + 1))
     script = random.Random(seed)
     actions = [*ACTIONS, *ACTIONS, *(script.choice(ACTIONS) for _ in range(24))]
     script.shuffle(actions)
     # Long enough for drift to show and re-plans to fire between the churn.
     actions += ["round"] * 12
-    interleave = random.Random(seed + 1)
     rounds = []
     for world in (served, walked):
         for k in range(10):
@@ -173,8 +180,8 @@ def run_script(kind: str, oracles: str, seed: int) -> list[tuple]:
     admitted = 10
     for step, action in enumerate(actions):
         if action == "round":
-            got = served.serve(None)
-            want = walked.serve(interleave)
+            got = served.serve()
+            want = walked.serve()
             (got_counts, got_cost, got_queries, got_replans) = got
             (want_counts, want_cost, want_queries, want_replans) = want
             assert got_counts == want_counts

@@ -304,3 +304,58 @@ class TestIndexedInvalidate:
             for name in names
         }
         assert indexed == set(cache._plans)
+
+
+class TestPinnedShapes:
+    """A resident's shape stays cached: eviction passes over pinned plans."""
+
+    def test_pinned_plan_survives_eviction_until_unpinned(self, scheduler):
+        cache = PlanCache(capacity=2)
+        forms = [canonicalize(make_tree(p)) for p in (0.2, 0.4, 0.6, 0.8)]
+        cache.plan(forms[0], scheduler)
+        cache.pin(forms[0].key, scheduler.name)
+        for form in forms[1:]:
+            cache.plan(form, scheduler)
+        # The least recently used plan is pinned: the next-oldest goes.
+        assert (forms[0].key, scheduler.name) in cache
+        assert (forms[1].key, scheduler.name) not in cache
+        assert len(cache) == 2
+        # Unpinned, it is the most recently used plan, evicted second.
+        cache.unpin(forms[0].key, scheduler.name)
+        cache.plan(forms[1], scheduler)
+        assert (forms[0].key, scheduler.name) in cache
+        cache.plan(forms[2], scheduler)
+        assert (forms[0].key, scheduler.name) not in cache
+
+    def test_every_resident_shape_stays_when_over_capacity(self, scheduler):
+        """More pinned shapes than capacity: none is evicted or rebuilt."""
+        cache = PlanCache(capacity=2)
+        forms = [canonicalize(make_tree(p)) for p in (0.1, 0.3, 0.5, 0.7)]
+        for form in forms:
+            cache.plan(form, scheduler)
+            cache.pin(form.key, scheduler.name)
+        for form in forms:
+            cache.plan(form, scheduler)
+        assert (cache.misses, cache.hits, cache.evictions) == (4, 4, 0)
+
+    def test_servers_sharing_a_cache_count_their_residents_together(self):
+        """Thread shards share one cache: a shape stays pinned until its last
+        resident on any server leaves."""
+        from repro.service import QueryServer, synthetic_registry
+
+        cache = PlanCache(capacity=1)
+        registry = synthetic_registry(3, seed=0)
+        a, b, c = registry.names[:3]
+        one = DnfTree([[Leaf(a, 1, 0.5)], [Leaf(b, 1, 0.5)]])
+        other = DnfTree([[Leaf(c, 2, 0.5), Leaf(a, 1, 0.4)]])
+        key = canonicalize(one).key
+        left = QueryServer(registry, plan_cache=cache)
+        right = QueryServer(registry, plan_cache=cache)
+        left.register("l", one)
+        right.register("r", one)
+        left.deregister("l")
+        right.register("o", other)  # over capacity: "one" is still pinned
+        assert any(k == key for k, _ in cache._plans)
+        right.deregister("r")
+        right.register("o2", other)
+        assert not any(k == key for k, _ in cache._plans)

@@ -1,14 +1,18 @@
-"""Differential tests: the compiled round program against the per-probe walk.
+"""Differential tests: the round kernel against the per-probe walk.
 
 :class:`repro.service.shared_plan.RoundProgram` must do exactly what
-:func:`reference_round.execute_round` does: the same ``ExecutionResult``s,
-the same ``RoundStats`` to the last bit, and the same cache and oracle state
-afterwards — so the window memo (which elides ``fetch_window`` calls) must
-charge, fetch and draw exactly as the calls it elides would have.
+:func:`reference_round.execute_round` does in registration order: the same
+``ExecutionResult``s, the same ``RoundStats`` to the last bit, and the same
+cache and oracle state afterwards — so charging only the probes that widen
+their stream's window must charge, fetch and draw exactly as the calls it
+elides would have. The kernel calls its oracles step by step, so for a
+population sharing one ``BernoulliOracle`` (the only oracle that draws by
+call order) the reference draws in that column order and charges in
+registration order (:func:`reference_round.execute_drawn_round`).
 
 Each example builds one population twice from the same description — one
-copy per engine — and serves a few consecutive rounds on both, the program
-compiled once and run every round, as the server runs it.
+copy per engine — and serves a few consecutive rounds on both, the rows
+built once and run every round, as the server runs them.
 """
 
 from __future__ import annotations
@@ -203,12 +207,18 @@ class TestRoundMatchesReference:
         program = RoundProgram(indexes, schedules, oracles)
         # Every schedule back to back, in registration order.
         order = [(name, g) for name, schedule in schedules.items() for g in schedule]
+        drawn = reference_round.shares_a_bernoulli_oracle(oracles)
         for _ in range(ROUNDS):
             got_stats = program.run(cache)
             got_results = program.results()
-            want_results, want_stats = reference_round.execute_round(
-                order, want_world[0], want_world[2], want_world[3]
-            )
+            if drawn:
+                want_results, want_stats = reference_round.execute_drawn_round(
+                    schedules, want_world[0], want_world[2], want_world[3]
+                )
+            else:
+                want_results, want_stats = reference_round.execute_round(
+                    order, want_world[0], want_world[2], want_world[3]
+                )
             assert list(got_results) == list(want_results)
             for name, want in want_results.items():
                 got = got_results[name]

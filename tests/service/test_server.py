@@ -172,13 +172,15 @@ class TestReRegistration:
         server = QueryServer(tiny_registry())
         server.register("q", self.a_tree(), oracle=PrecomputedOracle([True]))
         first = server.run_batch(2)
-        stale = server._program  # compiled for the 1-leaf tree
         server.register(
             "q", self.b_tree(), oracle=PrecomputedOracle([False, True]), replace=True
         )
         assert server.query("q").tree.size == 2
         report = server.run_batch(2)
-        assert server._program is not stale
+        # The old row is dead and the new one holds the 2-leaf schedule.
+        program = server._program
+        assert program.names == ("q",)
+        assert program.length[program.order].tolist() == [len(server.query("q").schedule)]
         # The new tree is AND(A=False, B) -> always FALSE; a stale 1-leaf
         # program would have replayed the old always-TRUE query.
         assert report.per_query_true_rate["q"] == 0.0
@@ -198,11 +200,12 @@ class TestReRegistration:
         server = QueryServer(tiny_registry())
         server.register("q", self.a_tree(), oracle=PrecomputedOracle([True]))
         server.run_batch(1)
-        stale = server._program
         server.deregister("q")
+        assert len(server._program) == 0
         server.register("q", self.b_tree(), oracle=PrecomputedOracle([False, True]))
         report = server.run_batch(1)
-        assert server._program is not stale
+        program = server._program
+        assert program.length[program.order].tolist() == [len(server.query("q").schedule)]
         assert report.per_query_true_rate["q"] == 0.0
 
     def test_replace_respects_capacity_of_remaining_population(self):
@@ -349,23 +352,24 @@ class TestGroupMigration:
 
 
 class TestPlanningPhase:
-    """A round-program compile inside a round is credited to ``planning``."""
+    """Writing the arrivals' rows inside a round is credited to ``planning``."""
 
     def test_round_after_churn_credits_planning(self, monkeypatch):
-        compile_program = server_module.RoundProgram
+        flush = server_module.RoundProgram._flush
 
-        def slow_compile(*args):
+        def slow_flush(program):
             time.sleep(0.05)
-            return compile_program(*args)
+            flush(program)
 
-        monkeypatch.setattr(server_module, "RoundProgram", slow_compile)
+        monkeypatch.setattr(server_module.RoundProgram, "_flush", slow_flush)
         tel = Telemetry()
         server = QueryServer(tiny_registry(), BernoulliOracle(seed=0), telemetry=tel)
         server.register("q1", tiny_tree(0.4))
         server.register("q2", tiny_tree(0.5))
-        server.run_batch(2)  # compiled once, then reused
+        server.run_batch(2)  # rows written once, then kept
         server.deregister("q1")
-        server.run_batch(1)  # recompiled inside the round
+        server.register("q3", tiny_tree(0.6))
+        server.run_batch(1)  # the arrival's row is written inside the round
         first, churned = (
             span["attrs"]["phase_seconds"] for span in tel.tracer.spans("batch")
         )

@@ -96,6 +96,15 @@ class TestSharingDominance:
             assert true_count == shared_true[name], name
 
 
+def steps_of(program: RoundProgram) -> list[tuple[str, int]]:
+    """The program's rows as ``(name, gindex)`` steps, in registration order."""
+    return [
+        (name, g)
+        for name, slot in zip(program.names, program.order.tolist())
+        for g in program.gindex[slot, : program.length[slot]].tolist()
+    ]
+
+
 class TestRoundProgram:
     def test_steps_are_the_schedules_in_registration_order(self):
         registry, population = small_population(0)
@@ -105,31 +114,23 @@ class TestRoundProgram:
         oracles = {name: DataDrivenOracle() for name in indexes}
         program = RoundProgram(indexes, schedules, oracles)
         assert program.names == tuple(name for name, _ in population)
-        assert [
-            (program.names[slot], record[0])
-            for slot, _, records in program.blocks
-            for record in records
-        ] == [(name, g) for name, schedule in schedules.items() for g in schedule]
+        assert steps_of(program) == [
+            (name, g) for name, schedule in schedules.items() for g in schedule
+        ]
 
     def test_reorder_recompiles_every_probe_once(self):
-        """After a reorder the next round compiles a new program whose steps
-        hold every scheduled probe exactly once, in the new order."""
+        """After a reorder the rows hold every scheduled probe exactly once,
+        in the new order, and the next round serves them in it."""
         registry, population = small_population(0)
         server = QueryServer(registry)
         for name, tree in population:
             server.register(name, tree, oracle=DataDrivenOracle())
         server.step()
-        before = server._program
         server.reorder(list(server.registered)[::-1])
-        server.step()
+        results = server.step()
         program = server._program
-        assert program is not before
-        assert program.names == server.registered
-        steps = [
-            (program.names[slot], record[0])
-            for slot, _, records in program.blocks
-            for record in records
-        ]
+        assert program.names == server.registered == tuple(results)
+        steps = steps_of(program)
         scheduled = [
             (name, g) for name in server.registered for g in server.query(name).schedule
         ]
@@ -147,7 +148,7 @@ class TestRoundProgram:
             {"a": PrecomputedOracle([True]), "b": PrecomputedOracle([True])},
         )
         assert program.names == ("b", "a")
-        assert [slot for slot, _, _ in program.blocks] == [0, 1]
+        assert program.order.tolist() == [0, 1]
         stats = program.run(CountingCache({"A": 1.0, "B": 2.0}))
         assert stats.query_cost == [2.0, 1.0]
 

@@ -2,9 +2,10 @@
 
 Each scenario serves one population twice — once on the kernel, once with
 every round on :mod:`tests.service.reference_round`'s per-probe walk — and
-the batch reports, the ledger and the telemetry must agree exactly. Both
-draw every leaf outcome in the same probe order, so even Bernoulli
-populations replay bit for bit.
+the batch reports, the ledger and the telemetry must agree exactly. A
+population sharing one ``BernoulliOracle`` is drawn by the walk in the
+kernel's call order (step by step, registration order within a step) and
+charged in registration order, so it too replays bit for bit.
 """
 
 from __future__ import annotations
@@ -180,7 +181,7 @@ class TestStochasticBehaviour:
             return server.run_batch(40)
 
         kernel, reference = on_both(serve)
-        # One shared generator, drawn in the same probe order by both.
+        # One shared generator, drawn in the same call order by both.
         assert_same_reports(kernel, reference)
         assert kernel.probes > 0 and kernel.free_probes > 0
         assert kernel.items_saved > 0
