@@ -66,6 +66,10 @@ class ExecutionResult:
 class LeafOracle(abc.ABC):
     """Supplies the truth value of an evaluated leaf."""
 
+    #: Whether :meth:`outcome` reads ``values``. A round skips reading the
+    #: window for an oracle that does not, and passes ``None``.
+    reads_window = True
+
     @abc.abstractmethod
     def outcome(self, gindex: int, leaf: Leaf, values: np.ndarray | None) -> bool:
         """Truth value of leaf ``gindex``; ``values`` is its fetched window (may be None)."""
@@ -95,6 +99,8 @@ class LeafOracle(abc.ABC):
 class BernoulliOracle(LeafOracle):
     """Independent draws from each leaf's success probability."""
 
+    reads_window = False
+
     def __init__(self, rng: np.random.Generator | None = None, seed: int | None = None) -> None:
         self.rng = rng if rng is not None else np.random.default_rng(seed)
 
@@ -119,9 +125,9 @@ class DriftingBernoulliOracle(LeafOracle):
     tape, so the random-stream consumption is independent of which leaves a
     plan probes: any plan (and any placement of the query) sees
     bit-identical outcomes per seed. The oracle reads the tape a block of
-    rounds at a time, which draws the same doubles as one-row draws; a static
-    schedule's block is compared with its probabilities once, a drifting
-    schedule compares one row per round with ``schedule.probs_at(round)``.
+    rounds at a time, which draws the same doubles as one-row draws, and
+    compares the block once with the probabilities of the rounds it covers
+    (row ``r`` with ``schedule.probs_at(r)``).
     The per-round clock advances only via :meth:`advance`, which the
     serving layer calls after every executed round. The tape and its
     position pickle with the oracle, so a migrated query continues the same
@@ -133,6 +139,8 @@ class DriftingBernoulliOracle(LeafOracle):
     outcome rows (perfectly correlated queries).
     """
 
+    reads_window = False
+
     def __init__(self, schedule: DriftSchedule, seed: int | None = None) -> None:
         self.schedule = schedule
         self.rng = np.random.default_rng(seed)
@@ -141,14 +149,12 @@ class DriftingBernoulliOracle(LeafOracle):
         #: The round the next ``outcome`` call draws for (moved only by
         #: :meth:`advance`).
         self.round_index = 0
-        # Rows [_start, _end) of the tape are drawn; a drifting schedule
-        # keeps their uniforms.
+        # Rows [_start, _end) of the tape are drawn.
         self._start = 0
         self._end = 0
-        self._uniforms: np.ndarray | None = None
-        # Outcomes as bytes (1 = TRUE), the current round's from _offset:
-        # the whole block's for a static schedule, one row's for a drifting
-        # one. None until the round's first outcome call needs them.
+        # The block's outcomes as bytes (1 = TRUE), the current round's from
+        # _offset. None once the clock leaves the block, until the next
+        # outcome call draws the block that holds the round.
         self._bits: bytes | None = None
         self._offset = 0
 
@@ -174,36 +180,28 @@ class DriftingBernoulliOracle(LeafOracle):
         bits = self._bits
         if bits is None:
             bits = self._read()
-        if self._static:
-            # The block's outcomes, one row per round until the block ends.
-            return bits, self._start, self._end, self._n_leaves
-        return bits, self.round_index, self.round_index + 1, self._n_leaves
+        # The block's outcomes, one row per round until the block ends.
+        return bits, self._start, self._end, self._n_leaves
 
     def _read(self) -> bytes:
-        """The current round's outcomes, drawing the tape block that holds it."""
+        """Draw the tape block that starts at the current round; its outcomes."""
         n = self._n_leaves
         now = self.round_index
-        if now >= self._end:
-            # Rounds between the last block and this one that no probe read
-            # still consume their rows of the generator.
-            skipped = now - self._end
-            while skipped:
-                rows = min(skipped, _TAPE_BLOCK)
-                self.rng.random((rows, n))
-                skipped -= rows
-            block = self.rng.random((_TAPE_BLOCK, n))
-            self._start = now
-            self._end = now + _TAPE_BLOCK
-            if self._static:
-                self._bits = (block < self.schedule.probs_at(0)).tobytes()
-                self._offset = 0
-                return self._bits
-            self._uniforms = block
-        # Only a drifting schedule gets here: a static one keeps its block's
-        # outcomes until the block ends (see advance).
-        assert self._uniforms is not None
-        row = self._uniforms[now - self._start]
-        self._bits = (row < self.schedule.probs_at(now)).tobytes()
+        # Rounds between the last block and this one that no probe read
+        # still consume their rows of the generator.
+        skipped = now - self._end
+        while skipped:
+            rows = min(skipped, _TAPE_BLOCK)
+            self.rng.random((rows, n))
+            skipped -= rows
+        block = self.rng.random((_TAPE_BLOCK, n))
+        self._start = now
+        self._end = now + _TAPE_BLOCK
+        if self._static:
+            probs = self.schedule.probs_at(0)
+        else:
+            probs = np.array([self.schedule.probs_at(r) for r in range(now, self._end)])
+        self._bits = (block < probs).tobytes()
         self._offset = 0
         return self._bits
 
@@ -218,7 +216,7 @@ class DriftingBernoulliOracle(LeafOracle):
         if rounds < 0:
             raise StreamError(f"cannot advance by {rounds} rounds")
         self.round_index += rounds
-        if self._static and self.round_index < self._end:
+        if self.round_index < self._end:
             self._offset = (self.round_index - self._start) * self._n_leaves
         else:
             self._bits = None
@@ -250,30 +248,13 @@ class PrecomputedOracle(LeafOracle):
     row always reproduces the same execution.
     """
 
-    #: Replayed outcomes do not change from round to round.
-    round_index = 0
+    reads_window = False
 
     def __init__(self, outcomes) -> None:
         self.outcomes = outcomes
 
     def outcome(self, gindex: int, leaf: Leaf, values: np.ndarray | None) -> bool:
         return bool(self.outcomes[gindex])
-
-    def tape_width(self) -> int | None:
-        """The number of outcomes, when leaves ``0..n-1`` all have one."""
-        try:
-            self._bits()
-        except (KeyError, IndexError):
-            return None
-        return len(self.outcomes)
-
-    def tape(self) -> tuple[bytes, int, int, int]:
-        """Every round reads the same bytes: the tape never goes stale."""
-        return self._bits(), 0, 2**62, 0
-
-    def _bits(self) -> bytes:
-        outcomes = self.outcomes
-        return bytes(1 if outcomes[g] else 0 for g in range(len(outcomes)))
 
 
 class ScheduleExecutor:

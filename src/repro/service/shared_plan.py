@@ -32,7 +32,13 @@ Outcomes come from the oracles. An oracle with an outcome *tape*
 (:meth:`~repro.engine.executor.LeafOracle.tape`) hands the kernel its tape
 as bytes once per tape block and keeps its own position; every other oracle
 is called once per evaluated probe, step by step and in registration order
-within a step, with a read-only window from an uncharged per-round peek.
+within a step. One that reads windows
+(:attr:`~repro.engine.executor.LeafOracle.reads_window`) gets a read-only
+window from an uncharged per-round peek; any other gets ``None``.
+
+A round costs a fixed number of numpy calls per step column, whatever the
+number of live rows, so it is cheap per probe for large populations and
+dearer than a probe-by-probe walk for a few dozen residents.
 """
 
 from __future__ import annotations
@@ -101,6 +107,9 @@ class RoundStats:
 
 #: What a row is built from: the query's name, tree index, schedule and oracle.
 _Spec = tuple[str, TreeIndex, Schedule, LeafOracle]
+#: What a per-probe oracle call of a row needs besides its oracle: the leaves
+#: of the row's steps, and whether the oracle reads windows.
+_Call = tuple[tuple[Leaf, ...], bool]
 
 
 def _grown(array: np.ndarray, axis: int, size: int, fill: int) -> np.ndarray:
@@ -143,12 +152,15 @@ class RoundProgram:
     def _reset(self) -> None:
         """Empty every row, node and tape."""
         # Rows, column-major so that step k of every slot is contiguous:
-        # [width, capacity] (guards [width, capacity, depth]).
+        # [width, capacity] (guards [width, capacity, depth], the depth
+        # padded to a multiple of four so that four guards' states read as
+        # one uint32).
         self._leaf = np.zeros((1, 0), np.intp)
         self._gindex = np.zeros((1, 0), np.intp)
         self._stream = np.zeros((1, 0), np.intp)
         self._items = np.zeros((1, 0), np.intp)
-        self._guards = np.zeros((1, 0, 1), np.intp)
+        self._guards = np.zeros((1, 0, 4), np.intp)
+        self._height = 1  # the most nodes on a leaf-to-root path
         # Per slot: schedule length (0 when dead), position in registration
         # order (-1 when dead), root node (its tree's first), tape index (-1: the
         # oracle is called per probe).
@@ -166,10 +178,11 @@ class RoundProgram:
         self._counts = np.zeros(2, np.intp)
         self._n_nodes = 2
         self._flushed = 0  # slots [0, _flushed) are written to the arrays
-        # Per slot, what the row was built from (None once dead), and the
-        # leaves of its steps for the per-probe oracle calls.
+        # Per slot, what the row was built from (None once dead), and for a
+        # row whose oracle is called per probe, the leaves of its steps and
+        # whether the oracle reads windows (None for a tape row).
         self._specs: list[_Spec | None] = []
-        self._step_leaves: list[tuple[Leaf, ...]] = []
+        self._calls: list[_Call | None] = []
         self._slot_of: dict[str, int] = {}
         self._dead = 0
         self._streams: list[str] = []
@@ -190,10 +203,14 @@ class RoundProgram:
         self._tape_base = np.zeros(0, np.int64)
         self._tape_offset = np.zeros(0, np.int64)
         self._tape_buffer = np.zeros(0, np.uint8)
+        self._tape_built = 0  # the buffer's size when last rebuilt whole
         self._live_tapes: tuple[list[LeafOracle], np.ndarray] | None = None
-        # The last round, per evaluated probe in step order: its rank in (position, step)
-        # order, step, position, global leaf index and value.
-        self._evaluated: tuple[np.ndarray, ...] | None = None
+        # The last round, per evaluated probe in step order: its rank in
+        # (position, step) order, step and position, then per step the global
+        # leaf indices and values (joined only when read back).
+        self._evaluated: (
+            tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray], list[np.ndarray]] | None
+        ) = None
         self._query_cost: list[float] = []
 
     # -- population -----------------------------------------------------
@@ -362,26 +379,30 @@ class RoundProgram:
             if spec is None:
                 lengths.append(0)
                 tapes.append(-1)
-                self._step_leaves.append(())
+                self._calls.append(None)
                 continue
             _, index, schedule, oracle = spec
             records = index.leaf_records
             _, leaves, names, counts, leaf_nodes = zip(*[records[g] for g in schedule])
             for name in names:
-                if name not in stream_ids:
-                    stream_ids[name] = len(self._streams)
+                sid = stream_ids.get(name)
+                if sid is None:
+                    sid = stream_ids[name] = len(self._streams)
                     self._streams.append(name)
+                stream.append(sid)
             nodes.extend(leaf_nodes)
             gindex.extend(schedule)
-            stream.extend([stream_ids[name] for name in names])
             items.extend(counts)
             lengths.append(len(schedule))
-            if slot < len(self._step_leaves):
+            if slot < len(self._calls):
                 self._release_oracle(slot)
-                self._step_leaves[slot] = leaves
+            tape = self._hold_oracle(oracle, len(records))
+            call = None if tape >= 0 else (leaves, oracle.reads_window)
+            if slot < len(self._calls):
+                self._calls[slot] = call
             else:
-                self._step_leaves.append(leaves)
-            tapes.append(self._hold_oracle(oracle, len(records)))
+                self._calls.append(call)
+            tapes.append(tape)
             width = max(width, len(schedule))
         n_rows = stop - start
         counts_at = np.array(lengths, np.intp)
@@ -400,7 +421,8 @@ class RoundProgram:
         while (up != _SINK).any():
             levels.append(np.where(up == _SINK, _OPEN, up))
             up = self._parent[up]
-        depth = max(self._guards.shape[2], len(levels))
+        self._height = max(self._height, len(levels))
+        depth = max(self._guards.shape[2], -(-len(levels) // 4) * 4)
         capacity = self._position.size
         if self._leaf.shape != (width, capacity) or self._guards.shape[2] != depth:
             self._leaf = _grown(_grown(self._leaf, 0, width, _SINK), 1, capacity, _SINK)
@@ -438,15 +460,6 @@ class RoundProgram:
             self._tape_objs.append(oracle)
             self._tape_refs.append(0)
             self._tape_bits.append(b"")
-            if tape == self._tape_first.size:
-                # Grown zeroed: an empty range, so the first round asks the
-                # oracle for its tape.
-                size = max(2 * tape, 8)
-                self._tape_first = _grown(self._tape_first, 0, size, 0)
-                self._tape_end = _grown(self._tape_end, 0, size, 0)
-                self._tape_stride = _grown(self._tape_stride, 0, size, 0)
-                self._tape_base = _grown(self._tape_base, 0, size, 0)
-                self._tape_offset = _grown(self._tape_offset, 0, size, 0)
         self._tape_refs[tape] += 1
         if self._tape_refs[tape] == 1:
             self._live_tapes = None
@@ -462,16 +475,28 @@ class RoundProgram:
         if not self._tape_refs[tape]:
             self._live_tapes = None
             self._tape_bits[tape] = b""
-            self._tape_end[tape] = self._tape_first[tape] = 0
+            if tape < self._tape_first.size:
+                self._tape_end[tape] = self._tape_first[tape] = 0
 
     def _tape_offsets(self) -> np.ndarray:
         """Per tape index, where the current round's outcomes start in the buffer.
 
         An oracle whose round left the range its last tape covers hands over
         its tape again (drawing a new block when its own position needs
-        one); the buffer is rebuilt only then.
+        one). New tapes are appended to the buffer, which is rebuilt whole
+        from the live tapes once it would pass twice its last whole size.
         """
         if self._live_tapes is None:
+            size = len(self._tape_objs)
+            if size > self._tape_first.size:
+                # Grown zeroed: an empty range, so a new tape's first round
+                # asks the oracle for it.
+                size = max(2 * self._tape_first.size, size)
+                self._tape_first = _grown(self._tape_first, 0, size, 0)
+                self._tape_end = _grown(self._tape_end, 0, size, 0)
+                self._tape_stride = _grown(self._tape_stride, 0, size, 0)
+                self._tape_base = _grown(self._tape_base, 0, size, 0)
+                self._tape_offset = _grown(self._tape_offset, 0, size, 0)
             live = [tape for tape, refs in enumerate(self._tape_refs) if refs]
             self._live_tapes = (
                 [self._tape_objs[tape] for tape in live],
@@ -482,17 +507,36 @@ class RoundProgram:
             return self._tape_offset
         now = np.fromiter(map(_round_of, objs), np.int64, len(objs))
         first = self._tape_first[live]
-        stale = np.flatnonzero((now < first) | (now >= self._tape_end[live]))
+        stale = ((now < first) | (now >= self._tape_end[live])).nonzero()[0]
         if stale.size:
-            for tape in live[stale].tolist():
+            tapes = live[stale]
+            handed, firsts, ends, strides = [], [], [], []
+            for tape in tapes.tolist():
                 bits, start, end, stride = self._tape_objs[tape].tape()
                 self._tape_bits[tape] = bits
-                self._tape_first[tape] = start
-                self._tape_end[tape] = end
-                self._tape_stride[tape] = stride
-            self._tape_buffer = np.frombuffer(b"".join(self._tape_bits), np.uint8)
-            sizes = np.fromiter(map(len, self._tape_bits), np.int64, len(self._tape_bits))
-            self._tape_base[: sizes.size] = np.cumsum(sizes) - sizes
+                handed.append(bits)
+                firsts.append(start)
+                ends.append(end)
+                strides.append(stride)
+            self._tape_first[tapes] = firsts
+            self._tape_end[tapes] = ends
+            self._tape_stride[tapes] = strides
+            sizes = np.fromiter(map(len, handed), np.int64, len(handed))
+            buffer = self._tape_buffer
+            if buffer.size + sizes.sum() <= 2 * self._tape_built:
+                # Append the new tapes; the bytes they replace stay behind
+                # until the buffer doubles and is rebuilt.
+                self._tape_base[tapes] = buffer.size + np.cumsum(sizes) - sizes
+                handed_values = FALSE - np.frombuffer(b"".join(handed), np.uint8)
+                self._tape_buffer = np.concatenate((buffer, handed_values))
+            else:
+                # As node values: TRUE is 1 and FALSE 2, so an outcome byte
+                # of 1 gives 1 and 0 gives 2.
+                every = self._tape_bits
+                self._tape_buffer = FALSE - np.frombuffer(b"".join(every), np.uint8)
+                self._tape_built = self._tape_buffer.size
+                sizes = np.fromiter(map(len, every), np.int64, len(every))
+                self._tape_base[: sizes.size] = np.cumsum(sizes) - sizes
             first = self._tape_first[live]
         self._tape_offset[live] = self._tape_base[live] + (now - first) * self._tape_stride[live]
         return self._tape_offset
@@ -522,97 +566,108 @@ class RoundProgram:
         counts[:n_nodes] = 0
         order = self.order
         parent, closes, need, root = self._parent, self._closes, self._need, self._root
-        tape = self._tape
+        guards, leaf, gindexes = self._guards, self._leaf, self._gindex
+        climbs = range(self._height - 1)
         called = self._n_called > 0
-        # Per slot, where its oracle's tape row for this round starts (for a
-        # slot whose oracle is called per probe, an unused number).
-        offsets = self._tape_offsets()
-        starts = offsets[tape] if offsets.size else tape
-        buffer = self._tape_buffer
+        taped = self._n_called < order.size
+        if taped:
+            # Per slot, where its oracle's tape row for this round starts
+            # (for a slot whose oracle is called per probe, an unused number).
+            starts = self._tape_offsets()[self._tape]
+            buffer = self._tape_buffer
         step_slots: list[np.ndarray] = []
         step_values: list[np.ndarray] = []
+        step_gindex: list[np.ndarray] = []
         peeks: dict[int, tuple[int, np.ndarray | None]] = {}
         live = order
-        for k in range(self._leaf.shape[0]):
+        for k in range(leaf.shape[0]):
             if not live.size:
                 break
             rows = live
             if k:
-                rows = live[~state[self._guards[k][live]].any(axis=1)]
-            gindex = self._gindex[k][rows]
-            if called:
-                outcomes = self._call_oracles(k, rows, gindex, cache, peeks)
-                taped = np.flatnonzero(tape[rows] >= 0)
-                if taped.size:
-                    outcomes[taped] = buffer[starts[rows[taped]] + gindex[taped]]
+                # Four guards' states to a uint32: nonzero once one resolved.
+                packed = state[guards[k][live]].view(np.uint32)
+                if packed.shape[1] == 1:
+                    rows = live[packed[:, 0] == 0]
+                else:
+                    rows = live[~packed.any(axis=1)]
+            gindex = gindexes[k][rows]
+            if not called:
+                values = buffer[starts[rows] + gindex]
+            elif not taped:
+                values = self._call_oracles(k, rows, gindex, cache, peeks)
             else:
-                outcomes = buffer[starts[rows] + gindex]
-            # TRUE is 1 and FALSE 2: an outcome byte of 1 gives 1, 0 gives 2.
-            values = FALSE - outcomes
+                at = self._tape[rows] < 0
+                values = np.empty(rows.size, np.uint8)
+                values[at] = self._call_oracles(k, rows[at], gindex[at], cache, peeks)
+                at = ~at
+                values[at] = buffer[starts[rows[at]] + gindex[at]]
             step_slots.append(rows)
             step_values.append(values)
-            node = self._leaf[k][rows]
+            step_gindex.append(gindex)
+            node = leaf[k][rows]
             state[node] = values
-            # Propagate toward the roots. A value never changes on the way
-            # up: an AND takes a FALSE child's value (or its last TRUE
-            # child's), an OR a TRUE child's (or its last FALSE child's).
-            # Any other child value leaves the parent open. Each row has its
-            # own nodes and one probe per step, so no two chains touch one
-            # node below the sink, which stops every chain.
-            while node.size:
+            # Propagate toward the roots, at most one level fewer than the
+            # deepest path has nodes. A value never changes on the way up: an
+            # AND takes a FALSE child's value (or its last TRUE child's), an
+            # OR a TRUE child's (or its last FALSE child's). Any other child
+            # value leaves the parent open. Each row has its own nodes and
+            # one probe per step, so no two chains touch one node.
+            for _ in climbs:
                 up = parent[node]
                 resolved = counts[up] + 1
                 counts[up] = resolved
-                going = (values == closes[up]) | (resolved >= need[up])
+                going = ((values == closes[up]) | (resolved >= need[up])).nonzero()[0]
+                if not going.size:
+                    break
                 node = up[going]
                 values = values[going]
                 state[node] = values
             # A row leaves the walk once its root resolves; a full schedule
             # resolves it by its last step, and padded steps are skipped.
             live = live[state[root[live]] == 0]
-        return self._charge(cache, order.size, step_slots, step_values)
+        return self._charge(cache, order.size, step_slots, step_values, step_gindex)
 
     def _call_oracles(
         self,
         k: int,
-        rows: np.ndarray,
+        slots: np.ndarray,
         gindex: np.ndarray,
         cache: Union[DataItemCache, CountingCache],
         peeks: dict[int, tuple[int, np.ndarray | None]],
     ) -> np.ndarray:
-        """Step ``k``'s outcomes of the rows whose oracle is called per probe.
+        """Step ``k``'s values of ``slots``, whose oracles are called per probe.
 
-        In registration order; each call gets its window from the round's
-        uncharged peek of the stream's widest window asked for so far.
+        In registration order; an oracle that reads windows gets one from
+        the round's uncharged peek of the stream's widest window asked for
+        so far.
         """
-        outcomes = np.zeros(rows.size, np.uint8)
-        called = np.flatnonzero(self._tape[rows] < 0)
-        if not called.size:
-            return outcomes
-        slots = rows[called]
-        streams = self._stream[k][slots].tolist()
-        items = self._items[k][slots].tolist()
         specs = self._specs
-        step_leaves = self._step_leaves
-        names = self._streams
-        for at, slot, g, stream, count in zip(
-            called.tolist(), slots.tolist(), gindex[called].tolist(), streams, items
-        ):
-            peek = peeks.get(stream)
-            if peek is not None and count <= peek[0]:
-                size, window = peek
-                if window is not None and count < size:
-                    window = window[size - count :]
-            else:
-                window = cache.peek_window(names[stream], count)
-                if window is not None:
-                    # Later probes share this array: an oracle must not
-                    # write to it.
-                    window.flags.writeable = False
-                peeks[stream] = (count, window)
-            oracle = specs[slot][3]  # type: ignore[index]
-            outcomes[at] = 1 if oracle.outcome(g, step_leaves[slot][k], window) else 0
-        return outcomes
+        calls = self._calls
+        values = []
+        windows: tuple[list[int], list[int]] | None = None
+        for at, (slot, g) in enumerate(zip(slots.tolist(), gindex.tolist())):
+            leaves, reads_window = calls[slot]  # type: ignore[misc]
+            window = None
+            if reads_window:
+                if windows is None:
+                    windows = self._stream[k][slots].tolist(), self._items[k][slots].tolist()
+                stream, count = windows[0][at], windows[1][at]
+                peek = peeks.get(stream)
+                if peek is not None and count <= peek[0]:
+                    size, window = peek
+                    if window is not None and count < size:
+                        window = window[size - count :]
+                else:
+                    window = cache.peek_window(self._streams[stream], count)
+                    if window is not None:
+                        # Later probes share this array: an oracle must not
+                        # write to it.
+                        window.flags.writeable = False
+                    peeks[stream] = (count, window)
+            outcome = specs[slot][3].outcome(g, leaves[k], window)  # type: ignore[index]
+            values.append(TRUE if outcome else FALSE)
+        return np.array(values, np.uint8)
 
     def _charge(
         self,
@@ -620,33 +675,31 @@ class RoundProgram:
         n: int,
         step_slots: list[np.ndarray],
         step_values: list[np.ndarray],
+        step_gindex: list[np.ndarray],
     ) -> RoundStats:
         """Charge the round's evaluated probes in (position, step) order."""
         query_cost = self._query_cost = [0.0] * n
         if not step_slots:
-            self._evaluated = (np.zeros(0, np.intp),) * 5
+            none = np.zeros(0, np.intp)
+            self._evaluated = (none, none, none, [none], [none.astype(np.uint8)])
             return RoundStats(query_cost=query_cost, query_probes=[0] * n)
         slots = np.concatenate(step_slots)
         steps = np.repeat(np.arange(len(step_slots)), [s.size for s in step_slots])
         positions = self._position[slots]
         # Unique per probe and increasing in (position, step).
         ranks = positions * len(step_slots) + steps
-        self._evaluated = (
-            ranks,
-            steps,
-            positions,
-            self._gindex[steps, slots],
-            np.concatenate(step_values),
-        )
-        streams = self._stream[steps, slots]
-        items = self._items[steps, slots]
+        self._evaluated = (ranks, steps, positions, step_gindex, step_values)
+        # The probes' places in the [width, capacity] row arrays.
+        cells = steps * self._stream.shape[1] + slots
+        streams = self._stream.take(cells)
+        items = self._items.take(cells)
         # Per stream, the widest window asked for before each probe: sort by
         # (stream, position, step), take one running maximum over keys that
         # put a later stream's above any earlier stream's, and shift it by
         # one. Only the probes that widen their stream's window get a cache
         # call, in (position, step) order.
         by_stream = np.argsort(streams * (n * len(step_slots)) + ranks)
-        keys = (streams[by_stream] << 32) | items[by_stream]
+        keys = ((streams << 32) | items)[by_stream]
         widest = np.maximum.accumulate(keys)
         widens = np.empty(keys.size, bool)
         widens[0] = True
@@ -694,10 +747,15 @@ class RoundProgram:
         """The last round's evaluated probes in (position, step) order: steps,
         positions, global leaf indices and outcomes."""
         assert self._evaluated is not None, "no round has run"
-        ranks, *fields, values = self._evaluated
+        ranks, steps, positions, step_gindex, step_values = self._evaluated
         ranked = np.argsort(ranks)
-        steps, positions, gindexes = (f[ranked].tolist() for f in fields)
-        return steps, positions, gindexes, (values[ranked] == TRUE).tolist()
+        gindex, values = np.concatenate(step_gindex), np.concatenate(step_values)
+        return (
+            steps[ranked].tolist(),
+            positions[ranked].tolist(),
+            gindex[ranked].tolist(),
+            (values[ranked] == TRUE).tolist(),
+        )
 
     def results(self) -> dict[str, ExecutionResult]:
         """Every query's :class:`ExecutionResult` of the last round, in

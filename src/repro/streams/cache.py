@@ -136,22 +136,29 @@ class DataItemCache:
 
     def fetch_window(self, stream: str, count: int) -> FetchResult:
         """Values of items ``1..count`` (newest last in the array), charging misses."""
-        fetched, cost = self.charge_window(stream, count)
-        store = self._store[stream]
-        values = np.fromiter(
-            (store[tau] for tau in range(self.now - count, self.now)), float, count
-        )
+        values = np.empty(count)
+        fetched, cost = self._fetch(stream, count, values)
         return FetchResult(values=values, fetched_items=fetched, cost=cost)
 
     def charge_window(self, stream: str, count: int) -> tuple[int, float]:
         """:meth:`fetch_window` without the values: ``(fetched_items, cost)``."""
+        return self._fetch(stream, count, None)
+
+    def _fetch(
+        self, stream: str, count: int, values: np.ndarray | None
+    ) -> tuple[int, float]:
+        """Fetch and charge the window's missing items in one pass over it,
+        writing its values into ``values`` when given."""
         source = self._source(stream, count)
         store = self._store[stream]
         fetched = 0
-        for tau in range(self.now - count, self.now):
-            if tau not in store:
-                store[tau] = source.value_at(tau)
+        for offset, tau in enumerate(range(self.now - count, self.now)):
+            value = store.get(tau)
+            if value is None:
+                value = store[tau] = source.value_at(tau)
                 fetched += 1
+            if values is not None:
+                values[offset] = value
         cost = fetched * self.costs[stream]
         self.charged += cost
         if fetched:

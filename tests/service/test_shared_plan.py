@@ -19,7 +19,8 @@ from repro.service import (
     synthetic_registry,
 )
 from repro.service.shared_plan import RoundProgram
-from repro.streams.cache import CountingCache
+from repro.streams.cache import CountingCache, DataItemCache
+from repro.streams.sources import ReplaySource
 from tests.service import reference_round
 
 
@@ -189,6 +190,45 @@ class TestRoundProgram:
         assert got == want
         assert got["q"].evaluated == (0, 1) and got["q"].skipped == (0,)
         assert got_stats == want_stats
+
+    def test_only_window_readers_get_a_window(self):
+        """An oracle that reads windows gets the values a fetch returns; one
+        that does not gets ``None``, and no window is read for it."""
+
+        class Recording(LeafOracle):
+            def __init__(self, reads_window):
+                self.reads_window = reads_window
+                self.seen = []
+
+            def outcome(self, gindex, leaf, values):
+                self.seen.append(None if values is None else values.tolist())
+                return True
+
+        tree = DnfTree([[Leaf("X", 3, 0.5)]], {"X": 1.0})
+        oracles = {"reader": Recording(True), "blind": Recording(False)}
+        program = RoundProgram(
+            {name: TreeIndex(tree) for name in oracles},
+            {name: (0,) for name in oracles},
+            oracles,
+        )
+        sources = {"X": ReplaySource([float(i) for i in range(20)])}
+        cache = DataItemCache(sources, {"X": 1.0}, now=10)
+        program.run(cache)
+        assert oracles["reader"].seen == [[7.0, 8.0, 9.0]]
+        assert oracles["blind"].seen == [None]
+
+    def test_replayed_outcomes_are_read_every_round(self):
+        """A :class:`PrecomputedOracle` is called per probe, so outcomes
+        reassigned between rounds take effect in the next one."""
+        tree = DnfTree([[Leaf("A", 1, 0.5)]], {"A": 1.0})
+        oracle = PrecomputedOracle([True])
+        program = RoundProgram({"q": TreeIndex(tree)}, {"q": (0,)}, {"q": oracle})
+        cache = CountingCache({"A": 1.0})
+        program.run(cache)
+        assert program.values() == [True]
+        oracle.outcomes = [False]
+        program.run(cache)
+        assert program.values() == [False]
 
     def test_schedules_must_name_the_programs_queries(self):
         index = TreeIndex(DnfTree([[Leaf("A", 1, 0.5)]]))

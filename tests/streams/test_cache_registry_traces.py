@@ -117,6 +117,28 @@ class TestDataItemCache:
         with pytest.raises(StreamError):
             self.make().advance(-1)
 
+    def test_charge_window_charges_what_fetch_window_charges(self):
+        fetching, charging = self.make(now=10), self.make(now=10)
+        for count, steps in ((2, 0), (5, 0), (3, 1), (6, 2)):
+            fetching.advance(steps, max_windows={"A": 4})
+            charging.advance(steps, max_windows={"A": 4})
+            fetched = fetching.fetch_window("A", count)
+            assert charging.charge_window("A", count) == (fetched.fetched_items, fetched.cost)
+            assert charging._store == fetching._store
+        assert (charging.charged, charging.fetch_counts) == (
+            fetching.charged,
+            fetching.fetch_counts,
+        )
+
+    def test_peek_window_reads_without_charging(self):
+        cache = self.make(now=10)
+        cache.fetch_window("A", 2)
+        assert list(cache.peek_window("A", 4)) == [6.0, 7.0, 8.0, 9.0]
+        assert (cache.charged, cache.items_cached("A")) == (4.0, 2)
+        assert cache.fetch_window("A", 4).fetched_items == 2
+        with pytest.raises(StreamError):
+            cache.peek_window("A", 11)
+
 
 class TestStreamRegistry:
     def make(self):
