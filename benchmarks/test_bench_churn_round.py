@@ -6,7 +6,8 @@ query from one shared :class:`~repro.engine.BernoulliOracle`, which the round
 kernel calls once per evaluated probe; the ``drifting`` rows give every
 query its own static-schedule :class:`~repro.engine.DriftingBernoulliOracle`,
 whose outcome tape the kernel reads in bulk, as the serving benchmark runs
-them. Columns:
+them. The 100-resident rows show a round's fixed cost, which dominates at
+that size. Columns:
 
 * ``probes`` — the residents' schedule lengths summed: the steps of the
   round program's rows;
@@ -48,6 +49,7 @@ CASES = (
     ("shared", 100),
     ("shared", 1_000),
     ("shared", 10_000),
+    ("drifting", 100),
     ("drifting", 1_000),
     ("drifting", 10_000),
 )

@@ -80,7 +80,7 @@ from repro.obs import MetricsRegistry, Telemetry
 from repro.obs.slo import SloMonitor, SloObjective, SloStatus
 from repro.service.metrics import ServiceMetrics
 from repro.service.plan_cache import PlanCache
-from repro.service.server import DEFAULT_SCHEDULER, BatchReport
+from repro.service.server import DEFAULT_SCHEDULER, BatchReport, PerQuery
 from repro.streams.registry import StreamRegistry
 
 __all__ = [
@@ -253,18 +253,14 @@ class ClusterReport:
         return self.evals / self.wall_seconds if self.wall_seconds > 0 else float("inf")
 
     @property
-    def per_query_cost(self) -> dict[str, float]:
-        merged: dict[str, float] = {}
-        for report in self.shard_reports.values():
-            merged.update(report.per_query_cost)
-        return merged
+    def per_query_cost(self) -> PerQuery:
+        """The shards' per-query costs, one shard's after another."""
+        return PerQuery.chain(r.per_query_cost for r in self.shard_reports.values())
 
     @property
-    def per_query_true_rate(self) -> dict[str, float]:
-        merged: dict[str, float] = {}
-        for report in self.shard_reports.values():
-            merged.update(report.per_query_true_rate)
-        return merged
+    def per_query_true_rate(self) -> PerQuery:
+        """The shards' per-query TRUE rates, one shard's after another."""
+        return PerQuery.chain(r.per_query_true_rate for r in self.shard_reports.values())
 
     def summary(self) -> str:
         busiest = max(self.shard_seconds.values(), default=0.0)

@@ -80,7 +80,9 @@ class LeafOracle(abc.ABC):
         An oracle whose outcomes depend only on the leaf and its own round
         clock (``round_index``) can hand them over as an outcome *tape*, and
         a round then reads them in bulk instead of calling :meth:`outcome`
-        per probe.
+        per probe. Such an oracle's clock moves by :meth:`advance`, and a
+        round program may keep it in an array of its own
+        (:meth:`bind_clock`), where it ticks with every other resident's.
         """
         return None
 
@@ -94,6 +96,24 @@ class LeafOracle(abc.ABC):
         would.
         """
         raise NotImplementedError(f"{type(self).__name__} has no outcome tape")
+
+    def advance(self, rounds: int = 1) -> None:
+        """Move a tape oracle's round clock forward by ``rounds`` rounds."""
+        raise NotImplementedError(f"{type(self).__name__} has no round clock")
+
+    @property
+    def clock_bound(self) -> bool:
+        """Whether the oracle's round lives in a bound clock array."""
+        return False
+
+    def bind_clock(self, clock: np.ndarray | None, slot: int = 0) -> None:
+        """Keep a tape oracle's round in ``clock[slot]`` from now on.
+
+        The current round is written there first, and whoever ticks
+        ``clock`` moves this oracle's round. ``None`` moves the round back
+        into the oracle.
+        """
+        raise NotImplementedError(f"{type(self).__name__} has no round clock")
 
 
 class BernoulliOracle(LeafOracle):
@@ -128,10 +148,13 @@ class DriftingBernoulliOracle(LeafOracle):
     rounds at a time, which draws the same doubles as one-row draws, and
     compares the block once with the probabilities of the rounds it covers
     (row ``r`` with ``schedule.probs_at(r)``).
-    The per-round clock advances only via :meth:`advance`, which the
-    serving layer calls after every executed round. The tape and its
-    position pickle with the oracle, so a migrated query continues the same
-    outcomes.
+
+    The round clock (``round_index``) moves only forward: by
+    :meth:`advance`, or, while a round program has bound it
+    (:meth:`bind_clock`), by the program's tick of its whole clock array,
+    which the serving layer runs after every executed round. The tape, its
+    position and the round pickle with the oracle (a copy is unbound), so a
+    migrated query continues the same outcomes.
 
     Leaf outcomes are keyed by *global leaf index in one query's tree*, and
     each oracle owns its generator, seeded by ``seed``: a drifting oracle is
@@ -146,17 +169,47 @@ class DriftingBernoulliOracle(LeafOracle):
         self.rng = np.random.default_rng(seed)
         self._n_leaves = schedule.n_leaves
         self._static = schedule.is_static
-        #: The round the next ``outcome`` call draws for (moved only by
-        #: :meth:`advance`).
-        self.round_index = 0
-        # Rows [_start, _end) of the tape are drawn.
+        # The round: in _round, or in _clock[_slot] while a clock is bound.
+        self._round = 0
+        self._clock: np.ndarray | None = None
+        self._slot = 0
+        # Rows [_start, _end) of the tape are drawn, as bytes (1 = TRUE).
         self._start = 0
         self._end = 0
-        # The block's outcomes as bytes (1 = TRUE), the current round's from
-        # _offset. None once the clock leaves the block, until the next
-        # outcome call draws the block that holds the round.
-        self._bits: bytes | None = None
-        self._offset = 0
+        self._block: bytes | None = None
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.update(_round=self.round_index, _clock=None, _slot=0)
+        return state
+
+    @property
+    def round_index(self) -> int:
+        """The round the next ``outcome`` call draws for."""
+        clock = self._clock
+        return self._round if clock is None else int(clock[self._slot])
+
+    @property
+    def clock_bound(self) -> bool:
+        return self._clock is not None
+
+    def bind_clock(self, clock: np.ndarray | None, slot: int = 0) -> None:
+        round_index = self.round_index
+        if clock is None:
+            self._round = round_index
+        else:
+            clock[slot] = round_index
+        self._clock, self._slot = clock, slot
+
+    @property
+    def _bits(self) -> bytes | None:
+        """The drawn block, or ``None`` once the clock has left it."""
+        return self._block if self.round_index < self._end else None
+
+    @property
+    def _offset(self) -> int:
+        """Where the current round's outcomes start in the block."""
+        return (self.round_index - self._start) * self._n_leaves
 
     def current_probs(self) -> np.ndarray:
         """True per-leaf success probabilities at the current round."""
@@ -168,25 +221,22 @@ class DriftingBernoulliOracle(LeafOracle):
                 f"drift schedule covers {self._n_leaves} leaves; "
                 f"leaf {gindex} was probed"
             )
-        bits = self._bits
-        if bits is None:
-            bits = self._read()
-        return bits[self._offset + gindex] == 1
+        now = self.round_index
+        bits = self._block if now < self._end else self._read(now)
+        return bits[(now - self._start) * self._n_leaves + gindex] == 1
 
     def tape_width(self) -> int:
         return self._n_leaves
 
     def tape(self) -> tuple[bytes, int, int, int]:
-        bits = self._bits
-        if bits is None:
-            bits = self._read()
+        now = self.round_index
+        bits = self._block if now < self._end else self._read(now)
         # The block's outcomes, one row per round until the block ends.
         return bits, self._start, self._end, self._n_leaves
 
-    def _read(self) -> bytes:
-        """Draw the tape block that starts at the current round; its outcomes."""
+    def _read(self, now: int) -> bytes:
+        """Draw the tape block that starts at round ``now``; its outcomes."""
         n = self._n_leaves
-        now = self.round_index
         # Rounds between the last block and this one that no probe read
         # still consume their rows of the generator.
         skipped = now - self._end
@@ -201,9 +251,8 @@ class DriftingBernoulliOracle(LeafOracle):
             probs = self.schedule.probs_at(0)
         else:
             probs = np.array([self.schedule.probs_at(r) for r in range(now, self._end)])
-        self._bits = (block < probs).tobytes()
-        self._offset = 0
-        return self._bits
+        bits = self._block = (block < probs).tobytes()
+        return bits
 
     def advance(self, rounds: int = 1) -> None:
         """Move the drift clock forward by ``rounds`` rounds.
@@ -215,11 +264,10 @@ class DriftingBernoulliOracle(LeafOracle):
         """
         if rounds < 0:
             raise StreamError(f"cannot advance by {rounds} rounds")
-        self.round_index += rounds
-        if self.round_index < self._end:
-            self._offset = (self.round_index - self._start) * self._n_leaves
+        if self._clock is None:
+            self._round += rounds
         else:
-            self._bits = None
+            self._clock[self._slot] += rounds
 
 
 class PredicateOracle(LeafOracle):

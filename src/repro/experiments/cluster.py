@@ -302,20 +302,18 @@ def verify_cluster_parity(
     single_report = single.run_batch(rounds)
 
     deltas: dict[str, float] = {}
-    for name in single_report.per_query_cost:
-        delta = abs(
-            single_report.per_query_cost[name] - cluster_report.per_query_cost[name]
-        )
+    # A cluster report merges its shards' views on every read: read it once.
+    cluster_costs = cluster_report.per_query_cost
+    cluster_rates = cluster_report.per_query_true_rate
+    for name, cost in single_report.per_query_cost.items():
+        delta = abs(cost - cluster_costs[name])
         deltas[name] = delta
         if delta > atol:
             raise StreamError(
                 f"parity violation: query {name!r} cost differs by {delta:.3g} "
                 "between sharded and unsharded serving"
             )
-        if (
-            single_report.per_query_true_rate[name]
-            != cluster_report.per_query_true_rate[name]
-        ):
+        if single_report.per_query_true_rate[name] != cluster_rates[name]:
             raise StreamError(
                 f"parity violation: query {name!r} TRUE rate differs between "
                 "sharded and unsharded serving"
@@ -374,10 +372,12 @@ def verify_elastic_parity(
     def run_phase() -> None:
         creport = cluster.run_batch(rounds)
         sreport = single.run_batch(rounds)
+        # A cluster report merges its shards' views on every read.
+        ccosts, crates = creport.per_query_cost, creport.per_query_true_rate
         for name in sreport.per_query_cost:
-            cluster_cost[name] += creport.per_query_cost[name]
+            cluster_cost[name] += ccosts[name]
             single_cost[name] += sreport.per_query_cost[name]
-            cluster_true[name] += creport.per_query_true_rate[name] * rounds
+            cluster_true[name] += crates[name] * rounds
             single_true[name] += sreport.per_query_true_rate[name] * rounds
 
     run_phase()

@@ -35,6 +35,7 @@ from repro.service.metrics import ROUND_COST_WINDOW, ServiceMetrics
 from repro.service.plan_cache import CachedPlan, PlanCache
 from repro.service.server import (
     BatchReport,
+    PerQuery,
     QueryServer,
     RegisteredQuery,
     run_isolated,
@@ -57,6 +58,7 @@ __all__ = [
     "QueryServer",
     "RegisteredQuery",
     "BatchReport",
+    "PerQuery",
     "run_isolated",
     "ServiceMetrics",
     "ROUND_COST_WINDOW",

@@ -21,11 +21,21 @@ from __future__ import annotations
 
 import collections
 import functools
+import itertools
 import operator
 import threading
 import time
 from dataclasses import dataclass, field, replace as dataclass_replace
-from typing import Callable, Mapping, Sequence, Union
+from typing import (
+    Callable,
+    ItemsView,
+    Iterable,
+    Iterator,
+    Mapping,
+    Sequence,
+    Union,
+    ValuesView,
+)
 
 from repro.adaptive.controller import AdaptiveController, ShapeBelief, fold_base_probs
 from repro.adaptive.policy import AdaptivePolicy, ReplanEvent
@@ -36,7 +46,6 @@ from repro.core.schedule import Schedule, validate_schedule
 from repro.core.tree import AndTree, DnfTree, QueryTree
 from repro.engine.executor import (
     BernoulliOracle,
-    DriftingBernoulliOracle,
     ExecutionResult,
     LeafOracle,
     ScheduleExecutor,
@@ -54,6 +63,7 @@ __all__ = [
     "RegisteredQuery",
     "Migration",
     "BatchReport",
+    "PerQuery",
     "QueryServer",
     "run_isolated",
 ]
@@ -129,14 +139,84 @@ class Migration:
     beliefs: dict[str, ShapeBelief]
 
 
+class PerQuery(Mapping[str, float]):
+    """A read-only name -> number mapping over a names tuple and a values
+    list, in registration order.
+
+    ``len``, iteration, ``items()`` and ``values()`` read the two sequences;
+    the dict that serves lookups by name is built on the first one. It
+    pickles as the two sequences, and compares equal to the dict of the
+    same items.
+    """
+
+    __slots__ = ("_names", "_values", "_index")
+
+    def __init__(self, names: tuple[str, ...], values: list[float]) -> None:
+        self._names = names
+        self._values = values
+        self._index: dict[str, float] | None = None
+
+    @classmethod
+    def chain(cls, views: Iterable[Mapping[str, float]]) -> PerQuery:
+        """The mappings' items one mapping after another (their names are
+        disjoint)."""
+        views = list(views)
+        return cls(
+            tuple(itertools.chain.from_iterable(views)),
+            list(itertools.chain.from_iterable(view.values() for view in views)),
+        )
+
+    def __getitem__(self, name: str) -> float:
+        index = self._index
+        if index is None:
+            index = self._index = dict(zip(self._names, self._values))
+        return index[name]
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._names)
+
+    def items(self) -> ItemsView[str, float]:
+        return _PerQueryItems(self)
+
+    def values(self) -> ValuesView[float]:
+        return _PerQueryValues(self)
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self._names, self._values)
+
+    def __repr__(self) -> str:
+        return repr(dict(zip(self._names, self._values)))
+
+
+class _PerQueryItems(ItemsView[str, float]):
+    _mapping: PerQuery
+
+    def __iter__(self) -> Iterator[tuple[str, float]]:
+        return zip(self._mapping._names, self._mapping._values)
+
+
+class _PerQueryValues(ValuesView[float]):
+    _mapping: PerQuery
+
+    def __iter__(self) -> Iterator[float]:
+        return iter(self._mapping._values)
+
+
 @dataclass
 class BatchReport:
-    """Outcome of :meth:`QueryServer.run_batch`."""
+    """Outcome of :meth:`QueryServer.run_batch`.
+
+    ``per_query_cost`` and ``per_query_true_rate`` are :class:`PerQuery`
+    views in registration order.
+    """
 
     rounds: int
     total_cost: float
-    per_query_cost: dict[str, float]
-    per_query_true_rate: dict[str, float]
+    per_query_cost: Mapping[str, float]
+    per_query_true_rate: Mapping[str, float]
     round_costs: list[float]
     probes: int
     free_probes: int
@@ -172,15 +252,16 @@ class _BatchTally:
 
     Per resident slot (registration order; the server lock holds the
     population still for the whole batch) it sums the cost and counts the
-    TRUE rounds; per round it keeps the cost; and it sums the probe, item
-    and re-plan counts. :meth:`report` builds the batch report from these
-    sums, and the lifetime ledger and the telemetry counters fold that
-    report, so every consumer reads the same numbers.
+    TRUE rounds, adopting the first round's lists as they are; per round it
+    keeps the cost; and it sums the probe, item and re-plan counts.
+    :meth:`report` builds the batch report from these sums, and the
+    lifetime ledger and the telemetry counters fold that report, so every
+    consumer reads the same numbers.
     """
 
     names: tuple[str, ...]
-    query_cost: list[float]
-    true_counts: list[int]
+    query_cost: list[float] = field(default_factory=list)
+    true_counts: Sequence[int] = field(default_factory=list)
     round_costs: list[float] = field(default_factory=list)
     probes: int = 0
     free_probes: int = 0
@@ -190,12 +271,21 @@ class _BatchTally:
 
     @classmethod
     def start(cls, names: tuple[str, ...]) -> _BatchTally:
-        return cls(names, [0.0] * len(names), [0] * len(names))
+        """An empty tally for a batch over ``names`` (registration order)."""
+        return cls(names)
 
-    def add(self, stats: RoundStats, values: Sequence[bool]) -> None:
-        """Fold one round: ``values`` are its root values, per slot."""
-        self.query_cost = list(map(operator.add, self.query_cost, stats.query_cost))
-        self.true_counts = list(map(operator.add, self.true_counts, values))
+    def add(self, stats: RoundStats, values: list[bool]) -> None:
+        """Fold one round: ``values`` are its root values, per slot.
+
+        The first round's lists are adopted (a cost summed from 0.0 is the
+        cost itself, and a TRUE counts as 1).
+        """
+        if self.round_costs:
+            self.query_cost = list(map(operator.add, self.query_cost, stats.query_cost))
+            self.true_counts = list(map(operator.add, self.true_counts, values))
+        else:
+            self.query_cost = stats.query_cost
+            self.true_counts = values
         self.round_costs.append(stats.cost)
         self.probes += stats.probes
         self.free_probes += stats.free_probes
@@ -206,12 +296,13 @@ class _BatchTally:
         rounds = len(self.round_costs)
         return BatchReport(
             rounds=rounds,
-            total_cost=sum(self.round_costs),
-            per_query_cost=dict(zip(self.names, self.query_cost)),
-            per_query_true_rate={
-                name: count / rounds
-                for name, count in zip(self.names, self.true_counts)
-            },
+            # A left fold, as the ledger adds them (``sum`` compensates on
+            # Python 3.12+).
+            total_cost=functools.reduce(operator.add, self.round_costs, 0.0),
+            per_query_cost=PerQuery(self.names, self.query_cost),
+            per_query_true_rate=PerQuery(
+                self.names, [count / rounds for count in self.true_counts]
+            ),
             round_costs=self.round_costs,
             probes=self.probes,
             free_probes=self.free_probes,
@@ -333,11 +424,6 @@ class QueryServer:
         #: One row per resident for the round loop, kept current by every
         #: population change and re-plan.
         self._program = RoundProgram()
-        #: The residents' distinct drifting oracles, each with the number of
-        #: residents holding it.
-        self._drifting: collections.Counter[DriftingBernoulliOracle] = (
-            collections.Counter()
-        )
         self._round = 0
         # One reentrant lock serializes every population mutation and every
         # round against each other, so background admission threads can
@@ -613,16 +699,12 @@ class QueryServer:
         stream. Only ``query``'s own leaves are touched, and a stream's max
         is recomputed only when its last holder leaves. An arrival also
         grows device time, so its windows are immediately servable. The
-        round program appends or tombstones the query's row, and a drifting
-        oracle's resident count moves.
+        round program appends or tombstones the query's row.
         """
         windows = self._max_windows
         shrank = False
-        drifting = isinstance(query.oracle, DriftingBernoulliOracle)
         if joined:
             self._program.append(query.name, query.index, query.schedule, query.oracle)
-            if drifting:
-                self._drifting[query.oracle] += 1
             for leaf in query.tree.leaves:
                 counts = self._window_counts.setdefault(
                     leaf.stream, collections.Counter()
@@ -635,10 +717,6 @@ class QueryServer:
                 self.cache.advance(max_items - self.cache.now)
         else:
             self._program.remove(query.name)
-            if drifting:
-                self._drifting[query.oracle] -= 1
-                if not self._drifting[query.oracle]:
-                    del self._drifting[query.oracle]
             for leaf in query.tree.leaves:
                 counts = self._window_counts[leaf.stream]
                 counts[leaf.items] -= 1
@@ -864,11 +942,6 @@ class QueryServer:
 
     # -- execution ------------------------------------------------------
 
-    def _advance_drifting_oracles(self, rounds: int) -> None:
-        """Tick every drifting oracle's ground-truth clock once per round."""
-        for drifting in self._drifting:
-            drifting.advance(rounds)
-
     def _record_round_telemetry(
         self,
         tel: Telemetry,
@@ -962,7 +1035,8 @@ class QueryServer:
         if self.adaptive is not None:
             self._observe_round(program)
             tally.replans += len(self._maybe_replan())
-        self._advance_drifting_oracles(1)
+        # Every resident oracle's round clock ticks once per round.
+        program.tick()
         if recording:
             self._record_round_telemetry(
                 tel,
@@ -1016,7 +1090,7 @@ class QueryServer:
         counters, once per batch. ``results`` receives the last round's
         per-query results.
         """
-        tally = _BatchTally.start(tuple(self._queries))
+        tally = _BatchTally.start(self._program.names)
         for _ in range(rounds):
             self._step(tally, results)
         report = tally.report(

@@ -23,16 +23,21 @@ gather gives the skip mask, the outcomes are gathered, each evaluated leaf's
 value propagates at most depth levels toward its root, and rows whose root
 resolved leave the walk. The fetches are charged afterwards: the evaluated
 probes are sorted by (stream, position, step), one ``maximum.accumulate``
-gives each probe its stream's widest earlier window, and the cache charges
-only the probes that widen it, in (position, step) order — so every
-per-query cost is the same left fold of the same floats as a probe-by-probe
-walk, and every other probe reads a window the round already fetched.
+gives each probe its stream's widest earlier window, and only the probes
+that widen it fetch: one cache call per touched stream takes its widening
+windows in order and returns the items each fetched. The costs (items times
+a per-stream item-cost array) are folded into the per-query costs and the
+cache's ``charged`` in (position, step) order — so every per-query cost is
+the same left fold of the same floats as a probe-by-probe walk, and every
+other probe reads a window the round already fetched.
 
 Outcomes come from the oracles. An oracle with an outcome *tape*
 (:meth:`~repro.engine.executor.LeafOracle.tape`) hands the kernel its tape
-as bytes once per tape block and keeps its own position; every other oracle
-is called once per evaluated probe, step by step and in registration order
-within a step. One that reads windows
+as bytes once per tape block and keeps its own position; its round lives in
+the program's clock array (:meth:`RoundProgram.tick` moves every held
+clock with one add, and a round reads them with one gather). Every other
+oracle is called once per evaluated probe, step by step and in registration
+order within a step. One that reads windows
 (:attr:`~repro.engine.executor.LeafOracle.reads_window`) gets a read-only
 window from an uncharged per-round peek; any other gets ``None``.
 
@@ -129,7 +134,9 @@ class RoundProgram:
     :meth:`remove`, :meth:`reschedule` and :meth:`reorder`. A round
     (:meth:`run`) resolves no name and builds nothing per resident.
     :meth:`values`, :meth:`results` and :meth:`evaluated` read the last
-    round back, until the population changes.
+    round back, until the population changes. The rounds of the residents'
+    tape oracles live in the program's clock array while their rows are
+    written, and :meth:`tick` moves them all on after a round.
     """
 
     def __init__(
@@ -191,12 +198,17 @@ class RoundProgram:
         self._order: np.ndarray | None = None
         self._names: tuple[str, ...] | None = None
         self._n_called = 0  # live slots whose oracle is called per probe
-        # Tape oracles, by tape index: the object, its live rows, and the
-        # bytes it last handed over with the rounds they cover.
+        # Oracles with a round clock, by tape index: the object and the bytes
+        # it last handed over; per index, its live rows, whether its round
+        # lives in _clock (else another program's clock holds it, and the
+        # round is copied into _clock before each round's gather), the
+        # round, and the rounds, stride and buffer offset of those bytes.
         self._tape_ids: dict[int, int] = {}
         self._tape_objs: list[LeafOracle] = []
-        self._tape_refs: list[int] = []
         self._tape_bits: list[bytes] = []
+        self._tape_refs = np.zeros(0, np.intp)
+        self._tape_owned = np.zeros(0, bool)
+        self._clock = np.zeros(0, np.int64)
         self._tape_first = np.zeros(0, np.int64)
         self._tape_end = np.zeros(0, np.int64)
         self._tape_stride = np.zeros(0, np.int64)
@@ -204,7 +216,10 @@ class RoundProgram:
         self._tape_offset = np.zeros(0, np.int64)
         self._tape_buffer = np.zeros(0, np.uint8)
         self._tape_built = 0  # the buffer's size when last rebuilt whole
-        self._live_tapes: tuple[list[LeafOracle], np.ndarray] | None = None
+        # The live tape indices, and those whose round another clock holds.
+        self._live_tapes: tuple[np.ndarray, list[int]] | None = None
+        # The stream costs the item-cost array was read from, and the array.
+        self._item_costs: tuple[Mapping[str, float], np.ndarray] | None = None
         # The last round, per evaluated probe in step order: its rank in
         # (position, step) order, step and position, then per step the global
         # leaf indices and values (joined only when read back).
@@ -283,7 +298,7 @@ class RoundProgram:
         self._names = None
         if slot < self._flushed:
             self._length[slot] = 0
-            self._release_oracle(slot)
+            self._release_oracle(slot, spec[3])
 
     def reorder(self, names: Sequence[str]) -> None:
         """Re-key registration order to ``names``, a permutation of the residents."""
@@ -311,8 +326,15 @@ class RoundProgram:
             self._flush()
 
     def _compact(self) -> None:
-        """Rebuild the arrays from the live rows, in registration order."""
+        """Rebuild the arrays from the live rows, in registration order.
+
+        The bound clocks move their rounds back into their oracles first,
+        and the rebuilt rows bind them again.
+        """
         specs = [self._specs[slot] for slot in self.order.tolist()]
+        objs = self._tape_objs
+        for tape in self._bound():
+            objs[tape].bind_clock(None)
         self._reset()
         for spec in specs:
             assert spec is not None
@@ -375,6 +397,10 @@ class RoundProgram:
         tapes: list[int] = []
         width = self._leaf.shape[0]
         stream_ids = self._stream_ids
+        # Room for one new tape per row: holding an oracle grows nothing.
+        tapes_at_most = len(self._tape_objs) + len(specs)
+        if tapes_at_most > self._clock.size:
+            self._grow_tapes(max(2 * self._clock.size, tapes_at_most))
         for slot, spec in enumerate(specs, start):
             if spec is None:
                 lengths.append(0)
@@ -395,7 +421,7 @@ class RoundProgram:
             items.extend(counts)
             lengths.append(len(schedule))
             if slot < len(self._calls):
-                self._release_oracle(slot)
+                self._release_oracle(slot, oracle)
             tape = self._hold_oracle(oracle, len(records))
             call = None if tape >= 0 else (leaves, oracle.reads_window)
             if slot < len(self._calls):
@@ -449,63 +475,108 @@ class RoundProgram:
     # -- oracles --------------------------------------------------------
 
     def _hold_oracle(self, oracle: LeafOracle, n_leaves: int) -> int:
-        """The tape index of a new row's oracle, or -1 to call it per probe."""
+        """The tape index of a new row's oracle, or -1 to call it per probe.
+
+        An oracle with a round clock gets a tape index and, with its first
+        row, the clock: its round moves into :attr:`_clock`, unless another
+        program's clock already holds it. One whose tape is narrower than
+        the row's tree is still called per probe, but its clock ticks here.
+        """
         width = oracle.tape_width()
-        if width is None or width < n_leaves:
+        if width is None:
             self._n_called += 1
             return -1
         tape = self._tape_ids.get(id(oracle))
         if tape is None:
             tape = self._tape_ids[id(oracle)] = len(self._tape_objs)
             self._tape_objs.append(oracle)
-            self._tape_refs.append(0)
             self._tape_bits.append(b"")
-        self._tape_refs[tape] += 1
-        if self._tape_refs[tape] == 1:
+        refs = self._tape_refs[tape] + 1
+        self._tape_refs[tape] = refs
+        if refs == 1:
             self._live_tapes = None
+            owned = self._tape_owned[tape] = not oracle.clock_bound
+            if owned:
+                oracle.bind_clock(self._clock, tape)
+        if width < n_leaves:
+            self._n_called += 1
+            return -1
         return tape
 
-    def _release_oracle(self, slot: int) -> None:
-        """Drop a row's hold on its oracle: a tape nobody reads is not drawn."""
-        tape = int(self._tape[slot])
-        if tape < 0:
+    def _release_oracle(self, slot: int, oracle: LeafOracle) -> None:
+        """Drop a row's hold on its oracle: a tape nobody reads is not drawn,
+        and a clock nobody holds moves its round back into its oracle."""
+        if self._tape[slot] < 0:
             self._n_called -= 1
+        tape = self._tape_ids.get(id(oracle))
+        if tape is None:
             return
-        self._tape_refs[tape] -= 1
-        if not self._tape_refs[tape]:
+        refs = self._tape_refs[tape] - 1
+        self._tape_refs[tape] = refs
+        if not refs:
             self._live_tapes = None
             self._tape_bits[tape] = b""
-            if tape < self._tape_first.size:
-                self._tape_end[tape] = self._tape_first[tape] = 0
+            self._tape_end[tape] = self._tape_first[tape] = 0
+            if self._tape_owned[tape]:
+                oracle.bind_clock(None)
+
+    def _grow_tapes(self, size: int) -> None:
+        """Grow the per-tape arrays to ``size`` and rebind the held clocks.
+
+        Grown zeroed: an empty range, so a new tape's first round asks the
+        oracle for it.
+        """
+        self._tape_refs = _grown(self._tape_refs, 0, size, 0)
+        self._tape_owned = _grown(self._tape_owned, 0, size, False)
+        self._clock = _grown(self._clock, 0, size, 0)
+        self._tape_first = _grown(self._tape_first, 0, size, 0)
+        self._tape_end = _grown(self._tape_end, 0, size, 0)
+        self._tape_stride = _grown(self._tape_stride, 0, size, 0)
+        self._tape_base = _grown(self._tape_base, 0, size, 0)
+        self._tape_offset = _grown(self._tape_offset, 0, size, 0)
+        objs = self._tape_objs
+        for tape in self._bound():
+            objs[tape].bind_clock(self._clock, tape)
+
+    def _bound(self) -> list[int]:
+        """The held tape indices whose oracle's round lives in the clock array."""
+        return np.flatnonzero((self._tape_refs > 0) & self._tape_owned).tolist()
+
+    def _live(self) -> tuple[np.ndarray, list[int]]:
+        """The held tape indices, and those whose round another clock holds."""
+        if self._live_tapes is None:
+            live = np.flatnonzero(self._tape_refs)
+            self._live_tapes = (live, live[~self._tape_owned[live]].tolist())
+        return self._live_tapes
+
+    def tick(self) -> None:
+        """Move every held oracle clock forward one round.
+
+        The clocks this program holds tick in one add; an oracle whose round
+        another program's clock holds is advanced through its own call.
+        """
+        self._clock += 1
+        objs = self._tape_objs
+        for tape in self._live()[1]:
+            objs[tape].advance(1)
 
     def _tape_offsets(self) -> np.ndarray:
         """Per tape index, where the current round's outcomes start in the buffer.
 
-        An oracle whose round left the range its last tape covers hands over
-        its tape again (drawing a new block when its own position needs
-        one). New tapes are appended to the buffer, which is rebuilt whole
-        from the live tapes once it would pass twice its last whole size.
+        The rounds are one gather from the clock array. An oracle whose
+        round left the range its last tape covers hands over its tape again
+        (drawing a new block when its own position needs one). New tapes
+        are appended to the buffer, which is rebuilt whole from the live
+        tapes once it would pass twice its last whole size.
         """
-        if self._live_tapes is None:
-            size = len(self._tape_objs)
-            if size > self._tape_first.size:
-                # Grown zeroed: an empty range, so a new tape's first round
-                # asks the oracle for it.
-                size = max(2 * self._tape_first.size, size)
-                self._tape_first = _grown(self._tape_first, 0, size, 0)
-                self._tape_end = _grown(self._tape_end, 0, size, 0)
-                self._tape_stride = _grown(self._tape_stride, 0, size, 0)
-                self._tape_base = _grown(self._tape_base, 0, size, 0)
-                self._tape_offset = _grown(self._tape_offset, 0, size, 0)
-            live = [tape for tape, refs in enumerate(self._tape_refs) if refs]
-            self._live_tapes = (
-                [self._tape_objs[tape] for tape in live],
-                np.array(live, np.intp),
-            )
-        objs, live = self._live_tapes
-        if not objs:
+        live, foreign = self._live()
+        if not live.size:
             return self._tape_offset
-        now = np.fromiter(map(_round_of, objs), np.int64, len(objs))
+        clock = self._clock
+        if foreign:
+            objs = self._tape_objs
+            clock[foreign] = [_round_of(objs[tape]) for tape in foreign]
+        now = clock[live]
         first = self._tape_first[live]
         stale = ((now < first) | (now >= self._tape_end[live])).nonzero()[0]
         if stale.size:
@@ -551,11 +622,14 @@ class RoundProgram:
         itself) is resolved, and a row leaves the walk once its root
         resolves. Per query, the round means exactly what running it
         through :class:`~repro.engine.executor.ScheduleExecutor` means (see
-        :meth:`results`). The fetches are then charged in registration
-        order, calling the cache's ``charge_window`` only for the probes
-        that widen their stream's window this round: every other probe's
-        window is cached (nothing evicts mid-round), so its fetch would
-        charge 0.0, and adding 0.0 to a sum begun at 0.0 changes no bit.
+        :meth:`results`). Only the probes that widen their stream's window
+        this round fetch anything: every other probe's window is cached
+        (nothing evicts mid-round), so its fetch would charge 0.0, and
+        adding 0.0 to a sum begun at 0.0 changes no bit. Each touched
+        stream's widening windows go to the cache's ``fetch_widening`` in
+        one call, which returns the items each fetched; their costs (items
+        times the stream's item cost) are then added to the queries' costs
+        and to the cache's ``charged`` in registration order.
         """
         self.prepare()
         n_nodes = self._n_nodes
@@ -696,38 +770,58 @@ class RoundProgram:
         # Per stream, the widest window asked for before each probe: sort by
         # (stream, position, step), take one running maximum over keys that
         # put a later stream's above any earlier stream's, and shift it by
-        # one. Only the probes that widen their stream's window get a cache
-        # call, in (position, step) order.
+        # one. Only the probes that widen their stream's window fetch.
         by_stream = np.argsort(streams * (n * len(step_slots)) + ranks)
         keys = ((streams << 32) | items)[by_stream]
         widest = np.maximum.accumulate(keys)
         widens = np.empty(keys.size, bool)
         widens[0] = True
         widens[1:] = keys[1:] > widest[:-1]
+        # The widening probes, by stream and in (position, step) order within
+        # one: each stream's windows go to the cache in one call.
         widening = by_stream[widens]
-        widening = widening[np.argsort(ranks[widening])]
-        charge_window = cache.charge_window
+        touched = streams[widening]
+        bounds = (touched[1:] != touched[:-1]).nonzero()[0] + 1
+        firsts = [0, *bounds.tolist()]
+        counts = items[widening].tolist()
+        fetch = cache.fetch_widening
         names = self._streams
-        fetched = 0
-        free = slots.size - widening.size
-        for position, stream, count in zip(
-            positions[widening].tolist(),
-            streams[widening].tolist(),
-            items[widening].tolist(),
+        fetched_items: list[int] = []
+        for stream, start, stop in zip(
+            touched[firsts].tolist(), firsts, [*firsts[1:], len(counts)]
         ):
-            items_fetched, cost = charge_window(names[stream], count)
+            fetched_items.extend(fetch(names[stream], counts[start:stop]))
+        fetched = np.array(fetched_items, np.int64)
+        costs = fetched * self._item_cost_array(cache)[touched]
+        # Charge the windows that fetched anything in (position, step) order
+        # (adding 0.0 to a non-negative sum changes no bit).
+        paid = np.argsort(ranks[widening])
+        paid = paid[fetched[paid] > 0]
+        charged = cache.charged
+        for position, cost in zip(positions[widening[paid]].tolist(), costs[paid].tolist()):
             query_cost[position] += cost
-            fetched += items_fetched
-            if not items_fetched:
-                free += 1
+            charged += cost
+        cache.charged = charged
+        items_fetched = int(fetched.sum())
         return RoundStats(
             probes=slots.size,
-            free_probes=free,
-            items_fetched=fetched,
-            items_saved=int(items.sum()) - fetched,
+            free_probes=slots.size - paid.size,
+            items_fetched=items_fetched,
+            items_saved=int(items.sum()) - items_fetched,
             query_cost=query_cost,
             query_probes=np.bincount(positions, minlength=n).tolist(),
         )
+
+    def _item_cost_array(self, cache: Union[DataItemCache, CountingCache]) -> np.ndarray:
+        """Per stream id, the cache's cost of one item (0.0 for one it lacks)."""
+        known = self._item_costs
+        if known is None or known[0] is not cache.costs or known[1].size < len(self._streams):
+            table = cache.costs
+            known = self._item_costs = (
+                table,
+                np.array([table.get(name, 0.0) for name in self._streams], np.float64),
+            )
+        return known[1]
 
     # -- reading the last round back -------------------------------------
 

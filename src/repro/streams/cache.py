@@ -20,7 +20,7 @@ than the maximum time-window used for that stream in the query."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -56,20 +56,31 @@ class CountingCache:
         return self._held.get(stream, 0)
 
     def fetch_window(self, stream: str, count: int) -> FetchResult:
-        missing, cost = self.charge_window(stream, count)
+        (missing,) = self.fetch_widening(stream, [count])
+        cost = missing * self.costs[stream]
+        self.charged += cost
         return FetchResult(values=None, fetched_items=missing, cost=cost)
 
-    def charge_window(self, stream: str, count: int) -> tuple[int, float]:
-        """:meth:`fetch_window` without the values: ``(fetched_items, cost)``."""
-        self.peek_window(stream, count)
+    def fetch_widening(self, stream: str, counts: Sequence[int]) -> list[int]:
+        """Fetch ``stream``'s windows ``counts``, each wider than the last, in
+        order; per window, the items it fetched.
+
+        The fetches count in ``fetch_counts`` but are not charged: the caller
+        adds each window's ``fetched * costs[stream]`` to ``charged``, in the
+        order it charges every stream's windows in.
+        """
+        self.peek_window(stream, counts[0])
         have = self._held.get(stream, 0)
-        missing = max(0, count - have)
-        cost = missing * self.costs[stream]
-        if missing:
-            self._held[stream] = count
-            self.fetch_counts[stream] = self.fetch_counts.get(stream, 0) + missing
-        self.charged += cost
-        return missing, cost
+        fetched = []
+        for count in counts:
+            missing = max(0, count - have)
+            have = max(have, count)
+            fetched.append(missing)
+        total = sum(fetched)
+        if total:
+            self._held[stream] = have
+            self.fetch_counts[stream] = self.fetch_counts.get(stream, 0) + total
+        return fetched
 
     def peek_window(self, stream: str, count: int) -> None:
         """What :meth:`fetch_window` would return as values (none), uncharged;
@@ -136,34 +147,52 @@ class DataItemCache:
 
     def fetch_window(self, stream: str, count: int) -> FetchResult:
         """Values of items ``1..count`` (newest last in the array), charging misses."""
-        values = np.empty(count)
-        fetched, cost = self._fetch(stream, count, values)
-        return FetchResult(values=values, fetched_items=fetched, cost=cost)
-
-    def charge_window(self, stream: str, count: int) -> tuple[int, float]:
-        """:meth:`fetch_window` without the values: ``(fetched_items, cost)``."""
-        return self._fetch(stream, count, None)
-
-    def _fetch(
-        self, stream: str, count: int, values: np.ndarray | None
-    ) -> tuple[int, float]:
-        """Fetch and charge the window's missing items in one pass over it,
-        writing its values into ``values`` when given."""
         source = self._source(stream, count)
         store = self._store[stream]
+        values = np.empty(count)
         fetched = 0
         for offset, tau in enumerate(range(self.now - count, self.now)):
             value = store.get(tau)
             if value is None:
                 value = store[tau] = source.value_at(tau)
                 fetched += 1
-            if values is not None:
-                values[offset] = value
+            values[offset] = value
         cost = fetched * self.costs[stream]
         self.charged += cost
         if fetched:
             self.fetch_counts[stream] = self.fetch_counts.get(stream, 0) + fetched
-        return fetched, cost
+        return FetchResult(values=values, fetched_items=fetched, cost=cost)
+
+    def fetch_widening(self, stream: str, counts: Sequence[int]) -> list[int]:
+        """Fetch ``stream``'s windows ``counts``, each wider than the last, in
+        order; per window, the items it fetched.
+
+        A window's items that the narrower one before it covers are held
+        already, so each item is looked at once. The fetches count in
+        ``fetch_counts`` but are not charged: the caller adds each window's
+        ``fetched * costs[stream]`` to ``charged``, in the order it charges
+        every stream's windows in.
+        """
+        source = self._source(stream, counts[-1])
+        if counts[0] < 1:
+            raise StreamError(f"window must be >= 1 item, got {counts[0]}")
+        store = self._store[stream]
+        now = held = self.now  # items [held, now) are held
+        fetched = []
+        for count in counts:
+            missing = 0
+            oldest = now - count
+            for tau in range(oldest, held):
+                if tau not in store:
+                    store[tau] = source.value_at(tau)
+                    missing += 1
+            if oldest < held:
+                held = oldest
+            fetched.append(missing)
+        total = sum(fetched)
+        if total:
+            self.fetch_counts[stream] = self.fetch_counts.get(stream, 0) + total
+        return fetched
 
     def peek_window(self, stream: str, count: int) -> np.ndarray:
         """The values :meth:`fetch_window` would return, without fetching or charging.

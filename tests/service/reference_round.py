@@ -31,6 +31,7 @@ from repro.core.resolution import TreeIndex
 from repro.core.schedule import Schedule
 from repro.engine.executor import (
     BernoulliOracle,
+    DriftingBernoulliOracle,
     ExecutionResult,
     LeafOracle,
     PrecomputedOracle,
@@ -225,6 +226,12 @@ class ReferenceProgram:
             order = [(name, g) for name, s in self._schedules.items() for g in s]
         self._results, stats = execute_round(order, self._indexes, cache, self._oracles)
         return stats
+
+    def tick(self) -> None:
+        """Advance every distinct resident drifting oracle one round."""
+        for oracle in {id(o): o for o in self._oracles.values()}.values():
+            if isinstance(oracle, DriftingBernoulliOracle):
+                oracle.advance(1)
 
     def values(self) -> list[bool]:
         return [result.value for result in self._results.values()]

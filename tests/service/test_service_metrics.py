@@ -215,6 +215,16 @@ class TestOneRoundCost:
         assert report.total_cost.hex() == histogram.total.hex()
         assert report.round_costs == server.metrics.round_costs
 
+    def test_many_round_report_total_is_the_ledger_total(self):
+        """Both fold the round costs left to right (``sum`` compensates on
+        Python 3.12+, which moves the last bits of a long batch's total)."""
+        server = _probe_order_server(Telemetry())
+        report = server.run_batch(64)
+        assert report.total_cost.hex() == server.metrics.total_cost.hex()
+        # 0.1 + 0.2 + 0.3 left to right is 0.6000000000000001.
+        tally = batch_of(*(RoundStats(query_cost=[c], query_probes=[1]) for c in (0.1, 0.2, 0.3)))
+        assert tally.total_cost.hex() == ((0.1 + 0.2) + 0.3).hex()
+
     @pytest.mark.parametrize("build", [_probe_order_server, _drifting_server])
     def test_steps_and_one_batch_leave_the_same_record(self, build):
         rounds = 25

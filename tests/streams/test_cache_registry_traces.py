@@ -40,6 +40,15 @@ class TestCountingCache:
         cache.reset_charges()
         assert cache.charged == 0.0
 
+    def test_fetch_widening_fetches_what_fetch_window_fetches(self):
+        fetching, widening = CountingCache({"A": 2.0}), CountingCache({"A": 2.0})
+        for counts in ((2, 5), (3, 6), (1, 4, 8)):
+            fetched = [fetching.fetch_window("A", count).fetched_items for count in counts]
+            assert widening.fetch_widening("A", counts) == fetched
+            assert widening.items_cached("A") == fetching.items_cached("A")
+        assert widening.fetch_counts == fetching.fetch_counts == {"A": 8}
+        assert widening.charged == 0.0  # the caller charges
+
     def test_unknown_stream(self):
         with pytest.raises(StreamError):
             CountingCache({"A": 1.0}).fetch_window("B", 1)
@@ -117,18 +126,31 @@ class TestDataItemCache:
         with pytest.raises(StreamError):
             self.make().advance(-1)
 
-    def test_charge_window_charges_what_fetch_window_charges(self):
-        fetching, charging = self.make(now=10), self.make(now=10)
-        for count, steps in ((2, 0), (5, 0), (3, 1), (6, 2)):
+    def test_fetch_widening_fetches_what_fetch_window_fetches(self):
+        """One call per round with the widening windows fetches, per window,
+        what one ``fetch_window`` each would, and leaves the charging to the
+        caller: the fetched items times the item cost, added in order."""
+        fetching, widening = self.make(now=10), self.make(now=10)
+        for steps, counts in ((0, (2, 5)), (1, (3,)), (2, (1, 4, 6)), (0, (6,))):
             fetching.advance(steps, max_windows={"A": 4})
-            charging.advance(steps, max_windows={"A": 4})
-            fetched = fetching.fetch_window("A", count)
-            assert charging.charge_window("A", count) == (fetched.fetched_items, fetched.cost)
-            assert charging._store == fetching._store
-        assert (charging.charged, charging.fetch_counts) == (
+            widening.advance(steps, max_windows={"A": 4})
+            fetched = [fetching.fetch_window("A", count).fetched_items for count in counts]
+            assert widening.fetch_widening("A", counts) == fetched
+            assert widening._store == fetching._store
+            for items in fetched:
+                widening.charged += items * widening.costs["A"]
+        assert (widening.charged, widening.fetch_counts) == (
             fetching.charged,
             fetching.fetch_counts,
         )
+
+    def test_fetch_widening_rejects_bad_windows(self):
+        cache = self.make(now=10)
+        for counts in ((0, 2), (3, 11)):
+            with pytest.raises(StreamError):
+                cache.fetch_widening("A", counts)
+        with pytest.raises(StreamError):
+            cache.fetch_widening("B", (1,))
 
     def test_peek_window_reads_without_charging(self):
         cache = self.make(now=10)
