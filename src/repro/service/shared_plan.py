@@ -105,9 +105,10 @@ class RoundStats:
 
         A plain left fold from 0.0 (``sum`` compensates on Python 3.12+), so
         a batch's per-query totals and its round costs add the same floats
-        the same way.
+        the same way. The residents that paid nothing are left out: adding
+        0.0 to a sum begun at 0.0 changes no bit.
         """
-        return functools.reduce(operator.add, self.query_cost, 0.0)
+        return functools.reduce(operator.add, filter(None, self.query_cost), 0.0)
 
 
 #: What a row is built from: the query's name, tree index, schedule and oracle.
