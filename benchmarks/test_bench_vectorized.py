@@ -1,9 +1,11 @@
-"""Scalar-vs-vectorized trial-engine throughput (trials/second).
+"""Trial-engine throughput (trials/second) against the scalar reference.
 
-Runs the 10k-trial battery benchmark across a (N, m) grid with both
-engines (identical outcome matrices, so the comparison is pure execution
-machinery), asserts the vectorized engine's >=10x speedup on every cell,
-and emits both the ASCII table and a machine-readable JSON record
+Runs the 10k-trial battery benchmark across a (N, m) grid: the vectorized
+engine (the one trial path) and, as the "scalar" column, one
+``ScheduleExecutor`` run per trial replaying the same outcome matrix, so
+the comparison is pure execution machinery. Asserts the vectorized
+engine's >=10x speedup on every cell, and emits both the ASCII table and a
+machine-readable JSON record
 (``benchmarks/results/vectorized_throughput.json``) so the benchmark
 trajectory can be tracked across commits.
 """

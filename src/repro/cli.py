@@ -8,8 +8,7 @@ Commands
     each schedule with its expected cost.
 ``evaluate``
     Expected cost (Proposition 2) of an explicit schedule, with optional
-    Monte-Carlo verification (``--engine {scalar,vectorized}`` selects the
-    trial engine; both give identical estimates per seed).
+    Monte-Carlo verification on the vectorized trial engine.
 ``optimal``
     Exhaustive optimum (budget-guarded) with search statistics.
 ``decide``
@@ -17,7 +16,7 @@ Commands
 ``experiment``
     Regenerate a figure (fig4 / fig5 / fig6) at a chosen scale; prints the
     summary table and optionally writes per-instance CSV.
-    ``--engine {analytic,scalar,vectorized}`` switches between the closed
+    ``--engine {analytic,vectorized}`` switches between the closed
     form and simulated trial batteries (``--trials`` per schedule).
 ``serve-sim``
     Simulate the multi-tenant serving layer on a synthetic query population:
@@ -196,11 +195,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     cost = dnf_schedule_cost(tree, order)
     print(f"expected cost (Proposition 2): {cost:.6g}")
     if args.monte_carlo:
-        result = monte_carlo_cost(
-            tree, order, n_samples=args.samples, seed=args.seed, engine=args.engine
-        )
+        result = monte_carlo_cost(tree, order, n_samples=args.samples, seed=args.seed)
         print(
-            f"Monte-Carlo ({result.n_samples} runs, {args.engine} engine): "
+            f"Monte-Carlo ({result.n_samples} runs): "
             f"{result.mean:.6g} +/- {result.std_error:.2g}"
         )
     return 0
@@ -663,12 +660,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--monte-carlo", action="store_true")
     p_eval.add_argument("--samples", type=int, default=20_000)
     p_eval.add_argument("--seed", type=int, default=0)
-    p_eval.add_argument(
-        "--engine",
-        choices=("scalar", "vectorized"),
-        default="vectorized",
-        help="Monte-Carlo trial engine (both give identical results per seed)",
-    )
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_opt = sub.add_parser("optimal", help="exhaustive optimum (exponential)")
@@ -690,7 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--csv", type=Path, default=None, help="write per-instance CSV")
     p_exp.add_argument(
         "--engine",
-        choices=("analytic", "scalar", "vectorized"),
+        choices=("analytic", "vectorized"),
         default="analytic",
         help="cost evaluator: closed form, or a simulated trial battery per schedule",
     )
@@ -698,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trials",
         type=int,
         default=2000,
-        help="trials per schedule when --engine is scalar/vectorized",
+        help="trials per schedule when --engine is vectorized",
     )
     p_exp.set_defaults(func=cmd_experiment)
 

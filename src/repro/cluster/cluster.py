@@ -1109,11 +1109,14 @@ class ClusterServer:
         policy = self.elastic
         assert policy is not None
         events: list[ElasticEvent] = []
-        # Retire empty shards first (newest first), down to one shard.
+        # Retire emptied shards first (newest first), down to one shard. A
+        # shard no admission has reached yet (``resize`` spawned it for
+        # future cold admissions) stays.
         for sid in sorted(self.shards, reverse=True):
             if len(self.shards) <= 1:
                 break
-            if len(self.shards[sid]) == 0:
+            shard = self.shards[sid]
+            if len(shard) == 0 and shard.ever_held:
                 events.append(self.drain_shard(sid, trigger="auto:empty"))
         total = len(self)
         # Consolidate around the occupancy target: when the population would

@@ -234,6 +234,9 @@ class Shard:
         #: Stream -> its readers' weights on it.
         self._readers: dict[str, dict[str, float]] = {}
         self._signature: dict[str, float] = {}
+        #: Whether any query was ever admitted here (an elastic check
+        #: retires only shards that were emptied, not ones never filled).
+        self.ever_held = False
         self.last_batch_seconds: float = 0.0
 
     def _call(self, op: str, *args, **kwargs) -> Any:
@@ -284,6 +287,7 @@ class Shard:
     def _admit(self, name: str, tree: TreeLike) -> None:
         row = stream_weight_vector(tree, self._costs)
         self._rows[name] = row
+        self.ever_held = True
         self._rank[name] = next(self._ranks)
         for stream, weight in row.items():
             self._readers.setdefault(stream, {})[name] = weight

@@ -2,18 +2,9 @@
 
 An independent line of validation for the analytic evaluators: sample leaf
 outcomes, *simulate* the short-circuited execution with the shared item
-cache, and average the incurred acquisition costs. Sampling is vectorized
-with NumPy. Two interchangeable simulation engines:
-
-* ``engine="vectorized"`` (default) — evaluate the whole outcome matrix at
-  once through :class:`repro.engine.vectorized.VectorizedExecutor`;
-* ``engine="scalar"`` — a per-sample Python walk mirroring
-  :mod:`repro.engine.executor`.
-
-Both engines draw the outcome matrix from the generator with one
-``rng.random((n_samples, L))`` call and charge costs in the same order, so
-they return bit-for-bit identical statistics for the same seed — switching
-engines only changes the wall-clock.
+cache, and average the incurred acquisition costs. The simulation is one
+:func:`repro.engine.battery.run_battery` of independent trials on the
+vectorized trial engine, so a seed fully determines the estimate.
 """
 
 from __future__ import annotations
@@ -24,10 +15,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from repro.core.resolution import TreeIndex
-from repro.core.schedule import validate_schedule
 from repro.core.tree import AndTree, DnfTree, QueryTree
-from repro.errors import StreamError
 
 __all__ = ["MonteCarloResult", "monte_carlo_cost"]
 
@@ -60,58 +48,12 @@ def monte_carlo_cost(
     n_samples: int = 10_000,
     rng: np.random.Generator | None = None,
     seed: int | None = None,
-    engine: str = "vectorized",
 ) -> MonteCarloResult:
     """Estimate the expected cost of ``schedule`` by simulated execution."""
-    if engine not in ("scalar", "vectorized"):
-        raise StreamError(f"unknown Monte-Carlo engine {engine!r}")
-    schedule = validate_schedule(tree, schedule)
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    index = TreeIndex(tree)
-    leaves = index.tree.leaves
-    costs = index.tree.costs
-    probs = np.array([leaf.prob for leaf in leaves])
+    # Lazy import: the engine layer builds on core, not the reverse.
+    from repro.engine.battery import run_battery
 
-    outcomes = rng.random((n_samples, len(leaves))) < probs  # vectorized draws
-    if engine == "vectorized":
-        # Lazy import: the engine layer builds on core, not the reverse.
-        from repro.engine.vectorized import VectorizedExecutor
-
-        batch = VectorizedExecutor(index.tree, index=index).run_batch(
-            schedule, outcomes=outcomes
-        )
-        sample_costs = batch.costs
-    else:
-        # The scalar walk is kept as an *independent* reference
-        # implementation (it cross-validates both the analytic evaluators
-        # and the execution engines); do not fold it into run_battery.
-        stream_slots: dict[str, int] = {}
-        for leaf in leaves:
-            stream_slots.setdefault(leaf.stream, len(stream_slots))
-        leaf_slot = [stream_slots[leaf.stream] for leaf in leaves]
-        leaf_items = [leaf.items for leaf in leaves]
-        leaf_cost = [costs[leaf.stream] for leaf in leaves]
-        sample_costs = np.empty(n_samples)
-        n_slots = len(stream_slots)
-        for row in range(n_samples):
-            state = index.new_state()
-            mem = [0] * n_slots
-            cost = 0.0
-            row_outcomes = outcomes[row]
-            for g in schedule:
-                if state.root_value is not None:
-                    break
-                if state.is_skipped(g):
-                    continue
-                slot = leaf_slot[g]
-                missing = leaf_items[g] - mem[slot]
-                if missing > 0:
-                    cost += missing * leaf_cost[g]
-                    mem[slot] = leaf_items[g]
-                state.set_leaf(g, bool(row_outcomes[g]))
-            sample_costs[row] = cost
-
-    mean = float(sample_costs.mean())
-    std_error = float(sample_costs.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
-    return MonteCarloResult(mean=mean, std_error=std_error, n_samples=n_samples)
+    battery = run_battery(tree, schedule, n_samples, rng=rng, seed=seed)
+    return MonteCarloResult(
+        mean=battery.mean_cost, std_error=battery.std_error, n_samples=n_samples
+    )

@@ -1,22 +1,23 @@
-"""Execution engine: scalar and vectorized executors, sessions, batteries.
+"""Execution engine: the scalar reference executor, the vectorized trial
+engine, sessions and batteries.
 
-Two interchangeable trial engines implement the same execution semantics:
+* :class:`ScheduleExecutor` — the pull-model reference, one leaf at a time.
+  Sessions, real-data :class:`PredicateOracle` runs and the serving layer's
+  isolated baseline (:func:`repro.service.run_isolated`) execute on it, and
+  the differential harness checks the vectorized engine against it.
+* :class:`VectorizedExecutor` — N independent trials at once over a
+  compiled numpy program, bit-for-bit equivalent per trial (see
+  :mod:`repro.engine.vectorized` for the contract). It is the one trial
+  path: :func:`run_battery`, :func:`estimate_schedule_cost` and
+  :func:`repro.core.montecarlo.monte_carlo_cost` all draw through it.
 
-* :class:`ScheduleExecutor` — the scalar pull-model reference, one leaf at
-  a time (the only engine for real-data :class:`PredicateOracle` runs);
-* :class:`VectorizedExecutor` — N trials at once over a compiled numpy
-  program, bit-for-bit equivalent per trial (see
-  :mod:`repro.engine.vectorized` for the contract).
-
-:func:`run_battery` / :func:`estimate_schedule_cost` select between them by
-name; the experiment drivers and the CLI expose the choice as
-``engine="scalar" | "vectorized"``. The serving layer has one round loop of
-its own (:class:`repro.service.shared_plan.RoundProgram`, step *k* of every
-resident's schedule at once) and selects nothing.
+Several queries over one shared cache are served by
+:class:`repro.service.QueryServer`, whose round loop
+(:class:`repro.service.shared_plan.RoundProgram`) takes step *k* of every
+resident's schedule at once.
 """
 
 from repro.engine.battery import (
-    TRIAL_ENGINES,
     Battery,
     TrialBatteryResult,
     estimate_schedule_cost,
@@ -34,12 +35,6 @@ from repro.engine.executor import (
 from repro.engine.nonlinear_executor import StrategyExecutor
 from repro.engine.session import ContinuousQuerySession, SessionReport
 from repro.engine.vectorized import BatchResult, VectorizedExecutor
-from repro.engine.workload import (
-    QueryWorkload,
-    WorkloadQuery,
-    WorkloadReport,
-    compute_max_windows,
-)
 
 __all__ = [
     "ScheduleExecutor",
@@ -58,9 +53,4 @@ __all__ = [
     "TrialBatteryResult",
     "run_battery",
     "estimate_schedule_cost",
-    "TRIAL_ENGINES",
-    "QueryWorkload",
-    "WorkloadQuery",
-    "WorkloadReport",
-    "compute_max_windows",
 ]

@@ -9,18 +9,14 @@ in user-facing terms (hours of battery) rather than abstract cost units.
 The second half of the module runs *batteries of trials* — the repeated
 independent executions every empirical cost estimate is averaged from:
 
-* :func:`run_battery` evaluates ``n_trials`` executions of one schedule
-  with a selectable engine: ``"vectorized"`` (the
-  :class:`~repro.engine.vectorized.VectorizedExecutor` fast path, default)
-  or ``"scalar"`` (one :class:`~repro.engine.executor.ScheduleExecutor`
-  walk per trial). Both engines replay the *same* drawn outcome matrix, so
-  for a given seed their results are identical — the vectorized engine is
-  purely a speedup. ``workers`` composes with
+* :func:`run_battery` evaluates ``n_trials`` executions of one schedule on
+  the :class:`~repro.engine.vectorized.VectorizedExecutor` (one drawn
+  outcome matrix, evaluated column by column). ``workers`` composes with
   :func:`repro.parallel.pmap` for process-level fan-out on top of the
   in-process vectorization.
 * :func:`estimate_schedule_cost` is the experiment drivers' uniform entry
-  point: ``engine="analytic"`` returns the closed-form expected cost, the
-  other engines return a trial-battery mean.
+  point: ``engine="analytic"`` returns the closed-form expected cost,
+  ``engine="vectorized"`` a trial-battery mean.
 """
 
 from __future__ import annotations
@@ -40,7 +36,6 @@ __all__ = [
     "TrialBatteryResult",
     "run_battery",
     "estimate_schedule_cost",
-    "TRIAL_ENGINES",
 ]
 
 
@@ -92,15 +87,11 @@ class Battery:
 
 _TreeLike = Union[AndTree, DnfTree, QueryTree]
 
-#: Engines :func:`run_battery` accepts.
-TRIAL_ENGINES = ("scalar", "vectorized")
-
 
 @dataclass(frozen=True)
 class TrialBatteryResult:
     """Aggregate of ``n_trials`` independent executions of one schedule."""
 
-    engine: str
     n_trials: int
     costs: np.ndarray
     values: np.ndarray
@@ -126,12 +117,11 @@ class TrialBatteryResult:
 
 
 def _run_battery_chunk(
-    args: tuple[_TreeLike, tuple[int, ...], int, np.random.SeedSequence, str]
+    args: tuple[_TreeLike, tuple[int, ...], int, np.random.SeedSequence]
 ) -> tuple[np.ndarray, np.ndarray]:
     """One worker's share of a battery (top-level for pickling)."""
-    tree, schedule, n_trials, seed_seq, engine = args
-    rng = np.random.default_rng(seed_seq)
-    result = run_battery(tree, schedule, n_trials, engine=engine, rng=rng)
+    tree, schedule, n_trials, seed_seq = args
+    result = run_battery(tree, schedule, n_trials, rng=np.random.default_rng(seed_seq))
     return result.costs, result.values
 
 
@@ -140,7 +130,6 @@ def run_battery(
     schedule: Sequence[int],
     n_trials: int,
     *,
-    engine: str = "vectorized",
     rng: np.random.Generator | None = None,
     seed: int | None = None,
     workers: int | None = None,
@@ -150,9 +139,9 @@ def run_battery(
     Every trial starts from an empty item cache (the independent-trials
     model of the analytic evaluators), draws its leaf outcomes from the
     tree's probabilities, and pays the cache-aware short-circuited cost.
-    Both engines replay the same ``rng.random((n, L))`` outcome matrix, so
-    for a fixed seed the result is engine-independent; ``"vectorized"`` is
-    simply much faster.
+    The outcomes are one ``rng.random((n, L))`` matrix drawn by
+    :meth:`VectorizedExecutor.run_batch`, so ``seed`` fully determines the
+    result.
 
     ``workers > 1`` splits the battery into per-worker chunks (seeded
     independently via :func:`repro.parallel.spawn_seeds`) and fans out with
@@ -163,8 +152,6 @@ def run_battery(
     from repro.engine.vectorized import VectorizedExecutor
     from repro.parallel import pmap, spawn_seeds
 
-    if engine not in TRIAL_ENGINES:
-        raise StreamError(f"unknown trial engine {engine!r}; expected one of {TRIAL_ENGINES}")
     if n_trials < 1:
         raise StreamError(f"need n_trials >= 1, got {n_trials}")
     schedule = validate_schedule(tree, schedule)
@@ -179,43 +166,17 @@ def run_battery(
         seeds = spawn_seeds(seed, chunks)
         parts = pmap(
             _run_battery_chunk,
-            [(tree, schedule, per_chunk[i], seeds[i], engine) for i in range(chunks)],
+            [(tree, schedule, per_chunk[i], seeds[i]) for i in range(chunks)],
             workers=workers,
         )
         return TrialBatteryResult(
-            engine=engine,
             n_trials=n_trials,
             costs=np.concatenate([costs for costs, _ in parts]),
             values=np.concatenate([values for _, values in parts]),
         )
 
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    leaves = tree.leaves
-    probs = np.array([leaf.prob for leaf in leaves])
-    outcomes = rng.random((n_trials, len(leaves))) < probs
-
-    if engine == "vectorized":
-        batch = VectorizedExecutor(tree).run_batch(schedule, outcomes=outcomes)
-        return TrialBatteryResult(
-            engine=engine, n_trials=n_trials, costs=batch.costs, values=batch.values
-        )
-
-    from repro.engine.executor import PrecomputedOracle, ScheduleExecutor
-    from repro.streams.cache import CountingCache
-
-    costs = np.empty(n_trials, dtype=np.float64)
-    values = np.empty(n_trials, dtype=bool)
-    cache = CountingCache(tree.costs)
-    oracle = PrecomputedOracle(outcomes[0])
-    executor = ScheduleExecutor(tree, cache, oracle)
-    for trial in range(n_trials):
-        cache.clear()
-        oracle.outcomes = outcomes[trial]
-        result = executor.run(schedule)
-        costs[trial] = result.cost
-        values[trial] = result.value
-    return TrialBatteryResult(engine=engine, n_trials=n_trials, costs=costs, values=values)
+    batch = VectorizedExecutor(tree).run_batch(schedule, n_trials, rng=rng, seed=seed)
+    return TrialBatteryResult(n_trials=n_trials, costs=batch.costs, values=batch.values)
 
 
 def estimate_schedule_cost(
@@ -230,13 +191,15 @@ def estimate_schedule_cost(
     """Expected cost of ``schedule`` by the chosen engine.
 
     ``"analytic"`` dispatches to the closed-form evaluators
-    (:func:`repro.core.cost.schedule_cost`); ``"scalar"`` and
-    ``"vectorized"`` average a :func:`run_battery` of simulated trials.
+    (:func:`repro.core.cost.schedule_cost`); ``"vectorized"`` averages a
+    :func:`run_battery` of simulated trials.
     """
     if engine == "analytic":
         from repro.core.cost import schedule_cost
 
         return schedule_cost(tree, schedule, validate=False)
-    return run_battery(
-        tree, schedule, n_trials, engine=engine, rng=rng, seed=seed
-    ).mean_cost
+    if engine != "vectorized":
+        raise StreamError(
+            f"unknown cost engine {engine!r}; expected 'analytic' or 'vectorized'"
+        )
+    return run_battery(tree, schedule, n_trials, rng=rng, seed=seed).mean_cost

@@ -12,14 +12,17 @@ Equivalence contract (enforced by the differential test-suite): a batch is
 **bit-for-bit** equal to running the scalar executor once per trial, with a
 fresh :class:`~repro.streams.cache.CountingCache` and a
 :class:`~repro.engine.executor.PrecomputedOracle` replaying the same row of
-the outcome matrix. When the matrix is drawn internally it consumes the
-generator exactly like :func:`repro.core.montecarlo.monte_carlo_cost`
-(one ``rng.random((n, L))`` draw), so ``seed`` fully determines a batch.
+the outcome matrix. When the matrix is drawn internally it takes one
+``rng.random((n, L))`` draw, so ``seed`` fully determines a batch. This is
+the one trial path: :func:`repro.engine.battery.run_battery` and
+:func:`repro.core.montecarlo.monte_carlo_cost` draw through
+:meth:`VectorizedExecutor.run_batch`.
 
 The engine covers Bernoulli-style trials (outcomes drawn from leaf
 probabilities or supplied as a matrix). Real-data predicate evaluation
 (:class:`~repro.engine.executor.PredicateOracle` over a
-:class:`~repro.streams.cache.DataItemCache`) stays on the scalar path.
+:class:`~repro.streams.cache.DataItemCache`) runs on
+:class:`~repro.engine.executor.ScheduleExecutor`.
 """
 
 from __future__ import annotations

@@ -150,10 +150,10 @@ def run_fig4(
     """Run the Figure 4 sweep (paper scale: ``trees_per_config=1000``).
 
     ``engine`` selects the cost evaluator: ``"analytic"`` (the closed form,
-    default) or a trial engine (``"vectorized"`` / ``"scalar"``) that
-    estimates every schedule's cost from ``trials_per_instance`` simulated
-    executions — an end-to-end empirical reproduction of the figure.
-    Trial engines compose with ``workers`` (process fan-out per grid cell).
+    default) or ``"vectorized"``, the trial engine, which estimates every
+    schedule's cost from ``trials_per_instance`` simulated executions — an
+    end-to-end empirical reproduction of the figure. Trial batteries
+    compose with ``workers`` (process fan-out per grid cell).
     """
     configs = list(fig4_configs(leaf_counts, rhos))
     seeds = spawn_seeds(seed, len(configs))

@@ -163,10 +163,11 @@ def run_fig5(
 
     Paper scale: ``instances_per_config=100, configs=list(fig5_configs())``
     (expect hours — the optimum search is exponential); the default trimmed
-    grid finishes in minutes on one core. ``engine="vectorized"`` (or
-    ``"scalar"``) scores each *heuristic* schedule by a simulated trial
-    battery of ``trials_per_instance`` executions instead of the closed
-    form; the exhaustive optimum is analytic by definition either way.
+    grid finishes in minutes on one core. ``engine="vectorized"`` scores
+    each *heuristic* schedule by a simulated trial battery of
+    ``trials_per_instance`` executions instead of the closed form
+    (``"analytic"``, the default); the exhaustive optimum is analytic by
+    definition either way.
     """
     if configs is None:
         configs = default_small_configs()

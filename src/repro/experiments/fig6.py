@@ -141,9 +141,10 @@ def run_fig6(
 ) -> Fig6Result:
     """Run the Figure 6 sweep (paper scale: 100 per cell on the full grid).
 
-    ``engine="vectorized"`` / ``"scalar"`` replaces the Proposition-2
-    closed form with a ``trials_per_instance``-trial simulated battery per
-    heuristic schedule (composing with ``workers`` for process fan-out).
+    ``engine="vectorized"`` replaces the Proposition-2 closed form
+    (``"analytic"``, the default) with a ``trials_per_instance``-trial
+    simulated battery per heuristic schedule (composing with ``workers``
+    for process fan-out).
     """
     if configs is None:
         configs = default_large_configs()

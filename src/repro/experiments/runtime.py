@@ -4,9 +4,9 @@ The paper reports that the best heuristic "runs in less than 5 seconds on a
 1.86 GHz core when processing a tree with 10 AND nodes with each 20 leaves".
 This module times the heuristics across a (N, m) grid and checks that claim
 on the reproduction hardware. :func:`execution_throughput` extends the grid
-to *execution* time — trials per second of the scalar vs vectorized trial
-engines on the same trees, the number the ``engine="vectorized"`` fast path
-is judged by.
+to *execution* time — trials per second of the vectorized trial engine and
+of a :class:`~repro.engine.executor.ScheduleExecutor` walk per trial over
+the same outcomes, the number the vectorized engine is judged by.
 """
 
 from __future__ import annotations
@@ -99,7 +99,6 @@ class ThroughputPoint:
 
 def execution_throughput(
     *,
-    engines: Sequence[str] = ("scalar", "vectorized"),
     n_ands_values: Sequence[int] = (2, 6, 10),
     leaves_per_and_values: Sequence[int] = (5, 20),
     rho: float = 2.0,
@@ -107,14 +106,17 @@ def execution_throughput(
     scheduler: str = "and-inc-c-over-p-dynamic",
     seed: int | None = 0,
 ) -> list[ThroughputPoint]:
-    """Trials/second of each trial engine across the runtime grid.
+    """Trials/second of the vectorized engine and of the scalar reference.
 
-    Each cell runs one :func:`repro.engine.battery.run_battery` of
-    ``n_trials`` executions of the reference heuristic's schedule; both
-    engines replay identical outcome matrices, so the comparison measures
-    pure execution machinery.
+    Each cell times one :meth:`VectorizedExecutor.run_batch` of ``n_trials``
+    executions of the reference heuristic's schedule (the ``"vectorized"``
+    row), then one :class:`~repro.engine.executor.ScheduleExecutor` run per
+    trial replaying the same outcome matrix (the ``"scalar"`` row), so the
+    comparison measures pure execution machinery.
     """
-    from repro.engine.battery import run_battery
+    from repro.engine.executor import PrecomputedOracle, ScheduleExecutor
+    from repro.engine.vectorized import VectorizedExecutor
+    from repro.streams.cache import CountingCache
 
     rng = np.random.default_rng(seed)
     chosen = get_scheduler(scheduler)
@@ -123,10 +125,21 @@ def execution_throughput(
         for m in leaves_per_and_values:
             tree = random_dnf_tree(rng, n, m, rho)
             schedule = chosen.schedule(tree)
-            for engine in engines:
-                start = time.perf_counter()
-                run_battery(tree, schedule, n_trials, engine=engine, seed=seed)
-                seconds = time.perf_counter() - start
+            start = time.perf_counter()
+            batch = VectorizedExecutor(tree).run_batch(schedule, n_trials, seed=seed)
+            vectorized = time.perf_counter() - start
+
+            cache = CountingCache(tree.costs)
+            oracle = PrecomputedOracle(batch.outcomes[0])
+            executor = ScheduleExecutor(tree, cache, oracle)
+            start = time.perf_counter()
+            for row in batch.outcomes:
+                cache.clear()
+                oracle.outcomes = row
+                executor.run(schedule)
+            scalar = time.perf_counter() - start
+
+            for engine, seconds in (("scalar", scalar), ("vectorized", vectorized)):
                 points.append(
                     ThroughputPoint(
                         engine=engine,

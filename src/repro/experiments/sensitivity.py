@@ -76,10 +76,10 @@ def probability_sensitivity(
 ) -> list[SensitivityPoint]:
     """Regret of planning with noisy probabilities, per heuristic and noise scale.
 
-    ``engine="vectorized"`` / ``"scalar"`` evaluates every schedule's cost
-    on the *true* tree by a simulated trial battery instead of the
-    Proposition-2 closed form (regrets then carry Monte-Carlo noise on top
-    of the estimation noise being studied).
+    ``engine="vectorized"`` evaluates every schedule's cost on the *true*
+    tree by a simulated trial battery instead of the Proposition-2 closed
+    form (``"analytic"``, the default); regrets then carry Monte-Carlo
+    noise on top of the estimation noise being studied.
     """
     rng = np.random.default_rng(seed)
 

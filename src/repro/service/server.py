@@ -50,13 +50,13 @@ from repro.engine.executor import (
     LeafOracle,
     ScheduleExecutor,
 )
-from repro.engine.workload import compute_max_windows
 from repro.errors import AdmissionError, StreamError
 from repro.obs import Histogram, MetricsRegistry, Telemetry
 from repro.service.canonical import CanonicalForm, _as_dnf, canonicalize
 from repro.service.metrics import ServiceMetrics
 from repro.service.plan_cache import CachedPlan, PlanCache
 from repro.service.shared_plan import RoundProgram, RoundStats
+from repro.streams.cache import compute_max_windows
 from repro.streams.registry import StreamRegistry
 
 __all__ = [

@@ -1,6 +1,11 @@
 """Sensor-stream substrate: specs, sources, cost models, cache, traces."""
 
-from repro.streams.cache import CountingCache, DataItemCache, FetchResult
+from repro.streams.cache import (
+    CountingCache,
+    DataItemCache,
+    FetchResult,
+    compute_max_windows,
+)
 from repro.streams.drift import DriftingSource, DriftSchedule, RampDrift, StepDrift
 from repro.streams.cost_models import (
     BLUETOOTH_LE,
@@ -49,6 +54,7 @@ __all__ = [
     "DataItemCache",
     "CountingCache",
     "FetchResult",
+    "compute_max_windows",
     "CostModel",
     "UniformCost",
     "TableCost",

@@ -14,20 +14,43 @@ than the maximum time-window used for that stream in the query."
 * :meth:`fetch_window` returns those ``d`` values, *charging only for items
   not already cached* — this is what makes later same-stream leaves cheap;
 * :meth:`advance` moves time forward (new items get produced by the sources)
-  and evicts items older than each stream's maximum relevant window.
+  and evicts items older than each stream's maximum relevant window, which
+  :func:`compute_max_windows` derives from a query population.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import StreamError
 from repro.streams.sources import Source
 
-__all__ = ["DataItemCache", "CountingCache", "FetchResult"]
+if TYPE_CHECKING:
+    from repro.core.tree import AndTree, DnfTree, QueryTree
+
+__all__ = ["DataItemCache", "CountingCache", "FetchResult", "compute_max_windows"]
+
+
+def compute_max_windows(
+    trees: Sequence[AndTree | DnfTree | QueryTree],
+) -> dict[str, int]:
+    """Per-stream relevance horizon of a query population.
+
+    ``max_windows[stream]`` is the largest window any leaf of any tree applies
+    to the stream — the paper's "no longer relevant" eviction horizon that
+    :meth:`DataItemCache.advance` takes, and the minimum device time a cache
+    needs before the population can run.
+    """
+    windows: dict[str, int] = {}
+    for tree in trees:
+        for leaf in tree.leaves:
+            current = windows.get(leaf.stream, 0)
+            if leaf.items > current:
+                windows[leaf.stream] = leaf.items
+    return windows
 
 
 @dataclass(frozen=True, slots=True)

@@ -17,6 +17,7 @@ from repro.generators import (
     clustered_registry,
     overlap_clustered_population,
 )
+from repro.service.simulate import synthetic_population, synthetic_registry
 
 
 def small_environment(seed: int = 0, n_queries: int = 24, clusters: int = 3):
@@ -220,6 +221,34 @@ class TestResize:
         events = cluster.resize(2)
         assert [event.kind for event in events] == ["grow"]
         assert cluster.n_shards == 2
+
+    def test_policy_keeps_shards_resize_spawned(self):
+        # A grown shard waits for cold admissions; the next batch's elastic
+        # check must not retire it as "empty" and undo the resize.
+        registry = synthetic_registry(16, seed=1)
+        policy = ElasticPolicy(churn_every=10, min_split_size=1000)
+        cluster = ClusterServer(registry, n_shards=3, elastic=policy)
+        for name, tree in synthetic_population(200, registry, seed=2):
+            cluster.register(name, tree)
+        cluster.run_batch(1)
+        grown = [event.shard_id for event in cluster.resize(6) if event.kind == "grow"]
+        assert grown
+        report = cluster.run_batch(1)
+        assert not any("auto:empty" in action for action in report.elastic_actions)
+        assert cluster.n_shards == 6
+        assert all(sid in cluster.shards for sid in grown)
+
+    def test_policy_retires_emptied_shard(self):
+        registry = clustered_registry(2, 1, seed=3)
+        cluster = ClusterServer(registry, n_shards=2, elastic=ElasticPolicy())
+        cluster.register("a", tree_on(["C0S0"]))
+        cluster.register("b", tree_on(["C1S0"]))
+        emptied = cluster.shard_of("b")
+        assert emptied != cluster.shard_of("a")
+        cluster.deregister("b")
+        report = cluster.run_batch(1)
+        assert any("auto:empty" in action for action in report.elastic_actions)
+        assert emptied not in cluster.shards
 
     def test_resize_validates_width(self):
         registry, _ = small_environment()

@@ -32,6 +32,7 @@ from repro.engine import (
 from repro.errors import StreamError
 from repro.generators.configs import AndTreeConfig
 from repro.generators.random_trees import random_dnf_tree, sample_and_tree
+from repro.lang import parse_query
 from repro.streams.cache import CountingCache
 
 from tests.strategies import and_trees, dnf_trees_with_schedule, safe_probs
@@ -151,21 +152,12 @@ class TestStatisticalConvergence:
         battery = run_battery(tree, schedule, 20_000, seed=0)
         assert abs(battery.mean_cost - expected) <= 5 * max(battery.std_error, 1e-12)
 
-    def test_montecarlo_engines_identical_per_seed(self):
-        rng = np.random.default_rng(2)
-        tree = random_dnf_tree(rng, 3, 3, 2.0)
-        schedule = random_schedule(tree, rng)
-        scalar = monte_carlo_cost(tree, schedule, n_samples=2000, seed=9, engine="scalar")
-        vectorized = monte_carlo_cost(
-            tree, schedule, n_samples=2000, seed=9, engine="vectorized"
-        )
-        assert scalar.mean == vectorized.mean
-        assert scalar.std_error == vectorized.std_error
-
     def test_montecarlo_rejects_unknown_engine(self):
+        # One trial engine: monte_carlo_cost takes no engine at all.
         tree = DnfTree([[Leaf("A", 1, 0.5)]], {"A": 1.0})
-        with pytest.raises(StreamError):
-            monte_carlo_cost(tree, (0,), n_samples=10, engine="quantum")
+        for engine in ("quantum", "scalar"):
+            with pytest.raises(TypeError):
+                monte_carlo_cost(tree, (0,), n_samples=10, engine=engine)
 
 
 class TestBatchResult:
@@ -236,19 +228,36 @@ class TestCompiledSchedule:
         assert program.n_leaves == 2
 
 
-class TestRunBattery:
-    def test_engines_identical_per_seed(self):
-        rng = np.random.default_rng(4)
-        tree = random_dnf_tree(rng, 3, 4, 2.0)
-        schedule = random_schedule(tree, rng)
-        scalar = run_battery(tree, schedule, 1500, engine="scalar", seed=7)
-        vectorized = run_battery(tree, schedule, 1500, engine="vectorized", seed=7)
-        assert np.array_equal(scalar.costs, vectorized.costs)
-        assert np.array_equal(scalar.values, vectorized.values)
-        assert isinstance(scalar, TrialBatteryResult)
-        assert scalar.mean_cost == vectorized.mean_cost
-        assert scalar.ci95 == vectorized.ci95
+def _trial_path_cases():
+    rng = np.random.default_rng(4)
+    dnf = random_dnf_tree(rng, 3, 4, 2.0)
+    and_tree = sample_and_tree(rng, AndTreeConfig(m=6, rho=2.0))
+    query = parse_query("(A[2] p=0.3 AND (B[1] p=0.6 OR C[3] p=0.4)) OR A[4] p=0.7").tree
+    return [
+        pytest.param(and_tree, algorithm1_order(and_tree), id="and"),
+        pytest.param(dnf, random_schedule(dnf, rng), id="dnf"),
+        pytest.param(query, tuple(range(query.size)), id="query"),
+    ]
 
+
+@pytest.mark.parametrize("tree, schedule", _trial_path_cases())
+@pytest.mark.parametrize("seed", [0, 7])
+def test_trial_paths_agree_per_seed(tree, schedule, seed):
+    """monte_carlo_cost, run_battery and run_batch draw one outcome matrix."""
+    batch = VectorizedExecutor(tree).run_batch(
+        schedule, 1500, rng=np.random.default_rng(seed)
+    )
+    battery = run_battery(tree, schedule, 1500, seed=seed)
+    estimate = monte_carlo_cost(tree, schedule, n_samples=1500, seed=seed)
+    assert isinstance(battery, TrialBatteryResult)
+    assert np.array_equal(battery.costs, batch.costs)
+    assert np.array_equal(battery.values, batch.values)
+    assert battery.mean_cost == batch.mean_cost == estimate.mean
+    assert battery.std_error == batch.std_error == estimate.std_error
+    assert battery.ci95 == estimate.ci95
+
+
+class TestRunBattery:
     def test_workers_fan_out_deterministic(self):
         rng = np.random.default_rng(5)
         tree = random_dnf_tree(rng, 2, 3, 1.5)
@@ -257,16 +266,14 @@ class TestRunBattery:
         two = run_battery(tree, schedule, 1000, seed=3, workers=2)
         assert one.n_trials == 1000
         assert np.array_equal(one.costs, two.costs)
-        # Chunked seeding is also engine-independent.
-        scalar = run_battery(tree, schedule, 1000, engine="scalar", seed=3, workers=2)
-        assert np.array_equal(one.costs, scalar.costs)
 
     def test_validation_errors(self):
         tree = DnfTree([[Leaf("A", 1, 0.5)]], {"A": 1.0})
         with pytest.raises(StreamError):
             run_battery(tree, (0,), 0)
-        with pytest.raises(StreamError):
-            run_battery(tree, (0,), 10, engine="gpu")
+        for engine in ("gpu", "scalar"):
+            with pytest.raises(TypeError):
+                run_battery(tree, (0,), 10, engine=engine)
         with pytest.raises(StreamError):
             run_battery(tree, (0,), 10, rng=np.random.default_rng(0), workers=2)
 
@@ -279,3 +286,6 @@ class TestRunBattery:
             tree, schedule, engine="vectorized", n_trials=20_000, seed=0
         )
         assert simulated == pytest.approx(analytic, rel=0.05)
+        for engine in ("gpu", "scalar"):
+            with pytest.raises(StreamError):
+                estimate_schedule_cost(tree, schedule, engine=engine, n_trials=10)

@@ -1,4 +1,5 @@
-"""Tests for multi-query workloads and the non-linear strategy executor."""
+"""Tests for multi-query workloads on one server and the non-linear strategy
+executor."""
 
 from __future__ import annotations
 
@@ -8,15 +9,13 @@ import pytest
 from repro import DnfTree, Leaf
 from repro.core.heuristics import get_scheduler
 from repro.core.nonlinear import StrategyNode, linear_as_strategy, optimal_nonlinear, strategy_cost
-from repro.engine import (
-    BernoulliOracle,
-    QueryWorkload,
-    ScheduleExecutor,
-    StrategyExecutor,
-    WorkloadQuery,
-)
-from repro.errors import StreamError
+from repro.engine import BernoulliOracle, ScheduleExecutor, StrategyExecutor
+from repro.errors import AdmissionError, StreamError
+from repro.service import QueryServer, run_isolated
 from repro.streams import ConstantSource, CountingCache, StreamRegistry, StreamSpec
+
+
+SCHEDULER = get_scheduler("and-inc-c-over-p-dynamic")
 
 
 def make_registry(streams=("A", "B", "C")):
@@ -70,6 +69,8 @@ class TestStrategyExecutor:
 
 
 class TestQueryWorkload:
+    """Several queries over one shared cache, served by :class:`QueryServer`."""
+
     def make_queries(self):
         health = DnfTree(
             [[Leaf("A", 3, 0.4), Leaf("B", 1, 0.5)]], {"A": 1.0, "B": 2.0}
@@ -77,66 +78,46 @@ class TestQueryWorkload:
         context = DnfTree(
             [[Leaf("A", 2, 0.6)], [Leaf("C", 1, 0.3)]], {"A": 1.0, "C": 3.0}
         )
-        scheduler = get_scheduler("and-inc-c-over-p-dynamic")
-        return [
-            WorkloadQuery("health", health, scheduler),
-            WorkloadQuery("context", context, scheduler),
-        ]
+        return [("health", health), ("context", context)]
+
+    def serve(self, queries, registry, oracle):
+        server = QueryServer(registry, oracle)
+        for name, tree in queries:
+            server.register(name, tree, scheduler=SCHEDULER)
+        return server
 
     def test_runs_and_reports(self):
-        workload = QueryWorkload(
-            self.make_queries(), make_registry(), BernoulliOracle(seed=0)
-        )
-        report = workload.run(30)
+        server = self.serve(self.make_queries(), make_registry(), BernoulliOracle(seed=0))
+        report = server.run_batch(30)
         assert report.rounds == 30
         assert set(report.per_query_cost) == {"health", "context"}
         assert report.total_cost == pytest.approx(
             sum(report.per_query_cost.values())
         )
-        assert "workload" in report.summary()
+        assert "batch" in report.summary()
 
     def test_cross_query_sharing_saves_energy(self):
-        """Running both queries on one cache must cost no more than the sum
-        of running each alone (stream A is shared across queries)."""
+        """Serving both queries on one cache must cost less than running each
+        alone (stream A is shared across queries)."""
         queries = self.make_queries()
         rounds = 200
-        together = QueryWorkload(
-            queries, make_registry(), BernoulliOracle(seed=1)
-        ).run(rounds)
-        alone_total = 0.0
-        for query in queries:
-            report = QueryWorkload(
-                [query], make_registry(), BernoulliOracle(seed=1)
-            ).run(rounds)
-            alone_total += report.total_cost
-        assert together.total_cost < alone_total - 1e-9
-
-    def test_round_robin_rotation_balances_first_mover(self):
-        # With "fixed" order the first query always pays for stream A; with
-        # round-robin the free rides alternate.
-        queries = self.make_queries()
-        fixed = QueryWorkload(
-            queries, make_registry(), BernoulliOracle(seed=2), order="fixed"
-        ).run(100)
-        rotating = QueryWorkload(
-            queries, make_registry(), BernoulliOracle(seed=2), order="round-robin"
-        ).run(100)
-        # totals are close; the split shifts toward the second query under
-        # fixed order (it reuses items the first fetched)
-        assert fixed.per_query_cost["health"] >= rotating.per_query_cost["health"] - 1e-9
+        server = self.serve(queries, make_registry(), BernoulliOracle(seed=1))
+        together = server.run_batch(rounds)
+        alone = run_isolated(
+            make_registry(),
+            queries,
+            rounds,
+            scheduler=SCHEDULER,
+            oracle_factory=lambda name: BernoulliOracle(seed=1),
+        )
+        assert together.total_cost < sum(alone.values()) - 1e-9
 
     def test_validation(self):
         queries = self.make_queries()
+        server = self.serve(queries, make_registry(), BernoulliOracle(seed=0))
+        with pytest.raises(AdmissionError):
+            server.register("health", queries[0][1])
         with pytest.raises(StreamError):
-            QueryWorkload([], make_registry(), BernoulliOracle(seed=0))
+            self.serve(queries, make_registry(("A",)), BernoulliOracle(seed=0))
         with pytest.raises(StreamError):
-            QueryWorkload(
-                [queries[0], queries[0]], make_registry(), BernoulliOracle(seed=0)
-            )
-        with pytest.raises(StreamError):
-            QueryWorkload(queries, make_registry(), BernoulliOracle(seed=0), order="nope")
-        with pytest.raises(StreamError):
-            QueryWorkload(queries, make_registry(("A",)), BernoulliOracle(seed=0))
-        workload = QueryWorkload(queries, make_registry(), BernoulliOracle(seed=0))
-        with pytest.raises(StreamError):
-            workload.run(0)
+            server.run_batch(0)

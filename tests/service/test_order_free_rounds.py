@@ -33,13 +33,13 @@ from hypothesis import strategies as st
 
 from repro.adaptive import AdaptivePolicy
 from repro.engine.executor import DriftingBernoulliOracle
-from repro.engine.workload import compute_max_windows
 from repro.generators.drift_scenarios import random_step_drift
 from repro.generators.overlap_populations import (
     clustered_registry,
     overlap_clustered_population,
 )
 from repro.service import QueryServer
+from repro.streams.cache import compute_max_windows
 from tests.service.reference_round import reference_rounds
 from tests.service.test_shared_plan import DataDrivenOracle, small_population
 

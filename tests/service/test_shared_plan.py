@@ -83,7 +83,7 @@ class TestSharingDominance:
         scheduler = get_scheduler("and-inc-c-over-p-dynamic")
         oracle = DataDrivenOracle()
         from repro.engine.executor import ScheduleExecutor
-        from repro.engine.workload import compute_max_windows
+        from repro.streams.cache import compute_max_windows
 
         for name, tree in population2:
             cache = registry2.build_cache(now=64)
