@@ -11,8 +11,10 @@ that size. Columns:
 
 * ``probes`` — the residents' schedule lengths summed: the steps of the
   round program's rows;
-* ``admit_s`` — registering the whole population (no ``repro.obs``
-  instrument covers admission yet, so this one is a ``perf_counter`` pair);
+* ``admit_s`` — registering the whole population, a ``perf_counter`` pair
+  around the registrations; the JSON rows also give the part of it the
+  recording telemetry's ``repro_admission_seconds`` histograms credit to
+  each admission stage (``admit_canonicalize_s``, ``admit_plan_s``);
 * ``churn_planning_s`` — the ``planning`` phase of the round right after one
   departure and one arrival: writing the arrival's row (and compacting,
   when half the rows are dead);
@@ -96,6 +98,10 @@ def measure(oracle: str, n: int) -> dict:
     for ordinal, (name, tree) in enumerate(resident):
         server.register(name, tree, oracle=oracle_for(ordinal, tree))
     admit_s = time.perf_counter() - start
+    admission = {
+        stage: tel.registry.get_histogram("repro_admission_seconds", stage=stage).total
+        for stage in ("canonicalize", "plan")
+    }
     batch_span(tel, server, 1)
     churned = []
     for k, (spare_name, spare_tree) in enumerate(spares):
@@ -109,6 +115,8 @@ def measure(oracle: str, n: int) -> dict:
         "resident_queries": n,
         "probes": sum(len(server.query(name).schedule) for name in server.registered),
         "admit_s": admit_s,
+        "admit_canonicalize_s": admission["canonicalize"],
+        "admit_plan_s": admission["plan"],
         "churn_planning_s": statistics.median(
             span["attrs"]["phase_seconds"]["planning"] for span in churned
         ),

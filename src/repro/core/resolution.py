@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Union
 
-from repro.core.leaf import Leaf
 from repro.core.tree import AndNode, AndTree, DnfTree, LeafNode, Node, OrNode, QueryTree
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "KIND_LEAF",
     "KIND_AND",
     "KIND_OR",
-    "LeafRecord",
 ]
 
 UNRESOLVED = 0
@@ -42,10 +40,6 @@ FALSE = 2
 KIND_LEAF = 0
 KIND_AND = 1
 KIND_OR = 2
-
-#: What a round loop needs of one leaf: ``(gindex, leaf, stream, items,
-#: leaf_node_id)``.
-LeafRecord = tuple[int, Leaf, str, int, int]
 
 # Backwards-compatible private aliases (internal call sites).
 _KIND_LEAF = KIND_LEAF
@@ -67,9 +61,7 @@ class TreeIndex:
     Node ids are assigned in depth-first pre-order with the root as node 0.
     Leaf *global indices* follow the tree's left-to-right leaf order, matching
     :attr:`QueryTree.leaves` (and, for trees built from a :class:`DnfTree`,
-    matching the DNF global leaf indices). ``leaf_records[g]`` is leaf
-    ``g``'s :data:`LeafRecord`, built once here for the serving layer's round
-    program.
+    matching the DNF global leaf indices).
     """
 
     __slots__ = (
@@ -79,7 +71,6 @@ class TreeIndex:
         "parent",
         "leaf_node_ids",
         "leaf_ancestors",
-        "leaf_records",
         "n_nodes",
     )
 
@@ -126,10 +117,6 @@ class TreeIndex:
                 cursor = parent[cursor]
             ancestors.append(tuple(path))
         self.leaf_ancestors = tuple(ancestors)
-        self.leaf_records: tuple[LeafRecord, ...] = tuple(
-            (g, leaf, leaf.stream, leaf.items, node_id)
-            for g, (leaf, node_id) in enumerate(zip(qtree.leaves, leaf_node_ids))
-        )
 
     def new_state(self) -> "ResolutionState":
         """Fresh evaluation state with every node unresolved."""

@@ -37,13 +37,14 @@ def _tree_size(tree: _TreeLike) -> int:
     return len(tree.leaves)
 
 
-def validate_schedule(tree: _TreeLike, schedule: Sequence[int]) -> Schedule:
+def validate_schedule(tree: _TreeLike | int, schedule: Sequence[int]) -> Schedule:
     """Check that ``schedule`` is a permutation of the tree's leaf indices.
 
-    Returns the schedule as a canonical tuple; raises
-    :class:`~repro.errors.InvalidScheduleError` otherwise.
+    ``tree`` may also be given as its leaf count. Returns the schedule as a
+    canonical tuple; raises :class:`~repro.errors.InvalidScheduleError`
+    otherwise.
     """
-    size = _tree_size(tree)
+    size = tree if isinstance(tree, int) else _tree_size(tree)
     sched = tuple(int(idx) for idx in schedule)
     if len(sched) != size:
         raise InvalidScheduleError(

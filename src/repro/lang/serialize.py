@@ -144,8 +144,10 @@ def tree_to_canonical_json(tree: TreeLike) -> str:
     * an :class:`AndTree` is emitted as its one-AND DNF form, so an AND-tree
       and its ``to_dnf()`` view share an identity.
 
-    The service layer's plan cache keys build on this
-    (:mod:`repro.service.canonical` adds leaf deduplication on top).
+    The service layer's plan-cache keys hash this payload for the
+    deduplicated canonical tree (:func:`repro.service.canonical.canonicalize`
+    encodes the same payload from plain leaf tuples, without building the
+    tree; its golden-key tests pin the bytes).
     """
     used = set()
     for leaf in tree.leaves:

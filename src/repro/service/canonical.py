@@ -22,6 +22,14 @@ cache on it — "pay one, get hundreds".
 * AND nodes are sorted by their (already canonical) leaf tuples;
 * the cost table is restricted to the streams actually used.
 
+The form is computed in one pass over plain ``(stream, items, prob)``
+tuples: the key hashes the same JSON payload
+:func:`~repro.lang.serialize.tree_to_canonical_json` writes for the
+canonical tree with quantized probabilities, and the canonical
+:class:`~repro.core.tree.DnfTree` itself (:attr:`CanonicalForm.tree`) is
+built only when something reads it — a plan-cache miss or a re-plan. An
+admission that hits the plan cache builds no tree at all.
+
 The canonical form remembers, for every canonical leaf, which original
 global leaf indices it covers, so a schedule computed once on the canonical
 tree transfers to every isomorphic original via :meth:`CanonicalForm.expand_schedule`.
@@ -30,15 +38,16 @@ tree transfers to every isomorphic original via :meth:`CanonicalForm.expand_sche
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Sequence, Union
 
 from repro.core.leaf import Leaf
 from repro.core.schedule import Schedule, validate_schedule
 from repro.core.tree import AndTree, DnfTree, QueryTree
 from repro.errors import InvalidTreeError
-from repro.lang.serialize import tree_to_canonical_json
 
 __all__ = ["CanonicalForm", "canonicalize", "canonical_key", "quantize_prob"]
 
@@ -57,6 +66,13 @@ def quantize_prob(prob: float) -> float:
 
 TreeLike = Union[AndTree, DnfTree, QueryTree]
 
+#: The encoder of ``tree_to_canonical_json`` (``json.dumps`` with sorted keys
+#: and compact separators), built once.
+_PAYLOAD_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+#: A canonical leaf as plain data: ``(stream, items, prob)``.
+CanonicalLeaf = tuple[str, int, float]
+
 
 @dataclass(frozen=True)
 class CanonicalForm:
@@ -67,26 +83,41 @@ class CanonicalForm:
     key:
         Stable hex digest identifying the canonical tree (including costs).
         Equal for isomorphic trees, distinct otherwise.
-    tree:
-        The canonical :class:`DnfTree` (sorted, deduplicated). Schedulers run
-        on this tree.
+    ands:
+        The canonical AND nodes (sorted, deduplicated), each a tuple of
+        ``(stream, items, prob)`` leaves with exact (unquantized)
+        probabilities.
+    costs:
+        ``(stream, cost per item)`` pairs for the streams the canonical
+        tree uses, sorted by stream.
     leaf_map:
         ``leaf_map[g]`` is the tuple of *original-tree* global leaf indices
         covered by canonical leaf ``g`` (length > 1 when duplicates were
         folded).
     original_size:
         Leaf count of the original tree (for schedule validation).
+
+    :attr:`tree` is the canonical :class:`DnfTree` schedulers run on, built
+    from :attr:`ands` and :attr:`costs` on first read.
     """
 
     key: str
-    tree: DnfTree
+    ands: tuple[tuple[CanonicalLeaf, ...], ...]
+    costs: tuple[tuple[str, float], ...]
     leaf_map: tuple[tuple[int, ...], ...]
     original_size: int
+
+    @cached_property
+    def tree(self) -> DnfTree:
+        """The canonical :class:`DnfTree` (sorted, deduplicated)."""
+        return DnfTree(
+            [[Leaf(*leaf) for leaf in group] for group in self.ands], dict(self.costs)
+        )
 
     @property
     def deduped(self) -> bool:
         """True when at least two original leaves were folded together."""
-        return any(len(group) > 1 for group in self.leaf_map)
+        return len(self.leaf_map) < self.original_size
 
     @cached_property
     def origin_to_canonical(self) -> tuple[int, ...]:
@@ -110,9 +141,9 @@ class CanonicalForm:
         schedule of the returned tree is a valid schedule of :attr:`tree`.
         This is what incremental re-planning schedules against.
         """
-        if len(probs) != self.tree.size:
+        if len(probs) != len(self.leaf_map):
             raise InvalidTreeError(
-                f"need {self.tree.size} probabilities, got {len(probs)}"
+                f"need {len(self.leaf_map)} probabilities, got {len(probs)}"
             )
         return _with_leaf_probs(self.tree, probs)
 
@@ -143,8 +174,9 @@ class CanonicalForm:
         Each canonical leaf expands to its covered original leaves,
         back-to-back (the later copies hit a warm cache, so adjacency
         preserves the canonical schedule's cost structure exactly).
+        ``schedule`` must be a permutation of the canonical leaves.
         """
-        schedule = validate_schedule(self.tree, schedule)
+        schedule = validate_schedule(len(self.leaf_map), schedule)
         expanded: list[int] = []
         for g in schedule:
             expanded.extend(self.leaf_map[g])
@@ -186,76 +218,68 @@ def canonicalize(tree: TreeLike) -> CanonicalForm:
     :meth:`QueryTree.as_dnf`).
     """
     dnf = _as_dnf(tree)
-    # Per AND node: sort leaf positions canonically, then fold runs of
-    # identical (stream, items, prob) leaves into one pseudo-leaf.
-    canon_groups: list[tuple[tuple[Leaf, ...], tuple[tuple[int, ...], ...]]] = []
-    for a, group in enumerate(dnf.ands):
-        order = sorted(
-            range(len(group)),
-            key=lambda j: (group[j].stream, group[j].items, quantize_prob(group[j].prob)),
+    # Per AND node: sort the leaves by (stream, items, quantized prob), ties
+    # in declaration order, then fold each run of equal sort keys into one
+    # pseudo-leaf whose probability is the run's product, left to right.
+    # Probabilities compare quantized (round(prob, 12), as quantize_prob):
+    # exact float == would split isomorphs differing by arithmetic noise into
+    # distinct keys. Per AND node, ``groups`` holds its leaves' sort keys,
+    # its canonical leaves and the original leaves each covers.
+    groups: list[
+        tuple[tuple[CanonicalLeaf, ...], tuple[CanonicalLeaf, ...], list[tuple[int, ...]]]
+    ] = []
+    first = 0
+    for group in dnf.ands:
+        rows = sorted(
+            [
+                (leaf.stream, leaf.items, round(leaf.prob, _PROB_DECIMALS), g, leaf.prob)
+                for g, leaf in enumerate(group, first)
+            ]
         )
-        leaves: list[Leaf] = []
+        first += len(group)
+        keys: list[CanonicalLeaf] = []
+        leaves: list[CanonicalLeaf] = []
         covered: list[tuple[int, ...]] = []
-        for j in order:
-            leaf = dnf.ands[a][j]
-            g_orig = dnf.gindex(a, j)
-            if leaves and (
-                leaves[-1].stream == leaf.stream
-                and leaves[-1].items == leaf.items
-                and _same_base_prob(covered[-1], dnf, leaf)
-            ):
-                merged = leaves[-1]
-                leaves[-1] = Leaf(
-                    merged.stream, merged.items, merged.prob * leaf.prob
-                )
-                covered[-1] = covered[-1] + (g_orig,)
+        for stream, items, quantized, g, prob in rows:
+            if keys and keys[-1] == (stream, items, quantized):
+                leaves[-1] = (stream, items, leaves[-1][2] * prob)
+                covered[-1] += (g,)
             else:
-                leaves.append(Leaf(leaf.stream, leaf.items, leaf.prob))
-                covered.append((g_orig,))
-        canon_groups.append((tuple(leaves), tuple(covered)))
-    # Sort AND nodes by their canonical leaf tuples (stable identity).
-    group_order = sorted(
-        range(len(canon_groups)),
-        key=lambda i: tuple(
-            (leaf.stream, leaf.items, quantize_prob(leaf.prob))
-            for leaf in canon_groups[i][0]
-        ),
-    )
-    ands = [list(canon_groups[i][0]) for i in group_order]
+                keys.append((stream, items, quantized))
+                leaves.append((stream, items, prob))
+                covered.append((g,))
+        # The sort key of a folded leaf is its product probability, quantized.
+        if len(covered) < len(rows):
+            keys = [
+                (stream, items, round(prob, _PROB_DECIMALS)) if len(run) > 1 else key
+                for key, (stream, items, prob), run in zip(keys, leaves, covered)
+            ]
+        groups.append((tuple(keys), tuple(leaves), covered))
+    # Sort AND nodes by their canonical leaf keys, ties in declaration order.
+    groups.sort(key=itemgetter(0))
     leaf_map: list[tuple[int, ...]] = []
-    for i in group_order:
-        leaf_map.extend(canon_groups[i][1])
-    used = {leaf.stream for group in ands for leaf in group}
-    costs = {name: dnf.costs[name] for name in sorted(used)}
-    canon_tree = DnfTree(ands, costs)
-    # The key payload quantizes probabilities to the same precision as the
-    # fold/sort comparisons above, so isomorphs whose probs differ only by
-    # float-arithmetic noise land on one key. The canonical *tree* keeps the
+    for _, _, covered in groups:
+        leaf_map.extend(covered)
+    used = {leaf[0] for _, leaves, _ in groups for leaf in leaves}
+    costs = tuple((name, dnf.costs[name]) for name in sorted(used))
+    # The key hashes tree_to_canonical_json's payload for the canonical tree
+    # with quantized probabilities, so isomorphs whose probs differ only by
+    # float-arithmetic noise land on one key. The canonical leaves keep the
     # exact probabilities (schedulers and re-planning see unrounded values).
-    payload_tree = _with_leaf_probs(
-        canon_tree, [quantize_prob(leaf.prob) for leaf in canon_tree.leaves]
+    payload = _PAYLOAD_JSON.encode(
+        {
+            "type": "dnf-tree",
+            "ands": sorted(tuple(sorted(keys)) for keys, _, _ in groups),
+            "costs": dict(costs),
+        }
     )
-    payload = tree_to_canonical_json(payload_tree)
-    key = hashlib.sha256(payload.encode("utf-8")).hexdigest()
     return CanonicalForm(
-        key=key,
-        tree=canon_tree,
+        key=hashlib.sha256(payload.encode("utf-8")).hexdigest(),
+        ands=tuple(leaves for _, leaves, _ in groups),
+        costs=costs,
         leaf_map=tuple(leaf_map),
         original_size=dnf.size,
     )
-
-
-def _same_base_prob(covered: tuple[int, ...], dnf: DnfTree, leaf: Leaf) -> bool:
-    """True when every original leaf already folded here has ``leaf``'s prob.
-
-    The folded pseudo-leaf carries the *product* probability, so comparing
-    against it directly would never match; compare against the original run.
-    Probabilities are compared quantized (:func:`quantize_prob`): exact
-    float ``==`` split isomorphs differing by arithmetic noise into
-    distinct canonical keys.
-    """
-    first = dnf.leaves[covered[0]]
-    return quantize_prob(first.prob) == quantize_prob(leaf.prob)
 
 
 def canonical_key(tree: TreeLike) -> str:

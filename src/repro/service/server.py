@@ -41,7 +41,6 @@ from repro.adaptive.controller import AdaptiveController, ShapeBelief, fold_base
 from repro.adaptive.policy import AdaptivePolicy, ReplanEvent
 from repro.core.cost import dnf_schedule_cost
 from repro.core.heuristics.base import Scheduler, get_scheduler
-from repro.core.resolution import TreeIndex
 from repro.core.schedule import Schedule, validate_schedule
 from repro.core.tree import AndTree, DnfTree, QueryTree
 from repro.engine.executor import (
@@ -100,7 +99,6 @@ class RegisteredQuery:
     canonical: CanonicalForm
     plan: CachedPlan
     schedule: Schedule
-    index: TreeIndex
     oracle: LeafOracle
     planning_tree: DnfTree | None = None
 
@@ -413,6 +411,8 @@ class QueryServer:
         # check per round), while within one registry epoch the per-round
         # name lookups collapse to attribute loads.
         self._metric_cells: tuple[MetricsRegistry, Histogram, Histogram] | None = None
+        # The same for the admission stage histograms.
+        self._admission_cells: tuple[MetricsRegistry, Histogram, Histogram] | None = None
         self._queries: dict[str, RegisteredQuery] = {}
         #: Residents per canonical key, so a departure learns whether its
         #: shape is still live without scanning the population.
@@ -478,7 +478,13 @@ class QueryServer:
         scheduler: str | Scheduler | None = None,
         replace: bool = False,
     ) -> RegisteredQuery:
-        """Admit a query: canonicalize, plan (through the cache), index.
+        """Admit a query: canonicalize it, plan its shape (through the cache)
+        and queue its round-program row.
+
+        The canonical tree is built only on a plan-cache miss or an adaptive
+        re-probe; the row is laid out from the query's own DNF at the next
+        round. While telemetry records, the two stages' wall times go to
+        ``repro_admission_seconds{stage=canonicalize|plan}``.
 
         ``replace=True`` cleanly swaps an existing registration of ``name``
         (the old row is tombstoned, never reused for the new tree, and the
@@ -500,11 +506,17 @@ class QueryServer:
                 f"server is full ({self.max_queries} queries); deregister one first"
             )
         self.registry.validate_tree_streams(tuple(tree.streams))
-        form = canonicalize(tree)
+        tel = self.telemetry
+        timed = tel is not None and tel.enabled
+        if timed:
+            started = time.perf_counter()
+        dnf = _as_dnf(tree)
+        form = canonicalize(dnf)
+        if timed:
+            canonicalized = time.perf_counter()
         chosen = self.scheduler
         if scheduler is not None:
             chosen = get_scheduler(scheduler) if isinstance(scheduler, str) else scheduler
-        dnf = _as_dnf(tree)
         planning_tree: DnfTree | None = None
         # Plan against the server's current belief for this shape (the
         # rebased baseline after a re-plan) *before* touching the plan cache,
@@ -533,18 +545,29 @@ class QueryServer:
         else:
             plan = self._plan_canonical(form, chosen)
         # The cached schedule addresses the canonical tree; expand it back to
-        # this query's own leaf indices.
-        expanded = form.expand_schedule(plan.schedule)
+        # this query's own leaf indices (a permutation of them: the form's
+        # leaf map partitions them, and expand_schedule checks the rest).
         registered = RegisteredQuery(
             name=name,
             tree=dnf,
             canonical=form,
             plan=plan,
-            schedule=validate_schedule(dnf, expanded),
-            index=TreeIndex(dnf),
+            schedule=form.expand_schedule(plan.schedule),
             oracle=oracle if oracle is not None else self.default_oracle,
             planning_tree=planning_tree,
         )
+        if timed:
+            planned = time.perf_counter()
+            reg = tel.registry  # type: ignore[union-attr]
+            cells = self._admission_cells
+            if cells is None or cells[0] is not reg:
+                cells = self._admission_cells = (
+                    reg,
+                    reg.histogram("repro_admission_seconds", stage="canonicalize"),
+                    reg.histogram("repro_admission_seconds", stage="plan"),
+                )
+            cells[1].observe(canonicalized - started)
+            cells[2].observe(planned - canonicalized)
         if old is not None:
             self.deregister(name)
         if self.adaptive is not None and form.key not in self.adaptive.tracked_keys():
@@ -704,15 +727,16 @@ class QueryServer:
         windows = self._max_windows
         shrank = False
         if joined:
-            self._program.append(query.name, query.index, query.schedule, query.oracle)
+            self._program.append(query.name, query.tree, query.schedule, query.oracle)
+            window_counts = self._window_counts
             for leaf in query.tree.leaves:
-                counts = self._window_counts.setdefault(
-                    leaf.stream, collections.Counter()
-                )
+                counts = window_counts.get(leaf.stream)
+                if counts is None:
+                    counts = window_counts[leaf.stream] = collections.Counter()
                 counts[leaf.items] += 1
                 if leaf.items > windows.get(leaf.stream, 0):
                     windows[leaf.stream] = leaf.items
-            max_items = max(leaf.items for leaf in query.tree.leaves)
+            max_items = query.tree.max_items
             if max_items > self.cache.now:
                 self.cache.advance(max_items - self.cache.now)
         else:

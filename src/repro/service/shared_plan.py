@@ -13,10 +13,16 @@ A round runs set at a time over *rows*: :class:`RoundProgram` keeps one row
 per resident slot in padded numpy arrays — step *k*'s leaf node, global
 leaf index, stream, window and guards (the leaf's ancestors and itself) —
 plus per-node parent, kind and child count arrays and a per-slot position
-in registration order. Rows outlive population changes: an arrival appends
-one (batched into one array conversion at the next round), a departure
-tombstones one, a re-plan rewrites one, a re-order rewrites positions, and
-the arrays are compacted once half their rows are dead.
+in registration order. A resident's row is written straight from its
+:class:`~repro.core.tree.DnfTree`: a DNF's nodes and guards come in closed
+form (the OR root, each AND followed by its leaves; a leaf's guards are
+itself, its AND and the root), laid out once when the resident arrives. Any
+other AND-OR tree is laid out from its
+:class:`~repro.core.resolution.TreeIndex`. Rows outlive population changes:
+an arrival appends one (batched into one array conversion at the next
+round), a departure tombstones one, a re-plan rewrites one, a re-order
+rewrites positions, and the arrays are compacted once half their rows are
+dead.
 
 :meth:`RoundProgram.run` walks step *k* of every live row at once: a guard
 gather gives the skip mask, the outcomes are gathered, each evaluated leaf's
@@ -51,13 +57,14 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
 from repro.core.leaf import Leaf
-from repro.core.resolution import FALSE, KIND_AND, KIND_OR, TRUE, TreeIndex
+from repro.core.resolution import FALSE, KIND_AND, KIND_LEAF, KIND_OR, TRUE, TreeIndex
 from repro.core.schedule import Schedule
+from repro.core.tree import DnfTree
 from repro.engine.executor import ExecutionResult, LeafOracle
 from repro.errors import StreamError
 from repro.streams.cache import CountingCache, DataItemCache
@@ -75,8 +82,7 @@ _round_of = operator.attrgetter("round_index")
 _OPEN, _SINK = 0, 1
 #: The child value that resolves a parent at once, by the parent's kind:
 #: FALSE under an AND, TRUE under an OR (a leaf parents no node).
-_CLOSES = np.zeros(max(KIND_AND, KIND_OR) + 1, np.uint8)
-_CLOSES[KIND_AND], _CLOSES[KIND_OR] = FALSE, TRUE
+_CLOSES = {KIND_LEAF: 0, KIND_AND: FALSE, KIND_OR: TRUE}
 
 
 @dataclass
@@ -111,8 +117,68 @@ class RoundStats:
         return functools.reduce(operator.add, filter(None, self.query_cost), 0.0)
 
 
-#: What a row is built from: the query's name, tree index, schedule and oracle.
-_Spec = tuple[str, TreeIndex, Schedule, LeafOracle]
+#: A row's tree: a DNF, laid out in closed form, or any AND-OR tree's index.
+RowTree = Union[DnfTree, TreeIndex]
+#: A guard column past the end of a leaf's path (written as an open node).
+_PAD = -1
+
+
+class _Layout(NamedTuple):
+    """A row's tree as the program writes it, numbered as :class:`TreeIndex`
+    numbers it (tree-local node ids, the root first).
+
+    Per node: its parent (-1 at the root), the child value that closes it
+    and its child count. Per global leaf index: the leaf, and its row
+    fields, its window followed by its guards (its node, then its
+    ancestors' up to the root, padded with :data:`_PAD` to ``height``, the
+    most guards a leaf has).
+    """
+
+    parents: tuple[int, ...]
+    closes: tuple[int, ...]
+    need: tuple[int, ...]
+    leaves: tuple[Leaf, ...]
+    fields: tuple[tuple[int, ...], ...]
+    height: int
+
+
+def _layout(tree: RowTree) -> _Layout:
+    """``tree``'s layout. A DNF's comes in closed form: the OR root is node
+    0, and each AND is followed by its leaves, so a leaf's guards are
+    itself, its AND and the root.
+
+    Every field is a tuple of ints (or the tree's own leaves), which the
+    garbage collector stops tracking: a resident's layout adds one tracked
+    object, not six, to every full collection of a large population.
+    """
+    if isinstance(tree, TreeIndex):
+        height = max(len(path) for path in tree.leaf_ancestors) + 1
+        return _Layout(
+            tree.parent,
+            tuple(_CLOSES[kind] for kind in tree.kinds),
+            tuple(len(children) for children in tree.children),
+            tree.tree.leaves,
+            tuple(
+                (leaf.items, node, *path, *(_PAD,) * (height - 1 - len(path)))
+                for leaf, node, path in zip(
+                    tree.tree.leaves, tree.leaf_node_ids, tree.leaf_ancestors
+                )
+            ),
+            height,
+        )
+    parents, closes, need = [-1], [TRUE], [tree.n_ands]
+    fields: list[tuple[int, ...]] = []
+    for group in tree.ands:
+        at, m = len(parents), len(group)
+        parents += [0, *[at] * m]
+        closes += [FALSE, *[0] * m]
+        need += [m, *[0] * m]
+        fields += [(leaf.items, node, at, 0) for node, leaf in enumerate(group, at + 1)]
+    return _Layout(tuple(parents), tuple(closes), tuple(need), tree.leaves, tuple(fields), 3)
+
+
+#: What a row is built from: the query's name, layout, schedule and oracle.
+_Spec = tuple[str, _Layout, Schedule, LeafOracle]
 #: What a per-probe oracle call of a row needs besides its oracle: the leaves
 #: of the row's steps, and whether the oracle reads windows.
 _Call = tuple[tuple[Leaf, ...], bool]
@@ -130,8 +196,9 @@ def _grown(array: np.ndarray, axis: int, size: int, fill: int) -> np.ndarray:
 class RoundProgram:
     """A population's schedules as rows of padded arrays, kept across churn.
 
-    Built empty (or from ``indexes``, ``schedules`` and ``oracles``, keyed by
-    name, in registration order) and kept current with :meth:`append`,
+    Built empty (or from ``trees``, ``schedules`` and ``oracles``, keyed by
+    name, in registration order; a tree is a :class:`DnfTree` or the
+    :class:`TreeIndex` of any AND-OR tree) and kept current with :meth:`append`,
     :meth:`remove`, :meth:`reschedule` and :meth:`reorder`. A round
     (:meth:`run`) resolves no name and builds nothing per resident.
     :meth:`values`, :meth:`results` and :meth:`evaluated` read the last
@@ -142,19 +209,19 @@ class RoundProgram:
 
     def __init__(
         self,
-        indexes: Mapping[str, TreeIndex] | None = None,
+        trees: Mapping[str, RowTree] | None = None,
         schedules: Mapping[str, Schedule] | None = None,
         oracles: Mapping[str, LeafOracle] | None = None,
     ) -> None:
         self._reset()
-        if indexes is None:
+        if trees is None:
             return
-        if schedules is None or oracles is None or schedules.keys() != indexes.keys():
+        if schedules is None or oracles is None or schedules.keys() != trees.keys():
             raise StreamError(
-                f"schedules name {sorted(schedules or ())!r}, the trees {sorted(indexes)!r}"
+                f"schedules name {sorted(schedules or ())!r}, the trees {sorted(trees)!r}"
             )
-        for name, index in indexes.items():
-            self.append(name, index, schedules[name], oracles[name])
+        for name, tree in trees.items():
+            self.append(name, tree, schedules[name], oracles[name])
         self.prepare()
 
     def _reset(self) -> None:
@@ -263,7 +330,7 @@ class RoundProgram:
         return len(self._slot_of)
 
     def append(
-        self, name: str, index: TreeIndex, schedule: Schedule, oracle: LeafOracle
+        self, name: str, tree: RowTree, schedule: Schedule, oracle: LeafOracle
     ) -> None:
         """Add a resident in the last place of registration order.
 
@@ -272,9 +339,13 @@ class RoundProgram:
         """
         if name in self._slot_of:
             raise StreamError(f"the round program already holds {name!r}")
+        self._add((name, _layout(tree), tuple(schedule), oracle))
+
+    def _add(self, spec: _Spec) -> None:
+        """Queue ``spec``'s row in the last place of registration order."""
         slot = len(self._specs)
-        self._specs.append((name, index, tuple(schedule), oracle))
-        self._slot_of[name] = slot
+        self._specs.append(spec)
+        self._slot_of[spec[0]] = slot
         if slot >= self._position.size:
             capacity = max(2 * self._position.size, 8)
             self._length = _grown(self._length, 0, capacity, 0)
@@ -339,28 +410,28 @@ class RoundProgram:
         self._reset()
         for spec in specs:
             assert spec is not None
-            self.append(*spec)
+            self._add(spec)
 
     def _flush(self) -> None:
         """Write the pending slots' nodes and rows, one array conversion per field."""
         start, stop = self._flushed, len(self._specs)
         pending = self._specs[start:stop]
         sizes: list[int] = []
-        parent: list[int] = []
-        kinds: list[int] = []
+        parents: list[int] = []
+        closes: list[int] = []
         need: list[int] = []
         for spec in pending:
             if spec is None:  # arrived and left before its row was written
                 sizes.append(0)
                 continue
-            index = spec[1]
-            sizes.append(index.n_nodes)
-            parent.extend(index.parent)
-            kinds.extend(index.kinds)
-            need.extend(map(len, index.children))
+            layout = spec[1]
+            sizes.append(len(layout.parents))
+            parents.extend(layout.parents)
+            closes.extend(layout.closes)
+            need.extend(layout.need)
         first = self._n_nodes
         bases = first + np.cumsum(sizes) - sizes
-        n_nodes = first + len(parent)
+        n_nodes = first + len(parents)
         if n_nodes > self._parent.size:
             capacity = max(2 * self._parent.size, n_nodes)
             self._parent = _grown(self._parent, 0, capacity, _SINK)
@@ -369,11 +440,11 @@ class RoundProgram:
             self._state = np.zeros(capacity, np.uint8)
             self._counts = np.zeros(capacity, np.intp)
         # Tree-local parents move to the trees' bases; roots hang off the sink.
-        local = np.array(parent, np.intp)
+        local = np.array(parents, np.intp)
         self._parent[first:n_nodes] = np.where(
             local >= 0, local + np.repeat(bases, sizes), _SINK
         )
-        self._closes[first:n_nodes] = _CLOSES[np.array(kinds, np.intp)]
+        self._closes[first:n_nodes] = closes
         self._need[first:n_nodes] = need
         self._n_nodes = n_nodes
         self._write(start, stop, pending, bases)
@@ -385,71 +456,56 @@ class RoundProgram:
         """Write the rows of slots ``[start, stop)``, whose trees' nodes start
         at ``bases`` and are already written.
 
-        The steps are gathered flat and scattered into the padded arrays
-        once; a step's guards are its leaf and the leaf's ancestors, read up
-        the parent array. A padded step's leaf is the sink, so its one guard
-        is resolved and the step is skipped.
+        Every step's leaf index, stream, window and guards (its leaf, then
+        the leaf's ancestors) go into one array, which moves the guards to
+        the trees' bases and is scattered into a padded block once. A padded
+        step's leaf is the sink, so its one guard is resolved and the step
+        is skipped.
         """
-        nodes: list[int] = []
-        gindex: list[int] = []
-        stream: list[int] = []
-        items: list[int] = []
         lengths: list[int] = []
         tapes: list[int] = []
         width = self._leaf.shape[0]
+        height = max((spec[1].height for spec in specs if spec is not None), default=1)
+        # Per step: its step and row, global leaf index, stream, window and
+        # tree-local guards.
+        cells: list[tuple[int, ...]] = []
         stream_ids = self._stream_ids
         # Room for one new tape per row: holding an oracle grows nothing.
         tapes_at_most = len(self._tape_objs) + len(specs)
         if tapes_at_most > self._clock.size:
             self._grow_tapes(max(2 * self._clock.size, tapes_at_most))
-        for slot, spec in enumerate(specs, start):
+        for row, spec in enumerate(specs):
+            slot = start + row
             if spec is None:
                 lengths.append(0)
                 tapes.append(-1)
                 self._calls.append(None)
                 continue
-            _, index, schedule, oracle = spec
-            records = index.leaf_records
-            _, leaves, names, counts, leaf_nodes = zip(*[records[g] for g in schedule])
-            for name in names:
-                sid = stream_ids.get(name)
+            _, layout, schedule, oracle = spec
+            leaves, fields = layout.leaves, layout.fields
+            padding = (_PAD,) * (height - layout.height)
+            for step, g in enumerate(schedule):
+                stream = leaves[g].stream
+                sid = stream_ids.get(stream)
                 if sid is None:
-                    sid = stream_ids[name] = len(self._streams)
-                    self._streams.append(name)
-                stream.append(sid)
-            nodes.extend(leaf_nodes)
-            gindex.extend(schedule)
-            items.extend(counts)
+                    sid = stream_ids[stream] = len(self._streams)
+                    self._streams.append(stream)
+                cells.append((step, row, g, sid, *fields[g], *padding))
             lengths.append(len(schedule))
             if slot < len(self._calls):
                 self._release_oracle(slot, oracle)
-            tape = self._hold_oracle(oracle, len(records))
-            call = None if tape >= 0 else (leaves, oracle.reads_window)
+            tape = self._hold_oracle(oracle, len(leaves))
+            call = None
+            if tape < 0:
+                call = (tuple(leaves[g] for g in schedule), oracle.reads_window)
             if slot < len(self._calls):
                 self._calls[slot] = call
             else:
                 self._calls.append(call)
             tapes.append(tape)
             width = max(width, len(schedule))
-        n_rows = stop - start
-        counts_at = np.array(lengths, np.intp)
-        row = np.repeat(np.arange(n_rows), counts_at)
-        step = np.arange(row.size) - np.repeat(np.cumsum(counts_at) - counts_at, counts_at)
-
-        def scattered(values: list[int], fill: int) -> np.ndarray:
-            block = np.full((width, n_rows), fill, np.intp)
-            block[step, row] = values
-            return block
-
-        leaf = scattered(nodes, _SINK)
-        leaf[step, row] += bases[row]
-        levels = [leaf]
-        up = self._parent[leaf]
-        while (up != _SINK).any():
-            levels.append(np.where(up == _SINK, _OPEN, up))
-            up = self._parent[up]
-        self._height = max(self._height, len(levels))
-        depth = max(self._guards.shape[2], -(-len(levels) // 4) * 4)
+        self._height = max(self._height, height)
+        depth = max(self._guards.shape[2], -(-height // 4) * 4)
         capacity = self._position.size
         if self._leaf.shape != (width, capacity) or self._guards.shape[2] != depth:
             self._leaf = _grown(_grown(self._leaf, 0, width, _SINK), 1, capacity, _SINK)
@@ -462,14 +518,21 @@ class RoundProgram:
             # A step padded onto older rows has the sink as its guard.
             guards[old.shape[0] :, :, 0] = _SINK
             self._guards = guards
-        self._leaf[:, start:stop] = leaf
-        self._gindex[:, start:stop] = scattered(gindex, 0)
-        self._stream[:, start:stop] = scattered(stream, 0)
-        self._items[:, start:stop] = scattered(items, 0)
-        self._guards[:, start:stop] = _OPEN
-        for d, level in enumerate(levels):
-            self._guards[:, start:stop, d] = level
-        self._length[start:stop] = counts_at
+        # [width, rows, fields]: global leaf index, stream, window, guards.
+        block = np.zeros((width, stop - start, 3 + depth), np.intp)
+        block[:, :, 3] = _SINK
+        if cells:
+            steps = np.array(cells, np.intp)
+            rows = steps[:, 1]
+            local = steps[:, 5:]
+            steps[:, 5:] = np.where(local >= 0, local + bases[rows, None], _OPEN)
+            block[steps[:, 0], rows, : 3 + height] = steps[:, 2:]
+        self._leaf[:, start:stop] = block[:, :, 3]
+        self._gindex[:, start:stop] = block[:, :, 0]
+        self._stream[:, start:stop] = block[:, :, 1]
+        self._items[:, start:stop] = block[:, :, 2]
+        self._guards[:, start:stop] = block[:, :, 3:]
+        self._length[start:stop] = lengths
         self._root[start:stop] = bases
         self._tape[start:stop] = tapes
 

@@ -153,6 +153,10 @@ class DataItemCache:
             raise StreamError(f"now must be >= 0, got {now}")
         self.now = now
         self._store: dict[str, dict[int, float]] = {name: {} for name in sources}
+        #: Per stream, no held item is older than this index, so evicting
+        #: up to a horizon deletes ``range(low, horizon)`` instead of
+        #: scanning the store.
+        self._low: dict[str, int] = dict.fromkeys(sources, now)
         self.charged = 0.0
         self.fetch_counts: dict[str, int] = {}
 
@@ -174,6 +178,7 @@ class DataItemCache:
         store = self._store[stream]
         values = np.empty(count)
         fetched = 0
+        self._lower(stream, self.now - count)
         for offset, tau in enumerate(range(self.now - count, self.now)):
             value = store.get(tau)
             if value is None:
@@ -215,7 +220,30 @@ class DataItemCache:
         total = sum(fetched)
         if total:
             self.fetch_counts[stream] = self.fetch_counts.get(stream, 0) + total
+            self._lower(stream, held)
         return fetched
+
+    def _lower(self, stream: str, oldest: int) -> None:
+        """Note that ``stream`` may now hold items from index ``oldest`` on."""
+        if oldest < self._low[stream]:
+            self._low[stream] = oldest
+
+    def _evict(self, stream: str, store: dict[int, float], horizon: int) -> None:
+        """Drop ``stream``'s items older than ``horizon``.
+
+        Deletes the indices from the stream's lowest held one up to the
+        horizon, or scans the store when that range is the longer walk.
+        """
+        low = self._low[stream]
+        if horizon <= low:
+            return
+        if horizon - low <= len(store):
+            for tau in range(low, horizon):
+                store.pop(tau, None)
+        else:
+            for tau in [tau for tau in store if tau < horizon]:
+                del store[tau]
+        self._low[stream] = horizon
 
     def peek_window(self, stream: str, count: int) -> np.ndarray:
         """The values :meth:`fetch_window` would return, without fetching or charging.
@@ -258,12 +286,8 @@ class DataItemCache:
         if max_windows:
             for stream, window in max_windows.items():
                 store = self._store.get(stream)
-                if store is None:
-                    continue
-                horizon = self.now - window
-                stale = [tau for tau in store if tau < horizon]
-                for tau in stale:
-                    del store[tau]
+                if store is not None:
+                    self._evict(stream, store, self.now - window)
 
     def retain_relevant(self, max_windows: Mapping[str, int]) -> None:
         """Re-apply the relevance rule after the serving population changed.
@@ -283,11 +307,9 @@ class DataItemCache:
             window = max_windows.get(stream)
             if window is None:
                 store.clear()
-                continue
-            horizon = self.now - window
-            stale = [tau for tau in store if tau < horizon]
-            for tau in stale:
-                del store[tau]
+                self._low[stream] = self.now
+            else:
+                self._evict(stream, store, self.now - window)
 
     def export_stream_state(
         self, streams
@@ -337,10 +359,12 @@ class DataItemCache:
                 shifted = tau + delta
                 if 0 <= shifted < self.now and shifted not in store:
                     store[shifted] = value
+                    self._lower(stream, shifted)
 
     def clear(self) -> None:
         for store in self._store.values():
             store.clear()
+        self._low = dict.fromkeys(self._store, self.now)
 
     def reset_charges(self) -> None:
         self.charged = 0.0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import time
 
 from repro.adaptive import AdaptivePolicy
 from repro.cluster import ClusterServer
@@ -87,6 +88,34 @@ class TestServerIntegration:
         assert seconds is not None and seconds.count == 8
         (span,) = tel.tracer.spans("batch")
         assert span["attrs"]["total_cost"] == report.total_cost
+
+    def test_admission_stages_are_timed(self):
+        """Each registration observes its canonicalize and plan stages once,
+        and the two add up to no more than the call's wall time."""
+        tel = Telemetry()
+        registry = synthetic_registry(6, seed=31)
+        population = synthetic_population(12, registry, seed=32)
+        server = QueryServer(registry, BernoulliOracle(seed=33), telemetry=tel)
+        stages = ("canonicalize", "plan")
+        recorded = 0.0
+        for count, (name, tree) in enumerate(population, 1):
+            start = time.perf_counter()
+            server.register(name, tree)
+            wall = time.perf_counter() - start
+            hists = [
+                tel.registry.get_histogram("repro_admission_seconds", stage=stage)
+                for stage in stages
+            ]
+            assert all(hist is not None and hist.count == count for hist in hists)
+            total = sum(hist.total for hist in hists)
+            assert 0.0 < total - recorded <= wall
+            recorded = total
+        cells = [
+            labels["stage"]
+            for name, labels, _ in tel.registry.collect()
+            if name == "repro_admission_seconds"
+        ]
+        assert sorted(cells) == sorted(stages)
 
     def test_telemetry_does_not_change_serving(self):
         bare = make_server(None).run_batch(6)

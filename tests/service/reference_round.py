@@ -29,6 +29,7 @@ from unittest import mock
 
 from repro.core.resolution import TreeIndex
 from repro.core.schedule import Schedule
+from repro.core.tree import DnfTree
 from repro.engine.executor import (
     BernoulliOracle,
     DriftingBernoulliOracle,
@@ -127,6 +128,7 @@ def scratch_copy(
     clone.fetch_counts = dict(cache.fetch_counts)
     if isinstance(cache, DataItemCache):
         clone._store = {stream: dict(held) for stream, held in cache._store.items()}
+        clone._low = dict(cache._low)
     else:
         clone._held = dict(cache._held)
     return clone
@@ -175,7 +177,8 @@ def interleave(schedules: Mapping[str, Sequence[int]], rng: random.Random) -> Pr
 class ReferenceProgram:
     """:class:`~repro.service.shared_plan.RoundProgram`'s interface over the walk.
 
-    Keeps the population as name-keyed dicts in registration order and
+    Keeps the population as name-keyed dicts in registration order (each
+    resident's tree as its :class:`~repro.core.resolution.TreeIndex`) and
     serves each round through :func:`execute_round` in registration order
     (:func:`execute_drawn_round` when queries share a ``BernoulliOracle``),
     or, given ``rng``, over a fresh random interleave every round.
@@ -193,9 +196,9 @@ class ReferenceProgram:
         return tuple(self._indexes)
 
     def append(
-        self, name: str, index: TreeIndex, schedule: Schedule, oracle: LeafOracle
+        self, name: str, tree: DnfTree, schedule: Schedule, oracle: LeafOracle
     ) -> None:
-        self._indexes[name] = index
+        self._indexes[name] = TreeIndex(tree)
         self._schedules[name] = tuple(schedule)
         self._oracles[name] = oracle
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from repro import AndTree, DnfTree, Leaf
 from repro.core.cost import dnf_schedule_cost
 from repro.core.heuristics import get_scheduler
 from repro.core.schedule import validate_schedule
-from repro.errors import InvalidTreeError
+from repro.errors import InvalidScheduleError, InvalidTreeError
 from repro.generators.random_trees import random_dnf_tree
 from repro.lang.parser import parse_query
 from repro.service import (
@@ -20,6 +22,7 @@ from repro.service import (
     quantize_prob,
     shuffled_isomorph,
 )
+from tests.service.reference_canonical import reference_canonicalize
 
 
 def tree_abc() -> DnfTree:
@@ -225,3 +228,115 @@ class TestExpandSchedule:
             tuple(int(i) for i in rng.permutation(form.tree.size))
         )
         validate_schedule(tree, expanded)
+
+
+class TestExpandScheduleChecks:
+    def test_rejects_a_schedule_that_is_not_a_permutation(self):
+        form = canonicalize(tree_abc())
+        with pytest.raises(InvalidScheduleError, match="not a permutation"):
+            form.expand_schedule((0, 0, 1))
+        with pytest.raises(InvalidScheduleError, match="3 leaves"):
+            form.expand_schedule((0, 1))
+
+
+#: A fixed corpus and its keys. A key is a plan-cache identity shared across
+#: processes and releases, so its bits must not move.
+GOLDEN = {
+    "duplicate-leaf folds": (
+        DnfTree(
+            [
+                [Leaf("A", 2, 0.5), Leaf("B", 1, 0.9), Leaf("A", 2, 0.5), Leaf("A", 2, 0.5)],
+                [Leaf("C", 3, 0.3), Leaf("C", 3, 0.3 + 1e-15)],
+            ],
+            {"A": 1.0, "B": 2.5, "C": 0.25},
+        ),
+        "259601a2feca0df0a232d64414c243b6926dfaf9ea201372d6fafe8bf4a233c0",
+        ((0, 2, 3), (1,), (4, 5)),
+    ),
+    # Folding A[1] p=0.5 twice into p=0.25 puts the AND's folded leaf below
+    # its first one; the ANDs still sort by their leaves in canonical order.
+    "fold reorders an AND": (
+        DnfTree(
+            [[Leaf("A", 1, 0.5), Leaf("A", 1, 0.3), Leaf("A", 1, 0.5)], [Leaf("A", 1, 0.28)]]
+        ),
+        "30ac2431ee1eb901d6d7496b08fb062b3d32f443d7071ce0619da49ef2e38b3d",
+        ((3,), (1,), (0, 2)),
+    ),
+    "probabilities 1e-16 apart": (
+        DnfTree(
+            [[Leaf("A", 1, 0.3), Leaf("B", 2, 0.7)], [Leaf("A", 1, 0.3 + 1e-16)]],
+            {"A": 1.0, "B": 3.0},
+        ),
+        "90de5cd05beb0bb498721c84c9399286ca53b9668626d8b8e53eab4b06e6e2eb",
+        ((2,), (0,), (1,)),
+    ),
+    "one AND": (
+        DnfTree([[Leaf("B", 4, 0.2), Leaf("A", 1, 0.6), Leaf("A", 3, 0.6)]]),
+        "2f81baea788bb7df19a43afd4729aa292147cb213eeea86fb81ed4da92c4a017",
+        ((1,), (2,), (0,)),
+    ),
+    "AndTree": (
+        AndTree(
+            [Leaf("X", 2, 0.75), Leaf("Y", 1, 0.5), Leaf("X", 2, 0.75)], {"X": 2.0, "Y": 0.5}
+        ),
+        "1dd0e58a284582c0f034060460bf06ad9500d0c201cbc1f460f67a09c73e4eef",
+        ((0, 2), (1,)),
+    ),
+    "DNF-shaped QueryTree": (
+        parse_query(
+            "(A[2] p=0.3 AND B[1] p=0.5) OR C[3] p=0.2 OR (B[1] p=0.5 AND A[2] p=0.3)"
+        ).tree,
+        "e9d3e54b62586c714199fed3e1229415eeeecd49a61a95df1300c821c5d37640",
+        ((0,), (1,), (4,), (3,), (2,)),
+    ),
+}
+
+
+class TestGoldenKeys:
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_key_and_leaf_map_are_pinned(self, case):
+        tree, key, leaf_map = GOLDEN[case]
+        form = canonicalize(tree)
+        assert form.key == key
+        assert form.leaf_map == leaf_map
+
+
+#: Few streams, windows and probabilities, so AND nodes repeat leaves (folds)
+#: and whole AND nodes (ties in the AND sort); the noise term puts some
+#: probabilities 1e-16 apart from their twins.
+_leaves = st.builds(
+    lambda stream, items, prob, noise: Leaf(stream, items, min(1.0, prob + noise)),
+    st.sampled_from("ABC"),
+    st.integers(1, 3),
+    st.sampled_from((0.0, 0.25, 0.3, 0.5, 1.0)),
+    st.sampled_from((0.0, 0.0, 1e-16, 3e-16)),
+)
+_ands = st.lists(st.lists(_leaves, min_size=1, max_size=4), min_size=1, max_size=4)
+_costs = st.fixed_dictionaries(
+    {name: st.sampled_from((0.5, 1.0, 2.0)) for name in "ABC"}
+)
+_trees = st.one_of(
+    st.builds(DnfTree, _ands, _costs),
+    st.builds(AndTree, st.lists(_leaves, min_size=1, max_size=5), _costs),
+    st.builds(lambda ands, costs: DnfTree(ands, costs).to_query_tree(), _ands, _costs),
+)
+
+
+class TestMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(tree=_trees)
+    def test_form_matches_the_tree_building_construction(self, tree):
+        form = canonicalize(tree)
+        want = reference_canonicalize(tree)
+        assert form.key == want.key
+        assert form.leaf_map == want.leaf_map
+        assert form.original_size == want.original_size
+        assert form.tree == want.tree
+        assert form.tree.costs == want.tree.costs
+        assert [leaf.prob.hex() for leaf in form.tree.leaves] == [
+            leaf.prob.hex() for leaf in want.tree.leaves
+        ]
+        thawed = pickle.loads(pickle.dumps(form))
+        assert thawed == form
+        assert thawed.key == want.key
+        assert thawed.tree == want.tree

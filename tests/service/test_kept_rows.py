@@ -32,7 +32,7 @@ def fresh_program(server) -> RoundProgram:
     """A program built from the server's residents, in registration order."""
     queries = [server.query(name) for name in server.registered]
     return RoundProgram(
-        {query.name: query.index for query in queries},
+        {query.name: query.tree for query in queries},
         {query.name: query.schedule for query in queries},
         {query.name: query.oracle for query in queries},
     )

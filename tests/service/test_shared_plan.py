@@ -110,10 +110,10 @@ class TestRoundProgram:
     def test_steps_are_the_schedules_in_registration_order(self):
         registry, population = small_population(0)
         scheduler = get_scheduler("and-inc-c-over-p-dynamic")
-        indexes = {name: TreeIndex(tree) for name, tree in population}
+        trees = dict(population)
         schedules = {name: tuple(scheduler.schedule(tree)) for name, tree in population}
-        oracles = {name: DataDrivenOracle() for name in indexes}
-        program = RoundProgram(indexes, schedules, oracles)
+        oracles = {name: DataDrivenOracle() for name in trees}
+        program = RoundProgram(trees, schedules, oracles)
         assert program.names == tuple(name for name, _ in population)
         assert steps_of(program) == [
             (name, g) for name, schedule in schedules.items() for g in schedule
@@ -138,13 +138,13 @@ class TestRoundProgram:
         assert steps == scheduled
         assert len(set(steps)) == len(steps)
 
-    def test_slots_follow_the_order_of_the_indexes(self):
-        """Slots number the queries in the order of ``indexes``, whatever
+    def test_slots_follow_the_order_of_the_trees(self):
+        """Slots number the queries in the order of ``trees``, whatever
         order the schedules and oracles come in; costs are read per slot."""
         tree_a = DnfTree([[Leaf("A", 1, 0.5)]], {"A": 1.0})
         tree_b = DnfTree([[Leaf("B", 1, 0.5)]], {"B": 2.0})
         program = RoundProgram(
-            {"b": TreeIndex(tree_b), "a": TreeIndex(tree_a)},
+            {"b": tree_b, "a": tree_a},
             {"a": (0,), "b": (0,)},
             {"a": PrecomputedOracle([True]), "b": PrecomputedOracle([True])},
         )
@@ -156,11 +156,10 @@ class TestRoundProgram:
     def test_first_registered_reader_pays_the_window(self):
         """One fetch serves every reader; the earliest registered one pays."""
         window = DnfTree([[Leaf("X", 4, 0.5)]], {"X": 10.0})
-        indexes = {"rider": TreeIndex(window), "payer": TreeIndex(window)}
         schedules = {"rider": (0,), "payer": (0,)}
         for order in (("payer", "rider"), ("rider", "payer")):
             program = RoundProgram(
-                {name: indexes[name] for name in order},
+                {name: window for name in order},
                 {name: schedules[name] for name in order},
                 {name: PrecomputedOracle([True]) for name in order},
             )
@@ -175,18 +174,19 @@ class TestRoundProgram:
 
         def world():
             return (
-                {"q": TreeIndex(tree)},
                 CountingCache({"A": 1.0, "B": 2.0}),
                 {"q": PrecomputedOracle([True, False])},
             )
 
-        indexes, cache, oracles = world()
-        program = RoundProgram(indexes, schedules, oracles)
+        cache, oracles = world()
+        program = RoundProgram({"q": tree}, schedules, oracles)
         got_stats = program.run(cache)
         got = program.results()
-        indexes, cache, oracles = world()
+        cache, oracles = world()
         order = [("q", 0), ("q", 0), ("q", 1)]
-        want, want_stats = reference_round.execute_round(order, indexes, cache, oracles)
+        want, want_stats = reference_round.execute_round(
+            order, {"q": TreeIndex(tree)}, cache, oracles
+        )
         assert got == want
         assert got["q"].evaluated == (0, 1) and got["q"].skipped == (0,)
         assert got_stats == want_stats
@@ -207,7 +207,7 @@ class TestRoundProgram:
         tree = DnfTree([[Leaf("X", 3, 0.5)]], {"X": 1.0})
         oracles = {"reader": Recording(True), "blind": Recording(False)}
         program = RoundProgram(
-            {name: TreeIndex(tree) for name in oracles},
+            {name: tree for name in oracles},
             {name: (0,) for name in oracles},
             oracles,
         )
@@ -222,7 +222,7 @@ class TestRoundProgram:
         reassigned between rounds take effect in the next one."""
         tree = DnfTree([[Leaf("A", 1, 0.5)]], {"A": 1.0})
         oracle = PrecomputedOracle([True])
-        program = RoundProgram({"q": TreeIndex(tree)}, {"q": (0,)}, {"q": oracle})
+        program = RoundProgram({"q": tree}, {"q": (0,)}, {"q": oracle})
         cache = CountingCache({"A": 1.0})
         program.run(cache)
         assert program.values() == [True]
@@ -231,7 +231,7 @@ class TestRoundProgram:
         assert program.values() == [False]
 
     def test_schedules_must_name_the_programs_queries(self):
-        index = TreeIndex(DnfTree([[Leaf("A", 1, 0.5)]]))
+        tree = DnfTree([[Leaf("A", 1, 0.5)]])
         oracles = {"a": PrecomputedOracle([True]), "b": PrecomputedOracle([True])}
         with pytest.raises(StreamError, match="schedules name"):
-            RoundProgram({"a": index, "b": index}, {"a": (0,)}, oracles)
+            RoundProgram({"a": tree, "b": tree}, {"a": (0,)}, oracles)
