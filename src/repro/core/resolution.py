@@ -41,11 +41,6 @@ KIND_LEAF = 0
 KIND_AND = 1
 KIND_OR = 2
 
-# Backwards-compatible private aliases (internal call sites).
-_KIND_LEAF = KIND_LEAF
-_KIND_AND = KIND_AND
-_KIND_OR = KIND_OR
-
 
 def _as_query_tree(tree: Union[QueryTree, AndTree, DnfTree]) -> QueryTree:
     if isinstance(tree, QueryTree):
@@ -85,11 +80,11 @@ class TreeIndex:
         def visit(node: Node, parent_id: int) -> int:
             node_id = len(kinds)
             if isinstance(node, LeafNode):
-                kinds.append(_KIND_LEAF)
+                kinds.append(KIND_LEAF)
             elif isinstance(node, AndNode):
-                kinds.append(_KIND_AND)
+                kinds.append(KIND_AND)
             elif isinstance(node, OrNode):
-                kinds.append(_KIND_OR)
+                kinds.append(KIND_OR)
             else:  # pragma: no cover - tree validation prevents this
                 raise TypeError(f"unknown node type {type(node)!r}")
             children.append([])
@@ -173,7 +168,7 @@ class ResolutionState:
         self.resolved_children[parent_id] += 1
         kind = self.index.kinds[parent_id]
         n_children = len(self.index.children[parent_id])
-        if kind == _KIND_AND:
+        if kind == KIND_AND:
             if value == FALSE:
                 self._resolve(parent_id, FALSE)
             elif self.resolved_children[parent_id] == n_children:

@@ -10,32 +10,31 @@ comes from the cache — one fetch serves every query that reads the window
 pays for it.
 
 A round runs set at a time over *rows*: :class:`RoundProgram` keeps one row
-per resident slot in padded numpy arrays — step *k*'s leaf node, global
-leaf index, stream, window and guards (the leaf's ancestors and itself) —
-plus per-node parent, kind and child count arrays and a per-slot position
-in registration order. A resident's row is written straight from its
-:class:`~repro.core.tree.DnfTree`: a DNF's nodes and guards come in closed
-form (the OR root, each AND followed by its leaves; a leaf's guards are
-itself, its AND and the root), laid out once when the resident arrives. Any
-other AND-OR tree is laid out from its
-:class:`~repro.core.resolution.TreeIndex`. Rows outlive population changes:
-an arrival appends one (batched into one array conversion at the next
-round), a departure tombstones one, a re-plan rewrites one, a re-order
-rewrites positions, and the arrays are compacted once half their rows are
-dead.
+per resident slot in padded numpy arrays. A row is a DNF (an OR of ANDs, the
+paper's Section IV) and its schedule, a permutation of the DNF's leaves: per
+step *k*, the leaf's global index, stream, window and AND (its index within
+the row); per slot, the schedule length, position in registration order,
+AND count and tape; per (slot, AND), the AND's leaf count. A resident's row
+is written straight from its :class:`~repro.core.tree.DnfTree`. Rows outlive
+population changes: an arrival appends one (batched into one array
+conversion at the next round), a departure tombstones one, a re-plan
+rewrites one, a re-order rewrites positions, and once half the rows are dead
+one gather per array moves the live ones to the front.
 
-:meth:`RoundProgram.run` walks step *k* of every live row at once: a guard
-gather gives the skip mask, the outcomes are gathered, each evaluated leaf's
-value propagates at most depth levels toward its root, and rows whose root
-resolved leave the walk. The fetches are charged afterwards: the evaluated
-probes are sorted by (stream, position, step), one ``maximum.accumulate``
-gives each probe its stream's widest earlier window, and only the probes
-that widen it fetch: one cache call per touched stream takes its widening
-windows in order and returns the items each fetched. The costs (items times
-a per-stream item-cost array) are folded into the per-query costs and the
-cache's ``charged`` in (position, step) order — so every per-query cost is
-the same left fold of the same floats as a probe-by-probe walk, and every
-other probe reads a window the round already fetched.
+:meth:`RoundProgram.run` walks step *k* of every live row at once, with one
+counter per AND and one per root: a probe whose AND already closed is
+skipped, the outcomes are gathered, a FALSE leaf or an AND's last TRUE leaf
+closes the AND, a TRUE AND or the root's last FALSE AND closes the root, and
+rows whose root closed leave the walk. The fetches are charged afterwards:
+the evaluated probes are sorted by (stream, position, step), one
+``maximum.accumulate`` gives each probe its stream's widest earlier window,
+and only the probes that widen it fetch: one cache call per touched stream
+takes its widening windows in order and returns the items each fetched. The
+costs (items times a per-stream item-cost array) are folded into the
+per-query costs and the cache's ``charged`` in (position, step) order — so
+every per-query cost is the same left fold of the same floats as a
+probe-by-probe walk, and every other probe reads a window the round already
+fetched.
 
 Outcomes come from the oracles. An oracle with an outcome *tape*
 (:meth:`~repro.engine.executor.LeafOracle.tape`) hands the kernel its tape
@@ -57,13 +56,13 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
 from repro.core.leaf import Leaf
-from repro.core.resolution import FALSE, KIND_AND, KIND_LEAF, KIND_OR, TRUE, TreeIndex
-from repro.core.schedule import Schedule
+from repro.core.resolution import FALSE, TRUE
+from repro.core.schedule import Schedule, validate_schedule
 from repro.core.tree import DnfTree
 from repro.engine.executor import ExecutionResult, LeafOracle
 from repro.errors import StreamError
@@ -75,14 +74,7 @@ __all__ = [
 ]
 
 _round_of = operator.attrgetter("round_index")
-
-#: Node 0 is never resolved: padded guards of a step point at it. Node 1 is
-#: always resolved, so a padded step (beyond a schedule's end) is skipped,
-#: and it is every root's parent, where no propagation goes on.
-_OPEN, _SINK = 0, 1
-#: The child value that resolves a parent at once, by the parent's kind:
-#: FALSE under an AND, TRUE under an OR (a leaf parents no node).
-_CLOSES = {KIND_LEAF: 0, KIND_AND: FALSE, KIND_OR: TRUE}
+_name_of = operator.itemgetter(0)
 
 
 @dataclass
@@ -117,90 +109,28 @@ class RoundStats:
         return functools.reduce(operator.add, filter(None, self.query_cost), 0.0)
 
 
-#: A row's tree: a DNF, laid out in closed form, or any AND-OR tree's index.
-RowTree = Union[DnfTree, TreeIndex]
-#: A guard column past the end of a leaf's path (written as an open node).
-_PAD = -1
-
-
-class _Layout(NamedTuple):
-    """A row's tree as the program writes it, numbered as :class:`TreeIndex`
-    numbers it (tree-local node ids, the root first).
-
-    Per node: its parent (-1 at the root), the child value that closes it
-    and its child count. Per global leaf index: the leaf, and its row
-    fields, its window followed by its guards (its node, then its
-    ancestors' up to the root, padded with :data:`_PAD` to ``height``, the
-    most guards a leaf has).
-    """
-
-    parents: tuple[int, ...]
-    closes: tuple[int, ...]
-    need: tuple[int, ...]
-    leaves: tuple[Leaf, ...]
-    fields: tuple[tuple[int, ...], ...]
-    height: int
-
-
-def _layout(tree: RowTree) -> _Layout:
-    """``tree``'s layout. A DNF's comes in closed form: the OR root is node
-    0, and each AND is followed by its leaves, so a leaf's guards are
-    itself, its AND and the root.
-
-    Every field is a tuple of ints (or the tree's own leaves), which the
-    garbage collector stops tracking: a resident's layout adds one tracked
-    object, not six, to every full collection of a large population.
-    """
-    if isinstance(tree, TreeIndex):
-        height = max(len(path) for path in tree.leaf_ancestors) + 1
-        return _Layout(
-            tree.parent,
-            tuple(_CLOSES[kind] for kind in tree.kinds),
-            tuple(len(children) for children in tree.children),
-            tree.tree.leaves,
-            tuple(
-                (leaf.items, node, *path, *(_PAD,) * (height - 1 - len(path)))
-                for leaf, node, path in zip(
-                    tree.tree.leaves, tree.leaf_node_ids, tree.leaf_ancestors
-                )
-            ),
-            height,
-        )
-    parents, closes, need = [-1], [TRUE], [tree.n_ands]
-    fields: list[tuple[int, ...]] = []
-    for group in tree.ands:
-        at, m = len(parents), len(group)
-        parents += [0, *[at] * m]
-        closes += [FALSE, *[0] * m]
-        need += [m, *[0] * m]
-        fields += [(leaf.items, node, at, 0) for node, leaf in enumerate(group, at + 1)]
-    return _Layout(tuple(parents), tuple(closes), tuple(need), tree.leaves, tuple(fields), 3)
-
-
-#: What a row is built from: the query's name, layout, schedule and oracle.
-_Spec = tuple[str, _Layout, Schedule, LeafOracle]
+#: What a row is built from: the query's name, DNF, schedule and oracle.
+_Spec = tuple[str, DnfTree, Schedule, LeafOracle]
 #: What a per-probe oracle call of a row needs besides its oracle: the leaves
 #: of the row's steps, and whether the oracle reads windows.
 _Call = tuple[tuple[Leaf, ...], bool]
 
 
-def _grown(array: np.ndarray, axis: int, size: int, fill: int) -> np.ndarray:
-    """``array`` padded with ``fill`` along ``axis`` to ``size``."""
-    shape = list(array.shape)
-    shape[axis] = size
+def _grown(array: np.ndarray, shape: int | tuple[int, ...], fill: int) -> np.ndarray:
+    """``array`` padded with ``fill`` to ``shape``."""
     grown = np.full(shape, fill, dtype=array.dtype)
     grown[tuple(slice(0, n) for n in array.shape)] = array
     return grown
 
 
 class RoundProgram:
-    """A population's schedules as rows of padded arrays, kept across churn.
+    """A population's DNF schedules as rows of padded arrays, kept across churn.
 
     Built empty (or from ``trees``, ``schedules`` and ``oracles``, keyed by
-    name, in registration order; a tree is a :class:`DnfTree` or the
-    :class:`TreeIndex` of any AND-OR tree) and kept current with :meth:`append`,
-    :meth:`remove`, :meth:`reschedule` and :meth:`reorder`. A round
-    (:meth:`run`) resolves no name and builds nothing per resident.
+    name, in registration order) and kept current with :meth:`append`,
+    :meth:`remove`, :meth:`reschedule` and :meth:`reorder`. A row is a
+    :class:`DnfTree` and a schedule that probes each of its leaves once.
+    A round (:meth:`run`) resolves no name and builds nothing per resident.
     :meth:`values`, :meth:`results` and :meth:`evaluated` read the last
     round back, until the population changes. The rounds of the residents'
     tape oracles live in the program's clock array while their rows are
@@ -209,49 +139,29 @@ class RoundProgram:
 
     def __init__(
         self,
-        trees: Mapping[str, RowTree] | None = None,
+        trees: Mapping[str, DnfTree] | None = None,
         schedules: Mapping[str, Schedule] | None = None,
         oracles: Mapping[str, LeafOracle] | None = None,
     ) -> None:
-        self._reset()
-        if trees is None:
-            return
-        if schedules is None or oracles is None or schedules.keys() != trees.keys():
-            raise StreamError(
-                f"schedules name {sorted(schedules or ())!r}, the trees {sorted(trees)!r}"
-            )
-        for name, tree in trees.items():
-            self.append(name, tree, schedules[name], oracles[name])
-        self.prepare()
-
-    def _reset(self) -> None:
-        """Empty every row, node and tape."""
         # Rows, column-major so that step k of every slot is contiguous:
-        # [width, capacity] (guards [width, capacity, depth], the depth
-        # padded to a multiple of four so that four guards' states read as
-        # one uint32).
-        self._leaf = np.zeros((1, 0), np.intp)
+        # [width, capacity]. Per step: its global leaf index, stream, window
+        # and AND (the leaf's AND index within its row).
         self._gindex = np.zeros((1, 0), np.intp)
         self._stream = np.zeros((1, 0), np.intp)
         self._items = np.zeros((1, 0), np.intp)
-        self._guards = np.zeros((1, 0, 4), np.intp)
-        self._height = 1  # the most nodes on a leaf-to-root path
+        self._and = np.zeros((1, 0), np.intp)
         # Per slot: schedule length (0 when dead), position in registration
-        # order (-1 when dead), root node (its tree's first), tape index (-1: the
-        # oracle is called per probe).
+        # order (-1 when dead), AND count and tape index (-1: the oracle is
+        # called per probe).
         self._length = np.zeros(0, np.intp)
         self._position = np.zeros(0, np.intp)
-        self._root = np.zeros(0, np.intp)
+        self._n_ands = np.zeros(0, np.intp)
         self._tape = np.zeros(0, np.intp)
-        # Per node, from node 2 on (see _OPEN and _SINK): its parent, the
-        # child value that resolves it at once, and its number of children.
-        # The sink's child count is never reached.
-        self._parent = np.full(2, _SINK, np.intp)
-        self._closes = np.zeros(2, np.uint8)
-        self._need = np.array([0, 2**62], np.intp)
-        self._state = np.zeros(2, np.uint8)
-        self._counts = np.zeros(2, np.intp)
-        self._n_nodes = 2
+        # Per (slot, AND), [capacity, the most ANDs of a row]: its leaf count
+        # (0 past the row's ANDs).
+        self._and_size = np.zeros((0, 1), np.intp)
+        # Per slot, its root's counter in the last round (see run).
+        self._root_left = np.zeros(0, np.intp)
         self._flushed = 0  # slots [0, _flushed) are written to the arrays
         # Per slot, what the row was built from (None once dead), and for a
         # row whose oracle is called per probe, the leaves of its steps and
@@ -266,13 +176,15 @@ class RoundProgram:
         self._order: np.ndarray | None = None
         self._names: tuple[str, ...] | None = None
         self._n_called = 0  # live slots whose oracle is called per probe
-        # Oracles with a round clock, by tape index: the object and the bytes
-        # it last handed over; per index, its live rows, whether its round
-        # lives in _clock (else another program's clock holds it, and the
-        # round is copied into _clock before each round's gather), the
+        # Oracles with a round clock, by tape index: the object (None once
+        # no row holds it, when the index goes on the free list) and the
+        # bytes it last handed over; per index, its live rows, whether its
+        # round lives in _clock (else another program's clock holds it, and
+        # the round is copied into _clock before each round's gather), the
         # round, and the rounds, stride and buffer offset of those bytes.
         self._tape_ids: dict[int, int] = {}
-        self._tape_objs: list[LeafOracle] = []
+        self._tape_objs: list[LeafOracle | None] = []
+        self._free_tapes: list[int] = []
         self._tape_bits: list[bytes] = []
         self._tape_refs = np.zeros(0, np.intp)
         self._tape_owned = np.zeros(0, bool)
@@ -295,6 +207,15 @@ class RoundProgram:
             tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray], list[np.ndarray]] | None
         ) = None
         self._query_cost: list[float] = []
+        if trees is None:
+            return
+        if schedules is None or oracles is None or schedules.keys() != trees.keys():
+            raise StreamError(
+                f"schedules name {sorted(schedules or ())!r}, the trees {sorted(trees)!r}"
+            )
+        for name, tree in trees.items():
+            self.append(name, tree, schedules[name], oracles[name])
+        self.prepare()
 
     # -- population -----------------------------------------------------
 
@@ -330,28 +251,27 @@ class RoundProgram:
         return len(self._slot_of)
 
     def append(
-        self, name: str, tree: RowTree, schedule: Schedule, oracle: LeafOracle
+        self, name: str, tree: DnfTree, schedule: Schedule, oracle: LeafOracle
     ) -> None:
         """Add a resident in the last place of registration order.
 
-        Its row is written at the next :meth:`prepare` (every :meth:`run`
-        begins with one), together with every other arrival since.
+        ``schedule`` must probe every leaf of ``tree`` exactly once (else
+        :class:`~repro.errors.InvalidScheduleError`). The row is written at
+        the next :meth:`prepare` (every :meth:`run` begins with one),
+        together with every other arrival since.
         """
         if name in self._slot_of:
             raise StreamError(f"the round program already holds {name!r}")
-        self._add((name, _layout(tree), tuple(schedule), oracle))
-
-    def _add(self, spec: _Spec) -> None:
-        """Queue ``spec``'s row in the last place of registration order."""
+        spec = (name, tree, validate_schedule(tree, schedule), oracle)
         slot = len(self._specs)
         self._specs.append(spec)
-        self._slot_of[spec[0]] = slot
+        self._slot_of[name] = slot
         if slot >= self._position.size:
             capacity = max(2 * self._position.size, 8)
-            self._length = _grown(self._length, 0, capacity, 0)
-            self._position = _grown(self._position, 0, capacity, -1)
-            self._root = _grown(self._root, 0, capacity, 0)
-            self._tape = _grown(self._tape, 0, capacity, -1)
+            self._length = _grown(self._length, capacity, 0)
+            self._position = _grown(self._position, capacity, -1)
+            self._n_ands = _grown(self._n_ands, capacity, 0)
+            self._tape = _grown(self._tape, capacity, -1)
         self._position[slot] = len(self._slot_of) - 1
         self._order = None
         self._names = None
@@ -382,116 +302,93 @@ class RoundProgram:
         self._names = None
 
     def reschedule(self, name: str, schedule: Schedule) -> None:
-        """Rewrite ``name``'s row for a new schedule of the same tree."""
+        """Rewrite ``name``'s row for a new schedule of the same tree
+        (a permutation of its leaves, as :meth:`append` checks)."""
         slot = self._slot_of[name]
         spec = self._specs[slot]
         assert spec is not None
-        self._specs[slot] = (spec[0], spec[1], tuple(schedule), spec[3])
+        spec = self._specs[slot] = (spec[0], spec[1], validate_schedule(spec[1], schedule), spec[3])
         if slot < self._flushed:
-            self._write(slot, slot + 1, [self._specs[slot]], self._root[slot : slot + 1])
+            self._write(slot, slot + 1, [spec])
 
     def prepare(self) -> None:
-        """Write every pending arrival's row; compact once half the rows are dead."""
-        if self._dead and 2 * self._dead >= len(self._specs):
+        """Write every pending arrival's row, one array conversion per field;
+        compact once half the rows are dead."""
+        start, stop = self._flushed, len(self._specs)
+        if start < stop:
+            self._write(start, stop, self._specs[start:stop])
+            self._flushed = stop
+        if self._dead and 2 * self._dead >= stop:
             self._compact()
-        if self._flushed < len(self._specs):
-            self._flush()
 
     def _compact(self) -> None:
-        """Rebuild the arrays from the live rows, in registration order.
+        """Move the live rows to the front, in slot order: one gather per array.
 
-        The bound clocks move their rounds back into their oracles first,
-        and the rebuilt rows bind them again.
+        Positions alone carry registration order, so the slot order is free
+        to keep. Tape indices, and with them the clocks, stay where they are.
         """
-        specs = [self._specs[slot] for slot in self.order.tolist()]
-        objs = self._tape_objs
-        for tape in self._bound():
-            objs[tape].bind_clock(None)
-        self._reset()
-        for spec in specs:
-            assert spec is not None
-            self._add(spec)
+        keep = np.flatnonzero(self._position >= 0)
+        n = keep.size
+        for rows in (self._gindex, self._stream, self._items, self._and):
+            rows[:, :n] = rows[:, keep]
+        self._and_size[:n] = self._and_size[keep]
+        for per_slot, fill in (
+            (self._length, 0),
+            (self._position, -1),
+            (self._n_ands, 0),
+            (self._tape, -1),
+        ):
+            per_slot[:n] = per_slot[keep]
+            per_slot[n:] = fill
+        slots = keep.tolist()
+        self._specs = list(map(self._specs.__getitem__, slots))
+        self._calls = list(map(self._calls.__getitem__, slots))
+        self._slot_of = dict(zip(map(_name_of, self._specs), range(n)))
+        self._flushed = n
+        self._dead = 0
+        self._order = None
 
-    def _flush(self) -> None:
-        """Write the pending slots' nodes and rows, one array conversion per field."""
-        start, stop = self._flushed, len(self._specs)
-        pending = self._specs[start:stop]
-        sizes: list[int] = []
-        parents: list[int] = []
-        closes: list[int] = []
-        need: list[int] = []
-        for spec in pending:
-            if spec is None:  # arrived and left before its row was written
-                sizes.append(0)
-                continue
-            layout = spec[1]
-            sizes.append(len(layout.parents))
-            parents.extend(layout.parents)
-            closes.extend(layout.closes)
-            need.extend(layout.need)
-        first = self._n_nodes
-        bases = first + np.cumsum(sizes) - sizes
-        n_nodes = first + len(parents)
-        if n_nodes > self._parent.size:
-            capacity = max(2 * self._parent.size, n_nodes)
-            self._parent = _grown(self._parent, 0, capacity, _SINK)
-            self._closes = _grown(self._closes, 0, capacity, 0)
-            self._need = _grown(self._need, 0, capacity, 0)
-            self._state = np.zeros(capacity, np.uint8)
-            self._counts = np.zeros(capacity, np.intp)
-        # Tree-local parents move to the trees' bases; roots hang off the sink.
-        local = np.array(parents, np.intp)
-        self._parent[first:n_nodes] = np.where(
-            local >= 0, local + np.repeat(bases, sizes), _SINK
-        )
-        self._closes[first:n_nodes] = closes
-        self._need[first:n_nodes] = need
-        self._n_nodes = n_nodes
-        self._write(start, stop, pending, bases)
-        self._flushed = stop
+    def _write(self, start: int, stop: int, specs: list[_Spec | None]) -> None:
+        """Write the rows of slots ``[start, stop)``.
 
-    def _write(
-        self, start: int, stop: int, specs: list[_Spec | None], bases: np.ndarray
-    ) -> None:
-        """Write the rows of slots ``[start, stop)``, whose trees' nodes start
-        at ``bases`` and are already written.
-
-        Every step's leaf index, stream, window and guards (its leaf, then
-        the leaf's ancestors) go into one array, which moves the guards to
-        the trees' bases and is scattered into a padded block once. A padded
-        step's leaf is the sink, so its one guard is resolved and the step
-        is skipped.
+        Every step's leaf index, stream, window and AND go into one array,
+        and every AND's leaf count into another, each scattered into a
+        padded block once. A slot whose resident left before its row was
+        written gets an empty row.
         """
         lengths: list[int] = []
+        n_ands: list[int] = []
         tapes: list[int] = []
-        width = self._leaf.shape[0]
-        height = max((spec[1].height for spec in specs if spec is not None), default=1)
-        # Per step: its step and row, global leaf index, stream, window and
-        # tree-local guards.
-        cells: list[tuple[int, ...]] = []
+        width, most = self._gindex.shape[0], self._and_size.shape[1]
+        # Per step: its step and row, global leaf index, stream, window and AND.
+        cells: list[tuple[int, int, int, int, int, int]] = []
+        # Per AND: its row, index and leaf count.
+        sizes: list[tuple[int, int, int]] = []
         stream_ids = self._stream_ids
         # Room for one new tape per row: holding an oracle grows nothing.
-        tapes_at_most = len(self._tape_objs) + len(specs)
+        tapes_at_most = len(self._tape_objs) + max(0, len(specs) - len(self._free_tapes))
         if tapes_at_most > self._clock.size:
             self._grow_tapes(max(2 * self._clock.size, tapes_at_most))
         for row, spec in enumerate(specs):
             slot = start + row
             if spec is None:
                 lengths.append(0)
+                n_ands.append(0)
                 tapes.append(-1)
                 self._calls.append(None)
                 continue
-            _, layout, schedule, oracle = spec
-            leaves, fields = layout.leaves, layout.fields
-            padding = (_PAD,) * (height - layout.height)
+            _, tree, schedule, oracle = spec
+            leaves, ref = tree.leaves, tree.ref
             for step, g in enumerate(schedule):
-                stream = leaves[g].stream
-                sid = stream_ids.get(stream)
+                leaf = leaves[g]
+                sid = stream_ids.get(leaf.stream)
                 if sid is None:
-                    sid = stream_ids[stream] = len(self._streams)
-                    self._streams.append(stream)
-                cells.append((step, row, g, sid, *fields[g], *padding))
+                    sid = stream_ids[leaf.stream] = len(self._streams)
+                    self._streams.append(leaf.stream)
+                cells.append((step, row, g, sid, leaf.items, ref(g)[0]))
+            sizes.extend((row, i, len(group)) for i, group in enumerate(tree.ands))
             lengths.append(len(schedule))
+            n_ands.append(len(tree.ands))
             if slot < len(self._calls):
                 self._release_oracle(slot, oracle)
             tape = self._hold_oracle(oracle, len(leaves))
@@ -504,36 +401,30 @@ class RoundProgram:
                 self._calls.append(call)
             tapes.append(tape)
             width = max(width, len(schedule))
-        self._height = max(self._height, height)
-        depth = max(self._guards.shape[2], -(-height // 4) * 4)
+            most = max(most, len(tree.ands))
         capacity = self._position.size
-        if self._leaf.shape != (width, capacity) or self._guards.shape[2] != depth:
-            self._leaf = _grown(_grown(self._leaf, 0, width, _SINK), 1, capacity, _SINK)
-            self._gindex = _grown(_grown(self._gindex, 0, width, 0), 1, capacity, 0)
-            self._stream = _grown(_grown(self._stream, 0, width, 0), 1, capacity, 0)
-            self._items = _grown(_grown(self._items, 0, width, 0), 1, capacity, 0)
-            guards = np.full((width, capacity, depth), _OPEN, np.intp)
-            old = self._guards
-            guards[: old.shape[0], : old.shape[1], : old.shape[2]] = old
-            # A step padded onto older rows has the sink as its guard.
-            guards[old.shape[0] :, :, 0] = _SINK
-            self._guards = guards
-        # [width, rows, fields]: global leaf index, stream, window, guards.
-        block = np.zeros((width, stop - start, 3 + depth), np.intp)
-        block[:, :, 3] = _SINK
+        if self._gindex.shape != (width, capacity) or self._and_size.shape != (capacity, most):
+            self._gindex = _grown(self._gindex, (width, capacity), 0)
+            self._stream = _grown(self._stream, (width, capacity), 0)
+            self._items = _grown(self._items, (width, capacity), 0)
+            self._and = _grown(self._and, (width, capacity), 0)
+            self._and_size = _grown(self._and_size, (capacity, most), 0)
+        # [fields, width, rows]: global leaf index, stream, window, AND.
+        block = np.zeros((4, width, stop - start), np.intp)
         if cells:
             steps = np.array(cells, np.intp)
-            rows = steps[:, 1]
-            local = steps[:, 5:]
-            steps[:, 5:] = np.where(local >= 0, local + bases[rows, None], _OPEN)
-            block[steps[:, 0], rows, : 3 + height] = steps[:, 2:]
-        self._leaf[:, start:stop] = block[:, :, 3]
-        self._gindex[:, start:stop] = block[:, :, 0]
-        self._stream[:, start:stop] = block[:, :, 1]
-        self._items[:, start:stop] = block[:, :, 2]
-        self._guards[:, start:stop] = block[:, :, 3:]
+            block[:, steps[:, 0], steps[:, 1]] = steps[:, 2:].T
+        self._gindex[:, start:stop] = block[0]
+        self._stream[:, start:stop] = block[1]
+        self._items[:, start:stop] = block[2]
+        self._and[:, start:stop] = block[3]
+        and_sizes = np.zeros((stop - start, most), np.intp)
+        if sizes:
+            ands = np.array(sizes, np.intp)
+            and_sizes[ands[:, 0], ands[:, 1]] = ands[:, 2]
+        self._and_size[start:stop] = and_sizes
         self._length[start:stop] = lengths
-        self._root[start:stop] = bases
+        self._n_ands[start:stop] = n_ands
         self._tape[start:stop] = tapes
 
     # -- oracles --------------------------------------------------------
@@ -552,9 +443,14 @@ class RoundProgram:
             return -1
         tape = self._tape_ids.get(id(oracle))
         if tape is None:
-            tape = self._tape_ids[id(oracle)] = len(self._tape_objs)
-            self._tape_objs.append(oracle)
-            self._tape_bits.append(b"")
+            if self._free_tapes:
+                tape = self._free_tapes.pop()
+                self._tape_objs[tape] = oracle
+            else:
+                tape = len(self._tape_objs)
+                self._tape_objs.append(oracle)
+                self._tape_bits.append(b"")
+            self._tape_ids[id(oracle)] = tape
         refs = self._tape_refs[tape] + 1
         self._tape_refs[tape] = refs
         if refs == 1:
@@ -569,7 +465,8 @@ class RoundProgram:
 
     def _release_oracle(self, slot: int, oracle: LeafOracle) -> None:
         """Drop a row's hold on its oracle: a tape nobody reads is not drawn,
-        and a clock nobody holds moves its round back into its oracle."""
+        a clock nobody holds moves its round back into its oracle, and the
+        tape index goes on the free list."""
         if self._tape[slot] < 0:
             self._n_called -= 1
         tape = self._tape_ids.get(id(oracle))
@@ -583,6 +480,9 @@ class RoundProgram:
             self._tape_end[tape] = self._tape_first[tape] = 0
             if self._tape_owned[tape]:
                 oracle.bind_clock(None)
+            del self._tape_ids[id(oracle)]
+            self._tape_objs[tape] = None
+            self._free_tapes.append(tape)
 
     def _grow_tapes(self, size: int) -> None:
         """Grow the per-tape arrays to ``size`` and rebind the held clocks.
@@ -590,21 +490,17 @@ class RoundProgram:
         Grown zeroed: an empty range, so a new tape's first round asks the
         oracle for it.
         """
-        self._tape_refs = _grown(self._tape_refs, 0, size, 0)
-        self._tape_owned = _grown(self._tape_owned, 0, size, False)
-        self._clock = _grown(self._clock, 0, size, 0)
-        self._tape_first = _grown(self._tape_first, 0, size, 0)
-        self._tape_end = _grown(self._tape_end, 0, size, 0)
-        self._tape_stride = _grown(self._tape_stride, 0, size, 0)
-        self._tape_base = _grown(self._tape_base, 0, size, 0)
-        self._tape_offset = _grown(self._tape_offset, 0, size, 0)
+        self._tape_refs = _grown(self._tape_refs, size, 0)
+        self._tape_owned = _grown(self._tape_owned, size, False)
+        self._clock = _grown(self._clock, size, 0)
+        self._tape_first = _grown(self._tape_first, size, 0)
+        self._tape_end = _grown(self._tape_end, size, 0)
+        self._tape_stride = _grown(self._tape_stride, size, 0)
+        self._tape_base = _grown(self._tape_base, size, 0)
+        self._tape_offset = _grown(self._tape_offset, size, 0)
         objs = self._tape_objs
-        for tape in self._bound():
-            objs[tape].bind_clock(self._clock, tape)
-
-    def _bound(self) -> list[int]:
-        """The held tape indices whose oracle's round lives in the clock array."""
-        return np.flatnonzero((self._tape_refs > 0) & self._tape_owned).tolist()
+        for tape in np.flatnonzero((self._tape_refs > 0) & self._tape_owned).tolist():
+            objs[tape].bind_clock(self._clock, tape)  # type: ignore[union-attr]
 
     def _live(self) -> tuple[np.ndarray, list[int]]:
         """The held tape indices, and those whose round another clock holds."""
@@ -622,7 +518,7 @@ class RoundProgram:
         self._clock += 1
         objs = self._tape_objs
         for tape in self._live()[1]:
-            objs[tape].advance(1)
+            objs[tape].advance(1)  # type: ignore[union-attr]
 
     def _tape_offsets(self) -> np.ndarray:
         """Per tape index, where the current round's outcomes start in the buffer.
@@ -647,7 +543,7 @@ class RoundProgram:
             tapes = live[stale]
             handed, firsts, ends, strides = [], [], [], []
             for tape in tapes.tolist():
-                bits, start, end, stride = self._tape_objs[tape].tape()
+                bits, start, end, stride = self._tape_objs[tape].tape()  # type: ignore[union-attr]
                 self._tape_bits[tape] = bits
                 handed.append(bits)
                 firsts.append(start)
@@ -681,31 +577,33 @@ class RoundProgram:
     def run(self, cache: Union[DataItemCache, CountingCache]) -> RoundStats:
         """Execute one round with per-query early termination.
 
-        Step *k* of every live row runs at once: a probe is skipped for free
-        when one of its guards (the leaf's AND/OR ancestors, or the leaf
-        itself) is resolved, and a row leaves the walk once its root
-        resolves. Per query, the round means exactly what running it
-        through :class:`~repro.engine.executor.ScheduleExecutor` means (see
-        :meth:`results`). Only the probes that widen their stream's window
-        this round fetch anything: every other probe's window is cached
-        (nothing evicts mid-round), so its fetch would charge 0.0, and
-        adding 0.0 to a sum begun at 0.0 changes no bit. Each touched
-        stream's widening windows go to the cache's ``fetch_widening`` in
-        one call, which returns the items each fetched; their costs (items
-        times the stream's item cost) are then added to the queries' costs
-        and to the cache's ``charged`` in registration order.
+        Step *k* of every live row runs at once, with one counter per AND
+        and one per root. An AND counts down the TRUE leaves it still
+        needs, and a FALSE leaf closes it at once; the root counts down the
+        FALSE ANDs it still needs, and a TRUE AND closes it at once. A
+        probe whose AND closed is skipped for free, and a row leaves the
+        walk once its root closes. Per query, the round means exactly what
+        running it through :class:`~repro.engine.executor.ScheduleExecutor`
+        means (see :meth:`results`). Only the probes that widen their
+        stream's window this round fetch anything: every other probe's
+        window is cached (nothing evicts mid-round), so its fetch would
+        charge 0.0, and adding 0.0 to a sum begun at 0.0 changes no bit.
+        Each touched stream's widening windows go to the cache's
+        ``fetch_widening`` in one call, which returns the items each
+        fetched; their costs (items times the stream's item cost) are then
+        added to the queries' costs and to the cache's ``charged`` in
+        registration order.
         """
         self.prepare()
-        n_nodes = self._n_nodes
-        state = self._state
-        counts = self._counts
-        state[:n_nodes] = 0
-        state[_SINK] = TRUE
-        counts[:n_nodes] = 0
         order = self.order
-        parent, closes, need, root = self._parent, self._closes, self._need, self._root
-        guards, leaf, gindexes = self._guards, self._leaf, self._gindex
-        climbs = range(self._height - 1)
+        gindexes, ands = self._gindex, self._and
+        most = self._and_size.shape[1]
+        # Per (slot, AND) cell, flat: the TRUE leaves the AND still needs,
+        # 0 once it holds and -1 once a leaf failed it. Per slot: the FALSE
+        # ANDs its root still needs, 0 once it fails and -1 once an AND
+        # holds it. Either is open while positive.
+        left = self._and_size.flatten()
+        root = self._root_left = self._n_ands.copy()
         called = self._n_called > 0
         taped = self._n_called < order.size
         if taped:
@@ -718,17 +616,17 @@ class RoundProgram:
         step_gindex: list[np.ndarray] = []
         peeks: dict[int, tuple[int, np.ndarray | None]] = {}
         live = order
-        for k in range(leaf.shape[0]):
+        for k in range(gindexes.shape[0]):
             if not live.size:
                 break
             rows = live
+            cell = live * most + ands[k][live]
             if k:
-                # Four guards' states to a uint32: nonzero once one resolved.
-                packed = state[guards[k][live]].view(np.uint32)
-                if packed.shape[1] == 1:
-                    rows = live[packed[:, 0] == 0]
-                else:
-                    rows = live[~packed.any(axis=1)]
+                # A permutation probes no leaf twice, so a probe is skipped
+                # only when an earlier step closed its AND.
+                open_ = left[cell] > 0
+                rows = live[open_]
+                cell = cell[open_]
             gindex = gindexes[k][rows]
             if not called:
                 values = buffer[starts[rows] + gindex]
@@ -743,27 +641,21 @@ class RoundProgram:
             step_slots.append(rows)
             step_values.append(values)
             step_gindex.append(gindex)
-            node = leaf[k][rows]
-            state[node] = values
-            # Propagate toward the roots, at most one level fewer than the
-            # deepest path has nodes. A value never changes on the way up: an
-            # AND takes a FALSE child's value (or its last TRUE child's), an
-            # OR a TRUE child's (or its last FALSE child's). Any other child
-            # value leaves the parent open. Each row has its own nodes and
-            # one probe per step, so no two chains touch one node.
-            for _ in climbs:
-                up = parent[node]
-                resolved = counts[up] + 1
-                counts[up] = resolved
-                going = ((values == closes[up]) | (resolved >= need[up])).nonzero()[0]
-                if not going.size:
-                    break
-                node = up[going]
-                values = values[going]
-                state[node] = values
-            # A row leaves the walk once its root resolves; a full schedule
-            # resolves it by its last step, and padded steps are skipped.
-            live = live[state[root[live]] == 0]
+            # Each row probes one leaf per step, so no two probes of a step
+            # share a counter.
+            held = values == TRUE
+            after = np.where(held, left[cell] - 1, -1)
+            left[cell] = after
+            closed = (after <= 0).nonzero()[0]
+            if not closed.size:
+                continue
+            slots = rows[closed]
+            after = np.where(held[closed], -1, root[slots] - 1)
+            root[slots] = after
+            if (after <= 0).any():
+                # A full schedule closes its root by its last step, so no
+                # live row reaches a padded step.
+                live = live[root[live] > 0]
         return self._charge(cache, order.size, step_slots, step_values, step_gindex)
 
     def _call_oracles(
@@ -891,9 +783,9 @@ class RoundProgram:
 
     def values(self) -> list[bool]:
         """Every query's root value in the last round, in registration order."""
-        values = self._state[self._root[self.order]]
-        assert values.all(), "a full schedule always resolves the root"
-        return (values == TRUE).tolist()
+        roots = self._root_left[self.order]
+        assert (roots <= 0).all(), "a full schedule always resolves the root"
+        return (roots < 0).tolist()
 
     def evaluated(self) -> tuple[list[int], list[int], list[bool]]:
         """The last round's evaluated probes in (position, step) order: each

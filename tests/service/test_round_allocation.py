@@ -2,11 +2,11 @@
 
 Objects a round creates per resident live through the round's young
 collections, get promoted and set off full sweeps of every long-lived
-object. The round kernel keeps its rows, node state and evaluated probes in
-numpy arrays, which the collector does not track, and calls a per-probe
-oracle through the row's stored oracle, so a steady batch triggers no
-generation-2 collection and its young collections do not grow with the
-population. The same holds with one drifting oracle per query, as the
+object. The round kernel keeps its rows, its per-AND and per-root counters
+and its evaluated probes in numpy arrays, which the collector does not
+track, and calls a per-probe oracle through the row's stored oracle, so a
+steady batch triggers no generation-2 collection and its young collections
+do not grow with the population. The same holds with one drifting oracle per query, as the
 serving benchmark runs them: each hands the kernel its outcome tape as
 bytes, which the collector does not track either.
 """

@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 
 from repro import AndTree, DnfTree, Leaf
 from repro.core.resolution import TreeIndex
-from repro.core.tree import AndNode, LeafNode, OrNode, QueryTree
 from repro.engine.executor import (
     BernoulliOracle,
     DriftingBernoulliOracle,
@@ -53,25 +52,14 @@ leaves = st.builds(
 )
 
 
-def _nodes(depth: int):
-    if depth == 0:
-        return leaves.map(LeafNode)
-    child = _nodes(depth - 1)
-    return st.one_of(
-        leaves.map(LeafNode),
-        st.lists(child, min_size=1, max_size=3).map(AndNode),
-        st.lists(child, min_size=1, max_size=3).map(OrNode),
-    )
-
-
-#: Bare leaves, single ANDs, DNFs and arbitrarily nested (non-DNF) trees.
+#: DNFs, as a round program's rows are: bare leaves and single ANDs as
+#: one-AND DNFs, and ORs of ANDs.
 trees = st.one_of(
-    leaves.map(lambda leaf: QueryTree(LeafNode(leaf))),
-    st.lists(leaves, min_size=1, max_size=4).map(AndTree),
+    leaves.map(lambda leaf: DnfTree([[leaf]])),
+    st.lists(leaves, min_size=1, max_size=4).map(lambda ands: AndTree(ands).to_dnf()),
     st.lists(st.lists(leaves, min_size=1, max_size=3), min_size=1, max_size=3).map(
         DnfTree
     ),
-    _nodes(3).map(QueryTree),
 )
 
 ORACLES = ("bernoulli", "shared-bernoulli", "drifting", "precomputed", "predicate")
@@ -85,7 +73,7 @@ def populations(draw):
     queries = []
     for k in range(draw(st.integers(1, 6))):
         tree = draw(trees)
-        n = len(TreeIndex(tree).tree.leaves)
+        n = tree.size
         schedule = tuple(draw(st.permutations(range(n))))
         kind = draw(st.sampled_from(kinds))
         queries.append(
@@ -203,8 +191,9 @@ class TestRoundMatchesReference:
     def test_rounds_are_bit_identical(self, population):
         got_world = build(population)
         want_world = build(population)
-        indexes, schedules, cache, oracles = got_world
-        program = RoundProgram(indexes, schedules, oracles)
+        _, schedules, cache, oracles = got_world
+        trees = {q["name"]: q["tree"] for q in population["queries"]}
+        program = RoundProgram(trees, schedules, oracles)
         # Every schedule back to back, in registration order.
         order = [(name, g) for name, schedule in schedules.items() for g in schedule]
         drawn = reference_round.shares_a_bernoulli_oracle(oracles)
@@ -245,10 +234,9 @@ class _ScribblingOracle(LeafOracle):
 class TestMemoizedWindows:
     def test_windows_are_read_only(self):
         tree = DnfTree([[Leaf("A", 3, 0.5)], [Leaf("A", 2, 0.5)]])
-        indexes = {"q": TreeIndex(tree)}
         cache = DataItemCache({"A": UniformSource(seed=1)}, {"A": 1.0}, now=4)
         with pytest.raises(ValueError, match="read-only"):
-            RoundProgram(indexes, {"q": (0, 1)}, {"q": _ScribblingOracle()}).run(cache)
+            RoundProgram({"q": tree}, {"q": (0, 1)}, {"q": _ScribblingOracle()}).run(cache)
 
     def test_memo_serves_the_fetched_tail(self):
         """A nested window sees the newest items of the wider one, for free."""
@@ -261,7 +249,7 @@ class TestMemoizedWindows:
 
         tree = DnfTree([[Leaf("A", 4, 0.5)], [Leaf("A", 2, 0.5)]])
         cache = DataItemCache({"A": UniformSource(seed=3)}, {"A": 1.0}, now=6)
-        program = RoundProgram({"q": TreeIndex(tree)}, {"q": (0, 1)}, {"q": Recording()})
+        program = RoundProgram({"q": tree}, {"q": (0, 1)}, {"q": Recording()})
         stats = program.run(cache)
         assert seen[1].tolist() == seen[0][-2:].tolist()
         assert (stats.items_fetched, stats.items_saved, stats.free_probes) == (4, 2, 1)

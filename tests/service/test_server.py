@@ -355,13 +355,13 @@ class TestPlanningPhase:
     """Writing the arrivals' rows inside a round is credited to ``planning``."""
 
     def test_round_after_churn_credits_planning(self, monkeypatch):
-        flush = server_module.RoundProgram._flush
+        write = server_module.RoundProgram._write
 
-        def slow_flush(program):
+        def slow_write(program, *args):
             time.sleep(0.05)
-            flush(program)
+            write(program, *args)
 
-        monkeypatch.setattr(server_module.RoundProgram, "_flush", slow_flush)
+        monkeypatch.setattr(server_module.RoundProgram, "_write", slow_write)
         tel = Telemetry()
         server = QueryServer(tiny_registry(), BernoulliOracle(seed=0), telemetry=tel)
         server.register("q1", tiny_tree(0.4))

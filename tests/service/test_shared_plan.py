@@ -1,7 +1,11 @@
-"""Round programs: registration-order steps, first-payer attribution and the
-sharing cost-dominance property."""
+"""Round programs: registration-order steps, first-payer attribution,
+compaction and tape reuse, and the sharing cost-dominance property."""
 
 from __future__ import annotations
+
+import pickle
+import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +13,8 @@ from hypothesis import strategies as st
 
 from repro import DnfTree, Leaf
 from repro.core.heuristics import get_scheduler
-from repro.core.resolution import TreeIndex
-from repro.engine.executor import LeafOracle, PrecomputedOracle
-from repro.errors import StreamError
+from repro.engine.executor import DriftingBernoulliOracle, LeafOracle, PrecomputedOracle
+from repro.errors import InvalidScheduleError, StreamError
 from repro.service import (
     QueryServer,
     run_isolated,
@@ -20,8 +23,8 @@ from repro.service import (
 )
 from repro.service.shared_plan import RoundProgram
 from repro.streams.cache import CountingCache, DataItemCache
+from repro.streams.drift import DriftSchedule
 from repro.streams.sources import ReplaySource
-from tests.service import reference_round
 
 
 class DataDrivenOracle(LeafOracle):
@@ -167,29 +170,21 @@ class TestRoundProgram:
             assert stats.query_cost == [40.0, 0.0]
             assert (stats.items_fetched, stats.items_saved, stats.free_probes) == (4, 4, 1)
 
-    def test_repeated_probe_matches_the_walk(self):
-        """A schedule probing one leaf twice: evaluated once, then skipped."""
+    def test_schedules_must_be_permutations(self):
+        """The round's counters rely on each leaf being probed once, so a
+        schedule that repeats, drops or invents a leaf is rejected, at
+        arrival and at a re-plan, and a rejected re-plan keeps the row."""
         tree = DnfTree([[Leaf("A", 2, 0.5), Leaf("B", 1, 0.5)]])
-        schedules = {"q": (0, 0, 1)}
-
-        def world():
-            return (
-                CountingCache({"A": 1.0, "B": 2.0}),
-                {"q": PrecomputedOracle([True, False])},
-            )
-
-        cache, oracles = world()
-        program = RoundProgram({"q": tree}, schedules, oracles)
-        got_stats = program.run(cache)
-        got = program.results()
-        cache, oracles = world()
-        order = [("q", 0), ("q", 0), ("q", 1)]
-        want, want_stats = reference_round.execute_round(
-            order, {"q": TreeIndex(tree)}, cache, oracles
-        )
-        assert got == want
-        assert got["q"].evaluated == (0, 1) and got["q"].skipped == (0,)
-        assert got_stats == want_stats
+        program = RoundProgram()
+        for schedule in ((0, 0, 1), (0, 0), (0,), (0, 2)):
+            with pytest.raises(InvalidScheduleError):
+                program.append("q", tree, schedule, PrecomputedOracle([True, False]))
+        assert len(program) == 0
+        program.append("q", tree, (1, 0), PrecomputedOracle([True, True]))
+        with pytest.raises(InvalidScheduleError):
+            program.reschedule("q", (1, 1))
+        program.run(CountingCache({"A": 1.0, "B": 2.0}))
+        assert program.results()["q"].evaluated == (1, 0)
 
     def test_only_window_readers_get_a_window(self):
         """An oracle that reads windows gets the values a fetch returns; one
@@ -235,3 +230,98 @@ class TestRoundProgram:
         oracles = {"a": PrecomputedOracle([True]), "b": PrecomputedOracle([True])}
         with pytest.raises(StreamError, match="schedules name"):
             RoundProgram({"a": tree, "b": tree}, {"a": (0,)}, oracles)
+
+
+#: A two-AND DNF over three streams, and the cache its rows read.
+CHURN_TREE = DnfTree(
+    [[Leaf("A", 2, 0.6), Leaf("B", 1, 0.5)], [Leaf("C", 3, 0.4)]],
+    {"A": 1.0, "B": 2.0, "C": 0.5},
+)
+
+
+def churn_cache() -> CountingCache:
+    return CountingCache({"A": 1.0, "B": 2.0, "C": 0.5})
+
+
+def drifting(seed: int) -> DriftingBernoulliOracle:
+    return DriftingBernoulliOracle(DriftSchedule([0.6, 0.5, 0.4]), seed=seed)
+
+
+class TestCompaction:
+    def test_compaction_gathers_without_writing_or_rebinding(self, monkeypatch):
+        """Compacting half-dead rows writes no row and binds no clock, and
+        the survivors serve a round as a freshly built program does."""
+        names = [f"q{k}" for k in range(12)]
+        oracles = {name: drifting(seed) for seed, name in enumerate(names)}
+        schedules = {name: (2, 0, 1) if k % 2 else (0, 1, 2) for k, name in enumerate(names)}
+        program = RoundProgram({name: CHURN_TREE for name in names}, schedules, oracles)
+        program.run(churn_cache())
+        program.tick()
+        survivors = names[1::3] + names[11:]
+        for name in names:
+            if name not in survivors:
+                program.remove(name)
+        program.reorder(survivors[::-1])
+        writes: list[tuple] = []
+        write = RoundProgram._write
+
+        def counted_write(self, *args):
+            writes.append(args)
+            write(self, *args)
+
+        monkeypatch.setattr(RoundProgram, "_write", counted_write)
+        with mock.patch.object(
+            DriftingBernoulliOracle,
+            "bind_clock",
+            autospec=True,
+            side_effect=DriftingBernoulliOracle.bind_clock,
+        ) as bind:
+            program.prepare()
+        assert writes == [] and bind.call_count == 0
+        assert program._dead == 0 and program.length[: len(survivors)].all()
+        assert not program.length[len(survivors) :].any()
+        # A twin of every survivor, unbound, at the round its oracle stands at.
+        order = list(program.names)
+        assert order == survivors[::-1]
+        twins = {name: pickle.loads(pickle.dumps(oracles[name])) for name in order}
+        fresh = RoundProgram(
+            {name: CHURN_TREE for name in order},
+            {name: schedules[name] for name in order},
+            twins,
+        )
+        for _ in range(3):
+            got, want = program.run(churn_cache()), fresh.run(churn_cache())
+            assert got == want
+            assert program.results() == fresh.results()
+            program.tick()
+            fresh.tick()
+
+    def test_tape_slots_are_reused_through_churn(self):
+        """Released tape indices are taken again: after 2 000 departures and
+        arrivals at 150 residents with one tape oracle each, the tape table
+        and the clock array hold at most twice the most tapes ever held."""
+        program = RoundProgram()
+        rng = random.Random(3)
+        residents = []
+        for k in range(150):
+            program.append(f"q{k}", CHURN_TREE, (0, 1, 2), drifting(k))
+            residents.append(f"q{k}")
+        cache = churn_cache()
+        peak = compactions = 0
+        for cycle in range(2_000):
+            gone = residents.pop(rng.randrange(len(residents)))
+            program.remove(gone)
+            name = f"a{cycle}"
+            program.append(name, CHURN_TREE, (2, 1, 0), drifting(1_000 + cycle))
+            residents.append(name)
+            dead = program._dead
+            program.prepare()
+            compactions += dead > 0 and program._dead == 0
+            peak = max(peak, int((program._tape_refs > 0).sum()))
+            if cycle % 20 == 0:
+                program.run(cache)
+                program.tick()
+        assert compactions > 10
+        assert peak == 150
+        assert len(program._tape_objs) <= 2 * peak
+        assert program._clock.size <= 2 * peak
